@@ -86,11 +86,12 @@ class GATLayer(Module):
         el = (z_src * self.attn_l.value[None]).sum(axis=2)            # (num_src, H)
         er = (z_dst * self.attn_r.value[None]).sum(axis=2)            # (num_dst, H)
         score_pre = el[block.edge_src] + er[block.edge_dst]           # (num_edges, H)
+        by_dst = (block.edge_dst, block.num_dst, block.dst_indptr)
         score = leaky_relu(score_pre, self.negative_slope)
-        alpha = segment_softmax(score, block.edge_dst, block.num_dst)  # (num_edges, H)
+        alpha = segment_softmax(score, *by_dst)                       # (num_edges, H)
 
         messages = alpha[:, :, None] * z_src[block.edge_src]          # (num_edges, H, D)
-        agg = segment_sum(messages, block.edge_dst, block.num_dst)    # (num_dst, H, D)
+        agg = segment_sum(messages, *by_dst)                          # (num_dst, H, D)
 
         if self.combine == "concat":
             combined = agg.reshape(block.num_dst, H * D)
@@ -131,16 +132,17 @@ class GATLayer(Module):
         alpha = cache["alpha"]
 
         grad_alpha = (grad_messages * z_src_e).sum(axis=2)            # (num_edges, H)
-        grad_z_src = np.zeros_like(cache["z_src"])
-        np.add.at(grad_z_src, block.edge_src, alpha[:, :, None] * grad_messages)
-
-        grad_score = segment_softmax_backward(grad_alpha, alpha, block.edge_dst, block.num_dst)
+        by_dst = (block.edge_dst, block.num_dst, block.dst_indptr)
+        grad_score = segment_softmax_backward(grad_alpha, alpha, *by_dst)
         grad_score_pre = leaky_relu_backward(grad_score, cache["score_pre"], self.negative_slope)
+        grad_er = segment_sum(grad_score_pre, *by_dst)
 
-        grad_el = np.zeros((block.num_src, H), dtype=np.float32)
-        grad_er = np.zeros((block.num_dst, H), dtype=np.float32)
-        np.add.at(grad_el, block.edge_src, grad_score_pre)
-        np.add.at(grad_er, block.edge_dst, grad_score_pre)
+        # Both source-side sums in one reduce, so edge_src is sorted once: (num_src, H, D + 1).
+        per_edge = np.empty((block.num_edges, H, D + 1), dtype=grad_messages.dtype)
+        np.multiply(alpha[:, :, None], grad_messages, out=per_edge[:, :, :D])
+        per_edge[:, :, D] = grad_score_pre
+        by_src = segment_sum(per_edge, block.edge_src, block.num_src)
+        grad_z_src, grad_el = by_src[:, :, :D], by_src[:, :, D]
 
         # el = sum(z_src * attn_l); er = sum(z_dst * attn_r)
         self.attn_l.grad += (grad_el[:, :, None] * cache["z_src"]).sum(axis=0)

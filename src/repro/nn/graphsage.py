@@ -23,6 +23,7 @@ from repro.nn.tensor_utils import (
     ACTIVATIONS,
     segment_mean,
     segment_mean_backward,
+    segment_sum,
     xavier_uniform,
     zeros,
 )
@@ -58,14 +59,15 @@ class SAGELayer(Module):
             )
         h_dst = h_src[: block.num_dst]
         messages = h_src[block.edge_src]
-        agg = segment_mean(messages, block.edge_dst, block.num_dst)
+        agg = segment_mean(messages, block.edge_dst, block.num_dst, block.dst_indptr)
         pre = h_dst @ self.w_self.value + agg @ self.w_neigh.value + self.bias.value
         act_fn, _ = ACTIVATIONS[self.activation]
         out = act_fn(pre)
         self._cache = {"block": block, "h_src": h_src, "h_dst": h_dst, "agg": agg, "pre": pre}
         return out
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray, input_grad: bool = True) -> Optional[np.ndarray]:
+        """Accumulate parameter gradients; return d(loss)/d(h_src) unless *input_grad* is false."""
         if self._cache is None:
             raise RuntimeError("backward called before forward")
         cache = self._cache
@@ -76,15 +78,15 @@ class SAGELayer(Module):
         self.w_self.grad += cache["h_dst"].T @ grad_pre
         self.w_neigh.grad += cache["agg"].T @ grad_pre
         self.bias.grad += grad_pre.sum(axis=0)
-
-        grad_h_dst = grad_pre @ self.w_self.value.T
-        grad_agg = grad_pre @ self.w_neigh.value.T
-
-        grad_h_src = np.zeros_like(cache["h_src"])
-        grad_h_src[: block.num_dst] += grad_h_dst
-        grad_messages = segment_mean_backward(grad_agg, block.edge_dst, block.num_dst)
-        np.add.at(grad_h_src, block.edge_src, grad_messages)
         self._cache = None
+        if not input_grad:
+            return None
+
+        grad_messages = segment_mean_backward(
+            grad_pre @ self.w_neigh.value.T, block.edge_dst, block.num_dst, block.dst_indptr
+        )
+        grad_h_src = segment_sum(grad_messages, block.edge_src, block.num_src)
+        grad_h_src[: block.num_dst] += grad_pre @ self.w_self.value.T
         return grad_h_src
 
     def flops(self, block: Block) -> float:
@@ -138,12 +140,15 @@ class GraphSAGE(Module):
             h = layer.forward(block, h)
         return h
 
-    def backward(self, grad_logits: np.ndarray) -> np.ndarray:
-        """Backpropagate from seed-node logits back to the input features."""
+    def backward(self, grad_logits: np.ndarray) -> None:
+        """Backpropagate from seed-node logits into every parameter's ``grad``.
+
+        The outermost layer skips its input gradient: that is one more
+        aggregation over the largest block, for features that nothing trains.
+        """
         grad = grad_logits
         for layer in reversed(self.layers):
-            grad = layer.backward(grad)
-        return grad
+            grad = layer.backward(grad, input_grad=layer is not self.layers[0])
 
     def predict(self, blocks: Sequence[Block], features: np.ndarray) -> np.ndarray:
         """Class predictions for the seed nodes (argmax of logits)."""

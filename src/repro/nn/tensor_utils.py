@@ -2,17 +2,23 @@
 
 GNN message passing over sampled blocks reduces edge messages onto destination
 nodes.  These helpers implement the segment reductions (sum / mean / softmax)
-and their backward passes using vectorized ``np.add.at`` scatter operations,
-which keeps the layer code free of Python-level edge loops.
+and their backward passes as a CSR reduce: rows are grouped by segment id
+(a :class:`~repro.sampling.block.Block` stores its edges that way and hands
+over the offsets as ``indptr``; anything else is stable-sorted here) and each
+contiguous run is reduced in order: no Python edge loop, no ``ufunc.at``.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.utils.rng import SeedLike, ensure_rng
+from repro.utils.validation import group_offsets
+
+# CSR offsets of ids that are already grouped (``Block.dst_indptr``); ``None`` = derive them.
+Indptr = Optional[np.ndarray]
 
 
 # --------------------------------------------------------------------------- #
@@ -33,39 +39,63 @@ def zeros(shape: Tuple[int, ...]) -> np.ndarray:
 # --------------------------------------------------------------------------- #
 # Segment reductions
 # --------------------------------------------------------------------------- #
-def segment_sum(values: np.ndarray, segment_ids: np.ndarray, num_segments: int) -> np.ndarray:
-    """Sum *values* rows into *num_segments* buckets given by *segment_ids*."""
-    out_shape = (num_segments,) + values.shape[1:]
-    out = np.zeros(out_shape, dtype=values.dtype)
-    np.add.at(out, segment_ids, values)
+def _segment_reduce(
+    ufunc: np.ufunc, values: np.ndarray, ids: np.ndarray, n: int, indptr: Indptr, fill: float
+) -> np.ndarray:
+    """Reduce the rows of each segment with *ufunc*, in row order; empty segments give *fill*.
+
+    Rows must sit grouped by ascending segment id: a caller whose ids already
+    are passes their CSR offsets as *indptr*, anything else is stable-sorted
+    here.  All runs of one length are then reduced together as one
+    ``(runs, length, ...)`` gather; fan-out sampling leaves few distinct
+    lengths, and there can never be more than ``sqrt(2 * len(values))``.
+    (``ufunc.reduceat`` is slower: it walks 2-D values column by column and
+    aliases cache sets on power-of-two widths; numbers in docs/ARCHITECTURE.md.)
+    """
+    if indptr is None:
+        order, indptr = group_offsets(ids, n)
+        if order is not None:
+            values = values[order]
+    elif len(indptr) != n + 1 or indptr[-1] != len(values):
+        raise ValueError("indptr must hold num_segments + 1 offsets ending at len(values)")
+    lengths = indptr[1:] - indptr[:-1]
+    out = np.full((n,) + values.shape[1:], fill, dtype=values.dtype)
+    for length in np.bincount(lengths)[1:].nonzero()[0] + 1:
+        runs = (lengths == length).nonzero()[0]
+        out[runs] = ufunc.reduce(values[indptr[runs, None] + np.arange(length)], axis=1)
     return out
 
 
-def segment_count(segment_ids: np.ndarray, num_segments: int) -> np.ndarray:
-    """Number of entries per segment."""
-    return np.bincount(segment_ids, minlength=num_segments).astype(np.int64)
+def _mean_divisor(ids: np.ndarray, n: int, indptr: Indptr, like: np.ndarray) -> np.ndarray:
+    """Entries per segment (empty segments count as 1), shaped to divide *like*."""
+    counts = np.bincount(ids, minlength=n) if indptr is None else indptr[1:] - indptr[:-1]
+    return np.maximum(counts, 1).astype(like.dtype).reshape((-1,) + (1,) * (like.ndim - 1))
 
 
-def segment_mean(values: np.ndarray, segment_ids: np.ndarray, num_segments: int) -> np.ndarray:
+def segment_sum(
+    values: np.ndarray, segment_ids: np.ndarray, num_segments: int, indptr: Indptr = None
+) -> np.ndarray:
+    """Sum *values* rows into *num_segments* buckets given by *segment_ids*."""
+    return _segment_reduce(np.add, values, segment_ids, num_segments, indptr, 0)
+
+
+def segment_mean(
+    values: np.ndarray, segment_ids: np.ndarray, num_segments: int, indptr: Indptr = None
+) -> np.ndarray:
     """Mean of *values* per segment; empty segments yield zero rows."""
-    sums = segment_sum(values, segment_ids, num_segments)
-    counts = segment_count(segment_ids, num_segments).astype(values.dtype)
-    counts = np.maximum(counts, 1)
-    return sums / counts.reshape((-1,) + (1,) * (values.ndim - 1))
+    sums = segment_sum(values, segment_ids, num_segments, indptr)
+    return sums / _mean_divisor(segment_ids, num_segments, indptr, values)
 
 
 def segment_mean_backward(
-    grad_out: np.ndarray, segment_ids: np.ndarray, num_segments: int
+    grad_out: np.ndarray, segment_ids: np.ndarray, num_segments: int, indptr: Indptr = None
 ) -> np.ndarray:
     """Backward of :func:`segment_mean`: distribute gradient / count to each entry."""
-    counts = segment_count(segment_ids, num_segments).astype(grad_out.dtype)
-    counts = np.maximum(counts, 1)
-    scaled = grad_out / counts.reshape((-1,) + (1,) * (grad_out.ndim - 1))
-    return scaled[segment_ids]
+    return (grad_out / _mean_divisor(segment_ids, num_segments, indptr, grad_out))[segment_ids]
 
 
 def segment_softmax(
-    scores: np.ndarray, segment_ids: np.ndarray, num_segments: int
+    scores: np.ndarray, segment_ids: np.ndarray, num_segments: int, indptr: Indptr = None
 ) -> np.ndarray:
     """Numerically stable softmax of *scores* within each segment.
 
@@ -74,11 +104,10 @@ def segment_softmax(
     """
     if len(scores) == 0:
         return scores.copy()
-    seg_max = np.full((num_segments,) + scores.shape[1:], -np.inf, dtype=scores.dtype)
-    np.maximum.at(seg_max, segment_ids, scores)
+    seg_max = _segment_reduce(np.maximum, scores, segment_ids, num_segments, indptr, -np.inf)
     shifted = scores - seg_max[segment_ids]
     exp = np.exp(shifted)
-    denom = segment_sum(exp, segment_ids, num_segments)
+    denom = segment_sum(exp, segment_ids, num_segments, indptr)
     denom = np.maximum(denom, np.finfo(scores.dtype).tiny)
     return exp / denom[segment_ids]
 
@@ -88,13 +117,14 @@ def segment_softmax_backward(
     alpha: np.ndarray,
     segment_ids: np.ndarray,
     num_segments: int,
+    indptr: Indptr = None,
 ) -> np.ndarray:
     """Backward of :func:`segment_softmax`.
 
     ``d_score = alpha * (d_alpha - sum_seg(alpha * d_alpha))``.
     """
     weighted = alpha * grad_alpha
-    seg_dot = segment_sum(weighted, segment_ids, num_segments)
+    seg_dot = segment_sum(weighted, segment_ids, num_segments, indptr)
     return alpha * (grad_alpha - seg_dot[segment_ids])
 
 

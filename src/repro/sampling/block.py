@@ -20,7 +20,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.utils.validation import check_1d_int_array
+from repro.utils.validation import check_1d_int_array, group_offsets
 
 
 @dataclass
@@ -37,8 +37,13 @@ class Block:
         Local ids of destination (output-side) nodes.
     edge_src / edge_dst:
         Edge endpoints as **row indices** into ``src_nodes`` / ``dst_nodes``.
+        **Invariant:** edges are grouped by ascending ``edge_dst`` (CSR order).
+        Every registered sampler emits them that way; any other order is
+        stable-sorted once at construction, so aggregation only ever sees one.
     src_global / dst_global:
         Global node ids aligned with ``src_nodes`` / ``dst_nodes``.
+    dst_indptr:
+        Derived: dst row ``i`` owns edges ``dst_indptr[i]:dst_indptr[i + 1]``.
     """
 
     src_nodes: np.ndarray
@@ -47,12 +52,13 @@ class Block:
     edge_dst: np.ndarray
     src_global: np.ndarray
     dst_global: np.ndarray
+    dst_indptr: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.src_nodes = check_1d_int_array(self.src_nodes, "src_nodes")
         self.dst_nodes = check_1d_int_array(self.dst_nodes, "dst_nodes")
-        self.edge_src = check_1d_int_array(self.edge_src, "edge_src", max_value=max(1, len(self.src_nodes)))
-        self.edge_dst = check_1d_int_array(self.edge_dst, "edge_dst", max_value=max(1, len(self.dst_nodes)))
+        self.edge_src = check_1d_int_array(self.edge_src, "edge_src", max_value=len(self.src_nodes))
+        self.edge_dst = check_1d_int_array(self.edge_dst, "edge_dst", max_value=len(self.dst_nodes))
         self.src_global = check_1d_int_array(self.src_global, "src_global")
         self.dst_global = check_1d_int_array(self.dst_global, "dst_global")
         if len(self.edge_src) != len(self.edge_dst):
@@ -61,6 +67,9 @@ class Block:
             raise ValueError("src_global must align with src_nodes")
         if len(self.dst_global) != len(self.dst_nodes):
             raise ValueError("dst_global must align with dst_nodes")
+        order, self.dst_indptr = group_offsets(self.edge_dst, self.num_dst)
+        if order is not None:
+            self.edge_src, self.edge_dst = self.edge_src[order], self.edge_dst[order]
 
     @property
     def num_src(self) -> int:
@@ -76,7 +85,7 @@ class Block:
 
     def in_degrees(self) -> np.ndarray:
         """Number of incoming (message) edges per dst node."""
-        return np.bincount(self.edge_dst, minlength=self.num_dst).astype(np.int64)
+        return np.diff(self.dst_indptr)
 
 
 @dataclass

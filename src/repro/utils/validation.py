@@ -8,7 +8,7 @@ NumPy broadcasting failures deep inside the simulation.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -56,8 +56,8 @@ def check_1d_int_array(
         if not allow_empty:
             raise ValueError(f"{name} must not be empty")
         return arr.astype(np.int64)
-    if not np.issubdtype(arr.dtype, np.integer):
-        if np.issubdtype(arr.dtype, np.floating) and np.all(arr == np.floor(arr)):
+    if arr.dtype.kind not in "iu":
+        if arr.dtype.kind == "f" and np.all(arr == np.floor(arr)):
             arr = arr.astype(np.int64)
         else:
             raise TypeError(f"{name} must be an integer array, got dtype {arr.dtype}")
@@ -69,6 +69,19 @@ def check_1d_int_array(
             f"{name} contains index {int(arr.max())} >= allowed maximum {max_value}"
         )
     return arr
+
+
+def group_offsets(ids: np.ndarray, n: int) -> Tuple[Optional[np.ndarray], np.ndarray]:
+    """Group rows by ascending id in ``[0, n)``: ``(order, indptr)``.
+
+    *order* is the stable sort that groups them (``None`` if they already
+    are); afterwards the rows of id ``i`` are ``indptr[i]:indptr[i + 1]``.
+    """
+    order = np.argsort(ids, kind="stable") if np.any(ids[1:] < ids[:-1]) else None
+    indptr = np.searchsorted(ids if order is None else ids[order], np.arange(n + 1))
+    if indptr[0] != 0 or indptr[-1] != len(ids):
+        raise ValueError(f"ids must lie in [0, {n})")
+    return order, indptr
 
 
 def check_2d_float_array(array: np.ndarray, name: str, *, columns: Optional[int] = None) -> np.ndarray:

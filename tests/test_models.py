@@ -110,6 +110,49 @@ class TestSAGELayer:
         layer = SAGELayer(8, 4)
         assert layer.flops(_toy_block()) > 0
 
+    def test_backward_without_input_grad_leaves_parameter_grads_alone(self):
+        block = _toy_block(num_dst=4, num_src=9, num_edges=20, seed=2)
+        rng = np.random.default_rng(2)
+        h_src = rng.normal(size=(block.num_src, 6)).astype(np.float32)
+        grad_out = rng.normal(size=(block.num_dst, 3)).astype(np.float32)
+        grads = []
+        for input_grad in (True, False):
+            layer = SAGELayer(6, 3, seed=1)
+            layer.forward(block, h_src)
+            returned = layer.backward(grad_out, input_grad=input_grad)
+            assert (returned is None) == (not input_grad)
+            grads.append(layer.gradients())
+        for name in grads[0]:
+            np.testing.assert_array_equal(grads[0][name], grads[1][name], err_msg=name)
+
+    @pytest.mark.parametrize("layer_cls", [SAGELayer, GATLayer])
+    def test_shuffled_edges_match_their_sorted_twin(self, layer_cls):
+        """Edge order is not part of a block's meaning: Block sorts, the layers agree."""
+        rng = np.random.default_rng(6)
+        num_src, num_dst, num_edges = 9, 4, 24
+        edge_src = rng.integers(0, num_src, size=num_edges)
+        edge_dst = rng.integers(0, num_dst, size=num_edges)
+        assert np.any(np.diff(edge_dst) < 0)
+        order = np.argsort(edge_dst, kind="stable")  # ties keep their arrival order
+
+        def make(es, ed):
+            return Block(np.arange(num_src), np.arange(num_dst), es, ed,
+                         np.arange(num_src), np.arange(num_dst))
+
+        shuffled, twin = make(edge_src, edge_dst), make(edge_src[order], edge_dst[order])
+
+        h_src = rng.normal(size=(num_src, 6)).astype(np.float32)
+        results = []
+        for block in (shuffled, twin):
+            layer = layer_cls(6, 3, seed=3)
+            out = layer.forward(block, h_src)
+            grad_h = layer.backward(np.ones_like(out))
+            results.append((out, grad_h, layer.gradients()))
+        np.testing.assert_array_equal(results[0][0], results[1][0])
+        np.testing.assert_array_equal(results[0][1], results[1][1])
+        for name in results[0][2]:
+            np.testing.assert_array_equal(results[0][2][name], results[1][2][name], err_msg=name)
+
 
 class TestGATLayer:
     def test_forward_shape_concat_and_mean(self):
@@ -214,6 +257,27 @@ class TestFullModels:
             opt.step(model.parameters(), model.gradients())
             model.zero_grad()
         assert losses[-1] < 0.7 * losses[0]
+
+    @pytest.mark.parametrize("num_layers", [1, 2, 3])
+    def test_graphsage_backward_skips_only_the_unused_input_gradient(self, small_dataset, num_layers):
+        """Parameter grads are bit-identical to chaining every layer's full backward by hand."""
+        mb = self._minibatch(small_dataset, num_layers=num_layers, seed=3)
+        feats = small_dataset.features[mb.input_global]
+        grads = []
+        for by_hand in (False, True):
+            model = GraphSAGE(small_dataset.feature_dim, 16, small_dataset.num_classes,
+                              num_layers=num_layers, seed=0)
+            _, grad = cross_entropy(model.forward(mb.blocks, feats), mb.labels)
+            if by_hand:
+                for layer in reversed(model.layers):
+                    grad = layer.backward(grad)  # materialises every input gradient
+                assert grad.shape == feats.shape and np.any(grad != 0)
+            else:
+                assert model.backward(grad) is None
+            grads.append(model.gradients())
+        assert grads[0].keys() == grads[1].keys()
+        for name in grads[0]:
+            np.testing.assert_array_equal(grads[0][name], grads[1][name], err_msg=name)
 
     def test_gat_forward_and_backward(self, small_dataset):
         mb = self._minibatch(small_dataset, num_seeds=16)

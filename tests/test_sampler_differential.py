@@ -147,6 +147,33 @@ class TestVectorizedInvariants:
             np.testing.assert_array_equal(block.src_nodes[: block.num_dst], block.dst_nodes)
 
 
+class TestDstGroupedEdgeContract:
+    """Every registered sampler emits edges grouped by ascending ``edge_dst``.
+
+    ``Block`` would stable-sort a shuffled edge list once at construction;
+    the contract is that no shipped sampler makes it pay for that, and that
+    the offsets it derives cover exactly the sampled edges.
+    """
+
+    @pytest.mark.parametrize("fanouts", [[3], [10, 25], [-1, 4]], ids=str)
+    @pytest.mark.parametrize("name", sorted(SAMPLERS.names()))
+    def test_edges_leave_the_sampler_in_csr_order(self, small_partitions, name, fanouts):
+        graph = small_partitions[0].local_graph  # halo rows: empty neighbourhoods
+        sampler = build_sampler(name, graph, fanouts, seed=4)
+        frontier = np.unique(np.random.default_rng(0).integers(0, graph.num_nodes, 40))
+        # The raw layer output, before Block has had a chance to reorder it.
+        _, edge_src, edge_dst = sampler._sample_one_layer(frontier, fanouts[0])
+        assert len(edge_dst) > 0 and np.all(np.diff(edge_dst) >= 0)
+
+        for block in sampler.sample(frontier).blocks:
+            assert np.all(np.diff(block.edge_dst) >= 0)
+            assert block.dst_indptr.shape == (block.num_dst + 1,)
+            assert block.dst_indptr[0] == 0 and block.dst_indptr[-1] == block.num_edges
+            np.testing.assert_array_equal(
+                np.diff(block.dst_indptr), np.bincount(block.edge_dst, minlength=block.num_dst)
+            )
+
+
 class TestRepeatedSeeds:
     """Regression for the duplicate-dst edge-mapping hazard (satellite fix).
 

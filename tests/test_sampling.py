@@ -49,6 +49,43 @@ class TestBlock:
             )
 
 
+    @pytest.mark.parametrize("empty_side", ["src", "dst"])
+    def test_edges_into_an_empty_node_set_raise(self, empty_side):
+        # Regression: max(1, len(nodes)) used to admit index 0 into an empty
+        # node set, and forward() then died with an IndexError.
+        nodes = {"src": np.array([0]), "dst": np.array([0])}
+        nodes[empty_side] = np.zeros(0, dtype=np.int64)
+        with pytest.raises(ValueError, match=f"edge_{empty_side} contains index 0"):
+            Block(
+                src_nodes=nodes["src"],
+                dst_nodes=nodes["dst"],
+                edge_src=np.array([0]),
+                edge_dst=np.array([0]),
+                src_global=nodes["src"],
+                dst_global=nodes["dst"],
+            )
+
+    def test_empty_block_is_still_valid(self):
+        none = np.zeros(0, dtype=np.int64)
+        block = Block(none, none, none, none, none, none)
+        assert block.num_edges == 0
+        np.testing.assert_array_equal(block.dst_indptr, [0])
+
+    def test_shuffled_edges_are_stable_sorted_by_dst(self):
+        block = Block(
+            src_nodes=np.arange(4),
+            dst_nodes=np.arange(3),
+            edge_src=np.array([3, 1, 2, 0, 1]),
+            edge_dst=np.array([2, 0, 2, 0, 1]),
+            src_global=np.arange(4),
+            dst_global=np.arange(3),
+        )
+        np.testing.assert_array_equal(block.edge_dst, [0, 0, 1, 2, 2])
+        np.testing.assert_array_equal(block.edge_src, [1, 0, 1, 3, 2])  # ties keep their order
+        np.testing.assert_array_equal(block.dst_indptr, [0, 2, 3, 5])
+        np.testing.assert_array_equal(block.in_degrees(), [2, 1, 2])
+
+
 class TestNeighborSampler:
     def test_block_count_matches_fanouts(self, tiny_graph):
         sampler = NeighborSampler(tiny_graph, [2, 3], seed=0)

@@ -14,6 +14,7 @@ from repro.utils.validation import (
     check_positive,
     check_probability,
     check_same_length,
+    group_offsets,
 )
 
 
@@ -134,6 +135,19 @@ class TestValidation:
         with pytest.raises(TypeError):
             check_1d_int_array(np.array([1.5, 2.0]), "ids")
 
+    @pytest.mark.parametrize(
+        "array", [np.array([True, False]), np.array([1 + 0j]), np.array(["1"]), np.array([None])]
+    )
+    def test_check_1d_int_array_rejects_non_numeric_kinds(self, array):
+        with pytest.raises(TypeError, match=f"ids must be an integer array, got dtype {array.dtype}"):
+            check_1d_int_array(array, "ids")
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.uint64, np.float16, np.float64])
+    def test_check_1d_int_array_coerces_every_integer_valued_dtype(self, dtype):
+        out = check_1d_int_array(np.array([0, 3, 2], dtype=dtype), "ids", max_value=4)
+        assert out.dtype == np.int64
+        np.testing.assert_array_equal(out, [0, 3, 2])
+
     def test_check_1d_int_array_accepts_integer_floats(self):
         out = check_1d_int_array(np.array([1.0, 2.0]), "ids")
         assert out.dtype == np.int64
@@ -155,6 +169,26 @@ class TestValidation:
         check_same_length("a", np.arange(3), "b", np.arange(3))
         with pytest.raises(ValueError):
             check_same_length("a", np.arange(3), "b", np.arange(4))
+
+    def test_group_offsets_of_grouped_ids_needs_no_order(self):
+        order, indptr = group_offsets(np.array([1, 1, 3]), 5)
+        assert order is None
+        np.testing.assert_array_equal(indptr, [0, 0, 2, 2, 3, 3])
+
+    def test_group_offsets_stable_sorts_ungrouped_ids(self):
+        order, indptr = group_offsets(np.array([2, 0, 2, 0]), 3)
+        np.testing.assert_array_equal(order, [1, 3, 0, 2])
+        np.testing.assert_array_equal(indptr, [0, 2, 2, 4])
+
+    def test_group_offsets_of_no_ids(self):
+        order, indptr = group_offsets(np.zeros(0, dtype=np.int64), 2)
+        assert order is None
+        np.testing.assert_array_equal(indptr, [0, 0, 0])
+
+    @pytest.mark.parametrize("ids", [[0, 2], [-1, 1], [1, 0, 2]])
+    def test_group_offsets_rejects_out_of_range_ids(self, ids):
+        with pytest.raises(ValueError, match=r"ids must lie in \[0, 2\)"):
+            group_offsets(np.array(ids), 2)
 
 
 class TestLogging:
