@@ -327,12 +327,12 @@ class CacheTier:
             return 0
         self.last_step = max(self.last_step, int(step))
         rows = np.asarray(rows, dtype=np.float32)
-        # Deduplicate the offer: promotion of a request that repeated an id
-        # would otherwise insert the same id into two slots, silently wasting
-        # capacity and breaking the unique-ids invariant seed() enforces.
-        unique_ids, first = np.unique(global_ids, return_index=True)
-        if len(unique_ids) != len(global_ids):
-            global_ids, rows = unique_ids, rows[first]
+        # Sort and deduplicate the offer.  Promotions arrive in request order:
+        # a repeated id would take two slots, and two unsorted ids landing in
+        # the same gap would leave the resident ids out of order, after which
+        # membership tests miss rows that are resident.
+        global_ids, first = np.unique(global_ids, return_index=True)
+        rows = rows[first]
         fresh = ~self.contains(global_ids)
         global_ids, rows = global_ids[fresh], rows[fresh]
         if len(global_ids) == 0 or self.capacity == 0:

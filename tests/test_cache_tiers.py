@@ -222,6 +222,20 @@ class TestCacheTier:
         assert inserted == 2
         np.testing.assert_array_equal(tier.resident_ids, ids_of(7, 8))
 
+    def test_admit_sorts_unsorted_offers(self):
+        # Regression: a unique but unsorted offer (promotions arrive in
+        # request order) whose ids fall into one gap used to leave the
+        # resident ids out of order, so later membership tests missed them.
+        server = make_server()
+        tier = CacheTier("hot", 4, DIM, eviction="lru")
+        tier.seed(ids_of(1, 10), server[ids_of(1, 10)])
+        assert tier.admit(ids_of(5, 3), server[ids_of(5, 3)], step=1) == 2
+        np.testing.assert_array_equal(tier.resident_ids, ids_of(1, 3, 5, 10))
+        assert tier.contains(ids_of(1, 3, 5, 10)).all()
+        hit_mask, rows = tier.lookup(ids_of(3, 5), step=2)
+        assert hit_mask.all()
+        np.testing.assert_array_equal(rows, server[ids_of(3, 5)])
+
     def test_resize_shrink_succeeds_even_with_none_policy(self):
         server = make_server()
         tier = CacheTier("hot", 3, DIM, admission="static-degree", eviction="none")
@@ -265,6 +279,27 @@ class TestTieredFeatureCache:
         _, result = stack.fetch(ids_of(20), step=1)
         assert result.per_tier["shared"]["hits"] == 1
         assert 20 in hot.resident_ids      # promoted back into the hot tier
+
+    def test_descending_shared_hits_promote_in_id_order(self):
+        # Regression: shared-tier hits are promoted in request order; [5, 3]
+        # landing between hot residents 1 and 10 used to corrupt the hot
+        # tier's sorted ids, and the next fetch went below the stack again.
+        server = make_server()
+        log = []
+        hot = CacheTier("hot", 4, DIM, eviction="lru")
+        shared = CacheTier("shared", 8, DIM, eviction="lru")
+        stack = TieredFeatureCache([hot, shared], make_fetcher(server, log), DIM)
+        hot.seed(ids_of(1, 10), server[ids_of(1, 10)])
+        shared.seed(ids_of(3, 5), server[ids_of(3, 5)])
+        rows, result = stack.fetch(ids_of(5, 3), step=1)
+        np.testing.assert_array_equal(rows, server[ids_of(5, 3)])
+        assert result.per_tier["shared"]["hits"] == 2
+        assert result.per_tier["hot"]["admissions"] == 2
+        np.testing.assert_array_equal(hot.resident_ids, ids_of(1, 3, 5, 10))
+        rows, result = stack.fetch(ids_of(5, 3, 1, 10), step=2)
+        np.testing.assert_array_equal(rows, server[ids_of(5, 3, 1, 10)])
+        assert result.per_tier["hot"]["hits"] == 4
+        assert result.fetched_rows == 0 and log == []
 
     def test_promoting_a_repeated_id_inserts_it_once(self):
         # Regression: fetch([5, 5]) hitting only the shared tier used to
