@@ -186,25 +186,20 @@ class ClockEviction:
         size = tier.size
         if size == 0 or num_victims <= 0:
             return np.zeros(0, dtype=np.int64)
-        num_victims = min(num_victims, size)
         ref = tier.resident_ref
-        victims: set = set()
         hand = tier.clock_hand % size
-        # Two full sweeps suffice: the first clears bits, the second must find
-        # victims since every row it revisits is now unreferenced.  Already-
-        # collected slots are skipped so the victim set never holds duplicates
-        # (a duplicate would make the tier's resize/admit remove fewer rows
-        # than requested and break the size <= capacity invariant).
-        for _ in range(2 * size):
-            if len(victims) == num_victims:
-                break
-            if ref[hand]:
-                ref[hand] = False
-            else:
-                victims.add(hand)
-            hand = (hand + 1) % size
-        tier.clock_hand = hand
-        return np.asarray(sorted(victims), dtype=np.int64)
+        swept = (hand + np.arange(size)) % size        # rows in sweep order
+        referenced = ref[swept] != 0
+        # Sweep step at which each row is collected.  Two full sweeps suffice:
+        # the first takes the unreferenced rows and clears the bits of the
+        # rest, so the second takes those, each row once.
+        collected = np.concatenate(
+            [np.flatnonzero(~referenced), size + np.flatnonzero(referenced)]
+        )[:num_victims]
+        steps = int(collected[-1]) + 1                 # the hand stops after the last victim
+        ref[swept[:steps]] = 0
+        tier.clock_hand = (hand + steps) % size
+        return np.sort(swept[collected % size])
 
 
 class DegreeWeightedEviction:

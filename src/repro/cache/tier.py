@@ -5,12 +5,23 @@ fixed-capacity (but resizable) mapping from global node id to feature row,
 with a pluggable admission policy deciding what may enter and a pluggable
 eviction policy deciding what leaves when the tier is full.
 
-Storage mirrors :class:`~repro.core.buffer.PrefetchBuffer`'s sorted-index
-idiom — resident ids are kept sorted so membership tests are a single
-``np.searchsorted`` — but unlike the prefetch buffer a tier's capacity can
-change at runtime (the adaptive controller re-splits tier budgets between
-epochs) and each resident carries recency/frequency/reference metadata for
-the LRU/LFU/CLOCK policies.
+Storage is a fixed-slot store, the layout of
+:class:`~repro.core.buffer.PrefetchBuffer` (Algorithm 2 writes replacements
+into the slots the evicted rows vacated): the feature matrix is allocated
+once at ``capacity x feature_dim`` and a row never moves after it is written.
+Residents are described by one ``(6, size)`` int64 **index** — id, slot,
+last access, frequency, reference bit, degree — whose columns are kept in
+ascending id order, so membership is a single ``np.searchsorted`` and an
+admission that evicts is one rebuild of that index, never of the rows.
+Unlike the prefetch buffer a tier's capacity can change at runtime (the
+adaptive controller re-splits tier budgets between epochs); :meth:`resize`
+is the one place that re-packs the rows into a fresh allocation.
+
+Ids are validated where they enter the cache
+(:meth:`TieredFeatureCache.fetch <repro.cache.stack.TieredFeatureCache.fetch>`,
+the prefetcher's minibatch entry, :meth:`CacheTier.seed`);
+:meth:`~CacheTier.lookup`, :meth:`~CacheTier.contains` and
+:meth:`~CacheTier.admit` require a 1-D int64 array and do not re-scan it.
 """
 
 from __future__ import annotations
@@ -34,6 +45,19 @@ from repro.cache.scoring import (
 from repro.utils.validation import check_1d_int_array
 
 DegreeLookup = Callable[[np.ndarray], np.ndarray]
+
+# Rows of the resident index; its columns are the residents in ascending id order.
+_ID, _SLOT, _LAST_ACCESS, _FREQ, _REF, _DEGREE = range(6)
+# Sort key given to an evicted column: past every live id, so it sorts off the end.
+_EVICTED = np.iinfo(np.int64).max
+
+
+def _columns(ids, last_access, freq, ref, degrees) -> np.ndarray:
+    """Index columns for *ids*; the slot row is filled in when rows are placed."""
+    columns = np.empty((6, len(ids)), dtype=np.int64)
+    columns[_ID], columns[_SLOT], columns[_LAST_ACCESS] = ids, 0, last_access
+    columns[_FREQ], columns[_REF], columns[_DEGREE] = freq, ref, degrees
+    return columns
 
 
 @dataclass
@@ -150,15 +174,12 @@ class CacheTier:
                 log.register(self)
                 self.record_decisions = True
 
-        self._ids = np.zeros(0, dtype=np.int64)
-        self._rows = np.zeros((0, self.feature_dim), dtype=np.float32)
-        self._last_access = np.zeros(0, dtype=np.int64)
-        self._freq = np.zeros(0, dtype=np.int64)
-        self._ref = np.zeros(0, dtype=bool)
-        self._degrees = np.zeros(0, dtype=np.int64)
+        self._load()
 
     # ------------------------------------------------------------------ #
-    # Introspection (policies read these views)
+    # Introspection (policies read these views: one entry per resident, in
+    # ascending id order; each is a row of the index, valid until the next
+    # admit/resize/invalidate/restore rebuilds it)
     # ------------------------------------------------------------------ #
     @property
     def size(self) -> int:
@@ -185,12 +206,10 @@ class CacheTier:
         return self._degrees
 
     def nbytes(self) -> int:
+        """Resident bytes (what a checkpoint holds), not the slot allocation:
+        per row the features, four int64 fields and the one-byte reference bit."""
         scorer_bytes = self.scorer.nbytes() if self.scorer is not None else 0
-        return int(
-            self._rows.nbytes + self._ids.nbytes + self._last_access.nbytes
-            + self._freq.nbytes + self._ref.nbytes + self._degrees.nbytes
-            + scorer_bytes
-        )
+        return int(self.size * (self._rows.itemsize * self.feature_dim + 33) + scorer_bytes)
 
     # ------------------------------------------------------------------ #
     # Scored-decision ledger
@@ -252,39 +271,38 @@ class CacheTier:
         Returns ``(hit_mask, rows)`` where ``rows`` holds the feature rows of
         the hits, aligned with ``global_ids[hit_mask]``.  Hits refresh the
         recency/frequency/reference metadata the eviction policies read.
+        *global_ids* must be a 1-D int64 array (see the module docstring).
         """
-        global_ids = check_1d_int_array(global_ids, "global_ids")
-        self.stats.lookups += int(len(global_ids))
+        requested = len(global_ids)
+        self.stats.lookups += requested
         self.last_step = max(self.last_step, int(step))
-        if self.size == 0 or len(global_ids) == 0:
-            self.stats.misses += int(len(global_ids))
-            if self.scorer is not None and len(global_ids):
-                self.scorer.observe(global_ids, step,
-                                    np.zeros(len(global_ids), dtype=bool))
+        if self.size == 0 or requested == 0:
+            self.stats.misses += requested
+            if self.scorer is not None and requested:
+                self.scorer.observe(global_ids, step, np.zeros(requested, dtype=bool))
             return (
-                np.zeros(len(global_ids), dtype=bool),
+                np.zeros(requested, dtype=bool),
                 np.zeros((0, self.feature_dim), dtype=np.float32),
             )
         idx = np.minimum(np.searchsorted(self._ids, global_ids), self.size - 1)
         hit_mask = self._ids[idx] == global_ids
         hit_idx = idx[hit_mask]
-        self.stats.hits += int(hit_mask.sum())
-        self.stats.misses += int((~hit_mask).sum())
+        self.stats.hits += len(hit_idx)
+        self.stats.misses += requested - len(hit_idx)
         if len(hit_idx):
             self._last_access[hit_idx] = step
             np.add.at(self._freq, hit_idx, 1)
-            self._ref[hit_idx] = True
+            self._ref[hit_idx] = 1
         if self.scorer is not None:
             # The request stream (hits AND misses) is the scorer's signal: a
             # not-yet-resident node must be able to build a score worth
             # admitting before it ever hits.
             self.scorer.observe(global_ids, step, hit_mask)
         # Advanced indexing already materializes a fresh array; no copy needed.
-        return hit_mask, self._rows[hit_idx]
+        return hit_mask, self._rows[self._slots[hit_idx]]
 
     def contains(self, global_ids: np.ndarray) -> np.ndarray:
-        """Boolean membership mask (no metadata updates, no stats)."""
-        global_ids = check_1d_int_array(global_ids, "global_ids")
+        """Boolean membership mask of a 1-D int64 array (no metadata updates, no stats)."""
         if self.size == 0 or len(global_ids) == 0:
             return np.zeros(len(global_ids), dtype=bool)
         idx = np.minimum(np.searchsorted(self._ids, global_ids), self.size - 1)
@@ -307,12 +325,9 @@ class CacheTier:
         if len(np.unique(global_ids)) != len(global_ids):
             raise ValueError("seeded ids must be unique")
         order = np.argsort(global_ids, kind="stable")
-        self._ids = global_ids[order].copy()
-        self._rows = np.asarray(rows, dtype=np.float32)[order].copy()
-        self._last_access = np.full(self.size, step, dtype=np.int64)
-        self._freq = np.zeros(self.size, dtype=np.int64)
-        self._ref = np.ones(self.size, dtype=bool)
-        self._degrees = self._degrees_for(self._ids)
+        ids = global_ids[order]
+        self._load(_columns(ids, step, 0, 1, self._degrees_for(ids)),
+                   np.asarray(rows, dtype=np.float32)[order])
 
     def admit(self, global_ids: np.ndarray, rows: np.ndarray, step: int) -> int:
         """Offer fetched rows to the tier; returns how many were inserted.
@@ -320,19 +335,20 @@ class CacheTier:
         The admission policy filters the candidates, then the eviction policy
         makes room for whatever does not fit.  Candidates it cannot place
         (policy returned fewer victims than needed, e.g. ``none``) are
-        dropped, counted as rejections.
+        dropped, counted as rejections.  *global_ids* must be a 1-D int64
+        array (see the module docstring); it may be unsorted and repeat ids.
         """
-        global_ids = check_1d_int_array(global_ids, "global_ids")
         if len(global_ids) == 0:
             return 0
         self.last_step = max(self.last_step, int(step))
         rows = np.asarray(rows, dtype=np.float32)
-        # Sort and deduplicate the offer.  Promotions arrive in request order:
-        # a repeated id would take two slots, and two unsorted ids landing in
-        # the same gap would leave the resident ids out of order, after which
-        # membership tests miss rows that are resident.
-        global_ids, first = np.unique(global_ids, return_index=True)
-        rows = rows[first]
+        # Sort and deduplicate the offer unless it already is (miss fetches
+        # are).  Promotions arrive in request order: a repeated id would take
+        # two slots, and unsorted ids would leave the index out of id order,
+        # after which membership tests miss rows that are resident.
+        if not (global_ids[1:] > global_ids[:-1]).all():
+            global_ids, first = np.unique(global_ids, return_index=True)
+            rows = rows[first]
         fresh = ~self.contains(global_ids)
         global_ids, rows = global_ids[fresh], rows[fresh]
         if len(global_ids) == 0 or self.capacity == 0:
@@ -346,22 +362,20 @@ class CacheTier:
         if len(admitted) == 0:
             return 0
 
+        victims = np.zeros(0, dtype=np.int64)
         overflow = self.size + len(admitted) - self.capacity
         if overflow > 0:
             victims = self.eviction.select(self, overflow)
-            if len(victims):
-                self._remove(victims)
-                self.stats.evictions += int(len(victims))
-            room = self.capacity - self.size
+            self.stats.evictions += int(len(victims))
+            room = self.capacity - self.size + len(victims)
             if room < len(admitted):
                 # Not enough victims (e.g. the 'none' policy): keep the
                 # highest-degree candidates, reject the rest.
                 keep = np.sort(np.argsort(-degrees, kind="stable")[:room])
                 self.stats.rejections += int(len(admitted) - len(keep))
                 admitted, rows, degrees = admitted[keep], rows[keep], degrees[keep]
-        if len(admitted) == 0:
-            return 0
-        self._insert(admitted, rows, degrees, step)
+        if len(admitted) or len(victims):
+            self._splice(victims, _columns(admitted, step, 0, 1, degrees), rows)
         self.stats.admissions += int(len(admitted))
         return int(len(admitted))
 
@@ -373,12 +387,7 @@ class CacheTier:
         only the resident set goes cold.
         """
         dropped = self.size
-        self._ids = np.zeros(0, dtype=np.int64)
-        self._rows = np.zeros((0, self.feature_dim), dtype=np.float32)
-        self._last_access = np.zeros(0, dtype=np.int64)
-        self._freq = np.zeros(0, dtype=np.int64)
-        self._ref = np.zeros(0, dtype=bool)
-        self._degrees = np.zeros(0, dtype=np.int64)
+        self._load()
         self.clock_hand = 0
         self.stats.evictions += dropped
         return dropped
@@ -390,10 +399,10 @@ class CacheTier:
             "clock_hand": self.clock_hand,
             "last_step": self.last_step,
             "ids": self._ids.copy(),
-            "rows": self._rows.copy(),
+            "rows": self._rows[self._slots],
             "last_access": self._last_access.copy(),
             "freq": self._freq.copy(),
-            "ref": self._ref.copy(),
+            "ref": self._ref.astype(bool),
             "degrees": self._degrees.copy(),
             "stats": self.stats.snapshot(),
         }
@@ -403,12 +412,8 @@ class CacheTier:
         self.capacity = int(state["capacity"])
         self.clock_hand = int(state["clock_hand"])
         self.last_step = int(state["last_step"])
-        self._ids = state["ids"].copy()
-        self._rows = state["rows"].copy()
-        self._last_access = state["last_access"].copy()
-        self._freq = state["freq"].copy()
-        self._ref = state["ref"].copy()
-        self._degrees = state["degrees"].copy()
+        self._load(_columns(state["ids"], state["last_access"], state["freq"],
+                            state["ref"], state["degrees"]), state["rows"])
         self.stats = state["stats"].snapshot()
 
     def resize(self, new_capacity: int, step: int = 0) -> int:
@@ -417,7 +422,8 @@ class CacheTier:
         Returns the number of rows evicted.  When the eviction policy refuses
         to pick victims (``none``), the lowest-degree residents are dropped —
         a resize must always succeed or the controller's budget accounting
-        breaks.
+        breaks.  A changed capacity re-packs the surviving rows into a fresh
+        ``new_capacity``-row allocation: the only time resident rows move.
         """
         new_capacity = int(new_capacity)
         if new_capacity < 0:
@@ -433,11 +439,13 @@ class CacheTier:
                 order = np.argsort(self._degrees[remaining], kind="stable")
                 extra = remaining[order[: overflow - len(victims)]]
                 victims = np.concatenate([victims, extra])
-            self._remove(np.unique(victims)[:overflow] if len(victims) > overflow
-                         else np.unique(victims))
+            self._splice(np.unique(victims)[:overflow],
+                         _columns((), 0, 0, 0, 0), self._rows[:0])  # nothing enters
             evicted = overflow
             self.stats.evictions += overflow
-        self.capacity = new_capacity
+        if new_capacity != self.capacity:
+            self.capacity = new_capacity
+            self._load(self._index, self._rows[self._slots])
         return evicted
 
     # ------------------------------------------------------------------ #
@@ -448,24 +456,42 @@ class CacheTier:
             return np.zeros(len(global_ids), dtype=np.int64)
         return np.asarray(self.degree_of(global_ids), dtype=np.int64)
 
-    def _remove(self, indices: np.ndarray) -> None:
-        self._ids = np.delete(self._ids, indices)
-        self._rows = np.delete(self._rows, indices, axis=0)
-        self._last_access = np.delete(self._last_access, indices)
-        self._freq = np.delete(self._freq, indices)
-        self._ref = np.delete(self._ref, indices)
-        self._degrees = np.delete(self._degrees, indices)
-        if self.size:
-            self.clock_hand %= self.size
-        else:
-            self.clock_hand = 0
+    def _load(self, index: Optional[np.ndarray] = None, rows=0.0) -> None:
+        """Replace the whole store: *index* columns (ascending id) and their
+        *rows*, packed into slots ``0..size-1`` of a fresh capacity-row matrix.
+        Without arguments the store is left empty."""
+        if index is None:
+            index = _columns((), 0, 0, 0, 0)
+        size = index.shape[1]
+        self._rows = np.zeros((self.capacity, self.feature_dim), dtype=np.float32)
+        self._rows[:size] = rows
+        index[_SLOT] = np.arange(size)
+        self._free = np.arange(size, self.capacity, dtype=np.int64)
+        self._set_index(index)
 
-    def _insert(self, global_ids: np.ndarray, rows: np.ndarray,
-                degrees: np.ndarray, step: int) -> None:
-        at = np.searchsorted(self._ids, global_ids)
-        self._ids = np.insert(self._ids, at, global_ids)
-        self._rows = np.insert(self._rows, at, rows, axis=0)
-        self._last_access = np.insert(self._last_access, at, step)
-        self._freq = np.insert(self._freq, at, 0)
-        self._ref = np.insert(self._ref, at, True)
-        self._degrees = np.insert(self._degrees, at, degrees)
+    def _set_index(self, index: np.ndarray) -> None:
+        self._index = index
+        (self._ids, self._slots, self._last_access,
+         self._freq, self._ref, self._degrees) = index
+
+    def _splice(self, victims: np.ndarray, entering: np.ndarray, rows) -> None:
+        """Evict the residents at index positions *victims* and admit the
+        *entering* columns (any id order) with their *rows*, in one index rebuild.
+
+        Entering rows overwrite the victims' slots first and then draw on the
+        free list; slots left over go back to it.  No other row is touched.
+        """
+        slots = self._slots[victims]
+        if len(slots) != entering.shape[1]:  # not a one-for-one swap
+            pool = np.concatenate([slots, self._free])
+            slots, self._free = pool[:entering.shape[1]], pool[entering.shape[1]:]
+        entering[_SLOT] = slots
+        self._rows[slots] = rows
+        merged = np.concatenate([self._index, entering], axis=1)
+        key = merged[_ID].copy()
+        key[victims] = _EVICTED
+        order = key.argsort(kind="stable")[:merged.shape[1] - len(victims)]
+        if len(victims):  # the hand wraps over the survivors, before anything enters
+            survivors = self.size - len(victims)
+            self.clock_hand = self.clock_hand % survivors if survivors else 0
+        self._set_index(merged.take(order, axis=1))

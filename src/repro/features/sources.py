@@ -377,7 +377,7 @@ class TieredCacheSource:
     def fetch(self, global_ids: np.ndarray) -> Tuple[np.ndarray, FetchStats]:
         if not self._initialized:
             raise RuntimeError(f"{type(self).__name__}.initialize() must be called before use")
-        global_ids = check_1d_int_array(global_ids, "global_ids")
+        # The stack validates the ids: that is where they enter the cache.
         features, result = self.stack.fetch(global_ids, self._step)
         self._step += 1
         self._remote_nodes_fetched += result.fetched_rows

@@ -17,7 +17,7 @@ optimizer with a key mismatch.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.distributed.cluster import ClusterConfig, SimCluster
 from repro.distributed.ddp import allreduce_gradients, check_replicas_consistent
@@ -63,6 +63,7 @@ class TestAllreduceProperties:
                 np.testing.assert_allclose(averaged[name], value, rtol=1e-14, atol=0)
 
     @given(seed=st.integers(0, 2**31 - 1), world=st.integers(2, 8))
+    @example(seed=130493, world=4)  # a mean on p1 cancels to ~1e-6: rel 1.4e-11
     @settings(max_examples=50, deadline=None)
     def test_allreduce_is_permutation_invariant(self, seed, world):
         rng = np.random.default_rng(seed)
@@ -71,7 +72,12 @@ class TestAllreduceProperties:
         forward = allreduce_gradients(per_trainer)
         backward = allreduce_gradients(per_trainer[::-1])
         for name in forward:
-            np.testing.assert_allclose(forward[name], backward[name], rtol=1e-12)
+            # Summation order changes the rounding of each summand, so the
+            # tolerance scales with the summands, not with a mean that may
+            # have cancelled to nearly zero.
+            atol = 1e-12 * max(np.abs(grads[name]).max() for grads in per_trainer)
+            np.testing.assert_allclose(forward[name], backward[name],
+                                       rtol=1e-12, atol=atol)
 
     @given(seed=st.integers(0, 2**31 - 1), world=st.integers(2, 8))
     @settings(max_examples=50, deadline=None)
