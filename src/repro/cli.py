@@ -141,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--sampler", default=None, choices=SAMPLERS.names(),
-        help="neighbor-sampler registry key (default: legacy). 'vectorized' is the "
+        help="neighbor-sampler registry key (default: vectorized). 'vectorized' is the "
              "batched random-key fan-out draw; 'loop' is its per-node reference twin "
              "(bit-identical output and RNG stream)",
     )
@@ -864,7 +864,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             fanouts=tuple(args.fanouts) if args.fanouts else (10, 25),
             backend=backend,
             seed=args.seed,
-            sampler=args.sampler or "legacy",
+            sampler=args.sampler or "vectorized",
             rpc=args.rpc or "per-call",
         ),
         cost_model=CostModel.preset(backend),

@@ -56,8 +56,8 @@ class ClusterConfig:
     means a homogeneous cluster.
 
     ``sampler`` and ``rpc`` select hot-path implementations by registry key:
-    :data:`repro.sampling.neighbor_sampler.SAMPLERS` (``"legacy"`` default,
-    ``"vectorized"`` for the batched fan-out draw) and
+    :data:`repro.sampling.neighbor_sampler.SAMPLERS` (``"vectorized"``, the
+    batched fan-out draw) and
     :data:`repro.distributed.rpc.RPC_CHANNELS` (``"per-call"`` default,
     ``"batched"`` for per-machine owner coalescing).
 
@@ -76,7 +76,7 @@ class ClusterConfig:
     backend: str = "cpu"
     seed: int = 0
     compute_multipliers: Optional[Sequence[float]] = None
-    sampler: str = "legacy"
+    sampler: str = "vectorized"
     rpc: str = "per-call"
     # Hot-set drift (cache-stress scenarios): each epoch only a rotating
     # window of ``seed_active_fraction`` of a trainer's seeds is active,

@@ -38,9 +38,7 @@ class DistDataLoader:
         Optional global label array used to attach seed labels to minibatches.
     sampler:
         Registry key from :data:`repro.sampling.neighbor_sampler.SAMPLERS`
-        selecting the fan-out implementation (``"legacy"`` default; the
-        ``"vectorized"`` hot path and its ``"loop"`` reference twin share a
-        different — random-key — RNG stream).
+        selecting the fan-out implementation (``"vectorized"`` default).
     """
 
     def __init__(
@@ -52,7 +50,7 @@ class DistDataLoader:
         labels: Optional[np.ndarray] = None,
         seed: SeedLike = None,
         drop_last: bool = False,
-        sampler: str = "legacy",
+        sampler: str = "vectorized",
         seed_active_fraction: float = 1.0,
         seed_rotation: float = 0.0,
     ):

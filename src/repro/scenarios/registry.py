@@ -71,9 +71,9 @@ class ClusterScenario:
     prefetch_config: Optional[PrefetchConfig] = None
     epochs: int = 3
     paper_note: str = ""
-    # Hot-path registry keys (see SAMPLERS / RPC_CHANNELS); the defaults keep
+    # Hot-path registry keys (see SAMPLERS / RPC_CHANNELS); the rpc default keeps
     # every shipped scenario bit-identical to the pre-registry behavior.
-    sampler: str = "legacy"
+    sampler: str = "vectorized"
     rpc: str = "per-call"
     # Tiered feature cache (repro.cache): None runs the tier-less data path;
     # a CacheConfig parameterizes the "tiered-cache" pipeline (or threads a

@@ -54,16 +54,11 @@ class TestSamplerRegistry:
         with pytest.raises(ValueError, match="legacy.*loop.*vectorized"):
             build_sampler("turbo", tiny_graph, [2], seed=0)
 
-    def test_dataloader_defaults_to_legacy(self, small_partitions):
+    def test_dataloader_defaults_to_vectorized(self, small_partitions):
         p = small_partitions[0]
         loader = DistDataLoader(p, np.arange(min(8, p.num_owned)), fanouts=(3,), batch_size=4, seed=0)
-        assert loader.sampler_name == "legacy"
-        assert type(loader.sampler) is NeighborSampler
-        fast = DistDataLoader(
-            p, np.arange(min(8, p.num_owned)), fanouts=(3,), batch_size=4, seed=0,
-            sampler="vectorized",
-        )
-        assert type(fast.sampler) is VectorizedNeighborSampler
+        assert loader.sampler_name == "vectorized"
+        assert type(loader.sampler) is VectorizedNeighborSampler
 
 
 class TestLoopVectorizedDifferential:
