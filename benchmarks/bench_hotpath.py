@@ -1,14 +1,9 @@
-"""Hot-path benchmark: sampler throughput + owner-coalesced RPC accounting.
+"""Hot-path benchmark: owner-coalesced RPC accounting, fetch, pool, elasticity.
 
 Seeds the repository's perf trajectory (``BENCH_hotpath.json``) with the
-quantities the sampler→fetch→prefetch hot path is judged on:
+quantities the fetch→prefetch hot path is judged on (sampler wall time is
+priced end to end by ``benchmarks/e2e``: ``sampling.host_us_per_op``):
 
-* **sampler ns/node** — wall-clock cost of the ``loop`` (per-node reference)
-  vs. ``vectorized`` (batched partial Fisher–Yates) samplers on a 100k-node
-  smoke graph (papers100M-like average degree), plus a hub-heavy R-MAT stress
-  graph and the ``legacy`` ``Generator.choice`` baseline.  The script exits
-  nonzero if the vectorized sampler's smoke-graph speedup over the loop
-  sampler falls below ``--min-speedup`` — the CI gate.
 * **fetch rows/s** — feature-store assembly throughput on the hot-halo
   workload's buffered data path.
 * **wire-request counts** — logical vs. coalesced wire RPC totals of the
@@ -30,8 +25,6 @@ quantities the sampler→fetch→prefetch hot path is judged on:
 Run::
 
     PYTHONPATH=src python benchmarks/bench_hotpath.py --out BENCH_hotpath.json
-
-Smoke-scale knobs (CI): ``--graph-nodes 20000 --rmat-scale 14 --rounds 2``.
 """
 
 from __future__ import annotations
@@ -42,75 +35,14 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from repro.distributed.rpc import aggregate_rpc_stats
 from repro.features import LocalKVStoreSource, SourceContext, build_feature_source
 from repro.features.store import FeatureStore
-from repro.graph.generators import planted_partition_graph, rmat_graph
-from repro.sampling.neighbor_sampler import build_sampler
 from repro.scenarios import SCENARIOS
 
-SAMPLER_NAMES = ("loop", "vectorized", "legacy")
-
 
 # --------------------------------------------------------------------------- #
-# Part 1: sampler throughput (loop vs. vectorized vs. legacy)
-# --------------------------------------------------------------------------- #
-def bench_samplers(graph, batch_size: int, rounds: int, fanouts):
-    seed_rng = np.random.default_rng(3)
-    seed_batches = [
-        np.unique(seed_rng.integers(0, graph.num_nodes, size=batch_size))
-        for _ in range(rounds)
-    ]
-
-    # Self-check: the loop and vectorized samplers must produce identical
-    # minibatches on the same seed before their timings are comparable.
-    check_a = build_sampler("loop", graph, fanouts, seed=1).sample(seed_batches[0])
-    check_b = build_sampler("vectorized", graph, fanouts, seed=1).sample(seed_batches[0])
-    for x, y in zip(check_a.blocks, check_b.blocks):
-        assert np.array_equal(x.src_nodes, y.src_nodes)
-        assert np.array_equal(x.edge_src, y.edge_src)
-        assert np.array_equal(x.edge_dst, y.edge_dst)
-
-    results = {}
-    for name in SAMPLER_NAMES:
-        build_sampler(name, graph, fanouts, seed=1).sample(seed_batches[0])  # warm-up
-        sampler = build_sampler(name, graph, fanouts, seed=1)
-        nodes_visited = 0
-        edges_sampled = 0
-        start = time.perf_counter()
-        for step, seeds in enumerate(seed_batches):
-            mb = sampler.sample(seeds, step=step)
-            nodes_visited += sum(block.num_dst for block in mb.blocks)
-            edges_sampled += mb.total_edges()
-        elapsed = time.perf_counter() - start
-        results[name] = {
-            "seconds_total": elapsed,
-            "seconds_per_batch": elapsed / rounds,
-            "ns_per_node": 1e9 * elapsed / max(1, nodes_visited),
-            "ns_per_edge": 1e9 * elapsed / max(1, edges_sampled),
-            "nodes_visited": int(nodes_visited),
-            "edges_sampled": int(edges_sampled),
-        }
-    return {
-        "graph_nodes": int(graph.num_nodes),
-        "graph_edges": int(graph.num_edges),
-        "batch_size": batch_size,
-        "rounds": rounds,
-        "fanouts": list(fanouts),
-        "per_sampler": results,
-        "speedup_vectorized_over_loop": (
-            results["loop"]["seconds_total"] / results["vectorized"]["seconds_total"]
-        ),
-        "speedup_vectorized_over_legacy": (
-            results["legacy"]["seconds_total"] / results["vectorized"]["seconds_total"]
-        ),
-    }
-
-
-# --------------------------------------------------------------------------- #
-# Part 2: hot-halo RPC accounting (per-call vs. batched) + fetch throughput
+# Part 1: hot-halo RPC accounting (per-call vs. batched) + fetch throughput
 # --------------------------------------------------------------------------- #
 def bench_hot_halo_rpc(scenario_scale: float, epochs: int):
     runs = {}
@@ -249,7 +181,7 @@ def bench_fetch_throughput(scenario_scale: float, steps: int):
 
 
 # --------------------------------------------------------------------------- #
-# Part 5: elastic scale-out (migration cost vs. post-join critical path)
+# Part 4: elastic scale-out (migration cost vs. post-join critical path)
 # --------------------------------------------------------------------------- #
 def bench_elasticity(scenario_scale: float):
     """What the scale-out joins buy (epoch time) and cost (migration bytes).
@@ -313,24 +245,11 @@ def bench_elasticity(scenario_scale: float):
 # --------------------------------------------------------------------------- #
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--graph-nodes", type=int, default=100_000,
-                        help="nodes in the primary smoke graph (planted-partition, "
-                             "papers100M-like average degree ~15)")
-    parser.add_argument("--rmat-scale", type=int, default=17,
-                        help="R-MAT scale (log2 nodes) for the hub-heavy stress "
-                             "graph; 0 skips it")
-    parser.add_argument("--batch-size", type=int, default=4096,
-                        help="seed nodes per sampled minibatch")
-    parser.add_argument("--rounds", type=int, default=3, help="minibatches per sampler")
-    parser.add_argument("--fanouts", type=int, nargs="+", default=[10, 25])
     parser.add_argument("--scenario-scale", type=float, default=0.05,
                         help="hot-halo dataset scale for the RPC comparison")
     parser.add_argument("--epochs", type=int, default=1, help="hot-halo epochs")
     parser.add_argument("--fetch-steps", type=int, default=8,
                         help="minibatches for the fetch-throughput probe")
-    parser.add_argument("--min-speedup", type=float, default=1.0,
-                        help="fail if vectorized/loop speedup falls below this "
-                             "(CI gate: vectorized must not be slower than loop)")
     parser.add_argument("--pool-scale", type=float, default=0.3,
                         help="dataset scale for the execution-backend wall-clock "
                              "comparison; 0 skips the section")
@@ -355,32 +274,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, default=Path("BENCH_hotpath.json"))
     args = parser.parse_args(argv)
 
-    def report(tag, result):
-        print(f"    [{tag}] {result['graph_nodes']} nodes / {result['graph_edges']} edges")
-        for name in SAMPLER_NAMES:
-            row = result["per_sampler"][name]
-            print(f"    {name:>10}: {row['seconds_per_batch']*1e3:8.1f} ms/batch   "
-                  f"{row['ns_per_node']:9.1f} ns/node   {row['ns_per_edge']:7.1f} ns/edge")
-        print(f"    vectorized speedup: {result['speedup_vectorized_over_loop']:.1f}x over loop, "
-              f"{result['speedup_vectorized_over_legacy']:.1f}x over legacy")
-
-    print(f"[1/5] sampler bench: {args.rounds} x {args.batch_size} seeds, "
-          f"fanouts {args.fanouts}")
-    smoke_graph, _ = planted_partition_graph(
-        args.graph_nodes, num_communities=10, avg_degree=15, intra_fraction=0.7, seed=7
-    )
-    sampler = {
-        "smoke": bench_samplers(smoke_graph, args.batch_size, args.rounds, args.fanouts)
-    }
-    report("smoke", sampler["smoke"])
-    if args.rmat_scale > 0:
-        stress_graph = rmat_graph(scale=args.rmat_scale, edge_factor=8, seed=7)
-        sampler["hub_stress"] = bench_samplers(
-            stress_graph, args.batch_size, args.rounds, args.fanouts
-        )
-        report("hub-stress", sampler["hub_stress"])
-
-    print(f"[2/5] hot-halo RPC: scale {args.scenario_scale}, {args.epochs} epoch(s)")
+    print(f"[1/4] hot-halo RPC: scale {args.scenario_scale}, {args.epochs} epoch(s)")
     rpc = bench_hot_halo_rpc(args.scenario_scale, args.epochs)
     for channel, row in rpc["per_channel"].items():
         print(f"    {channel:>9}: wire requests {int(row['requests']):6d}   "
@@ -390,13 +284,13 @@ def main(argv=None) -> int:
     print(f"    wire-request reduction: {rpc['wire_request_reduction_percent']:.1f}% "
           f"(identical numerics, identical logical rows)")
 
-    print(f"[3/5] fetch throughput: {args.fetch_steps} buffered hot-halo minibatches")
+    print(f"[2/4] fetch throughput: {args.fetch_steps} buffered hot-halo minibatches")
     fetch = bench_fetch_throughput(args.scenario_scale, args.fetch_steps)
     print(f"    {fetch['rows_per_s']:,.0f} rows/s over {fetch['rows_fetched']} rows")
 
     execution_backends = None
     if args.pool_scale > 0:
-        print(f"[4/5] execution backends: 4x1 lockstep, scale {args.pool_scale}, "
+        print(f"[3/4] execution backends: 4x1 lockstep, scale {args.pool_scale}, "
               f"{args.pool_epochs} epoch(s), workers {args.pool_workers}")
         execution_backends = bench_execution_backends(
             args.pool_scale, args.pool_epochs, args.pool_batch_size,
@@ -410,7 +304,7 @@ def main(argv=None) -> int:
 
     elasticity = None
     if args.elastic_scale > 0:
-        print(f"[5/5] elasticity: scale-out-burst vs. held-back twin, "
+        print(f"[4/4] elasticity: scale-out-burst vs. held-back twin, "
               f"scale {args.elastic_scale}")
         elasticity = bench_elasticity(args.elastic_scale)
         print("    elastic epochs: "
@@ -426,16 +320,10 @@ def main(argv=None) -> int:
         "benchmark": "hotpath",
         "generated_by": "benchmarks/bench_hotpath.py",
         "config": {
-            "graph_nodes": args.graph_nodes,
-            "rmat_scale": args.rmat_scale,
-            "batch_size": args.batch_size,
-            "rounds": args.rounds,
-            "fanouts": args.fanouts,
             "scenario_scale": args.scenario_scale,
             "epochs": args.epochs,
             "elastic_scale": args.elastic_scale,
         },
-        "sampler": sampler,
         "rpc": rpc,
         "fetch": fetch,
     }
@@ -446,11 +334,6 @@ def main(argv=None) -> int:
     args.out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"wrote {args.out}")
 
-    speedup = sampler["smoke"]["speedup_vectorized_over_loop"]
-    if speedup < args.min_speedup:
-        print(f"FAIL: vectorized sampler speedup {speedup:.2f}x is below the "
-              f"required {args.min_speedup:.2f}x", file=sys.stderr)
-        return 1
     if execution_backends is not None:
         pool_speedup = execution_backends["speedup_at_max_workers"]
         if execution_backends["cpu_count"] < 2:

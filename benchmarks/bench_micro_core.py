@@ -15,7 +15,7 @@ import pytest
 from repro.core.buffer import PrefetchBuffer
 from repro.core.scoreboard import CompactAccessScoreboard, DenseAccessScoreboard, EvictionScores
 from repro.graph.datasets import load_dataset
-from repro.sampling.neighbor_sampler import VectorizedNeighborSampler
+from repro.sampling.neighbor_sampler import NeighborSampler
 
 NUM_GLOBAL = 200_000
 NUM_HALO = 20_000
@@ -89,7 +89,7 @@ def test_micro_eviction_assessment(benchmark):
 @pytest.mark.benchmark(group="micro-sampling")
 def test_micro_neighbor_sampling(benchmark):
     dataset = load_dataset("products", scale=0.25, seed=0)
-    sampler = VectorizedNeighborSampler(dataset.graph, [10, 25], seed=0)
+    sampler = NeighborSampler(dataset.graph, [10, 25], seed=0)
     seeds = np.arange(256)
     mb = benchmark(sampler.sample, seeds)
     assert len(mb.blocks) == 2

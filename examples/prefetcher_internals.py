@@ -19,7 +19,7 @@ from repro.core import PrefetchConfig, Prefetcher
 from repro.distributed import CostModel, RPCChannel
 from repro.distributed.server import PartitionServer
 from repro.graph import build_partitions, make_custom_dataset, metis_partition
-from repro.sampling import VectorizedNeighborSampler, sample_for_partition, split_local_halo
+from repro.sampling import NeighborSampler, sample_for_partition, split_local_halo
 
 
 def main() -> None:
@@ -48,9 +48,11 @@ def main() -> None:
           f"({init.buffer_nbytes / 1024:.1f} KiB features, "
           f"{init.scoreboard_nbytes / 1024:.1f} KiB scoreboards)")
 
-    # 5. Sample minibatches from the local partition and feed the halo nodes
-    #    through the prefetcher, exactly as the training engine does.
-    sampler = VectorizedNeighborSampler(part.local_graph, fanouts=[5, 10], seed=7)
+    # 5. Sample minibatches from the local partition (NeighborSampler draws
+    #    every capped node of a layer in one batched call — the only sampler
+    #    the engines use) and feed the halo nodes through the prefetcher,
+    #    exactly as the training engine does.
+    sampler = NeighborSampler(part.local_graph, fanouts=[5, 10], seed=7)
     owned_train = np.arange(part.num_owned)
     rng = np.random.default_rng(7)
     for step in range(12):

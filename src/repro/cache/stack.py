@@ -29,7 +29,6 @@ from typing import Callable, Dict, List, Tuple
 import numpy as np
 
 from repro.cache.tier import CacheTier
-from repro.utils.validation import check_1d_int_array
 
 # ids -> (rows, simulated_time_s, bytes_fetched); the stack treats the miss
 # handler as opaque, so it can be an RPC channel, a disk tier, or a test stub.
@@ -74,8 +73,11 @@ class TieredFeatureCache:
 
     # ------------------------------------------------------------------ #
     def fetch(self, global_ids: np.ndarray, step: int) -> Tuple[np.ndarray, CacheFetchResult]:
-        """Assemble rows for *global_ids* (aligned), recording per-tier costs."""
-        global_ids = check_1d_int_array(global_ids, "global_ids")
+        """Assemble rows for *global_ids* (aligned), recording per-tier costs.
+
+        Precondition: *global_ids* is a 1-D int64 array, validated where it
+        entered the data path (``FeatureStore.fetch``, the sampler's seeds).
+        """
         result = CacheFetchResult(num_requested=int(len(global_ids)))
         rows = np.zeros((len(global_ids), self.feature_dim), dtype=np.float32)
         remaining = np.arange(len(global_ids), dtype=np.int64)

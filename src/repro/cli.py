@@ -30,7 +30,7 @@ Commands
 ``sweep``
     Grid-search (f_h, γ, Δ) and print the Table IV-style optimum.
 ``tune``
-    Sweep a scenario's full knob surface (sampler, rpc, cache policies,
+    Sweep a scenario's full knob surface (rpc, cache policies,
     engine/sync, serving parameters — any :data:`repro.tuning.AXES` axis)
     with a grid or seeded-random strategy, rank candidates by an
     :data:`repro.tuning.OBJECTIVES` score, and optionally freeze the winner
@@ -71,7 +71,7 @@ from repro.distributed.cost_model import CostModel
 from repro.distributed.rpc import RPC_CHANNELS
 from repro.events.sync import SYNC_POLICIES
 from repro.graph.datasets import available_datasets, load_dataset
-from repro.sampling.neighbor_sampler import SAMPLERS
+from repro.sampling.neighbor_sampler import resolve_sampler
 from repro.scenarios import (
     SCENARIOS,
     UNSET,
@@ -140,10 +140,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="eviction policy for the prefetch buffer (default: the config's, score-threshold)",
     )
     run.add_argument(
-        "--sampler", default=None, choices=SAMPLERS.names(),
-        help="neighbor-sampler registry key (default: vectorized). 'vectorized' is the "
-             "batched random-key fan-out draw; 'loop' is its per-node reference twin "
-             "(bit-identical output and RNG stream)",
+        "--sampler", default=None,
+        help="neighbor-sampler registry key; 'vectorized' (the batched partial "
+             "Fisher-Yates fan-out draw) is the default and the only sampler",
     )
     run.add_argument(
         "--rpc", default=None, choices=RPC_CHANNELS.names(),
@@ -814,6 +813,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    if args.sampler is not None:
+        try:
+            args.sampler = resolve_sampler(args.sampler)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     # Engine/sync selection is a cluster-execution concern: an explicit
     # --engine (or any async sync knob) routes through the scenario-driven
     # cluster path, defaulting to the 'uniform' scenario.

@@ -38,6 +38,7 @@ from repro.graph.halo import GraphPartition, build_partitions
 from repro.graph.partition import PartitionResult, partition_graph
 from repro.graph.partition_book import PartitionBook
 from repro.sampling.dataloader import DistDataLoader
+from repro.sampling.neighbor_sampler import resolve_sampler
 from repro.sampling.seeds import SeedPartitioner
 from repro.utils.rng import derive_seed
 from repro.utils.validation import check_positive
@@ -103,9 +104,7 @@ class ClusterConfig:
             raise ValueError(f"backend must be 'cpu' or 'gpu', got {self.backend!r}")
         # Resolve registry keys eagerly so typos fail at config time with the
         # registry's list-of-valid-names error, not mid-run.
-        from repro.sampling.neighbor_sampler import SAMPLERS
-
-        self.sampler = SAMPLERS.resolve(self.sampler)
+        self.sampler = resolve_sampler(self.sampler)
         self.rpc = RPC_CHANNELS.resolve(self.rpc)
         if self.compute_multipliers is not None:
             multipliers = tuple(float(m) for m in self.compute_multipliers)

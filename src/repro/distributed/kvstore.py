@@ -122,8 +122,11 @@ class KVStore:
         """Fetch feature rows for *global_ids* (all must be owned here).
 
         ``remote`` marks the pull as served over RPC for accounting purposes.
+        Precondition: *global_ids* is a 1-D int64 array — ids are validated
+        where they enter the data path (:meth:`FeatureStore.fetch
+        <repro.features.store.FeatureStore.fetch>`, the sampler's seeds), not
+        at every hop; an id this store does not own still raises ``KeyError``.
         """
-        global_ids = check_1d_int_array(global_ids, "global_ids")
         if len(global_ids) == 0:
             return np.zeros((0, self.feature_dim), dtype=np.float32)
         idx = np.searchsorted(self._ids, global_ids)

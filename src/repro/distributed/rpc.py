@@ -36,7 +36,6 @@ import numpy as np
 from repro.distributed.cost_model import BYTES_PER_FEATURE, CostModel
 from repro.distributed.kvstore import KVStore
 from repro.utils.registry import Registry
-from repro.utils.validation import check_1d_int_array
 
 
 @dataclass
@@ -102,8 +101,10 @@ class RPCChannel:
 
     # ------------------------------------------------------------------ #
     def local_pull(self, global_ids: np.ndarray) -> Tuple[np.ndarray, float]:
-        """Copy locally owned feature rows; returns (rows, simulated_copy_time)."""
-        global_ids = check_1d_int_array(global_ids, "global_ids")
+        """Copy locally owned feature rows; returns (rows, simulated_copy_time).
+
+        Precondition: *global_ids* is a 1-D int64 array (see :meth:`KVStore.pull`).
+        """
         store = self.servers[self.local_part]
         rows = store.pull(global_ids, remote=False)
         copy_time = self.cost_model.time_copy(len(global_ids), store.feature_dim)
@@ -120,6 +121,11 @@ class RPCChannel:
             Global node ids to fetch (must not be owned locally).
         owners:
             Owning partition id per node (same length as ``global_ids``).
+
+        Precondition: both are 1-D int64 arrays, validated where the ids
+        entered the data path (see :meth:`KVStore.pull`); alignment and
+        local ownership are still checked here, unknown owners and ids an
+        owner does not hold still raise ``KeyError``.
 
         Returns
         -------
@@ -166,8 +172,6 @@ class RPCChannel:
     def _validate_remote_pull(
         self, global_ids: np.ndarray, owners: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        global_ids = check_1d_int_array(global_ids, "global_ids")
-        owners = check_1d_int_array(owners, "owners")
         if len(global_ids) != len(owners):
             raise ValueError("global_ids and owners must align")
         if np.any(owners == self.local_part):

@@ -107,7 +107,13 @@ class FeatureSource(Protocol):
     name: str
 
     def fetch(self, global_ids: np.ndarray) -> Tuple[np.ndarray, FetchStats]:
-        """Return ``(rows, stats)``; ``rows[i]`` is the feature row of ``global_ids[i]``."""
+        """Return ``(rows, stats)``; ``rows[i]`` is the feature row of ``global_ids[i]``.
+
+        ``global_ids`` arrives as a 1-D int64 array: the
+        :class:`~repro.features.store.FeatureStore` validates ids it is handed
+        directly and minibatch ids are built by the sampler, so a source does
+        not re-validate them.
+        """
         ...
 
     def nbytes(self) -> int:

@@ -48,7 +48,6 @@ from repro.features.source import FetchStats
 from repro.graph.halo import GraphPartition
 from repro.graph.partition_book import PartitionBook
 from repro.utils.registry import Registry
-from repro.utils.validation import check_1d_int_array
 
 
 def halo_degree_lookup(partition: GraphPartition) -> Callable[[np.ndarray], np.ndarray]:
@@ -114,7 +113,6 @@ class LocalKVStoreSource:
         return self.rpc.servers[self.rpc.local_part].feature_dim
 
     def fetch(self, global_ids: np.ndarray) -> Tuple[np.ndarray, FetchStats]:
-        global_ids = check_1d_int_array(global_ids, "global_ids")
         if len(global_ids) == 0:
             # An empty request is not a pull: no copy, no call counted.
             return np.zeros((0, self.feature_dim), dtype=np.float32), FetchStats(source=self.name)
@@ -164,7 +162,6 @@ class RemoteRPCSource:
         return cls(rpc, owner_of=lambda global_ids: halo_owners(partition, global_ids))
 
     def fetch(self, global_ids: np.ndarray) -> Tuple[np.ndarray, FetchStats]:
-        global_ids = check_1d_int_array(global_ids, "global_ids")
         if len(global_ids) == 0:
             # Zero rows after routing means zero RPCs: skip the pull entirely
             # so the call/request counters only ever reflect real traffic.

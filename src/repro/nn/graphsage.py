@@ -58,8 +58,10 @@ class SAGELayer(Module):
                 f"h_src has {h_src.shape[0]} rows but block expects {block.num_src}"
             )
         h_dst = h_src[: block.num_dst]
-        messages = h_src[block.edge_src]
-        agg = segment_mean(messages, block.edge_dst, block.num_dst, block.dst_indptr)
+        # Mean of h_src[edge_src] per dst row, gathered once per run length.
+        agg = segment_mean(
+            h_src, block.edge_dst, block.num_dst, block.dst_indptr, rows=block.edge_src
+        )
         pre = h_dst @ self.w_self.value + agg @ self.w_neigh.value + self.bias.value
         act_fn, _ = ACTIVATIONS[self.activation]
         out = act_fn(pre)

@@ -40,29 +40,42 @@ def zeros(shape: Tuple[int, ...]) -> np.ndarray:
 # Segment reductions
 # --------------------------------------------------------------------------- #
 def _segment_reduce(
-    ufunc: np.ufunc, values: np.ndarray, ids: np.ndarray, n: int, indptr: Indptr, fill: float
+    ufunc: np.ufunc,
+    values: np.ndarray,
+    ids: np.ndarray,
+    n: int,
+    indptr: Indptr,
+    fill: float,
+    rows: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Reduce the rows of each segment with *ufunc*, in row order; empty segments give *fill*.
 
-    Rows must sit grouped by ascending segment id: a caller whose ids already
-    are passes their CSR offsets as *indptr*, anything else is stable-sorted
-    here.  All runs of one length are then reduced together as one
-    ``(runs, length, ...)`` gather; fan-out sampling leaves few distinct
-    lengths, and there can never be more than ``sqrt(2 * len(values))``.
-    (``ufunc.reduceat`` is slower: it walks 2-D values column by column and
-    aliases cache sets on power-of-two widths; numbers in docs/ARCHITECTURE.md.)
+    Entry ``i`` is ``values[i]``, or ``values[rows[i]]`` when *rows* is given
+    (the per-run gather below then reads ``values`` through ``rows``, so the
+    ``values[rows]`` matrix is never materialized).  Entries must sit grouped
+    by ascending segment id: a caller whose ids already are passes their CSR
+    offsets as *indptr*, anything else is stable-sorted here.  All runs of one
+    length are then reduced together as one ``(runs, length, ...)`` gather;
+    fan-out sampling leaves few distinct lengths, and there can never be more
+    than ``sqrt(2 * len(ids))``.  (``ufunc.reduceat`` is slower: it walks 2-D
+    values column by column and aliases cache sets on power-of-two widths;
+    numbers in docs/ARCHITECTURE.md.)
     """
     if indptr is None:
         order, indptr = group_offsets(ids, n)
         if order is not None:
-            values = values[order]
-    elif len(indptr) != n + 1 or indptr[-1] != len(values):
-        raise ValueError("indptr must hold num_segments + 1 offsets ending at len(values)")
+            if rows is None:
+                values = values[order]
+            else:
+                rows = rows[order]
+    elif len(indptr) != n + 1 or indptr[-1] != len(ids):
+        raise ValueError("indptr must hold num_segments + 1 offsets ending at len(ids)")
     lengths = indptr[1:] - indptr[:-1]
     out = np.full((n,) + values.shape[1:], fill, dtype=values.dtype)
     for length in np.bincount(lengths)[1:].nonzero()[0] + 1:
         runs = (lengths == length).nonzero()[0]
-        out[runs] = ufunc.reduce(values[indptr[runs, None] + np.arange(length)], axis=1)
+        entries = indptr[runs, None] + np.arange(length)
+        out[runs] = ufunc.reduce(values[entries if rows is None else rows[entries]], axis=1)
     return out
 
 
@@ -80,10 +93,14 @@ def segment_sum(
 
 
 def segment_mean(
-    values: np.ndarray, segment_ids: np.ndarray, num_segments: int, indptr: Indptr = None
+    values: np.ndarray,
+    segment_ids: np.ndarray,
+    num_segments: int,
+    indptr: Indptr = None,
+    rows: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Mean of *values* per segment; empty segments yield zero rows."""
-    sums = segment_sum(values, segment_ids, num_segments, indptr)
+    """Mean of *values* (of ``values[rows]`` when given) per segment; empty segments yield zero rows."""
+    sums = _segment_reduce(np.add, values, segment_ids, num_segments, indptr, 0, rows)
     return sums / _mean_divisor(segment_ids, num_segments, indptr, values)
 
 

@@ -4,9 +4,7 @@ from repro.sampling.block import Block, MiniBatch
 from repro.sampling.dataloader import DistDataLoader
 from repro.sampling.neighbor_sampler import (
     SAMPLERS,
-    LoopNeighborSampler,
     NeighborSampler,
-    VectorizedNeighborSampler,
     build_sampler,
     sample_for_partition,
     split_local_halo,
@@ -27,8 +25,6 @@ __all__ = [
     "MiniBatch",
     "DistDataLoader",
     "NeighborSampler",
-    "LoopNeighborSampler",
-    "VectorizedNeighborSampler",
     "SAMPLERS",
     "build_sampler",
     "sample_for_partition",

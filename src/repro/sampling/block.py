@@ -38,8 +38,8 @@ class Block:
     edge_src / edge_dst:
         Edge endpoints as **row indices** into ``src_nodes`` / ``dst_nodes``.
         **Invariant:** edges are grouped by ascending ``edge_dst`` (CSR order).
-        Every registered sampler emits them that way; any other order is
-        stable-sorted once at construction, so aggregation only ever sees one.
+        The sampler emits them that way; any other order is stable-sorted
+        once at construction, so aggregation only ever sees one.
     src_global / dst_global:
         Global node ids aligned with ``src_nodes`` / ``dst_nodes``.
     dst_indptr:
@@ -70,6 +70,34 @@ class Block:
         order, self.dst_indptr = group_offsets(self.edge_dst, self.num_dst)
         if order is not None:
             self.edge_src, self.edge_dst = self.edge_src[order], self.edge_dst[order]
+
+    @classmethod
+    def trusted(
+        cls,
+        src_nodes: np.ndarray,
+        dst_nodes: np.ndarray,
+        edge_src: np.ndarray,
+        edge_dst: np.ndarray,
+        src_global: np.ndarray,
+        dst_global: np.ndarray,
+        dst_indptr: np.ndarray,
+    ) -> "Block":
+        """A block from arrays its builder derived itself; nothing is checked.
+
+        Precondition — everything the public constructor enforces: 1-D int64
+        arrays, non-negative ids, edge endpoints inside ``src_nodes`` /
+        ``dst_nodes``, globals aligned with locals, edges grouped by ascending
+        ``edge_dst`` with ``dst_indptr`` their CSR offsets.  The sampler
+        validates its seeds and derives the rest from the graph's CSR, so its
+        blocks satisfy this by construction; anything else goes through
+        ``Block(...)``.
+        """
+        block = object.__new__(cls)
+        block.src_nodes, block.dst_nodes = src_nodes, dst_nodes
+        block.edge_src, block.edge_dst = edge_src, edge_dst
+        block.src_global, block.dst_global = src_global, dst_global
+        block.dst_indptr = dst_indptr
+        return block
 
     @property
     def num_src(self) -> int:

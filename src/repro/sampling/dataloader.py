@@ -56,7 +56,6 @@ class DistDataLoader:
     ):
         self.partition = partition
         self.labels = labels
-        self.sampler_name = sampler
         self.sampler: NeighborSampler = build_sampler(
             sampler, partition.local_graph, fanouts, seed=derive_seed(seed, partition.part_id, 11)
         )

@@ -12,25 +12,14 @@ The sampler is deliberately stochastic and stateless across minibatches: this
 non-determinism is exactly why a static cache is insufficient and a scored
 prefetch buffer (the paper's contribution) is needed.
 
-Three implementations are registered in :data:`SAMPLERS`:
-
-* ``"legacy"`` — the original per-node loop drawing capped neighborhoods with
-  ``Generator.choice``.  It remains the **default** because the repository's
-  golden fixtures pin its exact RNG stream; ``choice``'s rejection-sampled
-  stream consumption cannot be reproduced by a batched draw.
-* ``"loop"`` — the per-node reference implementation of the *partial
-  Fisher–Yates* fan-out draw: a capped node consumes exactly ``fanout``
-  uniforms, each selecting the next swap target of a truncated shuffle.
-  Statistically identical to ``"legacy"`` (a uniform draw without
-  replacement) but expressible as one batched draw per layer.
-* ``"vectorized"`` — the hot-path implementation of the same draw:
-  degree-bucketed CSR slicing for take-all nodes and a **single** batched
-  ``rng.random`` call over offset arithmetic for all capped nodes, with the
-  ``fanout`` swap rounds vectorized across nodes.  Because NumPy generators
-  consume the stream sequentially, one batched draw is bit-equal to the
-  loop's concatenated per-node draws — ``"loop"`` and ``"vectorized"``
-  produce identical blocks, edge indices, and RNG-stream consumption (pinned
-  by ``tests/test_sampler_differential.py``).
+There is one implementation, :class:`NeighborSampler` (registry key
+``"vectorized"``): a *partial Fisher–Yates* fan-out draw in which a capped
+node consumes exactly ``fanout`` uniforms, each selecting the next swap target
+of a truncated shuffle, batched across every capped node of a layer.  Its
+per-node reference twin lives in ``tests/sampler_oracle.py``; because NumPy
+generators consume the stream sequentially, one batched draw is bit-equal to
+the oracle's concatenated per-node draws — identical blocks, edge indices and
+RNG-stream position (pinned by ``tests/test_sampler_differential.py``).
 """
 
 from __future__ import annotations
@@ -48,17 +37,14 @@ from repro.utils.validation import check_1d_int_array
 
 
 def _finalize_layer(
-    dst: np.ndarray,
-    sampled_src: np.ndarray,
-    edge_dst: np.ndarray,
-    pos_scratch: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Map sampled neighbors onto frontier rows; shared by every sampler.
+    dst: np.ndarray, sampled_src: np.ndarray, pos_scratch: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Map sampled neighbors onto frontier rows: ``(new_src_nodes, edge_src)``.
 
     ``pos_scratch`` is a reusable ``num_nodes``-sized array filled with ``-1``
-    (restored before returning) giving O(1) node-id -> frontier-row lookups,
-    replacing the former sort-based ``setdiff1d``/``searchsorted`` mapping
-    with identical results.
+    (restored before returning) giving O(1) node-id -> frontier-row lookups;
+    the result equals the sort-based ``setdiff1d``/``searchsorted`` mapping
+    the test oracle uses.
 
     ``dst`` must be unique: the mapping resolves each sampled endpoint to
     *one* row, so a duplicated dst entry would silently attach every edge to
@@ -76,7 +62,7 @@ def _finalize_layer(
             "dst row cannot be distinguished by the edge-index mapping"
         )
     # Frontier nodes not already in dst, sorted ascending (deduplicated), are
-    # appended after dst — same layout as the former setdiff1d construction.
+    # appended after dst — the layout ``setdiff1d(sampled_src, dst)`` gives.
     mapped = pos_scratch[sampled_src]
     new_mask = mapped < 0
     candidates = sampled_src[new_mask]
@@ -94,17 +80,19 @@ def _finalize_layer(
     edge_src[new_mask] = pos_scratch[candidates]
     pos_scratch[dst] = -1
     pos_scratch[unique_new] = -1
-    return unique_new, edge_src.astype(np.int64, copy=False), edge_dst.astype(np.int64, copy=False)
+    return unique_new, edge_src
 
 
 class NeighborSampler:
     """Layer-wise uniform neighbor sampler over a local (partition) graph.
 
-    This base class is the ``"legacy"`` implementation: a per-node Python loop
-    drawing capped neighborhoods with ``Generator.choice``.  It stays the
-    default so the golden fixtures' RNG streams remain bit-identical; the
-    ``"loop"``/``"vectorized"`` pair in :data:`SAMPLERS` implements the
-    equivalent partial Fisher–Yates draw with a vectorizable stream.
+    Nodes of a layer are bucketed by degree: take-all nodes (``deg <= fanout``
+    or ``fanout == -1``) are gathered by CSR slicing with no RNG at all, and
+    all capped nodes share **one** ``rng.random(fanout * num_capped)`` draw (in
+    dst order); the ``fanout`` swap rounds of the truncated shuffle then run
+    vectorized across every capped node at once.  Work per capped node is
+    ``O(deg)`` for the initial gather plus ``O(fanout)`` for the swaps — no
+    per-neighbor sort.
 
     Parameters
     ----------
@@ -119,7 +107,7 @@ class NeighborSampler:
         RNG seed; each trainer uses an independent stream.
     """
 
-    name = "legacy"
+    name = "vectorized"
 
     def __init__(self, graph: CSRGraph, fanouts: Sequence[int], seed: SeedLike = None):
         if not fanouts:
@@ -151,6 +139,10 @@ class NeighborSampler:
         ``local_to_global`` translates sampler ids to global ids for the
         distributed data path; identity is assumed when omitted (single-machine
         sampling over the full graph).
+
+        The seeds are validated here, once; every array of the returned
+        blocks is derived from them and the graph's own CSR, so the blocks are
+        built with :meth:`Block.trusted`.
         """
         seeds = check_1d_int_array(seeds, "seeds", max_value=self.graph.num_nodes, allow_empty=False)
         if local_to_global is None:
@@ -161,38 +153,26 @@ class NeighborSampler:
         # neighborhood and label appear once, and every layer's dst frontier is
         # unique — the invariant the edge-index mapping in _finalize_layer
         # depends on (duplicates there would silently drop edges).
-        seed_nodes = np.unique(seeds)
-        dst = seed_nodes
+        dst = np.unique(seeds)
+        seeds_global = dst_global = local_to_global[dst]
         # Sample from the innermost layer (closest to seeds) outward; blocks are
         # then reversed so blocks[0] is the outermost (input) layer.
         for fanout in self.fanouts:
-            src_extra, edge_src, edge_dst = self._sample_one_layer(dst, fanout)
+            src_extra, edge_src, edge_dst, dst_indptr = self._sample_one_layer(dst, fanout)
             src = np.concatenate([dst, src_extra])
+            src_global = np.concatenate([dst_global, local_to_global[src_extra]])
             blocks.append(
-                Block(
-                    src_nodes=src,
-                    dst_nodes=dst,
-                    edge_src=edge_src,
-                    edge_dst=edge_dst,
-                    src_global=local_to_global[src],
-                    dst_global=local_to_global[dst],
-                )
+                Block.trusted(src, dst, edge_src, edge_dst, src_global, dst_global, dst_indptr)
             )
-            dst = src
+            dst, dst_global = src, src_global
         blocks.reverse()
 
-        input_local = blocks[0].src_nodes
-        batch_labels = (
-            labels[local_to_global[seed_nodes]]
-            if labels is not None
-            else np.zeros(0, dtype=np.int64)
-        )
         return MiniBatch(
-            seeds_global=local_to_global[seed_nodes],
+            seeds_global=seeds_global,
             blocks=blocks,
-            input_local=input_local,
-            input_global=local_to_global[input_local],
-            labels=batch_labels,
+            input_local=dst,
+            input_global=dst_global,
+            labels=labels[seeds_global] if labels is not None else np.zeros(0, dtype=np.int64),
             step=step,
         )
 
@@ -200,97 +180,12 @@ class NeighborSampler:
     def _sample_one_layer(self, dst: np.ndarray, fanout: int):
         """Sample up to *fanout* in-neighbors for every node in *dst*.
 
-        Returns ``(new_src_nodes, edge_src_index, edge_dst_index)`` where the
-        edge indices refer to positions in ``concat([dst, new_src_nodes])`` and
-        ``dst`` respectively.
+        Returns ``(new_src_nodes, edge_src_index, edge_dst_index, dst_indptr)``
+        where the edge indices refer to positions in
+        ``concat([dst, new_src_nodes])`` and ``dst`` respectively, edges are
+        grouped by ascending dst row, and row ``i`` owns edges
+        ``dst_indptr[i]:dst_indptr[i + 1]``.
         """
-        indptr, indices = self.graph.indptr, self.graph.indices
-        sampled_src_chunks: List[np.ndarray] = []
-        edge_dst_chunks: List[np.ndarray] = []
-        for i, node in enumerate(dst):
-            start, end = indptr[node], indptr[node + 1]
-            neigh = indices[start:end]
-            if len(neigh) == 0:
-                continue
-            if fanout == -1 or len(neigh) <= fanout:
-                chosen = neigh
-            else:
-                chosen = self.rng.choice(neigh, size=fanout, replace=False)
-            sampled_src_chunks.append(np.asarray(chosen, dtype=np.int64))
-            edge_dst_chunks.append(np.full(len(chosen), i, dtype=np.int64))
-
-        if sampled_src_chunks:
-            sampled_src = np.concatenate(sampled_src_chunks)
-            edge_dst = np.concatenate(edge_dst_chunks)
-        else:
-            sampled_src = np.zeros(0, dtype=np.int64)
-            edge_dst = np.zeros(0, dtype=np.int64)
-        return _finalize_layer(dst, sampled_src, edge_dst, self._pos_scratch)
-
-
-class LoopNeighborSampler(NeighborSampler):
-    """Per-node reference implementation of the partial Fisher–Yates draw.
-
-    A capped node with degree ``deg`` consumes exactly ``fanout`` uniform
-    doubles: swap round *i* exchanges positions ``i`` and
-    ``i + floor(u_i * (deg - i))`` of its neighbor list, and the first
-    ``fanout`` positions are the sample — a uniform draw without replacement
-    whose stream consumption, unlike ``Generator.choice``'s
-    rejection-sampled integers, is a fixed count of doubles.  Because NumPy
-    generators fill arrays sequentially, :class:`VectorizedNeighborSampler`
-    reproduces this loop bit-for-bit with one batched draw per layer; this
-    class exists as its differential twin and as the benchmark baseline.
-    """
-
-    name = "loop"
-
-    def _sample_one_layer(self, dst: np.ndarray, fanout: int):
-        indptr, indices = self.graph.indptr, self.graph.indices
-        sampled_src_chunks: List[np.ndarray] = []
-        edge_dst_chunks: List[np.ndarray] = []
-        for i, node in enumerate(dst):
-            start, end = indptr[node], indptr[node + 1]
-            neigh = indices[start:end]
-            if len(neigh) == 0:
-                continue
-            if fanout == -1 or len(neigh) <= fanout:
-                chosen = neigh
-            else:
-                u = self.rng.random(fanout)
-                deg = len(neigh)
-                arr = neigh.copy()
-                for r in range(fanout):
-                    j = r + int(u[r] * (deg - r))
-                    arr[r], arr[j] = arr[j], arr[r]
-                chosen = arr[:fanout]
-            sampled_src_chunks.append(np.asarray(chosen, dtype=np.int64))
-            edge_dst_chunks.append(np.full(len(chosen), i, dtype=np.int64))
-
-        if sampled_src_chunks:
-            sampled_src = np.concatenate(sampled_src_chunks)
-            edge_dst = np.concatenate(edge_dst_chunks)
-        else:
-            sampled_src = np.zeros(0, dtype=np.int64)
-            edge_dst = np.zeros(0, dtype=np.int64)
-        return _finalize_layer(dst, sampled_src, edge_dst, self._pos_scratch)
-
-
-class VectorizedNeighborSampler(NeighborSampler):
-    """Fully vectorized partial Fisher–Yates fan-out sampler (the hot path).
-
-    Nodes are bucketed by degree: take-all nodes (``deg <= fanout`` or
-    ``fanout == -1``) are gathered by CSR slicing with no RNG at all, and all
-    capped nodes share **one** ``rng.random(fanout * num_capped)`` draw (in
-    dst order); the ``fanout`` swap rounds of the truncated shuffle then run
-    vectorized across every capped node at once.  Work per capped node is
-    ``O(deg)`` for the initial gather plus ``O(fanout)`` for the swaps — no
-    per-neighbor sort — and output and RNG-stream consumption are
-    bit-identical to :class:`LoopNeighborSampler` on the same seed.
-    """
-
-    name = "vectorized"
-
-    def _sample_one_layer(self, dst: np.ndarray, fanout: int):
         indptr, indices = self.graph.indptr, self.graph.indices
         n = len(dst)
         starts = indptr[dst]
@@ -302,10 +197,11 @@ class VectorizedNeighborSampler(NeighborSampler):
         else:
             cap_mask = degs > fanout
             counts = np.where(cap_mask, fanout, degs)
-        total = int(counts.sum())
+        dst_indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(counts, out=dst_indptr[1:])
+        out_first = dst_indptr[:-1]  # first output slot per dst row
         edge_dst = np.repeat(np.arange(n, dtype=np.int64), counts)
-        sampled_src = np.empty(total, dtype=np.int64)
-        out_first = np.cumsum(counts) - counts  # first output slot per dst row
+        sampled_src = np.empty(len(edge_dst), dtype=np.int64)
 
         take_pos = np.nonzero(~cap_mask & (degs > 0))[0]
         if len(take_pos):
@@ -324,40 +220,52 @@ class VectorizedNeighborSampler(NeighborSampler):
             flat = np.repeat(starts[cap_pos], cc) + within
             buf = indices[flat]  # mutable concatenated neighbor lists, dst order
             # The single batched draw: sequential stream consumption makes this
-            # equal to the loop twin's concatenated per-node rng.random(fanout).
+            # equal to the oracle's concatenated per-node rng.random(fanout).
             u = self.rng.random(fanout * num_capped).reshape(num_capped, fanout)
-            arange_fanout = np.arange(fanout, dtype=np.int64)
+            # Round r swaps positions r and r + floor(u_r * (deg - r)) of each
+            # node's list; every round's (pi, pj) pair is computed up front,
+            # one row per round.
+            rounds = np.arange(fanout, dtype=np.int64)[:, None]
+            pi = cap_first + rounds
+            pj = pi + (u.T * (cc - rounds)).astype(np.int64)
             for r in range(fanout):
-                # Swap round r for every capped node at once.  Each node's
-                # (pi, pj) pair lies inside its own segment, so the fancy
+                # Each node's pair lies inside its own segment, so the fancy
                 # assignments never collide across nodes.
-                j = r + (u[:, r] * (cc - r)).astype(np.int64)
-                pi = cap_first + r
-                pj = cap_first + j
-                tmp = buf[pi].copy()
-                buf[pi] = buf[pj]
-                buf[pj] = tmp
-            sel = np.repeat(cap_first, fanout) + np.tile(arange_fanout, num_capped)
-            slots = np.repeat(out_first[cap_pos], fanout) + np.tile(arange_fanout, num_capped)
-            sampled_src[slots] = buf[sel]
+                i, j = pi[r], pj[r]
+                tmp = buf[i]
+                buf[i] = buf[j]
+                buf[j] = tmp
+            sampled_src[(out_first[cap_pos] + rounds).T.ravel()] = buf[pi.T.ravel()]
 
-        return _finalize_layer(dst, sampled_src, edge_dst, self._pos_scratch)
+        new_src, edge_src = _finalize_layer(dst, sampled_src, self._pos_scratch)
+        return new_src, edge_src, edge_dst, dst_indptr
 
 
 # --------------------------------------------------------------------------- #
 # Registry: samplers constructible by name from configs / CLI / benchmarks
 # --------------------------------------------------------------------------- #
 SAMPLERS = Registry("neighbor sampler")
-SAMPLERS.register("legacy", NeighborSampler, aliases=("choice",))
-SAMPLERS.register("loop", LoopNeighborSampler, aliases=("reference",))
-SAMPLERS.register("vectorized", VectorizedNeighborSampler, aliases=("fast",))
+SAMPLERS.register("vectorized", NeighborSampler, aliases=("fast",))
+
+# Keys of the per-node samplers this module used to register; naming one gets
+# a message that says so instead of a bare "unknown name".
+_REMOVED_SAMPLERS = ("legacy", "choice", "loop", "reference")
+
+
+def resolve_sampler(name: str) -> str:
+    """Canonical :data:`SAMPLERS` key for *name*; ``ValueError`` otherwise."""
+    if isinstance(name, str) and name.strip().lower() in _REMOVED_SAMPLERS:
+        raise ValueError(
+            f"neighbor sampler {name!r} was removed; 'vectorized' is the only sampler"
+        )
+    return SAMPLERS.resolve(name)
 
 
 def build_sampler(
     name: str, graph: CSRGraph, fanouts: Sequence[int], seed: SeedLike = None
 ) -> NeighborSampler:
     """Build a registered neighbor sampler by name (see :data:`SAMPLERS`)."""
-    return SAMPLERS.build(name, graph, fanouts, seed=seed)
+    return SAMPLERS.build(resolve_sampler(name), graph, fanouts, seed=seed)
 
 
 def sample_for_partition(

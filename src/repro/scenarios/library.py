@@ -395,7 +395,6 @@ def steady_poisson_scenario() -> ClusterScenario:
         pipeline="tiered-cache",
         prefetch_config=PrefetchConfig(halo_fraction=0.35, gamma=0.995, delta=16),
         cache_config=CacheConfig(**_SERVING_CACHE),
-        sampler="vectorized",
         rpc="batched",
         engine="serving",
         serving=ServingSpec(arrival="poisson", rate_rps=1500.0, num_requests=256,
@@ -425,7 +424,6 @@ def diurnal_cache_drift_scenario() -> ClusterScenario:
         pipeline="tiered-cache",
         prefetch_config=PrefetchConfig(halo_fraction=0.35, gamma=0.995, delta=16),
         cache_config=CacheConfig(**_SERVING_CACHE),
-        sampler="vectorized",
         rpc="batched",
         engine="serving",
         serving=ServingSpec(arrival="diurnal", rate_rps=1500.0, num_requests=256,
@@ -455,7 +453,6 @@ def flash_crowd_burst_scenario() -> ClusterScenario:
         pipeline="tiered-cache",
         prefetch_config=PrefetchConfig(halo_fraction=0.35, gamma=0.995, delta=16),
         cache_config=CacheConfig(**_SERVING_CACHE),
-        sampler="vectorized",
         rpc="batched",
         engine="serving",
         serving=ServingSpec(arrival="flash-crowd", rate_rps=1500.0, num_requests=256,

@@ -11,6 +11,7 @@ from repro.distributed.cluster import ClusterConfig, SimCluster
 from repro.distributed.cost_model import CostModel
 from repro.events.schedule import CongestionSpec, ElasticSpec, FailureSpec
 from repro.graph.datasets import GraphDataset, load_dataset
+from repro.sampling.neighbor_sampler import resolve_sampler
 from repro.serving.arrivals import ServingSpec
 from repro.training.cluster_engine import ClusterReport
 from repro.training.config import TrainConfig
@@ -71,8 +72,7 @@ class ClusterScenario:
     prefetch_config: Optional[PrefetchConfig] = None
     epochs: int = 3
     paper_note: str = ""
-    # Hot-path registry keys (see SAMPLERS / RPC_CHANNELS); the rpc default keeps
-    # every shipped scenario bit-identical to the pre-registry behavior.
+    # Hot-path registry keys (see SAMPLERS / RPC_CHANNELS).
     sampler: str = "vectorized"
     rpc: str = "per-call"
     # Tiered feature cache (repro.cache): None runs the tier-less data path;
@@ -134,7 +134,8 @@ class ClusterScenario:
         ``None`` values are ignored so CLI flags can be passed through
         unconditionally; pass :data:`UNSET` to explicitly clear an optional
         field to ``None`` (e.g. strip ``failures`` from a base scenario).
-        Unknown field names raise ``ValueError`` listing the valid keys.
+        Unknown field names raise ``ValueError`` listing the valid keys, and
+        so does a ``sampler`` key that is not registered (or was removed).
         """
         valid = set(self.__dataclass_fields__)
         unknown = sorted(set(overrides) - valid)
@@ -148,6 +149,8 @@ class ClusterScenario:
             for k, v in overrides.items()
             if v is not None
         }
+        if "sampler" in filtered:
+            filtered["sampler"] = resolve_sampler(filtered["sampler"])
         if "num_machines" in filtered:
             # Keep per-machine vectors aligned when the topology is resized.
             # Resizing also applies when multipliers arrive in the *same*

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.graph.datasets import GraphDataset
 from repro.nn.loss import accuracy
-from repro.sampling.neighbor_sampler import VectorizedNeighborSampler
+from repro.sampling.neighbor_sampler import NeighborSampler
 from repro.utils.rng import SeedLike
 from repro.utils.validation import check_1d_int_array, check_positive
 
@@ -33,7 +33,7 @@ def evaluate_accuracy(
     node_ids = check_1d_int_array(node_ids, "node_ids", max_value=dataset.num_nodes)
     if len(node_ids) == 0:
         return 0.0
-    sampler = VectorizedNeighborSampler(dataset.graph, fanouts, seed=seed)
+    sampler = NeighborSampler(dataset.graph, fanouts, seed=seed)
     correct = 0
     total = 0
     num_batches = int(np.ceil(len(node_ids) / batch_size))
@@ -64,7 +64,7 @@ def evaluate_loss(
     node_ids = check_1d_int_array(node_ids, "node_ids", max_value=dataset.num_nodes)
     if len(node_ids) == 0:
         return 0.0
-    sampler = VectorizedNeighborSampler(dataset.graph, fanouts, seed=seed)
+    sampler = NeighborSampler(dataset.graph, fanouts, seed=seed)
     losses = []
     for b in range(int(np.ceil(len(node_ids) / batch_size))):
         batch = node_ids[b * batch_size: (b + 1) * batch_size]

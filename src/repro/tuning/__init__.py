@@ -1,9 +1,9 @@
 """Sweep-driven auto-configuration: search spaces, objectives, presets.
 
 The knob surface of a :class:`~repro.scenarios.registry.ClusterScenario` —
-sampler, RPC channel, cache tiers and their admission/eviction/scorer
-policies, execution engine, sync policy and its staleness/period knobs,
-execution backend, serving arrival parameters — is searched by a
+RPC channel, cache tiers and their admission/eviction/scorer policies,
+execution engine, sync policy and its staleness/period knobs, execution
+backend, serving arrival parameters — is searched by a
 :class:`~repro.tuning.runner.TuneRunner`: a
 :class:`~repro.tuning.space.SearchSpace` names the axes (validated eagerly
 against the same registries the rest of the package selects from), a

@@ -1,13 +1,12 @@
 """Named tuning axes, the :class:`SearchSpace`, and candidate strategies.
 
 Every axis addresses one scenario knob — either a top-level
-:class:`~repro.scenarios.registry.ClusterScenario` field (``sampler``,
+:class:`~repro.scenarios.registry.ClusterScenario` field (``rpc``,
 ``engine``, ``staleness``, ...) or a dotted sub-config field
 (``cache.eviction``, ``prefetch.halo_fraction``, ``serving.rate_rps``).
 Axis names and values are validated *eagerly* at space construction: a
 registry-valued axis resolves every value through the owning registry
-(:data:`~repro.sampling.neighbor_sampler.SAMPLERS`,
-:data:`~repro.distributed.rpc.RPC_CHANNELS`,
+(:data:`~repro.distributed.rpc.RPC_CHANNELS`,
 :data:`~repro.cache.policies.ADMISSION_POLICIES`, ...), so a typo fails
 before any candidate runs — the same error contract those registries give
 the CLI.
@@ -33,7 +32,6 @@ from repro.core.config import PrefetchConfig
 from repro.core.eviction import EVICTION_POLICIES
 from repro.distributed.rpc import RPC_CHANNELS
 from repro.events.sync import SYNC_POLICIES
-from repro.sampling.neighbor_sampler import SAMPLERS
 from repro.serving.arrivals import ARRIVALS
 from repro.training.backends import EXECUTION_BACKENDS
 from repro.training.engines import ENGINES
@@ -110,7 +108,6 @@ class AxisSpec:
 
 def _axes() -> Dict[str, AxisSpec]:
     scenario = [
-        AxisSpec("sampler", "registry", "scenario", "sampler", SAMPLERS),
         AxisSpec("rpc", "registry", "scenario", "rpc", RPC_CHANNELS),
         AxisSpec("engine", "registry", "scenario", "engine", ENGINES),
         AxisSpec("sync", "registry", "scenario", "sync", SYNC_POLICIES),
@@ -173,6 +170,10 @@ def _validate_pipeline(value):
 
 
 def _resolve_axis(name: str) -> AxisSpec:
+    if name == "sampler":
+        raise ValueError(
+            "tuning axis 'sampler' was removed; 'vectorized' is the only neighbor sampler"
+        )
     if not isinstance(name, str) or name not in AXES:
         valid = ", ".join(sorted(AXES))
         raise ValueError(f"unknown tuning axis {name!r}; valid axes: {valid}")

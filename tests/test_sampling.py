@@ -26,29 +26,6 @@ class TestBlock:
         assert block.num_src == 3 and block.num_dst == 1 and block.num_edges == 2
         np.testing.assert_array_equal(block.in_degrees(), [2])
 
-    def test_misaligned_globals_raise(self):
-        with pytest.raises(ValueError):
-            Block(
-                src_nodes=np.array([0, 1]),
-                dst_nodes=np.array([0]),
-                edge_src=np.array([1]),
-                edge_dst=np.array([0]),
-                src_global=np.array([5]),
-                dst_global=np.array([5]),
-            )
-
-    def test_edge_arrays_must_align(self):
-        with pytest.raises(ValueError):
-            Block(
-                src_nodes=np.array([0, 1]),
-                dst_nodes=np.array([0]),
-                edge_src=np.array([1, 0]),
-                edge_dst=np.array([0]),
-                src_global=np.array([5, 6]),
-                dst_global=np.array([5]),
-            )
-
-
     @pytest.mark.parametrize("empty_side", ["src", "dst"])
     def test_edges_into_an_empty_node_set_raise(self, empty_side):
         # Regression: max(1, len(nodes)) used to admit index 0 into an empty
@@ -64,6 +41,41 @@ class TestBlock:
                 src_global=nodes["src"],
                 dst_global=nodes["dst"],
             )
+
+    @pytest.mark.parametrize("field, garbage, match", [
+        ("src_nodes", [0, -1, 2], "src_nodes contains negative"),
+        ("dst_nodes", [-3], "dst_nodes contains negative"),
+        ("src_global", [10, 11, -12], "src_global contains negative"),
+        ("dst_global", [-10], "dst_global contains negative"),
+        ("edge_src", [1, -2], "edge_src contains negative"),
+        ("edge_src", [1, 3], "edge_src contains index 3"),
+        ("edge_dst", [0, 1], "edge_dst contains index 1"),
+        ("src_global", [10, 11], "src_global must align"),
+        ("dst_global", [10, 11], "dst_global must align"),
+        ("edge_dst", [0], "equal length"),
+        ("src_nodes", [[0, 1, 2]], "must be 1-D"),
+        ("edge_src", [0.5, 1.0], "integer array"),
+    ])
+    def test_public_constructor_rejects_garbage(self, field, garbage, match):
+        """One bad field at a time in an otherwise valid block."""
+        fields = dict(
+            src_nodes=[0, 1, 2], dst_nodes=[0], edge_src=[1, 2], edge_dst=[0, 0],
+            src_global=[10, 11, 12], dst_global=[10],
+        )
+        fields[field] = garbage
+        with pytest.raises((ValueError, TypeError), match=match):
+            Block(**{k: np.array(v) for k, v in fields.items()})
+
+    @pytest.mark.parametrize("field, garbage, match", [
+        ("seeds_global", [-1], "seeds_global contains negative"),
+        ("input_local", [0, -1], "input_local contains negative"),
+        ("input_global", [5], "must align"),
+    ])
+    def test_minibatch_constructor_rejects_garbage(self, field, garbage, match):
+        fields = dict(seeds_global=[5], input_local=[0, 1], input_global=[5, 6])
+        fields[field] = garbage
+        with pytest.raises(ValueError, match=match):
+            MiniBatch(blocks=[], **{k: np.array(v) for k, v in fields.items()})
 
     def test_empty_block_is_still_valid(self):
         none = np.zeros(0, dtype=np.int64)

@@ -17,7 +17,7 @@ from repro.distributed.kvstore import KVStore
 from repro.features.shared import export_shared_dataset, load_shared_dataset
 from repro.graph.csr import CSRGraph
 from repro.graph.datasets import load_dataset
-from repro.sampling.neighbor_sampler import build_sampler
+from repro.sampling.neighbor_sampler import NeighborSampler
 
 
 @pytest.fixture(scope="module")
@@ -53,14 +53,12 @@ class TestSharedCSR:
                 clone.neighbors(node), tiny_graph.neighbors(node)
             )
 
-    @pytest.mark.parametrize("sampler_name", ["legacy", "vectorized"])
-    def test_sampler_bit_identical_over_memmap(self, tiny_graph, tmp_path,
-                                               sampler_name):
+    def test_sampler_bit_identical_over_memmap(self, tiny_graph, tmp_path):
         """Same seeds + same RNG stream over in-memory and memmapped CSR."""
         clone = CSRGraph.from_shared(tiny_graph.to_shared(str(tmp_path)))
         seeds = np.array([0, 3, 5], dtype=np.int64)
-        a = build_sampler(sampler_name, tiny_graph, [2, 3], seed=11).sample(seeds)
-        b = build_sampler(sampler_name, clone, [2, 3], seed=11).sample(seeds)
+        a = NeighborSampler(tiny_graph, [2, 3], seed=11).sample(seeds)
+        b = NeighborSampler(clone, [2, 3], seed=11).sample(seeds)
         np.testing.assert_array_equal(a.input_global, b.input_global)
         assert len(a.blocks) == len(b.blocks)
         for x, y in zip(a.blocks, b.blocks):

@@ -1,6 +1,7 @@
 """Tests for run traces, the experiment registry, and the CLI."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -184,27 +185,39 @@ class TestAsyncEngineCLI:
         out = capsys.readouterr().out
         assert "failures" in out and "downtime" in out
 
-    def test_lockstep_engine_rejects_async_sync(self, capsys):
-        code = main([
-            "run", "--engine", "lockstep", "--sync", "bounded-staleness",
-            "--scale", "0.05", "--epochs", "1",
-        ])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "event-driven" in err
+    TINY = ["--scale", "0.05", "--epochs", "1"]
+    REMOVED = "was removed; 'vectorized' is the only"
 
-    def test_staleness_without_matching_sync_rejected(self, capsys):
-        code = main(["run", "--staleness", "3", "--scale", "0.05", "--epochs", "1"])
-        assert code == 2
-        assert "--sync bounded-staleness" in capsys.readouterr().err
+    @pytest.mark.parametrize("argv, fragment", [
+        (["run", "--engine", "lockstep", "--sync", "bounded-staleness"], "event-driven"),
+        (["run", "--staleness", "3"], "--sync bounded-staleness"),
+        (["run", "--cluster", "--scenario", "async-staleness", "--sync-period", "2"],
+         "--sync local-sgd"),
+        (["run", "--scenario", "uniform"], "--scenario requires --cluster"),
+        (["run", "--sampler", "legacy"], REMOVED),
+        (["run", "--sampler", "choice", "--cluster"], REMOVED),
+        (["run", "--sampler", "loop", "--cluster", "--scenario", "hot-halo"], REMOVED),
+        (["run", "--sampler", "reference", "--engine", "async"], REMOVED),
+        (["run", "--sampler", "turbo"], "unknown neighbor sampler 'turbo'; valid names: vectorized"),
+        (["tune", "--scenario", "uniform", "--axis", "sampler=legacy,vectorized"], REMOVED),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+    def test_misuse_exits_2_with_one_line(self, capsys, argv, fragment):
+        """Every rejected invocation: exit code 2, one ``error:`` line, no traceback."""
+        assert main(argv + (self.TINY if argv[0] == "run" else [])) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and fragment in lines[0]
+        assert "Traceback" not in captured.err + captured.out
 
-    def test_sync_period_on_staleness_scenario_rejected(self, capsys):
-        code = main([
-            "run", "--cluster", "--scenario", "async-staleness",
-            "--sync-period", "2", "--scale", "0.05", "--epochs", "1",
-        ])
-        assert code == 2
-        assert "--sync local-sgd" in capsys.readouterr().err
+    def test_preset_naming_a_removed_sampler_exits_2(self, capsys, tmp_path):
+        committed = Path(__file__).parent.parent / "presets" / "throughput-straggler.json"
+        payload = json.loads(committed.read_text())
+        payload["overrides"]["sampler"] = "legacy"
+        stale = tmp_path / "stale.json"
+        stale.write_text(json.dumps(payload))
+        assert main(["run", "--preset", str(stale)] + self.TINY) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: ") and self.REMOVED in err and "\n" not in err
 
     def test_staleness_applies_on_staleness_scenario(self, capsys):
         code = main([
