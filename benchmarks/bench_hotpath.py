@@ -1,4 +1,4 @@
-"""Hot-path benchmark: owner-coalesced RPC accounting, fetch, pool, elasticity.
+"""Hot-path benchmark: owner-coalesced RPC accounting, fetch, elasticity.
 
 Seeds the repository's perf trajectory (``BENCH_hotpath.json``) with the
 quantities the fetch→prefetch hot path is judged on (sampler wall time is
@@ -10,12 +10,6 @@ priced end to end by ``benchmarks/e2e``: ``sampling.host_us_per_op``):
   ``hot-halo`` scenario under the ``per-call`` and ``batched`` channels; the
   run asserts that numerics are identical, logical demand matches exactly, and
   the batched channel's wire requests strictly decrease (Fig. 11 accounting).
-* **execution-backend wall clock** — real elapsed seconds of a 4-machine
-  lockstep workload under the inline backend vs. the process-pool backend at
-  1/2/4 workers (``repro.training.backends``).  Every pool run is asserted
-  bit-identical to inline; on a multi-core runner the pool at max workers
-  must also beat inline wall clock (``--min-pool-speedup``, skipped on
-  single-core runners where parallel speedup is physically impossible).
 * **elastic scale-out overhead** — simulated per-epoch critical paths and the
   migration-byte ledger of the ``scale-out-burst`` scenario vs. a held-back
   twin whose joins are stripped.  The run asserts every scheduled join lands,
@@ -77,62 +71,6 @@ def bench_hot_halo_rpc(scenario_scale: float, epochs: int):
         "epochs": epochs,
         "per_channel": runs,
         "wire_request_reduction_percent": 100.0 * reduction,
-    }
-
-
-def bench_execution_backends(scale: float, epochs: int, batch_size: int,
-                             hidden_dim: int, workers_grid):
-    """Wall clock of inline vs. process-pool trainers on one lockstep workload.
-
-    Sized compute-heavy (big minibatches, small model) so per-step gradient
-    IPC and one-time worker setup stay small next to trainer compute — the
-    regime where worker processes pay off on a multi-core runner.
-    """
-    import os
-
-    from repro.core.config import PrefetchConfig
-    from repro.distributed.cluster import ClusterConfig, SimCluster
-    from repro.graph.datasets import load_dataset
-    from repro.training.cluster_engine import ClusterEngine
-    from repro.training.config import TrainConfig
-
-    dataset = load_dataset("products", scale=scale, seed=5)
-    config = ClusterConfig(num_machines=4, trainers_per_machine=1,
-                           batch_size=batch_size, fanouts=(10, 25), seed=7)
-    train_config = TrainConfig(epochs=epochs, hidden_dim=hidden_dim, seed=1)
-    prefetch = PrefetchConfig(halo_fraction=0.35, gamma=0.995, delta=8)
-
-    def run(backend, workers=None):
-        engine = ClusterEngine(SimCluster(dataset, config), train_config,
-                               execution_backend=backend, workers=workers)
-        start = time.perf_counter()
-        report = engine.run("massivegnn", prefetch_config=prefetch)
-        return time.perf_counter() - start, report
-
-    inline_wall, inline_report = run("inline")
-    curve = []
-    identical = True
-    for workers in workers_grid:
-        wall, report = run("process-pool", workers=workers)
-        identical = identical and report.as_dict() == inline_report.as_dict()
-        curve.append({
-            "workers": int(min(workers, config.num_machines)),
-            "wall_s": wall,
-            "speedup_vs_inline": inline_wall / wall if wall > 0 else 0.0,
-        })
-    assert identical, "process-pool report diverged from inline (bit-identity broken)"
-    return {
-        "machines": config.num_machines,
-        "trainers_per_machine": config.trainers_per_machine,
-        "scale": scale,
-        "epochs": epochs,
-        "batch_size": batch_size,
-        "hidden_dim": hidden_dim,
-        "cpu_count": os.cpu_count() or 1,
-        "inline_wall_s": inline_wall,
-        "curve": curve,
-        "speedup_at_max_workers": curve[-1]["speedup_vs_inline"] if curve else None,
-        "reports_identical": identical,
     }
 
 
@@ -250,31 +188,13 @@ def main(argv=None) -> int:
     parser.add_argument("--epochs", type=int, default=1, help="hot-halo epochs")
     parser.add_argument("--fetch-steps", type=int, default=8,
                         help="minibatches for the fetch-throughput probe")
-    parser.add_argument("--pool-scale", type=float, default=0.3,
-                        help="dataset scale for the execution-backend wall-clock "
-                             "comparison; 0 skips the section")
-    parser.add_argument("--pool-epochs", type=int, default=4,
-                        help="epochs for the execution-backend comparison (more "
-                             "epochs amortize one-time worker setup)")
-    parser.add_argument("--pool-batch-size", type=int, default=512,
-                        help="seeds per minibatch for the execution-backend "
-                             "comparison (big batches = compute-bound steps)")
-    parser.add_argument("--pool-hidden-dim", type=int, default=64,
-                        help="model width for the execution-backend comparison "
-                             "(small model = small per-step gradient IPC)")
-    parser.add_argument("--pool-workers", type=int, nargs="+", default=[1, 2, 4],
-                        help="worker counts for the process-pool wall-clock curve")
-    parser.add_argument("--min-pool-speedup", type=float, default=1.0,
-                        help="fail if the pool's speedup over inline at max "
-                             "workers falls below this (CI gate; skipped on "
-                             "single-core runners)")
     parser.add_argument("--elastic-scale", type=float, default=0.05,
                         help="dataset scale for the elastic scale-out comparison; "
                              "0 skips the section")
     parser.add_argument("--out", type=Path, default=Path("BENCH_hotpath.json"))
     args = parser.parse_args(argv)
 
-    print(f"[1/4] hot-halo RPC: scale {args.scenario_scale}, {args.epochs} epoch(s)")
+    print(f"[1/3] hot-halo RPC: scale {args.scenario_scale}, {args.epochs} epoch(s)")
     rpc = bench_hot_halo_rpc(args.scenario_scale, args.epochs)
     for channel, row in rpc["per_channel"].items():
         print(f"    {channel:>9}: wire requests {int(row['requests']):6d}   "
@@ -284,27 +204,13 @@ def main(argv=None) -> int:
     print(f"    wire-request reduction: {rpc['wire_request_reduction_percent']:.1f}% "
           f"(identical numerics, identical logical rows)")
 
-    print(f"[2/4] fetch throughput: {args.fetch_steps} buffered hot-halo minibatches")
+    print(f"[2/3] fetch throughput: {args.fetch_steps} buffered hot-halo minibatches")
     fetch = bench_fetch_throughput(args.scenario_scale, args.fetch_steps)
     print(f"    {fetch['rows_per_s']:,.0f} rows/s over {fetch['rows_fetched']} rows")
 
-    execution_backends = None
-    if args.pool_scale > 0:
-        print(f"[3/4] execution backends: 4x1 lockstep, scale {args.pool_scale}, "
-              f"{args.pool_epochs} epoch(s), workers {args.pool_workers}")
-        execution_backends = bench_execution_backends(
-            args.pool_scale, args.pool_epochs, args.pool_batch_size,
-            args.pool_hidden_dim, args.pool_workers,
-        )
-        print(f"       inline: {execution_backends['inline_wall_s']:.2f}s wall "
-              f"({execution_backends['cpu_count']} cpu cores)")
-        for point in execution_backends["curve"]:
-            print(f"    pool@{point['workers']}: {point['wall_s']:.2f}s wall   "
-                  f"{point['speedup_vs_inline']:.2f}x vs inline   (bit-identical)")
-
     elasticity = None
     if args.elastic_scale > 0:
-        print(f"[4/4] elasticity: scale-out-burst vs. held-back twin, "
+        print(f"[3/3] elasticity: scale-out-burst vs. held-back twin, "
               f"scale {args.elastic_scale}")
         elasticity = bench_elasticity(args.elastic_scale)
         print("    elastic epochs: "
@@ -327,24 +233,11 @@ def main(argv=None) -> int:
         "rpc": rpc,
         "fetch": fetch,
     }
-    if execution_backends is not None:
-        payload["execution_backends"] = execution_backends
     if elasticity is not None:
         payload["elasticity"] = elasticity
     args.out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"wrote {args.out}")
 
-    if execution_backends is not None:
-        pool_speedup = execution_backends["speedup_at_max_workers"]
-        if execution_backends["cpu_count"] < 2:
-            print("note: single-core runner — the pool wall-clock gate is skipped "
-                  "(parallel speedup is physically impossible; bit-identity was "
-                  "still asserted)")
-        elif pool_speedup < args.min_pool_speedup:
-            print(f"FAIL: process-pool speedup at max workers {pool_speedup:.2f}x "
-                  f"is below the required {args.min_pool_speedup:.2f}x",
-                  file=sys.stderr)
-            return 1
     return 0
 
 

@@ -2,20 +2,12 @@
 
 Compares a freshly generated hot-path trajectory (``bench_hotpath.py`` +
 ``bench_cache_tiers.py``/``bench_async_sync.py --merge-into``) against the
-committed ``BENCH_hotpath.json`` and fails on hot-path slowdowns.  Two
-classes of metric are treated differently:
-
-* **machine-independent** metrics — wire-request reduction, cache hit rates,
-  policy hit-rate gains, simulated critical-path reductions, the elastic
-  migration-byte ledger — are deterministic given the same benchmark config,
-  so they get tight tolerance bands;
-* the one **machine-dependent** metric — the process-pool wall-clock
-  speedup — varies with the runner's hardware, so it gets a wide relative
-  band plus a hard floor (the pool at max workers must beat inline wall
-  clock).  Floor and band only apply when the producing run had at least two
-  CPU cores — on a single-core runner parallel speedup is physically
-  impossible, so gating it would only measure the container.  (Sampler wall
-  time is priced end to end by ``benchmarks/e2e``.)
+committed ``BENCH_hotpath.json`` and fails on hot-path slowdowns.  Every
+gated metric is **machine-independent** — wire-request reduction, cache hit
+rates, policy hit-rate gains, simulated critical-path reductions, the elastic
+migration-byte ledger — and deterministic given the same benchmark config, so
+the tolerance bands are tight.  (Host wall time is priced end to end by
+``benchmarks/e2e``.)
 
 Throughput-style numbers (rows/s) are reported in the trend artifact
 but never gated: comparing wall-clock across unrelated machines would make
@@ -70,42 +62,12 @@ def _get(tree: dict, path: str):
     return node
 
 
-def run_checks(baseline: dict, fresh: dict, speedup_ratio: float,
+def run_checks(baseline: dict, fresh: dict,
                reduction_abs: float, hit_abs: float, min_hit_gain: float,
                min_async_reduction: float = 0.5,
                latency_ratio: float = 1.05,
-               min_pool_speedup: float = 1.0,
                min_tune_gain: float = 0.5) -> List[Check]:
     checks: List[Check] = []
-
-    # ---- execution backends: bit-identity always; wall clock on >=2 cores ----
-    identical = _get(fresh, "execution_backends.reports_identical")
-    if identical is not None:
-        checks.append(Check(
-            "pool.reports_bit_identical_to_inline", None,
-            1.0 if identical else 0.0, 1.0, bool(identical),
-            "hard invariant: the process-pool backend must reproduce the inline "
-            "report bit for bit",
-        ))
-    path = "execution_backends.speedup_at_max_workers"
-    now = _get(fresh, path)
-    fresh_cores = _get(fresh, "execution_backends.cpu_count") or 1
-    if now is not None and fresh_cores >= 2:
-        checks.append(Check(
-            "pool.beats_inline_wall_clock", None, now, min_pool_speedup,
-            now >= min_pool_speedup,
-            "hard floor: the pool at max workers must beat inline wall clock "
-            "(only gated on multi-core runners)",
-        ))
-        base = _get(baseline, path)
-        base_cores = _get(baseline, "execution_backends.cpu_count") or 1
-        if base is not None and base_cores >= 2:
-            threshold = base * speedup_ratio
-            checks.append(Check(
-                "pool.speedup_vs_baseline", base, now, threshold, now >= threshold,
-                f"wide band ({speedup_ratio:.0%} of baseline): wall clock varies "
-                f"with runner hardware, big drops still surface",
-            ))
 
     # ---- RPC coalescing: deterministic counters, tight band ----
     path = "rpc.wire_request_reduction_percent"
@@ -291,8 +253,6 @@ def report_only_metrics(fresh: dict) -> dict:
         ),
         "serving.latency_curve": _get(fresh, "serving.latency_curve"),
         "serving.diurnal.phase_p99_ms": _get(fresh, "serving.diurnal.phase_p99_ms"),
-        "execution_backends.curve": _get(fresh, "execution_backends.curve"),
-        "execution_backends.cpu_count": _get(fresh, "execution_backends.cpu_count"),
         "elasticity.elastic_epoch_times_s": _get(
             fresh, "elasticity.elastic_epoch_times_s"
         ),
@@ -310,9 +270,6 @@ def main(argv=None) -> int:
                         help="freshly generated trajectory file to validate")
     parser.add_argument("--trend-out", type=Path, default=Path("perf_trend.json"),
                         help="where to write the trend/verdict artifact")
-    parser.add_argument("--speedup-tolerance", type=float, default=0.35,
-                        help="fresh pool speedup must be >= this fraction of the "
-                             "baseline's (wide: runners differ in hardware)")
     parser.add_argument("--reduction-tolerance", type=float, default=1.0,
                         help="allowed absolute drop in wire-request reduction percent")
     parser.add_argument("--hit-tolerance", type=float, default=0.02,
@@ -327,10 +284,6 @@ def main(argv=None) -> int:
     parser.add_argument("--latency-tolerance", type=float, default=1.05,
                         help="fresh serving p99 at each load point must stay within "
                              "this multiple of the baseline's")
-    parser.add_argument("--min-pool-speedup", type=float, default=1.0,
-                        help="hard floor for the process-pool wall-clock speedup "
-                             "over inline at max workers (only gated when the "
-                             "producing run had >= 2 CPU cores)")
     parser.add_argument("--min-tune-gain", type=float, default=0.5,
                         help="hard floor (percent) for the tuner's best-config "
                              "improvement over the scenario default on both "
@@ -346,13 +299,11 @@ def main(argv=None) -> int:
 
     checks = run_checks(
         baseline, fresh,
-        speedup_ratio=args.speedup_tolerance,
         reduction_abs=args.reduction_tolerance,
         hit_abs=args.hit_tolerance,
         min_hit_gain=args.min_hit_gain,
         min_async_reduction=args.min_async_reduction,
         latency_ratio=args.latency_tolerance,
-        min_pool_speedup=args.min_pool_speedup,
         min_tune_gain=args.min_tune_gain,
     )
     failed = [c for c in checks if not c.passed]

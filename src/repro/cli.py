@@ -47,10 +47,6 @@ Execution backends are selected with ``--engine`` (see
 :data:`repro.training.engines.ENGINES`): ``repro run --engine async --sync
 bounded-staleness --staleness 2`` runs the event-driven backend with the
 chosen gradient-sync policy (``--engine async`` implies ``--cluster``).
-``--execution-backend process-pool --workers N`` additionally fans trainer
-steps out to worker processes over shared-memory stores (see
-:data:`repro.training.backends.EXECUTION_BACKENDS`) — same reports bit for
-bit, parallel wall clock; ``--workers`` without the pool backend is an error.
 """
 
 from __future__ import annotations
@@ -80,7 +76,6 @@ from repro.scenarios import (
     serving_scenarios,
 )
 from repro.serving import ARRIVALS
-from repro.training.backends import EXECUTION_BACKENDS
 from repro.training.config import TrainConfig
 from repro.training.engine import TrainingEngine
 from repro.training.engines import ENGINES
@@ -198,19 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="strip the scenario's elastic membership schedule (ElasticSpec): "
              "every trainer stays active for the whole run — the no-elasticity "
              "baseline the elastic scenarios are compared against",
-    )
-    run.add_argument(
-        "--execution-backend", default=None, choices=EXECUTION_BACKENDS.names(),
-        dest="execution_backend",
-        help="how trainer steps execute (default: the scenario's, inline). "
-             "'process-pool' fans whole machines out to worker processes over "
-             "shared-memory graph/feature stores — bit-identical reports, "
-             "parallel wall clock; passing it implies --cluster",
-    )
-    run.add_argument(
-        "--workers", type=int, default=None,
-        help="worker processes for --execution-backend process-pool (default: "
-             "one per machine; clamped to the machine count)",
     )
     run.add_argument(
         "--cluster", action="store_true",
@@ -539,8 +521,6 @@ def _cmd_run_cluster(
         sync=args.sync,
         staleness=args.staleness,
         sync_period=args.sync_period,
-        execution_backend=args.execution_backend,
-        workers=args.workers,
         elastic=UNSET if args.no_elastic else None,
     )
     # A sync-policy knob only has meaning on the event-driven backend; flip
@@ -564,14 +544,6 @@ def _cmd_run_cluster(
         print(f"error: --sync-period only applies to the 'local-sgd' sync policy "
               f"(effective policy: {resolved_sync!r}); pass --sync local-sgd",
               file=sys.stderr)
-        return 2
-    # A worker count is meaningless on the in-process backend; reject it
-    # rather than silently running serial and calling it a pool measurement.
-    resolved_exec = EXECUTION_BACKENDS.resolve(scenario.execution_backend)
-    if args.workers is not None and resolved_exec == "inline":
-        print(f"error: --workers only applies to the 'process-pool' execution "
-              f"backend (effective backend: {resolved_exec!r}); pass "
-              f"--execution-backend process-pool", file=sys.stderr)
         return 2
     prefetch_tuning = {
         key: value
@@ -619,17 +591,10 @@ def _cmd_run_cluster(
         # e.g. --engine lockstep combined with an async-only sync policy.
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if resolved_exec == "inline":
-        backend_label = "inline"
-    else:
-        workers = scenario.workers if scenario.workers is not None else scenario.num_machines
-        workers = min(int(workers), scenario.num_machines)
-        backend_label = f"{resolved_exec} ({workers} workers)"
     print(f"scenario '{scenario.name}': {scenario.description}")
     print(f"dataset={scenario.dataset} scale={scenario.scale} "
           f"machines={scenario.num_machines} trainers/machine={scenario.trainers_per_machine} "
-          f"partitioning={scenario.partition_method} execution={scenario.execution} "
-          f"backend={backend_label}\n")
+          f"partitioning={scenario.partition_method} execution={scenario.execution}\n")
 
     cache_config = _build_cache_config(args)
     pipeline = args.pipeline
@@ -823,8 +788,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     # --engine (or any async sync knob) routes through the scenario-driven
     # cluster path, defaulting to the 'uniform' scenario.
     if (args.engine is not None or args.sync is not None
-            or args.staleness is not None or args.sync_period is not None
-            or args.execution_backend is not None or args.workers is not None):
+            or args.staleness is not None or args.sync_period is not None):
         args.cluster = True
     if args.preset is not None:
         # A preset is a frozen (scenario, overrides) bundle: apply it first,

@@ -158,7 +158,6 @@ class SimCluster:
         config: ClusterConfig,
         cost_model: Optional[CostModel] = None,
         partition_result: Optional[PartitionResult] = None,
-        server_rows: Optional[Dict[int, "tuple"]] = None,
     ):
         self.dataset = dataset
         self.config = config
@@ -183,18 +182,8 @@ class SimCluster:
         )
         self.servers: Dict[int, KVStore] = {}
         self._server_objects: List[PartitionServer] = []
-        # ``server_rows`` (worker processes) provides each partition's KVStore
-        # payload as pre-sorted, typically memory-mapped arrays so the feature
-        # matrix is shared with the exporting process instead of re-sliced.
         for partition in self.partitions:
-            if server_rows is not None and partition.part_id in server_rows:
-                ids, rows = server_rows[partition.part_id]
-                kvstore = KVStore.from_shared(ids, rows, part_id=partition.part_id)
-                server = PartitionServer(
-                    partition, dataset.features, dataset.labels, kvstore=kvstore
-                )
-            else:
-                server = PartitionServer(partition, dataset.features, dataset.labels)
+            server = PartitionServer(partition, dataset.features, dataset.labels)
             self._server_objects.append(server)
             self.servers[partition.part_id] = server.kvstore
 

@@ -58,32 +58,6 @@ class KVStore:
         self.part_id = int(part_id)
         self.stats = KVStoreStats()
 
-    @classmethod
-    def from_shared(cls, ids: np.ndarray, rows: np.ndarray, part_id: int = 0) -> "KVStore":
-        """Adopt pre-sorted id/row arrays without copying (memmap-backed stores).
-
-        ``__init__`` argsorts and fancy-indexes its inputs, which would
-        materialize a private writable copy of a memory-mapped export.  This
-        constructor instead takes arrays already in the store's internal
-        layout — *ids* sorted strictly ascending, *rows* aligned row-for-row —
-        and aliases them directly, so worker processes share the exporting
-        process's pages.  Read-only inputs stay read-only: ``push`` raises.
-        """
-        ids = np.asarray(ids)
-        rows = np.asarray(rows)
-        if ids.ndim != 1 or not np.issubdtype(ids.dtype, np.integer):
-            raise ValueError("ids must be a 1-D integer array")
-        if rows.ndim != 2 or len(ids) != len(rows):
-            raise ValueError("rows must be 2-D and align with ids")
-        if len(ids) > 1 and not bool(np.all(ids[1:] > ids[:-1])):
-            raise ValueError("ids must be sorted strictly ascending")
-        store = cls.__new__(cls)
-        store._ids = ids
-        store._rows = rows
-        store.part_id = int(part_id)
-        store.stats = KVStoreStats()
-        return store
-
     # ------------------------------------------------------------------ #
     @property
     def num_rows(self) -> int:
@@ -99,15 +73,6 @@ class KVStore:
     def owned_ids(self) -> np.ndarray:
         """Sorted global ids stored here."""
         return self._ids.copy()
-
-    def shared_arrays(self) -> "tuple":
-        """The internal ``(ids, rows)`` arrays in store layout.
-
-        Used by the shared-memory exporter (:mod:`repro.features.shared`) so
-        worker processes can adopt the exact layout via :meth:`from_shared`.
-        Callers must treat the arrays as read-only.
-        """
-        return self._ids, self._rows
 
     def contains(self, global_ids: np.ndarray) -> np.ndarray:
         global_ids = check_1d_int_array(global_ids, "global_ids")

@@ -32,23 +32,14 @@ class PartitionServer:
         partition: GraphPartition,
         features: np.ndarray,
         labels: Optional[np.ndarray] = None,
-        *,
-        kvstore: Optional[KVStore] = None,
     ):
         self.partition = partition
         self.part_id = partition.part_id
-        if kvstore is None:
-            kvstore = KVStore(
-                owned_global=partition.owned_global,
-                features=features[partition.owned_global],
-                part_id=partition.part_id,
-            )
-        elif kvstore.part_id != partition.part_id:
-            raise ValueError(
-                f"kvstore belongs to partition {kvstore.part_id}, "
-                f"expected {partition.part_id}"
-            )
-        self.kvstore = kvstore
+        self.kvstore = KVStore(
+            owned_global=partition.owned_global,
+            features=features[partition.owned_global],
+            part_id=partition.part_id,
+        )
         self._labels = labels
         self.host_machine = partition.part_id
         self.migrations = 0

@@ -93,19 +93,9 @@ class EventLoop:
 
     def peek_time(self) -> Optional[float]:
         """Timestamp of the next live event without popping it."""
-        event = self.peek()
-        return event.time if event is not None else None
-
-    def peek(self) -> Optional[Event]:
-        """The next live event without popping it (``None`` when drained).
-
-        Lets the async engine look ahead for simultaneous ``step-ready``
-        events so a parallel execution backend can batch them; the events
-        are still consumed through :meth:`pop`, so history is unaffected.
-        """
         while self._heap and self._heap[0][1].cancelled:
             heapq.heappop(self._heap)
-        return self._heap[0][1] if self._heap else None
+        return self._heap[0][1].time if self._heap else None
 
     @property
     def empty(self) -> bool:

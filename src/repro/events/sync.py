@@ -24,9 +24,10 @@ from :data:`SYNC_POLICIES`:
 
 Policies are engine components, not arm's-length plugins: they are handed a
 :class:`SyncContext` giving them the trainers' clocks, the shared model and
-optimizer, and the engine callbacks (``schedule_ready``, ``record_round``,
-``record_step``).  The contract is documented on :class:`SyncPolicy`; new
-policies register with ``@SYNC_POLICIES.register("name")``.
+engine callbacks (``schedule_ready``, ``record_round``, ``record_step``,
+``start_step``, ``allreduce_barrier``, ``apply_update``).  The contract is
+documented on :class:`SyncPolicy`; new policies register with
+``@SYNC_POLICIES.register("name")``.
 """
 
 from __future__ import annotations
@@ -66,7 +67,6 @@ class SyncContext:
 
     trainers: List[object]
     model: object
-    optimizer: object
     cost_model: object
     num_params: int
     accumulators: List[object]
@@ -81,18 +81,14 @@ class SyncContext:
     # policies that must control the execution *order* of a round, e.g. the
     # barrier policy's rank-ordered rounds).  Only meaningful from within a
     # can_start/on_trainer_exhausted callback.
-    start_step: Callable[[int], None] = None
-    # Batched variant: execute a rank-ordered cohort of steps in one call.
-    # Serially equivalent to calling start_step per rank, but it is the
-    # execution backend's batch boundary — a process-pool backend computes the
-    # cohort in parallel workers and merges outcomes in rank order.  Policies
-    # releasing whole cohorts should prefer it; it falls back to per-rank
-    # start_step when the engine does not provide it.
-    start_steps: Callable[[List[int]], None] = None
-    # Gradient-application seam: when the engine sets this, averaged gradients
-    # are applied through the execution backend (which also forwards them to
-    # worker-process model replicas); None applies directly to ctx.model.
-    apply_update: Callable[[Dict[str, np.ndarray]], bool] = None
+    start_step: Callable[[int], None]
+    # The bulk-synchronous barrier charge, shared with the lockstep engine
+    # (ClusterRun.allreduce_barrier): allreduce time to the given
+    # participants, then every trainer held at the global max.
+    allreduce_barrier: Callable[[List[int]], None]
+    # Applies an averaged gradient to ctx.model; the engine also captures the
+    # consensus checkpoint here when failures or elasticity are in play.
+    apply_update: Callable[[Dict[str, np.ndarray]], bool]
 
     @property
     def world_size(self) -> int:
@@ -109,19 +105,6 @@ class SyncContext:
         if wait > 0:
             self.barrier_waits[rank] += wait
             clock.advance(wait, "stall")
-
-    def apply_averaged(self, averaged: Dict[str, np.ndarray]) -> bool:
-        """Apply an averaged gradient through the backend seam (or directly)."""
-        if self.apply_update is not None:
-            return self.apply_update(averaged)
-        return apply_averaged_gradients(self.optimizer, self.model, averaged)
-
-
-def apply_averaged_gradients(optimizer, model, averaged) -> bool:
-    """Import indirection point (resolved lazily to avoid a training import cycle)."""
-    from repro.training.engine import apply_averaged_gradients as _apply
-
-    return _apply(optimizer, model, averaged)
 
 
 class SyncPolicy:
@@ -245,13 +228,8 @@ class AllReduceBarrierPolicy(SyncPolicy):
             return
         ranks = sorted(self._ready)
         self._ready = set()
-        # The whole round's cohort releases at once — the natural merge point
-        # for parallel execution backends (outcomes still land in rank order).
-        if self.ctx.start_steps is not None:
-            self.ctx.start_steps(ranks)
-        else:
-            for rank in ranks:
-                self.ctx.start_step(rank)
+        for rank in ranks:
+            self.ctx.start_step(rank)
 
     # ------------------------------------------------------------------ #
     def _maybe_complete(self) -> None:
@@ -261,22 +239,11 @@ class AllReduceBarrierPolicy(SyncPolicy):
         ranks = sorted(self._contrib)
         contributions = [self._contrib[r] for r in ranks]
         ctx.record_round(contributions)
-        # Ordering below replicates ClusterEngine._allreduce_barrier exactly:
-        # allreduce charged to participants, then *every* trainer (active or
-        # not) is held at the global max — that is what keeps the two engines
-        # bit-identical on the golden workload.
+        # Same three calls in the same order as the lockstep round, which is
+        # what keeps the two engines bit-identical on the golden workload.
         averaged = allreduce_gradients([c.grads for c in contributions])
-        allreduce_t = ctx.cost_model.time_allreduce(ctx.num_params, ctx.world_size)
-        for r in ranks:
-            ctx.trainers[r].clock.advance(allreduce_t, "allreduce")
-            ctx.accumulators[r].totals["allreduce"] += allreduce_t
-        latest = max(t.clock.time for t in ctx.trainers)
-        for i, trainer in enumerate(ctx.trainers):
-            wait = latest - trainer.clock.time
-            if wait > 0:
-                ctx.barrier_waits[i] += wait
-                trainer.clock.advance(wait, "stall")
-        ctx.apply_averaged(averaged)
+        ctx.allreduce_barrier(ranks)
+        ctx.apply_update(averaged)
         self._round += 1
         self._contrib = {}
         for r in sorted(self._expected):
@@ -360,7 +327,7 @@ class BoundedStalenessPolicy(SyncPolicy):
             if contributions:
                 ctx.record_round(contributions)
                 averaged = allreduce_gradients([c.grads for c in contributions])
-                ctx.apply_averaged(averaged)
+                ctx.apply_update(averaged)
                 # Async push/pull: charged off the critical path.
                 hidden = ctx.cost_model.time_allreduce(ctx.num_params, ctx.world_size)
                 for r in ranks:
@@ -498,14 +465,8 @@ class LocalSGDPolicy(SyncPolicy):
         self._round_offset += max(self._rr.values(), default=0)
 
     def on_run_end(self) -> None:
-        ctx = self.ctx
-        allreduce_t = ctx.cost_model.time_allreduce(ctx.num_params, ctx.world_size)
-        for rank in range(ctx.world_size):
-            ctx.trainers[rank].clock.advance(allreduce_t, "allreduce")
-            ctx.accumulators[rank].totals["allreduce"] += allreduce_t
-        latest = max(t.clock.time for t in ctx.trainers)
-        for rank in range(ctx.world_size):
-            ctx.stall_until(rank, latest)
+        # The final consensus is a full barrier: everyone pays, everyone waits.
+        self.ctx.allreduce_barrier(list(range(self.ctx.world_size)))
         self._average_replicas()
 
     def describe(self) -> str:

@@ -19,17 +19,9 @@ from repro.features.sources import (
     TieredCacheSource,
     build_feature_source,
 )
-from repro.features.shared import (
-    SharedDatasetHandle,
-    export_shared_dataset,
-    load_shared_dataset,
-)
 from repro.features.store import FeatureStore
 
 __all__ = [
-    "SharedDatasetHandle",
-    "export_shared_dataset",
-    "load_shared_dataset",
     "FeatureSource",
     "FetchResult",
     "FetchStats",

@@ -10,26 +10,12 @@ degree queries, and induced-subgraph extraction.  All node identifiers are
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
 from repro.utils.validation import check_1d_int_array
-
-
-@dataclass(frozen=True)
-class SharedCSRHandle:
-    """Pickle-safe pointer to a CSR graph exported as memory-mapped ``.npy`` files.
-
-    The handle carries only paths and the node count, never live arrays, so it
-    can cross a process boundary under any multiprocessing start method.
-    """
-
-    indptr_path: str
-    indices_path: str
-    num_nodes: int
 
 
 @dataclass
@@ -125,41 +111,6 @@ class CSRGraph:
             indptr=np.zeros(num_nodes + 1, dtype=np.int64),
             indices=np.zeros(0, dtype=np.int64),
             num_nodes=num_nodes,
-        )
-
-    # ------------------------------------------------------------------ #
-    # Shared-memory export
-    # ------------------------------------------------------------------ #
-    def to_shared(self, directory: str, prefix: str = "graph") -> SharedCSRHandle:
-        """Export the CSR arrays as ``.npy`` files for zero-copy worker access.
-
-        Worker processes re-open the files with :meth:`from_shared`; the OS
-        page cache backs all mappings with the same physical pages, so the
-        graph is shared rather than duplicated per process.
-        """
-        os.makedirs(directory, exist_ok=True)
-        indptr_path = os.path.join(directory, f"{prefix}_indptr.npy")
-        indices_path = os.path.join(directory, f"{prefix}_indices.npy")
-        np.save(indptr_path, np.ascontiguousarray(self.indptr))
-        np.save(indices_path, np.ascontiguousarray(self.indices))
-        return SharedCSRHandle(
-            indptr_path=indptr_path,
-            indices_path=indices_path,
-            num_nodes=self.num_nodes,
-        )
-
-    @classmethod
-    def from_shared(cls, handle: SharedCSRHandle) -> "CSRGraph":
-        """Re-open a :meth:`to_shared` export as a read-only memory-mapped graph.
-
-        The returned graph's arrays are ``mmap_mode="r"`` memmaps: reads are
-        zero-copy (``__post_init__``'s ``asarray`` passes ``int64`` memmaps
-        through untouched) and any write attempt raises ``ValueError``.
-        """
-        return cls(
-            indptr=np.load(handle.indptr_path, mmap_mode="r"),
-            indices=np.load(handle.indices_path, mmap_mode="r"),
-            num_nodes=handle.num_nodes,
         )
 
     # ------------------------------------------------------------------ #

@@ -91,13 +91,6 @@ class ClusterScenario:
     sync: str = "allreduce-barrier"
     staleness: int = 1
     sync_period: int = 4
-    # Execution backend (repro.training.backends.EXECUTION_BACKENDS): "inline"
-    # steps trainers in-process exactly like the historical loops; the
-    # "process-pool" backend fans whole machines out to worker processes over
-    # shared-memory stores and merges outcomes bit-identically.  ``workers``
-    # only applies to the pool (None = one worker per machine).
-    execution_backend: str = "inline"
-    workers: Optional[int] = None
     # Event-driven stress inputs (all repro.events.schedule ScheduleSpec
     # implementations): a seeded transient-failure schedule, a time-varying
     # RPC congestion profile, and an elastic membership timeline.
@@ -220,8 +213,6 @@ class ClusterScenario:
             failures=self.failures,
             elastic=self.elastic,
             serving=self.serving,
-            execution_backend=self.execution_backend,
-            workers=self.workers,
         )
         return ClusterWorkload(scenario=self, dataset=dataset, cluster=cluster, engine=engine)
 

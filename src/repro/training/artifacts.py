@@ -1,13 +1,11 @@
-"""Picklable per-trainer run artifacts: the engine/report data boundary.
+"""Per-trainer run artifacts: the engine/report data boundary.
 
-Report assembly used to read live objects — trainer clocks, RPC channels,
-pipeline feature stores — directly.  With the process-pool execution backend
-those objects live in worker processes, so the boundary is now a
-:class:`TrainerArtifacts` snapshot: everything report assembly needs from one
-trainer, as plain data.  The inline backend snapshots its live objects through
-the same :func:`collect_trainer_artifacts`, so both backends feed one
-arithmetic implementation and the differential tests can pin them
-bit-identical.
+Report assembly does not read live objects — trainer clocks, RPC channels,
+pipeline feature stores — directly.  :func:`collect_trainer_artifacts` takes a
+:class:`TrainerArtifacts` snapshot of each trainer at the end of a run:
+everything :func:`~repro.training.engine.assemble_training_report` and
+:func:`~repro.training.cluster_engine.collect_trainer_stats` need, as plain
+data, so both read the same numbers.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ from repro.training.telemetry import ComponentAccumulator
 
 @dataclass
 class TrainerArtifacts:
-    """One trainer's end-of-run telemetry as pickle-safe plain data."""
+    """One trainer's end-of-run telemetry as plain data."""
 
     global_rank: int
     machine: int

@@ -48,14 +48,13 @@ All stress inputs arrive through one seam: each spec implements
 :class:`~repro.events.schedule.ScheduleSpec` and the engine calls
 ``spec.materialize(world_size, seed)`` to obtain the runtime schedule.
 
-Everything around the event core — run setup, per-step compute, telemetry
-roll-up — is shared with the lockstep engine via the module-level helpers in
-:mod:`repro.training.cluster_engine`, so the two engines cannot drift.
+Everything around the event core — run setup, per-step compute, the barrier
+charge, telemetry roll-up — is :class:`~repro.training.backends.ClusterRun`,
+the run state shared with the lockstep engine, so the two cannot drift.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Optional, Union
 
 import numpy as np
@@ -67,19 +66,12 @@ from repro.distributed.cluster import SimCluster
 from repro.distributed.cost_model import BYTES_PER_FEATURE
 from repro.events.loop import Event, EventLoop
 from repro.events.schedule import ElasticSpec, FailureSpec
-from repro.events.sync import SYNC_POLICIES, StepContribution, SyncContext
+from repro.events.sync import SYNC_POLICIES, StepContribution, SyncContext, SyncPolicy
+from repro.training.backends import ClusterRun
 from repro.training.checkpoint import CheckpointStore
-from repro.training.cluster_engine import (
-    ClusterReport,
-    collect_trainer_stats,
-    merged_store_summary_from_artifacts,
-)
+from repro.training.cluster_engine import ClusterReport
 from repro.training.config import TrainConfig
-from repro.training.engine import (
-    PipelineBuilder,
-    assemble_training_report,
-)
-from repro.training.telemetry import EpochRecord
+from repro.training.engine import PipelineBuilder
 
 
 class AsyncClusterEngine:
@@ -102,8 +94,8 @@ class AsyncClusterEngine:
         Optional :class:`~repro.events.schedule.ElasticSpec`; when set (and
         non-empty), a seeded membership timeline holds ranks out, joins them,
         or removes them mid-run, with seed ownership re-split and migration
-        charged on every change.  Requires the inline execution backend and
-        a sync policy without per-trainer replicas.
+        charged on every change.  Requires a sync policy without per-trainer
+        replicas.
     record_events:
         Keep the popped-event history on :attr:`event_history` after a run
         (the determinism tests compare histories across runs).
@@ -119,23 +111,15 @@ class AsyncClusterEngine:
         failures: Optional[FailureSpec] = None,
         elastic: Optional[ElasticSpec] = None,
         record_events: bool = False,
-        execution_backend: str = "inline",
-        workers: Optional[int] = None,
     ):
-        from repro.training.backends import EXECUTION_BACKENDS
-
         self.cluster = cluster
         self.config = train_config
-        self.cost_model = cluster.cost_model
-        self.dataset = cluster.dataset
         self.scenario = scenario
         self.sync = SYNC_POLICIES.resolve(sync)
         self.sync_options = dict(sync_options or {})
         self.failures = failures
         self.elastic = elastic
         self.record_events = record_events
-        self.execution_backend = EXECUTION_BACKENDS.resolve(execution_backend)
-        self.workers = workers
         #: ``(kind, time, rank, seq)`` tuples of the last run (record_events).
         self.event_history: List[tuple] = []
         cluster.validate_seed_coverage()
@@ -149,536 +133,27 @@ class AsyncClusterEngine:
         cache_config: Optional[CacheConfig] = None,
     ) -> ClusterReport:
         """Train the cluster event-driven; same contract as the lockstep engine."""
-        from repro.training.backends import EXECUTION_BACKENDS
-
-        cluster, config = self.cluster, self.config
         policy = SYNC_POLICIES.build(self.sync, **self.sync_options)
-        backend = EXECUTION_BACKENDS.build(
-            self.execution_backend, cluster, config, workers=self.workers
-        )
-        if policy.owns_replicas and not backend.supports_replica_policies:
-            backend.close()
+        elastic = self.elastic if self.elastic is not None and not self.elastic.is_empty else None
+        if elastic is not None and policy.owns_replicas:
             raise ValueError(
-                f"sync policy {policy.name!r} owns per-trainer model replicas "
-                f"and requires the inline execution backend "
-                f"(got {backend.name!r})"
+                f"elastic membership is incompatible with sync policy "
+                f"{policy.name!r}: replica averaging over dynamic "
+                f"membership is undefined"
             )
-        if self.elastic is not None and not self.elastic.is_empty:
-            if self.execution_backend != "inline":
-                backend.close()
-                raise ValueError(
-                    "elastic membership requires the inline execution backend "
-                    f"(got {backend.name!r})"
-                )
-            if policy.owns_replicas:
-                backend.close()
-                raise ValueError(
-                    f"elastic membership is incompatible with sync policy "
-                    f"{policy.name!r}: replica averaging over dynamic "
-                    f"membership is undefined"
-                )
-        try:
-            return self._run(
-                backend, policy, pipeline, prefetch_config, eviction_policy, cache_config
-            )
-        finally:
-            backend.close()
-
-    def _run(
-        self,
-        backend,
-        policy,
-        pipeline: Union[str, PipelineBuilder],
-        prefetch_config: Optional[PrefetchConfig],
-        eviction_policy: Optional[EvictionPolicy],
-        cache_config: Optional[CacheConfig],
-    ) -> ClusterReport:
-        """The event loop proper, once backend and policy are validated."""
-        from repro.training.backends import StepOutcome
-
-        cluster, config = self.cluster, self.config
-        setup = backend.prepare(pipeline, prefetch_config, eviction_policy, cache_config)
-        trainers = cluster.trainers
-        world = len(trainers)
-        model, optimizer = setup.model, setup.optimizer
-        accumulators = setup.accumulators
-
-        loop = EventLoop(record=self.record_events)
-        # Stress schedules materialize through the one ScheduleSpec seam.
-        schedule = (
-            self.failures.materialize(world, cluster.config.seed)
-            if self.failures is not None
-            else None
+        run = ClusterRun(
+            self.cluster, self.config, pipeline, prefetch_config, eviction_policy, cache_config
         )
-        elastic_schedule = (
-            self.elastic.materialize(world, cluster.config.seed)
-            if self.elastic is not None and not self.elastic.is_empty
-            else None
+        driver = _EventDrivenRun(
+            run, policy, self.failures, elastic, EventLoop(record=self.record_events)
         )
-
-        # Mutable run state shared with the nested handlers.
-        trainer_steps = [0] * world          # lifetime steps (drives Δ/Eq. 4 + failures)
-        barrier_waits = [0.0] * world
-        sync_extras: List[Dict[str, float]] = [{} for _ in range(world)]
-        down = [False] * world
-        pending_release = [False] * world
-        total_minibatches = 0
-
-        # Elastic membership state.  member_active is the authoritative
-        # roster; it changes mid-run only under an elastic schedule, and the
-        # per-epoch scheduling state is derived from it at epoch start.
-        member_active = [True] * world
-        inflight = [False] * world           # a step-done event is in the loop
-        # Membership events landing mid-step defer past the in-flight step and
-        # replay in arrival order at its step-done ("leave"/"join" strings), so
-        # a leave→rejoin pair spanning one long step still detaches *and*
-        # reactivates instead of the rejoin being dropped as a no-op.
-        deferred: List[List[str]] = [[] for _ in range(world)]
-        rebalance_salts: Dict[int, int] = {}
-        tpm = cluster.config.trainers_per_machine
-        if elastic_schedule is not None:
-            for held_rank in elastic_schedule.initially_inactive:
-                member_active[held_rank] = False
-
-        # Consensus checkpointing: captured after every applied sync round
-        # whenever a recovery (failures) or membership change (elastic) could
-        # need it; None keeps the legacy apply path bit-identical.
-        checkpoint_store = (
-            CheckpointStore()
-            if schedule is not None or elastic_schedule is not None
-            else None
-        )
-        self.checkpoint_store = checkpoint_store
-        applied_rounds = [0]
-
-        if checkpoint_store is not None:
-
-            def apply_update(averaged) -> None:
-                backend.apply_update(averaged)
-                applied_rounds[0] += 1
-                now = max(t.clock.time for t in trainers) if trainers else 0.0
-                checkpoint_store.update(model, optimizer, applied_rounds[0], now)
-
-        else:
-            apply_update = backend.apply_update
-
-        # Per-epoch state, rebound at each epoch start.
-        state: Dict[str, object] = {}
-
-        def schedule_ready(rank: int) -> None:
-            """Policy callback: the trainer may begin its next step.
-
-            Routed through the engine so epoch caps, exhausted iterators, and
-            failure outages are honoured before an event lands in the loop.
-            """
-            if not state["active"][rank]:
-                return
-            if (
-                config.max_steps_per_epoch is not None
-                and state["epoch_steps"][rank] >= config.max_steps_per_epoch
-            ):
-                mark_exhausted(rank)
-                return
-            if down[rank]:
-                pending_release[rank] = True
-                return
-            loop.push(trainers[rank].clock.time, "step-ready", rank)
-
-        def mark_exhausted(rank: int) -> None:
-            state["active"][rank] = False
-            state["epoch_done"][rank] = True
-            policy.on_trainer_exhausted(rank, trainers[rank].clock.time)
-
-        def record_round(contributions: List[StepContribution]) -> None:
-            for c in contributions:
-                record_step(c)
-
-        def record_step(c: StepContribution) -> None:
-            state["losses"].append(c.loss)
-            state["correct"] = state["correct"] + c.n_correct
-            state["seen"] = state["seen"] + c.n_seen
-
-        # ---------------- event handlers ----------------
-        def on_step_ready(ev: Event) -> None:
-            # Batch every consecutive same-timestamp step-ready event into one
-            # handler pass: popping them up front assigns no event seqs and
-            # preserves the serial pop order, but it hands the execution
-            # backend a whole cohort to compute in parallel.  Collection stops
-            # at any other event kind, so interleaved same-time events (e.g. a
-            # recover) keep their serial position.
-            batch = [ev]
-            nxt = loop.peek()
-            while nxt is not None and nxt.kind == "step-ready" and nxt.time == ev.time:
-                batch.append(loop.pop())
-                nxt = loop.peek()
-            starts: List[int] = []
-            for e in batch:
-                rank = e.rank
-                if not state["active"][rank]:
-                    # The rank detached (elastic leave) after this ready
-                    # event was queued; never hand it to the policy.
-                    continue
-                if down[rank]:
-                    # Unreachable under the shipped policies (a trainer can
-                    # only fail during its own step-done, before any release),
-                    # but a future policy releasing early must not start a
-                    # downed trainer.
-                    pending_release[rank] = True
-                    continue
-                if not policy.can_start(rank):
-                    continue  # the policy holds the trainer (and starts it itself)
-                starts.append(rank)
-            if len(starts) == 1:
-                start_step(starts[0])
-            elif starts:
-                run_requests(starts, floor=ev.time)
-
-        def start_step(rank: int) -> None:
-            run_requests([rank])
-
-        def start_steps(ranks: List[int]) -> None:
-            run_requests(list(ranks))
-
-        def run_requests(ranks: List[int], floor: Optional[float] = None) -> None:
-            """Step *ranks* (ascending) through the execution backend.
-
-            Opens each trainer's RPC coalescing window for its current round
-            *before* advancing the pipeline generator — the halo fetch runs
-            inside next().  Same-machine trainers in the same round share the
-            window (begin_step with an unchanged id is idempotent), so
-            barrier-mode coalescing matches the lockstep engine's, which also
-            opens the round's windows before any trainer fetches.
-
-            ``floor`` guards batched same-time releases: a zero-duration step
-            would let its completion event overtake an already-collected
-            ready event, diverging from the serial order, so it is an error.
-            """
-            requests = [(r, policy.coalescing_round(r)) for r in ranks]
-            multi = len(ranks) > 1
-
-            def on_outcome(out: StepOutcome) -> None:
-                nonlocal total_minibatches
-                if floor is not None and multi and out.clock_time <= floor:
-                    raise RuntimeError(
-                        f"zero-duration step for trainer {out.rank} in a "
-                        f"batched release at t={floor}: batched execution "
-                        f"requires strictly positive step durations"
-                    )
-                trainer_steps[out.rank] += 1
-                state["epoch_steps"][out.rank] += 1
-                total_minibatches += 1
-                inflight[out.rank] = True
-                grads = policy.process_step(out.rank, out.grads)
-                loop.push(
-                    out.clock_time,
-                    "step-done",
-                    out.rank,
-                    contribution=StepContribution(
-                        out.rank, out.loss, out.n_correct, out.n_seen, grads
-                    ),
-                    step_critical=out.critical_path,
-                )
-
-            backend.run_steps(
-                requests,
-                before_step=policy.before_step,
-                on_outcome=on_outcome,
-                on_exhausted=mark_exhausted,
-            )
-
-        def on_step_done(ev: Event) -> None:
-            rank, now = ev.rank, ev.time
-            inflight[rank] = False
-            # Failure (if scheduled for the step that just finished) lands
-            # *before* the policy reacts: the gradient still counts — the
-            # compute completed — but the trainer goes dark before it can be
-            # released, so peers meet the outage at their next sync point.
-            if schedule is not None:
-                factor = schedule.downtime_factor(rank, trainer_steps[rank] - 1)
-                if factor is not None:
-                    fail(rank, now, factor * max(ev.payload["step_critical"], 1e-12))
-            policy.on_step_done(ev.payload["contribution"], now)
-            if deferred[rank]:
-                # Elastic membership events that landed mid-step replay now,
-                # in arrival order: the contribution above still counted.
-                ops, deferred[rank] = deferred[rank], []
-                for op in ops:
-                    if op == "leave":
-                        detach(rank, now)
-                    else:
-                        activate(rank, now)
-
-        def fail(rank: int, now: float, downtime: float) -> None:
-            down[rank] = True
-            loop.push(now, "fail", rank)  # observational marker in the history
-            clock = trainers[rank].clock
-            clock.advance(downtime, "downtime")
-            extras = sync_extras[rank]
-            extras["failures"] = extras.get("failures", 0.0) + 1.0
-            extras["downtime_s"] = extras.get("downtime_s", 0.0) + downtime
-            if checkpoint_store is not None and checkpoint_store.latest is not None:
-                # Recover from the last consensus state: numerically a no-op
-                # between sync rounds (the shared replica *is* consensus), but
-                # the provenance and the costed restore transfer are real.
-                ckpt = checkpoint_store.restore(model, optimizer)
-                restore_s = cluster.cost_model_for_machine(
-                    trainers[rank].machine
-                ).time_migration(ckpt.nbytes())
-                clock.advance(restore_s, "migration")
-                extras["restores"] = extras.get("restores", 0.0) + 1.0
-                extras["restored_from_step"] = float(ckpt.step)
-                extras["restore_s"] = extras.get("restore_s", 0.0) + restore_s
-            loop.push(clock.time, "recover", rank)
-
-        def on_recover(ev: Event) -> None:
-            rank = ev.rank
-            down[rank] = False
-            if pending_release[rank]:
-                pending_release[rank] = False
-                schedule_ready(rank)
-
-        # ---------------- elastic membership handlers ----------------
-        def next_salt(machine: int) -> int:
-            rebalance_salts[machine] = rebalance_salts.get(machine, 0) + 1
-            return rebalance_salts[machine]
-
-        def rebalance_machine(machine: int, charge: bool = True) -> None:
-            """Re-split *machine*'s seed ownership across its active trainers.
-
-            With survivors on the machine, the partition is first brought
-            home (if a drain had moved it elsewhere) and the training seeds
-            re-split across the active local ranks; each receiving trainer
-            pays for its newly assigned seed rows through the cost model.
-            With the machine fully drained, its partition is adopted by the
-            lowest-indexed machine that still has an active trainer, and the
-            adopters pay for the KVStore payload (plus the shared cache tier
-            under the ``"warm"`` policy; ``"invalidate"`` drops it cold).
-            """
-            cache_policy = self.elastic.cache_policy
-            feature_dim = cluster.dataset.feature_dim
-            active_locals = [
-                lr for lr in range(tpm) if member_active[machine * tpm + lr]
-            ]
-            if active_locals:
-                home_bytes = cluster.migrate_partition(machine, machine, cache_policy)
-                moved = cluster.rebalance_seeds(
-                    machine, active_locals, salt=next_salt(machine)
-                )
-                cost = cluster.cost_model_for_machine(machine)
-                for i, lr in enumerate(active_locals):
-                    rank = machine * tpm + lr
-                    extras = sync_extras[rank]
-                    extras["rebalances"] = extras.get("rebalances", 0.0) + 1.0
-                    if not charge:
-                        continue
-                    nbytes = moved.get(rank, 0) * feature_dim * BYTES_PER_FEATURE
-                    if i == 0:
-                        nbytes += home_bytes
-                    if nbytes <= 0:
-                        continue
-                    migration_s = cost.time_migration(nbytes)
-                    trainers[rank].clock.advance(migration_s, "migration")
-                    extras["migration_bytes"] = (
-                        extras.get("migration_bytes", 0.0) + float(nbytes)
-                    )
-                    extras["migration_s"] = (
-                        extras.get("migration_s", 0.0) + migration_s
-                    )
-                return
-            host = next(
-                (
-                    m
-                    for m in range(cluster.config.num_machines)
-                    if any(member_active[m * tpm + lr] for lr in range(tpm))
-                ),
-                None,
-            )
-            if host is None:
-                return  # every rank left; nothing can adopt the partition
-            moved_bytes = cluster.migrate_partition(machine, host, cache_policy)
-            if moved_bytes <= 0:
-                return
-            host_actives = [
-                host * tpm + lr for lr in range(tpm) if member_active[host * tpm + lr]
-            ]
-            if charge:
-                migration_s = cluster.cost_model_for_machine(host).time_migration(
-                    moved_bytes
-                )
-                for rank in host_actives:
-                    trainers[rank].clock.advance(migration_s, "migration")
-                    extras = sync_extras[rank]
-                    extras["migration_s"] = (
-                        extras.get("migration_s", 0.0) + migration_s
-                    )
-                extras = sync_extras[host_actives[0]]
-                extras["migration_bytes"] = (
-                    extras.get("migration_bytes", 0.0) + float(moved_bytes)
-                )
-
-        def detach(rank: int, now: float) -> None:
-            member_active[rank] = False
-            extras = sync_extras[rank]
-            extras["leaves"] = extras.get("leaves", 0.0) + 1.0
-            if not state["epoch_done"][rank]:
-                mark_exhausted(rank)
-            else:
-                state["active"][rank] = False
-            loop.push(now, "rebalance", rank, machine=trainers[rank].machine)
-
-        def activate(rank: int, now: float) -> None:
-            member_active[rank] = True
-            trainers[rank].clock.advance_to(now, "idle")
-            extras = sync_extras[rank]
-            extras["joins"] = extras.get("joins", 0.0) + 1.0
-            # Scheduling picks the rank up at the next epoch start; the seed
-            # re-split happens now so the next epoch's shuffle sees it.
-            loop.push(now, "rebalance", rank, machine=trainers[rank].machine)
-
-        def on_join(ev: Event) -> None:
-            rank = ev.rank
-            if member_active[rank]:
-                if deferred[rank]:
-                    # A leave is deferred past the in-flight step; the rejoin
-                    # queues behind it and replays at the same step-done.
-                    deferred[rank].append("join")
-                return
-            activate(rank, ev.time)
-
-        def on_leave(ev: Event) -> None:
-            rank = ev.rank
-            if not member_active[rank]:
-                return
-            if inflight[rank]:
-                deferred[rank].append("leave")
-            else:
-                detach(rank, ev.time)
-
-        def on_rebalance(ev: Event) -> None:
-            rebalance_machine(ev.payload["machine"])
-
-        handlers = {
-            "step-ready": on_step_ready,
-            "step-done": on_step_done,
-            "recover": on_recover,
-            "fail": lambda ev: None,
-            "join": on_join,
-            "leave": on_leave,
-            "rebalance": on_rebalance,
-        }
-
-        ctx = SyncContext(
-            trainers=trainers,
-            model=model,
-            optimizer=optimizer,
-            cost_model=cluster.cost_model,
-            num_params=setup.num_params,
-            accumulators=accumulators,
-            barrier_waits=barrier_waits,
-            sync_extras=sync_extras,
-            train_config=config,
-            schedule_ready=schedule_ready,
-            record_round=record_round,
-            record_step=record_step,
-            start_step=start_step,
-            start_steps=start_steps,
-            apply_update=apply_update,
-        )
-        policy.bind(ctx)
-
-        # ---------------- elastic setup ----------------
-        if elastic_schedule is not None:
-            # Initial holdout: strip the held-out ranks' seeds and hand them
-            # to the active trainers (uncharged — this is the starting
-            # deployment, not a mid-run migration), adopting any fully
-            # drained machine's partition onto a survivor.
-            for machine in range(cluster.config.num_machines):
-                machine_ranks = range(machine * tpm, (machine + 1) * tpm)
-                if any(not member_active[r] for r in machine_ranks):
-                    rebalance_machine(machine, charge=False)
-            # The whole membership timeline lands in the loop up front; the
-            # heap interleaves it with step events by simulated time.
-            for event_time, kind, rank in elastic_schedule.events:
-                loop.push(event_time, kind, rank)
-
-        # ---------------- epoch loop ----------------
-        epoch_records: List[EpochRecord] = []
-        previous_epoch_end = max(t.clock.time for t in trainers) if trainers else 0.0
-
-        for epoch in range(config.epochs):
-            backend.begin_epoch()
-            state = {
-                "active": list(member_active),
-                "epoch_done": [not active for active in member_active],
-                "epoch_steps": [0] * world,
-                "losses": [],
-                "correct": 0,
-                "seen": 0,
-            }
-            policy.on_epoch_start(
-                [rank for rank in range(world) if member_active[rank]]
-            )
-            for rank in range(world):
-                schedule_ready(rank)
-
-            while True:
-                ev = loop.pop()
-                if ev is None:
-                    break
-                handlers[ev.kind](ev)
-
-            stranded = [r for r in range(world) if not state["epoch_done"][r]]
-            if stranded:
-                raise RuntimeError(
-                    f"event loop drained with trainers {stranded} stranded in epoch "
-                    f"{epoch}: sync policy {policy.name!r} failed to release them"
-                )
-            policy.on_epoch_end()
-
-            epoch_end = max(t.clock.time for t in trainers) if trainers else 0.0
-            hit_rates = [h for h in backend.epoch_hit_rates() if h is not None]
-            losses = state["losses"]
-            epoch_records.append(
-                EpochRecord(
-                    epoch=epoch,
-                    simulated_time_s=epoch_end - previous_epoch_end,
-                    loss=float(np.mean(losses)) if losses else 0.0,
-                    train_accuracy=(
-                        state["correct"] / state["seen"] if state["seen"] else 0.0
-                    ),
-                    hit_rate=float(np.mean(hit_rates)) if hit_rates else None,
-                )
-            )
-            previous_epoch_end = epoch_end
-            backend.end_epoch()
-
-        policy.on_run_end()
+        self.checkpoint_store = driver.checkpoint_store
+        driver.execute()
         if self.record_events:
-            self.event_history = list(loop.history)
-
-        artifacts = backend.collect_artifacts()
-        report = assemble_training_report(
-            mode=setup.mode,
-            cluster=cluster,
-            train_config=config,
-            artifacts=artifacts,
-            epoch_records=epoch_records,
-            init_reports=setup.init_reports,
-            total_minibatches=total_minibatches,
-            wall_clock_s=time.perf_counter() - setup.wall_start,
-            model=model,
-            prefetch_config=prefetch_config,
-        )
-        self._final_model = model
-        return ClusterReport(
-            report=report,
-            trainer_stats=collect_trainer_stats(
-                cluster, artifacts, trainer_steps, barrier_waits, sync_extras
-            ),
-            scenario=self.scenario,
-            store_summary=merged_store_summary_from_artifacts(artifacts),
-            engine="async",
-            sync=policy.describe(),
+            self.event_history = list(driver.loop.history)
+        self._final_model = run.setup.model
+        return run.finish(
+            self.scenario, driver.sync_extras, engine="async", sync=policy.describe()
         )
 
     # ------------------------------------------------------------------ #
@@ -689,3 +164,398 @@ class AsyncClusterEngine:
         if model is None:
             raise RuntimeError("no cluster run has completed yet")
         return model
+
+
+class _EventDrivenRun:
+    """One event-driven run: the scheduling state and its event handlers.
+
+    :class:`~repro.training.backends.ClusterRun` owns what a step *is*; this
+    object owns *when* steps happen — the event loop, the sync policy, the
+    failure and membership schedules — as named handlers over plain
+    attributes (``active``/``epoch_done``/``epoch_steps`` are per-epoch and
+    rebound by :meth:`_begin_epoch`; everything else lives for the run).
+    """
+
+    def __init__(
+        self,
+        run: ClusterRun,
+        policy: SyncPolicy,
+        failures: Optional[FailureSpec],
+        elastic: Optional[ElasticSpec],
+        loop: EventLoop,
+    ):
+        self.run = run
+        self.policy = policy
+        self.loop = loop
+        self.cluster = cluster = run.cluster
+        self.trainers = cluster.trainers
+        self.tpm = cluster.config.trainers_per_machine
+        world = self.world = len(self.trainers)
+        # Stress schedules materialize through the one ScheduleSpec seam.
+        self.failures = (
+            failures.materialize(world, cluster.config.seed) if failures is not None else None
+        )
+        self.elastic = elastic
+        self.elastic_schedule = (
+            elastic.materialize(world, cluster.config.seed) if elastic is not None else None
+        )
+
+        self.sync_extras: List[Dict[str, float]] = [{} for _ in range(world)]
+        self.down = [False] * world
+        self.pending_release = [False] * world
+        # Elastic membership state.  member_active is the authoritative
+        # roster; it changes mid-run only under an elastic schedule, and the
+        # per-epoch scheduling state is derived from it at epoch start.
+        self.member_active = [True] * world
+        self.inflight = [False] * world      # a step-done event is in the loop
+        # Membership events landing mid-step defer past the in-flight step and
+        # replay in arrival order at its step-done ("leave"/"join" strings), so
+        # a leave→rejoin pair spanning one long step still detaches *and*
+        # reactivates instead of the rejoin being dropped as a no-op.
+        self.deferred: List[List[str]] = [[] for _ in range(world)]
+        self.rebalance_salts: Dict[int, int] = {}
+        if self.elastic_schedule is not None:
+            for held_rank in self.elastic_schedule.initially_inactive:
+                self.member_active[held_rank] = False
+
+        # Consensus checkpointing: captured after every applied sync round
+        # whenever a recovery (failures) or membership change (elastic) could
+        # need it; None keeps the plain apply path.
+        self.checkpoint_store = (
+            CheckpointStore()
+            if self.failures is not None or self.elastic_schedule is not None
+            else None
+        )
+        self.applied_rounds = 0
+
+        self.handlers = {
+            "step-ready": self.on_step_ready,
+            "step-done": self.on_step_done,
+            "recover": self.on_recover,
+            "fail": self.on_fail,
+            "join": self.on_join,
+            "leave": self.on_leave,
+            "rebalance": self.on_rebalance,
+        }
+        self.ctx = self._sync_context()
+        policy.bind(self.ctx)
+
+    def _sync_context(self) -> SyncContext:
+        """What the sync policy sees of the run: its ledgers and these callbacks."""
+        run, setup = self.run, self.run.setup
+        return SyncContext(
+            trainers=self.trainers,
+            model=setup.model,
+            cost_model=self.cluster.cost_model,
+            num_params=setup.num_params,
+            accumulators=setup.accumulators,
+            barrier_waits=run.barrier_waits,
+            sync_extras=self.sync_extras,
+            train_config=run.config,
+            schedule_ready=self.schedule_ready,
+            record_round=self.record_round,
+            record_step=self.record_step,
+            start_step=self.start_step,
+            allreduce_barrier=run.allreduce_barrier,
+            apply_update=self.apply_update,
+        )
+
+    # ---------------- epoch loop ----------------
+    def execute(self) -> None:
+        """Drain the event loop once per epoch until the run is complete."""
+        if self.elastic_schedule is not None:
+            self._deploy_membership_schedule()
+        for epoch in range(self.run.config.epochs):
+            self._begin_epoch()
+            while True:
+                ev = self.loop.pop()
+                if ev is None:
+                    break
+                self.handlers[ev.kind](ev)
+            stranded = [r for r in range(self.world) if not self.epoch_done[r]]
+            if stranded:
+                raise RuntimeError(
+                    f"event loop drained with trainers {stranded} stranded in epoch "
+                    f"{epoch}: sync policy {self.policy.name!r} failed to release them"
+                )
+            self.policy.on_epoch_end()
+            self.run.finish_epoch()
+        self.policy.on_run_end()
+
+    def _begin_epoch(self) -> None:
+        self.run.begin_epoch()
+        self.active = list(self.member_active)
+        self.epoch_done = [not active for active in self.member_active]
+        self.epoch_steps = [0] * self.world
+        self.policy.on_epoch_start(
+            [rank for rank in range(self.world) if self.member_active[rank]]
+        )
+        for rank in range(self.world):
+            self.schedule_ready(rank)
+
+    def _deploy_membership_schedule(self) -> None:
+        """Apply the initial holdout and queue the whole membership timeline."""
+        # Initial holdout: strip the held-out ranks' seeds and hand them to
+        # the active trainers (uncharged — this is the starting deployment,
+        # not a mid-run migration), adopting any fully drained machine's
+        # partition onto a survivor.
+        for machine in range(self.cluster.config.num_machines):
+            if any(not self.member_active[r] for r in self._machine_ranks(machine)):
+                self.rebalance_machine(machine, charge=False)
+        # The whole membership timeline lands in the loop up front; the heap
+        # interleaves it with step events by simulated time.
+        for event_time, kind, rank in self.elastic_schedule.events:
+            self.loop.push(event_time, kind, rank)
+
+    # ---------------- policy callbacks ----------------
+    def schedule_ready(self, rank: int) -> None:
+        """Policy callback: the trainer may begin its next step.
+
+        Routed through the engine so epoch caps, exhausted iterators, and
+        failure outages are honoured before an event lands in the loop.
+        """
+        if not self.active[rank]:
+            return
+        cap = self.run.config.max_steps_per_epoch
+        if cap is not None and self.epoch_steps[rank] >= cap:
+            self.mark_exhausted(rank)
+            return
+        if self.down[rank]:
+            self.pending_release[rank] = True
+            return
+        self.loop.push(self.trainers[rank].clock.time, "step-ready", rank)
+
+    def mark_exhausted(self, rank: int) -> None:
+        self.active[rank] = False
+        self.epoch_done[rank] = True
+        self.policy.on_trainer_exhausted(rank, self.trainers[rank].clock.time)
+
+    def record_round(self, contributions: List[StepContribution]) -> None:
+        for c in contributions:
+            self.record_step(c)
+
+    def record_step(self, c: StepContribution) -> None:
+        self.run.record(c.loss, c.n_correct, c.n_seen)
+
+    def apply_update(self, averaged: Dict[str, np.ndarray]) -> bool:
+        changed = self.run.apply_update(averaged)
+        if self.checkpoint_store is not None:
+            self.applied_rounds += 1
+            setup = self.run.setup
+            self.checkpoint_store.update(
+                setup.model, setup.optimizer, self.applied_rounds, self.run.now()
+            )
+        return changed
+
+    def start_step(self, rank: int) -> None:
+        """Run *rank*'s next step host-side and post its completion event.
+
+        Event timestamps only order execution: the step's cost lands on the
+        trainer's own clock inside :meth:`ClusterRun.step`, and the
+        ``step-done`` event is stamped with where that clock ended up.
+        """
+        policy = self.policy
+        result = self.run.step(
+            rank, policy.coalescing_round(rank), before_compute=policy.before_step
+        )
+        if result is None:
+            self.mark_exhausted(rank)
+            return
+        timing, loss, n_correct, n_seen, grads = result
+        self.epoch_steps[rank] += 1
+        self.inflight[rank] = True
+        grads = policy.process_step(rank, grads)
+        self.loop.push(
+            self.trainers[rank].clock.time,
+            "step-done",
+            rank,
+            contribution=StepContribution(rank, loss, n_correct, n_seen, grads),
+            step_critical=timing.critical_path,
+        )
+
+    # ---------------- step / failure handlers ----------------
+    def on_step_ready(self, ev: Event) -> None:
+        rank = ev.rank
+        if not self.active[rank]:
+            # The rank detached (elastic leave) after this ready event was
+            # queued; never hand it to the policy.
+            return
+        if self.down[rank]:
+            # Unreachable under the shipped policies (a trainer can only fail
+            # during its own step-done, before any release), but a future
+            # policy releasing early must not start a downed trainer.
+            self.pending_release[rank] = True
+            return
+        if self.policy.can_start(rank):
+            self.start_step(rank)
+        # Otherwise the policy holds the trainer (and starts it itself).
+
+    def on_step_done(self, ev: Event) -> None:
+        rank, now = ev.rank, ev.time
+        self.inflight[rank] = False
+        # Failure (if scheduled for the step that just finished) lands
+        # *before* the policy reacts: the gradient still counts — the
+        # compute completed — but the trainer goes dark before it can be
+        # released, so peers meet the outage at their next sync point.
+        if self.failures is not None:
+            factor = self.failures.downtime_factor(rank, self.run.trainer_steps[rank] - 1)
+            if factor is not None:
+                self.fail(rank, now, factor * max(ev.payload["step_critical"], 1e-12))
+        self.policy.on_step_done(ev.payload["contribution"], now)
+        if self.deferred[rank]:
+            # Elastic membership events that landed mid-step replay now, in
+            # arrival order: the contribution above still counted.
+            ops, self.deferred[rank] = self.deferred[rank], []
+            for op in ops:
+                if op == "leave":
+                    self.detach(rank, now)
+                else:
+                    self.activate(rank, now)
+
+    def fail(self, rank: int, now: float, downtime: float) -> None:
+        self.down[rank] = True
+        self.loop.push(now, "fail", rank)  # observational marker in the history
+        clock = self.trainers[rank].clock
+        clock.advance(downtime, "downtime")
+        self.ctx.add_extra(rank, "failures", 1.0)
+        self.ctx.add_extra(rank, "downtime_s", downtime)
+        store = self.checkpoint_store
+        if store is not None and store.latest is not None:
+            # Recover from the last consensus state: numerically a no-op
+            # between sync rounds (the shared replica *is* consensus), but
+            # the provenance and the costed restore transfer are real.
+            setup = self.run.setup
+            ckpt = store.restore(setup.model, setup.optimizer)
+            restore_s = self.cluster.cost_model_for_machine(
+                self.trainers[rank].machine
+            ).time_migration(ckpt.nbytes())
+            clock.advance(restore_s, "migration")
+            self.ctx.add_extra(rank, "restores", 1.0)
+            self.sync_extras[rank]["restored_from_step"] = float(ckpt.step)
+            self.ctx.add_extra(rank, "restore_s", restore_s)
+        self.loop.push(clock.time, "recover", rank)
+
+    def on_fail(self, ev: Event) -> None:
+        """``fail`` events only mark the outage in the recorded history."""
+
+    def on_recover(self, ev: Event) -> None:
+        rank = ev.rank
+        self.down[rank] = False
+        if self.pending_release[rank]:
+            self.pending_release[rank] = False
+            self.schedule_ready(rank)
+
+    # ---------------- elastic membership handlers ----------------
+    def on_join(self, ev: Event) -> None:
+        rank = ev.rank
+        if self.member_active[rank]:
+            if self.deferred[rank]:
+                # A leave is deferred past the in-flight step; the rejoin
+                # queues behind it and replays at the same step-done.
+                self.deferred[rank].append("join")
+            return
+        self.activate(rank, ev.time)
+
+    def on_leave(self, ev: Event) -> None:
+        rank = ev.rank
+        if not self.member_active[rank]:
+            return
+        if self.inflight[rank]:
+            self.deferred[rank].append("leave")
+        else:
+            self.detach(rank, ev.time)
+
+    def on_rebalance(self, ev: Event) -> None:
+        self.rebalance_machine(ev.payload["machine"])
+
+    def detach(self, rank: int, now: float) -> None:
+        self.member_active[rank] = False
+        self.ctx.add_extra(rank, "leaves", 1.0)
+        if not self.epoch_done[rank]:
+            self.mark_exhausted(rank)
+        else:
+            self.active[rank] = False
+        self.loop.push(now, "rebalance", rank, machine=self.trainers[rank].machine)
+
+    def activate(self, rank: int, now: float) -> None:
+        self.member_active[rank] = True
+        self.trainers[rank].clock.advance_to(now, "idle")
+        self.ctx.add_extra(rank, "joins", 1.0)
+        # Scheduling picks the rank up at the next epoch start; the seed
+        # re-split happens now so the next epoch's shuffle sees it.
+        self.loop.push(now, "rebalance", rank, machine=self.trainers[rank].machine)
+
+    def _machine_ranks(self, machine: int) -> range:
+        return range(machine * self.tpm, (machine + 1) * self.tpm)
+
+    def rebalance_machine(self, machine: int, charge: bool = True) -> None:
+        """Re-split *machine*'s seed ownership across its active trainers.
+
+        With survivors on the machine the seeds are re-split among them; with
+        the machine fully drained its partition is adopted by the
+        lowest-indexed machine that still has an active trainer.  ``charge``
+        is off only for the initial deployment.
+        """
+        survivors = [r for r in self._machine_ranks(machine) if self.member_active[r]]
+        if survivors:
+            self._rebalance_survivors(machine, survivors, charge)
+        else:
+            self._rebalance_drained(machine, charge)
+
+    def _rebalance_survivors(self, machine: int, survivors: List[int], charge: bool) -> None:
+        """Bring the partition home and re-split its seeds across *survivors*.
+
+        The partition is first brought home (if a drain had moved it
+        elsewhere) and the training seeds re-split across the active local
+        ranks; each receiving trainer pays for its newly assigned seed rows
+        through the cost model, the first one also for the homecoming.
+        """
+        cluster = self.cluster
+        home_bytes = cluster.migrate_partition(machine, machine, self.elastic.cache_policy)
+        salt = self.rebalance_salts[machine] = self.rebalance_salts.get(machine, 0) + 1
+        moved = cluster.rebalance_seeds(
+            machine, [rank - machine * self.tpm for rank in survivors], salt=salt
+        )
+        cost = cluster.cost_model_for_machine(machine)
+        feature_dim = cluster.dataset.feature_dim
+        for i, rank in enumerate(survivors):
+            self.ctx.add_extra(rank, "rebalances", 1.0)
+            if not charge:
+                continue
+            nbytes = moved.get(rank, 0) * feature_dim * BYTES_PER_FEATURE
+            if i == 0:
+                nbytes += home_bytes
+            if nbytes <= 0:
+                continue
+            migration_s = cost.time_migration(nbytes)
+            self.trainers[rank].clock.advance(migration_s, "migration")
+            self.ctx.add_extra(rank, "migration_bytes", float(nbytes))
+            self.ctx.add_extra(rank, "migration_s", migration_s)
+
+    def _rebalance_drained(self, machine: int, charge: bool) -> None:
+        """Move a fully drained machine's partition onto a surviving host.
+
+        The host's active trainers pay for the KVStore payload (plus the
+        shared cache tier under the ``"warm"`` policy; ``"invalidate"`` drops
+        it cold); the bytes are booked once, on the host's first trainer.
+        """
+        cluster = self.cluster
+        host = next(
+            (
+                m
+                for m in range(cluster.config.num_machines)
+                if any(self.member_active[r] for r in self._machine_ranks(m))
+            ),
+            None,
+        )
+        if host is None:
+            return  # every rank left; nothing can adopt the partition
+        moved_bytes = cluster.migrate_partition(machine, host, self.elastic.cache_policy)
+        if moved_bytes <= 0 or not charge:
+            return
+        host_actives = [r for r in self._machine_ranks(host) if self.member_active[r]]
+        migration_s = cluster.cost_model_for_machine(host).time_migration(moved_bytes)
+        for rank in host_actives:
+            self.trainers[rank].clock.advance(migration_s, "migration")
+            self.ctx.add_extra(rank, "migration_s", migration_s)
+        self.ctx.add_extra(host_actives[0], "migration_bytes", float(moved_bytes))

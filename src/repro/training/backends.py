@@ -1,867 +1,206 @@
-"""Execution backends: the seam between cluster engines and trainer compute.
+"""The one in-process run state under both cluster drivers.
 
-Both cluster engines (the lockstep :class:`~repro.training.cluster_engine.
-ClusterEngine` and the event-driven :class:`~repro.training.async_engine.
-AsyncClusterEngine`) decide *which* trainers step *when*; an execution backend
-from :data:`EXECUTION_BACKENDS` decides *where* those steps run:
-
-* ``inline`` (the default) steps trainers serially in the engine process —
-  byte-for-byte the historical behaviour;
-* ``process-pool`` steps trainers in parallel worker processes over a
-  shared-memory (memmap) export of the graph/feature stores, merging results
-  deterministically in ascending global-rank order at every sync point, so
-  reports are **bit-identical** to ``inline`` (pinned by
-  ``tests/test_execution_backends.py``).
-
-The seam is :meth:`ExecutionBackend.run_steps`: the engine hands over a
-rank-ordered list of ``(rank, round_id)`` step requests plus callbacks, and
-the backend guarantees the callbacks fire in exactly the order the inline
-serial loop would fire them.  Worker granularity is **whole machines**, never
-individual trainers: a machine's trainers share mutable state (the batched-RPC
-coalescing window, the machine-shared cache tier), so each worker owns one or
-more machines and steps their trainers in rank order intra-process.
-
-Determinism of the process pool rests on four mechanisms:
-
-* **replicated models** — parent and every worker build the same model and
-  optimizer from the same derived seed; identical averaged-gradient sequences
-  (forwarded as ``("apply", averaged)`` ops) keep the replicas bit-identical,
-  the same replica-equivalence property synchronous DDP itself relies on;
-* **mirror clocks** — the parent swaps each trainer's clock for a recording
-  mirror; sync-point advances (allreduce, stall, downtime) are replayed on the
-  worker's real clock before that trainer's next compute, and worker-reported
-  post-step times are adopted back, so both sides perform the identical float
-  sequence;
-* **two-phase async steps** — a batch is first *prepared* (RPC window +
-  iterator advance; model-independent), which reveals exhaustion; the parent
-  then walks ranks serially, fires exhaustion callbacks at their serial
-  points, and dispatches the contiguous non-exhausted groups as parallel
-  computes with any queued ops flushed first;
-* **allreduce shadow accumulators** — sync-point allreduce charges land on
-  parent-side accumulators whose totals are grafted onto the worker-collected
-  artifacts at the end (exact, because worker step timings carry 0.0 there).
+The lockstep :class:`~repro.training.cluster_engine.ClusterEngine` and the
+event-driven :class:`~repro.training.async_engine.AsyncClusterEngine` decide
+*which* trainer steps *when*; everything else about a run lives here once, in
+:class:`ClusterRun`: setup, per-rank epoch iterators and step counters, the
+one call site of :func:`~repro.training.engine.train_step`, the
+allreduce-barrier charge, the epoch tallies and the final report.
+``TrainingEngine.run_pipeline`` delegates to the lockstep driver, so the three
+public entry points are one loop body under two schedulers.  Everything runs
+serially in the calling process — simulated seconds are the product, and a
+host-side worker pool cannot buy one — so :meth:`ClusterRun.step` simply
+returns what the step produced.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
-import shutil
-import tempfile
 import time
-import traceback
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Union
 
 import numpy as np
 
 from repro.cache.config import CacheConfig
 from repro.core.config import PrefetchConfig
 from repro.core.eviction import EvictionPolicy
-from repro.distributed.clock import SimClock
-from repro.distributed.cluster import ClusterConfig, SimCluster
-from repro.distributed.cost_model import CostModel
-from repro.features.shared import (
-    SharedDatasetHandle,
-    export_shared_dataset,
-    load_shared_dataset,
-)
-from repro.nn import build_model, build_optimizer
-from repro.training.artifacts import (
-    TrainerArtifacts,
-    collect_trainer_artifacts,
-    trainer_artifacts,
+from repro.distributed.cluster import SimCluster
+from repro.features.store import merge_store_summaries
+from repro.training.artifacts import collect_trainer_artifacts
+from repro.training.cluster_engine import (
+    ClusterReport,
+    collect_trainer_stats,
+    prepare_cluster_run,
 )
 from repro.training.config import TrainConfig
 from repro.training.engine import (
     PipelineBuilder,
     apply_averaged_gradients,
+    assemble_training_report,
     train_step,
 )
-from repro.training.pipelines import PIPELINES
-from repro.training.telemetry import ComponentAccumulator
-from repro.utils.registry import Registry
-from repro.utils.rng import derive_seed, spawn_worker_seed
-
-EXECUTION_BACKENDS = Registry("execution backend")
-
-#: A step request: (global rank, RPC coalescing round id).
-StepRequest = Tuple[int, int]
+from repro.training.telemetry import EpochRecord
 
 
-@dataclass
-class StepOutcome:
-    """One completed trainer step, as plain pickle-safe data.
+class ClusterRun:
+    """Setup, step execution and bookkeeping of one cluster training run."""
 
-    ``clock_time`` is the trainer's simulated clock *after* the step — the
-    value the engine timestamps completion events with, and (for the pool
-    backend) the value the parent-side mirror clock adopts.
-    """
-
-    rank: int
-    loss: float
-    n_correct: int
-    n_seen: int
-    grads: Dict[str, np.ndarray]
-    critical_path: float
-    clock_time: float
-
-
-@dataclass(frozen=True)
-class TrainerTask:
-    """Everything one pool worker needs, as a pickle-safe spec.
-
-    Carries configs, registry names, and a :class:`~repro.features.shared.
-    SharedDatasetHandle` — never live objects — so worker processes can be
-    started with the ``spawn`` method on platforms without ``fork``.
-    """
-
-    worker_index: int
-    num_workers: int
-    machines: Tuple[int, ...]
-    ranks: Tuple[int, ...]
-    cluster_config: ClusterConfig
-    train_config: TrainConfig
-    pipeline: str
-    prefetch_config: Optional[PrefetchConfig]
-    cache_config: Optional[CacheConfig]
-    cost_model: CostModel
-    dataset: SharedDatasetHandle
-    # Worker-process RNG seed via SeedSequence.spawn (hygiene for any
-    # global-RNG consumer; nothing on the deterministic path reads it).
-    worker_seed: int
-
-
-class ExecutionBackend:
-    """Contract between a cluster engine and its step executor.
-
-    ``run_steps`` receives *requests* in ascending global-rank order and must
-    invoke the callbacks exactly as the inline serial loop would: for each
-    rank in order, either ``on_exhausted(rank)`` (iterator finished) or
-    ``before_step(rank)`` followed — after the compute — by
-    ``on_outcome(StepOutcome)``.  ``begin_step_all`` (lockstep) opens the
-    round's RPC window on *every* trainer before any compute; otherwise each
-    request's own round id is opened just before its iterator advances.
-    """
-
-    name = "execution-backend"
-    #: Whether sync policies that own per-trainer replicas (mutating the
-    #: shared model around every step) can run on this backend.
-    supports_replica_policies = False
-
-    def prepare(
+    def __init__(
         self,
+        cluster: SimCluster,
+        train_config: TrainConfig,
         pipeline: Union[str, PipelineBuilder],
         prefetch_config: Optional[PrefetchConfig],
         eviction_policy: Optional[EvictionPolicy],
         cache_config: Optional[CacheConfig],
-    ) -> "ClusterRunSetup":  # noqa: F821 - forward ref to cluster_engine
-        """Build model/optimizer/pipelines; returns the engine-facing setup."""
-        raise NotImplementedError  # pragma: no cover
-
-    def begin_epoch(self) -> None:
-        """Open fresh epoch iterators on every trainer's pipeline."""
-        raise NotImplementedError  # pragma: no cover
-
-    def run_steps(
-        self,
-        requests: Sequence[StepRequest],
-        *,
-        begin_step_all: Optional[int] = None,
-        before_step: Optional[Callable[[int], None]] = None,
-        on_outcome: Optional[Callable[[StepOutcome], None]] = None,
-        on_exhausted: Optional[Callable[[int], None]] = None,
-    ) -> None:
-        """Execute the requested steps, firing callbacks in serial order."""
-        raise NotImplementedError  # pragma: no cover
-
-    def apply_update(self, averaged: Dict[str, np.ndarray]) -> bool:
-        """Apply an averaged gradient to the model (and any replicas)."""
-        raise NotImplementedError  # pragma: no cover
-
-    def epoch_hit_rates(self) -> List[Optional[float]]:
-        """Per-rank pipeline hit rate at the current epoch boundary."""
-        raise NotImplementedError  # pragma: no cover
-
-    def end_epoch(self) -> None:
-        """Epoch rollover on every pipeline's feature store."""
-        raise NotImplementedError  # pragma: no cover
-
-    def collect_artifacts(self) -> List[TrainerArtifacts]:
-        """End-of-run per-trainer telemetry snapshots, in rank order."""
-        raise NotImplementedError  # pragma: no cover
-
-    def close(self) -> None:
-        """Release backend resources (worker processes, exports, mirrors)."""
-
-    def describe(self) -> str:
-        """Human-readable backend identity for run headers and reports."""
-        return self.name
-
-
-# --------------------------------------------------------------------------- #
-# inline: serial in-process execution (the historical loop, verbatim)
-# --------------------------------------------------------------------------- #
-@EXECUTION_BACKENDS.register("inline", aliases=("serial",))
-class InlineExecutionBackend(ExecutionBackend):
-    """Step trainers serially in the engine process (default backend)."""
-
-    name = "inline"
-    supports_replica_policies = True
-
-    def __init__(
-        self,
-        cluster: SimCluster,
-        train_config: TrainConfig,
-        workers: Optional[int] = None,
     ):
-        if workers is not None:
-            raise ValueError(
-                "the inline execution backend runs in-process; a worker count "
-                "only applies to the 'process-pool' backend"
-            )
         self.cluster = cluster
         self.config = train_config
-        self.setup = None
-        self._iterators: List[object] = []
-        self._steps: List[int] = []
-
-    def prepare(self, pipeline, prefetch_config, eviction_policy, cache_config):
-        from repro.training.cluster_engine import prepare_cluster_run
-
+        self.prefetch_config = prefetch_config
         self.setup = prepare_cluster_run(
-            self.cluster, self.config, pipeline,
-            prefetch_config, eviction_policy, cache_config,
+            cluster, train_config, pipeline, prefetch_config, eviction_policy, cache_config
         )
-        self._steps = [0] * len(self.cluster.trainers)
-        return self.setup
+        world = len(cluster.trainers)
+        # Lifetime steps per trainer: drives Δ / Eq. 4 inside the timing
+        # policies and indexes the async engine's failure schedule.
+        self.trainer_steps = [0] * world
+        self.barrier_waits = [0.0] * world
+        self.total_minibatches = 0
+        self.epoch_records: List[EpochRecord] = []
+        self._epoch_start = self.now()
+
+    def now(self) -> float:
+        """Cluster-wide simulated time: the furthest-ahead trainer clock."""
+        return max((t.clock.time for t in self.cluster.trainers), default=0.0)
 
     def begin_epoch(self) -> None:
+        """Open fresh epoch iterators on every pipeline and reset the tallies."""
         self._iterators = [iter(pl.epoch()) for pl in self.setup.pipelines]
+        self._losses: List[float] = []
+        self._correct = 0
+        self._seen = 0
 
-    def run_steps(self, requests, *, begin_step_all=None, before_step=None,
-                  on_outcome=None, on_exhausted=None):
-        trainers = self.cluster.trainers
+    def step(
+        self, rank: int, round_id: int, before_compute: Optional[Callable[[int], None]] = None
+    ) -> Optional[tuple]:
+        """Run *rank*'s next minibatch step; ``None`` once its epoch is exhausted.
+
+        Returns ``train_step``'s ``(timing, loss, n_correct, n_seen, grads)``.
+        The trainer's RPC coalescing window is opened for *round_id* before
+        the pipeline generator advances — the halo fetch runs inside
+        ``next()``; same-machine trainers in the same round share the window
+        (``begin_step`` with an unchanged id is idempotent).  ``before_compute``
+        fires between the fetch and the forward pass, which is where a
+        replica-owning sync policy loads the trainer's own parameters.
+        """
+        trainer = self.cluster.trainers[rank]
+        trainer.rpc.begin_step(round_id)
+        try:
+            batch = next(self._iterators[rank])
+        except StopIteration:
+            return None
+        if before_compute is not None:
+            before_compute(rank)
         setup = self.setup
-        if begin_step_all is not None:
-            # Lockstep semantics: every trainer's window opens for the round,
-            # active or not (same-machine trainers share the window).
-            for trainer in trainers:
-                trainer.rpc.begin_step(begin_step_all)
-        for rank, round_id in requests:
-            trainer = trainers[rank]
-            if begin_step_all is None:
-                trainer.rpc.begin_step(round_id)
-            try:
-                batch = next(self._iterators[rank])
-            except StopIteration:
-                if on_exhausted is not None:
-                    on_exhausted(rank)
-                continue
-            if before_step is not None:
-                before_step(rank)
-            timing, loss, n_correct, n_seen, grads = train_step(
-                setup.cost_models[rank],
-                trainer,
-                batch,
-                setup.model,
-                setup.pipelines[rank].timing,
-                self._steps[rank],
-            )
-            self._steps[rank] += 1
-            setup.accumulators[rank].add(timing)
-            if on_outcome is not None:
-                on_outcome(
-                    StepOutcome(
-                        rank=rank,
-                        loss=loss,
-                        n_correct=n_correct,
-                        n_seen=n_seen,
-                        grads=grads,
-                        critical_path=timing.critical_path,
-                        clock_time=trainer.clock.time,
-                    )
-                )
+        result = train_step(
+            setup.cost_models[rank],
+            trainer,
+            batch,
+            setup.model,
+            setup.pipelines[rank].timing,
+            self.trainer_steps[rank],
+        )
+        self.trainer_steps[rank] += 1
+        self.total_minibatches += 1
+        setup.accumulators[rank].add(result[0])
+        return result
 
-    def apply_update(self, averaged) -> bool:
+    def record(self, loss: float, n_correct: int, n_seen: int) -> None:
+        """Count one finished step towards the epoch's loss/accuracy tallies."""
+        self._losses.append(loss)
+        self._correct += n_correct
+        self._seen += n_seen
+
+    def allreduce_barrier(self, participated: List[int]) -> None:
+        """Charge one allreduce, then hold every trainer at the barrier.
+
+        The participants pay the collective; then *every* trainer (active or
+        not) is advanced to the global max.  The wait each trainer spends for
+        the round's straggler is measured before its clock moves, so barrier
+        wait stays separable from the pipeline's own stalls.
+        """
+        trainers = self.cluster.trainers
+        allreduce_t = self.cluster.cost_model.time_allreduce(self.setup.num_params, len(trainers))
+        for i in participated:
+            trainers[i].clock.advance(allreduce_t, "allreduce")
+            self.setup.accumulators[i].totals["allreduce"] += allreduce_t
+        latest = max(t.clock.time for t in trainers)
+        for i, trainer in enumerate(trainers):
+            wait = latest - trainer.clock.time
+            if wait > 0:
+                self.barrier_waits[i] += wait
+                trainer.clock.advance(wait, "stall")
+
+    def apply_update(self, averaged: Dict[str, np.ndarray]) -> bool:
+        """Apply one averaged gradient to the shared model replica."""
         return apply_averaged_gradients(self.setup.optimizer, self.setup.model, averaged)
 
-    def epoch_hit_rates(self):
-        return [pl.hit_rate for pl in self.setup.pipelines]
-
-    def end_epoch(self) -> None:
-        for pl in self.setup.pipelines:
+    def finish_epoch(self) -> None:
+        """Close the epoch: append its :class:`EpochRecord`, roll the stores over."""
+        pipelines = self.setup.pipelines
+        epoch_end = self.now()
+        hit_rates = [pl.hit_rate for pl in pipelines]
+        hit_rates = [h for h in hit_rates if h is not None]
+        self.epoch_records.append(
+            EpochRecord(
+                epoch=len(self.epoch_records),
+                simulated_time_s=epoch_end - self._epoch_start,
+                loss=float(np.mean(self._losses)) if self._losses else 0.0,
+                train_accuracy=self._correct / self._seen if self._seen else 0.0,
+                hit_rate=float(np.mean(hit_rates)) if hit_rates else None,
+            )
+        )
+        self._epoch_start = epoch_end
+        for pl in pipelines:
             if pl.feature_store is not None:
                 pl.feature_store.end_epoch()
 
-    def collect_artifacts(self):
-        return collect_trainer_artifacts(
-            self.cluster, self.setup.pipelines, self.setup.accumulators
-        )
-
-
-# --------------------------------------------------------------------------- #
-# process-pool: machine-granularity worker processes over shared memory
-# --------------------------------------------------------------------------- #
-class _MirrorClock(SimClock):
-    """Parent-side stand-in for a worker-owned trainer clock.
-
-    Engine/policy advances (allreduce, stall, downtime) are applied locally
-    *and* recorded on :attr:`pending` for replay on the worker's real clock;
-    :meth:`adopt` takes over the worker-reported post-step time without
-    recording.  Both sides thereby perform the identical float-addition
-    sequence, which is what keeps clock totals and breakdowns bit-identical
-    to the inline backend.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.pending: List[Tuple[float, str]] = []
-
-    def advance(self, seconds: float, component: str = "other") -> float:
-        result = super().advance(seconds, component)
-        self.pending.append((float(seconds), str(component)))
-        return result
-
-    def adopt(self, timestamp: float) -> None:
-        """Adopt a worker-reported clock time (already advanced worker-side)."""
-        self.time = float(timestamp)
-
-
-@EXECUTION_BACKENDS.register("process-pool", aliases=("pool", "mp"))
-class ProcessPoolExecutionBackend(ExecutionBackend):
-    """Step trainers in parallel worker processes, bit-identical to inline.
-
-    Workers are allocated whole machines (contiguous split); requesting more
-    workers than machines clamps to one worker per machine.  The default
-    start method is ``fork`` where available (cheapest), falling back to
-    ``spawn``; ``start_method`` forces one, and the pickle-safe
-    :class:`TrainerTask` spec is what makes ``spawn`` work everywhere.
-    """
-
-    name = "process-pool"
-
-    def __init__(
+    def finish(
         self,
-        cluster: SimCluster,
-        train_config: TrainConfig,
-        workers: Optional[int] = None,
-        start_method: Optional[str] = None,
-    ):
-        num_machines = cluster.config.num_machines
-        if workers is None:
-            workers = num_machines
-        workers = int(workers)
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self.workers = min(workers, num_machines)
-        self.cluster = cluster
-        self.config = train_config
-        self.start_method = start_method
-        self.setup = None
-        self._conns: List[object] = []
-        self._procs: List[object] = []
-        self._op_queues: List[List[tuple]] = []
-        self._worker_ranks: List[Tuple[int, ...]] = []
-        self._rank_worker: Dict[int, int] = {}
-        self._mirrors: Dict[int, _MirrorClock] = {}
-        self._saved_clocks: Dict[int, SimClock] = {}
-        self._shadow: List[ComponentAccumulator] = []
-        self._tmpdir: Optional[str] = None
+        scenario: Optional[str],
+        sync_extras: Optional[List[Dict[str, float]]] = None,
+        engine: Optional[str] = None,
+        sync: Optional[str] = None,
+    ) -> ClusterReport:
+        """Assemble the run's report and per-trainer telemetry roll-up.
 
-    # ------------------------------------------------------------------ #
-    # Setup / teardown
-    # ------------------------------------------------------------------ #
-    def _resolved_start_method(self) -> str:
-        if self.start_method is not None:
-            return self.start_method
-        return "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-
-    def prepare(self, pipeline, prefetch_config, eviction_policy, cache_config):
-        from repro.training.cluster_engine import ClusterRunSetup
-
-        if not isinstance(pipeline, str):
-            raise ValueError(
-                "the process-pool backend needs a registry pipeline name; "
-                "a callable builder cannot cross process boundaries "
-                "(use the inline backend for custom builders)"
-            )
-        if eviction_policy is not None:
-            raise ValueError(
-                "the process-pool backend cannot ship a live eviction-policy "
-                "object to workers; select the policy by name through "
-                "PrefetchConfig, or use the inline backend"
-            )
-        mode = PIPELINES.resolve(pipeline)
-        wall_start = time.perf_counter()
-        cluster, config = self.cluster, self.config
-        cluster.reset()
-        model = build_model(
-            config.arch,
-            in_dim=cluster.dataset.feature_dim,
-            hidden_dim=config.hidden_dim,
-            num_classes=cluster.dataset.num_classes,
-            num_layers=config.num_layers,
-            num_heads=config.num_heads,
-            seed=derive_seed(config.seed, 401),
+        ``sync_extras``/``engine``/``sync`` are the event-driven engine's
+        provenance; lockstep reports leave them unset.
+        """
+        setup = self.setup
+        artifacts = collect_trainer_artifacts(self.cluster, setup.pipelines, setup.accumulators)
+        report = assemble_training_report(
+            mode=setup.mode,
+            cluster=self.cluster,
+            train_config=self.config,
+            artifacts=artifacts,
+            epoch_records=self.epoch_records,
+            init_reports=setup.init_reports,
+            total_minibatches=self.total_minibatches,
+            wall_clock_s=time.perf_counter() - setup.wall_start,
+            model=setup.model,
+            prefetch_config=self.prefetch_config,
         )
-        optimizer = build_optimizer(
-            config.optimizer, lr=config.learning_rate, weight_decay=config.weight_decay
+        trainer_stats = collect_trainer_stats(
+            self.cluster, artifacts, self.trainer_steps, self.barrier_waits, sync_extras
         )
-
-        # One memmap export shared by every worker (read-only pages).
-        self._tmpdir = tempfile.mkdtemp(prefix="repro-pool-")
-        payloads = {
-            part_id: store.shared_arrays()
-            for part_id, store in cluster.servers.items()
-        }
-        handle = export_shared_dataset(
-            cluster.dataset, cluster.partition_result, payloads, self._tmpdir
+        store_summary = merge_store_summaries(
+            a.store_summary for a in artifacts if a.store_summary is not None
         )
-
-        ctx = mp.get_context(self._resolved_start_method())
-        tpm = cluster.config.trainers_per_machine
-        chunks = np.array_split(np.arange(cluster.config.num_machines), self.workers)
-        for w, chunk in enumerate(chunks):
-            machines = tuple(int(m) for m in chunk)
-            ranks = tuple(
-                r for m in machines for r in range(m * tpm, (m + 1) * tpm)
-            )
-            task = TrainerTask(
-                worker_index=w,
-                num_workers=self.workers,
-                machines=machines,
-                ranks=ranks,
-                cluster_config=cluster.config,
-                train_config=config,
-                pipeline=mode,
-                prefetch_config=prefetch_config,
-                cache_config=cache_config,
-                cost_model=cluster.cost_model,
-                dataset=handle,
-                worker_seed=spawn_worker_seed(cluster.config.seed, w),
-            )
-            parent_conn, child_conn = ctx.Pipe()
-            proc = ctx.Process(target=_worker_main, args=(child_conn, task), daemon=True)
-            proc.start()
-            child_conn.close()
-            self._conns.append(parent_conn)
-            self._procs.append(proc)
-            self._op_queues.append([])
-            self._worker_ranks.append(ranks)
-            for rank in ranks:
-                self._rank_worker[rank] = w
-
-        # Collect per-trainer init results (pipelines are built worker-side
-        # only — that is where the setup wall-clock parallelism comes from).
-        init_entries: Dict[int, Tuple[Optional[dict], float]] = {}
-        for w in range(self.workers):
-            for rank, init_report, clock_time in self._recv(w):
-                init_entries[rank] = (init_report, clock_time)
-
-        # Install mirror clocks over the (freshly reset) real clocks.
-        for trainer in cluster.trainers:
-            mirror = _MirrorClock()
-            report, clock_time = init_entries[trainer.global_rank]
-            mirror.adopt(clock_time)
-            self._saved_clocks[trainer.global_rank] = trainer.clock
-            trainer.clock = mirror
-            self._mirrors[trainer.global_rank] = mirror
-        init_reports = [
-            dict(init_entries[t.global_rank][0])
-            for t in cluster.trainers
-            if init_entries[t.global_rank][0] is not None
-        ]
-
-        self._shadow = [ComponentAccumulator() for _ in cluster.trainers]
-        self.setup = ClusterRunSetup(
-            model=model,
-            optimizer=optimizer,
-            num_params=model.num_parameters(),
-            cost_models=[],
-            pipelines=[],
-            mode=mode,
-            init_reports=init_reports,
-            accumulators=self._shadow,
-            wall_start=wall_start,
+        return ClusterReport(
+            report=report,
+            trainer_stats=trainer_stats,
+            scenario=scenario,
+            store_summary=store_summary,
+            engine=engine,
+            sync=sync,
         )
-        return self.setup
-
-    def close(self) -> None:
-        for w, conn in enumerate(self._conns):
-            try:
-                conn.send(("shutdown", self._drain_ops(w)))
-            except (BrokenPipeError, OSError):
-                pass
-        for proc in self._procs:
-            proc.join(timeout=30)
-            if proc.is_alive():  # pragma: no cover - defensive teardown
-                proc.terminate()
-                proc.join(timeout=5)
-        for conn in self._conns:
-            conn.close()
-        self._conns, self._procs, self._op_queues = [], [], []
-        for rank, clock in self._saved_clocks.items():
-            self.cluster.trainers[rank].clock = clock
-        self._saved_clocks, self._mirrors = {}, {}
-        if self._tmpdir is not None:
-            shutil.rmtree(self._tmpdir, ignore_errors=True)
-            self._tmpdir = None
-
-    def describe(self) -> str:
-        return f"{self.name}({self.workers} workers)"
-
-    # ------------------------------------------------------------------ #
-    # Parent <-> worker plumbing
-    # ------------------------------------------------------------------ #
-    def _drain_ops(self, w: int) -> List[tuple]:
-        """Queued ops plus any pending mirror-clock advances for worker *w*."""
-        ops = self._op_queues[w]
-        self._op_queues[w] = []
-        for rank in self._worker_ranks[w]:
-            mirror = self._mirrors.get(rank)
-            if mirror is not None and mirror.pending:
-                ops.append(("clock", rank, mirror.pending))
-                mirror.pending = []
-        return ops
-
-    def _send(self, w: int, kind: str, *payload: object) -> None:
-        self._conns[w].send((kind, self._drain_ops(w)) + payload)
-
-    def _recv(self, w: int):
-        try:
-            reply = self._conns[w].recv()
-        except EOFError:
-            raise RuntimeError(f"execution worker {w} exited unexpectedly") from None
-        if reply[0] == "error":
-            raise RuntimeError(f"execution worker {w} failed:\n{reply[1]}")
-        return reply[1]
-
-    # ------------------------------------------------------------------ #
-    # Engine-facing operations
-    # ------------------------------------------------------------------ #
-    def begin_epoch(self) -> None:
-        for w in range(self.workers):
-            self._send(w, "begin-epoch")
-        for w in range(self.workers):
-            self._recv(w)
-
-    def run_steps(self, requests, *, begin_step_all=None, before_step=None,
-                  on_outcome=None, on_exhausted=None):
-        if begin_step_all is not None:
-            self._run_fused(list(requests), begin_step_all, on_outcome, on_exhausted)
-        else:
-            self._run_two_phase(list(requests), before_step, on_outcome, on_exhausted)
-
-    def _run_fused(self, requests, round_id, on_outcome, on_exhausted):
-        """Lockstep round: one message per worker, exhaustion has no parent
-        side effects until the serial merge below."""
-        by_worker: Dict[int, List[int]] = {}
-        for rank, _ in requests:
-            by_worker.setdefault(self._rank_worker[rank], []).append(rank)
-        # Every worker opens the round's RPC windows, active ranks or not
-        # (matching the inline loop over all trainers).
-        for w in range(self.workers):
-            self._send(w, "step", by_worker.get(w, []), round_id)
-        outcomes: Dict[int, StepOutcome] = {}
-        exhausted: set = set()
-        for w in range(self.workers):
-            for item in self._recv(w):
-                if item[0] == "exhausted":
-                    exhausted.add(item[1])
-                else:
-                    outcomes[item[1].rank] = item[1]
-        for rank, _ in requests:
-            if rank in exhausted:
-                if on_exhausted is not None:
-                    on_exhausted(rank)
-                continue
-            out = outcomes[rank]
-            self._mirrors[rank].adopt(out.clock_time)
-            if on_outcome is not None:
-                on_outcome(out)
-
-    def _run_two_phase(self, requests, before_step, on_outcome, on_exhausted):
-        """Async batch: prepare (reveals exhaustion, model-independent), then
-        walk ranks serially, firing exhaustion callbacks at their serial
-        points and computing the contiguous survivor groups in parallel."""
-        by_worker: Dict[int, List[StepRequest]] = {}
-        for rank, round_id in requests:
-            by_worker.setdefault(self._rank_worker[rank], []).append((rank, round_id))
-        for w in sorted(by_worker):
-            self._send(w, "prepare", by_worker[w])
-        exhausted: set = set()
-        for w in sorted(by_worker):
-            for rank, is_exhausted in self._recv(w):
-                if is_exhausted:
-                    exhausted.add(rank)
-        group: List[int] = []
-        for rank, _ in requests:
-            if rank in exhausted:
-                # Flush the survivors computed *before* this rank, then fire
-                # the exhaustion at its serial position (its callbacks may
-                # apply gradients — queued as ops for the next dispatch).
-                self._dispatch_compute(group, before_step, on_outcome)
-                group = []
-                if on_exhausted is not None:
-                    on_exhausted(rank)
-            else:
-                group.append(rank)
-        self._dispatch_compute(group, before_step, on_outcome)
-
-    def _dispatch_compute(self, ranks, before_step, on_outcome):
-        if not ranks:
-            return
-        if before_step is not None:
-            for rank in ranks:
-                before_step(rank)
-        by_worker: Dict[int, List[int]] = {}
-        for rank in ranks:
-            by_worker.setdefault(self._rank_worker[rank], []).append(rank)
-        for w in sorted(by_worker):
-            self._send(w, "compute", by_worker[w])
-        outcomes: Dict[int, StepOutcome] = {}
-        for w in sorted(by_worker):
-            for out in self._recv(w):
-                outcomes[out.rank] = out
-        for rank in ranks:
-            out = outcomes[rank]
-            self._mirrors[rank].adopt(out.clock_time)
-            if on_outcome is not None:
-                on_outcome(out)
-
-    def apply_update(self, averaged) -> bool:
-        changed = apply_averaged_gradients(self.setup.optimizer, self.setup.model, averaged)
-        for queue in self._op_queues:
-            queue.append(("apply", averaged))
-        return changed
-
-    def epoch_hit_rates(self):
-        for w in range(self.workers):
-            self._send(w, "hit-rates")
-        rates: Dict[int, Optional[float]] = {}
-        for w in range(self.workers):
-            rates.update(self._recv(w))
-        return [rates[t.global_rank] for t in self.cluster.trainers]
-
-    def end_epoch(self) -> None:
-        for w in range(self.workers):
-            self._send(w, "end-epoch")
-        for w in range(self.workers):
-            self._recv(w)
-
-    def collect_artifacts(self):
-        for w in range(self.workers):
-            self._send(w, "collect")
-        collected: Dict[int, TrainerArtifacts] = {}
-        for w in range(self.workers):
-            for art in self._recv(w):
-                collected[art.global_rank] = art
-        out: List[TrainerArtifacts] = []
-        for i, trainer in enumerate(self.cluster.trainers):
-            art = collected[trainer.global_rank]
-            # Sync-point allreduce charges were accumulated parent-side (the
-            # worker's per-step timings carry allreduce=0.0, so the totals
-            # partition exactly): graft the shadow total onto the artifact.
-            art.accumulator.totals["allreduce"] = self._shadow[i].totals["allreduce"]
-            out.append(art)
-        return out
-
-
-# --------------------------------------------------------------------------- #
-# Worker process
-# --------------------------------------------------------------------------- #
-class _WorkerState:
-    """One pool worker's live objects: its machines' trainers and pipelines."""
-
-    def __init__(self, task: TrainerTask):
-        # Per-worker RNG hygiene: reseed the global stream via
-        # SeedSequence.spawn so fork-started workers never share library
-        # randomness.  Nothing on the deterministic path consumes it.
-        np.random.seed(task.worker_seed % (2**32))
-        dataset, partition_result, server_rows = load_shared_dataset(task.dataset)
-        self.task = task
-        config = task.train_config
-        self.cluster = SimCluster(
-            dataset,
-            task.cluster_config,
-            cost_model=task.cost_model,
-            partition_result=partition_result,
-            server_rows=server_rows,
-        )
-        self.cluster.reset()
-        self.model = build_model(
-            config.arch,
-            in_dim=dataset.feature_dim,
-            hidden_dim=config.hidden_dim,
-            num_classes=dataset.num_classes,
-            num_layers=config.num_layers,
-            num_heads=config.num_heads,
-            seed=derive_seed(config.seed, 401),
-        )
-        self.optimizer = build_optimizer(
-            config.optimizer, lr=config.learning_rate, weight_decay=config.weight_decay
-        )
-        builder = PIPELINES.get(task.pipeline)
-        builder_kwargs = {
-            "prefetch_config": task.prefetch_config,
-            "eviction_policy": None,
-        }
-        if task.cache_config is not None:
-            builder_kwargs["cache_config"] = task.cache_config
-        self.ranks = list(task.ranks)
-        self.pipelines: Dict[int, object] = {}
-        self.cost_models: Dict[int, CostModel] = {}
-        self.accumulators = {r: ComponentAccumulator() for r in self.ranks}
-        self.steps = {r: 0 for r in self.ranks}
-        self.iterators: Dict[int, object] = {}
-        self.prepared: Dict[int, object] = {}
-        self.init_payload: List[Tuple[int, Optional[dict], float]] = []
-        # Build pipelines for owned ranks only, in rank order; per-trainer
-        # derived seeds make each build independent of the other trainers.
-        for rank in self.ranks:
-            trainer = self.cluster.trainers[rank]
-            pl = builder(trainer, self.cluster, **builder_kwargs)
-            self.pipelines[rank] = pl
-            self.cost_models[rank] = self.cluster.cost_model_for_machine(trainer.machine)
-            init_report = None
-            if pl.init_report is not None:
-                trainer.clock.advance(pl.init_time_s, "init")
-                init_report = dict(pl.init_report)
-            self.init_payload.append((rank, init_report, trainer.clock.time))
-
-    # ------------------------------------------------------------------ #
-    def apply_ops(self, ops: List[tuple]) -> None:
-        """Replay parent-side ops: mirror-clock advances and model updates."""
-        for op in ops:
-            if op[0] == "clock":
-                clock = self.cluster.trainers[op[1]].clock
-                for amount, component in op[2]:
-                    clock.advance(amount, component)
-            elif op[0] == "apply":
-                apply_averaged_gradients(self.optimizer, self.model, op[1])
-
-    def begin_epoch(self) -> None:
-        self.iterators = {r: iter(self.pipelines[r].epoch()) for r in self.ranks}
-        self.prepared = {}
-
-    def fused(self, ranks: List[int], round_id: int) -> List[tuple]:
-        """One lockstep round over this worker's active ranks."""
-        for rank in self.ranks:
-            self.cluster.trainers[rank].rpc.begin_step(round_id)
-        items: List[tuple] = []
-        for rank in ranks:
-            try:
-                batch = next(self.iterators[rank])
-            except StopIteration:
-                items.append(("exhausted", rank))
-                continue
-            items.append(("outcome", self._step(rank, batch)))
-        return items
-
-    def prepare(self, reqs: List[StepRequest]) -> List[Tuple[int, bool]]:
-        """Phase one of an async batch: window + iterator advance per rank."""
-        statuses: List[Tuple[int, bool]] = []
-        for rank, round_id in reqs:
-            self.cluster.trainers[rank].rpc.begin_step(round_id)
-            try:
-                self.prepared[rank] = next(self.iterators[rank])
-                statuses.append((rank, False))
-            except StopIteration:
-                statuses.append((rank, True))
-        return statuses
-
-    def compute(self, ranks: List[int]) -> List[StepOutcome]:
-        """Phase two: run the prepared batches (model is current via ops)."""
-        return [self._step(rank, self.prepared.pop(rank)) for rank in ranks]
-
-    def _step(self, rank: int, batch: object) -> StepOutcome:
-        trainer = self.cluster.trainers[rank]
-        timing, loss, n_correct, n_seen, grads = train_step(
-            self.cost_models[rank],
-            trainer,
-            batch,
-            self.model,
-            self.pipelines[rank].timing,
-            self.steps[rank],
-        )
-        self.steps[rank] += 1
-        self.accumulators[rank].add(timing)
-        return StepOutcome(
-            rank=rank,
-            loss=loss,
-            n_correct=n_correct,
-            n_seen=n_seen,
-            grads=grads,
-            critical_path=timing.critical_path,
-            clock_time=trainer.clock.time,
-        )
-
-    def hit_rates(self) -> Dict[int, Optional[float]]:
-        return {r: self.pipelines[r].hit_rate for r in self.ranks}
-
-    def end_epoch(self) -> None:
-        for rank in self.ranks:
-            store = self.pipelines[rank].feature_store
-            if store is not None:
-                store.end_epoch()
-
-    def collect(self) -> List[TrainerArtifacts]:
-        return [
-            trainer_artifacts(
-                self.cluster.trainers[r], self.pipelines[r], self.accumulators[r]
-            )
-            for r in self.ranks
-        ]
-
-
-def _worker_main(conn, task: TrainerTask) -> None:
-    """Pool worker entry point: message loop over the parent pipe."""
-    try:
-        state = _WorkerState(task)
-        conn.send(("ready", state.init_payload))
-    except Exception:  # noqa: BLE001 - full traceback forwarded to parent
-        conn.send(("error", traceback.format_exc()))
-        return
-    while True:
-        try:
-            msg = conn.recv()
-        except EOFError:
-            return
-        kind, ops = msg[0], msg[1]
-        try:
-            state.apply_ops(ops)
-            if kind == "shutdown":
-                return
-            if kind == "begin-epoch":
-                state.begin_epoch()
-                conn.send(("ok", None))
-            elif kind == "step":
-                conn.send(("ok", state.fused(msg[2], msg[3])))
-            elif kind == "prepare":
-                conn.send(("ok", state.prepare(msg[2])))
-            elif kind == "compute":
-                conn.send(("ok", state.compute(msg[2])))
-            elif kind == "hit-rates":
-                conn.send(("ok", state.hit_rates()))
-            elif kind == "end-epoch":
-                state.end_epoch()
-                conn.send(("ok", None))
-            elif kind == "collect":
-                conn.send(("ok", state.collect()))
-            else:
-                conn.send(("error", f"unknown execution-backend message {kind!r}"))
-                return
-        except Exception:  # noqa: BLE001 - full traceback forwarded to parent
-            conn.send(("error", traceback.format_exc()))
-            return
-
-
-def build_execution_backend(
-    name: str,
-    cluster: SimCluster,
-    train_config: TrainConfig,
-    workers: Optional[int] = None,
-    **kwargs,
-) -> ExecutionBackend:
-    """Build a registered execution backend by name (see :data:`EXECUTION_BACKENDS`)."""
-    return EXECUTION_BACKENDS.build(name, cluster, train_config, workers=workers, **kwargs)

@@ -16,9 +16,9 @@ restore, asserted by the acceptance tests — and the per-trainer
 (simulated clock, sampler RNG stream, seed iterator cursor) that a real
 deployment would have to ship to a replacement process.
 
-All artifacts pickle cleanly (audited in ``tests/test_pickle_audit.py``) so
-the process-pool backend can move them across workers, and compare equal
-after a round trip via numpy-aware ``__eq__``.
+All artifacts pickle cleanly (audited in ``tests/test_pickle_audit.py``), as
+a replacement process would need, and compare equal after a round trip via
+numpy-aware ``__eq__``.
 """
 
 from __future__ import annotations

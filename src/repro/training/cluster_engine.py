@@ -1,17 +1,18 @@
 """Cluster-scale pipeline execution: every trainer runs its own pipeline.
 
-:class:`ClusterEngine` is the multi-machine counterpart of
-:class:`~repro.training.engine.TrainingEngine`: it instantiates one registered
+:class:`ClusterEngine` instantiates one registered
 :class:`~repro.sampling.pipeline.MiniBatchPipeline` per
 :class:`~repro.distributed.cluster.TrainerContext` — each trainer with its own
 :class:`~repro.features.store.FeatureStore`, RNG streams, and
 :class:`~repro.distributed.clock.SimClock` — and steps them epoch-by-epoch
 with synchronous :func:`~repro.distributed.ddp.allreduce_gradients` barriers.
 Allreduce cost and straggler wait both go through the cost model, so
-per-trainer and critical-path simulated times come out of the same Eq. 2 /
-Eqs. 3–5 timing policies the single-run engine uses.
+per-trainer and critical-path simulated times come out of the Eq. 2 /
+Eqs. 3–5 timing policies of the pipelines.  It is the loop behind
+:meth:`TrainingEngine.run_pipeline <repro.training.engine.TrainingEngine.run_pipeline>`
+too, which returns the embedded :class:`TrainingReport`.
 
-What it adds over ``TrainingEngine``:
+What a :class:`ClusterReport` carries beyond that report:
 
 * **heterogeneity** — each machine charges compute through its own cost model
   (:meth:`SimCluster.cost_model_for_machine`), so ``compute_multipliers`` in
@@ -25,11 +26,10 @@ What it adds over ``TrainingEngine``:
   rates, RPC bytes) consumed by ``bench_cluster_scaling`` and the CLI's
   ``run --cluster`` command.
 
-The loop is deliberately an independent implementation of the engine's epoch
-semantics (sharing only :func:`~repro.training.engine.train_step` and the
-report assembly): the differential tests in ``tests/test_cluster_engine.py``
-prove that on a homogeneous cluster it reproduces ``run_pipeline`` numerics
-bit-for-bit, which is what makes the scenario extensions trustworthy.
+The run state itself (setup, step, barrier charge, report assembly) is
+:class:`~repro.training.backends.ClusterRun`, shared with the event-driven
+:class:`~repro.training.async_engine.AsyncClusterEngine`; this module holds
+the lockstep driver, the report types and the setup/roll-up helpers.
 """
 
 from __future__ import annotations
@@ -50,14 +50,10 @@ from repro.nn import build_model, build_optimizer
 from repro.sampling.pipeline import MiniBatchPipeline
 from repro.training.artifacts import TrainerArtifacts
 from repro.training.config import TrainConfig
-from repro.training.engine import (
-    PipelineBuilder,
-    assemble_training_report,
-)
+from repro.training.engine import PipelineBuilder
 from repro.training.pipelines import PIPELINES
 from repro.training.telemetry import (
     ComponentAccumulator,
-    EpochRecord,
     TrainingReport,
     percentile_summary,
 )
@@ -286,17 +282,13 @@ class ClusterReport:
 
 
 # --------------------------------------------------------------------------- #
-# Shared run machinery
-#
-# The lockstep ClusterEngine and the event-driven AsyncClusterEngine
-# (repro.training.async_engine) build identical run state and collect
-# identical per-trainer telemetry; keeping the code here as module-level
-# helpers is what lets the async engine's allreduce-barrier mode stay
-# bit-identical to the lockstep loop (tests/test_async_engine.py).
+# Setup and roll-up helpers of repro.training.backends.ClusterRun (the
+# serving engine builds its model and pipelines through prepare_cluster_run
+# too, so the three engines cannot seed or charge initialization differently).
 # --------------------------------------------------------------------------- #
 @dataclass
 class ClusterRunSetup:
-    """Everything both cluster engines build before their first step/event."""
+    """Everything an engine builds before its first step/event."""
 
     model: object
     optimizer: object
@@ -319,9 +311,10 @@ def prepare_cluster_run(
 ) -> ClusterRunSetup:
     """Reset the cluster and build model/optimizer/pipelines for one run.
 
-    Mirrors the single-run engine's setup exactly (same derive_seed salts,
-    same init-cost charging order), which is what the differential tests on
-    both cluster engines rely on.
+    ``pipeline`` is a :data:`~repro.training.pipelines.PIPELINES` name or a
+    builder callable; sources that prefetch at init (the one-time RPC of
+    Algorithm 1) charge that cost to the trainer clock before the first
+    minibatch.
     """
     if isinstance(pipeline, str):
         name: Optional[str] = PIPELINES.resolve(pipeline)
@@ -348,7 +341,7 @@ def prepare_cluster_run(
     trainers = cluster.trainers
     # Heterogeneity: compute is charged through the owning machine's cost
     # model; with all multipliers at 1.0 these are value-identical to the
-    # shared model, which is what keeps the differential tests exact.
+    # shared model.
     cost_models = [cluster.cost_model_for_machine(t.machine) for t in trainers]
 
     builder_kwargs = {
@@ -389,9 +382,8 @@ def collect_trainer_stats(
 ) -> List[TrainerRunStats]:
     """Per-trainer telemetry roll-up shared by both cluster engines.
 
-    Consumes :class:`~repro.training.artifacts.TrainerArtifacts` snapshots so
-    the roll-up is identical whether trainers ran inline or in worker
-    processes (the snapshots are the execution-backend boundary).
+    Consumes the same :class:`~repro.training.artifacts.TrainerArtifacts`
+    snapshots report assembly reads, so the two views of a run agree.
     """
     stats: List[TrainerRunStats] = []
     for i, art in enumerate(artifacts):
@@ -426,22 +418,13 @@ def merged_store_summary(pipelines: List[MiniBatchPipeline]) -> Dict[str, float]
     )
 
 
-def merged_store_summary_from_artifacts(
-    artifacts: List[TrainerArtifacts],
-) -> Dict[str, float]:
-    """Cluster-wide feature-store summary from per-trainer artifact snapshots."""
-    return merge_store_summaries(
-        art.store_summary for art in artifacts if art.store_summary is not None
-    )
-
-
 class ClusterEngine:
-    """Run one minibatch pipeline per trainer across a simulated cluster.
+    """Run one minibatch pipeline per trainer in lockstep allreduce rounds.
 
-    ``execution_backend`` selects where trainer steps run
-    (:data:`~repro.training.backends.EXECUTION_BACKENDS`): ``inline`` keeps
-    the historical in-process loop, ``process-pool`` fans machines out to
-    ``workers`` parallel processes with bit-identical reports.
+    The driver only decides the order of steps — every active trainer once
+    per round, in rank order, then one barrier; setup, the step itself, the
+    barrier charge and report assembly are
+    :class:`~repro.training.backends.ClusterRun`'s.
     """
 
     def __init__(
@@ -449,18 +432,10 @@ class ClusterEngine:
         cluster: SimCluster,
         train_config: TrainConfig,
         scenario: Optional[str] = None,
-        execution_backend: str = "inline",
-        workers: Optional[int] = None,
     ):
-        from repro.training.backends import EXECUTION_BACKENDS
-
         self.cluster = cluster
         self.config = train_config
-        self.cost_model = cluster.cost_model
-        self.dataset = cluster.dataset
         self.scenario = scenario
-        self.execution_backend = EXECUTION_BACKENDS.resolve(execution_backend)
-        self.workers = workers
         cluster.validate_seed_coverage()
 
     # ------------------------------------------------------------------ #
@@ -473,151 +448,53 @@ class ClusterEngine:
     ) -> ClusterReport:
         """Train the cluster with one *pipeline* instance per trainer.
 
-        Same contract as :meth:`TrainingEngine.run_pipeline`, but returns a
-        :class:`ClusterReport` whose embedded :class:`TrainingReport` is
-        bit-identical to the single-run engine's on a homogeneous cluster.
+        ``pipeline`` is either a name registered in
+        :data:`repro.training.pipelines.PIPELINES` or a builder callable with
+        the same ``(trainer, cluster, prefetch_config=..., eviction_policy=...)``
+        signature returning one :class:`MiniBatchPipeline` per trainer.
         ``cache_config`` parameterizes the tiered cache sources and is only
         forwarded when set, so custom builders with the historical signature
         keep working.
         """
-        from repro.training.backends import EXECUTION_BACKENDS, StepOutcome
+        # Lazy: backends imports this module's report types and setup helpers.
+        from repro.training.backends import ClusterRun
 
-        cluster, config = self.cluster, self.config
-        backend = EXECUTION_BACKENDS.build(
-            self.execution_backend, cluster, config, workers=self.workers
+        config = self.config
+        run = ClusterRun(
+            self.cluster, config, pipeline, prefetch_config, eviction_policy, cache_config
         )
-        try:
-            setup = backend.prepare(pipeline, prefetch_config, eviction_policy, cache_config)
-            model = setup.model
-            num_params = setup.num_params
-            mode = setup.mode
-            trainers = cluster.trainers
-            world = len(trainers)
-
-            accumulators = setup.accumulators
-            trainer_steps = [0] * world
-            barrier_waits = [0.0] * world
-            total_minibatches = 0
-            global_step = 0  # monotone step id driving RPC coalescing windows
-            epoch_records: List[EpochRecord] = []
-            previous_epoch_end = max(t.clock.time for t in trainers) if trainers else 0.0
-
-            for epoch in range(config.epochs):
-                backend.begin_epoch()
-                active = [True] * world
-                losses: List[float] = []
-                correct = 0
-                seen = 0
-                steps_this_epoch = 0
-
-                while any(active):
-                    if (
-                        config.max_steps_per_epoch is not None
-                        and steps_this_epoch >= config.max_steps_per_epoch
-                    ):
-                        break
-                    requests = [(i, global_step) for i in range(world) if active[i]]
-                    step_grads: List[Dict[str, np.ndarray]] = []
-                    participated: List[int] = []
-
-                    def on_outcome(out: StepOutcome) -> None:
-                        nonlocal total_minibatches, correct, seen
-                        trainer_steps[out.rank] += 1
-                        total_minibatches += 1
-                        losses.append(out.loss)
-                        correct += out.n_correct
-                        seen += out.n_seen
-                        step_grads.append(out.grads)
-                        participated.append(out.rank)
-
-                    def on_exhausted(rank: int) -> None:
+        world = len(self.cluster.trainers)
+        round_id = 0  # monotone across epochs; drives the RPC coalescing windows
+        for _ in range(config.epochs):
+            run.begin_epoch()
+            active = [True] * world
+            rounds = 0
+            while any(active) and (
+                config.max_steps_per_epoch is None or rounds < config.max_steps_per_epoch
+            ):
+                step_grads: List[Dict[str, np.ndarray]] = []
+                participated: List[int] = []
+                for rank in range(world):
+                    if not active[rank]:
+                        continue
+                    result = run.step(rank, round_id)
+                    if result is None:
                         active[rank] = False
-
-                    # One fused round: every trainer's RPC coalescing window
-                    # opens for the step (no-op on per-call channels), then
-                    # the active trainers step in rank order.
-                    backend.run_steps(
-                        requests,
-                        begin_step_all=global_step,
-                        on_outcome=on_outcome,
-                        on_exhausted=on_exhausted,
-                    )
-                    global_step += 1
-
-                    if not step_grads:
-                        break
-                    averaged = allreduce_gradients(step_grads)
-                    self._allreduce_barrier(
-                        participated, accumulators, barrier_waits, num_params
-                    )
-                    backend.apply_update(averaged)
-                    steps_this_epoch += 1
-
-                epoch_end = max(t.clock.time for t in trainers) if trainers else 0.0
-                hit_rates = [h for h in backend.epoch_hit_rates() if h is not None]
-                epoch_records.append(
-                    EpochRecord(
-                        epoch=epoch,
-                        simulated_time_s=epoch_end - previous_epoch_end,
-                        loss=float(np.mean(losses)) if losses else 0.0,
-                        train_accuracy=correct / seen if seen else 0.0,
-                        hit_rate=float(np.mean(hit_rates)) if hit_rates else None,
-                    )
-                )
-                previous_epoch_end = epoch_end
-                backend.end_epoch()
-
-            artifacts = backend.collect_artifacts()
-            report = assemble_training_report(
-                mode=mode,
-                cluster=cluster,
-                train_config=config,
-                artifacts=artifacts,
-                epoch_records=epoch_records,
-                init_reports=setup.init_reports,
-                total_minibatches=total_minibatches,
-                wall_clock_s=time.perf_counter() - setup.wall_start,
-                model=model,
-                prefetch_config=prefetch_config,
-            )
-        finally:
-            backend.close()
-        self._final_model = model
-        return ClusterReport(
-            report=report,
-            trainer_stats=collect_trainer_stats(
-                cluster, artifacts, trainer_steps, barrier_waits
-            ),
-            scenario=self.scenario,
-            store_summary=merged_store_summary_from_artifacts(artifacts),
-        )
-
-    # ------------------------------------------------------------------ #
-    def _allreduce_barrier(
-        self,
-        participated: List[int],
-        accumulators: List[ComponentAccumulator],
-        barrier_waits: List[float],
-        num_params: int,
-    ) -> None:
-        """Charge allreduce cost, then hold every trainer at the barrier.
-
-        The wait each trainer spends for the step's straggler is measured
-        *before* the clocks are advanced, so barrier wait is separable from
-        the pipeline's own stalls while the clock totals stay identical to
-        :class:`TrainingEngine`'s accounting.
-        """
-        trainers = self.cluster.trainers
-        allreduce_t = self.cost_model.time_allreduce(num_params, len(trainers))
-        for i in participated:
-            trainers[i].clock.advance(allreduce_t, "allreduce")
-            accumulators[i].totals["allreduce"] += allreduce_t
-        latest = max(t.clock.time for t in trainers)
-        for i, trainer in enumerate(trainers):
-            wait = latest - trainer.clock.time
-            if wait > 0:
-                barrier_waits[i] += wait
-                trainer.clock.advance(wait, "stall")
+                        continue
+                    _, loss, n_correct, n_seen, grads = result
+                    run.record(loss, n_correct, n_seen)
+                    step_grads.append(grads)
+                    participated.append(rank)
+                round_id += 1
+                if not step_grads:
+                    break
+                averaged = allreduce_gradients(step_grads)
+                run.allreduce_barrier(participated)
+                run.apply_update(averaged)
+                rounds += 1
+            run.finish_epoch()
+        self._final_model = run.setup.model
+        return run.finish(self.scenario)
 
     # ------------------------------------------------------------------ #
     @property

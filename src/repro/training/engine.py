@@ -2,9 +2,11 @@
 
 The engine runs *pipelines*: every trainer gets a
 :class:`~repro.sampling.pipeline.MiniBatchPipeline` (seed → sample →
-fetch-feature → batch) and the engine's single loop consumes whatever the
-pipelines yield.  The two data paths the paper compares are just two named
-pipeline configurations (see :mod:`repro.training.pipelines`):
+fetch-feature → batch) and one loop — the lockstep
+:class:`~repro.training.cluster_engine.ClusterEngine`, which
+:class:`TrainingEngine` delegates to — consumes whatever the pipelines yield.
+The two data paths the paper compares are just two named pipeline
+configurations (see :mod:`repro.training.pipelines`):
 
 * **baseline** — the DistDGL path: halo features pulled over RPC every
   minibatch, accounted serially (Eq. 2);
@@ -27,23 +29,19 @@ the integration tests via :func:`repro.distributed.ddp.check_replicas_consistent
 
 from __future__ import annotations
 
-import time
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.core.config import PrefetchConfig
 from repro.core.eviction import EvictionPolicy
-from repro.distributed.clock import synchronize
 from repro.distributed.cluster import SimCluster, TrainerContext
-from repro.distributed.ddp import allreduce_gradients
 from repro.distributed.rpc import merge_rpc_stats
-from repro.nn import build_model, build_optimizer, cross_entropy
+from repro.nn import cross_entropy
 from repro.sampling.pipeline import MiniBatchPipeline, PipelineBatch
-from repro.training.artifacts import TrainerArtifacts, collect_trainer_artifacts
+from repro.training.artifacts import TrainerArtifacts
 from repro.training.config import TrainConfig
 from repro.training.evaluate import evaluate_accuracy
-from repro.training.pipelines import PIPELINES
 from repro.training.telemetry import (
     ComponentAccumulator,
     EpochRecord,
@@ -60,13 +58,7 @@ PipelineBuilder = Callable[..., MiniBatchPipeline]
 
 
 # --------------------------------------------------------------------------- #
-# Shared step / update / report machinery
-#
-# The single-run :class:`TrainingEngine` and the scenario-driven
-# :class:`~repro.training.cluster_engine.ClusterEngine` execute the same
-# per-trainer step and produce the same :class:`TrainingReport`; keeping these
-# as module functions is what lets the differential tests pin the two loops to
-# bit-identical numerics.
+# Step / update / report machinery of repro.training.backends.ClusterRun
 # --------------------------------------------------------------------------- #
 def train_step(
     cost_model,
@@ -149,12 +141,8 @@ def assemble_training_report(
 ) -> TrainingReport:
     """Assemble the :class:`TrainingReport` for one completed run.
 
-    Shared by :class:`TrainingEngine` and the cluster engines so both produce
-    reports with identical numerics from identical run state.  Per-trainer
-    state arrives as :class:`~repro.training.artifacts.TrainerArtifacts`
-    snapshots (in global-rank order) — plain data rather than live objects, so
-    the process-pool execution backend can ship the same inputs across a
-    process boundary and land on the same floats.
+    Per-trainer state arrives as :class:`~repro.training.artifacts.TrainerArtifacts`
+    snapshots (in global-rank order) — plain data rather than live objects.
     """
     config = train_config
     cost_model = cluster.cost_model
@@ -286,185 +274,25 @@ class TrainingEngine:
     ) -> TrainingReport:
         """Train with a named (or custom-built) minibatch pipeline.
 
-        ``pipeline`` is either a name registered in
-        :data:`repro.training.pipelines.PIPELINES` or a builder callable with
-        the same ``(trainer, cluster, prefetch_config=..., eviction_policy=...)``
-        signature returning one :class:`MiniBatchPipeline` per trainer.
-        ``cache_config`` parameterizes the tiered cache sources and is only
-        forwarded when set, so custom builders with the historical signature
-        keep working.
+        Same arguments as :meth:`ClusterEngine.run
+        <repro.training.cluster_engine.ClusterEngine.run>`, which runs the
+        loop; this returns the :class:`TrainingReport` embedded in its
+        :class:`~repro.training.cluster_engine.ClusterReport`.  Compute is
+        therefore charged per machine (``ClusterConfig.compute_multipliers``)
+        and the cluster's seed partitioning is validated up front.
         """
-        if isinstance(pipeline, str):
-            name: Optional[str] = PIPELINES.resolve(pipeline)
-            builder: PipelineBuilder = PIPELINES.get(pipeline)
-        else:
-            name = None
-            builder = pipeline
-        return self._run(
-            builder=builder,
-            pipeline_name=name,
+        # Lazy: cluster_engine imports this module's step/report machinery.
+        from repro.training.cluster_engine import ClusterEngine
+
+        engine = ClusterEngine(self.cluster, self.config)
+        report = engine.run(
+            pipeline,
             prefetch_config=prefetch_config,
             eviction_policy=eviction_policy,
             cache_config=cache_config,
-        )
-
-    # ------------------------------------------------------------------ #
-    # Main loop
-    # ------------------------------------------------------------------ #
-    def _run(
-        self,
-        builder: PipelineBuilder,
-        pipeline_name: Optional[str],
-        prefetch_config: Optional[PrefetchConfig],
-        eviction_policy: Optional[EvictionPolicy] = None,
-        cache_config: Optional["CacheConfig"] = None,
-    ) -> TrainingReport:
-        wall_start = time.perf_counter()
-        cluster, config = self.cluster, self.config
-        cluster.reset()
-
-        model = build_model(
-            config.arch,
-            in_dim=self.dataset.feature_dim,
-            hidden_dim=config.hidden_dim,
-            num_classes=self.dataset.num_classes,
-            num_layers=config.num_layers,
-            num_heads=config.num_heads,
-            seed=derive_seed(config.seed, 401),
-        )
-        optimizer = build_optimizer(
-            config.optimizer, lr=config.learning_rate, weight_decay=config.weight_decay
-        )
-        num_params = model.num_parameters()
-        trainers = cluster.trainers
-        world = len(trainers)
-
-        # Build one pipeline per trainer; sources that prefetch at init (the
-        # one-time RPC of Algorithm 1) charge that cost to the trainer clock
-        # before the first minibatch.  cache_config is only forwarded when
-        # set so custom builders with the historical signature keep working.
-        builder_kwargs = {
-            "prefetch_config": prefetch_config,
-            "eviction_policy": eviction_policy,
-        }
-        if cache_config is not None:
-            builder_kwargs["cache_config"] = cache_config
-        pipelines: List[MiniBatchPipeline] = [
-            builder(trainer, cluster, **builder_kwargs) for trainer in trainers
-        ]
-        mode = pipeline_name or (pipelines[0].name if pipelines else "pipeline")
-        init_reports: List[Dict[str, float]] = []
-        for trainer, pl in zip(trainers, pipelines):
-            if pl.init_report is not None:
-                trainer.clock.advance(pl.init_time_s, "init")
-                init_reports.append(dict(pl.init_report))
-
-        accumulators = [ComponentAccumulator() for _ in range(world)]
-        trainer_steps = [0] * world      # lifetime step counter per trainer (drives Δ and Eq. 4)
-        total_minibatches = 0
-        global_step = 0                  # monotone step id driving RPC coalescing windows
-        epoch_records: List[EpochRecord] = []
-        previous_epoch_end = max(t.clock.time for t in trainers) if trainers else 0.0
-
-        for epoch in range(config.epochs):
-            iterators = [iter(pl.epoch()) for pl in pipelines]
-            active = [True] * world
-            losses: List[float] = []
-            correct = 0
-            seen = 0
-            steps_this_epoch = 0
-
-            while any(active):
-                if (
-                    config.max_steps_per_epoch is not None
-                    and steps_this_epoch >= config.max_steps_per_epoch
-                ):
-                    break
-                # Open this step's RPC coalescing window (no-op on per-call
-                # channels); every trainer's fetches below share it.
-                for trainer in trainers:
-                    trainer.rpc.begin_step(global_step)
-                global_step += 1
-                step_grads: List[Dict[str, np.ndarray]] = []
-                participated: List[int] = []
-                for i, trainer in enumerate(trainers):
-                    if not active[i]:
-                        continue
-                    try:
-                        batch = next(iterators[i])
-                    except StopIteration:
-                        active[i] = False
-                        continue
-                    timing, loss, n_correct, n_seen, grads = self._train_step(
-                        trainer=trainer,
-                        batch=batch,
-                        model=model,
-                        timing_policy=pipelines[i].timing,
-                        trainer_step=trainer_steps[i],
-                    )
-                    trainer_steps[i] += 1
-                    total_minibatches += 1
-                    accumulators[i].add(timing)
-                    losses.append(loss)
-                    correct += n_correct
-                    seen += n_seen
-                    step_grads.append(grads)
-                    participated.append(i)
-
-                if not step_grads:
-                    break
-                averaged = allreduce_gradients(step_grads)
-                allreduce_t = self.cost_model.time_allreduce(num_params, world)
-                for i in participated:
-                    trainers[i].clock.advance(allreduce_t, "allreduce")
-                    accumulators[i].totals["allreduce"] += allreduce_t
-                synchronize([t.clock for t in trainers])
-                apply_averaged_gradients(optimizer, model, averaged)
-                steps_this_epoch += 1
-
-            epoch_end = max(t.clock.time for t in trainers) if trainers else 0.0
-            hit_rates = [pl.hit_rate for pl in pipelines if pl.hit_rate is not None]
-            epoch_records.append(
-                EpochRecord(
-                    epoch=epoch,
-                    simulated_time_s=epoch_end - previous_epoch_end,
-                    loss=float(np.mean(losses)) if losses else 0.0,
-                    train_accuracy=correct / seen if seen else 0.0,
-                    hit_rate=float(np.mean(hit_rates)) if hit_rates else None,
-                )
-            )
-            previous_epoch_end = epoch_end
-            for pl in pipelines:
-                if pl.feature_store is not None:
-                    pl.feature_store.end_epoch()
-
-        report = assemble_training_report(
-            mode=mode,
-            cluster=cluster,
-            train_config=config,
-            artifacts=collect_trainer_artifacts(cluster, pipelines, accumulators),
-            epoch_records=epoch_records,
-            init_reports=init_reports,
-            total_minibatches=total_minibatches,
-            wall_clock_s=time.perf_counter() - wall_start,
-            model=model,
-            prefetch_config=prefetch_config,
-        )
-        self._final_model = model
+        ).report
+        self._final_model = engine.final_model
         return report
-
-    # ------------------------------------------------------------------ #
-    # Per-trainer step
-    # ------------------------------------------------------------------ #
-    def _train_step(
-        self,
-        trainer: TrainerContext,
-        batch: PipelineBatch,
-        model,
-        timing_policy,
-        trainer_step: int,
-    ) -> Tuple[StepTiming, float, int, int, Dict[str, np.ndarray]]:
-        return train_step(self.cost_model, trainer, batch, model, timing_policy, trainer_step)
 
     # ------------------------------------------------------------------ #
     @property

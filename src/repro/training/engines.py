@@ -72,21 +72,6 @@ def _reject_serving(serving, engine: str) -> None:
         )
 
 
-def _reject_pool(execution_backend: str, workers: Optional[int], engine: str) -> None:
-    from repro.training.backends import EXECUTION_BACKENDS
-
-    if EXECUTION_BACKENDS.resolve(execution_backend) != "inline":
-        raise ValueError(
-            f"the {engine} engine only runs on the inline execution backend "
-            f"(got execution_backend={execution_backend!r})"
-        )
-    if workers is not None:
-        raise ValueError(
-            f"a worker count only applies to the process-pool execution "
-            f"backend (got workers={workers!r} with engine={engine!r})"
-        )
-
-
 @ENGINES.register("lockstep", aliases=("sync", "bsp"))
 def _build_lockstep(
     cluster: SimCluster,
@@ -99,8 +84,6 @@ def _build_lockstep(
     elastic: Optional[ElasticSpec] = None,
     serving: Optional["ServingSpec"] = None,
     record_events: bool = False,
-    execution_backend: str = "inline",
-    workers: Optional[int] = None,
 ) -> ClusterEngine:
     if SYNC_POLICIES.resolve(sync) != "allreduce-barrier":
         raise ValueError(
@@ -114,13 +97,7 @@ def _build_lockstep(
         )
     _reject_elastic(elastic, "lockstep")
     _reject_serving(serving, "lockstep")
-    return ClusterEngine(
-        cluster,
-        train_config,
-        scenario=scenario,
-        execution_backend=execution_backend,
-        workers=workers,
-    )
+    return ClusterEngine(cluster, train_config, scenario=scenario)
 
 
 @ENGINES.register("async", aliases=("event", "event-driven"))
@@ -135,8 +112,6 @@ def _build_async(
     elastic: Optional[ElasticSpec] = None,
     serving: Optional["ServingSpec"] = None,
     record_events: bool = False,
-    execution_backend: str = "inline",
-    workers: Optional[int] = None,
 ) -> AsyncClusterEngine:
     _reject_serving(serving, "async")
     return AsyncClusterEngine(
@@ -148,8 +123,6 @@ def _build_async(
         failures=failures,
         elastic=elastic,
         record_events=record_events,
-        execution_backend=execution_backend,
-        workers=workers,
     )
 
 
@@ -165,12 +138,9 @@ def _build_serving(
     elastic: Optional[ElasticSpec] = None,
     serving: Optional["ServingSpec"] = None,
     record_events: bool = False,
-    execution_backend: str = "inline",
-    workers: Optional[int] = None,
 ) -> "InferenceClusterEngine":
     from repro.serving.engine import InferenceClusterEngine
 
-    _reject_pool(execution_backend, workers, "serving")
     if serving is None:
         raise ValueError(
             "the serving engine needs a ServingSpec (scenario field 'serving' "

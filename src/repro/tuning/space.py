@@ -33,7 +33,6 @@ from repro.core.eviction import EVICTION_POLICIES
 from repro.distributed.rpc import RPC_CHANNELS
 from repro.events.sync import SYNC_POLICIES
 from repro.serving.arrivals import ARRIVALS
-from repro.training.backends import EXECUTION_BACKENDS
 from repro.training.engines import ENGINES
 from repro.utils.registry import Registry
 from repro.utils.rng import derive_seed
@@ -113,9 +112,6 @@ def _axes() -> Dict[str, AxisSpec]:
         AxisSpec("sync", "registry", "scenario", "sync", SYNC_POLICIES),
         AxisSpec("staleness", "int", "scenario", "staleness"),
         AxisSpec("sync_period", "int", "scenario", "sync_period"),
-        AxisSpec("execution_backend", "registry", "scenario", "execution_backend",
-                 EXECUTION_BACKENDS),
-        AxisSpec("workers", "int", "scenario", "workers"),
         AxisSpec("batch_size", "int", "scenario", "batch_size"),
         AxisSpec("epochs", "int", "scenario", "epochs"),
         AxisSpec("num_machines", "int", "scenario", "num_machines"),

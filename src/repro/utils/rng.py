@@ -56,23 +56,6 @@ def derive_seed(seed: SeedLike, *salts: Iterable[int]) -> int:
     return int(mixed.generate_state(1, dtype=np.uint64)[0] % (2**63 - 1))
 
 
-def spawn_worker_seed(seed: SeedLike, rank: int) -> int:
-    """Derive the seed for worker-process *rank* via ``SeedSequence.spawn``.
-
-    Spawned children are statistically independent by construction, unlike
-    ``seed + rank`` arithmetic where adjacent ranks land on adjacent states of
-    the same stream.  The derivation is keyed by rank: spawning ``rank + 1``
-    children and taking the last yields the same seed regardless of how many
-    workers exist in total, so a rank's stream is stable across pool sizes.
-    """
-    if rank < 0:
-        raise ValueError(f"rank must be non-negative, got {rank}")
-    base = 0 if seed is None else (seed if isinstance(seed, int) else 0)
-    seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(base)
-    child = seq.spawn(rank + 1)[rank]
-    return int(child.generate_state(1, dtype=np.uint64)[0] % (2**63 - 1))
-
-
 def optional_shuffle(
     array: np.ndarray, rng: Optional[np.random.Generator], inplace: bool = False
 ) -> np.ndarray:

@@ -1,12 +1,13 @@
-"""Differential tests pinning the ClusterEngine to TrainingEngine numerics,
-plus scenario-registry and cluster-telemetry coverage.
+"""ClusterEngine numerics, scenario-registry and cluster-telemetry coverage.
 
-The acceptance bar for the cluster subsystem: on a homogeneous cluster the
-:class:`~repro.training.cluster_engine.ClusterEngine` loop must be
-**bit-identical** to :meth:`TrainingEngine.run_pipeline` — same losses, same
-hit rates, same simulated times, same RPC traffic — for both the serial
-(Eq. 2) and overlapped (Eqs. 3-5) pipelines.  Equivalence is checked on
-freshly built clusters because sampler/seed RNG streams are stateful across
+:meth:`TrainingEngine.run_pipeline` *is* a :class:`ClusterEngine` run (it
+returns the embedded report), so the two are no longer compared against each
+other here: ``run_pipeline``'s numbers are pinned by
+``tests/golden/single_run.json`` and the cluster run's by
+``tests/golden/cluster_2x2.json``.  What this file still pins between them is
+that explicit unit ``compute_multipliers`` do not perturb a bit and that a
+straggler machine is charged through either entry point.  Runs are compared
+on freshly built clusters because sampler/seed RNG streams are stateful across
 runs on a shared cluster.
 """
 
@@ -51,41 +52,21 @@ def _assert_bit_identical(reference, cluster_report):
 
 
 class TestDifferentialEquivalence:
-    """A homogeneous ClusterEngine run must reproduce run_pipeline bit-for-bit."""
-
     @pytest.mark.parametrize("pipeline", ["baseline", "prefetch"])
-    def test_1x1_cluster_matches_run_pipeline(self, small_dataset, pipeline):
-        """The issue's acceptance case: 1 machine x 1 trainer, serial and overlapped."""
+    def test_1x1_cluster_never_waits(self, small_dataset, pipeline):
+        """A single trainer never waits for peers and is its own critical path."""
         kwargs = {} if pipeline == "baseline" else {
             "prefetch_config": PrefetchConfig(**PREFETCH)
         }
         config = ClusterConfig(num_machines=1, trainers_per_machine=1, **CLUSTER_KW)
-        reference = TrainingEngine(
-            SimCluster(small_dataset, config), TrainConfig(**TRAIN)
-        ).run_pipeline(pipeline, **kwargs)
         cluster_report = ClusterEngine(
             SimCluster(small_dataset, config), TrainConfig(**TRAIN)
         ).run(pipeline, **kwargs)
-        _assert_bit_identical(reference, cluster_report)
-        # A single trainer never waits for peers and is its own critical path.
         assert cluster_report.total_barrier_wait_s == 0.0
-        assert cluster_report.critical_path_time_s == reference.total_simulated_time_s
+        assert cluster_report.critical_path_time_s == (
+            cluster_report.report.total_simulated_time_s
+        )
         assert cluster_report.load_imbalance == 1.0
-
-    @pytest.mark.parametrize("pipeline", ["baseline", "prefetch"])
-    def test_2x2_cluster_matches_run_pipeline(self, small_dataset, pipeline):
-        """Stronger than required: multi-trainer barriers must also be exact."""
-        kwargs = {} if pipeline == "baseline" else {
-            "prefetch_config": PrefetchConfig(**PREFETCH)
-        }
-        config = ClusterConfig(num_machines=2, trainers_per_machine=2, **CLUSTER_KW)
-        reference = TrainingEngine(
-            SimCluster(small_dataset, config), TrainConfig(**TRAIN)
-        ).run_pipeline(pipeline, **kwargs)
-        cluster_report = ClusterEngine(
-            SimCluster(small_dataset, config), TrainConfig(**TRAIN)
-        ).run(pipeline, **kwargs)
-        _assert_bit_identical(reference, cluster_report)
 
     def test_explicit_unit_multipliers_are_exact(self, small_dataset):
         """compute_multipliers=(1.0, 1.0) must not perturb a single bit."""
@@ -180,6 +161,30 @@ class TestHeterogeneousCluster:
         # Everyone still ends at the same barrier-synchronized time.
         times = {round(t.simulated_time_s, 12) for t in report.trainer_stats}
         assert len(times) == 1
+
+    def test_straggler_machine_is_charged_through_run_pipeline(self, small_dataset):
+        """run_pipeline charges per machine (it used to ignore the multipliers)."""
+        def total_time(multipliers):
+            config = ClusterConfig(
+                num_machines=2, trainers_per_machine=1,
+                compute_multipliers=multipliers, **CLUSTER_KW
+            )
+            engine = TrainingEngine(SimCluster(small_dataset, config), TrainConfig(**TRAIN))
+            report = engine.run_pipeline("baseline")
+            return report.total_simulated_time_s, report.component_breakdown["ddp"]
+
+        uniform_time, uniform_ddp = total_time(None)
+        straggler_time, straggler_ddp = total_time((1.0, 3.0))
+        assert straggler_time > uniform_time
+        # One of two machines computes 3x slower: mean ddp roughly doubles.
+        assert straggler_ddp > 1.5 * uniform_ddp
+
+    def test_run_pipeline_validates_seed_coverage(self, small_dataset):
+        config = ClusterConfig(num_machines=2, trainers_per_machine=2, **CLUSTER_KW)
+        cluster = SimCluster(small_dataset, config)
+        cluster.trainers[0].seeds_local = cluster.trainers[1].seeds_local
+        with pytest.raises(ValueError, match="seed partitioning"):
+            TrainingEngine(cluster, TrainConfig(**TRAIN)).run_pipeline("baseline")
 
     def test_multiplier_validation(self):
         with pytest.raises(ValueError, match="one entry per machine"):

@@ -133,6 +133,10 @@ class TestWithOverrides:
             scenario.with_overrides(chaos_rate=0.5)
         with pytest.raises(ValueError, match="valid fields"):
             scenario.with_overrides(scael=0.1)  # typo surfaces the field list
+        # The removed process-pool knobs are unknown fields like any other.
+        for removed in ({"execution_backend": "process-pool"}, {"workers": 2}):
+            with pytest.raises(ValueError, match="unknown scenario field"):
+                scenario.with_overrides(**removed)
 
     def test_none_still_means_keep(self):
         scenario = SCENARIOS.build("trainer-flaky")

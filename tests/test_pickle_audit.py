@@ -1,8 +1,8 @@
-"""Pickle audit: every spec object a pool worker receives must round-trip.
+"""Pickle audit: every spec object that crosses a process boundary must round-trip.
 
-The process-pool execution backend ships a :class:`~repro.training.backends.
-TrainerTask` to worker processes; everything reachable from it — the config
-and spec dataclasses, registry recipes, shared-memory handles — must survive
+The tuner's ``parallelism`` ships scenario recipes to ``ProcessPoolExecutor``
+workers and gets ranked reports back; everything reachable from them — the
+config and spec dataclasses, registry recipes, presets — must survive
 ``pickle.loads(pickle.dumps(x)) == x`` under any start method (``spawn``
 inherits nothing, so equality after the round trip is the whole contract).
 A config that pickles by reference to live state fails here first, not as a
@@ -20,11 +20,9 @@ from repro.core.config import PrefetchConfig
 from repro.distributed.cluster import ClusterConfig
 from repro.distributed.cost_model import CostModel
 from repro.events.schedule import CongestionSpec, ElasticSpec, FailureSpec
-from repro.graph.csr import SharedCSRHandle
 from repro.graph.datasets import DatasetSpec, load_dataset
 from repro.scenarios import SCENARIOS
 from repro.serving.arrivals import ServingSpec
-from repro.training.backends import TrainerTask
 from repro.training.config import TrainConfig
 from repro.tuning import Preset
 
@@ -51,10 +49,6 @@ SPEC_OBJECTS = {
     ),
     "serving-spec": ServingSpec(),
     "dataset-spec": load_dataset("arxiv", scale=0.1, seed=0).spec,
-    "shared-csr-handle": SharedCSRHandle(
-        indptr_path="/tmp/x_indptr.npy", indices_path="/tmp/x_indices.npy",
-        num_nodes=8,
-    ),
     "tune-preset": Preset(
         name="audit", scenario="straggler-machine",
         overrides=(("engine", "async"), ("sync", "bounded-staleness")),
@@ -135,36 +129,3 @@ def test_checkpoint_artifacts_round_trip():
         clone = pickle.loads(pickle.dumps(obj))
         assert clone == obj
         assert type(clone) is type(obj)
-
-
-def test_trainer_task_round_trips(tmp_path):
-    """A fully loaded TrainerTask (the actual worker payload) round-trips."""
-    import numpy as np
-
-    from repro.distributed.cluster import SimCluster
-    from repro.features.shared import export_shared_dataset
-    from repro.utils.rng import spawn_worker_seed
-
-    dataset = load_dataset("arxiv", scale=0.1, seed=0)
-    cluster = SimCluster(dataset, SPEC_OBJECTS["cluster-config"])
-    payloads = {pid: store.shared_arrays() for pid, store in cluster.servers.items()}
-    handle = export_shared_dataset(
-        dataset, cluster.partition_result, payloads, str(tmp_path)
-    )
-    task = TrainerTask(
-        worker_index=1, num_workers=2, machines=(1,), ranks=(2, 3),
-        cluster_config=SPEC_OBJECTS["cluster-config"],
-        train_config=SPEC_OBJECTS["train-config"],
-        pipeline="massivegnn",
-        prefetch_config=SPEC_OBJECTS["prefetch-config"],
-        cache_config=SPEC_OBJECTS["cache-config"],
-        cost_model=SPEC_OBJECTS["cost-model-cpu"],
-        dataset=handle,
-        worker_seed=spawn_worker_seed(7, 1),
-    )
-    clone = pickle.loads(pickle.dumps(task))
-    assert clone == task
-    # The nested dataset handle must also round-trip on its own.
-    assert pickle.loads(pickle.dumps(handle)) == handle
-    assert isinstance(clone.worker_seed, int)
-    assert np.array_equal(clone.machines, task.machines)

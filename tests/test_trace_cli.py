@@ -200,14 +200,29 @@ class TestAsyncEngineCLI:
         (["run", "--sampler", "reference", "--engine", "async"], REMOVED),
         (["run", "--sampler", "turbo"], "unknown neighbor sampler 'turbo'; valid names: vectorized"),
         (["tune", "--scenario", "uniform", "--axis", "sampler=legacy,vectorized"], REMOVED),
+        # The process-pool flags and axes are gone.  argparse's own
+        # unrecognised-argument exit (fragment None) prints usage, not one line.
+        (["run", "--execution-backend", "process-pool"], None),
+        (["run", "--cluster", "--workers", "2"], None),
+        (["tune", "--scenario", "uniform", "--axis", "workers=1,2"],
+         "unknown tuning axis 'workers'"),
+        (["tune", "--scenario", "uniform", "--axis", "execution_backend=process-pool"],
+         "unknown tuning axis 'execution_backend'"),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
     def test_misuse_exits_2_with_one_line(self, capsys, argv, fragment):
         """Every rejected invocation: exit code 2, one ``error:`` line, no traceback."""
-        assert main(argv + (self.TINY if argv[0] == "run" else [])) == 2
+        argv = argv + (self.TINY if argv[0] == "run" else [])
+        if fragment is None:
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 2
+        else:
+            assert main(argv) == 2
         captured = capsys.readouterr()
-        lines = captured.err.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ") and fragment in lines[0]
         assert "Traceback" not in captured.err + captured.out
+        if fragment is not None:
+            lines = captured.err.strip().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ") and fragment in lines[0]
 
     def test_preset_naming_a_removed_sampler_exits_2(self, capsys, tmp_path):
         committed = Path(__file__).parent.parent / "presets" / "throughput-straggler.json"
@@ -218,6 +233,20 @@ class TestAsyncEngineCLI:
         assert main(["run", "--preset", str(stale)] + self.TINY) == 2
         err = capsys.readouterr().err.strip()
         assert err.startswith("error: ") and self.REMOVED in err and "\n" not in err
+
+    @pytest.mark.parametrize("field, value", [
+        ("execution_backend", "process-pool"), ("workers", 2),
+    ])
+    def test_preset_naming_a_removed_pool_field_exits_2(self, capsys, tmp_path, field, value):
+        committed = Path(__file__).parent.parent / "presets" / "throughput-straggler.json"
+        payload = json.loads(committed.read_text())
+        payload["overrides"][field] = value
+        stale = tmp_path / "stale.json"
+        stale.write_text(json.dumps(payload))
+        assert main(["run", "--preset", str(stale)] + self.TINY) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: ") and f"unknown tuning axis {field!r}" in err
+        assert "\n" not in err
 
     def test_staleness_applies_on_staleness_scenario(self, capsys):
         code = main([
