@@ -66,14 +66,18 @@ class CSRGraph:
         remove_self_loops: bool = False,
         deduplicate: bool = True,
     ) -> "CSRGraph":
-        """Build a CSR graph from an edge list.
+        """Build a CSR graph from an edge list with one sort.
+
+        Ascending ``src * num_nodes + dst`` *is* CSR order and puts duplicates
+        side by side; row *u* is the keys in ``[u * num_nodes, (u + 1) * num_nodes)``.
 
         Parameters
         ----------
         src, dst:
             Endpoint arrays of equal length.
         num_nodes:
-            Total node count; inferred from the maximum endpoint if omitted.
+            Total node count; inferred from the maximum endpoint if omitted,
+            else an endpoint at or above it raises (it would alias in the key).
         symmetrize:
             Add the reverse of every edge (used for undirected graphs such as
             the OGB-style datasets in this reproduction).
@@ -82,27 +86,25 @@ class CSRGraph:
         deduplicate:
             Collapse parallel edges.
         """
-        src = check_1d_int_array(src, "src")
-        dst = check_1d_int_array(dst, "dst")
+        src = check_1d_int_array(src, "src", max_value=num_nodes)
+        dst = check_1d_int_array(dst, "dst", max_value=num_nodes)
         if len(src) != len(dst):
             raise ValueError("src and dst must have equal length")
         if num_nodes is None:
-            num_nodes = int(max(src.max(initial=-1), dst.max(initial=-1)) + 1)
-        if symmetrize:
-            src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
-        if remove_self_loops and len(src):
+            num_nodes = max(src.max(initial=-1), dst.max(initial=-1)) + 1
+        if int(num_nodes) ** 2 > np.iinfo(np.int64).max:
+            raise ValueError(f"num_nodes={num_nodes} is too large for an int64 edge key")
+        if remove_self_loops:
             keep = src != dst
             src, dst = src[keep], dst[keep]
-        if deduplicate and len(src):
-            key = src.astype(np.int64) * np.int64(num_nodes) + dst
-            _, unique_idx = np.unique(key, return_index=True)
-            src, dst = src[unique_idx], dst[unique_idx]
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
-        counts = np.bincount(src, minlength=num_nodes)
-        indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return cls(indptr=indptr, indices=dst.astype(np.int64), num_nodes=int(num_nodes))
+        key = src * num_nodes + dst
+        if symmetrize:
+            key = np.concatenate([key, dst * num_nodes + src])
+        key.sort()
+        if deduplicate:
+            key = key[np.diff(key, prepend=-1) != 0]
+        indptr = np.searchsorted(key, np.arange(num_nodes + 1, dtype=np.int64) * num_nodes)
+        return cls(indptr=indptr, indices=key % num_nodes, num_nodes=int(num_nodes))
 
     @classmethod
     def empty(cls, num_nodes: int) -> "CSRGraph":
@@ -236,15 +238,13 @@ def validate_graph(graph: CSRGraph) -> None:
 def merge_graphs(graphs: Iterable[CSRGraph]) -> CSRGraph:
     """Disjoint union of several graphs, relabelling nodes consecutively."""
     srcs, dsts, offset = [], [], 0
-    total = 0
     for g in graphs:
         s, d = g.edges()
         srcs.append(s + offset)
         dsts.append(d + offset)
         offset += g.num_nodes
-        total += g.num_nodes
     if not srcs:
         return CSRGraph.empty(0)
     return CSRGraph.from_edges(
-        np.concatenate(srcs), np.concatenate(dsts), num_nodes=total, deduplicate=False
+        np.concatenate(srcs), np.concatenate(dsts), num_nodes=offset, deduplicate=False
     )

@@ -275,8 +275,9 @@ def smooth_labels_by_propagation(
     num_classes = int(labels.max()) + 1 if labels.size else 1
     for _ in range(max(0, rounds)):
         src, dst = graph.edges()
-        counts = np.zeros((graph.num_nodes, num_classes), dtype=np.int64)
-        np.add.at(counts, (dst, labels[src]), 1)
+        counts = np.bincount(
+            dst * num_classes + labels[src], minlength=graph.num_nodes * num_classes
+        ).reshape(graph.num_nodes, num_classes)
         has_neighbors = counts.sum(axis=1) > 0
         majority = counts.argmax(axis=1)
         # Break ties / keep isolated nodes at their original label.

@@ -48,6 +48,20 @@ class TestConstruction:
         with pytest.raises(ValueError):
             CSRGraph(indptr=np.array([0, 1]), indices=np.array([5]), num_nodes=1)
 
+    @pytest.mark.parametrize(
+        "src, dst, num_nodes, message",
+        [
+            # An endpoint >= num_nodes would alias another edge in the sort key.
+            ([0, 5], [1, 1], 3, "src contains index 5 >= allowed maximum 3"),
+            ([0, 1], [1, 7], 3, "dst contains index 7 >= allowed maximum 3"),
+            # num_nodes ** 2 must fit the int64 key; it used to wrap silently.
+            ([0], [0], 2**32, "num_nodes=4294967296 is too large for an int64 edge key"),
+        ],
+    )
+    def test_from_edges_entry_checks_name_the_problem(self, src, dst, num_nodes, message):
+        with pytest.raises(ValueError, match=message):
+            CSRGraph.from_edges(src, dst, num_nodes=num_nodes, deduplicate=False)
+
 
 class TestQueries:
     def test_out_degree(self, tiny_graph):
