@@ -111,7 +111,8 @@ class GATLayer(Module):
         }
         return out
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray, input_grad: bool = True) -> Optional[np.ndarray]:
+        """Accumulate parameter gradients; return d(loss)/d(h_src) unless *input_grad* is false."""
         if self._cache is None:
             raise RuntimeError("backward called before forward")
         cache = self._cache
@@ -152,9 +153,8 @@ class GATLayer(Module):
 
         grad_z_flat = grad_z_src.reshape(block.num_src, H * D)
         self.weight.grad += cache["h_src"].T @ grad_z_flat
-        grad_h_src = grad_z_flat @ self.weight.value.T
         self._cache = None
-        return grad_h_src
+        return grad_z_flat @ self.weight.value.T if input_grad else None
 
     def flops(self, block: Block) -> float:
         """Approximate forward+backward FLOPs (GAT is heavier than SAGE per edge)."""
@@ -209,11 +209,11 @@ class GAT(Module):
             h = layer.forward(block, h)
         return h
 
-    def backward(self, grad_logits: np.ndarray) -> np.ndarray:
+    def backward(self, grad_logits: np.ndarray) -> None:
+        """Fill every parameter's ``grad``; the outermost layer skips its unused input gradient."""
         grad = grad_logits
         for layer in reversed(self.layers):
-            grad = layer.backward(grad)
-        return grad
+            grad = layer.backward(grad, input_grad=layer is not self.layers[0])
 
     def predict(self, blocks: Sequence[Block], features: np.ndarray) -> np.ndarray:
         return np.argmax(self.forward(blocks, features), axis=1)

@@ -21,8 +21,8 @@ import numpy as np
 from repro.nn.layers import Module, Parameter
 from repro.nn.tensor_utils import (
     ACTIVATIONS,
+    mean_divisor,
     segment_mean,
-    segment_mean_backward,
     segment_sum,
     xavier_uniform,
     zeros,
@@ -58,7 +58,7 @@ class SAGELayer(Module):
                 f"h_src has {h_src.shape[0]} rows but block expects {block.num_src}"
             )
         h_dst = h_src[: block.num_dst]
-        # Mean of h_src[edge_src] per dst row, gathered once per run length.
+        # Mean of h_src[edge_src] per dst row; the (E, D) gather is never built.
         agg = segment_mean(
             h_src, block.edge_dst, block.num_dst, block.dst_indptr, rows=block.edge_src
         )
@@ -84,10 +84,10 @@ class SAGELayer(Module):
         if not input_grad:
             return None
 
-        grad_messages = segment_mean_backward(
-            grad_pre @ self.w_neigh.value.T, block.edge_dst, block.num_dst, block.dst_indptr
-        )
-        grad_h_src = segment_sum(grad_messages, block.edge_src, block.num_src)
+        # Each edge carries its dst's gradient / in-degree: read it through edge_dst.
+        grad_agg = grad_pre @ self.w_neigh.value.T
+        grad_agg /= mean_divisor(block.edge_dst, block.num_dst, block.dst_indptr, grad_agg)
+        grad_h_src = segment_sum(grad_agg, block.edge_src, block.num_src, rows=block.edge_dst)
         grad_h_src[: block.num_dst] += grad_pre @ self.w_self.value.T
         return grad_h_src
 

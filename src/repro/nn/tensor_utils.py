@@ -2,10 +2,10 @@
 
 GNN message passing over sampled blocks reduces edge messages onto destination
 nodes.  These helpers implement the segment reductions (sum / mean / softmax)
-and their backward passes as a CSR reduce: rows are grouped by segment id
+and the softmax backward as a CSR reduce: rows are grouped by segment id
 (a :class:`~repro.sampling.block.Block` stores its edges that way and hands
-over the offsets as ``indptr``; anything else is stable-sorted here) and each
-contiguous run is reduced in order: no Python edge loop, no ``ufunc.at``.
+over the offsets as ``indptr``; anything else is read through its stable sort)
+and all runs are reduced together, position by position: no ``ufunc.at``.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from repro.utils.validation import group_offsets
 
 # CSR offsets of ids that are already grouped (``Block.dst_indptr``); ``None`` = derive them.
 Indptr = Optional[np.ndarray]
+_TAIL_COST = 4  # what finishing one long run alone costs, in trips of _segment_reduce's walk
 
 
 # --------------------------------------------------------------------------- #
@@ -51,45 +52,79 @@ def _segment_reduce(
     """Reduce the rows of each segment with *ufunc*, in row order; empty segments give *fill*.
 
     Entry ``i`` is ``values[i]``, or ``values[rows[i]]`` when *rows* is given
-    (the per-run gather below then reads ``values`` through ``rows``, so the
-    ``values[rows]`` matrix is never materialized).  Entries must sit grouped
-    by ascending segment id: a caller whose ids already are passes their CSR
-    offsets as *indptr*, anything else is stable-sorted here.  All runs of one
-    length are then reduced together as one ``(runs, length, ...)`` gather;
-    fan-out sampling leaves few distinct lengths, and there can never be more
-    than ``sqrt(2 * len(ids))``.  (``ufunc.reduceat`` is slower: it walks 2-D
-    values column by column and aliases cache sets on power-of-two widths;
-    numbers in docs/ARCHITECTURE.md.)
+    (gathers read ``values`` through ``rows``; ``values[rows]`` is never built).
+    Entries must sit grouped by ascending segment id: a caller whose ids
+    already are passes their CSR offsets as *indptr*, anything else is read
+    through its stable sort order.  Runs are stable-sorted longest first, so
+    those still open at a position are a prefix: the positions every non-empty
+    run has are one ``(positions, runs, ...)`` gather reduced along its leading
+    axis, each later position a 2-D ``take`` folded into the accumulator prefix
+    in place.  The walk stops where finishing each open run alone (a
+    leading-axis reduce seeded by its accumulator row, priced at ``_TAIL_COST``
+    trips) is cheaper, so ``trips + tails <= (1 + _TAIL_COST) * sqrt(len(ids))
+    + 1``: after ``sqrt(len(ids))`` trips fewer than that many runs are open.
+    Every segment is reduced first entry to last.  One-element rows (1-D
+    *values*) hold that order to dtype tolerance only: NumPy coalesces unit
+    axes and may sum a run unrolled.  (Why not ``ufunc.reduceat``:
+    docs/ARCHITECTURE.md.)
     """
+    if len(values if rows is None else rows) != len(ids):
+        raise ValueError("values (rows, when given) must hold one entry per id")
+    if rows is not None and len(rows) and not 0 <= rows.min() <= rows.max() < len(values):
+        raise IndexError(f"rows must lie in [0, {len(values)})")
     if indptr is None:
         order, indptr = group_offsets(ids, n)
         if order is not None:
-            if rows is None:
-                values = values[order]
-            else:
-                rows = rows[order]
-    elif len(indptr) != n + 1 or indptr[-1] != len(ids):
-        raise ValueError("indptr must hold num_segments + 1 offsets ending at len(ids)")
+            rows = order if rows is None else rows[order]
     lengths = indptr[1:] - indptr[:-1]
+    order = (-lengths).argsort(kind="stable")
+    lengths = lengths[order]  # descending: the last one is the smallest
+    if len(indptr) != n + 1 or indptr[0] != 0 or indptr[-1] != len(ids) or (n and lengths[-1] < 0):
+        raise ValueError("indptr must hold num_segments + 1 offsets, ascending from 0 to len(ids)")
+    k = np.count_nonzero(lengths)
     out = np.full((n,) + values.shape[1:], fill, dtype=values.dtype)
-    for length in np.bincount(lengths)[1:].nonzero()[0] + 1:
-        runs = (lengths == length).nonzero()[0]
-        entries = indptr[runs, None] + np.arange(length)
-        out[runs] = ufunc.reduce(values[entries if rows is None else rows[entries]], axis=1)
+    if k == 0:
+        return out
+    order, starts = order[:k], indptr[order[:k]]
+    shared, longest = int(lengths[k - 1]), int(lengths[0])
+    entries = starts + np.arange(shared)[:, None]
+    gathered = values.take(entries if rows is None else rows[entries], axis=0)
+    acc = ufunc.reduce(gathered, axis=0, dtype=values.dtype)  # NumPy would widen small ints
+    if longest > shared:
+        # still_open[i]: how many runs (a prefix of the sorted ones) are longer than shared + i.
+        still_open = k - np.bincount(lengths[:k]).cumsum()[shared:]
+        walked = int(np.argmin(np.arange(len(still_open)) + _TAIL_COST * still_open))
+        scratch = np.empty_like(acc[: still_open[0]])
+        for position, width in enumerate(still_open[:walked].tolist(), shared):
+            entries = starts[:width] + position
+            if rows is not None:
+                entries = rows[entries]
+            # Every index was range-checked above, so "clip" never clips; "raise" would buffer out.
+            gathered = values.take(entries, axis=0, out=scratch[:width], mode="clip")
+            ufunc(acc[:width], gathered, out=acc[:width])
+        for run in range(still_open[walked]):
+            tail = slice(starts[run] + shared + walked, starts[run] + lengths[run])
+            rest = values[tail if rows is None else rows[tail]]
+            acc[run] = ufunc.reduce(np.concatenate((acc[run : run + 1], rest)), axis=0)
+    out[order] = acc
     return out
 
 
-def _mean_divisor(ids: np.ndarray, n: int, indptr: Indptr, like: np.ndarray) -> np.ndarray:
-    """Entries per segment (empty segments count as 1), shaped to divide *like*."""
+def mean_divisor(ids: np.ndarray, n: int, indptr: Indptr, like: np.ndarray) -> np.ndarray:
+    """Entries per segment (empty ones count as 1), shaped to divide *like*: sums, or gradients."""
     counts = np.bincount(ids, minlength=n) if indptr is None else indptr[1:] - indptr[:-1]
     return np.maximum(counts, 1).astype(like.dtype).reshape((-1,) + (1,) * (like.ndim - 1))
 
 
 def segment_sum(
-    values: np.ndarray, segment_ids: np.ndarray, num_segments: int, indptr: Indptr = None
+    values: np.ndarray,
+    segment_ids: np.ndarray,
+    num_segments: int,
+    indptr: Indptr = None,
+    rows: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Sum *values* rows into *num_segments* buckets given by *segment_ids*."""
-    return _segment_reduce(np.add, values, segment_ids, num_segments, indptr, 0)
+    """Sum *values* rows (of ``values[rows]`` when given) into *num_segments* buckets."""
+    return _segment_reduce(np.add, values, segment_ids, num_segments, indptr, 0, rows)
 
 
 def segment_mean(
@@ -100,15 +135,9 @@ def segment_mean(
     rows: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Mean of *values* (of ``values[rows]`` when given) per segment; empty segments yield zero rows."""
-    sums = _segment_reduce(np.add, values, segment_ids, num_segments, indptr, 0, rows)
-    return sums / _mean_divisor(segment_ids, num_segments, indptr, values)
-
-
-def segment_mean_backward(
-    grad_out: np.ndarray, segment_ids: np.ndarray, num_segments: int, indptr: Indptr = None
-) -> np.ndarray:
-    """Backward of :func:`segment_mean`: distribute gradient / count to each entry."""
-    return (grad_out / _mean_divisor(segment_ids, num_segments, indptr, grad_out))[segment_ids]
+    sums = segment_sum(values, segment_ids, num_segments, indptr, rows)
+    sums /= mean_divisor(segment_ids, num_segments, indptr, values)
+    return sums
 
 
 def segment_softmax(

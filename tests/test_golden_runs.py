@@ -18,6 +18,11 @@ Comparisons are exact: same seed, same bytes.  If a change is *intended* to
 move these numbers, regenerate and commit the fixtures together with it::
 
     PYTHONPATH=src python tests/test_golden_runs.py --regenerate
+
+``--compare`` regenerates both in memory and compares them exactly with the
+committed files (the CI golden-drift job runs it).  ``single_run.json`` holds
+every per-epoch loss, so it is the fixture that shows an ``nn`` kernel change
+moved no sum.
 """
 
 from __future__ import annotations
@@ -133,20 +138,61 @@ def test_async_runs_match_fixture(scenario):
             assert async_run(*case) == expected[async_key(*case)], async_key(*case)
 
 
+def _generate() -> dict:
+    """Both fixtures, freshly computed, keyed by the file that holds them."""
+    return {
+        SINGLE_PATH: {name: single_run(name) for name in SINGLE_RUNS},
+        ASYNC_PATH: {async_key(*case): async_run(*case) for case in ASYNC_CASES},
+    }
+
+
 def regenerate() -> None:
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
-    single = {name: single_run(name) for name in SINGLE_RUNS}
-    SINGLE_PATH.write_text(json.dumps(single, indent=1, sort_keys=True) + "\n")
+    generated = _generate()
+    for path, data in generated.items():
+        path.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
     print(f"wrote {SINGLE_PATH}")
-    runs = {async_key(*case): async_run(*case) for case in ASYNC_CASES}
-    ASYNC_PATH.write_text(json.dumps(runs, indent=1, sort_keys=True) + "\n")
+    runs = generated[ASYNC_PATH]
     print(f"wrote {ASYNC_PATH} ({len(runs)} runs, "
           f"{sum('raises' in r for r in runs.values())} pinned rejections)")
+
+
+def _moved(actual, expected, prefix: str = "") -> list:
+    """Paths of the leaves that differ, with both values (fixture -> now)."""
+    if isinstance(actual, dict) and isinstance(expected, dict):
+        return [line for key in sorted(set(actual) | set(expected))
+                for line in _moved(actual.get(key), expected.get(key), f"{prefix}/{key}")]
+    if isinstance(actual, list) and isinstance(expected, list) and len(actual) == len(expected):
+        return [line for i, (a, e) in enumerate(zip(actual, expected))
+                for line in _moved(a, e, f"{prefix}[{i}]")]
+    return [] if actual == expected else [f"{prefix}: {expected!r} -> {actual!r}"]
+
+
+def compare() -> int:
+    """Regenerate in memory and compare exactly; returns a process exit code."""
+    missing = [path for path in (SINGLE_PATH, ASYNC_PATH) if not path.exists()]
+    if missing:
+        print(f"missing golden fixture(s) {missing}", file=sys.stderr)
+        return 1
+    lines = [f"{path.name}{line}" for path, data in _generate().items()
+             for line in _moved(data, json.loads(path.read_text()))]
+    if lines:
+        print("golden fixture drift detected:", file=sys.stderr)
+        for line in lines[:40]:
+            print(f"  {line}", file=sys.stderr)
+        print(f"({len(lines)} values moved) if the change is intended, regenerate with "
+              "PYTHONPATH=src python tests/test_golden_runs.py --regenerate "
+              "and commit the fixtures with it", file=sys.stderr)
+        return 1
+    print(f"regenerated runs match {SINGLE_PATH.name} and {ASYNC_PATH.name} exactly")
+    return 0
 
 
 if __name__ == "__main__":
     if "--regenerate" in sys.argv:
         regenerate()
+    elif "--compare" in sys.argv:
+        sys.exit(compare())
     else:
         print(__doc__)
         sys.exit(2)

@@ -285,9 +285,31 @@ class TestFullModels:
         logits = model.forward(mb.blocks, small_dataset.features[mb.input_global])
         assert logits.shape[1] == small_dataset.num_classes
         loss, grad = cross_entropy(logits, mb.labels)
-        grad_in = model.backward(grad)
-        assert grad_in.shape == (mb.num_input_nodes, small_dataset.feature_dim)
-        assert np.all(np.isfinite(grad_in))
+        assert model.backward(grad) is None
+        grads = model.gradients()
+        assert all(np.all(np.isfinite(g)) for g in grads.values())
+        assert any(np.any(g != 0) for g in grads.values())
+
+    @pytest.mark.parametrize("num_layers", [1, 2])
+    def test_gat_backward_skips_only_the_unused_input_gradient(self, small_dataset, num_layers):
+        """As for GraphSAGE: the by-hand chain yields the input gradient and the same grads."""
+        mb = self._minibatch(small_dataset, num_layers=num_layers, seed=3)
+        feats = small_dataset.features[mb.input_global]
+        grads = []
+        for by_hand in (False, True):
+            model = GAT(small_dataset.feature_dim, 8, small_dataset.num_classes,
+                        num_layers=num_layers, num_heads=2, seed=0)
+            _, grad = cross_entropy(model.forward(mb.blocks, feats), mb.labels)
+            if by_hand:
+                for layer in reversed(model.layers):
+                    grad = layer.backward(grad)
+                assert grad.shape == feats.shape and np.any(grad != 0)
+            else:
+                assert model.backward(grad) is None
+            grads.append(model.gradients())
+        assert grads[0].keys() == grads[1].keys()
+        for name in grads[0]:
+            np.testing.assert_array_equal(grads[0][name], grads[1][name], err_msg=name)
 
     def test_predict(self, small_dataset):
         mb = self._minibatch(small_dataset, num_seeds=8)
