@@ -11,11 +11,12 @@ Two questions the paper motivates but does not ablate directly:
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from benchmarks.common import bench_cluster_config, bench_dataset, save_table
 from repro.core.config import PrefetchConfig
-from repro.core.eviction import build_eviction_policy
 from repro.distributed.cluster import ClusterConfig, SimCluster
 from repro.training.config import TrainConfig
 from repro.training.engine import TrainingEngine
@@ -35,9 +36,11 @@ def test_ablation_eviction_policies(benchmark, bench_scale, bench_epochs):
         # lower bar every eviction policy must clear.
         out["static-cache"] = engine.run_pipeline("static-cache", prefetch_config=config)
         out["no-eviction"] = engine.run_prefetch(config.without_eviction())
+        # By name: every trainer builds its own policy from the cluster seed,
+        # so the random policy's RNG is not shared across trainers.
         for policy_name in ("score-threshold", "lru", "random"):
             out[policy_name] = engine.run_prefetch(
-                config, eviction_policy=build_eviction_policy(policy_name, seed=0)
+                dataclasses.replace(config, eviction_policy=policy_name)
             )
         return out
 

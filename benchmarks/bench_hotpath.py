@@ -30,7 +30,7 @@ import time
 from pathlib import Path
 
 from repro.distributed.rpc import aggregate_rpc_stats
-from repro.features import LocalKVStoreSource, SourceContext, build_feature_source
+from repro.features import BufferedSource, LocalKVStoreSource
 from repro.features.store import FeatureStore
 from repro.scenarios import SCENARIOS
 
@@ -83,18 +83,16 @@ def bench_fetch_throughput(scenario_scale: float, steps: int):
     )
     cluster = workload.cluster
     trainer = cluster.trainers[0]
-    ctx = SourceContext(
-        rpc=trainer.rpc,
-        partition=trainer.partition,
-        num_global_nodes=cluster.dataset.num_nodes,
-        book=cluster.book,
-        prefetch_config=workload.scenario.prefetch_config,
-        seed=0,
-    )
     store = FeatureStore(
         partition=trainer.partition,
         local_source=LocalKVStoreSource(trainer.rpc),
-        halo_source=build_feature_source("buffered", ctx),
+        halo_source=BufferedSource(
+            trainer.rpc,
+            trainer.partition,
+            workload.scenario.prefetch_config,
+            num_global_nodes=cluster.dataset.num_nodes,
+            seed=0,
+        ),
     )
     store.initialize()
     batches = []

@@ -7,8 +7,9 @@ Demonstrates the seams the API redesign opened up:
    fetch-feature >> batch) over a composed FeatureStore;
 2. run every *registered* pipeline (baseline / prefetch / static-cache)
    through the same engine loop and compare them;
-3. register a brand-new feature source + pipeline by name and run it without
-   touching the engine — here, a "halo mirror" that keeps every halo feature
+3. write a brand-new feature source, hand the object to a FeatureStore in a
+   builder callable, and pass that callable as ``pipeline=`` — no registry,
+   no engine change.  Here: a "halo mirror" that keeps every halo feature
    resident (an infinite-capacity upper bound on any caching strategy).
 
 Run with:  python examples/feature_store_pipeline.py
@@ -20,6 +21,7 @@ import numpy as np
 
 from repro import (
     BatchStage,
+    BufferedSource,
     ClusterConfig,
     FeatureStore,
     FetchFeatureStage,
@@ -32,9 +34,8 @@ from repro import (
     TrainConfig,
     load_dataset,
 )
-from repro.features import FEATURE_SOURCES, SourceContext, build_feature_source
 from repro.training import TrainingEngine
-from repro.training.pipelines import PIPELINES, OverlappedTimingPolicy
+from repro.training.pipelines import OverlappedTimingPolicy
 from repro.sampling.pipeline import MiniBatchPipeline
 from repro.utils.logging_utils import format_table
 
@@ -81,28 +82,23 @@ class HaloMirrorSource:
         return {"buffer_nbytes": float(self.nbytes())}
 
 
-if "halo-mirror" not in FEATURE_SOURCES:
-    FEATURE_SOURCES.register(
-        "halo-mirror", lambda ctx: HaloMirrorSource(ctx.rpc, ctx.partition)
+# --------------------------------------------------------------------------- #
+# 3b. A builder callable: the custom source as the halo half of a FeatureStore.
+# --------------------------------------------------------------------------- #
+def build_halo_mirror_pipeline(trainer, cluster, prefetch_config, cache_config):
+    store = FeatureStore(
+        partition=trainer.partition,
+        local_source=LocalKVStoreSource(trainer.rpc),
+        halo_source=HaloMirrorSource(trainer.rpc, trainer.partition),
     )
-
-if "halo-mirror" not in PIPELINES:
-    @PIPELINES.register("halo-mirror")
-    def build_halo_mirror_pipeline(trainer, cluster, prefetch_config=None, eviction_policy=None):
-        ctx = SourceContext(rpc=trainer.rpc, partition=trainer.partition)
-        store = FeatureStore(
-            partition=trainer.partition,
-            local_source=build_feature_source("local-kvstore", ctx),
-            halo_source=build_feature_source("halo-mirror", ctx),
-        )
-        pipeline = (
-            SeedStage(trainer.dataloader.seed_iterator)
-            >> SampleStage(trainer.dataloader)
-            >> FetchFeatureStage(store)
-            >> BatchStage()
-        )
-        return pipeline.configure(timing=OverlappedTimingPolicy(), name="halo-mirror",
-                                  feature_store=store, init_report=store.initialize())
+    pipeline = (
+        SeedStage(trainer.dataloader.seed_iterator)
+        >> SampleStage(trainer.dataloader)
+        >> FetchFeatureStage(store)
+        >> BatchStage()
+    )
+    return pipeline.configure(timing=OverlappedTimingPolicy(), name="halo-mirror",
+                              feature_store=store, init_report=store.initialize())
 
 
 def main() -> None:
@@ -118,11 +114,10 @@ def main() -> None:
     store = FeatureStore(
         partition=trainer.partition,
         local_source=LocalKVStoreSource(trainer.rpc),
-        halo_source=build_feature_source(
-            "buffered",
-            SourceContext(rpc=trainer.rpc, partition=trainer.partition,
-                          num_global_nodes=dataset.num_nodes,
-                          prefetch_config=PrefetchConfig(halo_fraction=0.25, delta=16)),
+        halo_source=BufferedSource(
+            trainer.rpc, trainer.partition,
+            PrefetchConfig(halo_fraction=0.25, delta=16),
+            num_global_nodes=dataset.num_nodes,
         ),
     )
     pipeline: MiniBatchPipeline = (
@@ -139,14 +134,14 @@ def main() -> None:
           f"halo hit rate {halo_stats.hit_rate:.3f}, "
           f"rpc {halo_stats.rpc_time_s * 1e3:.3f} ms\n")
 
-    # ---- 2 + 3. every registered pipeline through one engine --------------- #
+    # ---- 2 + 3. registered names and a builder callable, one engine -------- #
     engine = TrainingEngine(cluster, TrainConfig(epochs=2, hidden_dim=32, seed=0))
     prefetch_config = PrefetchConfig(halo_fraction=0.25, gamma=0.995, delta=16)
     rows = []
-    for name in ("baseline", "prefetch", "static-cache", "halo-mirror"):
-        report = engine.run_pipeline(name, prefetch_config=prefetch_config)
+    for pipeline in ("baseline", "prefetch", "static-cache", build_halo_mirror_pipeline):
+        report = engine.run_pipeline(pipeline, prefetch_config=prefetch_config)
         rows.append([
-            name,
+            report.mode,
             f"{report.total_simulated_time_s:.4f}",
             f"{report.final_train_accuracy:.3f}",
             f"{report.hit_rate:.3f}" if report.hit_tracker is not None else "-",

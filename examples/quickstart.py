@@ -7,9 +7,10 @@ comparison the paper's Fig. 6 is built from: simulated training time, percent
 improvement, hit rate, and the reduction in remote feature fetches.
 
 Both pipelines run through the same engine loop: ``compare_baseline_and_prefetch``
-is a thin shim that runs the registered ``"baseline"`` and ``"prefetch"``
-minibatch pipelines (see ``examples/feature_store_pipeline.py`` for the
-underlying FeatureStore / MiniBatchPipeline API).
+builds one cluster and runs ``TrainingEngine.run_baseline()`` and
+``run_prefetch(prefetch_config)`` on it — the registered ``"baseline"`` and
+``"prefetch"`` minibatch pipelines (see ``examples/feature_store_pipeline.py``
+for the underlying FeatureStore / MiniBatchPipeline API).
 
 Run with:  python examples/quickstart.py
 """

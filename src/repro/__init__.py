@@ -40,7 +40,6 @@ Quickstart::
 from repro.core import PrefetchConfig, Prefetcher
 from repro.distributed import ClusterConfig, CostModel, SimCluster
 from repro.features import (
-    FEATURE_SOURCES,
     BufferedSource,
     FeatureSource,
     FeatureStore,
@@ -48,9 +47,6 @@ from repro.features import (
     FetchStats,
     LocalKVStoreSource,
     RemoteRPCSource,
-    SourceContext,
-    StaticDegreeCacheSource,
-    build_feature_source,
 )
 from repro.graph import GraphDataset, available_datasets, load_dataset
 from repro.sampling import (
@@ -78,9 +74,6 @@ from repro.training import (
     TrainingReport,
     build_pipeline,
     compare_baseline_and_prefetch,
-    train_baseline,
-    train_massive,
-    train_with_pipeline,
 )
 
 __version__ = "1.1.0"
@@ -91,7 +84,6 @@ __all__ = [
     "ClusterConfig",
     "CostModel",
     "SimCluster",
-    "FEATURE_SOURCES",
     "BufferedSource",
     "FeatureSource",
     "FeatureStore",
@@ -99,9 +91,6 @@ __all__ = [
     "FetchStats",
     "LocalKVStoreSource",
     "RemoteRPCSource",
-    "SourceContext",
-    "StaticDegreeCacheSource",
-    "build_feature_source",
     "GraphDataset",
     "available_datasets",
     "load_dataset",
@@ -125,8 +114,5 @@ __all__ = [
     "TrainingReport",
     "build_pipeline",
     "compare_baseline_and_prefetch",
-    "train_baseline",
-    "train_massive",
-    "train_with_pipeline",
     "__version__",
 ]

@@ -10,9 +10,12 @@ name or a bounded number, validated eagerly so a typo fails at construction
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Tuple
+from typing import TYPE_CHECKING, Tuple
 
 from repro.utils.validation import check_fraction
+
+if TYPE_CHECKING:  # pragma: no cover - tier.py sits above this module
+    from repro.cache.tier import CacheTier
 
 MAX_TIERS = 2  # hot (per trainer) + shared (per machine)
 
@@ -91,6 +94,27 @@ class CacheConfig:
         hot = int(round(self.hot_fraction * total_budget))
         hot = max(0, min(total_budget, hot))
         return hot, total_budget - hot
+
+    def build_tier(self, name: str, capacity: int, feature_dim: int, partition) -> "CacheTier":
+        """The ``"hot"`` or ``"shared"`` tier this config describes, over *partition*'s halo.
+
+        ``"shared"`` takes the ``shared_*`` policy pair, any other name the
+        hot tier's; both read degrees and halo distance off the partition.
+        """
+        from repro.cache.tier import CacheTier
+
+        shared = name == "shared"
+        return CacheTier(
+            name,
+            capacity,
+            feature_dim,
+            admission=self.shared_admission if shared else self.admission,
+            eviction=self.shared_eviction if shared else self.eviction,
+            degree_of=partition.halo_degree_of,
+            scorer=self.scorer,
+            distance_of=partition.halo_distance_of,
+            record_decisions=self.record_decisions,
+        )
 
     def with_overrides(self, **overrides) -> "CacheConfig":
         """A copy with selected fields replaced; ``None`` values are ignored."""

@@ -58,9 +58,9 @@ class AlwaysAdmit:
 class StaticDegreeAdmission:
     """Runtime admission is closed: the tier only holds its seeded contents.
 
-    Paired with the ``none`` eviction policy this reproduces the pre-tier
-    :class:`~repro.features.sources.StaticDegreeCacheSource` exactly — a
-    degree-ranked population chosen once at initialization, never updated.
+    Paired with the ``none`` eviction policy this is the ``static-cache``
+    pipeline's cache — a degree-ranked population chosen once at
+    initialization, never updated.
     """
 
     name = "static-degree"

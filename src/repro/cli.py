@@ -61,7 +61,7 @@ from repro.cache.config import CacheConfig
 from repro.cache.policies import ADMISSION_POLICIES, CACHE_EVICTION_POLICIES
 from repro.cache.scoring import capture_decisions
 from repro.core.config import PrefetchConfig
-from repro.core.eviction import EVICTION_POLICIES, build_eviction_policy
+from repro.core.eviction import EVICTION_POLICIES
 from repro.distributed.cluster import ClusterConfig, SimCluster
 from repro.distributed.cost_model import CostModel
 from repro.distributed.rpc import RPC_CHANNELS
@@ -468,28 +468,6 @@ def _build_cache_config(args: argparse.Namespace) -> Optional[CacheConfig]:
         raise SystemExit(2) from exc
 
 
-def _reject_cacheless_pipeline(pipeline, cache_config) -> bool:
-    """True (after printing an error) when --cache-* flags would be ignored.
-
-    Only the tiered-cache pipeline (and prefetch, via the machine-shared
-    tier) consume a CacheConfig; silently dropping the flags on baseline /
-    static-cache would let users believe they measured a cache they never
-    built.
-    """
-    if cache_config is None or pipeline is None:
-        return False
-    resolved = PIPELINES.resolve(pipeline)
-    if resolved in ("baseline", "static-cache"):
-        print(
-            f"error: --cache-tiers/--admission/--eviction/--adaptive-cache have no "
-            f"effect on the {resolved!r} pipeline; use --pipeline tiered-cache "
-            f"(or prefetch, which consumes the machine-shared tier)",
-            file=sys.stderr,
-        )
-        return True
-    return False
-
-
 def _cmd_run_cluster(
     args: argparse.Namespace,
     base_scenario=None,
@@ -572,25 +550,18 @@ def _cmd_run_cluster(
         pipeline = args.pipeline
         if pipeline is None and cache_config is not None:
             pipeline = "tiered-cache"
-        if _reject_cacheless_pipeline(pipeline, cache_config):
-            return 2
         return _run_serving(
             scenario, seed=args.seed, trace_dir=args.trace_dir,
             pipeline=pipeline, prefetch_config=prefetch_config,
             cache_config=cache_config,
         )
-    try:
-        workload = scenario.materialize(
-            seed=args.seed,
-            train_config=TrainConfig(
-                epochs=scenario.epochs, arch=args.arch, hidden_dim=args.hidden_dim,
-                evaluate=args.evaluate, seed=args.seed,
-            ),
-        )
-    except ValueError as exc:
-        # e.g. --engine lockstep combined with an async-only sync policy.
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    workload = scenario.materialize(
+        seed=args.seed,
+        train_config=TrainConfig(
+            epochs=scenario.epochs, arch=args.arch, hidden_dim=args.hidden_dim,
+            evaluate=args.evaluate, seed=args.seed,
+        ),
+    )
     print(f"scenario '{scenario.name}': {scenario.description}")
     print(f"dataset={scenario.dataset} scale={scenario.scale} "
           f"machines={scenario.num_machines} trainers/machine={scenario.trainers_per_machine} "
@@ -600,8 +571,6 @@ def _cmd_run_cluster(
     pipeline = args.pipeline
     if pipeline is None and cache_config is not None:
         pipeline = "tiered-cache"
-    if _reject_cacheless_pipeline(pipeline, cache_config):
-        return 2
     report = workload.run(
         pipeline=pipeline, prefetch_config=prefetch_config, cache_config=cache_config
     )
@@ -779,11 +748,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     if args.sampler is not None:
-        try:
-            args.sampler = resolve_sampler(args.sampler)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        args.sampler = resolve_sampler(args.sampler)
     # Engine/sync selection is a cluster-execution concern: an explicit
     # --engine (or any async sync knob) routes through the scenario-driven
     # cluster path, defaulting to the 'uniform' scenario.
@@ -794,12 +759,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         # A preset is a frozen (scenario, overrides) bundle: apply it first,
         # then let explicitly passed flags override — CLI beats preset beats
         # scenario recipe.
-        try:
-            preset = load_preset(args.preset, presets_dir=args.presets_dir)
-            base = preset.apply()
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        preset = load_preset(args.preset, presets_dir=args.presets_dir)
+        base = preset.apply()
         if args.scenario is not None and SCENARIOS.resolve(args.scenario) != preset.scenario:
             print(f"error: --scenario {args.scenario!r} conflicts with preset "
                   f"{preset.name!r} (frozen for scenario {preset.scenario!r}); "
@@ -852,24 +813,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
         eviction_enabled=not args.no_eviction,
         eviction_policy=args.eviction_policy or "score-threshold",
     )
-    eviction_policy = (
-        build_eviction_policy(args.eviction_policy, seed=args.seed)
-        if args.eviction_policy
-        else None
-    )
     cache_config = _build_cache_config(args)
     pipeline = args.pipeline
     if pipeline is None and cache_config is not None:
         pipeline = "tiered-cache"
-    if _reject_cacheless_pipeline(pipeline, cache_config):
-        return 2
 
     if pipeline is not None:
         report = engine.run_pipeline(
-            pipeline,
-            prefetch_config=prefetch_config,
-            eviction_policy=eviction_policy,
-            cache_config=cache_config,
+            pipeline, prefetch_config=prefetch_config, cache_config=cache_config
         )
         hit = f", hit rate {report.hit_rate:.3f}" if report.hit_tracker is not None else ""
         print(f"[{report.mode}] simulated time {report.total_simulated_time_s:.4f}s, "
@@ -886,7 +837,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"[baseline] simulated time {baseline.total_simulated_time_s:.4f}s, "
               f"train acc {baseline.final_train_accuracy:.3f}")
     if args.mode in ("prefetch", "both"):
-        prefetch = engine.run_prefetch(prefetch_config, eviction_policy=eviction_policy)
+        prefetch = engine.run_prefetch(prefetch_config)
         print(f"[prefetch] simulated time {prefetch.total_simulated_time_s:.4f}s, "
               f"train acc {prefetch.final_train_accuracy:.3f}, hit rate {prefetch.hit_rate:.3f}")
     if baseline is not None and prefetch is not None:
@@ -1089,7 +1040,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "scenarios":
         return _cmd_scenarios(markdown=args.markdown)
     if args.command == "run":
-        return _cmd_run(args)
+        try:
+            return _cmd_run(args)
+        except ValueError as exc:
+            # What a selected pipeline, engine, sampler or preset cannot
+            # honour raises ValueError with a one-line message (a CacheConfig
+            # on 'baseline', a sync policy on lockstep): misuse, not a crash.
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     if args.command == "serve":
         return _cmd_serve(args)
     if args.command == "sweep":

@@ -16,9 +16,10 @@ node is evicted if it went unused for (roughly) a full interval.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
+from repro.core.eviction import EVICTION_POLICIES
 from repro.utils.validation import check_fraction, check_positive
 
 
@@ -35,12 +36,9 @@ class PrefetchConfig:
     look_ahead: int = 1
     initial_eviction_score: float = 1.0
     min_buffer_slots: int = 1
-    # Registry names (see repro.core.eviction.EVICTION_POLICIES and
-    # repro.features.FEATURE_SOURCES): which eviction policy the prefetcher
-    # builds by default, and which source serves the halo data path in the
-    # prefetch pipeline.
+    # Registry name (see repro.core.eviction.EVICTION_POLICIES) of the
+    # eviction policy every trainer's prefetcher builds for itself.
     eviction_policy: str = "score-threshold"
-    halo_source: str = "buffered"
 
     def __post_init__(self) -> None:
         check_fraction(self.halo_fraction, "halo_fraction")
@@ -52,15 +50,9 @@ class PrefetchConfig:
             raise ValueError(f"scoreboard must be 'dense' or 'compact', got {self.scoreboard!r}")
         if self.alpha is not None and self.alpha < 0:
             raise ValueError("alpha must be non-negative")
-        # Resolve registry names eagerly so a typo fails at construction, not
-        # mid-run.  Both registries are imported lazily because their modules
-        # sit above repro.core in the import graph.
-        from repro.core.eviction import EVICTION_POLICIES
-
+        # Resolve the registry name eagerly so a typo fails at construction,
+        # not mid-run.
         EVICTION_POLICIES.resolve(self.eviction_policy)
-        from repro.features.sources import FEATURE_SOURCES
-
-        FEATURE_SOURCES.resolve(self.halo_source)
 
     @property
     def effective_alpha(self) -> float:
@@ -77,19 +69,7 @@ class PrefetchConfig:
 
     def without_eviction(self) -> "PrefetchConfig":
         """Copy of this config with eviction disabled (prefetch-only variant)."""
-        return PrefetchConfig(
-            halo_fraction=self.halo_fraction,
-            gamma=self.gamma,
-            delta=self.delta,
-            eviction_enabled=False,
-            alpha=self.alpha,
-            scoreboard=self.scoreboard,
-            look_ahead=self.look_ahead,
-            initial_eviction_score=self.initial_eviction_score,
-            min_buffer_slots=self.min_buffer_slots,
-            eviction_policy=self.eviction_policy,
-            halo_source=self.halo_source,
-        )
+        return replace(self, eviction_enabled=False)
 
     def describe(self) -> str:
         """Short human-readable descriptor (used in benchmark table rows)."""

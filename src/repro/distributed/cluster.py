@@ -44,6 +44,8 @@ from repro.utils.rng import derive_seed
 from repro.utils.validation import check_positive
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from repro.cache.config import CacheConfig
+    from repro.cache.tier import CacheTier
     from repro.events.schedule import CongestionSpec
 
 
@@ -197,7 +199,7 @@ class SimCluster:
         # Machine-shared cache tiers, created lazily per run when a two-tier
         # CacheConfig is in play (see shared_cache_tier); reset() drops them
         # so consecutive runs start cold like everything else.
-        self._shared_cache_tiers: Dict[int, object] = {}
+        self._shared_cache_tiers: Dict[int, "CacheTier"] = {}
         self.trainers: List[TrainerContext] = self._spawn_trainers()
         # Pristine seed assignment, kept so reset() can undo elastic
         # re-splits (identity comparison keeps the non-elastic path free).
@@ -278,30 +280,23 @@ class SimCluster:
     def partition_of_machine(self, machine: int) -> GraphPartition:
         return self.partitions[machine]
 
-    def shared_cache_tier(self, machine: int, cache_config) -> "CacheTier":
+    def shared_cache_tier(
+        self, machine: int, cache_config: Optional["CacheConfig"]
+    ) -> Optional["CacheTier"]:
         """The machine's shared :class:`~repro.cache.tier.CacheTier` (lazily built).
 
-        Every trainer on *machine* composes the same instance behind its hot
-        tier; each trainer funds its own capacity contribution when its
-        source is built, so the tier's capacity is the machine's total.  The
-        tier starts empty at capacity 0 and is dropped by :meth:`reset`.
+        ``None`` unless *cache_config* has two tiers.  Every trainer on
+        *machine* composes the same instance behind its hot tier; each trainer
+        funds its own capacity contribution when its source is built, so the
+        tier's capacity is the machine's total.  The tier starts empty at
+        capacity 0 and is dropped by :meth:`reset`.
         """
-        from repro.cache.tier import CacheTier
-        from repro.features.sources import halo_degree_lookup, halo_distance_lookup
-
+        if cache_config is None or cache_config.tiers < 2:
+            return None
         tier = self._shared_cache_tiers.get(machine)
         if tier is None:
-            partition = self.partitions[machine]
-            tier = CacheTier(
-                "shared",
-                0,
-                self.dataset.feature_dim,
-                admission=cache_config.shared_admission,
-                eviction=cache_config.shared_eviction,
-                degree_of=halo_degree_lookup(partition),
-                scorer=getattr(cache_config, "scorer", "decayed"),
-                distance_of=halo_distance_lookup(partition),
-                record_decisions=getattr(cache_config, "record_decisions", False),
+            tier = cache_config.build_tier(
+                "shared", 0, self.dataset.feature_dim, self.partitions[machine]
             )
             self._shared_cache_tiers[machine] = tier
         return tier

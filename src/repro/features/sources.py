@@ -1,4 +1,4 @@
-"""Concrete feature sources: local KVStore, remote RPC, prefetch buffer, static cache.
+"""Concrete feature sources: local KVStore, remote RPC, prefetch buffer, tiered cache.
 
 Each source implements the :class:`~repro.features.source.FeatureSource`
 protocol over a different data path:
@@ -7,29 +7,26 @@ protocol over a different data path:
   partition server (the local half of both pipelines);
 * :class:`RemoteRPCSource` — every row pulled from its owning partition over
   simulated RPC (the DistDGL baseline halo path, Eq. 2);
-* :class:`BufferedSource` — wraps a :class:`~repro.core.prefetcher.Prefetcher`
+* :class:`BufferedSource` — owns a :class:`~repro.core.prefetcher.Prefetcher`
   so Algorithms 1–2 (scored prefetch + eviction) serve the halo path, with the
   prefetcher's exact operation counts surfaced as :class:`FetchStats`;
-* :class:`StaticDegreeCacheSource` — a degree-ranked cache populated once and
-  never updated: the natural ablation showing why continuous eviction beats a
-  static cache under stochastic neighbor sampling.  Since the tiered-cache
-  subsystem landed it is a thin configuration of :class:`TieredCacheSource`
-  (one tier, ``static-degree`` admission, no eviction) — the stats and
-  numerics are bit-identical to the historical implementation;
 * :class:`TieredCacheSource` — the general policy-pluggable path: a
   per-trainer hot :class:`~repro.cache.tier.CacheTier` optionally backed by a
   machine-shared tier, both sitting in front of the RPC channel (and hence in
   front of the :class:`~repro.distributed.rpc.BatchedRPCChannel`'s coalescing
-  window when that channel is selected).
+  window when that channel is selected).  With the default
+  :class:`~repro.cache.config.CacheConfig` it is the degree-ranked static
+  cache — populated once, never updated — the ablation showing why continuous
+  eviction beats a static cache under stochastic neighbor sampling.
 
-Sources are registered in :data:`FEATURE_SOURCES` and built by name from a
-:class:`SourceContext` via :func:`build_feature_source`.
+Sources are plain classes: a pipeline builder (see
+:mod:`repro.training.pipelines`) constructs the ones it wants and hands the
+objects to a :class:`~repro.features.store.FeatureStore`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -39,7 +36,7 @@ from repro.cache.controller import AdaptiveCapacityController
 from repro.cache.stack import TieredFeatureCache
 from repro.cache.tier import CacheTier
 from repro.core.config import PrefetchConfig
-from repro.core.eviction import EvictionPolicy, build_eviction_policy
+from repro.core.eviction import build_eviction_policy
 from repro.core.metrics import HitRateTracker
 from repro.core.prefetcher import Prefetcher
 from repro.distributed.cost_model import BYTES_PER_FEATURE
@@ -47,55 +44,27 @@ from repro.distributed.rpc import RPCChannel
 from repro.features.source import FetchStats
 from repro.graph.halo import GraphPartition
 from repro.graph.partition_book import PartitionBook
-from repro.utils.registry import Registry
+from repro.utils.rng import SeedLike
 
 
-def halo_degree_lookup(partition: GraphPartition) -> Callable[[np.ndarray], np.ndarray]:
-    """Degree lookup over the partition's halo (non-halo ids report degree 0)."""
-    halo = partition.halo_global
-    degrees = partition.halo_degrees()
+def _split_budget(
+    cache_config: CacheConfig, shared_tier: Optional[CacheTier], budget: int
+) -> Tuple[int, int]:
+    """``(hot_capacity, shared_contribution)`` of one trainer's row *budget*.
 
-    def lookup(global_ids: np.ndarray) -> np.ndarray:
-        out = np.zeros(len(global_ids), dtype=np.int64)
-        if len(halo) and len(global_ids):
-            idx = np.minimum(np.searchsorted(halo, global_ids), len(halo) - 1)
-            match = halo[idx] == global_ids
-            out[match] = degrees[idx[match]]
-        return out
-
-    return lookup
-
-
-def halo_distance_lookup(partition: GraphPartition) -> Callable[[np.ndarray], np.ndarray]:
-    """Hop distance from the partition boundary for the scorer's distance feature.
-
-    Partitions only materialize 1-hop halos, so members of the halo table sit
-    at distance 1 and anything else (ids seen only through multi-hop fanout)
-    reports distance 2 — far enough that the scorer's ``1/distance`` feature
-    ranks them below every direct halo neighbor.
+    With two tiers the trainer funds its share of the machine tier here, so
+    the tier's capacity is the sum of its trainers' contributions and total
+    resident memory matches the single-tier configuration.
     """
-    halo = partition.halo_global
-
-    def lookup(global_ids: np.ndarray) -> np.ndarray:
-        out = np.full(len(global_ids), 2, dtype=np.int64)
-        if len(halo) and len(global_ids):
-            idx = np.minimum(np.searchsorted(halo, global_ids), len(halo) - 1)
-            out[halo[idx] == global_ids] = 1
-        return out
-
-    return lookup
-
-
-def halo_owners(partition: GraphPartition, global_ids: np.ndarray) -> np.ndarray:
-    """Owning partition of each halo node, validating membership.
-
-    Ids that are not halo neighbors of *partition* (e.g. nodes of a
-    non-adjacent partition) have no entry in the halo tables; a blind
-    ``searchsorted`` would silently return a wrong owner, so reject them.
-    Delegates to :meth:`~repro.graph.halo.GraphPartition.halo_owners_of`,
-    which the prefetcher's miss path shares.
-    """
-    return partition.halo_owners_of(global_ids)
+    hot_capacity, shared_contribution = cache_config.split_budget(budget)
+    if cache_config.tiers >= 2:
+        if shared_tier is None:
+            raise ValueError(
+                "a two-tier CacheConfig needs the machine's shared tier: pass "
+                "shared_tier=cluster.shared_cache_tier(machine, cache_config)"
+            )
+        shared_tier.resize(shared_tier.capacity + shared_contribution)
+    return hot_capacity, shared_contribution
 
 
 class LocalKVStoreSource:
@@ -159,7 +128,7 @@ class RemoteRPCSource:
     @classmethod
     def from_partition(cls, rpc: RPCChannel, partition: GraphPartition) -> "RemoteRPCSource":
         """Route ownership lookups through the partition's halo tables."""
-        return cls(rpc, owner_of=lambda global_ids: halo_owners(partition, global_ids))
+        return cls(rpc, owner_of=partition.halo_owners_of)
 
     def fetch(self, global_ids: np.ndarray) -> Tuple[np.ndarray, FetchStats]:
         if len(global_ids) == 0:
@@ -191,17 +160,57 @@ class RemoteRPCSource:
 class BufferedSource:
     """The MassiveGNN data path: a scored prefetch buffer in front of RPC.
 
-    Wraps one per-trainer :class:`Prefetcher` and preserves its Algorithm 1/2
+    Owns one per-trainer :class:`Prefetcher` and preserves its Algorithm 1/2
     semantics exactly — the buffer lookup, S_E decay, S_A increments, the Δ-step
     eviction rounds, and every operation count the cost model charges for.  The
     prefetcher's lifetime step counter (which drives Δ) advances once per
     ``fetch`` call, i.e. once per minibatch.
+
+    ``config.eviction_policy`` names the policy, built here with *seed* so
+    every trainer owns its instance (and its RNG stream).  A two-tier
+    ``cache_config`` threads the machine-shared tier into the prefetcher's
+    miss path and splits the trainer's row budget like
+    :class:`TieredCacheSource` does: the buffer keeps ``hot_fraction`` of it
+    and the rest funds the shared tier.  ``None`` or a single tier keeps the
+    golden-pinned Algorithm 2 accounting bit-identical.
     """
 
     name = "buffered"
 
-    def __init__(self, prefetcher: Prefetcher):
-        self.prefetcher = prefetcher
+    def __init__(
+        self,
+        rpc: RPCChannel,
+        partition: GraphPartition,
+        config: PrefetchConfig,
+        num_global_nodes: int,
+        seed: SeedLike = None,
+        cache_config: Optional[CacheConfig] = None,
+        shared_tier: Optional[CacheTier] = None,
+    ):
+        if cache_config is None or cache_config.tiers < 2:
+            shared_tier = None
+        else:
+            if cache_config.adaptive:
+                raise ValueError(
+                    "adaptive capacity control is not supported on the prefetch "
+                    "(buffered) data path — the buffer is not a resizable cache "
+                    "tier; use the 'tiered-cache' pipeline instead"
+                )
+            num_halo = partition.num_halo
+            budget = config.buffer_capacity(num_halo)
+            hot_capacity, _ = _split_budget(cache_config, shared_tier, budget)
+            if num_halo > 0 and budget > 0:
+                config = dataclasses.replace(
+                    config, halo_fraction=min(1.0, hot_capacity / num_halo)
+                )
+        self.prefetcher = Prefetcher(
+            partition=partition,
+            config=config,
+            rpc=rpc,
+            num_global_nodes=num_global_nodes,
+            eviction_policy=build_eviction_policy(config.eviction_policy, seed=seed),
+            shared_tier=shared_tier,
+        )
         self._step = 0
 
     @property
@@ -267,9 +276,10 @@ class TieredCacheSource:
     :class:`~repro.distributed.rpc.BatchedRPCChannel`'s coalescing window
     when that channel is selected).  Admission/eviction behavior is whatever
     the :class:`~repro.cache.config.CacheConfig` names; with the default
-    config (one tier, ``static-degree`` admission, no eviction) the source is
-    bit-identical to the pre-tier :class:`StaticDegreeCacheSource`, which the
-    differential tests pin.
+    config (one tier, ``static-degree`` admission, no eviction) the source
+    *is* the static cache: populated once, no scoreboards, no eviction — the
+    counterpoint to :class:`BufferedSource` whose hit rate decays over
+    training because neighbor sampling is stochastic (Section I).
 
     ``capacity`` is the trainer's total row budget; with two tiers it is
     split by ``cache_config.hot_fraction`` between the hot tier and this
@@ -297,40 +307,17 @@ class TieredCacheSource:
         self._step = 0
         self._initialized = False
 
-        degree_of = halo_degree_lookup(partition)
-        distance_of = halo_distance_lookup(partition)
         feature_dim = rpc.servers[rpc.local_part].feature_dim
-        hot_capacity, shared_contribution = self.cache_config.split_budget(self.capacity)
-        self.hot_tier = CacheTier(
-            "hot",
-            hot_capacity,
-            feature_dim,
-            admission=self.cache_config.admission,
-            eviction=self.cache_config.eviction,
-            degree_of=degree_of,
-            scorer=self.cache_config.scorer,
-            distance_of=distance_of,
-            record_decisions=self.cache_config.record_decisions,
+        hot_capacity, shared_contribution = _split_budget(
+            self.cache_config, shared_tier, self.capacity
+        )
+        self.hot_tier = self.cache_config.build_tier(
+            "hot", hot_capacity, feature_dim, partition
         )
         tiers: List[CacheTier] = [self.hot_tier]
         self.shared_tier: Optional[CacheTier] = None
         self.controller: Optional[AdaptiveCapacityController] = None
         if self.cache_config.tiers >= 2:
-            if shared_tier is None:
-                shared_tier = CacheTier(
-                    "shared",
-                    0,
-                    feature_dim,
-                    admission=self.cache_config.shared_admission,
-                    eviction=self.cache_config.shared_eviction,
-                    degree_of=degree_of,
-                    scorer=self.cache_config.scorer,
-                    distance_of=distance_of,
-                    record_decisions=self.cache_config.record_decisions,
-                )
-            # Each trainer funds its share of the machine tier; the tier's
-            # capacity is the sum of its trainers' contributions.
-            shared_tier.resize(shared_tier.capacity + shared_contribution)
             self.shared_tier = shared_tier
             tiers.append(shared_tier)
             if self.cache_config.adaptive:
@@ -355,7 +342,7 @@ class TieredCacheSource:
             order = np.argsort(-self.partition.halo_degrees(), kind="stable")
             selected = np.sort(halo[order[:capacity]])
             rows, rpc_time, delta = self.rpc.remote_pull(
-                selected, halo_owners(self.partition, selected)
+                selected, self.partition.halo_owners_of(selected)
             )
             self.hot_tier.seed(selected, rows)
             bytes_fetched = int(delta.bytes_fetched)
@@ -407,7 +394,7 @@ class TieredCacheSource:
     def _fetch_missing(self, global_ids: np.ndarray) -> Tuple[np.ndarray, float, int]:
         """Miss handler behind the stack: one owner-routed RPC pull."""
         rows, rpc_time, delta = self.rpc.remote_pull(
-            global_ids, halo_owners(self.partition, global_ids)
+            global_ids, self.partition.halo_owners_of(global_ids)
         )
         return rows, rpc_time, int(delta.bytes_fetched)
 
@@ -436,153 +423,3 @@ class TieredCacheSource:
         }
         out.update(self.tier_summary())
         return out
-
-
-class StaticDegreeCacheSource(TieredCacheSource):
-    """A top-degree halo cache populated once at initialization, never updated.
-
-    The counterpoint to :class:`BufferedSource`: identical capacity and the
-    same degree-ranked initial population, but no scoreboards and no eviction.
-    Because neighbor sampling is stochastic, a static cache's hit rate decays
-    over training — the phenomenon that motivates the paper's continuous
-    prefetch-and-eviction scheme (Section I).
-
-    Implemented as the default single-tier configuration of
-    :class:`TieredCacheSource` (``static-degree`` admission, no eviction);
-    the regression tests pin its stats and numerics to the historical
-    stand-alone implementation.
-    """
-
-    name = "static-cache"
-
-    def __init__(self, rpc: RPCChannel, partition: GraphPartition, capacity: int):
-        super().__init__(rpc, partition, capacity, cache_config=CacheConfig())
-
-    @property
-    def _cached_ids(self) -> np.ndarray:
-        """Resident ids, ascending (legacy introspection some tests use)."""
-        return self.hot_tier.resident_ids
-
-
-# --------------------------------------------------------------------------- #
-# Registry: sources constructible by name from configs / CLI / benchmarks
-# --------------------------------------------------------------------------- #
-@dataclass
-class SourceContext:
-    """Everything a feature-source factory may need for one trainer.
-
-    ``cache_config`` parameterizes the tiered cache sources; ``shared_tier``
-    is the machine-shared :class:`~repro.cache.tier.CacheTier` owned by the
-    cluster (one per machine) that two-tier stacks compose behind the hot
-    tier — every trainer on the machine passes the same instance.
-    """
-
-    rpc: RPCChannel
-    partition: GraphPartition
-    num_global_nodes: int = 0
-    book: Optional[PartitionBook] = None
-    prefetch_config: Optional[PrefetchConfig] = None
-    eviction_policy: Optional[EvictionPolicy] = None
-    seed: Optional[int] = None
-    cache_config: Optional[CacheConfig] = None
-    shared_tier: Optional[CacheTier] = None
-
-    def require_prefetch_config(self, source_name: str) -> PrefetchConfig:
-        if self.prefetch_config is None:
-            raise ValueError(f"feature source {source_name!r} requires a PrefetchConfig")
-        return self.prefetch_config
-
-
-FEATURE_SOURCES = Registry("feature source")
-
-
-@FEATURE_SOURCES.register("local-kvstore", aliases=("local",))
-def _build_local(ctx: SourceContext) -> LocalKVStoreSource:
-    return LocalKVStoreSource(ctx.rpc)
-
-
-@FEATURE_SOURCES.register("remote-rpc", aliases=("remote", "rpc"))
-def _build_remote(ctx: SourceContext) -> RemoteRPCSource:
-    if ctx.book is not None:
-        return RemoteRPCSource.from_book(ctx.rpc, ctx.book)
-    return RemoteRPCSource.from_partition(ctx.rpc, ctx.partition)
-
-
-@FEATURE_SOURCES.register("buffered", aliases=("buffer", "prefetcher"))
-def _build_buffered(ctx: SourceContext) -> BufferedSource:
-    config = ctx.require_prefetch_config("buffered")
-    policy = ctx.eviction_policy
-    if policy is None:
-        policy = build_eviction_policy(config.eviction_policy, seed=ctx.seed)
-    # A two-tier cache config threads the machine-shared tier into the
-    # prefetcher's miss path; the default (None / single tier) keeps the
-    # golden-pinned Algorithm 2 accounting bit-identical.  The trainer's row
-    # budget is split like the tiered source's: the buffer keeps
-    # ``hot_fraction`` of it and the rest funds the machine-shared tier, so
-    # total resident memory matches the single-tier configuration.
-    shared_tier = None
-    if ctx.cache_config is not None and ctx.cache_config.tiers >= 2:
-        if ctx.cache_config.adaptive:
-            raise ValueError(
-                "adaptive capacity control is not supported on the prefetch "
-                "(buffered) data path — the buffer is not a resizable cache "
-                "tier; use the 'tiered-cache' pipeline instead"
-            )
-        shared_tier = ctx.shared_tier
-        if shared_tier is None:
-            # Parity with TieredCacheSource: a two-tier config without a
-            # cluster-owned tier still gets a (private) shared tier instead
-            # of silently degrading to the single-tier path.
-            shared_tier = CacheTier(
-                "shared",
-                0,
-                ctx.rpc.servers[ctx.rpc.local_part].feature_dim,
-                admission=ctx.cache_config.shared_admission,
-                eviction=ctx.cache_config.shared_eviction,
-                degree_of=halo_degree_lookup(ctx.partition),
-                scorer=ctx.cache_config.scorer,
-                distance_of=halo_distance_lookup(ctx.partition),
-                record_decisions=ctx.cache_config.record_decisions,
-            )
-        num_halo = ctx.partition.num_halo
-        budget = config.buffer_capacity(num_halo)
-        hot_capacity, shared_contribution = ctx.cache_config.split_budget(budget)
-        if num_halo > 0 and budget > 0:
-            config = dataclasses.replace(
-                config, halo_fraction=min(1.0, hot_capacity / num_halo)
-            )
-        shared_tier.resize(shared_tier.capacity + shared_contribution)
-    prefetcher = Prefetcher(
-        partition=ctx.partition,
-        config=config,
-        rpc=ctx.rpc,
-        num_global_nodes=ctx.num_global_nodes,
-        eviction_policy=policy,
-        shared_tier=shared_tier,
-    )
-    return BufferedSource(prefetcher)
-
-
-@FEATURE_SOURCES.register("static-cache", aliases=("static", "static-degree"))
-def _build_static_cache(ctx: SourceContext) -> StaticDegreeCacheSource:
-    config = ctx.require_prefetch_config("static-cache")
-    capacity = config.buffer_capacity(ctx.partition.num_halo)
-    return StaticDegreeCacheSource(ctx.rpc, ctx.partition, capacity)
-
-
-@FEATURE_SOURCES.register("tiered-cache", aliases=("tiered", "tiers"))
-def _build_tiered_cache(ctx: SourceContext) -> TieredCacheSource:
-    config = ctx.require_prefetch_config("tiered-cache")
-    capacity = config.buffer_capacity(ctx.partition.num_halo)
-    return TieredCacheSource(
-        ctx.rpc,
-        ctx.partition,
-        capacity,
-        cache_config=ctx.cache_config,
-        shared_tier=ctx.shared_tier,
-    )
-
-
-def build_feature_source(name: str, ctx: SourceContext):
-    """Build a registered feature source by name for one trainer's context."""
-    return FEATURE_SOURCES.build(name, ctx)

@@ -81,6 +81,34 @@ class GraphPartition:
         """Global degrees of the halo nodes (used for degree-based prefetching)."""
         return self.global_degrees[self.num_owned:]
 
+    def _halo_index(self, global_ids: np.ndarray):
+        """(position in the halo table, is-a-halo-node mask) of each id."""
+        halo = self.halo_global
+        if len(halo) == 0 or len(global_ids) == 0:
+            return np.zeros(len(global_ids), dtype=np.int64), np.zeros(len(global_ids), dtype=bool)
+        idx = np.minimum(np.searchsorted(halo, global_ids), len(halo) - 1)
+        return idx, halo[idx] == global_ids
+
+    def halo_degree_of(self, global_ids: np.ndarray) -> np.ndarray:
+        """Global degree of each id that is a halo node here; any other id reports 0."""
+        idx, match = self._halo_index(global_ids)
+        out = np.zeros(len(global_ids), dtype=np.int64)
+        out[match] = self.halo_degrees()[idx[match]]
+        return out
+
+    def halo_distance_of(self, global_ids: np.ndarray) -> np.ndarray:
+        """Hop distance from the partition boundary (a cache scorer's feature).
+
+        Partitions only materialize 1-hop halos, so members of the halo table
+        sit at distance 1 and anything else (ids seen only through multi-hop
+        fanout) reports distance 2 — far enough that a ``1/distance`` feature
+        ranks them below every direct halo neighbor.
+        """
+        _, match = self._halo_index(global_ids)
+        out = np.full(len(global_ids), 2, dtype=np.int64)
+        out[match] = 1
+        return out
+
     def halo_owners_of(self, global_ids: np.ndarray) -> np.ndarray:
         """Owning partition of each halo id, validating membership.
 
@@ -90,12 +118,7 @@ class GraphPartition:
         lookup would serve the wrong row), so they raise ``KeyError`` instead.
         """
         global_ids = check_1d_int_array(global_ids, "global_ids")
-        if len(global_ids) == 0:
-            return np.zeros(0, dtype=np.int64)
-        idx = np.searchsorted(self.halo_global, global_ids)
-        in_range = idx < len(self.halo_global)
-        valid = in_range.copy()
-        valid[in_range] = self.halo_global[idx[in_range]] == global_ids[in_range]
+        idx, valid = self._halo_index(global_ids)
         if not np.all(valid):
             missing = global_ids[~valid][:5]
             raise KeyError(

@@ -15,7 +15,8 @@ from repro.sampling.neighbor_sampler import resolve_sampler
 from repro.serving.arrivals import ServingSpec
 from repro.training.cluster_engine import ClusterReport
 from repro.training.config import TrainConfig
-from repro.training.engines import ENGINES
+from repro.training.engines import ENGINES, build_engine
+from repro.training.pipelines import CACHELESS_PIPELINES, PIPELINES
 from repro.utils.registry import Registry
 
 SCENARIOS = Registry("scenario")
@@ -202,7 +203,7 @@ class ClusterScenario:
         cluster = SimCluster(dataset, self.cluster_config(seed), cost_model=self.cost_model())
         if train_config is None:
             train_config = TrainConfig(epochs=self.epochs, hidden_dim=32, seed=seed)
-        engine = ENGINES.build(
+        engine = build_engine(
             self.engine,
             cluster,
             train_config,
@@ -237,21 +238,25 @@ class ClusterWorkload:
         self,
         pipeline: Optional[str] = None,
         prefetch_config: Optional[PrefetchConfig] = None,
-        eviction_policy=None,
         cache_config: Optional[CacheConfig] = None,
     ) -> "ClusterReport":
-        """Execute the scenario's pipeline; explicit arguments override the recipe."""
+        """Execute the scenario's pipeline; explicit arguments override the recipe.
+
+        The recipe's ``cache_config`` belongs to the recipe's pipeline: running
+        a pipeline that has no cache tiers instead (the ``baseline``
+        comparison) leaves it behind.  An explicit ``cache_config`` is never
+        dropped — the cacheless builders raise ``ValueError`` on it.
+        """
         name = pipeline or self.scenario.pipeline
         prefetch = prefetch_config or self.scenario.prefetch_config
         if name != "baseline" and prefetch is None:
             prefetch = PrefetchConfig()
-        cache = cache_config or self.scenario.cache_config
-        return self.engine.run(
-            name,
-            prefetch_config=prefetch,
-            eviction_policy=eviction_policy,
-            cache_config=cache,
+        cacheless_override = (
+            pipeline is not None and PIPELINES.resolve(pipeline) in CACHELESS_PIPELINES
         )
+        if cache_config is None and not cacheless_override:
+            cache_config = self.scenario.cache_config
+        return self.engine.run(name, prefetch_config=prefetch, cache_config=cache_config)
 
 
 def available_scenarios(engine: Optional[str] = None) -> list:

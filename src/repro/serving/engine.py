@@ -40,7 +40,6 @@ import numpy as np
 
 from repro.cache.config import CacheConfig
 from repro.core.config import PrefetchConfig
-from repro.core.eviction import EvictionPolicy
 from repro.distributed.cluster import SimCluster
 from repro.events.loop import Event, EventLoop
 from repro.serving.arrivals import ServingSpec, build_arrivals
@@ -108,14 +107,11 @@ class InferenceClusterEngine:
         self,
         pipeline: Union[str, PipelineBuilder] = "tiered-cache",
         prefetch_config: Optional[PrefetchConfig] = None,
-        eviction_policy: Optional[EvictionPolicy] = None,
         cache_config: Optional[CacheConfig] = None,
     ) -> ServingReport:
         """Serve ``serving.num_requests`` requests; returns the run's report."""
         cluster, spec = self.cluster, self.serving
-        setup = prepare_cluster_run(
-            cluster, self.config, pipeline, prefetch_config, eviction_policy, cache_config
-        )
+        setup = prepare_cluster_run(cluster, self.config, pipeline, prefetch_config, cache_config)
         trainers = cluster.trainers
         world = len(trainers)
         model = setup.model

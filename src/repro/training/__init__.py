@@ -1,17 +1,11 @@
 """Training pipelines: baseline DistDGL-style and MassiveGNN prefetch-enabled."""
 
 from repro.training.async_engine import AsyncClusterEngine
-from repro.training.baseline import train_baseline
 from repro.training.cluster_engine import ClusterEngine, ClusterReport, TrainerRunStats
 from repro.training.config import TrainConfig
-from repro.training.engine import TrainingEngine
+from repro.training.engine import TrainingEngine, compare_baseline_and_prefetch
 from repro.training.engines import ENGINES, build_engine
 from repro.training.evaluate import evaluate_accuracy, evaluate_loss, majority_class_accuracy
-from repro.training.massive import (
-    compare_baseline_and_prefetch,
-    train_massive,
-    train_with_pipeline,
-)
 from repro.training.memory import MemoryProfile, compare_memory, profile_memory
 from repro.training.pipelines import (
     PIPELINES,
@@ -36,8 +30,6 @@ from repro.training.telemetry import (
 )
 
 __all__ = [
-    "train_baseline",
-    "train_with_pipeline",
     "TrainConfig",
     "TrainingEngine",
     "AsyncClusterEngine",
@@ -54,7 +46,6 @@ __all__ = [
     "evaluate_loss",
     "majority_class_accuracy",
     "compare_baseline_and_prefetch",
-    "train_massive",
     "MemoryProfile",
     "compare_memory",
     "profile_memory",

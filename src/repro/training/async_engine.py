@@ -61,7 +61,6 @@ import numpy as np
 
 from repro.cache.config import CacheConfig
 from repro.core.config import PrefetchConfig
-from repro.core.eviction import EvictionPolicy
 from repro.distributed.cluster import SimCluster
 from repro.distributed.cost_model import BYTES_PER_FEATURE
 from repro.events.loop import Event, EventLoop
@@ -129,7 +128,6 @@ class AsyncClusterEngine:
         self,
         pipeline: Union[str, PipelineBuilder] = "baseline",
         prefetch_config: Optional[PrefetchConfig] = None,
-        eviction_policy: Optional[EvictionPolicy] = None,
         cache_config: Optional[CacheConfig] = None,
     ) -> ClusterReport:
         """Train the cluster event-driven; same contract as the lockstep engine."""
@@ -141,9 +139,7 @@ class AsyncClusterEngine:
                 f"{policy.name!r}: replica averaging over dynamic "
                 f"membership is undefined"
             )
-        run = ClusterRun(
-            self.cluster, self.config, pipeline, prefetch_config, eviction_policy, cache_config
-        )
+        run = ClusterRun(self.cluster, self.config, pipeline, prefetch_config, cache_config)
         driver = _EventDrivenRun(
             run, policy, self.failures, elastic, EventLoop(record=self.record_events)
         )

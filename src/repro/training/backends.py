@@ -22,7 +22,6 @@ import numpy as np
 
 from repro.cache.config import CacheConfig
 from repro.core.config import PrefetchConfig
-from repro.core.eviction import EvictionPolicy
 from repro.distributed.cluster import SimCluster
 from repro.features.store import merge_store_summaries
 from repro.training.artifacts import collect_trainer_artifacts
@@ -50,14 +49,13 @@ class ClusterRun:
         train_config: TrainConfig,
         pipeline: Union[str, PipelineBuilder],
         prefetch_config: Optional[PrefetchConfig],
-        eviction_policy: Optional[EvictionPolicy],
         cache_config: Optional[CacheConfig],
     ):
         self.cluster = cluster
         self.config = train_config
         self.prefetch_config = prefetch_config
         self.setup = prepare_cluster_run(
-            cluster, train_config, pipeline, prefetch_config, eviction_policy, cache_config
+            cluster, train_config, pipeline, prefetch_config, cache_config
         )
         world = len(cluster.trainers)
         # Lifetime steps per trainer: drives Δ / Eq. 4 inside the timing

@@ -42,7 +42,6 @@ import numpy as np
 
 from repro.cache.config import CacheConfig
 from repro.core.config import PrefetchConfig
-from repro.core.eviction import EvictionPolicy
 from repro.distributed.cluster import SimCluster
 from repro.distributed.ddp import allreduce_gradients
 from repro.features.store import merge_store_summaries
@@ -306,15 +305,14 @@ def prepare_cluster_run(
     config: TrainConfig,
     pipeline: Union[str, PipelineBuilder],
     prefetch_config: Optional[PrefetchConfig],
-    eviction_policy: Optional[EvictionPolicy],
     cache_config: Optional[CacheConfig],
 ) -> ClusterRunSetup:
     """Reset the cluster and build model/optimizer/pipelines for one run.
 
     ``pipeline`` is a :data:`~repro.training.pipelines.PIPELINES` name or a
-    builder callable; sources that prefetch at init (the one-time RPC of
-    Algorithm 1) charge that cost to the trainer clock before the first
-    minibatch.
+    builder callable ``(trainer, cluster, prefetch_config, cache_config)``;
+    sources that prefetch at init (the one-time RPC of Algorithm 1) charge
+    that cost to the trainer clock before the first minibatch.
     """
     if isinstance(pipeline, str):
         name: Optional[str] = PIPELINES.resolve(pipeline)
@@ -344,14 +342,8 @@ def prepare_cluster_run(
     # shared model.
     cost_models = [cluster.cost_model_for_machine(t.machine) for t in trainers]
 
-    builder_kwargs = {
-        "prefetch_config": prefetch_config,
-        "eviction_policy": eviction_policy,
-    }
-    if cache_config is not None:
-        builder_kwargs["cache_config"] = cache_config
     pipelines: List[MiniBatchPipeline] = [
-        builder(trainer, cluster, **builder_kwargs) for trainer in trainers
+        builder(trainer, cluster, prefetch_config, cache_config) for trainer in trainers
     ]
     mode = name or (pipelines[0].name if pipelines else "pipeline")
     init_reports: List[Dict[str, float]] = []
@@ -443,26 +435,23 @@ class ClusterEngine:
         self,
         pipeline: Union[str, PipelineBuilder] = "baseline",
         prefetch_config: Optional[PrefetchConfig] = None,
-        eviction_policy: Optional[EvictionPolicy] = None,
         cache_config: Optional[CacheConfig] = None,
     ) -> ClusterReport:
         """Train the cluster with one *pipeline* instance per trainer.
 
         ``pipeline`` is either a name registered in
         :data:`repro.training.pipelines.PIPELINES` or a builder callable with
-        the same ``(trainer, cluster, prefetch_config=..., eviction_policy=...)``
+        the same ``(trainer, cluster, prefetch_config, cache_config)``
         signature returning one :class:`MiniBatchPipeline` per trainer.
-        ``cache_config`` parameterizes the tiered cache sources and is only
-        forwarded when set, so custom builders with the historical signature
-        keep working.
+        The eviction policy of the prefetch buffer is
+        ``prefetch_config.eviction_policy`` (a name: every trainer builds its
+        own instance); ``cache_config`` parameterizes the cache tiers.
         """
         # Lazy: backends imports this module's report types and setup helpers.
         from repro.training.backends import ClusterRun
 
         config = self.config
-        run = ClusterRun(
-            self.cluster, config, pipeline, prefetch_config, eviction_policy, cache_config
-        )
+        run = ClusterRun(self.cluster, config, pipeline, prefetch_config, cache_config)
         world = len(self.cluster.trainers)
         round_id = 0  # monotone across epochs; drives the RPC coalescing windows
         for _ in range(config.epochs):

@@ -34,9 +34,10 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.core.config import PrefetchConfig
-from repro.core.eviction import EvictionPolicy
-from repro.distributed.cluster import SimCluster, TrainerContext
+from repro.distributed.cluster import ClusterConfig, SimCluster, TrainerContext
+from repro.distributed.cost_model import CostModel
 from repro.distributed.rpc import merge_rpc_stats
+from repro.graph.datasets import GraphDataset
 from repro.nn import cross_entropy
 from repro.sampling.pipeline import MiniBatchPipeline, PipelineBatch
 from repro.training.artifacts import TrainerArtifacts
@@ -253,23 +254,16 @@ class TrainingEngine:
         """Train with the DistDGL-style data path (no prefetching)."""
         return self.run_pipeline("baseline")
 
-    def run_prefetch(
-        self,
-        prefetch_config: PrefetchConfig,
-        eviction_policy: Optional[EvictionPolicy] = None,
-    ) -> TrainingReport:
+    def run_prefetch(self, prefetch_config: PrefetchConfig) -> TrainingReport:
         """Train with the MassiveGNN prefetch-and-eviction data path."""
         if prefetch_config is None:
             raise ValueError("prefetch mode requires a PrefetchConfig")
-        return self.run_pipeline(
-            "prefetch", prefetch_config=prefetch_config, eviction_policy=eviction_policy
-        )
+        return self.run_pipeline("prefetch", prefetch_config=prefetch_config)
 
     def run_pipeline(
         self,
         pipeline: Union[str, PipelineBuilder] = "baseline",
         prefetch_config: Optional[PrefetchConfig] = None,
-        eviction_policy: Optional[EvictionPolicy] = None,
         cache_config: Optional["CacheConfig"] = None,
     ) -> TrainingReport:
         """Train with a named (or custom-built) minibatch pipeline.
@@ -286,10 +280,7 @@ class TrainingEngine:
 
         engine = ClusterEngine(self.cluster, self.config)
         report = engine.run(
-            pipeline,
-            prefetch_config=prefetch_config,
-            eviction_policy=eviction_policy,
-            cache_config=cache_config,
+            pipeline, prefetch_config=prefetch_config, cache_config=cache_config
         ).report
         self._final_model = engine.final_model
         return report
@@ -302,3 +293,20 @@ class TrainingEngine:
         if model is None:
             raise RuntimeError("no training run has completed yet")
         return model
+
+
+def compare_baseline_and_prefetch(
+    dataset: GraphDataset,
+    prefetch_config: Optional[PrefetchConfig] = None,
+    cluster_config: Optional[ClusterConfig] = None,
+    train_config: Optional[TrainConfig] = None,
+    cost_model: Optional[CostModel] = None,
+) -> Tuple[TrainingReport, TrainingReport]:
+    """Run both pipelines on the *same* cluster and return (baseline, prefetch).
+
+    Sharing the cluster guarantees both runs see identical partitions and seed
+    assignments, which is how the paper's Fig. 6 comparison is constructed.
+    """
+    cluster = SimCluster(dataset, cluster_config or ClusterConfig(), cost_model=cost_model)
+    engine = TrainingEngine(cluster, train_config or TrainConfig())
+    return engine.run_baseline(), engine.run_prefetch(prefetch_config or PrefetchConfig())

@@ -9,24 +9,25 @@ it is given; *this* module decides what the named pipelines are made of:
   prefetch buffer (Algorithms 1–2), with minibatch preparation overlapping
   DDP training (Eqs. 3–5);
 * ``static-cache`` — ablation: a degree-ranked cache populated once, same
-  overlap accounting as ``prefetch`` but no scoreboards or eviction;
+  overlap accounting as ``prefetch`` but no scoreboards or eviction (the
+  tier stack under the default :class:`~repro.cache.config.CacheConfig`);
 * ``tiered-cache`` — the policy-pluggable tier stack (``repro.cache``): a
   per-trainer hot tier plus an optional machine-shared tier in front of RPC,
   with admission/eviction selected by a
-  :class:`~repro.cache.config.CacheConfig` (defaults reproduce
-  ``static-cache`` bit-for-bit).
+  :class:`~repro.cache.config.CacheConfig`.
 
-Each builder assembles, per trainer, a
-:class:`~repro.features.store.FeatureStore` (sources resolved by name through
-:data:`repro.features.FEATURE_SOURCES`), the four chained stages, and a
-*timing policy* (:data:`TIMING_POLICIES`) mapping component costs onto the
-trainer's simulated clock.  Pipelines are registered in :data:`PIPELINES`,
-so new strategies plug in without touching any engine — the same builders
-serve the single-run :class:`~repro.training.engine.TrainingEngine`, the
-lockstep :class:`~repro.training.cluster_engine.ClusterEngine`, and the
-event-driven :class:`~repro.training.async_engine.AsyncClusterEngine`
-(selected from :data:`~repro.training.engines.ENGINES`), which is what keeps
-their numerics differentially testable against each other.
+:data:`PIPELINES` is the one lookup between a pipeline name and a trainer's
+data path.  Each builder constructs, per trainer, the two feature sources it
+wants, the :class:`~repro.features.store.FeatureStore` over them, the four
+chained stages, and the timing policy mapping component costs onto the
+trainer's simulated clock.  A custom strategy is a callable with the
+builders' ``(trainer, cluster, prefetch_config, cache_config)`` signature
+passed as ``pipeline=`` — the same builders serve the single-run
+:class:`~repro.training.engine.TrainingEngine`, the lockstep
+:class:`~repro.training.cluster_engine.ClusterEngine`, the event-driven
+:class:`~repro.training.async_engine.AsyncClusterEngine` and the serving
+engine (selected from :data:`~repro.training.engines.ENGINES`), which is what
+keeps their numerics differentially testable against each other.
 """
 
 from __future__ import annotations
@@ -35,8 +36,12 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.cache.config import CacheConfig
 from repro.core.config import PrefetchConfig
-from repro.core.eviction import EvictionPolicy
-from repro.features.sources import SourceContext, build_feature_source
+from repro.features.sources import (
+    BufferedSource,
+    LocalKVStoreSource,
+    RemoteRPCSource,
+    TieredCacheSource,
+)
 from repro.features.store import FeatureStore
 from repro.sampling.pipeline import (
     BatchStage,
@@ -105,28 +110,28 @@ class OverlappedTimingPolicy:
         timing.critical_path = critical
 
 
-TIMING_POLICIES = Registry("timing policy")
-TIMING_POLICIES.register("serial", SerialTimingPolicy, aliases=("eq2", "baseline"))
-TIMING_POLICIES.register("overlapped", OverlappedTimingPolicy, aliases=("eq3-5", "prefetch"))
-
-
 # --------------------------------------------------------------------------- #
 # Pipeline builders
 # --------------------------------------------------------------------------- #
 PIPELINES = Registry("pipeline")
 
+# Pipelines with no tier stack to configure: a CacheConfig handed to one of
+# them would be dropped, so their builders refuse it.
+CACHELESS_PIPELINES = frozenset({"baseline", "static-cache"})
 
-def _assemble(
-    trainer: "TrainerContext",
-    store: FeatureStore,
-    timing: str,
-    name: str,
-) -> MiniBatchPipeline:
-    """The canonical four-stage chain over one trainer's loader and store.
 
-    ``timing`` is a :data:`TIMING_POLICIES` name, so custom pipelines select
-    their accounting model the same way they select feature sources.
+def _assemble(trainer: "TrainerContext", halo_source, timing, name: str) -> MiniBatchPipeline:
+    """The canonical four-stage chain over one trainer's loader and a fresh store.
+
+    Owned rows always come from the co-located KVStore; ``halo_source``
+    serves the rest and ``timing`` is the accounting model
+    (:class:`SerialTimingPolicy` / :class:`OverlappedTimingPolicy`).
     """
+    store = FeatureStore(
+        partition=trainer.partition,
+        local_source=LocalKVStoreSource(trainer.rpc),
+        halo_source=halo_source,
+    )
     pipeline = (
         SeedStage(trainer.dataloader.seed_iterator)
         >> SampleStage(trainer.dataloader)
@@ -134,36 +139,26 @@ def _assemble(
         >> BatchStage()
     )
     return pipeline.configure(
-        timing=TIMING_POLICIES.build(timing),
+        timing=timing,
         name=name,
         feature_store=store,
         init_report=store.initialize(),
     )
 
 
-def _source_context(
-    trainer: "TrainerContext",
-    cluster: "SimCluster",
-    prefetch_config: Optional[PrefetchConfig],
-    eviction_policy: Optional[EvictionPolicy],
-    cache_config: Optional[CacheConfig] = None,
-) -> SourceContext:
-    shared_tier = None
-    if cache_config is not None and cache_config.tiers >= 2:
-        # One shared tier per machine, owned by the cluster so every trainer
-        # on the machine composes the same instance behind its hot tier.
-        shared_tier = cluster.shared_cache_tier(trainer.machine, cache_config)
-    return SourceContext(
-        rpc=trainer.rpc,
-        partition=trainer.partition,
-        num_global_nodes=cluster.dataset.num_nodes,
-        book=cluster.book,
-        prefetch_config=prefetch_config,
-        eviction_policy=eviction_policy,
-        seed=cluster.config.seed,
-        cache_config=cache_config,
-        shared_tier=shared_tier,
-    )
+def _require(name: str, prefetch_config: Optional[PrefetchConfig], why: str = "") -> PrefetchConfig:
+    if prefetch_config is None:
+        raise ValueError(f"the {name!r} pipeline requires a PrefetchConfig{why}")
+    return prefetch_config
+
+
+def _reject_cache_config(name: str, cache_config: Optional[CacheConfig]) -> None:
+    if cache_config is not None:
+        raise ValueError(
+            f"a CacheConfig (--cache-tiers/--admission/--eviction/--adaptive-cache) "
+            f"has no effect on the {name!r} pipeline; use pipeline 'tiered-cache' "
+            f"(or 'prefetch', which consumes the machine-shared tier)"
+        )
 
 
 @PIPELINES.register("baseline", aliases=("distdgl",))
@@ -171,16 +166,11 @@ def build_baseline_pipeline(
     trainer: "TrainerContext",
     cluster: "SimCluster",
     prefetch_config: Optional[PrefetchConfig] = None,
-    eviction_policy: Optional[EvictionPolicy] = None,
     cache_config: Optional[CacheConfig] = None,
 ) -> MiniBatchPipeline:
-    ctx = _source_context(trainer, cluster, prefetch_config, eviction_policy)
-    store = FeatureStore(
-        partition=trainer.partition,
-        local_source=build_feature_source("local-kvstore", ctx),
-        halo_source=build_feature_source("remote-rpc", ctx),
-    )
-    return _assemble(trainer, store, "serial", "baseline")
+    _reject_cache_config("baseline", cache_config)
+    halo = RemoteRPCSource.from_book(trainer.rpc, cluster.book)
+    return _assemble(trainer, halo, SerialTimingPolicy(), "baseline")
 
 
 @PIPELINES.register("prefetch", aliases=("massivegnn",))
@@ -188,18 +178,18 @@ def build_prefetch_pipeline(
     trainer: "TrainerContext",
     cluster: "SimCluster",
     prefetch_config: Optional[PrefetchConfig] = None,
-    eviction_policy: Optional[EvictionPolicy] = None,
     cache_config: Optional[CacheConfig] = None,
 ) -> MiniBatchPipeline:
-    if prefetch_config is None:
-        raise ValueError("the 'prefetch' pipeline requires a PrefetchConfig")
-    ctx = _source_context(trainer, cluster, prefetch_config, eviction_policy, cache_config)
-    store = FeatureStore(
-        partition=trainer.partition,
-        local_source=build_feature_source("local-kvstore", ctx),
-        halo_source=build_feature_source(prefetch_config.halo_source, ctx),
+    halo = BufferedSource(
+        trainer.rpc,
+        trainer.partition,
+        _require("prefetch", prefetch_config),
+        num_global_nodes=cluster.dataset.num_nodes,
+        seed=cluster.config.seed,
+        cache_config=cache_config,
+        shared_tier=cluster.shared_cache_tier(trainer.machine, cache_config),
     )
-    return _assemble(trainer, store, "overlapped", "prefetch")
+    return _assemble(trainer, halo, OverlappedTimingPolicy(), "prefetch")
 
 
 @PIPELINES.register("static-cache", aliases=("static",))
@@ -207,19 +197,16 @@ def build_static_cache_pipeline(
     trainer: "TrainerContext",
     cluster: "SimCluster",
     prefetch_config: Optional[PrefetchConfig] = None,
-    eviction_policy: Optional[EvictionPolicy] = None,
     cache_config: Optional[CacheConfig] = None,
 ) -> MiniBatchPipeline:
-    if prefetch_config is None:
-        raise ValueError("the 'static-cache' pipeline requires a PrefetchConfig "
-                         "(its halo_fraction sets the cache capacity)")
-    ctx = _source_context(trainer, cluster, prefetch_config, eviction_policy)
-    store = FeatureStore(
-        partition=trainer.partition,
-        local_source=build_feature_source("local-kvstore", ctx),
-        halo_source=build_feature_source("static-cache", ctx),
+    _reject_cache_config("static-cache", cache_config)
+    config = _require(
+        "static-cache", prefetch_config, " (its halo_fraction sets the cache capacity)"
     )
-    return _assemble(trainer, store, "overlapped", "static-cache")
+    halo = TieredCacheSource(
+        trainer.rpc, trainer.partition, config.buffer_capacity(trainer.partition.num_halo)
+    )
+    return _assemble(trainer, halo, OverlappedTimingPolicy(), "static-cache")
 
 
 @PIPELINES.register("tiered-cache", aliases=("tiered",))
@@ -227,7 +214,6 @@ def build_tiered_cache_pipeline(
     trainer: "TrainerContext",
     cluster: "SimCluster",
     prefetch_config: Optional[PrefetchConfig] = None,
-    eviction_policy: Optional[EvictionPolicy] = None,
     cache_config: Optional[CacheConfig] = None,
 ) -> MiniBatchPipeline:
     """Halo features through the tiered cache stack (see ``repro.cache``).
@@ -237,16 +223,17 @@ def build_tiered_cache_pipeline(
     the :class:`CacheConfig` decides how that budget is split across tiers
     and which admission/eviction policies govern them.
     """
-    if prefetch_config is None:
-        raise ValueError("the 'tiered-cache' pipeline requires a PrefetchConfig "
-                         "(its halo_fraction sets the cache budget)")
-    ctx = _source_context(trainer, cluster, prefetch_config, eviction_policy, cache_config)
-    store = FeatureStore(
-        partition=trainer.partition,
-        local_source=build_feature_source("local-kvstore", ctx),
-        halo_source=build_feature_source("tiered-cache", ctx),
+    config = _require(
+        "tiered-cache", prefetch_config, " (its halo_fraction sets the cache budget)"
     )
-    return _assemble(trainer, store, "overlapped", "tiered-cache")
+    halo = TieredCacheSource(
+        trainer.rpc,
+        trainer.partition,
+        config.buffer_capacity(trainer.partition.num_halo),
+        cache_config=cache_config,
+        shared_tier=cluster.shared_cache_tier(trainer.machine, cache_config),
+    )
+    return _assemble(trainer, halo, OverlappedTimingPolicy(), "tiered-cache")
 
 
 def build_pipeline(
@@ -254,15 +241,7 @@ def build_pipeline(
     trainer: "TrainerContext",
     cluster: "SimCluster",
     prefetch_config: Optional[PrefetchConfig] = None,
-    eviction_policy: Optional[EvictionPolicy] = None,
     cache_config: Optional[CacheConfig] = None,
 ) -> MiniBatchPipeline:
     """Build the named pipeline for one trainer (see :data:`PIPELINES`)."""
-    return PIPELINES.build(
-        name,
-        trainer,
-        cluster,
-        prefetch_config=prefetch_config,
-        eviction_policy=eviction_policy,
-        cache_config=cache_config,
-    )
+    return PIPELINES.build(name, trainer, cluster, prefetch_config, cache_config)

@@ -1,6 +1,6 @@
 """String-keyed factory registries.
 
-Eviction policies, feature sources, and minibatch pipelines are all selected
+Eviction policies, minibatch pipelines, engines and scenarios are all selected
 by name — from :class:`~repro.core.config.PrefetchConfig` fields, CLI flags,
 and benchmark tables.  :class:`Registry` is the one mechanism behind those
 lookups: factories register under a canonical name (plus optional aliases) and
@@ -21,7 +21,7 @@ class Registry:
     ----------
     kind:
         Human-readable description of what is registered (``"eviction
-        policy"``, ``"feature source"``, ...); used in error messages.
+        policy"``, ``"pipeline"``, ...); used in error messages.
     """
 
     def __init__(self, kind: str):

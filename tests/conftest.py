@@ -12,6 +12,7 @@ import pytest
 from repro.core.config import PrefetchConfig
 from repro.distributed.cluster import ClusterConfig, SimCluster
 from repro.distributed.cost_model import CostModel
+from repro.features import BufferedSource, TieredCacheSource
 from repro.graph.csr import CSRGraph
 from repro.graph.datasets import GraphDataset, load_dataset
 from repro.graph.generators import planted_partition_graph
@@ -61,6 +62,39 @@ def small_cluster(small_dataset) -> SimCluster:
         seed=11,
     )
     return SimCluster(small_dataset, config)
+
+
+@pytest.fixture()
+def make_halo_source(small_cluster):
+    """Factory ``make(kind, trainer, ...)``: one trainer's halo source, built directly.
+
+    ``kind`` is ``"buffered"`` (Algorithms 1-2) or ``"tiered-cache"`` (the tier
+    stack; the static cache under the default ``CacheConfig``) — what the
+    ``prefetch`` and ``tiered-cache``/``static-cache`` builders construct.
+    """
+
+    def make(kind, trainer, prefetch_config=None, cache_config=None, shared_tier=None):
+        config = prefetch_config or PrefetchConfig(halo_fraction=0.25, delta=8)
+        if kind == "buffered":
+            return BufferedSource(
+                trainer.rpc,
+                trainer.partition,
+                config,
+                num_global_nodes=small_cluster.dataset.num_nodes,
+                seed=0,
+                cache_config=cache_config,
+                shared_tier=shared_tier,
+            )
+        assert kind == "tiered-cache", kind
+        return TieredCacheSource(
+            trainer.rpc,
+            trainer.partition,
+            config.buffer_capacity(trainer.partition.num_halo),
+            cache_config=cache_config,
+            shared_tier=shared_tier,
+        )
+
+    return make
 
 
 @pytest.fixture(scope="session")

@@ -20,10 +20,11 @@ import pytest
 
 from repro.core.config import PrefetchConfig
 from repro.distributed.cluster import ClusterConfig, SimCluster
-from repro.events.schedule import CongestionSpec, FailureSpec
+from repro.events.schedule import CongestionSpec, ElasticSpec, FailureSpec
 from repro.events.sync import SYNC_POLICIES
 from repro.graph.datasets import load_dataset
 from repro.scenarios import build_scenario
+from repro.serving.arrivals import ServingSpec
 from repro.training.async_engine import AsyncClusterEngine
 from repro.training.cluster_engine import ClusterEngine
 from repro.training.config import TrainConfig
@@ -308,17 +309,43 @@ class TestEnginesRegistry:
     def test_names(self):
         assert set(ENGINES.names()) == {"lockstep", "async", "serving"}
 
-    def test_lockstep_rejects_async_sync(self, dataset):
-        cluster = make_cluster(dataset)
-        config = TrainConfig(epochs=1, hidden_dim=32, seed=1)
-        with pytest.raises(ValueError, match="event-driven"):
-            build_engine("lockstep", cluster, config, sync="bounded-staleness")
+    # engine x an option it does not take -> a word its one-line message must keep.
+    UNSUPPORTED = [
+        ("lockstep", {"sync": "bounded-staleness"}, "event-driven"),
+        ("lockstep", {"sync": "local-sgd"}, "sync policy"),
+        ("lockstep", {"failures": FailureSpec()}, "event-driven"),
+        ("lockstep", {"elastic": ElasticSpec(leaves=((0, 1e-3),))}, "event-driven"),
+        ("lockstep", {"serving": ServingSpec()}, "ServingSpec"),
+        ("lockstep", {"record_events": True}, "record"),
+        ("async", {"serving": ServingSpec()}, "ServingSpec"),
+        ("serving", {"sync": "local-sgd"}, "sync policy"),
+        ("serving", {"failures": FailureSpec(rate=0.1)}, "failures"),
+        ("serving", {"elastic": ElasticSpec(leaves=((0, 1e-3),))}, "event-driven"),
+    ]
 
-    def test_lockstep_rejects_failures(self, dataset):
-        cluster = make_cluster(dataset)
+    @pytest.mark.parametrize(
+        "engine, option, word", UNSUPPORTED,
+        ids=[f"{e}-{next(iter(o))}" for e, o, _ in UNSUPPORTED],
+    )
+    def test_unsupported_option_raises_one_format(self, engine, option, word):
+        (name, value), = option.items()
+        kwargs = dict(option)
+        if engine == "serving":
+            kwargs.setdefault("serving", ServingSpec())
+        with pytest.raises(ValueError) as excinfo:
+            build_engine(engine, None, None, **kwargs)  # rejected before construction
+        message = str(excinfo.value)
+        assert message.startswith(f"the {engine!r} engine does not take {name} (got ")
+        assert word in message and "\n" not in message
+
+    def test_defaults_and_empty_specs_are_accepted_everywhere(self, dataset):
         config = TrainConfig(epochs=1, hidden_dim=32, seed=1)
-        with pytest.raises(ValueError, match="event-driven"):
-            build_engine("lockstep", cluster, config, failures=FailureSpec())
+        for engine in ("lockstep", "async"):
+            built = build_engine(
+                engine, make_cluster(dataset), config, sync="allreduce-barrier",
+                staleness=3, sync_period=8, elastic=ElasticSpec(), record_events=False,
+            )
+            assert type(built) is ENGINES.get(engine)
 
     def test_sync_policy_options_routing(self):
         assert sync_policy_options("bounded-staleness", staleness=3) == {"staleness": 3}

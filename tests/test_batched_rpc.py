@@ -20,13 +20,7 @@ from repro.distributed.rpc import (
     aggregate_rpc_stats,
     build_rpc_channel,
 )
-from repro.features import (
-    FeatureStore,
-    LocalKVStoreSource,
-    RemoteRPCSource,
-    SourceContext,
-    build_feature_source,
-)
+from repro.features import FeatureStore, LocalKVStoreSource, RemoteRPCSource
 from repro.graph.datasets import load_dataset
 from repro.training.cluster_engine import ClusterEngine
 from repro.training.config import TrainConfig
@@ -240,24 +234,14 @@ class TestCoalescedEquivalenceOnGoldenWorkload:
 class TestZeroMissSteps:
     """Satellite regression: steps that fetch nothing add zero requests/bytes."""
 
-    def _full_buffer_source(self, small_cluster, trainer):
-        ctx = SourceContext(
-            rpc=trainer.rpc,
-            partition=trainer.partition,
-            num_global_nodes=small_cluster.dataset.num_nodes,
-            book=small_cluster.book,
-            # Buffer every halo node and disable eviction: every subsequent
-            # step is all-hits, so no remote pull should ever be issued.
-            prefetch_config=PrefetchConfig(halo_fraction=1.0, eviction_enabled=False),
-            seed=0,
-        )
-        source = build_feature_source("buffered", ctx)
-        source.initialize()
-        return source
-
-    def test_all_hit_steps_add_zero_requests_and_bytes(self, small_cluster):
+    def test_all_hit_steps_add_zero_requests_and_bytes(self, small_cluster, make_halo_source):
         trainer = small_cluster.trainers[0]
-        source = self._full_buffer_source(small_cluster, trainer)
+        # Buffer every halo node and disable eviction: every subsequent
+        # step is all-hits, so no remote pull should ever be issued.
+        source = make_halo_source(
+            "buffered", trainer, PrefetchConfig(halo_fraction=1.0, eviction_enabled=False)
+        )
+        source.initialize()
         baseline = trainer.rpc.stats.merge(RPCStats())  # copy
         halo = trainer.partition.halo_global[:50]
         for _ in range(4):

@@ -1,9 +1,10 @@
-"""Tier-1 docs health: links resolve, anchors exist, scenario catalog in sync.
+"""Tier-1 docs health: links, anchors, scenario catalog and registry table in sync.
 
 Runs the same checks as the CI ``docs`` job (``tools/check_docs.py``)
-in-process, so a broken docs link or a scenario-registry change without a
-regenerated ``docs/SCENARIOS.md`` fails the ordinary test suite too, not just
-the dedicated CI job.
+in-process, so a broken docs link, a scenario-registry change without a
+regenerated ``docs/SCENARIOS.md`` or a ``Registry(...)`` added or removed
+without its ``docs/EXTENDING.md`` row fails the ordinary test suite too, not
+just the dedicated CI job.
 """
 
 import sys
@@ -23,6 +24,9 @@ class TestDocsHealth:
     def test_scenario_catalog_in_sync(self):
         problems = check_docs.check_catalog()
         assert problems == []
+
+    def test_registry_table_lists_exactly_the_registries_in_src(self):
+        assert check_docs.check_registries() == []
 
     def test_required_docs_exist(self):
         for name in ("ARCHITECTURE.md", "EXTENDING.md", "PAPER_MAP.md", "SCENARIOS.md"):
@@ -80,3 +84,24 @@ class TestCheckerCatchesProblems:
         )
         monkeypatch.setattr(check_docs, "REPO_ROOT", tmp_path)
         assert check_docs.check_links() == []
+
+    def test_registry_table_drift_detected(self, tmp_path, monkeypatch):
+        pkg = tmp_path / "src" / "pkg"
+        pkg.mkdir(parents=True)
+        (pkg / "__init__.py").write_text("")
+        (pkg / "a.py").write_text(
+            "class Registry:\n    def __init__(self, kind): pass\n"
+            "KEPT = Registry('kept')\nUNDOCUMENTED = Registry('new')\n"
+            "MOVED = Registry('moved')\nPLAIN = {}\n"
+        )
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "docs" / "EXTENDING.md").write_text(
+            "## The registries\n\n| Registry | Module |\n|---|---|\n"
+            "| `KEPT` | `pkg.a` |\n| `MOVED` | `pkg.b` |\n| `GONE` / `PLAIN` | `pkg.a` |\n"
+            "\n## Next section\n\n| `IGNORED` | `pkg.a` |\n"
+        )
+        monkeypatch.setattr(check_docs, "REPO_ROOT", tmp_path)
+        problems = check_docs.check_registries()
+        assert len(problems) == 4
+        for name in ("UNDOCUMENTED", "MOVED", "GONE", "PLAIN"):
+            assert sum(f"`{name}`" in p for p in problems) == 1, name

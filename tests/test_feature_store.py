@@ -3,34 +3,18 @@
 import numpy as np
 import pytest
 
-from repro.core.config import PrefetchConfig
 from repro.features import (
     BufferedSource,
     FeatureStore,
     FetchStats,
     LocalKVStoreSource,
     RemoteRPCSource,
-    SourceContext,
-    StaticDegreeCacheSource,
-    build_feature_source,
 )
 
 
 @pytest.fixture()
 def trainer(small_cluster):
     return small_cluster.trainers[0]
-
-
-@pytest.fixture()
-def ctx(small_cluster, trainer):
-    return SourceContext(
-        rpc=trainer.rpc,
-        partition=trainer.partition,
-        num_global_nodes=small_cluster.dataset.num_nodes,
-        book=small_cluster.book,
-        prefetch_config=PrefetchConfig(halo_fraction=0.25, delta=8),
-        seed=0,
-    )
 
 
 class TestFetchStats:
@@ -101,8 +85,8 @@ class TestRemoteRPCSource:
 
 
 class TestBufferedSource:
-    def test_wraps_prefetcher_and_counts_steps(self, small_cluster, ctx, trainer):
-        source = build_feature_source("buffered", ctx)
+    def test_wraps_prefetcher_and_counts_steps(self, small_cluster, make_halo_source, trainer):
+        source = make_halo_source("buffered", trainer)
         assert isinstance(source, BufferedSource)
         report = source.initialize()
         assert report["buffer_capacity"] > 0
@@ -115,8 +99,8 @@ class TestBufferedSource:
         assert source.prefetcher.tracker.num_steps == 1
         assert source.nbytes() > 0
 
-    def test_preserves_prefetcher_operation_counts(self, small_cluster, ctx, trainer):
-        source = build_feature_source("buffered", ctx)
+    def test_preserves_prefetcher_operation_counts(self, make_halo_source, trainer):
+        source = make_halo_source("buffered", trainer)
         source.initialize()
         halo = trainer.partition.halo_global[:8]
         _, stats = source.fetch(halo)
@@ -126,13 +110,16 @@ class TestBufferedSource:
         assert stats.buffer_capacity == source.prefetcher.buffer.capacity
 
 
-class TestStaticDegreeCacheSource:
-    def test_caches_top_degree_halo_nodes(self, small_cluster, ctx, trainer):
-        source = build_feature_source("static-cache", ctx)
-        assert isinstance(source, StaticDegreeCacheSource)
+class TestStaticCacheSource:
+    """The tier stack under the default CacheConfig: the degree-ranked static cache."""
+
+    def test_caches_top_degree_halo_nodes(self, small_cluster, make_halo_source, trainer):
+        source = make_halo_source("tiered-cache", trainer)
         report = source.initialize()
         assert report["num_prefetched"] > 0
-        cached = source._cached_ids
+        cached = source.hot_tier.resident_ids
+        assert np.all(np.diff(cached) > 0)  # ascending, unique
+        assert len(cached) == source.hot_tier.size
         halo = trainer.partition.halo_global
         rows, stats = source.fetch(halo[:40])
         np.testing.assert_array_equal(rows, small_cluster.dataset.features[halo[:40]])
@@ -140,8 +127,8 @@ class TestStaticDegreeCacheSource:
         assert stats.num_hits == int(hit_mask.sum())
         assert stats.num_misses == int((~hit_mask).sum())
 
-    def test_fetch_before_initialize_raises(self, ctx):
-        source = build_feature_source("static-cache", ctx)
+    def test_fetch_before_initialize_raises(self, make_halo_source, trainer):
+        source = make_halo_source("tiered-cache", trainer)
         with pytest.raises(RuntimeError):
             source.fetch(np.array([0], dtype=np.int64))
 
@@ -176,7 +163,7 @@ class TestFeatureStore:
         np.testing.assert_array_equal(rows, small_cluster.dataset.features[mixed])
         assert stats.num_hits == 5 and stats.num_misses == 7
 
-    def test_summary_and_nbytes(self, small_cluster, ctx, trainer):
+    def test_summary_and_nbytes(self, small_cluster, make_halo_source, trainer):
         store = self._store(small_cluster, trainer)
         summary = store.summary()
         assert summary["nbytes"] == store.nbytes() == 0  # nothing cached trainer-side
@@ -185,18 +172,18 @@ class TestFeatureStore:
         buffered = FeatureStore(
             partition=trainer.partition,
             local_source=LocalKVStoreSource(trainer.rpc),
-            halo_source=build_feature_source("buffered", ctx),
+            halo_source=make_halo_source("buffered", trainer),
         )
         buffered.initialize()
         assert buffered.nbytes() > 0  # the prefetch buffer is pinned per trainer
 
-    def test_telemetry_passthrough(self, small_cluster, ctx, trainer):
+    def test_telemetry_passthrough(self, small_cluster, make_halo_source, trainer):
         plain = self._store(small_cluster, trainer)
         assert plain.tracker is None and plain.prefetcher is None and plain.hit_rate is None
         buffered = FeatureStore(
             partition=trainer.partition,
             local_source=LocalKVStoreSource(trainer.rpc),
-            halo_source=build_feature_source("buffered", ctx),
+            halo_source=make_halo_source("buffered", trainer),
         )
         buffered.initialize()
         assert buffered.prefetcher is not None

@@ -1,10 +1,9 @@
-"""Tests for the composable minibatch pipeline and the legacy shims over it.
+"""Tests for the composable minibatch pipeline.
 
 The acceptance bar for the API redesign: baseline and prefetch training both
 run through ``MiniBatchPipeline``/``FeatureStore`` with no mode branching in
-the engine, the legacy entry points (``train_baseline``/``train_massive``) are
-step-identical to the pipeline API, and the two named pipelines report
-identical accuracy on a shared cluster (the paper's Section V claim).
+the engine, and the two named pipelines report identical accuracy on a shared
+cluster (the paper's Section V claim).
 """
 
 import numpy as np
@@ -22,10 +21,8 @@ from repro.sampling.pipeline import (
     SampleStage,
     SeedStage,
 )
-from repro.training.baseline import train_baseline
 from repro.training.config import TrainConfig
 from repro.training.engine import TrainingEngine
-from repro.training.massive import train_massive, train_with_pipeline
 from repro.training.pipelines import build_pipeline
 
 CLUSTER_KW = dict(
@@ -33,20 +30,6 @@ CLUSTER_KW = dict(
 )
 PREFETCH = dict(halo_fraction=0.35, gamma=0.995, delta=8)
 TRAIN = dict(epochs=2, hidden_dim=32, seed=1)
-
-
-def _assert_reports_identical(a, b):
-    """Step-identical: same numerics, same simulated time, same RPC traffic."""
-    assert a.total_simulated_time_s == pytest.approx(b.total_simulated_time_s, rel=1e-12)
-    assert a.final_train_accuracy == b.final_train_accuracy
-    assert a.num_minibatches == b.num_minibatches
-    assert [r.loss for r in a.epoch_records] == [r.loss for r in b.epoch_records]
-    assert [r.train_accuracy for r in a.epoch_records] == [
-        r.train_accuracy for r in b.epoch_records
-    ]
-    assert a.rpc_stats.as_dict() == b.rpc_stats.as_dict()
-    for key, value in a.component_breakdown.items():
-        assert b.component_breakdown[key] == pytest.approx(value, rel=1e-12), key
 
 
 class TestStageChaining:
@@ -89,57 +72,13 @@ class TestStageChaining:
             list(BatchStage().apply(iter([PipelineBatch(minibatch=minibatch)])))
 
 
-class TestShimEquivalence:
-    """The legacy entry points must be step-identical to the pipeline API."""
-
-    def test_train_baseline_matches_run_pipeline(self, small_dataset):
-        shim = train_baseline(
-            small_dataset,
-            cluster_config=ClusterConfig(**CLUSTER_KW),
-            train_config=TrainConfig(**TRAIN),
-        )
-        cluster = SimCluster(small_dataset, ClusterConfig(**CLUSTER_KW))
-        direct = TrainingEngine(cluster, TrainConfig(**TRAIN)).run_pipeline("baseline")
-        _assert_reports_identical(shim, direct)
-        assert shim.mode == direct.mode == "baseline"
-
-    def test_train_massive_matches_run_pipeline(self, small_dataset):
-        shim = train_massive(
-            small_dataset,
-            prefetch_config=PrefetchConfig(**PREFETCH),
-            cluster_config=ClusterConfig(**CLUSTER_KW),
-            train_config=TrainConfig(**TRAIN),
-        )
-        cluster = SimCluster(small_dataset, ClusterConfig(**CLUSTER_KW))
-        direct = TrainingEngine(cluster, TrainConfig(**TRAIN)).run_pipeline(
-            "prefetch", prefetch_config=PrefetchConfig(**PREFETCH)
-        )
-        _assert_reports_identical(shim, direct)
-        assert shim.mode == direct.mode == "prefetch"
-        assert shim.hit_tracker is not None
-        assert shim.hit_rate == direct.hit_rate
-
-    def test_train_with_pipeline_generic_entry(self, small_dataset):
-        report = train_with_pipeline(
-            small_dataset,
-            pipeline="static-cache",
-            prefetch_config=PrefetchConfig(**PREFETCH),
-            cluster_config=ClusterConfig(**CLUSTER_KW),
-            train_config=TrainConfig(epochs=1, hidden_dim=16, seed=1),
-        )
-        assert report.mode == "static-cache"
-        assert report.hit_tracker is not None
-        assert len(report.prefetch_init) == report.world_size
-
-
 class TestEngineIsPipelineDriven:
     def test_accuracy_close_across_pipelines(self, small_dataset):
         """Section V: the data path must not change what the model learns.
 
         Consecutive runs on a shared cluster draw fresh sampler RNG (as in the
         seed implementation), so accuracies match closely rather than exactly;
-        exact step-identity is asserted in :class:`TestShimEquivalence` via
-        freshly built clusters.
+        exact per-seed numbers are pinned by ``tests/golden/single_run.json``.
         """
         cluster = SimCluster(small_dataset, ClusterConfig(**CLUSTER_KW))
         engine = TrainingEngine(cluster, TrainConfig(**TRAIN))
@@ -148,6 +87,13 @@ class TestEngineIsPipelineDriven:
         static = engine.run_pipeline("static-cache", prefetch_config=PrefetchConfig(**PREFETCH))
         assert abs(baseline.final_train_accuracy - prefetch.final_train_accuracy) < 0.1
         assert abs(baseline.final_train_accuracy - static.final_train_accuracy) < 0.1
+        assert (baseline.mode, prefetch.mode, static.mode) == (
+            "baseline", "prefetch", "static-cache"
+        )
+        assert baseline.hit_tracker is None
+        for cached in (prefetch, static):
+            assert cached.hit_tracker is not None
+            assert len(cached.prefetch_init) == cached.world_size
         # Every pipeline sees the same per-batch feature values, so losses land
         # in the same regime even though the sampled minibatches differ.
         assert baseline.epoch_records[-1].loss == pytest.approx(
@@ -159,7 +105,7 @@ class TestEngineIsPipelineDriven:
         cluster = SimCluster(small_dataset, ClusterConfig(**CLUSTER_KW))
         engine = TrainingEngine(cluster, TrainConfig(epochs=1, hidden_dim=16, seed=1))
 
-        def builder(trainer, cluster, prefetch_config=None, eviction_policy=None):
+        def builder(trainer, cluster, prefetch_config, cache_config):
             return build_pipeline("baseline", trainer, cluster)
 
         report = engine.run_pipeline(builder)

@@ -1,7 +1,10 @@
-"""Tests for the string-keyed registries (eviction policies, sources, pipelines)."""
+"""Tests for the string-keyed registries (eviction policies, pipelines)."""
+
+import dataclasses
 
 import pytest
 
+from repro.cache.config import CacheConfig
 from repro.core.config import PrefetchConfig
 from repro.core.eviction import (
     EVICTION_POLICIES,
@@ -11,9 +14,14 @@ from repro.core.eviction import (
     ScoreThresholdPolicy,
     build_eviction_policy,
 )
-from repro.features import FEATURE_SOURCES, SourceContext, build_feature_source
+from repro.features import BufferedSource, RemoteRPCSource, TieredCacheSource
 from repro.sampling.pipeline import MiniBatchPipeline
-from repro.training.pipelines import PIPELINES, TIMING_POLICIES, build_pipeline
+from repro.training.pipelines import (
+    PIPELINES,
+    OverlappedTimingPolicy,
+    SerialTimingPolicy,
+    build_pipeline,
+)
 from repro.utils.registry import Registry
 
 
@@ -98,47 +106,27 @@ class TestEvictionPolicyRegistry:
         config = PrefetchConfig(eviction_policy="lru")
         assert config.eviction_policy == "lru"
 
-    def test_config_validates_halo_source_name(self):
-        with pytest.raises(ValueError):
-            PrefetchConfig(halo_source="bufferd")  # typo fails at construction
-        config = PrefetchConfig(halo_source="static-cache")
-        assert config.halo_source == "static-cache"
+    def test_halo_source_is_not_a_config_field(self):
+        # The prefetch pipeline has one halo source; naming another used to
+        # run the baseline data path under mode == "prefetch".
+        with pytest.raises(TypeError):
+            PrefetchConfig(halo_source="remote-rpc")
 
-
-class TestFeatureSourceRegistry:
-    @pytest.fixture()
-    def ctx(self, small_cluster):
-        trainer = small_cluster.trainers[0]
-        return SourceContext(
-            rpc=trainer.rpc,
-            partition=trainer.partition,
-            num_global_nodes=small_cluster.dataset.num_nodes,
-            book=small_cluster.book,
-            prefetch_config=PrefetchConfig(halo_fraction=0.25, delta=8),
-            seed=0,
+    def test_without_eviction_keeps_every_other_field(self):
+        config = PrefetchConfig(
+            halo_fraction=0.4, gamma=0.9, delta=7, eviction_enabled=True, alpha=0.3,
+            scoreboard="compact", look_ahead=3, initial_eviction_score=2.0,
+            min_buffer_slots=5, eviction_policy="lru",
         )
-
-    def test_round_trip_every_registered_source(self, ctx):
-        assert set(FEATURE_SOURCES.names()) == {
-            "local-kvstore", "remote-rpc", "buffered", "static-cache", "tiered-cache",
-        }
-        for name in FEATURE_SOURCES.names():
-            source = build_feature_source(name, ctx)
-            assert source.name == name
-            assert callable(source.fetch)
-
-    def test_unknown_source_error_lists_names(self, ctx):
-        with pytest.raises(ValueError) as excinfo:
-            build_feature_source("redis", ctx)
-        message = str(excinfo.value)
-        assert "unknown feature source 'redis'" in message
-        assert "buffered" in message and "remote-rpc" in message
-
-    def test_prefetch_config_required_for_buffered(self, small_cluster):
-        trainer = small_cluster.trainers[0]
-        ctx = SourceContext(rpc=trainer.rpc, partition=trainer.partition)
-        with pytest.raises(ValueError, match="requires a PrefetchConfig"):
-            build_feature_source("buffered", ctx)
+        defaults = PrefetchConfig()
+        fields = [f.name for f in dataclasses.fields(PrefetchConfig)]
+        assert all(getattr(config, name) != getattr(defaults, name)
+                   for name in fields if name != "eviction_enabled")
+        stripped = config.without_eviction()
+        assert stripped.eviction_enabled is False and config.eviction_enabled is True
+        for name in fields:
+            if name != "eviction_enabled":
+                assert getattr(stripped, name) == getattr(config, name), name
 
 
 class TestPipelineRegistry:
@@ -154,6 +142,32 @@ class TestPipelineRegistry:
             assert pipeline.name == name
             assert pipeline.describe() == "seed >> sample >> fetch-feature >> batch"
 
+    def test_each_name_builds_its_data_path(self, small_cluster):
+        """Name -> (halo source class, timing policy): the one lookup there is."""
+        trainer = small_cluster.trainers[0]
+        config = PrefetchConfig(halo_fraction=0.25, delta=8)
+        expected = {
+            "baseline": (RemoteRPCSource, SerialTimingPolicy),
+            "prefetch": (BufferedSource, OverlappedTimingPolicy),
+            "static-cache": (TieredCacheSource, OverlappedTimingPolicy),
+            "tiered-cache": (TieredCacheSource, OverlappedTimingPolicy),
+        }
+        for name, (source_cls, timing_cls) in expected.items():
+            pipeline = build_pipeline(name, trainer, small_cluster, prefetch_config=config)
+            assert type(pipeline.feature_store.halo_source) is source_cls, name
+            assert type(pipeline.timing) is timing_cls, name
+        static = build_pipeline("static-cache", trainer, small_cluster, config)
+        assert static.feature_store.halo_source.cache_config == CacheConfig()
+
+    @pytest.mark.parametrize("name", ["baseline", "static-cache"])
+    def test_cacheless_pipelines_reject_a_cache_config(self, small_cluster, name):
+        trainer = small_cluster.trainers[0]
+        with pytest.raises(ValueError, match=f"no effect on the '{name}' pipeline"):
+            build_pipeline(
+                name, trainer, small_cluster,
+                prefetch_config=PrefetchConfig(), cache_config=CacheConfig(),
+            )
+
     def test_unknown_pipeline_error_lists_names(self, small_cluster):
         trainer = small_cluster.trainers[0]
         with pytest.raises(ValueError) as excinfo:
@@ -161,14 +175,12 @@ class TestPipelineRegistry:
         message = str(excinfo.value)
         assert "baseline" in message and "prefetch" in message
 
-    def test_prefetch_pipeline_requires_config(self, small_cluster):
+    @pytest.mark.parametrize("name", ["prefetch", "static-cache", "tiered-cache"])
+    def test_caching_pipelines_require_a_prefetch_config(self, small_cluster, name):
         trainer = small_cluster.trainers[0]
-        with pytest.raises(ValueError, match="PrefetchConfig"):
-            build_pipeline("prefetch", trainer, small_cluster)
+        with pytest.raises(ValueError, match="requires a PrefetchConfig"):
+            build_pipeline(name, trainer, small_cluster)
 
-    def test_timing_policy_registry(self):
-        assert set(TIMING_POLICIES.names()) == {"serial", "overlapped"}
-        serial = TIMING_POLICIES.build("serial")
-        overlapped = TIMING_POLICIES.build("overlapped")
-        assert serial.overlaps_preparation is False
-        assert overlapped.overlaps_preparation is True
+    def test_timing_policies(self):
+        assert SerialTimingPolicy().overlaps_preparation is False
+        assert OverlappedTimingPolicy().overlaps_preparation is True

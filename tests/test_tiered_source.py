@@ -16,8 +16,7 @@ import pytest
 from repro.cache.config import CacheConfig
 from repro.core.config import PrefetchConfig
 from repro.distributed.cluster import ClusterConfig, SimCluster
-from repro.features import SourceContext, StaticDegreeCacheSource, build_feature_source
-from repro.features.sources import TieredCacheSource
+from repro.features import TieredCacheSource
 from repro.sampling.seeds import SeedIterator
 from repro.scenarios import SCENARIOS
 from repro.training.cluster_engine import ClusterEngine
@@ -33,53 +32,19 @@ def trainer(small_cluster):
     return small_cluster.trainers[0]
 
 
-def make_ctx(small_cluster, trainer, cache_config=None, shared_tier=None):
-    return SourceContext(
-        rpc=trainer.rpc,
-        partition=trainer.partition,
-        num_global_nodes=small_cluster.dataset.num_nodes,
-        book=small_cluster.book,
-        prefetch_config=PrefetchConfig(**PREFETCH),
-        seed=0,
-        cache_config=cache_config,
-        shared_tier=shared_tier,
-    )
-
-
 class TestTieredSourceDefaultEquivalence:
     """Default config == the historical static cache, stat for stat."""
 
-    def test_fetch_stats_match_static_cache_exactly(self, small_cluster, trainer):
-        static = build_feature_source("static-cache", make_ctx(small_cluster, trainer))
-        report_a = static.initialize()
-        small_cluster.reset()
-        tiered = build_feature_source("tiered-cache", make_ctx(small_cluster, trainer))
-        report_b = tiered.initialize()
-        assert isinstance(static, StaticDegreeCacheSource)
-        assert isinstance(tiered, TieredCacheSource)
-        assert report_a == report_b
-
+    def test_default_config_reports_the_flat_schema(self, make_halo_source, trainer):
+        source = make_halo_source("tiered-cache", trainer, PrefetchConfig(**PREFETCH))
+        source.initialize()
         halo = trainer.partition.halo_global
         for batch in (halo[:40], halo[5:25], halo[:0], np.repeat(halo[:6], 2)):
-            rows_a, stats_a = static.fetch(batch)
-            rows_b, stats_b = tiered.fetch(batch)
-            np.testing.assert_array_equal(rows_a, rows_b)
-            assert stats_a.num_hits == stats_b.num_hits
-            assert stats_a.num_misses == stats_b.num_misses
-            assert stats_a.rpc_time_s == stats_b.rpc_time_s
-            assert stats_a.bytes_fetched == stats_b.bytes_fetched
-            assert stats_a.remote_nodes_fetched == stats_b.remote_nodes_fetched
-            assert stats_a.lookup_nodes == stats_b.lookup_nodes
-            assert stats_a.buffer_capacity == stats_b.buffer_capacity
-            assert stats_b.tier_counters == {}  # default config: legacy flat schema
-        assert static.summary() == tiered.summary()
-
-    def test_static_cache_exposes_legacy_introspection(self, small_cluster, trainer):
-        source = build_feature_source("static-cache", make_ctx(small_cluster, trainer))
-        source.initialize()
-        cached = source._cached_ids
-        assert np.all(np.diff(cached) > 0)  # ascending, unique
-        assert len(cached) == source.hot_tier.size
+            _, stats = source.fetch(batch)
+            assert stats.num_hits + stats.num_misses == len(batch)
+            assert stats.tier_counters == {}  # default config: legacy flat schema
+        assert source.tier_summary() == {}
+        assert not any(key.startswith("tier.") for key in source.summary())
 
     def test_engine_runs_bit_identical(self, small_dataset, quick_train_config):
         # Fresh clusters per run: RNG streams advance across runs on a shared
@@ -123,8 +88,8 @@ class TestTieredSourceEdgeCases:
         assert stats.num_hits == 0 and stats.num_misses == 12
         assert source.stack.total_resident == 0
 
-    def test_empty_fetch_counts_nothing(self, small_cluster, trainer):
-        source = build_feature_source("tiered-cache", make_ctx(small_cluster, trainer))
+    def test_empty_fetch_counts_nothing(self, make_halo_source, trainer):
+        source = make_halo_source("tiered-cache", trainer)
         source.initialize()
         before = trainer.rpc.stats.as_dict()
         rows, stats = source.fetch(np.zeros(0, dtype=np.int64))
@@ -132,11 +97,12 @@ class TestTieredSourceEdgeCases:
         assert stats.num_requested == 0 and stats.rpc_time_s == 0.0
         assert trainer.rpc.stats.as_dict() == before  # zero-miss fetch: no RPC traffic
 
-    def test_repeated_batches_converge_to_all_hits(self, small_cluster, trainer):
-        source = build_feature_source(
-            "tiered-cache",
-            make_ctx(small_cluster, trainer,
-                     cache_config=CacheConfig(admission="always", eviction="lru")),
+    def test_repeated_batches_converge_to_all_hits(
+        self, small_cluster, make_halo_source, trainer
+    ):
+        source = make_halo_source(
+            "tiered-cache", trainer, PrefetchConfig(**PREFETCH),
+            cache_config=CacheConfig(admission="always", eviction="lru"),
         )
         source.initialize()
         batch = trainer.partition.halo_global[:30]
@@ -150,8 +116,8 @@ class TestTieredSourceEdgeCases:
         assert stats.num_hits == 30 and stats.num_misses == 0
         assert trainer.rpc.stats.nodes_fetched == wire_before
 
-    def test_fetch_before_initialize_raises(self, small_cluster, trainer):
-        source = build_feature_source("tiered-cache", make_ctx(small_cluster, trainer))
+    def test_fetch_before_initialize_raises(self, make_halo_source, trainer):
+        source = make_halo_source("tiered-cache", trainer)
         with pytest.raises(RuntimeError, match="initialize"):
             source.fetch(trainer.partition.halo_global[:2])
 
@@ -277,6 +243,36 @@ class TestAdaptiveControllerWiring:
         assert "cache.halo.tier.hot.hit_rate" in report.summary()
 
 
+class TestCacheConfigNeverDropped:
+    """A CacheConfig reaches cache tiers or raises — from the API, not only the CLI."""
+
+    TWO_TIER = dict(tiers=2, admission="always", eviction="lru")
+
+    @pytest.mark.parametrize("pipeline", ["baseline", "distdgl", "static-cache"])
+    def test_explicit_cache_config_on_a_cacheless_pipeline_raises(self, pipeline):
+        workload = SCENARIOS.build("uniform").with_overrides(scale=0.05, epochs=1).materialize()
+        with pytest.raises(ValueError, match="no effect on the '(baseline|static-cache)'"):
+            workload.run(pipeline=pipeline, cache_config=CacheConfig(**self.TWO_TIER))
+
+    def test_recipe_that_pairs_baseline_with_a_cache_raises(self):
+        scenario = SCENARIOS.build("cache-churn").with_overrides(
+            scale=0.05, epochs=1, pipeline="baseline"
+        )
+        with pytest.raises(ValueError, match="no effect"):
+            scenario.materialize().run()
+
+    def test_baseline_comparison_leaves_the_recipe_cache_behind(self):
+        # run(pipeline="baseline") on a cache scenario is "the same workload
+        # without the cache" (the e2e benchmark's speed-up denominator).
+        workload = SCENARIOS.build("cache-churn").with_overrides(
+            scale=0.05, epochs=1
+        ).materialize()
+        report = workload.run(pipeline="baseline")
+        assert report.report.mode == "baseline"
+        assert all(not t.cache_stats for t in report.trainer_stats)
+        assert workload.cluster._shared_cache_tiers == {}
+
+
 class TestCacheCLIGuards:
     """The --cache-* flags never silently no-op (review regressions)."""
 
@@ -306,25 +302,30 @@ class TestCacheCLIGuards:
         )
         assert _build_cache_config(args).admission == "static-degree"
 
-    def test_buffered_source_builds_private_shared_tier(self, small_cluster, trainer):
-        # Parity with TieredCacheSource: a two-tier config without a
-        # cluster-owned tier must not silently degrade to single-tier.
-        source = build_feature_source(
-            "buffered",
-            make_ctx(small_cluster, trainer,
-                     cache_config=CacheConfig(tiers=2, admission="always",
-                                              eviction="lru")),
-        )
-        assert source.prefetcher.shared_tier is not None
-        assert source.prefetcher.shared_tier.capacity > 0
+    TWO_TIER = dict(tiers=2, admission="always", eviction="lru")
 
-    def test_buffered_source_rejects_adaptive_config(self, small_cluster, trainer):
+    @pytest.mark.parametrize("kind", ["buffered", "tiered-cache"])
+    def test_two_tier_config_needs_the_machine_tier(self, make_halo_source, trainer, kind):
+        # The cluster owns the one shared tier per machine; a two-tier config
+        # without it must not silently degrade to single-tier.
+        with pytest.raises(ValueError, match="shared_cache_tier"):
+            make_halo_source(kind, trainer, cache_config=CacheConfig(**self.TWO_TIER))
+
+    @pytest.mark.parametrize("kind", ["buffered", "tiered-cache"])
+    def test_two_tier_config_funds_the_machine_tier(
+        self, small_cluster, make_halo_source, trainer, kind
+    ):
+        config = CacheConfig(**self.TWO_TIER)
+        tier = small_cluster.shared_cache_tier(trainer.machine, config)
+        assert tier.capacity == 0
+        make_halo_source(kind, trainer, cache_config=config, shared_tier=tier)
+        assert tier.capacity > 0
+
+    def test_buffered_source_rejects_adaptive_config(self, make_halo_source, trainer):
         with pytest.raises(ValueError, match="tiered-cache"):
-            build_feature_source(
-                "buffered",
-                make_ctx(small_cluster, trainer,
-                         cache_config=CacheConfig(tiers=2, admission="always",
-                                                  eviction="lru", adaptive=True)),
+            make_halo_source(
+                "buffered", trainer,
+                cache_config=CacheConfig(**self.TWO_TIER, adaptive=True),
             )
 
 

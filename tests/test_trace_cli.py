@@ -190,6 +190,14 @@ class TestAsyncEngineCLI:
 
     @pytest.mark.parametrize("argv, fragment", [
         (["run", "--engine", "lockstep", "--sync", "bounded-staleness"], "event-driven"),
+        (["run", "--engine", "lockstep", "--sync", "local-sgd"],
+         "the 'lockstep' engine does not take sync (got 'local-sgd')"),
+        (["run", "--pipeline", "baseline", "--cache-tiers", "2"],
+         "no effect on the 'baseline' pipeline"),
+        (["run", "--cluster", "--pipeline", "static-cache", "--eviction", "lru"],
+         "no effect on the 'static-cache' pipeline"),
+        (["run", "--cluster", "--scenario", "steady-poisson", "--pipeline", "baseline",
+          "--cache-tiers", "2"], "no effect on the 'baseline' pipeline"),
         (["run", "--staleness", "3"], "--sync bounded-staleness"),
         (["run", "--cluster", "--scenario", "async-staleness", "--sync-period", "2"],
          "--sync local-sgd"),

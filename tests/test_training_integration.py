@@ -15,11 +15,9 @@ import numpy as np
 import pytest
 
 from repro.core.config import PrefetchConfig
-from repro.distributed.cluster import ClusterConfig
+from repro.distributed.cluster import ClusterConfig, SimCluster
 from repro.training.config import TrainConfig
-from repro.training.engine import TrainingEngine
-from repro.training.baseline import train_baseline
-from repro.training.massive import compare_baseline_and_prefetch, train_massive
+from repro.training.engine import TrainingEngine, compare_baseline_and_prefetch
 from repro.training.evaluate import evaluate_accuracy, evaluate_loss, majority_class_accuracy
 
 
@@ -132,15 +130,11 @@ class TestBackendContrast:
         train_config = TrainConfig(epochs=2, hidden_dim=32, seed=0)
         overlaps = {}
         for backend in ("cpu", "gpu"):
-            report = train_massive(
-                small_dataset,
-                prefetch_config=prefetch_config,
-                cluster_config=ClusterConfig(
-                    num_machines=2, trainers_per_machine=2, batch_size=128,
-                    fanouts=(5, 10), backend=backend, seed=5,
-                ),
-                train_config=train_config,
-            )
+            cluster = SimCluster(small_dataset, ClusterConfig(
+                num_machines=2, trainers_per_machine=2, batch_size=128,
+                fanouts=(5, 10), backend=backend, seed=5,
+            ))
+            report = TrainingEngine(cluster, train_config).run_prefetch(prefetch_config)
             overlaps[backend] = report.overlap_efficiency
         assert overlaps["cpu"] >= overlaps["gpu"]
 
@@ -175,14 +169,12 @@ class TestEngineDetails:
         assert engine.final_model is not None
 
     def test_gat_architecture_runs(self, small_dataset):
-        report = train_massive(
-            small_dataset,
-            prefetch_config=PrefetchConfig(halo_fraction=0.25, delta=8),
-            cluster_config=ClusterConfig(
-                num_machines=2, trainers_per_machine=1, batch_size=64, fanouts=(4, 4), seed=2
-            ),
-            train_config=TrainConfig(epochs=1, arch="gat", hidden_dim=8, num_heads=2, seed=0),
-        )
+        cluster = SimCluster(small_dataset, ClusterConfig(
+            num_machines=2, trainers_per_machine=1, batch_size=64, fanouts=(4, 4), seed=2
+        ))
+        report = TrainingEngine(
+            cluster, TrainConfig(epochs=1, arch="gat", hidden_dim=8, num_heads=2, seed=0)
+        ).run_prefetch(PrefetchConfig(halo_fraction=0.25, delta=8))
         assert report.arch == "gat"
         assert report.total_simulated_time_s > 0
 
@@ -193,13 +185,12 @@ class TestEngineDetails:
 
 class TestEvaluation:
     def test_evaluate_flag_produces_scores(self, small_dataset):
-        report = train_baseline(
-            small_dataset,
-            cluster_config=ClusterConfig(
-                num_machines=2, trainers_per_machine=1, batch_size=128, fanouts=(5, 10), seed=1
-            ),
-            train_config=TrainConfig(epochs=3, hidden_dim=32, evaluate=True, seed=0),
-        )
+        cluster = SimCluster(small_dataset, ClusterConfig(
+            num_machines=2, trainers_per_machine=1, batch_size=128, fanouts=(5, 10), seed=1
+        ))
+        report = TrainingEngine(
+            cluster, TrainConfig(epochs=3, hidden_dim=32, evaluate=True, seed=0)
+        ).run_baseline()
         assert report.val_accuracy is not None and report.test_accuracy is not None
         assert report.val_accuracy > majority_class_accuracy(small_dataset, small_dataset.val_nids()) * 0.9
 

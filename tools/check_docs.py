@@ -1,6 +1,6 @@
-"""Docs health checker: link/anchor validation + scenario-catalog drift.
+"""Docs health checker: links/anchors, scenario-catalog drift, registry table.
 
-Two checks, runnable independently or together (both by default):
+Three checks, runnable independently or together (all by default):
 
 * ``--links`` — every relative link and image in ``docs/*.md`` and
   ``README.md`` must point at a file that exists in the repository, and every
@@ -11,6 +11,11 @@ Two checks, runnable independently or together (both by default):
 * ``--catalog`` — ``docs/SCENARIOS.md`` must equal the output of
   ``repro scenarios --markdown`` exactly; a mismatch means the scenario
   registry changed without the committed catalog being regenerated.
+* ``--registries`` — the table under "The registries" in
+  ``docs/EXTENDING.md`` must list exactly the module-level
+  ``Registry(...)`` instances an AST scan of ``src/`` finds, each in the
+  module the row names and importable from it — so the registry count the
+  ROADMAP quotes is checked, not remembered.
 
 Run::
 
@@ -23,11 +28,13 @@ the CI ``docs`` job and, in-process, into ``tests/test_docs.py``.
 from __future__ import annotations
 
 import argparse
+import ast
 import functools
+import importlib
 import re
 import sys
 from pathlib import Path
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -127,20 +134,91 @@ def check_catalog() -> List[str]:
     return []
 
 
+def registries_in_source() -> Dict[str, str]:
+    """``{symbol: dotted module}`` of every module-level ``NAME = Registry(...)`` in src/."""
+    found: Dict[str, str] = {}
+    src = REPO_ROOT / "src"
+    for path in sorted(src.rglob("*.py")):
+        module = ".".join(path.relative_to(src).with_suffix("").parts)
+        for node in ast.parse(path.read_text()).body:
+            value = getattr(node, "value", None)
+            if not isinstance(node, (ast.Assign, ast.AnnAssign)) or not isinstance(value, ast.Call):
+                continue
+            func = value.func
+            if getattr(func, "id", getattr(func, "attr", None)) != "Registry":
+                continue
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    found[target.id] = module
+    return found
+
+
+def registries_in_docs() -> Dict[str, str]:
+    """``{symbol: module}`` from the first table under "## The registries"."""
+    listed: Dict[str, str] = {}
+    in_section = False
+    for line in (REPO_ROOT / "docs" / "EXTENDING.md").read_text().splitlines():
+        if line.startswith("## "):
+            if in_section:
+                break
+            in_section = line.strip() == "## The registries"
+        cells = [cell.strip() for cell in line.split("|")[1:-1]]
+        if not in_section or len(cells) < 2 or set(cells[0]) <= set("-: "):
+            continue
+        module = cells[1].strip("`")
+        for symbol in re.findall(r"`([A-Z][A-Z0-9_]*)`", cells[0]):
+            listed[symbol] = module
+    return listed
+
+
+def check_registries() -> List[str]:
+    """docs/EXTENDING.md's registry table must equal the Registry instances in src/."""
+    actual, listed = registries_in_source(), registries_in_docs()
+    problems = [
+        f"docs/EXTENDING.md: registry `{name}` ({actual[name]}) is not in the table"
+        for name in sorted(set(actual) - set(listed))
+    ]
+    sys.path.insert(0, str(REPO_ROOT / "src"))
+    try:
+        for name, module in sorted(listed.items()):
+            if name not in actual:
+                problems.append(
+                    f"docs/EXTENDING.md: `{name}` is in the registry table but no "
+                    f"module-level `{name} = Registry(...)` exists in src/"
+                )
+            elif actual[name] != module:
+                problems.append(
+                    f"docs/EXTENDING.md: `{name}` lives in {actual[name]}, "
+                    f"the table says {module}"
+                )
+            elif not hasattr(importlib.import_module(module), name):
+                problems.append(f"docs/EXTENDING.md: cannot import `{name}` from {module}")
+    finally:
+        sys.path.pop(0)
+    return problems
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--links", action="store_true", help="run only the link check")
+    parser.add_argument("--links", action="store_true", help="run the link check")
     parser.add_argument("--catalog", action="store_true",
-                        help="run only the scenario-catalog drift check")
+                        help="run the scenario-catalog drift check")
+    parser.add_argument("--registries", action="store_true",
+                        help="run the registry-table check (docs/EXTENDING.md vs src/)")
     args = parser.parse_args(argv)
-    run_links = args.links or not args.catalog
-    run_catalog = args.catalog or not args.links
+    run_all = not (args.links or args.catalog or args.registries)
+    run_links = args.links or run_all
+    run_catalog = args.catalog or run_all
+    run_registries = args.registries or run_all
 
     problems: List[Tuple[str, str]] = []
     if run_links:
         problems += [("links", p) for p in check_links()]
     if run_catalog:
         problems += [("catalog", p) for p in check_catalog()]
+    if run_registries:
+        problems += [("registries", p) for p in check_registries()]
 
     if problems:
         for kind, message in problems:
@@ -149,7 +227,8 @@ def main(argv=None) -> int:
         return 1
     checked = len(markdown_files()) if run_links else 0
     print(f"docs ok ({checked} markdown files link-checked"
-          f"{', catalog in sync' if run_catalog else ''})")
+          f"{', catalog in sync' if run_catalog else ''}"
+          f"{f', {len(registries_in_source())} registries documented' if run_registries else ''})")
     return 0
 
 
