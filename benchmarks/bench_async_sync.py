@@ -77,6 +77,53 @@ def summarize(report) -> dict:
     return out
 
 
+def bench_sync_policies(scenario: str, scale: float, epochs: int, seed: int,
+                        staleness=(0, 1, 2, 4), sync_periods=(2, 4)) -> dict:
+    """Lockstep vs. every async sync policy on *scenario* (the ``straggler`` section)."""
+    common = dict(scale=scale, epochs=epochs, seed=seed)
+    lockstep = run_workload(scenario, engine="lockstep", **common)
+    lock_crit = lockstep.critical_path_time_s
+    barrier = run_workload(scenario, engine="async", sync="allreduce-barrier", **common)
+    barrier_crit = barrier.critical_path_time_s
+    matches = abs(barrier_crit - lock_crit) <= REL_TOL * max(abs(barrier_crit), abs(lock_crit))
+
+    per_policy = {}
+    for sync, option, label, values in (
+        ("bounded-staleness", "staleness", "bounded-staleness-k", staleness),
+        ("local-sgd", "sync_period", "local-sgd-h", sync_periods),
+    ):
+        for value in values:
+            report = run_workload(scenario, engine="async", sync=sync,
+                                  **{option: value}, **common)
+            entry = summarize(report)
+            entry["reduction_percent"] = (
+                100.0 * (lock_crit - entry["critical_path_time_s"]) / lock_crit
+            )
+            per_policy[f"{label}{value}"] = entry
+
+    curve = [
+        {"staleness": k,
+         **{key: per_policy[f"bounded-staleness-k{k}"][key]
+            for key in ("critical_path_time_s", "reduction_percent", "total_barrier_wait_s")}}
+        for k in staleness
+    ]
+    best_name, best = max(
+        ((name, e) for name, e in per_policy.items() if name.startswith("bounded-staleness")),
+        key=lambda item: item[1]["reduction_percent"],
+    )
+    return {
+        "lockstep": summarize(lockstep),
+        "async_barrier_matches_lockstep": bool(matches),
+        "per_policy": per_policy,
+        "staleness_curve": curve,
+        "best_bounded_staleness": {
+            "name": best_name,
+            "reduction_percent": best["reduction_percent"],
+            "critical_path_time_s": best["critical_path_time_s"],
+        },
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--scenario", default="straggler-machine",
@@ -99,52 +146,24 @@ def main(argv=None) -> int:
                         help="merge the async_sync section into this trajectory file")
     args = parser.parse_args(argv)
 
-    common = dict(scale=args.scale, epochs=args.epochs, seed=args.seed)
     print(f"[async_sync] scenario={args.scenario} scale={args.scale} epochs={args.epochs}")
-
-    lockstep = run_workload(args.scenario, engine="lockstep", **common)
-    lock_crit = lockstep.critical_path_time_s
-    print(f"  lockstep             critical path {lock_crit:.6f}s "
-          f"(barrier wait {lockstep.total_barrier_wait_s:.6f}s)")
-
-    barrier = run_workload(args.scenario, engine="async", sync="allreduce-barrier", **common)
-    barrier_crit = barrier.critical_path_time_s
-    matches = abs(barrier_crit - lock_crit) <= REL_TOL * max(abs(barrier_crit), abs(lock_crit))
-    print(f"  async barrier        critical path {barrier_crit:.6f}s "
-          f"(matches lockstep: {matches})")
-    if not matches:
+    section = bench_sync_policies(args.scenario, args.scale, args.epochs, args.seed,
+                                  args.staleness, args.sync_periods)
+    lockstep = section["lockstep"]
+    print(f"  {'lockstep':<22} critical path {lockstep['critical_path_time_s']:.6f}s "
+          f"(barrier wait {lockstep['total_barrier_wait_s']:.6f}s)")
+    print(f"  {'async barrier':<22} matches lockstep: "
+          f"{section['async_barrier_matches_lockstep']}")
+    for name, entry in section["per_policy"].items():
+        print(f"  {name:<22} critical path {entry['critical_path_time_s']:.6f}s "
+              f"({entry['reduction_percent']:+.2f}% vs lockstep)")
+    best = section["best_bounded_staleness"]
+    print(f"  best bounded-staleness: {best['name']} "
+          f"({best['reduction_percent']:+.2f}% critical path)")
+    if not section["async_barrier_matches_lockstep"]:
         print("FAIL: async allreduce-barrier must reproduce the lockstep critical "
               "path; the event backend has drifted", file=sys.stderr)
         return 1
-
-    per_policy = {}
-    curve = []
-    for k in args.staleness:
-        report = run_workload(args.scenario, engine="async", sync="bounded-staleness",
-                              staleness=k, **common)
-        entry = summarize(report)
-        entry["reduction_percent"] = 100.0 * (lock_crit - entry["critical_path_time_s"]) / lock_crit
-        per_policy[f"bounded-staleness-k{k}"] = entry
-        curve.append({"staleness": k,
-                      "critical_path_time_s": entry["critical_path_time_s"],
-                      "reduction_percent": entry["reduction_percent"],
-                      "total_barrier_wait_s": entry["total_barrier_wait_s"]})
-        print(f"  bounded-staleness K={k} critical path {entry['critical_path_time_s']:.6f}s "
-              f"({entry['reduction_percent']:+.2f}% vs lockstep)")
-    for h in args.sync_periods:
-        report = run_workload(args.scenario, engine="async", sync="local-sgd",
-                              sync_period=h, **common)
-        entry = summarize(report)
-        entry["reduction_percent"] = 100.0 * (lock_crit - entry["critical_path_time_s"]) / lock_crit
-        per_policy[f"local-sgd-h{h}"] = entry
-        print(f"  local-sgd H={h}        critical path {entry['critical_path_time_s']:.6f}s "
-              f"({entry['reduction_percent']:+.2f}% vs lockstep)")
-
-    stale_entries = [(name, e) for name, e in per_policy.items()
-                     if name.startswith("bounded-staleness")]
-    best_name, best = max(stale_entries, key=lambda item: item[1]["reduction_percent"])
-    print(f"  best bounded-staleness: {best_name} "
-          f"({best['reduction_percent']:+.2f}% critical path)")
 
     payload = {
         "benchmark": "async_sync",
@@ -157,17 +176,7 @@ def main(argv=None) -> int:
             "staleness_sweep": list(args.staleness),
             "sync_period_sweep": list(args.sync_periods),
         },
-        "straggler": {
-            "lockstep": summarize(lockstep),
-            "async_barrier_matches_lockstep": bool(matches),
-            "per_policy": per_policy,
-            "staleness_curve": curve,
-            "best_bounded_staleness": {
-                "name": best_name,
-                "reduction_percent": best["reduction_percent"],
-                "critical_path_time_s": best["critical_path_time_s"],
-            },
-        },
+        "straggler": section,
     }
 
     if args.merge_into is not None:

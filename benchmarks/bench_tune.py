@@ -63,6 +63,45 @@ def leg_entry(report) -> dict:
     }
 
 
+TRAINING_SPACE = SearchSpace({
+    "engine": ("async",),
+    "sync": ("allreduce-barrier", "bounded-staleness"),
+    "staleness": (1, 2),
+})
+SERVING_SPACE = SearchSpace({
+    "trainers_per_machine": (2, 4),
+    "cache.eviction": ("lru", "clock"),
+})
+
+
+def bench_tune_legs(scale: float, epochs: int, requests: int, seed: int) -> dict:
+    """Both tune legs plus the same-seed replay of the training one."""
+    training = tune_leg("straggler-machine", "critical-path-s", TRAINING_SPACE,
+                        seed=seed, scale=scale, epochs=epochs)
+
+    serving_base = SCENARIOS.build("flash-crowd-burst")
+    serving_base = serving_base.with_overrides(
+        scale=scale,
+        serving=serving_base.serving.with_overrides(num_requests=requests),
+    )
+    serving = tune_leg(serving_base, "serving-p99-ms", SERVING_SPACE, seed=seed)
+
+    # Determinism contract: a same-seed re-run must reproduce the ranked
+    # report and the frozen preset byte for byte.
+    rerun = tune_leg("straggler-machine", "critical-path-s", TRAINING_SPACE,
+                     seed=seed, scale=scale, epochs=epochs)
+    bit_identical = (
+        training.canonical_json() == rerun.canonical_json()
+        and Preset.from_tune(training, "bench-check").to_json()
+        == Preset.from_tune(rerun, "bench-check").to_json()
+    )
+    return {
+        "training": leg_entry(training),
+        "serving": leg_entry(serving),
+        "reports_bit_identical": bit_identical,
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--scale", type=float,
@@ -79,45 +118,18 @@ def main(argv=None) -> int:
                         help="merge the tuning section into this trajectory file")
     args = parser.parse_args(argv)
 
-    training_space = SearchSpace({
-        "engine": ("async",),
-        "sync": ("allreduce-barrier", "bounded-staleness"),
-        "staleness": (1, 2),
-    })
-    serving_space = SearchSpace({
-        "trainers_per_machine": (2, 4),
-        "cache.eviction": ("lru", "clock"),
-    })
-
-    print(f"[tune] training leg: straggler-machine / critical-path-s "
-          f"(scale={args.scale} epochs={args.epochs} seed={args.seed})")
-    training = tune_leg("straggler-machine", "critical-path-s", training_space,
-                        seed=args.seed, scale=args.scale, epochs=args.epochs)
-    print(training.summary())
-
-    serving_base = SCENARIOS.build("flash-crowd-burst")
-    serving_base = serving_base.with_overrides(
-        scale=args.scale,
-        serving=serving_base.serving.with_overrides(num_requests=args.requests),
-    )
-    print(f"\n[tune] serving leg: flash-crowd-burst / serving-p99-ms "
-          f"(scale={args.scale} requests={args.requests} seed={args.seed})")
-    serving = tune_leg(serving_base, "serving-p99-ms", serving_space,
-                       seed=args.seed)
-    print(serving.summary())
-
-    # Determinism contract: a same-seed re-run must reproduce the ranked
-    # report and the frozen preset byte for byte.
-    rerun = tune_leg("straggler-machine", "critical-path-s", training_space,
-                     seed=args.seed, scale=args.scale, epochs=args.epochs)
-    reports_identical = training.canonical_json() == rerun.canonical_json()
-    presets_identical = (
-        Preset.from_tune(training, "bench-check").to_json()
-        == Preset.from_tune(rerun, "bench-check").to_json()
-    )
-    bit_identical = reports_identical and presets_identical
-    print(f"\nsame-seed re-run bit-identical: report={reports_identical} "
-          f"preset={presets_identical}")
+    print(f"[tune] scale={args.scale} epochs={args.epochs} "
+          f"requests={args.requests} seed={args.seed}")
+    section = bench_tune_legs(args.scale, args.epochs, args.requests, args.seed)
+    for label in ("training", "serving"):
+        leg = section[label]
+        overrides = ", ".join(f"{k}={v}" for k, v in leg["best_overrides"].items())
+        print(f"  {label:>8}: {leg['scenario']} / {leg['objective']}  "
+              f"default {leg['baseline_score']:.6g} -> best {leg['best_score']:.6g} "
+              f"({leg['improvement_percent']:+.2f}%, {overrides}; "
+              f"{leg['candidates_evaluated']} candidates)")
+    bit_identical = section["reports_bit_identical"]
+    print(f"  same-seed re-run bit-identical (report and preset): {bit_identical}")
 
     payload = {
         "benchmark": "tune",
@@ -128,9 +140,7 @@ def main(argv=None) -> int:
             "requests": args.requests,
             "seed": args.seed,
         },
-        "training": leg_entry(training),
-        "serving": leg_entry(serving),
-        "reports_bit_identical": bit_identical,
+        **section,
     }
 
     if args.merge_into is not None:
