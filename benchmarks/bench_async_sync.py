@@ -1,35 +1,31 @@
 """Async execution benchmark: critical-path time vs. gradient-sync policy.
 
-Extends the repository's perf trajectory (``BENCH_hotpath.json``) with the
-asynchrony dimension the event-driven backend adds.  On the
+Prints the asynchrony dimension the event-driven backend adds.  On the
 ``straggler-machine`` scenario (machine 0 computes 2.5x slower) it runs:
 
 * the **lockstep** engine — the bulk-synchronous baseline every policy is
   measured against;
 * the **async engine with ``allreduce-barrier``** — must match the lockstep
-  critical path to ~1e-9 relative (the differential sanity check; a mismatch
-  fails the script immediately);
+  critical path to ~1e-9 relative (reported as
+  ``async_barrier_matches_lockstep``; whole-report bit-identity is
+  ``tests/test_async_engine.py::TestBarrierBitIdentity``);
 * **``bounded-staleness``** at several K — the critical-path-vs-staleness
   curve.  Trainers stop idling at barriers and the per-round collective is an
-  async push hidden behind compute, so the critical path must come out
-  *strictly below* lockstep: the script exits nonzero unless the best K beats
-  the lockstep critical path by ``--min-reduction`` percent (the CI gate,
-  enforced again by ``check_perf_regression.py`` against the committed
-  trajectory);
+  async push hidden behind compute, so the critical path comes out *strictly
+  below* lockstep (``TestBoundedStaleness::
+  test_strictly_reduces_straggler_critical_path``);
 * **``local-sgd``** at several H — sparse model averaging as the second
   async policy.
 
 All reported metrics are simulated times and counters — deterministic given
-(seed, config), machine-independent, so the regression gate holds them to a
-tight band.
+(seed, config), machine-independent, and pinned at the default sizes by
+``tests/golden/behaviour.json`` (section ``async_sync``).
 
 Run::
 
-    PYTHONPATH=src python benchmarks/bench_async_sync.py \\
-        --merge-into BENCH_hotpath.json
+    PYTHONPATH=src python benchmarks/bench_async_sync.py
 
-``--merge-into`` updates the named trajectory file in place (adding/replacing
-its ``"async_sync"`` section); ``--out`` writes a standalone JSON instead.
+Nothing is written unless ``--out FILE`` asks for the JSON.
 """
 
 from __future__ import annotations
@@ -107,10 +103,9 @@ def bench_sync_policies(scenario: str, scale: float, epochs: int, seed: int,
             for key in ("critical_path_time_s", "reduction_percent", "total_barrier_wait_s")}}
         for k in staleness
     ]
-    best_name, best = max(
-        ((name, e) for name, e in per_policy.items() if name.startswith("bounded-staleness")),
-        key=lambda item: item[1]["reduction_percent"],
-    )
+    best_name = max((f"bounded-staleness-k{k}" for k in staleness),
+                    key=lambda name: per_policy[name]["reduction_percent"])
+    best = per_policy[best_name]
     return {
         "lockstep": summarize(lockstep),
         "async_barrier_matches_lockstep": bool(matches),
@@ -137,13 +132,8 @@ def main(argv=None) -> int:
                         help="bounded-staleness K values to sweep")
     parser.add_argument("--sync-periods", type=int, nargs="+", default=[2, 4],
                         help="local-sgd H values to sweep")
-    parser.add_argument("--min-reduction", type=float, default=0.5,
-                        help="gate: best bounded-staleness critical-path reduction "
-                             "must beat lockstep by at least this percent")
-    parser.add_argument("--out", type=Path, default=Path("benchmarks/results/BENCH_async_sync.json"),
-                        help="standalone output file (ignored with --merge-into)")
-    parser.add_argument("--merge-into", type=Path, default=None,
-                        help="merge the async_sync section into this trajectory file")
+    parser.add_argument("--out", type=Path, default=None,
+                        help="also write the section as JSON to this file")
     args = parser.parse_args(argv)
 
     print(f"[async_sync] scenario={args.scenario} scale={args.scale} epochs={args.epochs}")
@@ -160,10 +150,6 @@ def main(argv=None) -> int:
     best = section["best_bounded_staleness"]
     print(f"  best bounded-staleness: {best['name']} "
           f"({best['reduction_percent']:+.2f}% critical path)")
-    if not section["async_barrier_matches_lockstep"]:
-        print("FAIL: async allreduce-barrier must reproduce the lockstep critical "
-              "path; the event backend has drifted", file=sys.stderr)
-        return 1
 
     payload = {
         "benchmark": "async_sync",
@@ -179,24 +165,9 @@ def main(argv=None) -> int:
         "straggler": section,
     }
 
-    if args.merge_into is not None:
-        trajectory = {}
-        if args.merge_into.exists():
-            trajectory = json.loads(args.merge_into.read_text())
-        trajectory["async_sync"] = payload
-        args.merge_into.write_text(json.dumps(trajectory, indent=2, sort_keys=True) + "\n")
-        print(f"merged async_sync section into {args.merge_into}")
-    else:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
+    if args.out is not None:
         args.out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         print(f"wrote {args.out}")
-
-    if best["reduction_percent"] < args.min_reduction:
-        print(f"FAIL: best bounded-staleness reduction "
-              f"{best['reduction_percent']:.2f}% < required {args.min_reduction}% — "
-              f"asynchrony no longer pays on the straggler scenario", file=sys.stderr)
-        return 1
-    print(f"async_sync gate ok: {best['reduction_percent']:.2f}% >= {args.min_reduction}%")
     return 0
 
 

@@ -1,8 +1,9 @@
 """Hot-path benchmark: owner-coalesced RPC accounting, fetch, elasticity.
 
-Seeds the repository's perf trajectory (``BENCH_hotpath.json``) with the
-quantities the fetch→prefetch hot path is judged on (sampler wall time is
-priced end to end by ``benchmarks/e2e``: ``sampling.host_us_per_op``):
+Prints the quantities the fetch→prefetch hot path is judged on.  All but the
+fetch rate are simulated, repeat exactly at a fixed seed, and are pinned by
+``tests/golden/behaviour.json`` (sections ``rpc``, ``fetch``, ``elasticity``);
+host wall time is priced end to end by ``benchmarks/e2e``.
 
 * **fetch rows/s** — feature-store assembly throughput on the hot-halo
   workload's buffered data path.
@@ -18,7 +19,9 @@ priced end to end by ``benchmarks/e2e``: ``sampling.host_us_per_op``):
 
 Run::
 
-    PYTHONPATH=src python benchmarks/bench_hotpath.py --out BENCH_hotpath.json
+    PYTHONPATH=src python benchmarks/bench_hotpath.py
+
+Nothing is written unless ``--out FILE`` asks for the JSON.
 """
 
 from __future__ import annotations
@@ -189,7 +192,8 @@ def main(argv=None) -> int:
     parser.add_argument("--elastic-scale", type=float, default=0.05,
                         help="dataset scale for the elastic scale-out comparison; "
                              "0 skips the section")
-    parser.add_argument("--out", type=Path, default=Path("BENCH_hotpath.json"))
+    parser.add_argument("--out", type=Path, default=None,
+                        help="also write the sections as JSON to this file")
     args = parser.parse_args(argv)
 
     print(f"[1/3] hot-halo RPC: scale {args.scenario_scale}, {args.epochs} epoch(s)")
@@ -233,9 +237,9 @@ def main(argv=None) -> int:
     }
     if elasticity is not None:
         payload["elasticity"] = elasticity
-    args.out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {args.out}")
-
+    if args.out is not None:
+        args.out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        print(f"wrote {args.out}")
     return 0
 
 

@@ -1,7 +1,7 @@
-"""Tuning benchmark: the sweep's best config must beat the scenario default.
+"""Tuning benchmark: the sweep's best config vs. the scenario default.
 
 Runs ``repro.tuning`` end to end on one training and one serving scenario and
-records, for each leg, the baseline score (the untouched scenario recipe),
+prints, for each leg, the baseline score (the untouched scenario recipe),
 the tuner's best score, and the winning overrides:
 
 * **training** — ``straggler-machine`` under ``critical-path-s``: the sweep
@@ -12,21 +12,20 @@ the tuner's best score, and the winning overrides:
   over worker count and hot-tier eviction must find that extra capacity
   absorbs the burst's queueing tail.
 
-Both legs assert a strict improvement; the committed gains are re-checked by
-``check_perf_regression.py`` against the trajectory.  The script also runs
-the training sweep twice at the same seed and asserts the ranked reports and
-the frozen preset files are byte-identical — the determinism contract
-``repro tune`` advertises, enforced on every CI run.
+It also runs the training sweep twice at the same seed and reports whether the
+ranked reports and the frozen preset files are byte-identical — the
+determinism contract ``repro tune`` advertises.
 
 All scores are simulated times — deterministic given (seed, config),
-machine-independent, so the gate holds the gains to a tight band.
+machine-independent, and pinned at the default sizes by
+``tests/golden/behaviour.json`` (section ``tuning``);
+``tests/test_golden_behaviour.py`` asserts that both legs beat their default.
 
 Run::
 
-    PYTHONPATH=src python benchmarks/bench_tune.py --merge-into BENCH_hotpath.json
+    PYTHONPATH=src python benchmarks/bench_tune.py
 
-``--merge-into`` updates the named trajectory file in place (adding/replacing
-its ``"tuning"`` section); ``--out`` writes a standalone JSON instead.
+Nothing is written unless ``--out FILE`` asks for the JSON.
 """
 
 from __future__ import annotations
@@ -111,11 +110,8 @@ def main(argv=None) -> int:
     parser.add_argument("--requests", type=int,
                         default=int(os.environ.get("REPRO_BENCH_REQUESTS", 256)))
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", type=Path,
-                        default=Path("benchmarks/results/BENCH_tune.json"),
-                        help="standalone output file (ignored with --merge-into)")
-    parser.add_argument("--merge-into", type=Path, default=None,
-                        help="merge the tuning section into this trajectory file")
+    parser.add_argument("--out", type=Path, default=None,
+                        help="also write the section as JSON to this file")
     args = parser.parse_args(argv)
 
     print(f"[tune] scale={args.scale} epochs={args.epochs} "
@@ -128,8 +124,8 @@ def main(argv=None) -> int:
               f"default {leg['baseline_score']:.6g} -> best {leg['best_score']:.6g} "
               f"({leg['improvement_percent']:+.2f}%, {overrides}; "
               f"{leg['candidates_evaluated']} candidates)")
-    bit_identical = section["reports_bit_identical"]
-    print(f"  same-seed re-run bit-identical (report and preset): {bit_identical}")
+    print(f"  same-seed re-run bit-identical (report and preset): "
+          f"{section['reports_bit_identical']}")
 
     payload = {
         "benchmark": "tune",
@@ -143,35 +139,10 @@ def main(argv=None) -> int:
         **section,
     }
 
-    if args.merge_into is not None:
-        trajectory = {}
-        if args.merge_into.exists():
-            trajectory = json.loads(args.merge_into.read_text())
-        trajectory["tuning"] = payload
-        args.merge_into.write_text(json.dumps(trajectory, indent=2, sort_keys=True) + "\n")
-        print(f"merged tuning section into {args.merge_into}")
-    else:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
+    if args.out is not None:
         args.out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         print(f"wrote {args.out}")
-
-    failed = False
-    for label, leg in (("training", payload["training"]),
-                       ("serving", payload["serving"])):
-        gain = leg["improvement_percent"]
-        if gain is None or gain <= 0:
-            print(f"FAIL: {label} leg — the tuner's best config does not beat the "
-                  f"scenario default on {leg['objective']} "
-                  f"(improvement {gain})", file=sys.stderr)
-            failed = True
-        else:
-            print(f"{label} gate ok: best beats default by {gain:+.2f}% "
-                  f"on {leg['objective']}")
-    if not bit_identical:
-        print("FAIL: same-seed tune runs are not byte-identical — the sweep "
-              "has picked up nondeterminism", file=sys.stderr)
-        failed = True
-    return 1 if failed else 0
+    return 0
 
 
 if __name__ == "__main__":

@@ -248,10 +248,6 @@ class PrefetchScorer:
         self._miss_obs = 0
 
     # ------------------------------------------------------------------ #
-    @property
-    def num_tracked(self) -> int:
-        return int(len(self._ids))
-
     def decayed_count(self, global_ids: np.ndarray, step: Optional[int] = None) -> np.ndarray:
         """The decayed access count of each id as of *step* (0 for unseen ids)."""
         step = self._step if step is None else int(step)

@@ -137,10 +137,6 @@ class TieredFeatureCache:
         return int(sum(tier.nbytes() for tier in self.tiers))
 
     @property
-    def total_capacity(self) -> int:
-        return int(sum(tier.capacity for tier in self.tiers))
-
-    @property
     def total_resident(self) -> int:
         return int(sum(tier.size for tier in self.tiers))
 

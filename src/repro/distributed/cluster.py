@@ -270,15 +270,8 @@ class SimCluster:
     def world_size(self) -> int:
         return self.config.world_size
 
-    @property
-    def server_objects(self) -> List[PartitionServer]:
-        return self._server_objects
-
     def trainer(self, global_rank: int) -> TrainerContext:
         return self.trainers[global_rank]
-
-    def partition_of_machine(self, machine: int) -> GraphPartition:
-        return self.partitions[machine]
 
     def shared_cache_tier(
         self, machine: int, cache_config: Optional["CacheConfig"]

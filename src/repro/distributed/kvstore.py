@@ -70,10 +70,6 @@ class KVStore:
     def nbytes(self) -> int:
         return int(self._rows.nbytes + self._ids.nbytes)
 
-    def owned_ids(self) -> np.ndarray:
-        """Sorted global ids stored here."""
-        return self._ids.copy()
-
     def contains(self, global_ids: np.ndarray) -> np.ndarray:
         global_ids = check_1d_int_array(global_ids, "global_ids")
         if self.num_rows == 0:

@@ -12,7 +12,7 @@ sources composed behind a :class:`~repro.features.store.FeatureStore`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Protocol, Tuple, runtime_checkable
+from typing import Dict, Protocol, Tuple, runtime_checkable
 
 import numpy as np
 
@@ -123,25 +123,3 @@ class FeatureSource(Protocol):
     def summary(self) -> Dict[str, float]:
         """Cumulative counters for reports and benchmark tables."""
         ...
-
-
-class SourceTelemetry:
-    """Optional mixin-style attributes a source may expose.
-
-    * ``tracker`` — a :class:`~repro.core.metrics.HitRateTracker` recording the
-      per-step hit/miss trajectory (Fig. 10);
-    * ``initialize()`` — one-time population cost, returning an init-report
-      dict (Fig. 8) whose ``rpc_time_s`` the engine charges to the trainer
-      clock before the first minibatch;
-    * ``prefetcher`` — the wrapped :class:`~repro.core.prefetcher.Prefetcher`
-      when the source is buffer-backed.
-
-    The engine and :class:`FeatureStore` only use these via ``getattr`` so
-    plain sources need none of them.
-    """
-
-    tracker = None
-    prefetcher = None
-
-    def initialize(self) -> Optional[Dict[str, float]]:  # pragma: no cover - interface default
-        return None

@@ -195,16 +195,6 @@ class CSRGraph:
         )
         return sub, nodes.copy()
 
-    def to_networkx(self):
-        """Convert to a :class:`networkx.DiGraph` (for tests and small examples)."""
-        import networkx as nx
-
-        g = nx.DiGraph()
-        g.add_nodes_from(range(self.num_nodes))
-        src, dst = self.edges()
-        g.add_edges_from(zip(src.tolist(), dst.tolist()))
-        return g
-
     def connected_components(self) -> np.ndarray:
         """Weakly connected component label per node (union-find)."""
         parent = np.arange(self.num_nodes, dtype=np.int64)

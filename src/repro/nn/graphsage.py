@@ -160,8 +160,4 @@ class GraphSAGE(Module):
         """Estimated FLOPs to train on *minibatch* (drives simulated t_DDP)."""
         return float(sum(layer.flops(block) for layer, block in zip(self.layers, minibatch.blocks)))
 
-    def reset_caches(self) -> None:
-        for layer in self.layers:
-            layer._cache = None
-
     __call__ = forward

@@ -276,7 +276,7 @@ def scale_out_burst_scenario() -> ClusterScenario:
     join at t=1 ms: seeds re-split across the doubled roster, the joiners
     pay the migration bytes for their gained seed rows, and every epoch
     after the join runs with twice the parallelism — the post-join
-    critical-path improvement ``check_perf_regression.py`` gates on.
+    critical-path improvement ``tests/test_elastic.py`` asserts.
     """
     return ClusterScenario(
         name="scale-out-burst",
@@ -441,7 +441,7 @@ def flash_crowd_burst_scenario() -> ClusterScenario:
     Identical topology and base rate to ``steady-poisson`` plus 30% extra
     requests inside 5% of the horizon — queues build faster than workers
     drain them, so p99 must exceed the steady scenario's (a hard invariant
-    ``check_perf_regression.py`` enforces).
+    ``tests/test_serving.py`` enforces).
     """
     return ClusterScenario(
         name="flash-crowd-burst",

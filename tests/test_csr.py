@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.graph.csr import CSRGraph, merge_graphs, validate_graph
+from repro.graph.partition import edge_cut, metis_partition
 
 
 class TestConstruction:
@@ -127,10 +128,32 @@ class TestTransforms:
         with pytest.raises(ValueError):
             tiny_graph.induced_subgraph(np.array([0, 0]))
 
-    def test_to_networkx(self, tiny_graph):
-        nx_graph = tiny_graph.to_networkx()
-        assert nx_graph.number_of_nodes() == tiny_graph.num_nodes
-        assert nx_graph.number_of_edges() == tiny_graph.num_edges
+    def test_networkx_oracle_edge_cut_and_components(self, small_community_graph):
+        nx = pytest.importorskip("networkx")
+
+        def digraph(g):
+            out = nx.DiGraph()
+            out.add_nodes_from(range(g.num_nodes))
+            out.add_edges_from(zip(*(a.tolist() for a in g.edges())))
+            return out
+
+        graph, _ = small_community_graph
+        parts = metis_partition(graph, 4, seed=0).parts
+        nx_graph = digraph(graph)
+        assert nx_graph.number_of_edges() == graph.num_edges
+        leaving = [nx.edge_boundary(nx_graph, np.flatnonzero(parts == p).tolist())
+                   for p in range(4)]
+        assert edge_cut(graph, parts) == sum(len(list(edges)) for edges in leaving) > 0
+
+        # Without the cut edges every part falls into its own component(s).
+        src, dst = graph.edges()
+        keep = parts[src] == parts[dst]
+        uncut = CSRGraph.from_edges(src[keep], dst[keep], num_nodes=graph.num_nodes,
+                                    deduplicate=False)
+        labels = uncut.connected_components()
+        components = list(nx.weakly_connected_components(digraph(uncut)))
+        assert len(components) == len(np.unique(labels)) >= 4
+        assert all(len(set(labels[list(nodes)])) == 1 for nodes in components)
 
     def test_connected_components_single(self, tiny_graph):
         labels = tiny_graph.connected_components()

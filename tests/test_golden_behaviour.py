@@ -194,9 +194,9 @@ def test_wall_clock_fields_are_dropped_by_name_and_nothing_else_is():
     assert not set(WALL_CLOCK) & set(_load()["pinned"])
     # A leaf that is neither pinned nor dropped lands in the digest, so a
     # builder that grows a key (a new host-time field included) fails by name.
-    grown = {"fetch": {**section("fetch"), "host_cpu_s": 0.25}}
-    assert [line.split(":")[0] for line in _moved(snapshot(grown), snapshot(
-        {"fetch": section("fetch")}))] == ["rest.fetch.leaves", "rest.fetch.sha256"]
+    grown = snapshot({"fetch": {**section("fetch"), "host_cpu_s": 0.25}})
+    moved = _moved(grown, snapshot({"fetch": section("fetch")}))
+    assert [line.split(":")[0] for line in moved] == ["rest.fetch.leaves", "rest.fetch.sha256"]
 
 
 def test_every_pinned_pattern_matches_a_fixture_key():
@@ -232,9 +232,13 @@ def test_tune_best_beats_scenario_default(leg):
 
 
 # --------------------------------------------------------------------------- #
+def _generate() -> dict:
+    return snapshot({name: section(name) for name in SECTIONS})
+
+
 def regenerate() -> None:
     GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
-    data = snapshot({name: section(name) for name in SECTIONS})
+    data = _generate()
     GOLDEN_PATH.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN_PATH} ({len(data['pinned'])} pinned values, "
           f"{sum(r['leaves'] for r in data['rest'].values())} digested)")
@@ -245,8 +249,7 @@ def compare() -> int:
     if not GOLDEN_PATH.exists():
         print(f"missing golden fixture {GOLDEN_PATH}", file=sys.stderr)
         return 1
-    lines = _moved(snapshot({name: section(name) for name in SECTIONS}),
-                   json.loads(GOLDEN_PATH.read_text()))
+    lines = _moved(_generate(), json.loads(GOLDEN_PATH.read_text()))
     if lines:
         print("golden fixture drift detected (fixture -> now):", file=sys.stderr)
         for line in lines:

@@ -80,6 +80,7 @@ class TestAllreduceProperties:
                                        rtol=1e-12, atol=atol)
 
     @given(seed=st.integers(0, 2**31 - 1), world=st.integers(2, 8))
+    @example(seed=144, world=8)  # a mean on p1 cancels to ~3e-5: rel 1.6e-12
     @settings(max_examples=50, deadline=None)
     def test_join_semantics_skip_empty_contributors(self, seed, world):
         rng = np.random.default_rng(seed)
@@ -90,7 +91,10 @@ class TestAllreduceProperties:
         averaged = allreduce_gradients(with_joins)
         expected = allreduce_gradients(per_trainer)
         for name in expected:
-            np.testing.assert_allclose(averaged[name], expected[name], rtol=1e-12)
+            # The shuffle reorders the summands: same tolerance rule as above.
+            atol = 1e-12 * max(np.abs(grads[name]).max() for grads in per_trainer)
+            np.testing.assert_allclose(averaged[name], expected[name],
+                                       rtol=1e-12, atol=atol)
 
 
 class TestReplicaSynchronization:
