@@ -18,8 +18,8 @@ import pytest
 from benchmarks.common import bench_cluster_config, bench_dataset, save_table
 from repro.core.config import PrefetchConfig
 from repro.distributed.cluster import ClusterConfig, SimCluster
+from repro.training.cluster_engine import ClusterEngine
 from repro.training.config import TrainConfig
-from repro.training.engine import TrainingEngine
 
 
 @pytest.mark.benchmark(group="ablation")
@@ -29,19 +29,22 @@ def test_ablation_eviction_policies(benchmark, bench_scale, bench_epochs):
 
     def run_policies():
         cluster = SimCluster(dataset, bench_cluster_config(2, batch_size=128, seed=15))
-        engine = TrainingEngine(cluster, TrainConfig(epochs=bench_epochs + 1, hidden_dim=32, seed=15))
-        baseline = engine.run_baseline()
+        engine = ClusterEngine(cluster, TrainConfig(epochs=bench_epochs + 1, hidden_dim=32, seed=15))
+        baseline = engine.run("baseline").report
         out = {"__baseline__": baseline}
         # A degree-ranked cache with the same capacity but no scoreboards: the
         # lower bar every eviction policy must clear.
-        out["static-cache"] = engine.run_pipeline("static-cache", prefetch_config=config)
-        out["no-eviction"] = engine.run_prefetch(config.without_eviction())
+        out["static-cache"] = engine.run("static-cache", prefetch_config=config).report
+        out["no-eviction"] = engine.run(
+            "prefetch", prefetch_config=config.without_eviction()
+        ).report
         # By name: every trainer builds its own policy from the cluster seed,
         # so the random policy's RNG is not shared across trainers.
         for policy_name in ("score-threshold", "lru", "random"):
-            out[policy_name] = engine.run_prefetch(
-                dataclasses.replace(config, eviction_policy=policy_name)
-            )
+            out[policy_name] = engine.run(
+                "prefetch",
+                prefetch_config=dataclasses.replace(config, eviction_policy=policy_name),
+            ).report
         return out
 
     results = benchmark.pedantic(run_policies, rounds=1, iterations=1)
@@ -82,9 +85,9 @@ def test_ablation_partition_quality(benchmark, bench_scale, bench_epochs):
                 fanouts=(5, 10), partition_method=method, seed=16,
             )
             cluster = SimCluster(dataset, cluster_config)
-            engine = TrainingEngine(cluster, TrainConfig(epochs=bench_epochs, hidden_dim=32, seed=16))
-            baseline = engine.run_baseline()
-            prefetched = engine.run_prefetch(prefetch)
+            engine = ClusterEngine(cluster, TrainConfig(epochs=bench_epochs, hidden_dim=32, seed=16))
+            baseline = engine.run("baseline").report
+            prefetched = engine.run("prefetch", prefetch_config=prefetch).report
             out[method] = (cluster, baseline, prefetched)
         return out
 

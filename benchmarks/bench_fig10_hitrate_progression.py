@@ -15,8 +15,8 @@ import pytest
 from benchmarks.common import bench_cluster_config, bench_dataset, save_table
 from repro.core.config import PrefetchConfig
 from repro.distributed.cluster import SimCluster
+from repro.training.cluster_engine import ClusterEngine
 from repro.training.config import TrainConfig
-from repro.training.engine import TrainingEngine
 
 
 @pytest.mark.benchmark(group="fig10")
@@ -26,8 +26,8 @@ def test_fig10_hit_rate_progression(benchmark, bench_scale):
 
     def run_long():
         cluster = SimCluster(dataset, bench_cluster_config(2, batch_size=128, seed=7))
-        engine = TrainingEngine(cluster, TrainConfig(epochs=6, hidden_dim=32, seed=7))
-        return engine.run_prefetch(config)
+        engine = ClusterEngine(cluster, TrainConfig(epochs=6, hidden_dim=32, seed=7))
+        return engine.run("prefetch", prefetch_config=config).report
 
     report = benchmark.pedantic(run_long, rounds=1, iterations=1)
 

@@ -14,8 +14,8 @@ import pytest
 from benchmarks.common import bench_cluster_config, bench_dataset, save_table
 from repro.distributed.cluster import SimCluster
 from repro.perf.tradeoffs import quadrant_configs
+from repro.training.cluster_engine import ClusterEngine
 from repro.training.config import TrainConfig
-from repro.training.engine import TrainingEngine
 
 
 @pytest.mark.benchmark(group="fig5")
@@ -25,11 +25,11 @@ def test_fig5_tradeoff_quadrants(benchmark, bench_scale, bench_epochs):
 
     def run_quadrants():
         cluster = SimCluster(dataset, bench_cluster_config(2, batch_size=128, seed=12))
-        engine = TrainingEngine(cluster, TrainConfig(epochs=bench_epochs + 1, hidden_dim=32, seed=12))
-        baseline = engine.run_baseline()
+        engine = ClusterEngine(cluster, TrainConfig(epochs=bench_epochs + 1, hidden_dim=32, seed=12))
+        baseline = engine.run("baseline").report
         out = {"__baseline__": baseline}
         for name, config in configs.items():
-            out[name] = engine.run_prefetch(config)
+            out[name] = engine.run("prefetch", prefetch_config=config).report
         return out
 
     results = benchmark.pedantic(run_quadrants, rounds=1, iterations=1)

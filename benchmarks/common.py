@@ -18,8 +18,8 @@ from repro.core.config import PrefetchConfig
 from repro.distributed.cluster import ClusterConfig, SimCluster
 from repro.distributed.cost_model import CostModel
 from repro.graph.datasets import GraphDataset, load_dataset
+from repro.training.cluster_engine import ClusterEngine
 from repro.training.config import TrainConfig
-from repro.training.engine import TrainingEngine
 from repro.training.telemetry import TrainingReport
 from repro.utils.logging_utils import format_table
 
@@ -77,14 +77,16 @@ def run_pair(
         bench_cluster_config(num_machines, backend=backend, batch_size=batch_size, seed=seed),
         cost_model=CostModel.preset(backend),
     )
-    engine = TrainingEngine(
+    engine = ClusterEngine(
         cluster,
         TrainConfig(epochs=epochs, arch=arch, hidden_dim=32, num_heads=num_heads, seed=seed),
     )
-    out: Dict[str, TrainingReport] = {"baseline": engine.run_baseline()}
+    out: Dict[str, TrainingReport] = {"baseline": engine.run("baseline").report}
     if include_no_eviction:
-        out["prefetch_no_evict"] = engine.run_prefetch(prefetch_config.without_eviction())
-    out["prefetch"] = engine.run_prefetch(prefetch_config)
+        out["prefetch_no_evict"] = engine.run(
+            "prefetch", prefetch_config=prefetch_config.without_eviction()
+        ).report
+    out["prefetch"] = engine.run("prefetch", prefetch_config=prefetch_config).report
     return out
 
 

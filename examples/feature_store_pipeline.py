@@ -34,7 +34,7 @@ from repro import (
     TrainConfig,
     load_dataset,
 )
-from repro.training import TrainingEngine
+from repro.training import ClusterEngine
 from repro.training.pipelines import OverlappedTimingPolicy
 from repro.sampling.pipeline import MiniBatchPipeline
 from repro.utils.logging_utils import format_table
@@ -135,11 +135,11 @@ def main() -> None:
           f"rpc {halo_stats.rpc_time_s * 1e3:.3f} ms\n")
 
     # ---- 2 + 3. registered names and a builder callable, one engine -------- #
-    engine = TrainingEngine(cluster, TrainConfig(epochs=2, hidden_dim=32, seed=0))
+    engine = ClusterEngine(cluster, TrainConfig(epochs=2, hidden_dim=32, seed=0))
     prefetch_config = PrefetchConfig(halo_fraction=0.25, gamma=0.995, delta=16)
     rows = []
     for pipeline in ("baseline", "prefetch", "static-cache", build_halo_mirror_pipeline):
-        report = engine.run_pipeline(pipeline, prefetch_config=prefetch_config)
+        report = engine.run(pipeline, prefetch_config=prefetch_config).report
         rows.append([
             report.mode,
             f"{report.total_simulated_time_s:.4f}",

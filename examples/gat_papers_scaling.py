@@ -12,7 +12,7 @@ Run with:  python examples/gat_papers_scaling.py
 from __future__ import annotations
 
 from repro import ClusterConfig, CostModel, PrefetchConfig, SimCluster, TrainConfig, load_dataset
-from repro.training.engine import TrainingEngine
+from repro.training.cluster_engine import ClusterEngine
 from repro.utils.logging_utils import format_table
 
 COMPONENTS = ("sampling", "lookup", "scoring", "rpc", "copy", "ddp", "allreduce")
@@ -34,11 +34,11 @@ def main() -> None:
                 ),
                 cost_model=CostModel.preset(backend),
             )
-            engine = TrainingEngine(
+            engine = ClusterEngine(
                 cluster, TrainConfig(epochs=2, arch="gat", hidden_dim=16, num_heads=2, seed=2)
             )
-            baseline = engine.run_baseline()
-            prefetch = engine.run_prefetch(prefetch_config)
+            baseline = engine.run("baseline").report
+            prefetch = engine.run("prefetch", prefetch_config=prefetch_config).report
             rows.append(
                 [backend, machines * 2,
                  f"{baseline.total_simulated_time_s:.4f}",

@@ -7,8 +7,8 @@ comparison the paper's Fig. 6 is built from: simulated training time, percent
 improvement, hit rate, and the reduction in remote feature fetches.
 
 Both pipelines run through the same engine loop: ``compare_baseline_and_prefetch``
-builds one cluster and runs ``TrainingEngine.run_baseline()`` and
-``run_prefetch(prefetch_config)`` on it — the registered ``"baseline"`` and
+builds one cluster and one ``ClusterEngine`` and calls ``run("baseline")`` and
+``run("prefetch", prefetch_config=...)`` on it — the registered ``"baseline"`` and
 ``"prefetch"`` minibatch pipelines (see ``examples/feature_store_pipeline.py``
 for the underlying FeatureStore / MiniBatchPipeline API).
 

@@ -8,14 +8,15 @@ Commands
     List every paper table/figure, the benchmark that regenerates it, and the
     modules involved (the DESIGN.md experiment index, from code).
 ``run``
-    Train baseline and/or prefetch pipelines on one dataset and print a
-    Fig. 6-style comparison; optionally save JSON traces.  ``--pipeline``
-    runs any single pipeline registered in
-    :data:`repro.training.pipelines.PIPELINES` instead.  ``--cluster``
-    switches to the scenario-driven :class:`ClusterEngine` path:
-    ``repro run --cluster --scenario skewed-partitions`` runs a named
-    workload from :data:`repro.scenarios.SCENARIOS` and prints per-trainer
-    and cluster-level telemetry (critical path, barrier wait, hit rates).
+    Run a scenario: ``repro run --scenario skewed-partitions`` materializes a
+    named workload from :data:`repro.scenarios.SCENARIOS` (default
+    ``uniform``), runs it through the engine it selects and prints
+    per-trainer and cluster-level telemetry (critical path, barrier wait, hit
+    rates); ``--trace-dir`` writes the report as JSON.  The recipe provides
+    every default and explicitly passed flags override it.  ``--pipeline``
+    runs any pipeline registered in :data:`repro.training.pipelines.PIPELINES`
+    instead of the scenario's; ``--mode both`` runs ``baseline`` first on the
+    same cluster and prints a Fig. 6-style comparison.
 ``scenarios``
     List the registered cluster scenarios and their deployment notes;
     ``--markdown`` emits the ``docs/SCENARIOS.md`` catalog instead (CI
@@ -24,9 +25,9 @@ Commands
     Run an online-inference serving scenario (``steady-poisson``,
     ``diurnal-cache-drift``, ``flash-crowd-burst``) through the event-driven
     :class:`~repro.serving.engine.InferenceClusterEngine` and print the
-    latency/SLO/cache report.  ``repro run --cluster --scenario <serving
-    scenario>`` routes here too, so the CI smoke matrix runs one command
-    shape for every scenario.
+    latency/SLO/cache report.  ``repro run --scenario <serving scenario>``
+    routes here too, so the CI smoke matrix runs one command shape for every
+    scenario.
 ``sweep``
     Grid-search (f_h, γ, Δ) and print the Table IV-style optimum.
 ``tune``
@@ -46,12 +47,14 @@ Commands
 Execution backends are selected with ``--engine`` (see
 :data:`repro.training.engines.ENGINES`): ``repro run --engine async --sync
 bounded-staleness --staleness 2`` runs the event-driven backend with the
-chosen gradient-sync policy (``--engine async`` implies ``--cluster``).
+chosen gradient-sync policy.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import json
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -62,8 +65,7 @@ from repro.cache.policies import ADMISSION_POLICIES, CACHE_EVICTION_POLICIES
 from repro.cache.scoring import capture_decisions
 from repro.core.config import PrefetchConfig
 from repro.core.eviction import EVICTION_POLICIES
-from repro.distributed.cluster import ClusterConfig, SimCluster
-from repro.distributed.cost_model import CostModel
+from repro.distributed.cluster import ClusterConfig
 from repro.distributed.rpc import RPC_CHANNELS
 from repro.events.sync import SYNC_POLICIES
 from repro.graph.datasets import available_datasets, load_dataset
@@ -77,11 +79,10 @@ from repro.scenarios import (
 )
 from repro.serving import ARRIVALS
 from repro.training.config import TrainConfig
-from repro.training.engine import TrainingEngine
 from repro.training.engines import ENGINES
 from repro.training.pipelines import PIPELINES
 from repro.training.sweep import find_optimal, run_parameter_sweep
-from repro.training.trace import list_experiments, save_trace
+from repro.training.trace import list_experiments
 from repro.tuning import (
     OBJECTIVES,
     SEARCH_STRATEGIES,
@@ -114,21 +115,30 @@ def build_parser() -> argparse.ArgumentParser:
              "plain-text listing",
     )
 
-    # Flags shared with --cluster default to None so that only explicitly
-    # passed values override a scenario's recipe; the plain run path fills in
-    # the documented defaults itself.
-    run = sub.add_parser("run", help="train baseline and/or prefetch pipelines")
+    # Scenario knobs default to None so that only explicitly passed values
+    # override the scenario's recipe.
+    run = sub.add_parser("run", help="run a scenario (default: uniform)")
+    run.add_argument(
+        "--scenario", default=None, choices=available_scenarios(),
+        help="named cluster workload (default: uniform); the scenario's recipe "
+             "provides every default, and only explicitly passed flags override it",
+    )
+    run.add_argument("--cluster", action="store_true", help=argparse.SUPPRESS)
     run.add_argument(
         "--dataset", default=None, choices=available_datasets(),
-        help="dataset analog (default: products; with --cluster: the scenario's dataset)",
+        help="dataset analog (default: the scenario's)",
     )
     run.add_argument("--scale", type=float, default=None,
-                     help="dataset scale multiplier (default: 0.25; --cluster: scenario's)")
-    run.add_argument("--mode", default="both", choices=["baseline", "prefetch", "both"],
-                     help="which pipelines to compare (ignored with --cluster)")
+                     help="dataset scale multiplier (default: the scenario's)")
+    run.add_argument(
+        "--mode", default=None, choices=["baseline", "prefetch", "both"],
+        help="'baseline' / 'prefetch' name the pipeline to run; 'both' runs "
+             "'baseline' and then the scenario's (or --pipeline's) pipeline on the "
+             "same cluster and prints the Fig. 6-style comparison",
+    )
     run.add_argument(
         "--pipeline", default=None, choices=PIPELINES.names(),
-        help="run one registered pipeline instead of the --mode comparison",
+        help="run this registered pipeline instead of the scenario's",
     )
     run.add_argument(
         "--eviction-policy", default=None, choices=EVICTION_POLICIES.names(),
@@ -141,9 +151,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--rpc", default=None, choices=RPC_CHANNELS.names(),
-        help="RPC channel registry key (default: per-call). 'batched' coalesces a "
-             "step's remote pulls per owning partition machine-wide and merges "
-             "duplicate ids (stats report logical vs. wire requests separately)",
+        help="RPC channel registry key (default: the scenario's, per-call). 'batched' "
+             "coalesces a step's remote pulls per owning partition machine-wide and "
+             "merges duplicate ids (stats report logical vs. wire requests separately)",
     )
     run.add_argument(
         "--cache-tiers", type=int, default=None, choices=[1, 2], dest="cache_tiers",
@@ -170,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine", default=None, choices=ENGINES.names(),
         help="cluster execution backend (default: the scenario's, lockstep). "
              "'async' is the event-driven backend (priority-queue event loop, "
-             "pluggable gradient sync); passing it implies --cluster",
+             "pluggable gradient sync)",
     )
     run.add_argument(
         "--sync", default=None, choices=SYNC_POLICIES.names(),
@@ -194,47 +204,37 @@ def build_parser() -> argparse.ArgumentParser:
              "every trainer stays active for the whole run — the no-elasticity "
              "baseline the elastic scenarios are compared against",
     )
-    run.add_argument(
-        "--cluster", action="store_true",
-        help="run a scenario-driven cluster workload through the ClusterEngine "
-             "(prints per-trainer and critical-path telemetry; --mode is ignored, "
-             "use --pipeline to override the scenario's pipeline)",
-    )
-    run.add_argument(
-        "--scenario", default=None, choices=available_scenarios(),
-        help="named cluster workload for --cluster (default: uniform); the scenario's "
-             "recipe provides every default, and only explicitly passed flags override it",
-    )
     run.add_argument("--backend", default=None, choices=["cpu", "gpu"],
-                     help="cost-model backend (default: cpu; --cluster: scenario's)")
+                     help="cost-model backend (default: the scenario's)")
     run.add_argument("--machines", type=int, default=None,
-                     help="simulated machines (default: 2; --cluster: scenario's)")
+                     help="simulated machines (default: the scenario's)")
     run.add_argument("--trainers-per-machine", type=int, default=None,
-                     help="trainers per machine (default: 2; --cluster: scenario's)")
+                     help="trainers per machine (default: the scenario's)")
     run.add_argument("--batch-size", type=int, default=None,
-                     help="seeds per minibatch (default: 128; --cluster: scenario's)")
+                     help="seeds per minibatch (default: the scenario's)")
     run.add_argument("--fanouts", type=int, nargs="+", default=None,
-                     help="per-layer neighbor fanouts (default: 10 25; --cluster: scenario's)")
+                     help="per-layer neighbor fanouts (default: the scenario's)")
     run.add_argument("--epochs", type=int, default=None,
-                     help="training epochs (default: 3; --cluster: scenario's)")
+                     help="training epochs (default: the scenario's)")
     run.add_argument("--arch", default="sage", choices=["sage", "gat"])
     run.add_argument("--hidden-dim", type=int, default=64)
     run.add_argument("--halo-fraction", type=float, default=None,
                      help="prefetch buffer capacity as a halo fraction "
-                          "(default: 0.35; --cluster: scenario's)")
+                          "(default: the scenario's)")
     run.add_argument("--gamma", type=float, default=None,
-                     help="eviction-score decay (default: 0.995; --cluster: scenario's)")
+                     help="eviction-score decay (default: the scenario's)")
     run.add_argument("--delta", type=int, default=None,
-                     help="eviction interval (default: 16; --cluster: scenario's)")
+                     help="eviction interval (default: the scenario's)")
     run.add_argument("--no-eviction", action="store_true")
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--evaluate", action="store_true", help="score validation/test accuracy")
-    run.add_argument("--trace-dir", type=Path, default=None, help="write JSON traces here")
+    run.add_argument("--trace-dir", type=Path, default=None,
+                     help="write the report JSON here")
     run.add_argument(
         "--preset", default=None, metavar="NAME",
         help="run a tuned configuration frozen by `repro tune --emit-preset` "
              "(a committed presets/*.json name or an explicit path). The preset "
-             "supplies the scenario and its winning overrides; implies --cluster. "
+             "supplies the scenario and its winning overrides. "
              "Explicit flags still win: CLI beats preset beats scenario recipe",
     )
     run.add_argument(
@@ -387,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
 # --------------------------------------------------------------------------- #
 # Command implementations
 # --------------------------------------------------------------------------- #
-def _cmd_datasets() -> int:
+def _cmd_datasets(args: argparse.Namespace) -> int:
     rows = []
     for name in available_datasets():
         dataset = load_dataset(name, scale=0.1, seed=0)
@@ -406,7 +406,7 @@ def _cmd_datasets() -> int:
     return 0
 
 
-def _cmd_experiments() -> int:
+def _cmd_experiments(args: argparse.Namespace) -> int:
     rows = [
         [spec.experiment_id, spec.paper_reference, spec.description, spec.bench_target]
         for spec in list_experiments()
@@ -415,8 +415,8 @@ def _cmd_experiments() -> int:
     return 0
 
 
-def _cmd_scenarios(markdown: bool = False) -> int:
-    if markdown:
+def _cmd_scenarios(args: argparse.Namespace) -> int:
+    if args.markdown:
         print(catalog_markdown())
         return 0
     rows = []
@@ -443,7 +443,7 @@ def _build_cache_config(args: argparse.Namespace) -> Optional[CacheConfig]:
     """CacheConfig from the --cache-* flags; None when none were passed.
 
     Invalid combinations (e.g. ``--adaptive-cache`` without
-    ``--cache-tiers 2``) exit with the config's own diagnostic rather than
+    ``--cache-tiers 2``) raise the config's own diagnostic rather than
     being silently ignored.
     """
     if (args.cache_tiers is None and args.admission is None
@@ -456,33 +456,37 @@ def _build_cache_config(args: argparse.Namespace) -> Optional[CacheConfig]:
     admission = args.admission
     if admission is None:
         admission = "always" if args.eviction not in (None, "none") else "static-degree"
-    try:
-        return CacheConfig(
-            tiers=args.cache_tiers if args.cache_tiers is not None else 1,
-            admission=admission,
-            eviction=args.eviction or "none",
-            adaptive=bool(args.adaptive_cache),
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(2) from exc
+    return CacheConfig(
+        tiers=args.cache_tiers if args.cache_tiers is not None else 1,
+        admission=admission,
+        eviction=args.eviction or "none",
+        adaptive=bool(args.adaptive_cache),
+    )
 
 
-def _cmd_run_cluster(
-    args: argparse.Namespace,
-    base_scenario=None,
-) -> int:
-    """``repro run --cluster --scenario <name>``: scenario-driven cluster run.
+def _resolve_run_scenario(args: argparse.Namespace):
+    """The scenario ``repro run`` executes: recipe, then preset, then flags.
 
-    The scenario recipe is the source of every default; only flags the user
-    actually passed (non-``None``) override it.  ``base_scenario`` (the
-    ``--preset`` path) replaces the registry lookup with an already-overridden
-    scenario, keeping the precedence order: CLI flags beat the preset, the
-    preset beats the scenario recipe.
+    The scenario recipe is the source of every default; ``--preset`` applies a
+    frozen (scenario, overrides) bundle on top of it, and only flags the user
+    actually passed (non-``None``) override that — CLI beats preset beats
+    scenario recipe.
     """
-    import dataclasses
-
-    if base_scenario is None:
+    if args.sampler is not None:
+        args.sampler = resolve_sampler(args.sampler)
+    if args.preset is not None:
+        preset = load_preset(args.preset, presets_dir=args.presets_dir)
+        base_scenario = preset.apply()
+        if args.scenario is not None and SCENARIOS.resolve(args.scenario) != preset.scenario:
+            raise ValueError(
+                f"--scenario {args.scenario!r} conflicts with preset {preset.name!r} "
+                f"(frozen for scenario {preset.scenario!r}); drop --scenario or pick "
+                f"a matching preset"
+            )
+        overrides = ", ".join(f"{k}={v}" for k, v in preset.overrides) or "(none)"
+        print(f"preset '{preset.name}': scenario {preset.scenario}, "
+              f"objective {preset.objective}, overrides {overrides}\n")
+    else:
         base_scenario = SCENARIOS.build(args.scenario or "uniform")
     scenario = base_scenario.with_overrides(
         dataset=args.dataset,
@@ -514,42 +518,89 @@ def _cmd_run_cluster(
     # letting the user believe they measured a policy they never selected.
     resolved_sync = SYNC_POLICIES.resolve(scenario.sync)
     if args.staleness is not None and resolved_sync != "bounded-staleness":
-        print(f"error: --staleness only applies to the 'bounded-staleness' sync "
-              f"policy (effective policy: {resolved_sync!r}); pass "
-              f"--sync bounded-staleness", file=sys.stderr)
-        return 2
+        raise ValueError(
+            f"--staleness only applies to the 'bounded-staleness' sync policy "
+            f"(effective policy: {resolved_sync!r}); pass --sync bounded-staleness"
+        )
     if args.sync_period is not None and resolved_sync != "local-sgd":
-        print(f"error: --sync-period only applies to the 'local-sgd' sync policy "
-              f"(effective policy: {resolved_sync!r}); pass --sync local-sgd",
-              file=sys.stderr)
-        return 2
-    prefetch_tuning = {
-        key: value
-        for key, value in (
-            ("halo_fraction", args.halo_fraction),
-            ("gamma", args.gamma),
-            ("delta", args.delta),
-            ("eviction_policy", args.eviction_policy),
+        raise ValueError(
+            f"--sync-period only applies to the 'local-sgd' sync policy "
+            f"(effective policy: {resolved_sync!r}); pass --sync local-sgd"
+        )
+    return scenario
+
+
+def _print_scenario_header(scenario) -> None:
+    print(f"scenario '{scenario.name}': {scenario.description}")
+    print(f"dataset={scenario.dataset} scale={scenario.scale} "
+          f"machines={scenario.num_machines} trainers/machine={scenario.trainers_per_machine} "
+          f"partitioning={scenario.partition_method} execution={scenario.execution}\n")
+
+
+def _write_trace(trace_dir: Path, stem: str, report, kind: str) -> None:
+    """Dump ``report.as_dict()`` as ``<trace_dir>/<stem>.json``."""
+    trace_dir.mkdir(parents=True, exist_ok=True)
+    path = trace_dir / f"{stem}.json"
+    with open(path, "w") as fh:
+        json.dump(report.as_dict(), fh, indent=2)
+    print(f"\n{kind} trace written to {path}")
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    """``repro run [--scenario <name>]``: run one scenario and print its report."""
+    scenario = _resolve_run_scenario(args)
+    cache_config = _build_cache_config(args)
+    pipeline = args.pipeline
+    if args.mode in ("baseline", "prefetch"):
+        if pipeline is not None and pipeline != args.mode:
+            raise ValueError(
+                f"--mode {args.mode} names the {args.mode!r} pipeline but --pipeline "
+                f"names {pipeline!r}; pass one of them"
+            )
+        pipeline = args.mode
+    if pipeline is None and cache_config is not None:
+        pipeline = "tiered-cache"
+
+    prefetch_flags = [
+        (flag, key, value)
+        for flag, key, value in (
+            ("--halo-fraction", "halo_fraction", args.halo_fraction),
+            ("--gamma", "gamma", args.gamma),
+            ("--delta", "delta", args.delta),
+            ("--eviction-policy", "eviction_policy", args.eviction_policy),
+            ("--no-eviction", "eviction_enabled", False if args.no_eviction else None),
         )
         if value is not None
-    }
-    if args.no_eviction:
-        prefetch_tuning["eviction_enabled"] = False
+    ]
+    # Like --staleness above: a knob nothing reads is rejected, not ignored.
+    if prefetch_flags and PIPELINES.resolve(pipeline or scenario.pipeline) == "baseline":
+        raise ValueError(
+            f"{prefetch_flags[0][0]} has no effect on the 'baseline' pipeline (it "
+            f"takes no PrefetchConfig); pick another --pipeline, or --mode both to compare"
+        )
+    if args.no_eviction and args.eviction_policy is not None:
+        raise ValueError(
+            f"--eviction-policy {args.eviction_policy} has no effect with "
+            f"--no-eviction (the policy is never consulted); drop one of them"
+        )
     prefetch_config = None
-    if prefetch_tuning:
+    if prefetch_flags:
         # The eviction policy rides along as a registry *name* so each
         # trainer's prefetcher builds its own instance (own RNG stream) —
         # a shared policy object would couple the trainers' evictions.
         prefetch_config = dataclasses.replace(
-            scenario.prefetch_config or PrefetchConfig(), **prefetch_tuning
+            scenario.prefetch_config or PrefetchConfig(),
+            **{key: value for _, key, value in prefetch_flags},
         )
+
     if ENGINES.resolve(scenario.engine) == "serving":
         # Serving scenarios share this command shape (one CI smoke command for
         # every scenario) but report latency/SLO, not epochs — delegate.
-        cache_config = _build_cache_config(args)
-        pipeline = args.pipeline
-        if pipeline is None and cache_config is not None:
-            pipeline = "tiered-cache"
+        if args.mode is not None:
+            raise ValueError(
+                f"--mode compares training pipelines; scenario {scenario.name!r} "
+                f"is a serving workload — drop --mode (or use --pipeline)"
+            )
         return _run_serving(
             scenario, seed=args.seed, trace_dir=args.trace_dir,
             pipeline=pipeline, prefetch_config=prefetch_config,
@@ -562,20 +613,38 @@ def _cmd_run_cluster(
             evaluate=args.evaluate, seed=args.seed,
         ),
     )
-    print(f"scenario '{scenario.name}': {scenario.description}")
-    print(f"dataset={scenario.dataset} scale={scenario.scale} "
-          f"machines={scenario.num_machines} trainers/machine={scenario.trainers_per_machine} "
-          f"partitioning={scenario.partition_method} execution={scenario.execution}\n")
+    _print_scenario_header(scenario)
 
-    cache_config = _build_cache_config(args)
-    pipeline = args.pipeline
-    if pipeline is None and cache_config is not None:
-        pipeline = "tiered-cache"
+    compare = args.mode == "both"
+    if compare:
+        # Both legs on the same materialized workload: identical partitions
+        # and seed assignments, which is how Fig. 6 is constructed.
+        baseline = workload.run(pipeline="baseline")
+        _print_cluster_summary(baseline)
     report = workload.run(
         pipeline=pipeline, prefetch_config=prefetch_config, cache_config=cache_config
     )
-    summary = report.summary()
+    if compare:
+        _print_cluster_summary(report)
+        print("\n" + viz.comparison_summary(baseline.report, report.report))
+        print(f"\n[{report.report.mode}] component shares:")
+        print(viz.stacked_breakdown({
+            k: v for k, v in report.report.component_breakdown.items()
+            if k in ("sampling", "lookup", "scoring", "eviction", "rpc", "copy", "ddp", "allreduce")
+        }))
+    else:
+        _print_trainer_table(report)
+        print()
+        _print_cluster_summary(report)
 
+    if args.trace_dir is not None:
+        if compare:
+            _write_trace(args.trace_dir, f"cluster_{scenario.name}_baseline", baseline, "cluster")
+        _write_trace(args.trace_dir, f"cluster_{scenario.name}", report, "cluster")
+    return 0
+
+
+def _print_trainer_table(report) -> None:
     rows = [
         [t.global_rank, t.machine, f"{t.compute_multiplier:.2f}", t.num_steps,
          f"{t.simulated_time_s:.4f}", f"{t.barrier_wait_s:.4f}",
@@ -588,10 +657,14 @@ def _cmd_run_cluster(
          "hit rate", "rpc bytes"],
         rows,
     ))
-    hit = (f", mean hit rate {summary['mean_hit_rate']:.3f}"
-           if "mean_hit_rate" in summary else "")
+
+
+def _print_cluster_summary(report) -> None:
+    """The ``[mode] critical path ...`` line plus cache-tier/async/elastic lines."""
+    hit = (f", mean hit rate {report.mean_hit_rate:.3f}"
+           if report.mean_hit_rate is not None else "")
     print(
-        f"\n[{report.report.mode}] critical path {report.critical_path_time_s:.4f}s "
+        f"[{report.report.mode}] critical path {report.critical_path_time_s:.4f}s "
         f"(trainer {report.critical_trainer_rank}), "
         f"load imbalance {report.load_imbalance:.3f}, "
         f"total barrier wait {report.total_barrier_wait_s:.4f}s, "
@@ -601,51 +674,27 @@ def _cmd_run_cluster(
     if tier_rates:
         per_tier = ", ".join(f"{name} {rate:.3f}" for name, rate in sorted(tier_rates.items()))
         print(f"cache tiers: {per_tier}, total evictions {report.total_tier_evictions}")
-    if report.engine is not None:
-        failures = sum(t.sync_stats.get("failures", 0.0) for t in report.trainer_stats)
-        downtime = sum(t.sync_stats.get("downtime_s", 0.0) for t in report.trainer_stats)
-        staleness_wait = sum(
-            t.sync_stats.get("staleness_wait_s", 0.0) for t in report.trainer_stats
-        )
-        hidden = sum(
-            t.sync_stats.get("hidden_sync_time_s", 0.0) for t in report.trainer_stats
-        )
-        line = f"async sync: policy {report.sync}"
-        if hidden:
-            line += f", hidden sync time {hidden:.4f}s"
-        if staleness_wait:
-            line += f", staleness wait {staleness_wait:.4f}s"
-        if failures:
-            line += f", {int(failures)} failures ({downtime:.4f}s downtime)"
-        print(line)
-        joins = sum(t.sync_stats.get("joins", 0.0) for t in report.trainer_stats)
-        leaves = sum(t.sync_stats.get("leaves", 0.0) for t in report.trainer_stats)
-        rebalances = sum(
-            t.sync_stats.get("rebalances", 0.0) for t in report.trainer_stats
-        )
-        restores = sum(t.sync_stats.get("restores", 0.0) for t in report.trainer_stats)
-        if joins or leaves or rebalances or restores:
-            migration_bytes = sum(
-                t.sync_stats.get("migration_bytes", 0.0) for t in report.trainer_stats
-            )
-            migration_s = sum(
-                t.sync_stats.get("migration_s", 0.0) for t in report.trainer_stats
-            )
-            print(
-                f"elastic: {int(joins)} joins, {int(leaves)} leaves, "
-                f"{int(rebalances)} rebalances, {int(restores)} restores, "
-                f"{int(migration_bytes)} bytes migrated ({migration_s:.4f}s migration)"
-            )
+    if report.engine is None:
+        return
 
-    if args.trace_dir is not None:
-        import json
+    def total(key: str) -> float:
+        return sum(t.sync_stats.get(key, 0.0) for t in report.trainer_stats)
 
-        args.trace_dir.mkdir(parents=True, exist_ok=True)
-        path = args.trace_dir / f"cluster_{scenario.name}.json"
-        with open(path, "w") as fh:
-            json.dump(report.as_dict(), fh, indent=2)
-        print(f"\ncluster trace written to {path}")
-    return 0
+    line = f"async sync: policy {report.sync}"
+    if total("hidden_sync_time_s"):
+        line += f", hidden sync time {total('hidden_sync_time_s'):.4f}s"
+    if total("staleness_wait_s"):
+        line += f", staleness wait {total('staleness_wait_s'):.4f}s"
+    if total("failures"):
+        line += f", {int(total('failures'))} failures ({total('downtime_s'):.4f}s downtime)"
+    print(line)
+    if total("joins") or total("leaves") or total("rebalances") or total("restores"):
+        print(
+            f"elastic: {int(total('joins'))} joins, {int(total('leaves'))} leaves, "
+            f"{int(total('rebalances'))} rebalances, {int(total('restores'))} restores, "
+            f"{int(total('migration_bytes'))} bytes migrated "
+            f"({total('migration_s'):.4f}s migration)"
+        )
 
 
 def _run_serving(
@@ -658,18 +707,11 @@ def _run_serving(
 ) -> int:
     """Materialize and run a serving scenario; print the latency/SLO report.
 
-    Shared by ``repro serve`` and the serving branch of ``repro run
-    --cluster`` so both command shapes print the same tables.
+    Shared by ``repro serve`` and the serving branch of ``repro run`` so both
+    command shapes print the same tables.
     """
-    try:
-        workload = scenario.materialize(seed=seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(f"scenario '{scenario.name}': {scenario.description}")
-    print(f"dataset={scenario.dataset} scale={scenario.scale} "
-          f"machines={scenario.num_machines} trainers/machine={scenario.trainers_per_machine} "
-          f"partitioning={scenario.partition_method} execution={scenario.execution}\n")
+    workload = scenario.materialize(seed=seed)
+    _print_scenario_header(scenario)
     report = workload.run(
         pipeline=pipeline, prefetch_config=prefetch_config, cache_config=cache_config
     )
@@ -711,13 +753,7 @@ def _run_serving(
         print(f"phase p99 ms: {per_phase}")
 
     if trace_dir is not None:
-        import json
-
-        trace_dir.mkdir(parents=True, exist_ok=True)
-        path = trace_dir / f"serving_{scenario.name}.json"
-        with open(path, "w") as fh:
-            json.dump(report.as_dict(), fh, indent=2)
-        print(f"\nserving trace written to {path}")
+        _write_trace(trace_dir, f"serving_{scenario.name}", report, "serving")
     return 0
 
 
@@ -727,135 +763,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     scenario = SCENARIOS.build(name)
     if ENGINES.resolve(scenario.engine) != "serving":
         serving_names = ", ".join(serving_scenarios())
-        print(f"error: scenario {scenario.name!r} is a training workload — run it "
-              f"with `repro run --cluster --scenario {scenario.name}`; serving "
-              f"scenarios: {serving_names}", file=sys.stderr)
-        return 2
-    try:
-        spec = scenario.serving.with_overrides(
-            arrival=args.arrival, num_requests=args.requests,
-            rate_rps=args.rate, slo_ms=args.slo_ms,
+        raise ValueError(
+            f"scenario {scenario.name!r} is a training workload — run it with "
+            f"`repro run --scenario {scenario.name}`; serving scenarios: {serving_names}"
         )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    spec = scenario.serving.with_overrides(
+        arrival=args.arrival, num_requests=args.requests,
+        rate_rps=args.rate, slo_ms=args.slo_ms,
+    )
     scenario = scenario.with_overrides(
         scale=args.scale, num_machines=args.machines,
         trainers_per_machine=args.trainers_per_machine, serving=spec,
     )
     return _run_serving(scenario, seed=args.seed, trace_dir=args.trace_dir)
-
-
-def _cmd_run(args: argparse.Namespace) -> int:
-    if args.sampler is not None:
-        args.sampler = resolve_sampler(args.sampler)
-    # Engine/sync selection is a cluster-execution concern: an explicit
-    # --engine (or any async sync knob) routes through the scenario-driven
-    # cluster path, defaulting to the 'uniform' scenario.
-    if (args.engine is not None or args.sync is not None
-            or args.staleness is not None or args.sync_period is not None):
-        args.cluster = True
-    if args.preset is not None:
-        # A preset is a frozen (scenario, overrides) bundle: apply it first,
-        # then let explicitly passed flags override — CLI beats preset beats
-        # scenario recipe.
-        preset = load_preset(args.preset, presets_dir=args.presets_dir)
-        base = preset.apply()
-        if args.scenario is not None and SCENARIOS.resolve(args.scenario) != preset.scenario:
-            print(f"error: --scenario {args.scenario!r} conflicts with preset "
-                  f"{preset.name!r} (frozen for scenario {preset.scenario!r}); "
-                  f"drop --scenario or pick a matching preset", file=sys.stderr)
-            return 2
-        overrides = ", ".join(f"{k}={v}" for k, v in preset.overrides) or "(none)"
-        print(f"preset '{preset.name}': scenario {preset.scenario}, "
-              f"objective {preset.objective}, overrides {overrides}\n")
-        return _cmd_run_cluster(args, base_scenario=base)
-    if args.cluster:
-        return _cmd_run_cluster(args)
-    if args.scenario is not None:
-        print("error: --scenario requires --cluster "
-              "(plain runs select data paths with --mode/--pipeline)", file=sys.stderr)
-        return 2
-    # Shared flags default to None (so --cluster can tell "explicitly passed"
-    # from "defaulted"); the plain run path owns these documented defaults.
-    backend = args.backend or "cpu"
-    epochs = args.epochs if args.epochs is not None else 3
-    dataset_name = args.dataset or "products"
-    scale = args.scale if args.scale is not None else 0.25
-    dataset = load_dataset(dataset_name, scale=scale, seed=args.seed)
-    cluster = SimCluster(
-        dataset,
-        ClusterConfig(
-            num_machines=args.machines if args.machines is not None else 2,
-            trainers_per_machine=(
-                args.trainers_per_machine if args.trainers_per_machine is not None else 2
-            ),
-            batch_size=args.batch_size if args.batch_size is not None else 128,
-            fanouts=tuple(args.fanouts) if args.fanouts else (10, 25),
-            backend=backend,
-            seed=args.seed,
-            sampler=args.sampler or "vectorized",
-            rpc=args.rpc or "per-call",
-        ),
-        cost_model=CostModel.preset(backend),
-    )
-    engine = TrainingEngine(
-        cluster,
-        TrainConfig(
-            epochs=epochs, arch=args.arch, hidden_dim=args.hidden_dim,
-            evaluate=args.evaluate, seed=args.seed,
-        ),
-    )
-    prefetch_config = PrefetchConfig(
-        halo_fraction=args.halo_fraction if args.halo_fraction is not None else 0.35,
-        gamma=args.gamma if args.gamma is not None else 0.995,
-        delta=args.delta if args.delta is not None else 16,
-        eviction_enabled=not args.no_eviction,
-        eviction_policy=args.eviction_policy or "score-threshold",
-    )
-    cache_config = _build_cache_config(args)
-    pipeline = args.pipeline
-    if pipeline is None and cache_config is not None:
-        pipeline = "tiered-cache"
-
-    if pipeline is not None:
-        report = engine.run_pipeline(
-            pipeline, prefetch_config=prefetch_config, cache_config=cache_config
-        )
-        hit = f", hit rate {report.hit_rate:.3f}" if report.hit_tracker is not None else ""
-        print(f"[{report.mode}] simulated time {report.total_simulated_time_s:.4f}s, "
-              f"train acc {report.final_train_accuracy:.3f}{hit}")
-        if args.trace_dir is not None:
-            metadata = {"dataset": dataset_name, "scale": scale, "backend": backend}
-            save_trace(report, args.trace_dir / f"{report.mode}.json", metadata)
-            print(f"\ntraces written to {args.trace_dir}")
-        return 0
-
-    baseline = prefetch = None
-    if args.mode in ("baseline", "both"):
-        baseline = engine.run_baseline()
-        print(f"[baseline] simulated time {baseline.total_simulated_time_s:.4f}s, "
-              f"train acc {baseline.final_train_accuracy:.3f}")
-    if args.mode in ("prefetch", "both"):
-        prefetch = engine.run_prefetch(prefetch_config)
-        print(f"[prefetch] simulated time {prefetch.total_simulated_time_s:.4f}s, "
-              f"train acc {prefetch.final_train_accuracy:.3f}, hit rate {prefetch.hit_rate:.3f}")
-    if baseline is not None and prefetch is not None:
-        print("\n" + viz.comparison_summary(baseline, prefetch))
-        print("\nPrefetch-pipeline component shares:")
-        print(viz.stacked_breakdown({
-            k: v for k, v in prefetch.component_breakdown.items()
-            if k in ("sampling", "lookup", "scoring", "eviction", "rpc", "copy", "ddp", "allreduce")
-        }))
-
-    if args.trace_dir is not None:
-        metadata = {"dataset": dataset_name, "scale": scale, "backend": backend}
-        if baseline is not None:
-            save_trace(baseline, args.trace_dir / "baseline.json", metadata)
-        if prefetch is not None:
-            save_trace(prefetch, args.trace_dir / "prefetch.json", metadata)
-        print(f"\ntraces written to {args.trace_dir}")
-    return 0
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
@@ -869,16 +789,12 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     scenario = SCENARIOS.build(args.scenario).with_overrides(
         scale=args.scale, epochs=args.epochs
     )
-    try:
-        cache_config = CacheConfig(
-            tiers=args.cache_tiers,
-            admission=args.admission,
-            eviction=args.eviction,
-            record_decisions=True,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    cache_config = CacheConfig(
+        tiers=args.cache_tiers,
+        admission=args.admission,
+        eviction=args.eviction,
+        record_decisions=True,
+    )
 
     with capture_decisions() as log:
         if ENGINES.resolve(scenario.engine) == "serving":
@@ -908,8 +824,6 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         return 1
 
     if args.json:
-        import json
-
         for tier_index, record in records:
             print(json.dumps({"tier_index": tier_index, **record.as_dict()}))
         return 0
@@ -990,42 +904,26 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     space = None
     if args.axis:
         axes = {}
-        try:
-            for item in args.axis:
-                name, sep, values = item.partition("=")
-                if not sep:
-                    raise ValueError(
-                        f"--axis expects NAME=V1[,V2...], got {item!r}"
-                    )
-                canonical, parsed = parse_axis_values(name.strip(), values)
-                if canonical in axes:
-                    raise ValueError(f"axis {canonical!r} given more than once")
-                axes[canonical] = parsed
-            space = SearchSpace(axes)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    try:
-        runner = TuneRunner(
-            scenario=args.scenario, objective=args.objective, space=space,
-            strategy=args.strategy, budget=args.budget, seed=args.seed,
-            scale=args.scale, epochs=args.epochs, parallelism=args.parallel,
-        )
-        report = runner.run()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        for item in args.axis:
+            name, sep, values = item.partition("=")
+            if not sep:
+                raise ValueError(f"--axis expects NAME=V1[,V2...], got {item!r}")
+            canonical, parsed = parse_axis_values(name.strip(), values)
+            if canonical in axes:
+                raise ValueError(f"axis {canonical!r} given more than once")
+            axes[canonical] = parsed
+        space = SearchSpace(axes)
+    report = TuneRunner(
+        scenario=args.scenario, objective=args.objective, space=space,
+        strategy=args.strategy, budget=args.budget, seed=args.seed,
+        scale=args.scale, epochs=args.epochs, parallelism=args.parallel,
+    ).run()
     if args.json:
         print(report.canonical_json(), end="")
     else:
         print(report.summary())
     if args.emit_preset:
-        try:
-            preset = Preset.from_tune(report, args.emit_preset)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        path = preset.save(args.presets_dir)
+        path = Preset.from_tune(report, args.emit_preset).save(args.presets_dir)
         print(f"\npreset written to {path}")
     return 0
 
@@ -1033,30 +931,25 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point (returns a process exit code)."""
     args = build_parser().parse_args(argv)
-    if args.command == "datasets":
-        return _cmd_datasets()
-    if args.command == "experiments":
-        return _cmd_experiments()
-    if args.command == "scenarios":
-        return _cmd_scenarios(markdown=args.markdown)
-    if args.command == "run":
-        try:
-            return _cmd_run(args)
-        except ValueError as exc:
-            # What a selected pipeline, engine, sampler or preset cannot
-            # honour raises ValueError with a one-line message (a CacheConfig
-            # on 'baseline', a sync policy on lockstep): misuse, not a crash.
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    if args.command == "tune":
-        return _cmd_tune(args)
-    if args.command == "explain":
-        return _cmd_explain(args)
-    raise AssertionError(f"unhandled command {args.command!r}")  # pragma: no cover
+    command = {
+        "datasets": _cmd_datasets,
+        "experiments": _cmd_experiments,
+        "scenarios": _cmd_scenarios,
+        "run": _cmd_run,
+        "serve": _cmd_serve,
+        "sweep": _cmd_sweep,
+        "tune": _cmd_tune,
+        "explain": _cmd_explain,
+    }[args.command]
+    try:
+        return command(args)
+    except ValueError as exc:
+        # What a flag, scenario, pipeline, engine, sampler or preset cannot
+        # honour raises ValueError with a one-line message (a negative scale,
+        # a CacheConfig on 'baseline', a sync policy on lockstep): misuse,
+        # not a crash.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

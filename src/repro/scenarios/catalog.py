@@ -61,7 +61,7 @@ def catalog_markdown() -> str:
         "# Scenario catalog",
         "",
         "Every named cluster workload registered in `repro.scenarios.SCENARIOS`, "
-        "runnable as `repro run --cluster --scenario <name>` (serving scenarios — "
+        "runnable as `repro run --scenario <name>` (serving scenarios — "
         "`serving · ...` in the Execution column — also as `repro serve "
         "--scenario <name>`).  See "
         "[EXTENDING.md](EXTENDING.md) for registering new scenarios and "

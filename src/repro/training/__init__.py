@@ -1,9 +1,13 @@
 """Training pipelines: baseline DistDGL-style and MassiveGNN prefetch-enabled."""
 
 from repro.training.async_engine import AsyncClusterEngine
-from repro.training.cluster_engine import ClusterEngine, ClusterReport, TrainerRunStats
+from repro.training.cluster_engine import (
+    ClusterEngine,
+    ClusterReport,
+    TrainerRunStats,
+    compare_baseline_and_prefetch,
+)
 from repro.training.config import TrainConfig
-from repro.training.engine import TrainingEngine, compare_baseline_and_prefetch
 from repro.training.engines import ENGINES, build_engine
 from repro.training.evaluate import evaluate_accuracy, evaluate_loss, majority_class_accuracy
 from repro.training.memory import MemoryProfile, compare_memory, profile_memory
@@ -31,7 +35,6 @@ from repro.training.telemetry import (
 
 __all__ = [
     "TrainConfig",
-    "TrainingEngine",
     "AsyncClusterEngine",
     "ENGINES",
     "build_engine",

@@ -5,12 +5,10 @@ event-driven :class:`~repro.training.async_engine.AsyncClusterEngine` decide
 *which* trainer steps *when*; everything else about a run lives here once, in
 :class:`ClusterRun`: setup, per-rank epoch iterators and step counters, the
 one call site of :func:`~repro.training.engine.train_step`, the
-allreduce-barrier charge, the epoch tallies and the final report.
-``TrainingEngine.run_pipeline`` delegates to the lockstep driver, so the three
-public entry points are one loop body under two schedulers.  Everything runs
-serially in the calling process — simulated seconds are the product, and a
-host-side worker pool cannot buy one — so :meth:`ClusterRun.step` simply
-returns what the step produced.
+allreduce-barrier charge, the epoch tallies and the final report — one loop
+body under two schedulers.  Everything runs serially in the calling process —
+simulated seconds are the product, and a host-side worker pool cannot buy
+one — so :meth:`ClusterRun.step` simply returns what the step produced.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ from repro.cache.config import CacheConfig
 from repro.core.config import PrefetchConfig
 from repro.distributed.cluster import SimCluster
 from repro.features.store import merge_store_summaries
-from repro.training.artifacts import collect_trainer_artifacts
 from repro.training.cluster_engine import (
     ClusterReport,
     collect_trainer_stats,
@@ -175,12 +172,12 @@ class ClusterRun:
         provenance; lockstep reports leave them unset.
         """
         setup = self.setup
-        artifacts = collect_trainer_artifacts(self.cluster, setup.pipelines, setup.accumulators)
         report = assemble_training_report(
             mode=setup.mode,
             cluster=self.cluster,
             train_config=self.config,
-            artifacts=artifacts,
+            pipelines=setup.pipelines,
+            accumulators=setup.accumulators,
             epoch_records=self.epoch_records,
             init_reports=setup.init_reports,
             total_minibatches=self.total_minibatches,
@@ -189,16 +186,13 @@ class ClusterRun:
             prefetch_config=self.prefetch_config,
         )
         trainer_stats = collect_trainer_stats(
-            self.cluster, artifacts, self.trainer_steps, self.barrier_waits, sync_extras
-        )
-        store_summary = merge_store_summaries(
-            a.store_summary for a in artifacts if a.store_summary is not None
+            self.cluster, setup.pipelines, self.trainer_steps, self.barrier_waits, sync_extras
         )
         return ClusterReport(
             report=report,
             trainer_stats=trainer_stats,
             scenario=scenario,
-            store_summary=store_summary,
+            store_summary=merge_store_summaries(t.store_summary for t in trainer_stats),
             engine=engine,
             sync=sync,
         )

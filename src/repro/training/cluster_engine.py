@@ -8,9 +8,8 @@
 with synchronous :func:`~repro.distributed.ddp.allreduce_gradients` barriers.
 Allreduce cost and straggler wait both go through the cost model, so
 per-trainer and critical-path simulated times come out of the Eq. 2 /
-Eqs. 3–5 timing policies of the pipelines.  It is the loop behind
-:meth:`TrainingEngine.run_pipeline <repro.training.engine.TrainingEngine.run_pipeline>`
-too, which returns the embedded :class:`TrainingReport`.
+Eqs. 3–5 timing policies of the pipelines.  ``ClusterEngine(cluster,
+config).run(...).report`` is the plain :class:`TrainingReport` of a run.
 
 What a :class:`ClusterReport` carries beyond that report:
 
@@ -24,30 +23,32 @@ What a :class:`ClusterReport` carries beyond that report:
 * **cluster-level aggregation** — per-trainer ``FetchStats``/buffer/RPC
   telemetry is rolled up into a :class:`ClusterReport` (critical path, hit
   rates, RPC bytes) consumed by ``bench_cluster_scaling`` and the CLI's
-  ``run --cluster`` command.
+  ``run`` command.
 
 The run state itself (setup, step, barrier charge, report assembly) is
 :class:`~repro.training.backends.ClusterRun`, shared with the event-driven
 :class:`~repro.training.async_engine.AsyncClusterEngine`; this module holds
-the lockstep driver, the report types and the setup/roll-up helpers.
+the lockstep driver, the report types, the setup/roll-up helpers and the
+Fig. 6 convenience :func:`compare_baseline_and_prefetch`.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.cache.config import CacheConfig
 from repro.core.config import PrefetchConfig
-from repro.distributed.cluster import SimCluster
+from repro.distributed.cluster import ClusterConfig, SimCluster
+from repro.distributed.cost_model import CostModel
 from repro.distributed.ddp import allreduce_gradients
 from repro.features.store import merge_store_summaries
+from repro.graph.datasets import GraphDataset
 from repro.nn import build_model, build_optimizer
 from repro.sampling.pipeline import MiniBatchPipeline
-from repro.training.artifacts import TrainerArtifacts
 from repro.training.config import TrainConfig
 from repro.training.engine import PipelineBuilder
 from repro.training.pipelines import PIPELINES
@@ -367,34 +368,29 @@ def prepare_cluster_run(
 
 def collect_trainer_stats(
     cluster: SimCluster,
-    artifacts: List[TrainerArtifacts],
+    pipelines: List[MiniBatchPipeline],
     trainer_steps: List[int],
     barrier_waits: List[float],
     sync_extras: Optional[List[Dict[str, float]]] = None,
 ) -> List[TrainerRunStats]:
-    """Per-trainer telemetry roll-up shared by both cluster engines.
-
-    Consumes the same :class:`~repro.training.artifacts.TrainerArtifacts`
-    snapshots report assembly reads, so the two views of a run agree.
-    """
+    """Per-trainer telemetry roll-up shared by both cluster engines."""
     stats: List[TrainerRunStats] = []
-    for i, art in enumerate(artifacts):
+    for i, (trainer, pl) in enumerate(zip(cluster.trainers, pipelines)):
+        store = pl.feature_store
         stats.append(
             TrainerRunStats(
-                global_rank=art.global_rank,
-                machine=art.machine,
-                local_rank=art.local_rank,
-                simulated_time_s=art.clock_time,
+                global_rank=trainer.global_rank,
+                machine=trainer.machine,
+                local_rank=trainer.local_rank,
+                simulated_time_s=trainer.clock.time,
                 barrier_wait_s=barrier_waits[i],
                 num_steps=trainer_steps[i],
-                compute_multiplier=cluster.config.compute_multiplier(art.machine),
-                hit_rate=art.hit_rate,
-                rpc_stats=art.rpc_stats.as_dict(),
-                components=dict(art.clock_breakdown),
-                store_summary=(
-                    dict(art.store_summary) if art.store_summary is not None else {}
-                ),
-                cache_stats=dict(art.cache_summary),
+                compute_multiplier=cluster.config.compute_multiplier(trainer.machine),
+                hit_rate=pl.hit_rate,
+                rpc_stats=trainer.rpc.stats.as_dict(),
+                components=trainer.clock.breakdown(),
+                store_summary=store.summary() if store is not None else {},
+                cache_stats=store.cache_summary() if store is not None else {},
                 sync_stats=(
                     dict(sync_extras[i]) if sync_extras is not None else {}
                 ),
@@ -493,3 +489,22 @@ class ClusterEngine:
         if model is None:
             raise RuntimeError("no cluster run has completed yet")
         return model
+
+
+def compare_baseline_and_prefetch(
+    dataset: GraphDataset,
+    prefetch_config: Optional[PrefetchConfig] = None,
+    cluster_config: Optional[ClusterConfig] = None,
+    train_config: Optional[TrainConfig] = None,
+    cost_model: Optional[CostModel] = None,
+) -> Tuple[TrainingReport, TrainingReport]:
+    """Run both pipelines on the *same* cluster and return (baseline, prefetch).
+
+    Sharing the cluster guarantees both runs see identical partitions and seed
+    assignments, which is how the paper's Fig. 6 comparison is constructed.
+    """
+    cluster = SimCluster(dataset, cluster_config or ClusterConfig(), cost_model=cost_model)
+    engine = ClusterEngine(cluster, train_config or TrainConfig())
+    baseline = engine.run("baseline").report
+    prefetch = engine.run("prefetch", prefetch_config=prefetch_config or PrefetchConfig()).report
+    return baseline, prefetch

@@ -2,9 +2,10 @@
 
 The engine runs *pipelines*: every trainer gets a
 :class:`~repro.sampling.pipeline.MiniBatchPipeline` (seed → sample →
-fetch-feature → batch) and one loop — the lockstep
-:class:`~repro.training.cluster_engine.ClusterEngine`, which
-:class:`TrainingEngine` delegates to — consumes whatever the pipelines yield.
+fetch-feature → batch) and one run state —
+:class:`~repro.training.backends.ClusterRun`, under the lockstep or the
+event-driven driver — consumes whatever the pipelines yield.  This module
+holds what that run state calls per step and at the end of a run.
 The two data paths the paper compares are just two named pipeline
 configurations (see :mod:`repro.training.pipelines`):
 
@@ -29,18 +30,15 @@ the integration tests via :func:`repro.distributed.ddp.check_replicas_consistent
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.config import PrefetchConfig
-from repro.distributed.cluster import ClusterConfig, SimCluster, TrainerContext
-from repro.distributed.cost_model import CostModel
+from repro.distributed.cluster import SimCluster, TrainerContext
 from repro.distributed.rpc import merge_rpc_stats
-from repro.graph.datasets import GraphDataset
 from repro.nn import cross_entropy
 from repro.sampling.pipeline import MiniBatchPipeline, PipelineBatch
-from repro.training.artifacts import TrainerArtifacts
 from repro.training.config import TrainConfig
 from repro.training.evaluate import evaluate_accuracy
 from repro.training.telemetry import (
@@ -51,9 +49,6 @@ from repro.training.telemetry import (
     merge_trainer_hit_trackers,
 )
 from repro.utils.rng import derive_seed
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.cache.config import CacheConfig
 
 PipelineBuilder = Callable[..., MiniBatchPipeline]
 
@@ -132,7 +127,8 @@ def assemble_training_report(
     mode: str,
     cluster: SimCluster,
     train_config: TrainConfig,
-    artifacts: List["TrainerArtifacts"],
+    pipelines: List[MiniBatchPipeline],
+    accumulators: List[ComponentAccumulator],
     epoch_records: List[EpochRecord],
     init_reports: List[Dict[str, float]],
     total_minibatches: int,
@@ -142,32 +138,31 @@ def assemble_training_report(
 ) -> TrainingReport:
     """Assemble the :class:`TrainingReport` for one completed run.
 
-    Per-trainer state arrives as :class:`~repro.training.artifacts.TrainerArtifacts`
-    snapshots (in global-rank order) — plain data rather than live objects.
+    ``pipelines`` and ``accumulators`` are per trainer, in the global-rank
+    order of ``cluster.trainers``.
     """
     config = train_config
     cost_model = cluster.cost_model
     dataset = cluster.dataset
+    trainers = cluster.trainers
     num_params = model.num_parameters()
-    accumulators = [a.accumulator for a in artifacts]
-    total_time = max(a.clock_time for a in artifacts) if artifacts else 0.0
+    total_time = max((t.clock.time for t in trainers), default=0.0)
     breakdown_means = [acc.mean() for acc in accumulators]
     mean_breakdown: Dict[str, float] = {}
     for key in ComponentAccumulator.FIELDS:
         totals = [acc.totals[key] for acc in accumulators]
         mean_breakdown[key] = float(np.mean(totals)) if totals else 0.0
-    overlapped = any(a.overlaps_preparation for a in artifacts)
+    overlapped = any(
+        getattr(pl.timing, "overlaps_preparation", False) for pl in pipelines
+    )
     overlap = (
         float(np.mean([acc.overlap_efficiency() for acc in accumulators]))
         if overlapped and accumulators
         else 1.0
     )
-    trackers = [a.hit_tracker for a in artifacts if a.hit_tracker is not None]
-    buffer_nbytes = [
-        a.prefetcher_buffer_nbytes
-        for a in artifacts
-        if a.prefetcher_buffer_nbytes is not None
-    ]
+    trackers = [pl.hit_tracker for pl in pipelines if pl.hit_tracker is not None]
+    prefetchers = [pl.prefetcher for pl in pipelines if pl.prefetcher is not None]
+    stores = [pl.feature_store for pl in pipelines if pl.feature_store is not None]
 
     report = TrainingReport(
         mode=mode,
@@ -182,7 +177,7 @@ def assemble_training_report(
         epoch_records=epoch_records,
         component_breakdown=mean_breakdown,
         per_trainer_breakdown=breakdown_means,
-        rpc_stats=merge_rpc_stats([a.rpc_stats for a in artifacts]),
+        rpc_stats=merge_rpc_stats([t.rpc.stats for t in trainers]),
         hit_tracker=merge_trainer_hit_trackers(trackers) if trackers else None,
         per_trainer_hit_trackers=trackers,
         prefetch_init=init_reports,
@@ -191,31 +186,20 @@ def assemble_training_report(
         num_minibatches=total_minibatches,
         config_description=prefetch_config.describe() if prefetch_config else mode,
     )
-    if buffer_nbytes:
-        report.extras["mean_buffer_nbytes"] = float(np.mean(buffer_nbytes))
+    if prefetchers:
+        report.extras["mean_buffer_nbytes"] = float(
+            np.mean([p.buffer_nbytes() for p in prefetchers])
+        )
         report.extras["mean_scoreboard_nbytes"] = float(
-            np.mean(
-                [
-                    a.prefetcher_scoreboard_nbytes
-                    for a in artifacts
-                    if a.prefetcher_scoreboard_nbytes is not None
-                ]
-            )
+            np.mean([p.scoreboard_nbytes() for p in prefetchers])
         )
         report.extras["remote_nodes_fetched_prefetch"] = float(
-            np.sum(
-                [
-                    a.prefetcher_remote_nodes_fetched
-                    for a in artifacts
-                    if a.prefetcher_remote_nodes_fetched is not None
-                ]
-            )
+            np.sum([p.counters.remote_nodes_fetched for p in prefetchers])
         )
-    store_nbytes = [
-        a.feature_store_nbytes for a in artifacts if a.feature_store_nbytes is not None
-    ]
-    if store_nbytes:
-        report.extras["mean_feature_store_nbytes"] = float(np.mean(store_nbytes))
+    if stores:
+        report.extras["mean_feature_store_nbytes"] = float(
+            np.mean([store.nbytes() for store in stores])
+        )
 
     if config.evaluate:
         report.val_accuracy = evaluate_accuracy(
@@ -236,77 +220,3 @@ def assemble_training_report(
         )
     report.extras["model_num_parameters"] = float(num_params)
     return report
-
-
-class TrainingEngine:
-    """Runs any registered minibatch pipeline on a :class:`SimCluster`."""
-
-    def __init__(self, cluster: SimCluster, train_config: TrainConfig):
-        self.cluster = cluster
-        self.config = train_config
-        self.cost_model = cluster.cost_model
-        self.dataset = cluster.dataset
-
-    # ------------------------------------------------------------------ #
-    # Public entry points
-    # ------------------------------------------------------------------ #
-    def run_baseline(self) -> TrainingReport:
-        """Train with the DistDGL-style data path (no prefetching)."""
-        return self.run_pipeline("baseline")
-
-    def run_prefetch(self, prefetch_config: PrefetchConfig) -> TrainingReport:
-        """Train with the MassiveGNN prefetch-and-eviction data path."""
-        if prefetch_config is None:
-            raise ValueError("prefetch mode requires a PrefetchConfig")
-        return self.run_pipeline("prefetch", prefetch_config=prefetch_config)
-
-    def run_pipeline(
-        self,
-        pipeline: Union[str, PipelineBuilder] = "baseline",
-        prefetch_config: Optional[PrefetchConfig] = None,
-        cache_config: Optional["CacheConfig"] = None,
-    ) -> TrainingReport:
-        """Train with a named (or custom-built) minibatch pipeline.
-
-        Same arguments as :meth:`ClusterEngine.run
-        <repro.training.cluster_engine.ClusterEngine.run>`, which runs the
-        loop; this returns the :class:`TrainingReport` embedded in its
-        :class:`~repro.training.cluster_engine.ClusterReport`.  Compute is
-        therefore charged per machine (``ClusterConfig.compute_multipliers``)
-        and the cluster's seed partitioning is validated up front.
-        """
-        # Lazy: cluster_engine imports this module's step/report machinery.
-        from repro.training.cluster_engine import ClusterEngine
-
-        engine = ClusterEngine(self.cluster, self.config)
-        report = engine.run(
-            pipeline, prefetch_config=prefetch_config, cache_config=cache_config
-        ).report
-        self._final_model = engine.final_model
-        return report
-
-    # ------------------------------------------------------------------ #
-    @property
-    def final_model(self):
-        """The trained model from the most recent run (for evaluation/examples)."""
-        model = getattr(self, "_final_model", None)
-        if model is None:
-            raise RuntimeError("no training run has completed yet")
-        return model
-
-
-def compare_baseline_and_prefetch(
-    dataset: GraphDataset,
-    prefetch_config: Optional[PrefetchConfig] = None,
-    cluster_config: Optional[ClusterConfig] = None,
-    train_config: Optional[TrainConfig] = None,
-    cost_model: Optional[CostModel] = None,
-) -> Tuple[TrainingReport, TrainingReport]:
-    """Run both pipelines on the *same* cluster and return (baseline, prefetch).
-
-    Sharing the cluster guarantees both runs see identical partitions and seed
-    assignments, which is how the paper's Fig. 6 comparison is constructed.
-    """
-    cluster = SimCluster(dataset, cluster_config or ClusterConfig(), cost_model=cost_model)
-    engine = TrainingEngine(cluster, train_config or TrainConfig())
-    return engine.run_baseline(), engine.run_prefetch(prefetch_config or PrefetchConfig())

@@ -19,8 +19,8 @@ from repro.core.config import PrefetchConfig
 from repro.distributed.cluster import ClusterConfig, SimCluster
 from repro.distributed.cost_model import CostModel
 from repro.graph.datasets import GraphDataset
+from repro.training.cluster_engine import ClusterEngine
 from repro.training.config import TrainConfig
-from repro.training.engine import TrainingEngine
 
 
 @dataclass
@@ -72,16 +72,13 @@ def profile_memory(
 
     def init_phase() -> None:
         state["cluster"] = SimCluster(dataset, cluster_config, cost_model=cost_model)
-        state["engine"] = TrainingEngine(state["cluster"], train_config)
+        state["engine"] = ClusterEngine(state["cluster"], train_config)
 
     init_peak = _measure(init_phase)
 
     def train_phase() -> None:
-        engine: TrainingEngine = state["engine"]  # type: ignore[assignment]
-        if mode == "baseline":
-            engine.run_baseline()
-        else:
-            engine.run_prefetch(prefetch_config)
+        engine: ClusterEngine = state["engine"]  # type: ignore[assignment]
+        engine.run(mode, prefetch_config=prefetch_config)
 
     train_peak = _measure(train_phase)
     return MemoryProfile(mode=mode, init_peak_bytes=init_peak, train_peak_bytes=train_peak)

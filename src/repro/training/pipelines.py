@@ -22,8 +22,7 @@ wants, the :class:`~repro.features.store.FeatureStore` over them, the four
 chained stages, and the timing policy mapping component costs onto the
 trainer's simulated clock.  A custom strategy is a callable with the
 builders' ``(trainer, cluster, prefetch_config, cache_config)`` signature
-passed as ``pipeline=`` — the same builders serve the single-run
-:class:`~repro.training.engine.TrainingEngine`, the lockstep
+passed as ``pipeline=`` — the same builders serve the lockstep
 :class:`~repro.training.cluster_engine.ClusterEngine`, the event-driven
 :class:`~repro.training.async_engine.AsyncClusterEngine` and the serving
 engine (selected from :data:`~repro.training.engines.ENGINES`), which is what

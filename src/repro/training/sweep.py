@@ -24,8 +24,8 @@ from repro.core.config import (
 from repro.distributed.cluster import ClusterConfig, SimCluster
 from repro.distributed.cost_model import CostModel
 from repro.graph.datasets import GraphDataset
+from repro.training.cluster_engine import ClusterEngine
 from repro.training.config import TrainConfig
-from repro.training.engine import TrainingEngine
 from repro.training.telemetry import TrainingReport
 
 
@@ -86,8 +86,8 @@ def run_parameter_sweep(
     cluster_config = cluster_config or ClusterConfig()
     train_config = train_config or TrainConfig()
     cluster = SimCluster(dataset, cluster_config, cost_model=cost_model)
-    engine = TrainingEngine(cluster, train_config)
-    baseline = engine.run_baseline()
+    engine = ClusterEngine(cluster, train_config)
+    baseline = engine.run("baseline").report
 
     points: List[SweepPoint] = []
     for f_h in halo_fractions:
@@ -98,7 +98,7 @@ def run_parameter_sweep(
             for delta in deltas:
                 configs.append(PrefetchConfig(halo_fraction=f_h, gamma=gamma, delta=delta))
         for config in configs:
-            report = engine.run_prefetch(config)
+            report = engine.run("prefetch", prefetch_config=config).report
             points.append(
                 SweepPoint(
                     halo_fraction=config.halo_fraction,

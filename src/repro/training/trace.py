@@ -1,25 +1,17 @@
-"""Run traces: serialize training reports to JSON and index experiments.
+"""The experiment index: the paper's tables and figures as data.
 
-Two purposes:
-
-* **Provenance** — benchmark harnesses and examples can persist a
-  :class:`~repro.training.telemetry.TrainingReport` (plus the configs that
-  produced it) as a JSON trace, reload it later, and diff two runs without
-  rerunning anything.
-* **Experiment registry** — the mapping from the paper's table/figure numbers
-  to the benchmark target and the modules that implement it (DESIGN.md's
-  per-experiment index) is available programmatically, so tooling (the CLI's
-  ``experiments`` command, docs generators) cannot drift from the code.
+The mapping from the paper's table/figure numbers to the benchmark target and
+the modules that implement it (DESIGN.md's per-experiment index) is available
+programmatically, so tooling (the CLI's ``experiments`` command, docs
+generators) cannot drift from the code.  Run traces are not written here:
+``repro run --trace-dir`` dumps ``ClusterReport.as_dict()`` /
+``ServingReport.as_dict()``.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Optional, Union
-
-from repro.training.telemetry import TrainingReport
+from dataclasses import dataclass
+from typing import Dict, List
 
 
 # --------------------------------------------------------------------------- #
@@ -145,75 +137,3 @@ def get_experiment(experiment_id: str) -> ExperimentSpec:
             f"unknown experiment {experiment_id!r}; known: {sorted(EXPERIMENTS)}"
         )
     return EXPERIMENTS[experiment_id]
-
-
-# --------------------------------------------------------------------------- #
-# Report (de)serialization
-# --------------------------------------------------------------------------- #
-def report_to_dict(report: TrainingReport) -> Dict:
-    """Flatten a :class:`TrainingReport` into JSON-serializable primitives."""
-    return {
-        "mode": report.mode,
-        "backend": report.backend,
-        "dataset": report.dataset,
-        "arch": report.arch,
-        "num_machines": report.num_machines,
-        "trainers_per_machine": report.trainers_per_machine,
-        "epochs": report.epochs,
-        "total_simulated_time_s": report.total_simulated_time_s,
-        "wall_clock_s": report.wall_clock_s,
-        "final_train_accuracy": report.final_train_accuracy,
-        "val_accuracy": report.val_accuracy,
-        "test_accuracy": report.test_accuracy,
-        "hit_rate": report.hit_rate,
-        "overlap_efficiency": report.overlap_efficiency,
-        "num_minibatches": report.num_minibatches,
-        "remote_nodes_fetched": report.remote_nodes_fetched(),
-        "config_description": report.config_description,
-        "component_breakdown": dict(report.component_breakdown),
-        "epoch_loss": [r.loss for r in report.epoch_records],
-        "epoch_time_s": [r.simulated_time_s for r in report.epoch_records],
-        "epoch_train_accuracy": [r.train_accuracy for r in report.epoch_records],
-        "extras": dict(report.extras),
-    }
-
-
-def save_trace(
-    report: TrainingReport,
-    path: Union[str, Path],
-    metadata: Optional[Dict] = None,
-) -> Path:
-    """Write a JSON trace of *report* (plus optional metadata) to *path*."""
-    path = Path(path)
-    payload = {"report": report_to_dict(report), "metadata": metadata or {}}
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True))
-    return path
-
-
-def load_trace(path: Union[str, Path]) -> Dict:
-    """Load a JSON trace written by :func:`save_trace`."""
-    payload = json.loads(Path(path).read_text())
-    if "report" not in payload:
-        raise ValueError(f"{path} is not a repro trace (missing 'report')")
-    return payload
-
-
-def compare_traces(baseline: Dict, other: Dict) -> Dict[str, float]:
-    """Compare two loaded traces; positive improvement means *other* is faster."""
-    base_report, other_report = baseline["report"], other["report"]
-    base_time = base_report["total_simulated_time_s"]
-    other_time = other_report["total_simulated_time_s"]
-    improvement = 100.0 * (base_time - other_time) / base_time if base_time > 0 else 0.0
-    return {
-        "baseline_time_s": base_time,
-        "other_time_s": other_time,
-        "improvement_percent": improvement,
-        "speedup": base_time / other_time if other_time > 0 else float("inf"),
-        "baseline_hit_rate": base_report.get("hit_rate", 0.0),
-        "other_hit_rate": other_report.get("hit_rate", 0.0),
-        "remote_nodes_delta": other_report.get("remote_nodes_fetched", 0)
-        - base_report.get("remote_nodes_fetched", 0),
-        "accuracy_delta": other_report.get("final_train_accuracy", 0.0)
-        - base_report.get("final_train_accuracy", 0.0),
-    }

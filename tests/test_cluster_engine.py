@@ -1,14 +1,11 @@
 """ClusterEngine numerics, scenario-registry and cluster-telemetry coverage.
 
-:meth:`TrainingEngine.run_pipeline` *is* a :class:`ClusterEngine` run (it
-returns the embedded report), so the two are no longer compared against each
-other here: ``run_pipeline``'s numbers are pinned by
-``tests/golden/single_run.json`` and the cluster run's by
-``tests/golden/cluster_2x2.json``.  What this file still pins between them is
-that explicit unit ``compute_multipliers`` do not perturb a bit and that a
-straggler machine is charged through either entry point.  Runs are compared
-on freshly built clusters because sampler/seed RNG streams are stateful across
-runs on a shared cluster.
+A lockstep run's numbers are pinned by ``tests/golden/single_run.json`` (the
+embedded :class:`TrainingReport`) and ``tests/golden/cluster_2x2.json`` (the
+cluster roll-up).  What this file pins on top is that explicit unit
+``compute_multipliers`` do not perturb a bit and that a straggler machine is
+charged.  Runs are compared on freshly built clusters because sampler/seed RNG
+streams are stateful across runs on a shared cluster.
 """
 
 import numpy as np
@@ -21,7 +18,6 @@ from repro.graph.partition import skewed_partition
 from repro.scenarios import SCENARIOS, available_scenarios, build_scenario
 from repro.training.cluster_engine import ClusterEngine
 from repro.training.config import TrainConfig
-from repro.training.engine import TrainingEngine
 
 CLUSTER_KW = dict(batch_size=64, fanouts=(5, 10), seed=7)
 PREFETCH = dict(halo_fraction=0.35, gamma=0.995, delta=8)
@@ -75,9 +71,9 @@ class TestDifferentialEquivalence:
             num_machines=2, trainers_per_machine=2,
             compute_multipliers=(1.0, 1.0), **CLUSTER_KW
         )
-        reference = TrainingEngine(
+        reference = ClusterEngine(
             SimCluster(small_dataset, base), TrainConfig(**TRAIN)
-        ).run_pipeline("baseline")
+        ).run("baseline").report
         cluster_report = ClusterEngine(
             SimCluster(small_dataset, unit), TrainConfig(**TRAIN)
         ).run("baseline")
@@ -163,14 +159,14 @@ class TestHeterogeneousCluster:
         assert len(times) == 1
 
     def test_straggler_machine_is_charged_through_run_pipeline(self, small_dataset):
-        """run_pipeline charges per machine (it used to ignore the multipliers)."""
+        """The embedded TrainingReport shows the per-machine compute charge."""
         def total_time(multipliers):
             config = ClusterConfig(
                 num_machines=2, trainers_per_machine=1,
                 compute_multipliers=multipliers, **CLUSTER_KW
             )
-            engine = TrainingEngine(SimCluster(small_dataset, config), TrainConfig(**TRAIN))
-            report = engine.run_pipeline("baseline")
+            engine = ClusterEngine(SimCluster(small_dataset, config), TrainConfig(**TRAIN))
+            report = engine.run("baseline").report
             return report.total_simulated_time_s, report.component_breakdown["ddp"]
 
         uniform_time, uniform_ddp = total_time(None)
@@ -184,7 +180,7 @@ class TestHeterogeneousCluster:
         cluster = SimCluster(small_dataset, config)
         cluster.trainers[0].seeds_local = cluster.trainers[1].seeds_local
         with pytest.raises(ValueError, match="seed partitioning"):
-            TrainingEngine(cluster, TrainConfig(**TRAIN)).run_pipeline("baseline")
+            ClusterEngine(cluster, TrainConfig(**TRAIN)).run("baseline")
 
     def test_multiplier_validation(self):
         with pytest.raises(ValueError, match="one entry per machine"):

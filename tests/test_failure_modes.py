@@ -22,8 +22,8 @@ from repro.graph.generators import class_informative_features, train_val_test_sp
 from repro.graph.halo import build_partitions
 from repro.graph.partition import PartitionResult, metis_partition
 from repro.sampling.neighbor_sampler import NeighborSampler
+from repro.training.cluster_engine import ClusterEngine
 from repro.training.config import TrainConfig
-from repro.training.engine import TrainingEngine
 
 
 def _dataset_from_graph(graph, num_classes=4, feature_dim=8, seed=0) -> GraphDataset:
@@ -62,8 +62,8 @@ class TestDegenerateGraphs:
             dataset,
             ClusterConfig(num_machines=2, trainers_per_machine=1, batch_size=16, fanouts=(2, 2), seed=0),
         )
-        engine = TrainingEngine(cluster, TrainConfig(epochs=1, hidden_dim=8, seed=0))
-        report = engine.run_baseline()
+        engine = ClusterEngine(cluster, TrainConfig(epochs=1, hidden_dim=8, seed=0))
+        report = engine.run("baseline").report
         assert report.num_minibatches > 0
 
     def test_star_graph_partitioning(self):
@@ -111,9 +111,11 @@ class TestNoHaloAndSmallBufferEdgeCases:
             ClusterConfig(num_machines=2, trainers_per_machine=1, batch_size=8, fanouts=(3,), seed=0),
             partition_result=parts,
         )
-        engine = TrainingEngine(cluster, TrainConfig(epochs=1, hidden_dim=8, num_layers=1, seed=0))
-        baseline = engine.run_baseline()
-        prefetch = engine.run_prefetch(PrefetchConfig(halo_fraction=0.5))
+        engine = ClusterEngine(cluster, TrainConfig(epochs=1, hidden_dim=8, num_layers=1, seed=0))
+        baseline = engine.run("baseline").report
+        prefetch = engine.run(
+            "prefetch", prefetch_config=PrefetchConfig(halo_fraction=0.5)
+        ).report
         # With no remote nodes there is nothing to win; both pipelines must
         # still complete and fetch zero remote nodes.
         assert baseline.remote_nodes_fetched() == 0
@@ -145,8 +147,8 @@ class TestTrainerEdgeCases:
             dataset,
             ClusterConfig(num_machines=2, trainers_per_machine=2, batch_size=4, fanouts=(2,), seed=0),
         )
-        engine = TrainingEngine(cluster, TrainConfig(epochs=1, hidden_dim=8, num_layers=1, seed=0))
-        report = engine.run_baseline()
+        engine = ClusterEngine(cluster, TrainConfig(epochs=1, hidden_dim=8, num_layers=1, seed=0))
+        report = engine.run("baseline").report
         # Only the trainers that own training nodes contribute minibatches.
         assert 0 < report.num_minibatches <= 4
 
@@ -155,8 +157,8 @@ class TestTrainerEdgeCases:
             small_dataset,
             ClusterConfig(num_machines=1, trainers_per_machine=1, batch_size=64, fanouts=(3, 3), seed=0),
         )
-        engine = TrainingEngine(cluster, TrainConfig(epochs=1, hidden_dim=8, seed=0))
-        baseline = engine.run_baseline()
+        engine = ClusterEngine(cluster, TrainConfig(epochs=1, hidden_dim=8, seed=0))
+        baseline = engine.run("baseline").report
         # A single partition has no halo nodes at all, so no RPC traffic.
         assert baseline.remote_nodes_fetched() == 0
         assert baseline.component_breakdown["allreduce"] == 0.0
@@ -166,8 +168,10 @@ class TestTrainerEdgeCases:
             small_dataset,
             ClusterConfig(num_machines=1, trainers_per_machine=2, batch_size=64, fanouts=(3, 3), seed=0),
         )
-        engine = TrainingEngine(cluster, TrainConfig(epochs=1, hidden_dim=8, seed=0))
-        report = engine.run_prefetch(PrefetchConfig(halo_fraction=0.5))
+        engine = ClusterEngine(cluster, TrainConfig(epochs=1, hidden_dim=8, seed=0))
+        report = engine.run(
+            "prefetch", prefetch_config=PrefetchConfig(halo_fraction=0.5)
+        ).report
         assert report.hit_rate == 0.0
         assert report.remote_nodes_fetched() == 0
 

@@ -1,12 +1,13 @@
-"""Golden fixtures for the single-run engine and the event-driven engine.
+"""Golden fixtures for the lockstep engine's report and the event-driven engine.
 
 Two fixtures, both generated by this file and committed beside it:
 
-* ``tests/golden/single_run.json`` — ``TrainingEngine.run_pipeline`` for
-  ``baseline`` and ``prefetch`` on a 2x2 GraphSAGE cluster plus one GAT run
-  with evaluation: every :class:`TrainingReport` field except the host-side
-  ``wall_clock_s``.  It pins ``run_pipeline``'s numbers independently of
-  whichever loop produces them.
+* ``tests/golden/single_run.json`` — ``ClusterEngine(...).run(...).report``
+  for ``baseline`` and ``prefetch`` on a 2x2 GraphSAGE cluster plus one GAT
+  run with evaluation: every :class:`TrainingReport` field except the
+  host-side ``wall_clock_s``.  It was generated through the single-run
+  wrapper PR 24 removed and has not been regenerated since, which is the
+  proof that the wrapper was a pure delegate.
 * ``tests/golden/async_runs.json`` — one sha256 per ``engine="async"`` run
   over seven scenarios x the three sync policies x seeds 0 and 1, taken over
   the report dump, the aggregated RPC counters *and* the recorded event
@@ -40,8 +41,8 @@ from repro.distributed.cluster import ClusterConfig, SimCluster
 from repro.distributed.rpc import aggregate_rpc_stats
 from repro.graph.datasets import load_dataset
 from repro.scenarios import SCENARIOS
+from repro.training.cluster_engine import ClusterEngine
 from repro.training.config import TrainConfig
-from repro.training.engine import TrainingEngine
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 SINGLE_PATH = GOLDEN_DIR / "single_run.json"
@@ -63,7 +64,7 @@ SEEDS = (0, 1)
 
 
 def single_run(name: str) -> dict:
-    """One fixed-seed 2x2 ``run_pipeline`` report as plain JSON data."""
+    """One fixed-seed 2x2 lockstep run's :class:`TrainingReport` as plain JSON data."""
     arch, pipeline, evaluate = SINGLE_RUNS[name]
     dataset = load_dataset("products", scale=0.05, seed=5)
     cluster = SimCluster(
@@ -73,7 +74,7 @@ def single_run(name: str) -> dict:
     )
     config = TrainConfig(arch=arch, epochs=2, hidden_dim=32, seed=1, evaluate=evaluate)
     kwargs = {} if pipeline == "baseline" else {"prefetch_config": PrefetchConfig(**PREFETCH)}
-    report = TrainingEngine(cluster, config).run_pipeline(pipeline, **kwargs)
+    report = ClusterEngine(cluster, config).run(pipeline, **kwargs).report
     data = dataclasses.asdict(report)
     del data["wall_clock_s"]
     return json.loads(json.dumps(data, sort_keys=True))

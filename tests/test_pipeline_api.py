@@ -21,8 +21,8 @@ from repro.sampling.pipeline import (
     SampleStage,
     SeedStage,
 )
+from repro.training.cluster_engine import ClusterEngine
 from repro.training.config import TrainConfig
-from repro.training.engine import TrainingEngine
 from repro.training.pipelines import build_pipeline
 
 CLUSTER_KW = dict(
@@ -81,10 +81,10 @@ class TestEngineIsPipelineDriven:
         exact per-seed numbers are pinned by ``tests/golden/single_run.json``.
         """
         cluster = SimCluster(small_dataset, ClusterConfig(**CLUSTER_KW))
-        engine = TrainingEngine(cluster, TrainConfig(**TRAIN))
-        baseline = engine.run_pipeline("baseline")
-        prefetch = engine.run_pipeline("prefetch", prefetch_config=PrefetchConfig(**PREFETCH))
-        static = engine.run_pipeline("static-cache", prefetch_config=PrefetchConfig(**PREFETCH))
+        engine = ClusterEngine(cluster, TrainConfig(**TRAIN))
+        baseline = engine.run("baseline").report
+        prefetch = engine.run("prefetch", prefetch_config=PrefetchConfig(**PREFETCH)).report
+        static = engine.run("static-cache", prefetch_config=PrefetchConfig(**PREFETCH)).report
         assert abs(baseline.final_train_accuracy - prefetch.final_train_accuracy) < 0.1
         assert abs(baseline.final_train_accuracy - static.final_train_accuracy) < 0.1
         assert (baseline.mode, prefetch.mode, static.mode) == (
@@ -103,27 +103,27 @@ class TestEngineIsPipelineDriven:
     def test_custom_builder_callable(self, small_dataset):
         """The engine accepts any builder, not just registered names."""
         cluster = SimCluster(small_dataset, ClusterConfig(**CLUSTER_KW))
-        engine = TrainingEngine(cluster, TrainConfig(epochs=1, hidden_dim=16, seed=1))
+        engine = ClusterEngine(cluster, TrainConfig(epochs=1, hidden_dim=16, seed=1))
 
         def builder(trainer, cluster, prefetch_config, cache_config):
             return build_pipeline("baseline", trainer, cluster)
 
-        report = engine.run_pipeline(builder)
+        report = engine.run(builder).report
         assert report.mode == "baseline"
         assert report.total_simulated_time_s > 0
 
     def test_unknown_pipeline_name(self, small_dataset):
         cluster = SimCluster(small_dataset, ClusterConfig(**CLUSTER_KW))
-        engine = TrainingEngine(cluster, TrainConfig(epochs=1, seed=1))
+        engine = ClusterEngine(cluster, TrainConfig(epochs=1, seed=1))
         with pytest.raises(ValueError, match="unknown pipeline"):
-            engine.run_pipeline("hyperloop")
+            engine.run("hyperloop")
 
     def test_static_cache_hit_rate_not_above_prefetch(self, small_dataset):
         """The scored buffer should match or beat a same-capacity static cache."""
         cluster = SimCluster(small_dataset, ClusterConfig(**CLUSTER_KW))
-        engine = TrainingEngine(cluster, TrainConfig(epochs=3, hidden_dim=16, seed=1))
-        prefetch = engine.run_pipeline("prefetch", prefetch_config=PrefetchConfig(**PREFETCH))
-        static = engine.run_pipeline("static-cache", prefetch_config=PrefetchConfig(**PREFETCH))
+        engine = ClusterEngine(cluster, TrainConfig(epochs=3, hidden_dim=16, seed=1))
+        prefetch = engine.run("prefetch", prefetch_config=PrefetchConfig(**PREFETCH)).report
+        static = engine.run("static-cache", prefetch_config=PrefetchConfig(**PREFETCH)).report
         assert prefetch.hit_rate >= static.hit_rate - 0.05
 
 

@@ -21,7 +21,6 @@ from repro.sampling.seeds import SeedIterator
 from repro.scenarios import SCENARIOS
 from repro.training.cluster_engine import ClusterEngine
 from repro.training.config import TrainConfig
-from repro.training.engine import TrainingEngine
 
 PREFETCH = dict(halo_fraction=0.25, gamma=0.995, delta=8)
 
@@ -55,12 +54,12 @@ class TestTieredSourceDefaultEquivalence:
                 ClusterConfig(num_machines=2, trainers_per_machine=2,
                               batch_size=128, fanouts=(5, 10), seed=11),
             )
-            engine = TrainingEngine(cluster, quick_train_config)
-            return engine.run_pipeline(
+            engine = ClusterEngine(cluster, quick_train_config)
+            return engine.run(
                 pipeline,
                 prefetch_config=PrefetchConfig(**PREFETCH),
                 cache_config=cache_config,
-            )
+            ).report
 
         static = run("static-cache")
         tiered = run("tiered-cache", CacheConfig())
@@ -286,9 +285,7 @@ class TestCacheCLIGuards:
 
     def test_adaptive_without_two_tiers_exits(self, capsys):
         from repro.cli import main
-        with pytest.raises(SystemExit) as excinfo:
-            main(["run", "--adaptive-cache", "--scale", "0.05", "--epochs", "1"])
-        assert excinfo.value.code == 2
+        assert main(["run", "--adaptive-cache", "--scale", "0.05", "--epochs", "1"]) == 2
         assert "tiers=2" in capsys.readouterr().err
 
     def test_explicit_eviction_implies_open_admission(self):

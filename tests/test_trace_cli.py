@@ -1,34 +1,18 @@
-"""Tests for run traces, the experiment registry, and the CLI."""
+"""Tests for the experiment registry and the CLI (incl. its --trace-dir files)."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
-from repro.training.telemetry import EpochRecord, TrainingReport
-from repro.training.trace import (
-    EXPERIMENTS,
-    compare_traces,
-    get_experiment,
-    list_experiments,
-    load_trace,
-    report_to_dict,
-    save_trace,
-)
-
-
-def _report(mode="baseline", time_s=2.0, hit=0.0):
-    report = TrainingReport(
-        mode=mode, backend="cpu", dataset="arxiv", arch="sage",
-        num_machines=2, trainers_per_machine=2, epochs=2,
-        total_simulated_time_s=time_s,
-        epoch_records=[EpochRecord(0, time_s / 2, 1.5, 0.4), EpochRecord(1, time_s / 2, 1.0, 0.5)],
-        component_breakdown={"rpc": 0.5, "ddp": 1.0},
-        final_train_accuracy=0.5,
-        num_minibatches=8,
-    )
-    return report
+from repro.core.config import PrefetchConfig
+from repro.distributed.cluster import ClusterConfig
+from repro.graph.datasets import load_dataset
+from repro.training.cluster_engine import compare_baseline_and_prefetch
+from repro.training.config import TrainConfig
+from repro.training.trace import EXPERIMENTS, get_experiment, list_experiments
 
 
 class TestExperimentRegistry:
@@ -62,34 +46,6 @@ class TestExperimentRegistry:
         assert ids == sorted(ids)
 
 
-class TestTraces:
-    def test_report_to_dict_json_serializable(self):
-        payload = report_to_dict(_report())
-        json.dumps(payload)  # must not raise
-        assert payload["total_simulated_time_s"] == 2.0
-        assert payload["epoch_loss"] == [1.5, 1.0]
-
-    def test_save_and_load_roundtrip(self, tmp_path):
-        path = save_trace(_report(), tmp_path / "sub" / "trace.json", metadata={"note": "x"})
-        assert path.exists()
-        loaded = load_trace(path)
-        assert loaded["metadata"]["note"] == "x"
-        assert loaded["report"]["dataset"] == "arxiv"
-
-    def test_load_rejects_non_trace(self, tmp_path):
-        bogus = tmp_path / "x.json"
-        bogus.write_text(json.dumps({"foo": 1}))
-        with pytest.raises(ValueError):
-            load_trace(bogus)
-
-    def test_compare_traces(self, tmp_path):
-        base_path = save_trace(_report("baseline", 2.0), tmp_path / "base.json")
-        fast_path = save_trace(_report("prefetch", 1.0), tmp_path / "fast.json")
-        cmp = compare_traces(load_trace(base_path), load_trace(fast_path))
-        assert cmp["improvement_percent"] == pytest.approx(50.0)
-        assert cmp["speedup"] == pytest.approx(2.0)
-
-
 class TestCLI:
     def test_parser_commands(self):
         parser = build_parser()
@@ -108,28 +64,46 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "arxiv" in out and "602" in out  # reddit's feature dim appears
 
+    SMALL = ["--dataset", "arxiv", "--scale", "0.15", "--epochs", "1",
+             "--machines", "2", "--trainers-per-machine", "1", "--batch-size", "64",
+             "--fanouts", "4", "6", "--hidden-dim", "16"]
+
     def test_run_command_both_modes_with_traces(self, capsys, tmp_path):
-        code = main([
-            "run", "--dataset", "arxiv", "--scale", "0.15", "--epochs", "1",
-            "--machines", "2", "--trainers-per-machine", "1", "--batch-size", "64",
-            "--fanouts", "4", "6", "--hidden-dim", "16",
-            "--trace-dir", str(tmp_path),
-        ])
-        assert code == 0
+        assert main(["run", "--mode", "both", "--trace-dir", str(tmp_path)] + self.SMALL) == 0
         out = capsys.readouterr().out
-        assert "improvement" in out
-        assert (tmp_path / "baseline.json").exists()
-        assert (tmp_path / "prefetch.json").exists()
+        assert "[baseline]" in out and "[prefetch]" in out and "improvement" in out
+        baseline = json.loads((tmp_path / "cluster_uniform_baseline.json").read_text())
+        prefetch = json.loads((tmp_path / "cluster_uniform.json").read_text())
+        assert (baseline["mode"], prefetch["mode"]) == ("baseline", "prefetch")
+        assert baseline["hit_rate"] is None and prefetch["hit_rate"] > 0
+        assert len(prefetch["trainers"]) == 2
 
     def test_run_command_baseline_only(self, capsys):
-        code = main([
-            "run", "--dataset", "arxiv", "--scale", "0.15", "--mode", "baseline",
-            "--epochs", "1", "--machines", "2", "--trainers-per-machine", "1",
-            "--batch-size", "64", "--fanouts", "4", "6", "--hidden-dim", "16",
-        ])
-        assert code == 0
+        assert main(["run", "--mode", "baseline"] + self.SMALL) == 0
         out = capsys.readouterr().out
         assert "[baseline]" in out and "[prefetch]" not in out
+
+    def test_bare_run_is_the_uniform_scenario(self, capsys):
+        """No --mode: the scenario's own pipeline, one leg, no comparison."""
+        assert main(["run", "--scale", "0.05", "--epochs", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "scenario 'uniform'" in out and "[prefetch] critical path" in out
+        assert "[baseline]" not in out and "improvement" not in out
+
+    def test_mode_both_matches_compare_baseline_and_prefetch(self, capsys):
+        """`--mode both` is the old comparison: same cluster, same seed, same %."""
+        assert main(["run", "--mode", "both", "--seed", "3"] + self.SMALL) == 0
+        printed = re.search(r"improvement: (-?[0-9.]+)%", capsys.readouterr().out).group(1)
+        baseline, prefetch = compare_baseline_and_prefetch(
+            load_dataset("arxiv", scale=0.15, seed=3),
+            # The 'uniform' scenario's PrefetchConfig and the CLI's TrainConfig.
+            prefetch_config=PrefetchConfig(halo_fraction=0.35, gamma=0.995, delta=16),
+            cluster_config=ClusterConfig(
+                num_machines=2, trainers_per_machine=1, batch_size=64, fanouts=(4, 6), seed=3,
+            ),
+            train_config=TrainConfig(epochs=1, hidden_dim=16, seed=3),
+        )
+        assert printed == f"{prefetch.improvement_percent_vs(baseline):.1f}"
 
     def test_sweep_command(self, capsys):
         code = main([
@@ -201,7 +175,24 @@ class TestAsyncEngineCLI:
         (["run", "--staleness", "3"], "--sync bounded-staleness"),
         (["run", "--cluster", "--scenario", "async-staleness", "--sync-period", "2"],
          "--sync local-sgd"),
-        (["run", "--scenario", "uniform"], "--scenario requires --cluster"),
+        # A ValueError under any command is misuse (exit 2), not a crash.
+        (["explain", "--scale", "-1"], "scale must be > 0"),
+        (["explain", "--scenario", "uniform", "--epochs", "0"], "epochs must be > 0"),
+        (["sweep", "--epochs", "0"], "epochs must be > 0"),
+        (["sweep", "--gammas", "2.0", "--scale", "0.05", "--epochs", "1"],
+         "gamma must lie in the unit interval"),
+        (["sweep", "--machines", "0"], "num_machines must be > 0"),
+        # Knobs nothing would read are rejected like --staleness, not ignored.
+        (["run", "--cluster", "--pipeline", "baseline", "--gamma", "0.9"],
+         "--gamma has no effect on the 'baseline' pipeline"),
+        (["run", "--mode", "baseline", "--halo-fraction", "0.5"],
+         "--halo-fraction has no effect on the 'baseline' pipeline"),
+        (["run", "--no-eviction", "--eviction-policy", "lru"],
+         "--eviction-policy lru has no effect with --no-eviction"),
+        (["run", "--scenario", "steady-poisson", "--mode", "both"],
+         "'steady-poisson' is a serving workload"),
+        (["run", "--mode", "prefetch", "--pipeline", "static-cache"],
+         "--mode prefetch names the 'prefetch' pipeline"),
         (["run", "--sampler", "legacy"], REMOVED),
         (["run", "--sampler", "choice", "--cluster"], REMOVED),
         (["run", "--sampler", "loop", "--cluster", "--scenario", "hot-halo"], REMOVED),
@@ -231,6 +222,24 @@ class TestAsyncEngineCLI:
         if fragment is not None:
             lines = captured.err.strip().splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: ") and fragment in lines[0]
+
+    @pytest.mark.parametrize("scenario", ["uniform", "async-staleness", "steady-poisson"])
+    def test_cluster_flag_is_a_no_op(self, capsys, scenario):
+        """--cluster is a hidden alias of nothing: stdout is byte-identical."""
+        argv = ["run", "--scenario", scenario] + self.TINY
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        assert main(argv + ["--cluster"]) == 0
+        assert capsys.readouterr().out == plain
+        with pytest.raises(SystemExit):
+            main(["run", "--help"])
+        assert "--cluster" not in capsys.readouterr().out
+
+    def test_mode_both_accepts_prefetch_knobs(self, capsys):
+        """With --mode both the knobs apply to the second leg."""
+        assert main(["run", "--mode", "both", "--gamma", "0.9"] + self.TINY) == 0
+        out = capsys.readouterr().out
+        assert "[baseline]" in out and "[prefetch]" in out
 
     def test_preset_naming_a_removed_sampler_exits_2(self, capsys, tmp_path):
         committed = Path(__file__).parent.parent / "presets" / "throughput-straggler.json"

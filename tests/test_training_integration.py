@@ -16,8 +16,8 @@ import pytest
 
 from repro.core.config import PrefetchConfig
 from repro.distributed.cluster import ClusterConfig, SimCluster
+from repro.training.cluster_engine import ClusterEngine, compare_baseline_and_prefetch
 from repro.training.config import TrainConfig
-from repro.training.engine import TrainingEngine, compare_baseline_and_prefetch
 from repro.training.evaluate import evaluate_accuracy, evaluate_loss, majority_class_accuracy
 
 
@@ -134,16 +134,18 @@ class TestBackendContrast:
                 num_machines=2, trainers_per_machine=2, batch_size=128,
                 fanouts=(5, 10), backend=backend, seed=5,
             ))
-            report = TrainingEngine(cluster, train_config).run_prefetch(prefetch_config)
+            report = ClusterEngine(cluster, train_config).run(
+                "prefetch", prefetch_config=prefetch_config
+            ).report
             overlaps[backend] = report.overlap_efficiency
         assert overlaps["cpu"] >= overlaps["gpu"]
 
 
 class TestEngineDetails:
     def test_shared_cluster_runs_are_independent(self, small_cluster, quick_train_config, quick_prefetch_config):
-        engine = TrainingEngine(small_cluster, quick_train_config)
-        first = engine.run_prefetch(quick_prefetch_config)
-        second = engine.run_prefetch(quick_prefetch_config)
+        engine = ClusterEngine(small_cluster, quick_train_config)
+        first = engine.run("prefetch", prefetch_config=quick_prefetch_config).report
+        second = engine.run("prefetch", prefetch_config=quick_prefetch_config).report
         # The cluster is reset between runs, so totals are comparable (same order).
         assert first.num_minibatches == second.num_minibatches
         assert second.total_simulated_time_s == pytest.approx(
@@ -152,29 +154,24 @@ class TestEngineDetails:
 
     def test_max_steps_per_epoch_caps_work(self, small_cluster, quick_prefetch_config):
         config = TrainConfig(epochs=1, hidden_dim=16, max_steps_per_epoch=1, seed=0)
-        engine = TrainingEngine(small_cluster, config)
-        report = engine.run_baseline()
+        engine = ClusterEngine(small_cluster, config)
+        report = engine.run("baseline").report
         assert report.num_minibatches <= small_cluster.world_size
 
-    def test_prefetch_requires_config(self, small_cluster, quick_train_config):
-        engine = TrainingEngine(small_cluster, quick_train_config)
-        with pytest.raises(ValueError):
-            engine.run_prefetch(None)
-
     def test_final_model_available_after_run(self, small_cluster, quick_train_config):
-        engine = TrainingEngine(small_cluster, quick_train_config)
+        engine = ClusterEngine(small_cluster, quick_train_config)
         with pytest.raises(RuntimeError):
             _ = engine.final_model
-        engine.run_baseline()
+        engine.run("baseline")
         assert engine.final_model is not None
 
     def test_gat_architecture_runs(self, small_dataset):
         cluster = SimCluster(small_dataset, ClusterConfig(
             num_machines=2, trainers_per_machine=1, batch_size=64, fanouts=(4, 4), seed=2
         ))
-        report = TrainingEngine(
+        report = ClusterEngine(
             cluster, TrainConfig(epochs=1, arch="gat", hidden_dim=8, num_heads=2, seed=0)
-        ).run_prefetch(PrefetchConfig(halo_fraction=0.25, delta=8))
+        ).run("prefetch", prefetch_config=PrefetchConfig(halo_fraction=0.25, delta=8)).report
         assert report.arch == "gat"
         assert report.total_simulated_time_s > 0
 
@@ -188,29 +185,29 @@ class TestEvaluation:
         cluster = SimCluster(small_dataset, ClusterConfig(
             num_machines=2, trainers_per_machine=1, batch_size=128, fanouts=(5, 10), seed=1
         ))
-        report = TrainingEngine(
+        report = ClusterEngine(
             cluster, TrainConfig(epochs=3, hidden_dim=32, evaluate=True, seed=0)
-        ).run_baseline()
+        ).run("baseline").report
         assert report.val_accuracy is not None and report.test_accuracy is not None
         assert report.val_accuracy > majority_class_accuracy(small_dataset, small_dataset.val_nids()) * 0.9
 
     def test_evaluate_accuracy_function(self, small_dataset, small_cluster, quick_train_config):
-        engine = TrainingEngine(small_cluster, quick_train_config)
-        engine.run_baseline()
+        engine = ClusterEngine(small_cluster, quick_train_config)
+        engine.run("baseline")
         acc = evaluate_accuracy(
             engine.final_model, small_dataset, small_dataset.val_nids(), fanouts=(5, 10), seed=0
         )
         assert 0.0 <= acc <= 1.0
 
     def test_evaluate_loss_function(self, small_dataset, small_cluster, quick_train_config):
-        engine = TrainingEngine(small_cluster, quick_train_config)
-        engine.run_baseline()
+        engine = ClusterEngine(small_cluster, quick_train_config)
+        engine.run("baseline")
         loss = evaluate_loss(
             engine.final_model, small_dataset, small_dataset.val_nids()[:100], fanouts=(5, 10)
         )
         assert loss > 0
 
     def test_evaluate_empty_node_set(self, small_dataset, small_cluster, quick_train_config):
-        engine = TrainingEngine(small_cluster, quick_train_config)
-        engine.run_baseline()
+        engine = ClusterEngine(small_cluster, quick_train_config)
+        engine.run("baseline")
         assert evaluate_accuracy(engine.final_model, small_dataset, np.array([], dtype=np.int64)) == 0.0
