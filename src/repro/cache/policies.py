@@ -138,7 +138,7 @@ class CacheEvictionPolicy(Protocol):
     name: str
 
     def select(self, tier: "CacheTier", num_victims: int) -> np.ndarray:
-        """Indices (into the tier's resident arrays) of up to *num_victims* victims."""
+        """Unique int64 resident-array indices of at most ``max(num_victims, 0)`` victims."""
         ...
 
 
@@ -152,13 +152,23 @@ class NoEviction:
 
 
 class LRUEviction:
-    """Evict the rows hit least recently (ties broken by resident order)."""
+    """Evict the rows hit least recently (ties broken by resident order).
+
+    The first *k* of a stable argsort of the stamps, without sorting the tier:
+    ``np.partition`` finds the *k*-th smallest stamp and only the residents at
+    or below it are stable-sorted."""
 
     name = "lru"
 
     def select(self, tier: "CacheTier", num_victims: int) -> np.ndarray:
-        order = np.argsort(tier.resident_last_access, kind="stable")
-        return order[:num_victims].astype(np.int64)
+        stamps = tier.resident_last_access
+        if num_victims <= 0 or len(stamps) == 0:
+            return np.zeros(0, dtype=np.int64)
+        if num_victims >= len(stamps):
+            return np.argsort(stamps, kind="stable")
+        kth = np.partition(stamps, num_victims - 1)[num_victims - 1]
+        candidates = np.flatnonzero(stamps <= kth)
+        return candidates[np.argsort(stamps[candidates], kind="stable")[:num_victims]]
 
 
 class LFUEviction:
@@ -168,7 +178,7 @@ class LFUEviction:
 
     def select(self, tier: "CacheTier", num_victims: int) -> np.ndarray:
         order = np.lexsort((tier.resident_last_access, tier.resident_freq))
-        return order[:num_victims].astype(np.int64)
+        return order[:max(num_victims, 0)].astype(np.int64)
 
 
 class ClockEviction:
@@ -209,7 +219,7 @@ class DegreeWeightedEviction:
 
     def select(self, tier: "CacheTier", num_victims: int) -> np.ndarray:
         order = np.argsort(tier.resident_degrees, kind="stable")
-        return order[:num_victims].astype(np.int64)
+        return order[:max(num_victims, 0)].astype(np.int64)
 
 
 CACHE_EVICTION_POLICIES = Registry("cache eviction policy")

@@ -12,7 +12,10 @@ once at ``capacity x feature_dim`` and a row never moves after it is written.
 Residents are described by one ``(6, size)`` int64 **index** — id, slot,
 last access, frequency, reference bit, degree — whose columns are kept in
 ascending id order, so membership is a single ``np.searchsorted`` and an
-admission that evicts is one rebuild of that index, never of the rows.
+admission that evicts is one rebuild of that index, never of the rows.  When
+a full tier trades rows one for one, the entering columns overwrite the
+victims' columns in place, and one stable argsort of the id row (sorted but
+for those columns) and one ``take`` restore id order; nothing is concatenated.
 Unlike the prefetch buffer a tier's capacity can change at runtime (the
 adaptive controller re-splits tier budgets between epochs); :meth:`resize`
 is the one place that re-packs the rows into a fresh allocation.
@@ -179,7 +182,8 @@ class CacheTier:
     # ------------------------------------------------------------------ #
     # Introspection (policies read these views: one entry per resident, in
     # ascending id order; each is a row of the index, valid until the next
-    # admit/resize/invalidate/restore rebuilds it)
+    # admit/resize/invalidate/restore rebuilds it — a view held across a
+    # one-for-one admit sees the entering rows written over the victims')
     # ------------------------------------------------------------------ #
     @property
     def size(self) -> int:
@@ -350,17 +354,20 @@ class CacheTier:
             global_ids, first = np.unique(global_ids, return_index=True)
             rows = rows[first]
         fresh = ~self.contains(global_ids)
-        global_ids, rows = global_ids[fresh], rows[fresh]
+        if not fresh.all():  # miss fetches offer no resident: nothing to filter
+            global_ids, rows = global_ids[fresh], rows[fresh]
         if len(global_ids) == 0 or self.capacity == 0:
             self.stats.rejections += int(len(global_ids))
             return 0
 
-        degrees = self._degrees_for(global_ids)
-        mask = self.admission.admit(self, global_ids, degrees)
-        self.stats.rejections += int((~mask).sum())
-        admitted, rows, degrees = global_ids[mask], rows[mask], degrees[mask]
-        if len(admitted) == 0:
-            return 0
+        admitted = global_ids
+        degrees = self._degrees_for(admitted)
+        mask = self.admission.admit(self, admitted, degrees)
+        if not mask.all():  # 'always' admits everything: nothing to filter
+            self.stats.rejections += int((~mask).sum())
+            admitted, rows, degrees = admitted[mask], rows[mask], degrees[mask]
+            if len(admitted) == 0:
+                return 0
 
         victims = np.zeros(0, dtype=np.int64)
         overflow = self.size + len(admitted) - self.capacity
@@ -480,18 +487,26 @@ class CacheTier:
 
         Entering rows overwrite the victims' slots first and then draw on the
         free list; slots left over go back to it.  No other row is touched.
+        Equal counts overwrite the victims' columns in place; otherwise the
+        entering columns are appended and the victims sorted off the end.
         """
+        swap = len(victims) == entering.shape[1]
         slots = self._slots[victims]
-        if len(slots) != entering.shape[1]:  # not a one-for-one swap
+        if not swap:
             pool = np.concatenate([slots, self._free])
             slots, self._free = pool[:entering.shape[1]], pool[entering.shape[1]:]
         entering[_SLOT] = slots
         self._rows[slots] = rows
-        merged = np.concatenate([self._index, entering], axis=1)
-        key = merged[_ID].copy()
-        key[victims] = _EVICTED
-        order = key.argsort(kind="stable")[:merged.shape[1] - len(victims)]
+        size = self.size + entering.shape[1] - len(victims)
         if len(victims):  # the hand wraps over the survivors, before anything enters
             survivors = self.size - len(victims)
             self.clock_hand = self.clock_hand % survivors if survivors else 0
-        self._set_index(merged.take(order, axis=1))
+        if swap:
+            index = self._index
+            index[:, victims] = entering
+            key = index[_ID]
+        else:
+            index = np.concatenate([self._index, entering], axis=1)
+            key = index[_ID].copy()
+            key[victims] = _EVICTED
+        self._set_index(index.take(key.argsort(kind="stable")[:size], axis=1))

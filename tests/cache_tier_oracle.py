@@ -8,7 +8,9 @@ Only storage is overridden; construction, the decision ledger and the scorer
 plumbing are inherited from :class:`~repro.cache.tier.CacheTier`.
 
 :class:`LoopClockEviction` is the CLOCK sweep written as the loop the policy's
-docstring describes, one hand position per iteration.
+docstring describes, one hand position per iteration.  :class:`SortLRUEviction`
+is least-recently-used as one stable argsort of every resident's stamp, the
+form ``LRUEviction`` had before it selected partially.
 """
 
 from __future__ import annotations
@@ -17,6 +19,16 @@ import numpy as np
 
 from repro.cache.tier import CacheTier
 from repro.utils.validation import check_1d_int_array
+
+
+class SortLRUEviction:
+    """Whole-tier stable argsort of the last-access stamps (oracle for ``LRUEviction``)."""
+
+    name = "lru"
+
+    def select(self, tier, num_victims: int) -> np.ndarray:
+        order = np.argsort(tier.resident_last_access, kind="stable")
+        return order[:max(num_victims, 0)].astype(np.int64)
 
 
 class LoopClockEviction:

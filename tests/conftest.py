@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.core.config import PrefetchConfig
 from repro.distributed.cluster import ClusterConfig, SimCluster
@@ -19,6 +20,12 @@ from repro.graph.generators import planted_partition_graph
 from repro.graph.halo import build_partitions
 from repro.graph.partition import metis_partition
 from repro.training.config import TrainConfig
+
+# Example budgets of the property tests that do not pin their own: "default"
+# is tier-1's, "deep" (`pytest --hypothesis-profile deep`) is the CI drift job's.
+settings.register_profile("default", max_examples=12)
+settings.register_profile("deep", max_examples=250)
+settings.load_profile("default")
 
 
 @pytest.fixture(scope="session")

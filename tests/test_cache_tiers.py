@@ -236,6 +236,26 @@ class TestCacheTier:
         assert hit_mask.all()
         np.testing.assert_array_equal(rows, server[ids_of(3, 5)])
 
+    @pytest.mark.parametrize("eviction", CACHE_EVICTION_POLICIES.names())
+    @pytest.mark.parametrize("seeded", [0, 6])
+    def test_every_eviction_policy_keeps_the_victim_count_contract(self, eviction, seeded):
+        # Regression: lru, lfu and degree-weighted sliced their order with
+        # num_victims, so -1 returned size-1 victims instead of none.
+        server = make_server()
+        tier = CacheTier("hot", 8, DIM, eviction=eviction,
+                         degree_of=lambda ids: (ids * 7) % 5)
+        ids = np.arange(2, 2 + 2 * seeded, 2, dtype=np.int64)
+        tier.seed(ids, server[ids])
+        tier.lookup(ids_of(4, 8, 8, 12, 99), step=1)   # mixed stamps, frequencies, refs
+        size = tier.size
+        for num_victims in (-1, 0, 1, size, size + 3):
+            victims = tier.eviction.select(tier, num_victims)
+            assert victims.dtype == np.int64, (num_victims, victims.dtype)
+            assert len(np.unique(victims)) == len(victims) <= size
+            assert ((victims >= 0) & (victims < size)).all()
+            if num_victims <= 0:
+                assert len(victims) == 0, num_victims
+
     def test_resize_shrink_succeeds_even_with_none_policy(self):
         server = make_server()
         tier = CacheTier("hot", 3, DIM, admission="static-degree", eviction="none")

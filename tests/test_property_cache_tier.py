@@ -7,18 +7,29 @@ ids), ``resize`` (grow and shrink), ``invalidate``, ``snapshot`` -> ``restore``
 ``np.insert``/``np.delete`` layout, ``tests/cache_tier_oracle.py``) with the
 same sequence, once per eviction x admission policy pair.  After every
 operation everything observable must agree, and the slot store's own
-invariants must hold.  The CLOCK policy is checked against its loop form the
-same way: the oracle tier sweeps with :class:`LoopClockEviction`.
+invariants must hold.  Two policies are checked against their slow forms the
+same way: the oracle tier sweeps CLOCK with :class:`LoopClockEviction` and
+picks LRU victims with :class:`SortLRUEviction` (a whole-tier stable argsort),
+so victim *order* is compared too.  Capacity 16 (and the ``FULL_TIER_SWAPS``
+example, which every policy pair runs) makes one admit trade several rows one
+for one, the in-place branch of ``CacheTier._splice``.
+
+The partial LRU selection is also held to the full sort directly, on stamps
+with heavy ties.  Example budgets come from the Hypothesis profile
+(``tests/conftest.py``); CI's drift job runs both tests under ``deep``.
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
-from cache_tier_oracle import LoopClockEviction, OracleCacheTier
-from hypothesis import given, settings, strategies as st
+from cache_tier_oracle import LoopClockEviction, OracleCacheTier, SortLRUEviction
+from hypothesis import example, given, settings, strategies as st
 
 from repro.cache import ADMISSION_POLICIES, CACHE_EVICTION_POLICIES, CacheTier
+from repro.cache.policies import LRUEviction
 
 DIM = 3
 UNIVERSE = 24
@@ -50,7 +61,7 @@ ids_lists = st.lists(st.integers(0, UNIVERSE - 1), max_size=10)
 operations = st.lists(
     st.one_of(
         st.tuples(st.just("seed"), st.lists(st.integers(0, UNIVERSE - 1), unique=True,
-                                            max_size=8)),
+                                            max_size=16)),
         st.tuples(st.just("lookup"), ids_lists),
         st.tuples(st.just("admit"), ids_lists),
         st.tuples(st.just("admit_sorted"), ids_lists),
@@ -61,6 +72,18 @@ operations = st.lists(
     ),
     max_size=24,
 )
+# A full capacity-16 tier trading four rows one for one, twice: the in-place
+# branch of CacheTier._splice, with LRU ties among the victims.
+FULL_TIER_SWAPS = [
+    ("seed", [i for i in range(UNIVERSE) if i % 3 != 2]),
+    ("lookup", [3, 9, 1, 22, 4]),
+    ("admit", [20, 2, 5, 20, 8]),
+    ("lookup", [2, 5, 6, 7]),
+    ("admit_sorted", [11, 14, 17, 23]),
+]
+
+
+ORACLE_EVICTION = {"clock": LoopClockEviction, "lru": SortLRUEviction}
 
 
 def build_pair(capacity, eviction, admission):
@@ -68,8 +91,8 @@ def build_pair(capacity, eviction, admission):
     for cls in (CacheTier, OracleCacheTier):
         tier = cls("hot", capacity, DIM, admission=admission, eviction=eviction,
                    degree_of=degree_of)
-        if cls is OracleCacheTier and eviction == "clock":
-            tier.eviction = LoopClockEviction()
+        if cls is OracleCacheTier and eviction in ORACLE_EVICTION:
+            tier.eviction = ORACLE_EVICTION[eviction]()
         tier.eviction = RecordingEviction(tier.eviction)
         pair.append(tier)
     return pair
@@ -128,8 +151,9 @@ def apply(tier, op, arg, step, saved):
 
 @pytest.mark.parametrize("admission", ADMISSION_POLICIES.names())
 @pytest.mark.parametrize("eviction", CACHE_EVICTION_POLICIES.names())
-@given(capacity=st.sampled_from([0, 1, 2, 4, 7]), ops=operations)
-@settings(max_examples=12, deadline=None, derandomize=True)
+@given(capacity=st.sampled_from([0, 1, 2, 4, 7, 16]), ops=operations)
+@example(capacity=16, ops=FULL_TIER_SWAPS)
+@settings(deadline=None, derandomize=True)
 def test_slot_store_matches_the_reallocating_oracle(eviction, admission, capacity, ops):
     real, oracle = build_pair(capacity, eviction, admission)
     saved = {}
@@ -137,3 +161,22 @@ def test_slot_store_matches_the_reallocating_oracle(eviction, admission, capacit
     for step, (op, arg) in enumerate(ops):
         assert apply(real, op, arg, step, saved) == apply(oracle, op, arg, step, saved)
         assert_equivalent(real, oracle)
+
+
+@st.composite
+def tied_stamps(draw):
+    """Last-access stamps over at most four distinct values, and a victim count."""
+    values = draw(st.lists(st.integers(0, 2**40), min_size=1, max_size=4, unique=True))
+    stamps = np.asarray(draw(st.lists(st.sampled_from(values), min_size=1, max_size=48)),
+                        dtype=np.int64)
+    return stamps, draw(st.integers(1, len(stamps) + 2))
+
+
+@given(case=tied_stamps())
+@settings(max_examples=max(100, settings().max_examples), deadline=None)
+def test_partial_lru_selection_matches_the_full_sort(case):
+    stamps, num_victims = case
+    tier = SimpleNamespace(resident_last_access=stamps)
+    victims = LRUEviction().select(tier, num_victims)
+    assert victims.dtype == np.int64
+    np.testing.assert_array_equal(victims, SortLRUEviction().select(tier, num_victims))
