@@ -14,8 +14,8 @@ import pytest
 
 from benchmarks.common import bench_dataset, run_pair, save_table
 from repro.core.config import PrefetchConfig
-from repro.core.lookahead import simulate_lookahead, steady_state_step_time
-from repro.perf.model import components_from_breakdown, prepare_time
+from repro.perf.lookahead import simulate_lookahead, steady_state_step_time
+from repro.perf.model import components_from_breakdown
 
 PREFETCH = PrefetchConfig(halo_fraction=0.35, gamma=0.995, delta=16)
 DEPTHS = (1, 2, 3, 4)
@@ -32,7 +32,7 @@ def test_ext_lookahead_depth(benchmark, bench_scale, bench_epochs):
     prefetch = reports["prefetch"]
     steps = max(1, prefetch.num_minibatches // prefetch.world_size)
     comps = components_from_breakdown(prefetch.component_breakdown, steps)
-    t_prep = prepare_time(comps)
+    t_prep = comps.t_prepare
     t_ddp = comps.t_ddp
 
     rows = []

@@ -7,14 +7,6 @@ from repro.core.config import (
     PAPER_HALO_FRACTIONS,
     PrefetchConfig,
 )
-from repro.core.lookahead import (
-    LookaheadQueue,
-    LookaheadStats,
-    PreparedMinibatch,
-    lookahead_benefit,
-    simulate_lookahead,
-    steady_state_step_time,
-)
 from repro.core.eviction import (
     EVICTION_POLICIES,
     EvictionPolicy,
@@ -45,12 +37,6 @@ from repro.core.scoreboard import (
 
 __all__ = [
     "PrefetchBuffer",
-    "LookaheadQueue",
-    "LookaheadStats",
-    "PreparedMinibatch",
-    "lookahead_benefit",
-    "simulate_lookahead",
-    "steady_state_step_time",
     "PAPER_DELTAS",
     "PAPER_GAMMAS",
     "PAPER_HALO_FRACTIONS",

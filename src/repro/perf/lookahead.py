@@ -14,8 +14,8 @@ This module provides that generalization as an analyzable component:
   preparation work is submitted with a duration, and pops report how long the
   trainer stalls waiting for the head-of-queue preparation to finish;
 * :func:`steady_state_step_time` — closed-form steady-state step time with
-  ``k`` preparation workers (Eq. 5 generalizes to ``max(t_prepare / k, t_DDP)``
-  when preparations are independent and pipelined);
+  ``k`` preparation workers (:mod:`repro.perf.model`'s Eq. 5 over
+  ``t_prepare / k`` when preparations are independent and pipelined);
 * :func:`simulate_lookahead` — discrete simulation over per-step preparation /
   training durations, used to validate the closed form and to explore deeper
   look-ahead in benchmarks and tests.
@@ -27,7 +27,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, List, Optional, Sequence, Tuple
 
-from repro.utils.validation import check_positive
+from repro.perf.model import prefetch_steady_step_time
+from repro.utils.validation import check_duration, check_positive
 
 
 @dataclass
@@ -90,8 +91,7 @@ class LookaheadQueue:
         The preparation runs on the earliest-free worker; the entry enters the
         queue immediately with its future ``ready_at`` timestamp.
         """
-        if prepare_time < 0:
-            raise ValueError("prepare_time must be non-negative")
+        check_duration(prepare_time, "prepare_time")
         if self.is_full:
             raise RuntimeError(
                 f"look-ahead queue is full (capacity={self.capacity}); pop before submitting"
@@ -136,9 +136,9 @@ def steady_state_step_time(t_prepare: float, t_ddp: float, lookahead: int = 1) -
     trains, so the pipeline's bottleneck is ``max(t_prepare / k, t_DDP)``.
     """
     check_positive(lookahead, "lookahead")
-    if t_prepare < 0 or t_ddp < 0:
-        raise ValueError("times must be non-negative")
-    return max(t_prepare / lookahead, t_ddp)
+    check_duration(t_prepare, "t_prepare")
+    check_duration(t_ddp, "t_ddp")
+    return prefetch_steady_step_time(t_prepare / lookahead, t_ddp)
 
 
 def simulate_lookahead(
@@ -156,9 +156,11 @@ def simulate_lookahead(
     """
     if len(prepare_times) != len(train_times):
         raise ValueError("prepare_times and train_times must align")
+    for value in (*prepare_times, *train_times):
+        check_duration(value, "prepare and train times")
     if len(prepare_times) == 0:
         return 0.0, LookaheadStats()
-    queue = LookaheadQueue(capacity=lookahead, workers=workers or lookahead)
+    queue = LookaheadQueue(capacity=lookahead, workers=lookahead if workers is None else workers)
 
     now = 0.0
     # Minibatch 0 must be prepared synchronously (nothing to overlap with).
@@ -182,20 +184,3 @@ def simulate_lookahead(
                 next_to_submit += 1
     return now, queue.stats
 
-
-def lookahead_benefit(
-    t_prepare: float, t_ddp: float, max_lookahead: int = 4, num_steps: int = 200
-) -> List[Tuple[int, float]]:
-    """Total time as a function of the look-ahead depth (for the extension study).
-
-    Returns ``[(k, total_time), ...]`` for ``k = 1 .. max_lookahead`` using the
-    discrete simulation with constant per-step times.
-    """
-    check_positive(num_steps, "num_steps")
-    out: List[Tuple[int, float]] = []
-    prepare = [t_prepare] * num_steps
-    train = [t_ddp] * num_steps
-    for k in range(1, max_lookahead + 1):
-        total, _ = simulate_lookahead(prepare, train, lookahead=k)
-        out.append((k, total))
-    return out

@@ -1,4 +1,4 @@
-"""Analytical performance model (Section IV-C, Equations 2–7).
+"""Analytical performance model (Section IV-C, Equations 2–7 and 9).
 
 The paper derives when the prefetching scheme helps: per-minibatch baseline
 time is sampling + feature movement + DDP training (Eq. 2); with prefetching
@@ -7,16 +7,21 @@ training (Eqs. 4–5), so steady-state time is ``max(t_prepare, t_DDP)`` and the
 potential improvement factor is roughly ``t_RPC / t_DDP + 1`` (Eq. 6).  The
 compounding cost of frequent scoreboard maintenance is modelled by Eq. 7.
 
-These functions are used three ways in this repository: (1) directly, to
-predict speedups from measured component times; (2) as an oracle the
-simulated training engine is validated against in the tests; and (3) by the
-trade-off analysis in :mod:`repro.perf.tradeoffs`.
+Eqs. 2–5 and 9 are written only here, as float functions: the timing
+policies of :mod:`repro.training.pipelines` call them on every simulated step,
+:mod:`repro.perf.lookahead` builds on Eq. 5, and :class:`StepComponents` feeds
+per-step averages through them to predict speedups.  The oracle is
+``tests/timing_oracle.py``: ``tests/test_timing_differential.py`` holds both
+policies to it bit for bit, and ``tests/test_perf_model.py`` checks that every
+trainer of a whole run is charged its summed critical path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict
+
+from repro.utils.validation import check_duration
 
 
 @dataclass(frozen=True)
@@ -30,37 +35,40 @@ class StepComponents:
     t_lookup: float = 0.0
     t_scoring: float = 0.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name, value in self.__dict__.items():
-            if value < 0:
-                raise ValueError(f"{name} must be non-negative, got {value}")
+            check_duration(value, name)
+
+    @property
+    def t_prepare(self) -> float:
+        """Eq. 3 over these components."""
+        return prepare_time(self.t_sampling, self.t_lookup, self.t_scoring, self.t_rpc, self.t_copy)
 
 
-def baseline_step_time(c: StepComponents) -> float:
+def baseline_step_time(t_sampling: float, t_rpc: float, t_copy: float, t_ddp: float) -> float:
     """Eq. 2: ``T_baseline = t_sampling + max(t_RPC, t_copy) + t_DDP``."""
-    c.validate()
-    return c.t_sampling + max(c.t_rpc, c.t_copy) + c.t_ddp
+    return t_sampling + max(t_rpc, t_copy) + t_ddp
 
 
-def prepare_time(c: StepComponents) -> float:
+def prepare_time(
+    t_sampling: float, t_lookup: float, t_scoring: float, t_rpc: float, t_copy: float
+) -> float:
     """Eq. 3: next-minibatch preparation time with prefetching.
 
     ``t_prepare = t_sampling + t_lookup + max(t_scoring, max(t_RPC, t_copy))``
     — the scoreboard update is overlapped with the RPC fetch of missed nodes.
     """
-    c.validate()
-    return c.t_sampling + c.t_lookup + max(c.t_scoring, max(c.t_rpc, c.t_copy))
+    return t_sampling + t_lookup + max(t_scoring, max(t_rpc, t_copy))
 
 
-def prefetch_first_step_time(c: StepComponents) -> float:
+def prefetch_first_step_time(t_prepare: float, t_ddp: float) -> float:
     """Eq. 4: the first minibatch pays its own preparation plus the overlap term."""
-    t_prep = prepare_time(c)
-    return t_prep + max(t_prep, c.t_ddp)
+    return t_prepare + max(t_prepare, t_ddp)
 
 
-def prefetch_steady_step_time(c: StepComponents) -> float:
+def prefetch_steady_step_time(t_prepare: float, t_ddp: float) -> float:
     """Eq. 5: steady state is the max of preparation (next batch) and training (current)."""
-    return max(prepare_time(c), c.t_ddp)
+    return max(t_prepare, t_ddp)
 
 
 def total_time(c: StepComponents, num_steps: int, *, prefetch: bool) -> float:
@@ -68,10 +76,10 @@ def total_time(c: StepComponents, num_steps: int, *, prefetch: bool) -> float:
     if num_steps <= 0:
         return 0.0
     if not prefetch:
-        return num_steps * baseline_step_time(c)
-    if num_steps == 1:
-        return prefetch_first_step_time(c)
-    return prefetch_first_step_time(c) + (num_steps - 1) * prefetch_steady_step_time(c)
+        return num_steps * baseline_step_time(c.t_sampling, c.t_rpc, c.t_copy, c.t_ddp)
+    t_prep = c.t_prepare
+    steady = (num_steps - 1) * prefetch_steady_step_time(t_prep, c.t_ddp)
+    return prefetch_first_step_time(t_prep, c.t_ddp) + steady
 
 
 def improvement_factor(c: StepComponents) -> float:
@@ -96,7 +104,7 @@ def predicted_speedup(c: StepComponents, num_steps: int = 1000) -> float:
 
 def is_perfect_overlap(c: StepComponents) -> bool:
     """True when minibatch preparation hides entirely behind DDP training."""
-    return prepare_time(c) <= c.t_ddp
+    return c.t_prepare <= c.t_ddp
 
 
 def overlap_efficiency(c: StepComponents) -> float:
@@ -105,7 +113,7 @@ def overlap_efficiency(c: StepComponents) -> float:
     Matches the Section V-B2 definition: the complement of the share of the
     steady-state step spent stalled waiting for the next minibatch.
     """
-    t_prep = prepare_time(c)
+    t_prep = c.t_prepare
     if t_prep <= 0:
         return 1.0
     hidden = min(t_prep, c.t_ddp)

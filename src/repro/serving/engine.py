@@ -47,6 +47,7 @@ from repro.serving.report import RequestRecord, ServingReport, WorkerServeStats
 from repro.training.cluster_engine import merged_store_summary, prepare_cluster_run
 from repro.training.config import TrainConfig
 from repro.training.engine import PipelineBuilder
+from repro.training.telemetry import StepTiming
 from repro.utils.rng import derive_seed, ensure_rng
 
 # Forward-only inference: train_step charges model.flops() for the full
@@ -170,27 +171,17 @@ class InferenceClusterEngine:
             )
             fetch = fetch_result.merged
             cost = setup.cost_models[rank]
-
-            sample_s = cost.time_sampling(minibatch.total_edges())
-            lookup_s = cost.time_lookup(fetch.lookup_nodes)
-            scoring_s = cost.time_scoring(fetch.scoring_nodes)
-            eviction_s = (
-                cost.time_eviction(fetch.buffer_capacity, fetch.nodes_replaced)
-                if fetch.eviction_round
-                else 0.0
-            )
-            fetch_s = (
-                fetch.rpc_time_s + fetch.copy_time_s + lookup_s + scoring_s + eviction_s
-            )
+            timing = StepTiming.charge(cost, minibatch, fetch)
+            fetch_s = timing.rpc + timing.copy + timing.lookup + timing.scoring + timing.eviction
             model.forward(minibatch.blocks, features)
             compute_s = cost.time_compute(model.flops(minibatch) * FORWARD_FRACTION)
 
-            clock.advance(sample_s, "sampling")
-            clock.advance(fetch.rpc_time_s, "rpc")
-            clock.advance(fetch.copy_time_s, "copy")
-            clock.advance(lookup_s, "lookup")
-            clock.advance(scoring_s, "scoring")
-            clock.advance(eviction_s, "eviction")
+            clock.advance(timing.sampling, "sampling")
+            clock.advance(timing.rpc, "rpc")
+            clock.advance(timing.copy, "copy")
+            clock.advance(timing.lookup, "lookup")
+            clock.advance(timing.scoring, "scoring")
+            clock.advance(timing.eviction, "eviction")
             clock.advance(compute_s, "compute")
 
             worker_requests[rank] += 1
@@ -205,7 +196,7 @@ class InferenceClusterEngine:
                 arrival_s=float(times[i]),
                 start_s=start_s,
                 done_s=clock.time,
-                sample_s=sample_s,
+                sample_s=timing.sampling,
                 fetch_s=fetch_s,
                 compute_s=compute_s,
             )

@@ -70,22 +70,8 @@ def train_step(
     different machines at different rates (straggler simulation) while the
     numerics stay identical.
     """
-    cost = cost_model
     minibatch = batch.minibatch
-    fetch = batch.fetch.merged
-
-    timing = StepTiming(
-        sampling=cost.time_sampling(minibatch.total_edges()),
-        copy=fetch.copy_time_s,
-        rpc=fetch.rpc_time_s,
-        lookup=cost.time_lookup(fetch.lookup_nodes),
-        scoring=cost.time_scoring(fetch.scoring_nodes),
-        eviction=(
-            cost.time_eviction(fetch.buffer_capacity, fetch.nodes_replaced)
-            if fetch.eviction_round
-            else 0.0
-        ),
-    )
+    timing = StepTiming.charge(cost_model, minibatch, batch.fetch.merged)
 
     # ---------------- model compute ----------------
     logits = model.forward(minibatch.blocks, batch.features)
@@ -96,7 +82,7 @@ def train_step(
     preds = np.argmax(logits, axis=1)
     n_correct = int(np.sum(preds == minibatch.labels))
     n_seen = int(len(minibatch.labels))
-    timing.ddp = cost.time_compute(model.flops(minibatch))
+    timing.ddp = cost_model.time_compute(model.flops(minibatch))
 
     # ---------------- simulated time accounting ----------------
     # The pipeline's timing policy decides what is on the critical path

@@ -42,6 +42,13 @@ from repro.features.sources import (
     TieredCacheSource,
 )
 from repro.features.store import FeatureStore
+from repro.perf.model import (
+    baseline_step_time,
+    communication_stall_time,
+    prefetch_first_step_time,
+    prefetch_steady_step_time,
+    prepare_time,
+)
 from repro.sampling.pipeline import (
     BatchStage,
     FetchFeatureStage,
@@ -63,17 +70,18 @@ if TYPE_CHECKING:  # pragma: no cover
 class SerialTimingPolicy:
     """Eq. 2: sample, fetch, then train — nothing overlaps.
 
-    The RPC time beyond the local copy is the communication stall (Eq. 9).
+    Both equations come from :mod:`repro.perf.model`; the clock's ``rpc``
+    component takes only the stall beyond the local copy (Eq. 9).
     """
 
     name = "serial"
     overlaps_preparation = False
 
     def account(self, timing: StepTiming, trainer_step: int, clock: "SimClock") -> None:
-        critical = timing.sampling + max(timing.rpc, timing.copy) + timing.ddp
+        critical = baseline_step_time(timing.sampling, timing.rpc, timing.copy, timing.ddp)
         clock.advance(timing.sampling, "sampling")
         clock.advance(timing.copy, "copy")
-        clock.advance(max(0.0, timing.rpc - timing.copy), "rpc")
+        clock.advance(communication_stall_time(timing.rpc, timing.copy), "rpc")
         clock.advance(timing.ddp, "ddp")
         timing.prepare = 0.0
         timing.hidden = 0.0
@@ -83,26 +91,25 @@ class SerialTimingPolicy:
 class OverlappedTimingPolicy:
     """Eqs. 3–5: preparation of the next minibatch overlaps DDP training.
 
-    Scoreboard maintenance overlaps the RPC fetch of missed nodes (Eq. 3);
-    the very first minibatch cannot reuse a prefetched batch (Eq. 4); in
-    steady state only the un-hidden part of preparation stalls the trainer
-    (Eq. 5).
+    All three come from :mod:`repro.perf.model`.  Scoring plus eviction
+    overlaps the RPC fetch of missed nodes (Eq. 3); the very first minibatch
+    cannot reuse a prefetched batch (Eq. 4); after it, only the un-hidden
+    part of preparation stalls the trainer (Eq. 5).
     """
 
     name = "overlapped"
     overlaps_preparation = True
 
     def account(self, timing: StepTiming, trainer_step: int, clock: "SimClock") -> None:
-        prepare = (
-            timing.sampling
-            + timing.lookup
-            + max(timing.scoring + timing.eviction, max(timing.rpc, timing.copy))
+        prepare = prepare_time(
+            timing.sampling, timing.lookup, timing.scoring + timing.eviction,
+            timing.rpc, timing.copy,
         )
         timing.prepare = prepare
         if trainer_step == 0:
-            critical = prepare + max(prepare, timing.ddp)
+            critical = prefetch_first_step_time(prepare, timing.ddp)
         else:
-            critical = max(prepare, timing.ddp)
+            critical = prefetch_steady_step_time(prepare, timing.ddp)
         timing.hidden = min(prepare, timing.ddp)
         clock.advance(timing.ddp, "ddp")
         clock.advance(max(0.0, critical - timing.ddp), "stall")

@@ -13,7 +13,7 @@ Two ledgers are kept for every trainer:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -64,6 +64,22 @@ class StepTiming:
     critical_path: float = 0.0    # what this step added to the trainer's clock
     hidden: float = 0.0           # preparation time hidden behind DDP training
 
+    @classmethod
+    def charge(cls, cost, minibatch, fetch) -> "StepTiming":
+        """Price sampling *minibatch* and *fetch*'s lookup/scoring/eviction with *cost*."""
+        return cls(
+            sampling=cost.time_sampling(minibatch.total_edges()),
+            copy=fetch.copy_time_s,
+            rpc=fetch.rpc_time_s,
+            lookup=cost.time_lookup(fetch.lookup_nodes),
+            scoring=cost.time_scoring(fetch.scoring_nodes),
+            eviction=(
+                cost.time_eviction(fetch.buffer_capacity, fetch.nodes_replaced)
+                if fetch.eviction_round
+                else 0.0
+            ),
+        )
+
     def as_dict(self) -> Dict[str, float]:
         return dict(self.__dict__)
 
@@ -71,19 +87,7 @@ class StepTiming:
 class ComponentAccumulator:
     """Sums raw component times across steps for one trainer."""
 
-    FIELDS = (
-        "sampling",
-        "lookup",
-        "scoring",
-        "eviction",
-        "rpc",
-        "copy",
-        "ddp",
-        "allreduce",
-        "prepare",
-        "critical_path",
-        "hidden",
-    )
+    FIELDS = tuple(f.name for f in fields(StepTiming))
 
     def __init__(self) -> None:
         self.totals: Dict[str, float] = {f: 0.0 for f in self.FIELDS}

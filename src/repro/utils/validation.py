@@ -8,6 +8,7 @@ NumPy broadcasting failures deep inside the simulation.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -23,6 +24,13 @@ def check_positive(value: Number, name: str, *, allow_zero: bool = False) -> Num
     else:
         if value <= 0:
             raise ValueError(f"{name} must be > 0, got {value!r}")
+    return value
+
+
+def check_duration(value: float, name: str) -> float:
+    """Require a finite, non-negative time in seconds (NaN fails every comparison)."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
     return value
 
 

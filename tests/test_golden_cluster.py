@@ -31,8 +31,12 @@ GOLDEN_PATH = Path(__file__).parent / "golden" / "cluster_2x2.json"
 REL_TOL = 1e-9
 
 
-def golden_cluster_run() -> ClusterReport:
-    """The fixed-seed 2x2 workload the fixture pins (do not change casually)."""
+def golden_cluster_run(pipeline: str = "prefetch") -> ClusterReport:
+    """The fixed-seed 2x2 workload the fixture pins (do not change casually).
+
+    The fixture is the ``prefetch`` run; ``tests/test_perf_model.py`` also
+    runs ``baseline`` on the same workload.
+    """
     dataset = load_dataset("products", scale=0.05, seed=5)
     cluster = SimCluster(
         dataset,
@@ -43,7 +47,7 @@ def golden_cluster_run() -> ClusterReport:
     )
     engine = ClusterEngine(cluster, TrainConfig(epochs=2, hidden_dim=32, seed=1))
     return engine.run(
-        "prefetch",
+        pipeline,
         prefetch_config=PrefetchConfig(halo_fraction=0.35, gamma=0.995, delta=8),
     )
 

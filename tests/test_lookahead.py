@@ -3,12 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.lookahead import (
-    LookaheadQueue,
-    lookahead_benefit,
-    simulate_lookahead,
-    steady_state_step_time,
-)
+from repro.perf.lookahead import LookaheadQueue, simulate_lookahead, steady_state_step_time
 
 
 class TestLookaheadQueue:
@@ -117,11 +112,9 @@ class TestSimulation:
         with pytest.raises(ValueError):
             simulate_lookahead([1.0], [1.0, 2.0])
 
-    def test_lookahead_benefit_monotone_nonincreasing(self):
-        results = lookahead_benefit(4.0, 1.0, max_lookahead=4, num_steps=50)
-        times = [t for _, t in results]
-        assert all(times[i + 1] <= times[i] + 1e-9 for i in range(len(times) - 1))
-        assert [k for k, _ in results] == [1, 2, 3, 4]
+    def test_total_time_nonincreasing_in_depth(self):
+        totals = [simulate_lookahead([4.0] * 50, [1.0] * 50, lookahead=k)[0] for k in range(1, 5)]
+        assert all(totals[i + 1] <= totals[i] + 1e-9 for i in range(len(totals) - 1))
 
     @given(
         st.lists(st.floats(min_value=0.0, max_value=5.0), min_size=1, max_size=30),

@@ -1,10 +1,16 @@
-"""Tests for the analytical performance model (Eqs. 2-7) and trade-off quadrants."""
+"""Tests for the analytical performance model (Eqs. 2-7, 9) and trade-off quadrants."""
+
+import math
 
 import pytest
 
 from repro.core.config import PrefetchConfig
 from repro.perf import model as pm
 from repro.perf import tradeoffs as tr
+from repro.perf.lookahead import simulate_lookahead, steady_state_step_time
+from test_golden_cluster import golden_cluster_run
+
+NAN, INF = float("nan"), float("inf")
 
 
 def comp(**kwargs):
@@ -15,44 +21,59 @@ def comp(**kwargs):
 
 class TestStepEquations:
     def test_baseline_eq2(self):
-        c = comp()
-        assert pm.baseline_step_time(c) == pytest.approx(0.1 + 0.5 + 1.0)
+        assert pm.baseline_step_time(0.1, 0.5, 0.05, 1.0) == pytest.approx(0.1 + 0.5 + 1.0)
 
     def test_baseline_uses_max_of_rpc_copy(self):
-        c = comp(t_rpc=0.1, t_copy=0.4)
-        assert pm.baseline_step_time(c) == pytest.approx(0.1 + 0.4 + 1.0)
+        assert pm.baseline_step_time(0.1, 0.1, 0.4, 1.0) == pytest.approx(0.1 + 0.4 + 1.0)
 
     def test_prepare_eq3(self):
-        c = comp()
-        assert pm.prepare_time(c) == pytest.approx(0.1 + 0.01 + max(0.02, 0.5))
+        assert pm.prepare_time(0.1, 0.01, 0.02, 0.5, 0.05) == pytest.approx(0.1 + 0.01 + 0.5)
+        assert comp().t_prepare == pm.prepare_time(0.1, 0.01, 0.02, 0.5, 0.05)
 
     def test_prepare_scoring_dominates(self):
-        c = comp(t_scoring=2.0)
-        assert pm.prepare_time(c) == pytest.approx(0.1 + 0.01 + 2.0)
+        assert comp(t_scoring=2.0).t_prepare == pytest.approx(0.1 + 0.01 + 2.0)
 
     def test_first_step_eq4(self):
-        c = comp()
-        prep = pm.prepare_time(c)
-        assert pm.prefetch_first_step_time(c) == pytest.approx(prep + max(prep, c.t_ddp))
+        prep = comp().t_prepare
+        assert pm.prefetch_first_step_time(prep, 1.0) == prep + max(prep, 1.0)
 
     def test_steady_step_eq5(self):
-        c = comp()
-        assert pm.prefetch_steady_step_time(c) == pytest.approx(max(pm.prepare_time(c), 1.0))
+        assert pm.prefetch_steady_step_time(0.61, 1.0) == 1.0
+        assert pm.prefetch_steady_step_time(1.5, 1.0) == 1.5
 
-    def test_negative_component_rejected(self):
+
+class TestBoundaryValidation:
+    """Non-finite or negative times are rejected where they enter the model."""
+
+    CASES = {
+        "nan component": lambda: pm.predicted_speedup(comp(t_rpc=NAN)),
+        "inf component": lambda: pm.total_time(comp(t_ddp=INF), 10, prefetch=True),
+        "negative rpc in Eq. 6": lambda: pm.improvement_factor(
+            pm.StepComponents(t_rpc=-1.0, t_ddp=1.0)),
+        "nan steady state": lambda: steady_state_step_time(NAN, 1.0),
+        "inf steady state": lambda: steady_state_step_time(1.0, INF),
+        "zero workers": lambda: simulate_lookahead([1.0, 1.0], [1.0, 1.0], workers=0),
+        "negative first prepare": lambda: simulate_lookahead([-5.0, 1.0], [1.0, 1.0]),
+        "negative train time": lambda: simulate_lookahead([1.0, 1.0], [1.0, -1.0]),
+        "nan train time": lambda: simulate_lookahead([1.0, 1.0], [NAN, 1.0]),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_rejected(self, case):
         with pytest.raises(ValueError):
-            pm.baseline_step_time(comp(t_rpc=-1.0))
+            self.CASES[case]()
 
 
 class TestTotalsAndSpeedups:
     def test_total_time_baseline_linear(self):
-        c = comp()
-        assert pm.total_time(c, 10, prefetch=False) == pytest.approx(10 * pm.baseline_step_time(c))
+        assert pm.total_time(comp(), 10, prefetch=False) == pytest.approx(
+            10 * pm.baseline_step_time(0.1, 0.5, 0.05, 1.0))
 
     def test_total_time_prefetch(self):
-        c = comp()
-        expected = pm.prefetch_first_step_time(c) + 9 * pm.prefetch_steady_step_time(c)
-        assert pm.total_time(c, 10, prefetch=True) == pytest.approx(expected)
+        prep = comp().t_prepare
+        first, steady = pm.prefetch_first_step_time(prep, 1.0), pm.prefetch_steady_step_time(prep, 1.0)
+        assert pm.total_time(comp(), 10, prefetch=True) == pytest.approx(first + 9 * steady)
+        assert pm.total_time(comp(), 1, prefetch=True) == first
 
     def test_total_time_zero_steps(self):
         assert pm.total_time(comp(), 0, prefetch=True) == 0.0
@@ -123,6 +144,44 @@ class TestEq9AndBreakdowns:
         assert c.t_scoring == pytest.approx(0.25)
         with pytest.raises(ValueError):
             pm.components_from_breakdown(breakdown, 0)
+
+
+def critical_path_mismatches(report, policy: str) -> list:
+    """Per trainer: the summed critical paths of its steps vs its policy's clock seconds.
+
+    The serial policy (Eq. 2) charges ``sampling + copy + rpc + ddp``; the
+    overlapped one (Eqs. 3-5) charges ``ddp + stall``, where the run adds its
+    barrier waits to ``stall`` as well.  One line per trainer that does not
+    reconcile at rel 1e-12.
+    """
+    lines = []
+    for stats, means in zip(report.trainer_stats, report.report.per_trainer_breakdown):
+        clock = stats.components
+        if policy == "serial":
+            charged = clock["sampling"] + clock["copy"] + clock["rpc"] + clock["ddp"]
+        else:
+            charged = clock["ddp"] + clock.get("stall", 0.0) - stats.barrier_wait_s
+        summed = means["critical_path"] * stats.num_steps
+        if not math.isclose(summed, charged, rel_tol=1e-12):
+            lines.append(f"trainer {stats.global_rank}: steps sum to {summed!r}, "
+                         f"the clock was charged {charged!r}")
+    return lines
+
+
+class TestEngineAgainstModel:
+    @pytest.mark.parametrize("pipeline, policy", [("baseline", "serial"),
+                                                  ("prefetch", "overlapped")])
+    def test_2x2_run_charges_the_model_critical_path(self, pipeline, policy):
+        report = golden_cluster_run(pipeline)
+        assert len(report.trainer_stats) == 4
+        assert all(stats.num_steps > 0 for stats in report.trainer_stats)
+        assert critical_path_mismatches(report, policy) == []
+
+    def test_mismatch_is_reported_per_trainer(self):
+        report = golden_cluster_run("baseline")
+        report.trainer_stats[1].components["ddp"] *= 1.001
+        assert [line.split(":")[0] for line in critical_path_mismatches(report, "serial")] == [
+            f"trainer {report.trainer_stats[1].global_rank}"]
 
 
 class TestTradeoffQuadrants:
