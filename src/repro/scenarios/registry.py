@@ -245,12 +245,14 @@ class ClusterWorkload:
         The recipe's ``cache_config`` belongs to the recipe's pipeline: running
         a pipeline that has no cache tiers instead (the ``baseline``
         comparison) leaves it behind.  An explicit ``cache_config`` is never
-        dropped — the cacheless builders raise ``ValueError`` on it.
+        dropped — the cacheless builders raise ``ValueError`` on it.  The
+        recipe's ``prefetch_config`` likewise never reaches ``baseline``, so a
+        baseline report is labelled ``baseline``, not with knobs it never read.
         """
         name = pipeline or self.scenario.pipeline
-        prefetch = prefetch_config or self.scenario.prefetch_config
-        if name != "baseline" and prefetch is None:
-            prefetch = PrefetchConfig()
+        prefetch = prefetch_config
+        if prefetch is None and PIPELINES.resolve(name) != "baseline":
+            prefetch = self.scenario.prefetch_config or PrefetchConfig()
         cacheless_override = (
             pipeline is not None and PIPELINES.resolve(pipeline) in CACHELESS_PIPELINES
         )
