@@ -15,10 +15,8 @@ import dataclasses
 
 import pytest
 
-from benchmarks.common import bench_cluster_config, bench_dataset, save_table
+from benchmarks.common import bench_dataset, bench_scenario, save_table
 from repro.core.config import PrefetchConfig
-from repro.distributed.cluster import ClusterConfig, SimCluster
-from repro.training.cluster_engine import ClusterEngine
 from repro.training.config import TrainConfig
 
 
@@ -28,20 +26,21 @@ def test_ablation_eviction_policies(benchmark, bench_scale, bench_epochs):
     config = PrefetchConfig(halo_fraction=0.25, gamma=0.95, delta=8)
 
     def run_policies():
-        cluster = SimCluster(dataset, bench_cluster_config(2, batch_size=128, seed=15))
-        engine = ClusterEngine(cluster, TrainConfig(epochs=bench_epochs + 1, hidden_dim=32, seed=15))
-        baseline = engine.run("baseline").report
-        out = {"__baseline__": baseline}
+        workload = bench_scenario(batch_size=128).materialize(
+            15, train_config=TrainConfig(epochs=bench_epochs + 1, hidden_dim=32, seed=15),
+            dataset=dataset,
+        )
+        out = {"__baseline__": workload.run("baseline").report}
         # A degree-ranked cache with the same capacity but no scoreboards: the
         # lower bar every eviction policy must clear.
-        out["static-cache"] = engine.run("static-cache", prefetch_config=config).report
-        out["no-eviction"] = engine.run(
+        out["static-cache"] = workload.run("static-cache", prefetch_config=config).report
+        out["no-eviction"] = workload.run(
             "prefetch", prefetch_config=config.without_eviction()
         ).report
         # By name: every trainer builds its own policy from the cluster seed,
         # so the random policy's RNG is not shared across trainers.
         for policy_name in ("score-threshold", "lru", "random"):
-            out[policy_name] = engine.run(
+            out[policy_name] = workload.run(
                 "prefetch",
                 prefetch_config=dataclasses.replace(config, eviction_policy=policy_name),
             ).report
@@ -80,15 +79,13 @@ def test_ablation_partition_quality(benchmark, bench_scale, bench_epochs):
     def run_partitioners():
         out = {}
         for method in ("metis", "random"):
-            cluster_config = ClusterConfig(
-                num_machines=2, trainers_per_machine=2, batch_size=128,
-                fanouts=(5, 10), partition_method=method, seed=16,
+            workload = bench_scenario(batch_size=128, partition_method=method).materialize(
+                16, train_config=TrainConfig(epochs=bench_epochs, hidden_dim=32, seed=16),
+                dataset=dataset,
             )
-            cluster = SimCluster(dataset, cluster_config)
-            engine = ClusterEngine(cluster, TrainConfig(epochs=bench_epochs, hidden_dim=32, seed=16))
-            baseline = engine.run("baseline").report
-            prefetched = engine.run("prefetch", prefetch_config=prefetch).report
-            out[method] = (cluster, baseline, prefetched)
+            baseline = workload.run("baseline").report
+            prefetched = workload.run("prefetch", prefetch_config=prefetch).report
+            out[method] = (workload.cluster, baseline, prefetched)
         return out
 
     results = benchmark.pedantic(run_partitioners, rounds=1, iterations=1)

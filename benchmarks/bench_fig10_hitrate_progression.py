@@ -12,10 +12,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from benchmarks.common import bench_cluster_config, bench_dataset, save_table
+from benchmarks.common import bench_dataset, bench_scenario, save_table
 from repro.core.config import PrefetchConfig
-from repro.distributed.cluster import SimCluster
-from repro.training.cluster_engine import ClusterEngine
 from repro.training.config import TrainConfig
 
 
@@ -25,9 +23,10 @@ def test_fig10_hit_rate_progression(benchmark, bench_scale):
     config = PrefetchConfig(halo_fraction=0.35, gamma=0.995, delta=8)
 
     def run_long():
-        cluster = SimCluster(dataset, bench_cluster_config(2, batch_size=128, seed=7))
-        engine = ClusterEngine(cluster, TrainConfig(epochs=6, hidden_dim=32, seed=7))
-        return engine.run("prefetch", prefetch_config=config).report
+        workload = bench_scenario(batch_size=128).materialize(
+            7, train_config=TrainConfig(epochs=6, hidden_dim=32, seed=7), dataset=dataset
+        )
+        return workload.run("prefetch", prefetch_config=config).report
 
     report = benchmark.pedantic(run_long, rounds=1, iterations=1)
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.common import bench_cluster_config, bench_dataset, save_table
+from benchmarks.common import bench_dataset, bench_scenario, save_table
 from repro.training.config import TrainConfig
 from repro.training.sweep import gamma_sweep
 
@@ -23,11 +23,12 @@ def test_fig13_gamma_sweep(benchmark, bench_scale, bench_epochs):
 
     def run_sweep():
         return gamma_sweep(
-            dataset,
+            bench_scenario(batch_size=128),
             gamma_values=GAMMAS,
             delta_values=DELTAS,
             halo_fraction=0.35,
-            cluster_config=bench_cluster_config(2, batch_size=128, seed=10),
+            seed=10,
+            dataset=dataset,
             train_config=TrainConfig(epochs=bench_epochs, hidden_dim=32, seed=10),
         )
 

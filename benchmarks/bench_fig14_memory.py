@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.common import bench_cluster_config, bench_dataset, save_table
+from benchmarks.common import bench_dataset, bench_scenario, save_table
 from repro.core.config import PrefetchConfig
 from repro.training.config import TrainConfig
 from repro.training.memory import compare_memory
@@ -22,9 +22,10 @@ def test_fig14_peak_memory(benchmark, bench_scale):
 
     def run_profiles():
         return compare_memory(
-            dataset,
+            bench_scenario(batch_size=128),
+            seed=11,
             prefetch_config=PrefetchConfig(halo_fraction=0.5, delta=1, gamma=0.95),
-            cluster_config=bench_cluster_config(2, batch_size=128, seed=11),
+            dataset=dataset,
             train_config=TrainConfig(epochs=2, hidden_dim=32, max_steps_per_epoch=4, seed=11),
         )
 

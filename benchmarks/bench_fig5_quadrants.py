@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.common import bench_cluster_config, bench_dataset, save_table
-from repro.distributed.cluster import SimCluster
+from benchmarks.common import bench_dataset, bench_scenario, save_table
 from repro.perf.tradeoffs import quadrant_configs
-from repro.training.cluster_engine import ClusterEngine
 from repro.training.config import TrainConfig
 
 
@@ -24,12 +22,13 @@ def test_fig5_tradeoff_quadrants(benchmark, bench_scale, bench_epochs):
     configs = quadrant_configs(halo_fraction=0.35, short_delta=4, long_delta=64)
 
     def run_quadrants():
-        cluster = SimCluster(dataset, bench_cluster_config(2, batch_size=128, seed=12))
-        engine = ClusterEngine(cluster, TrainConfig(epochs=bench_epochs + 1, hidden_dim=32, seed=12))
-        baseline = engine.run("baseline").report
-        out = {"__baseline__": baseline}
+        workload = bench_scenario(batch_size=128).materialize(
+            12, train_config=TrainConfig(epochs=bench_epochs + 1, hidden_dim=32, seed=12),
+            dataset=dataset,
+        )
+        out = {"__baseline__": workload.run("baseline").report}
         for name, config in configs.items():
-            out[name] = engine.run("prefetch", prefetch_config=config).report
+            out[name] = workload.run("prefetch", prefetch_config=config).report
         return out
 
     results = benchmark.pedantic(run_quadrants, rounds=1, iterations=1)

@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.common import TRAINERS_PER_MACHINE, bench_cluster_config, bench_dataset, save_table
-from repro.distributed.cluster import SimCluster
-
+from benchmarks.common import bench_dataset, bench_scenario, save_table
 
 MACHINES = (2, 4, 8)
 
@@ -29,15 +27,16 @@ def test_table3_remote_nodes_and_minibatches(benchmark, bench_scale):
         out = {}
         for name, ds in datasets.items():
             for machines in MACHINES:
-                cluster = SimCluster(ds, bench_cluster_config(machines, seed=1))
-                out[(name, machines)] = cluster.summary()
+                workload = bench_scenario(machines).materialize(1, dataset=ds)
+                out[(name, machines)] = workload.cluster.summary()
         return out
 
     summaries = benchmark.pedantic(build_clusters, rounds=1, iterations=1)
 
     rows = []
+    trainers_per_machine = bench_scenario().trainers_per_machine
     for machines in MACHINES:
-        row = [machines * TRAINERS_PER_MACHINE]
+        row = [machines * trainers_per_machine]
         for name in ("arxiv", "reddit", "products", "papers"):
             s = summaries[(name, machines)]
             row.append(f"{s['avg_remote_nodes_per_trainer']:.0f}/{s['minibatches_per_trainer']:.0f}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.common import bench_cluster_config, bench_dataset, save_table
+from benchmarks.common import bench_dataset, bench_scenario, save_table
 from repro.training.config import TrainConfig
 from repro.training.sweep import find_optimal, run_parameter_sweep
 
@@ -28,8 +28,9 @@ def test_table4_optimal_parameters(benchmark, bench_scale, bench_epochs):
         for name, ds in datasets.items():
             for backend in ("cpu", "gpu"):
                 sweep = run_parameter_sweep(
-                    ds,
-                    cluster_config=bench_cluster_config(2, backend=backend, batch_size=128, seed=13),
+                    bench_scenario(backend=backend, batch_size=128),
+                    seed=13,
+                    dataset=ds,
                     train_config=TrainConfig(epochs=bench_epochs, hidden_dim=32, seed=13),
                     **GRID,
                 )

@@ -15,10 +15,8 @@ from pathlib import Path
 from typing import Dict, Iterable, Sequence
 
 from repro.core.config import PrefetchConfig
-from repro.distributed.cluster import ClusterConfig, SimCluster
-from repro.distributed.cost_model import CostModel
 from repro.graph.datasets import GraphDataset, load_dataset
-from repro.training.cluster_engine import ClusterEngine
+from repro.scenarios import SCENARIOS, ClusterScenario
 from repro.training.config import TrainConfig
 from repro.training.telemetry import TrainingReport
 from repro.utils.logging_utils import format_table
@@ -27,30 +25,18 @@ RESULTS_DIR = Path(__file__).parent / "results"
 
 # Benchmark-scale stand-ins for the paper's "#nodes" (machines) axis.
 MACHINE_CONFIGS = (2, 4)
-TRAINERS_PER_MACHINE = 2
-DEFAULT_FANOUTS = (5, 10)
-# Small batches give every trainer enough minibatches per epoch to amortize the
-# prefetcher's one-time initialization and first-minibatch costs, mirroring the
-# paper's hundreds of minibatches per trainer.
-DEFAULT_BATCH = 64
 
 
-def bench_cluster_config(
-    num_machines: int,
-    backend: str = "cpu",
-    batch_size: int = DEFAULT_BATCH,
-    trainers_per_machine: int = TRAINERS_PER_MACHINE,
-    seed: int = 0,
-) -> ClusterConfig:
-    """Cluster topology used across the benchmark suite."""
-    return ClusterConfig(
-        num_machines=num_machines,
-        trainers_per_machine=trainers_per_machine,
-        batch_size=batch_size,
-        fanouts=DEFAULT_FANOUTS,
-        backend=backend,
-        seed=seed,
-    )
+def bench_scenario(num_machines: int = 2, **overrides) -> ClusterScenario:
+    """The cluster every paper-figure bench runs: ``uniform`` with *overrides*.
+
+    ``uniform`` already has the suite's topology: 2 trainers per machine,
+    fanouts (5, 10), METIS partitions, the cpu backend and batch 64 — small
+    batches give every trainer enough minibatches per epoch to amortize the
+    prefetcher's one-time initialization, mirroring the paper's hundreds of
+    minibatches per trainer.
+    """
+    return SCENARIOS.build("uniform").with_overrides(num_machines=num_machines, **overrides)
 
 
 def bench_dataset(name: str, scale: float, seed: int = 0) -> GraphDataset:
@@ -67,26 +53,22 @@ def run_pair(
     *,
     arch: str = "sage",
     num_heads: int = 2,
-    batch_size: int = DEFAULT_BATCH,
     seed: int = 0,
     include_no_eviction: bool = False,
 ) -> Dict[str, TrainingReport]:
-    """Run baseline / (optionally) prefetch-no-evict / prefetch-evict on one cluster."""
-    cluster = SimCluster(
-        dataset,
-        bench_cluster_config(num_machines, backend=backend, batch_size=batch_size, seed=seed),
-        cost_model=CostModel.preset(backend),
+    """Run baseline / (optionally) prefetch-no-evict / prefetch-evict on one workload."""
+    workload = bench_scenario(num_machines, backend=backend).materialize(
+        seed,
+        train_config=TrainConfig(epochs=epochs, arch=arch, hidden_dim=32,
+                                 num_heads=num_heads, seed=seed),
+        dataset=dataset,
     )
-    engine = ClusterEngine(
-        cluster,
-        TrainConfig(epochs=epochs, arch=arch, hidden_dim=32, num_heads=num_heads, seed=seed),
-    )
-    out: Dict[str, TrainingReport] = {"baseline": engine.run("baseline").report}
+    out: Dict[str, TrainingReport] = {"baseline": workload.run("baseline").report}
     if include_no_eviction:
-        out["prefetch_no_evict"] = engine.run(
+        out["prefetch_no_evict"] = workload.run(
             "prefetch", prefetch_config=prefetch_config.without_eviction()
         ).report
-    out["prefetch"] = engine.run("prefetch", prefetch_config=prefetch_config).report
+    out["prefetch"] = workload.run("prefetch", prefetch_config=prefetch_config).report
     return out
 
 

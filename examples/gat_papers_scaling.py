@@ -11,8 +11,7 @@ Run with:  python examples/gat_papers_scaling.py
 
 from __future__ import annotations
 
-from repro import ClusterConfig, CostModel, PrefetchConfig, SimCluster, TrainConfig, load_dataset
-from repro.training.cluster_engine import ClusterEngine
+from repro import SCENARIOS, PrefetchConfig, TrainConfig, load_dataset
 from repro.utils.logging_utils import format_table
 
 COMPONENTS = ("sampling", "lookup", "scoring", "rpc", "copy", "ddp", "allreduce")
@@ -26,19 +25,16 @@ def main() -> None:
     rows = []
     for backend in ("cpu", "gpu"):
         for machines in (2, 4):
-            cluster = SimCluster(
-                dataset,
-                ClusterConfig(
-                    num_machines=machines, trainers_per_machine=2, batch_size=64,
-                    fanouts=(5, 10), backend=backend, seed=2,
-                ),
-                cost_model=CostModel.preset(backend),
+            scenario = SCENARIOS.build("uniform").with_overrides(
+                num_machines=machines, backend=backend, prefetch_config=prefetch_config
             )
-            engine = ClusterEngine(
-                cluster, TrainConfig(epochs=2, arch="gat", hidden_dim=16, num_heads=2, seed=2)
+            workload = scenario.materialize(
+                2,
+                train_config=TrainConfig(epochs=2, arch="gat", hidden_dim=16, num_heads=2, seed=2),
+                dataset=dataset,
             )
-            baseline = engine.run("baseline").report
-            prefetch = engine.run("prefetch", prefetch_config=prefetch_config).report
+            baseline = workload.run("baseline").report
+            prefetch = workload.run().report
             rows.append(
                 [backend, machines * 2,
                  f"{baseline.total_simulated_time_s:.4f}",

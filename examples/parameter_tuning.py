@@ -11,7 +11,7 @@ Run with:  python examples/parameter_tuning.py
 
 from __future__ import annotations
 
-from repro import ClusterConfig, TrainConfig, load_dataset
+from repro import SCENARIOS, TrainConfig, load_dataset
 from repro.perf.tradeoffs import classify_quadrant
 from repro.training.sweep import find_optimal, run_parameter_sweep
 from repro.utils.logging_utils import format_table
@@ -21,15 +21,14 @@ def main() -> None:
     dataset = load_dataset("reddit", scale=0.25, seed=1)
     print(f"Dataset: reddit analog ({dataset.num_nodes} nodes, {dataset.num_edges} edges)")
 
-    cluster_config = ClusterConfig(
-        num_machines=2, trainers_per_machine=2, batch_size=128, fanouts=(5, 10), seed=1
-    )
+    scenario = SCENARIOS.build("uniform").with_overrides(batch_size=128)
     train_config = TrainConfig(epochs=2, hidden_dim=32, seed=1)
 
     print("\nRunning the parameter sweep (one baseline + one run per grid point) ...")
     sweep = run_parameter_sweep(
-        dataset,
-        cluster_config=cluster_config,
+        scenario,
+        seed=1,
+        dataset=dataset,
         train_config=train_config,
         halo_fractions=(0.15, 0.35, 0.5),
         gammas=(0.95, 0.995),
@@ -45,7 +44,9 @@ def main() -> None:
             else "no eviction"
         )
         rows.append(
-            [point.halo_fraction, point.gamma, point.delta,
+            [point.halo_fraction,
+             "-" if point.gamma is None else point.gamma,
+             "-" if point.delta is None else point.delta,
              "yes" if point.eviction_enabled else "no",
              f"{point.total_time_s:.4f}", f"{point.hit_rate:.3f}",
              f"{point.improvement_percent:.1f}", quadrant]
@@ -55,9 +56,13 @@ def main() -> None:
     ))
 
     best = find_optimal(sweep)
+    eviction = (
+        f"gamma={best['gamma']}, delta={best['delta']}"
+        if best["eviction_enabled"]
+        else "no eviction"
+    )
     print(
-        f"\nTime-optimal configuration (Table IV rule): f_h={best['halo_fraction']}, "
-        f"gamma={best['gamma']}, delta={int(best['delta'])} "
+        f"\nTime-optimal configuration (Table IV rule): f_h={best['halo_fraction']}, {eviction} "
         f"-> {best['improvement_percent']:.1f}% over the baseline, hit rate {best['hit_rate']:.3f}"
     )
     print(

@@ -6,10 +6,10 @@ trains a 2-layer GraphSAGE with both data pipelines, and prints the end-to-end
 comparison the paper's Fig. 6 is built from: simulated training time, percent
 improvement, hit rate, and the reduction in remote feature fetches.
 
-Both pipelines run through the same engine loop: ``compare_baseline_and_prefetch``
-builds one cluster and one ``ClusterEngine`` and calls ``run("baseline")`` and
-``run("prefetch", prefetch_config=...)`` on it — the registered ``"baseline"`` and
-``"prefetch"`` minibatch pipelines (see ``examples/feature_store_pipeline.py``
+The cluster is the ``uniform`` scenario with a few overrides, materialized
+once; ``run("baseline")`` and ``run()`` (the scenario's ``"prefetch"`` pipeline)
+execute the registered minibatch pipelines on it — the same two runs
+``repro run --mode both`` makes (see ``examples/feature_store_pipeline.py``
 for the underlying FeatureStore / MiniBatchPipeline API).
 
 Run with:  python examples/quickstart.py
@@ -17,8 +17,7 @@ Run with:  python examples/quickstart.py
 
 from __future__ import annotations
 
-from repro import ClusterConfig, PrefetchConfig, TrainConfig, load_dataset
-from repro.training import compare_baseline_and_prefetch
+from repro import SCENARIOS, PrefetchConfig, TrainConfig, load_dataset
 from repro.utils.logging_utils import format_table
 
 
@@ -28,21 +27,17 @@ def main() -> None:
     print(f"  {dataset.num_nodes} nodes, {dataset.num_edges} edges, "
           f"{dataset.feature_dim}-dim features, {dataset.num_classes} classes")
 
-    prefetch_config = PrefetchConfig(halo_fraction=0.35, gamma=0.995, delta=16)
-    cluster_config = ClusterConfig(
-        num_machines=2,
-        trainers_per_machine=2,
+    scenario = SCENARIOS.build("uniform").with_overrides(
         batch_size=128,
         fanouts=(10, 25),     # the paper's GraphSAGE fan-out
-        backend="cpu",
-        seed=0,
+        prefetch_config=PrefetchConfig(halo_fraction=0.35, gamma=0.995, delta=16),
     )
     train_config = TrainConfig(epochs=3, hidden_dim=64, evaluate=True, seed=0)
+    workload = scenario.materialize(0, train_config=train_config, dataset=dataset)
 
     print("\nTraining baseline (DistDGL-style) and MassiveGNN (prefetch + eviction) ...")
-    baseline, prefetch = compare_baseline_and_prefetch(
-        dataset, prefetch_config, cluster_config, train_config
-    )
+    baseline = workload.run("baseline").report
+    prefetch = workload.run().report
 
     rows = [
         ["simulated training time (s)",

@@ -22,18 +22,19 @@ Massively Connected Distributed Graphs* (CLUSTER 2024) in pure Python/NumPy:
 * :mod:`repro.perf` — the analytical performance model (Eqs. 2–7) and the
   (γ, Δ) trade-off analysis.
 
-Quickstart::
+Quickstart — every run is a :class:`~repro.scenarios.ClusterScenario`;
+the Fig. 6 comparison is two runs on one materialized workload (what
+``repro run --mode both`` prints)::
 
-    from repro import load_dataset, ClusterConfig, TrainConfig, PrefetchConfig
-    from repro.training import compare_baseline_and_prefetch
+    from repro import SCENARIOS, PrefetchConfig, TrainConfig
 
-    dataset = load_dataset("products", scale=0.25, seed=0)
-    baseline, prefetch = compare_baseline_and_prefetch(
-        dataset,
+    scenario = SCENARIOS.build("uniform").with_overrides(scale=0.25, batch_size=256)
+    workload = scenario.materialize(0, train_config=TrainConfig(epochs=3))
+    baseline = workload.run("baseline").report
+    prefetch = workload.run(
+        "prefetch",
         prefetch_config=PrefetchConfig(halo_fraction=0.25, gamma=0.995, delta=64),
-        cluster_config=ClusterConfig(num_machines=2, trainers_per_machine=2, batch_size=256),
-        train_config=TrainConfig(epochs=3),
-    )
+    ).report
     print("improvement %:", prefetch.improvement_percent_vs(baseline))
 """
 
@@ -73,7 +74,6 @@ from repro.training import (
     TrainConfig,
     TrainingReport,
     build_pipeline,
-    compare_baseline_and_prefetch,
 )
 
 __version__ = "1.1.0"
@@ -113,6 +113,5 @@ __all__ = [
     "TrainConfig",
     "TrainingReport",
     "build_pipeline",
-    "compare_baseline_and_prefetch",
     "__version__",
 ]

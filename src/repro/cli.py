@@ -65,7 +65,6 @@ from repro.cache.policies import ADMISSION_POLICIES, CACHE_EVICTION_POLICIES
 from repro.cache.scoring import capture_decisions
 from repro.core.config import PrefetchConfig
 from repro.core.eviction import EVICTION_POLICIES
-from repro.distributed.cluster import ClusterConfig
 from repro.distributed.rpc import RPC_CHANNELS
 from repro.events.sync import SYNC_POLICIES
 from repro.graph.datasets import available_datasets, load_dataset
@@ -866,15 +865,13 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    dataset = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
+    scenario = SCENARIOS.build("uniform").with_overrides(
+        dataset=args.dataset, scale=args.scale, num_machines=args.machines,
+        batch_size=args.batch_size, backend=args.backend, epochs=args.epochs,
+    )
     sweep = run_parameter_sweep(
-        dataset,
-        cluster_config=ClusterConfig(
-            num_machines=args.machines, trainers_per_machine=2,
-            batch_size=args.batch_size, fanouts=(5, 10),
-            backend=args.backend, seed=args.seed,
-        ),
-        train_config=TrainConfig(epochs=args.epochs, hidden_dim=32, seed=args.seed),
+        scenario,
+        seed=args.seed,
         halo_fractions=tuple(args.halo_fractions),
         gammas=tuple(args.gammas),
         deltas=tuple(args.deltas),

@@ -5,7 +5,6 @@ from repro.training.cluster_engine import (
     ClusterEngine,
     ClusterReport,
     TrainerRunStats,
-    compare_baseline_and_prefetch,
 )
 from repro.training.config import TrainConfig
 from repro.training.engines import ENGINES, build_engine
@@ -48,7 +47,6 @@ __all__ = [
     "evaluate_accuracy",
     "evaluate_loss",
     "majority_class_accuracy",
-    "compare_baseline_and_prefetch",
     "MemoryProfile",
     "compare_memory",
     "profile_memory",

@@ -28,25 +28,26 @@ What a :class:`ClusterReport` carries beyond that report:
 The run state itself (setup, step, barrier charge, report assembly) is
 :class:`~repro.training.backends.ClusterRun`, shared with the event-driven
 :class:`~repro.training.async_engine.AsyncClusterEngine`; this module holds
-the lockstep driver, the report types, the setup/roll-up helpers and the
-Fig. 6 convenience :func:`compare_baseline_and_prefetch`.
+the lockstep driver, the report types and the setup/roll-up helpers.  Engines
+are built by :meth:`~repro.scenarios.ClusterScenario.materialize` (through
+:func:`~repro.training.engines.build_engine`); the Fig. 6 comparison is two
+``run`` calls on one materialized workload — ``run("baseline")`` and
+``run("prefetch", ...)`` — which is what ``repro run --mode both`` does.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
 from repro.cache.config import CacheConfig
 from repro.core.config import PrefetchConfig
-from repro.distributed.cluster import ClusterConfig, SimCluster
-from repro.distributed.cost_model import CostModel
+from repro.distributed.cluster import SimCluster
 from repro.distributed.ddp import allreduce_gradients
 from repro.features.store import merge_store_summaries
-from repro.graph.datasets import GraphDataset
 from repro.nn import build_model, build_optimizer
 from repro.sampling.pipeline import MiniBatchPipeline
 from repro.training.config import TrainConfig
@@ -490,21 +491,3 @@ class ClusterEngine:
             raise RuntimeError("no cluster run has completed yet")
         return model
 
-
-def compare_baseline_and_prefetch(
-    dataset: GraphDataset,
-    prefetch_config: Optional[PrefetchConfig] = None,
-    cluster_config: Optional[ClusterConfig] = None,
-    train_config: Optional[TrainConfig] = None,
-    cost_model: Optional[CostModel] = None,
-) -> Tuple[TrainingReport, TrainingReport]:
-    """Run both pipelines on the *same* cluster and return (baseline, prefetch).
-
-    Sharing the cluster guarantees both runs see identical partitions and seed
-    assignments, which is how the paper's Fig. 6 comparison is constructed.
-    """
-    cluster = SimCluster(dataset, cluster_config or ClusterConfig(), cost_model=cost_model)
-    engine = ClusterEngine(cluster, train_config or TrainConfig())
-    baseline = engine.run("baseline").report
-    prefetch = engine.run("prefetch", prefetch_config=prefetch_config or PrefetchConfig()).report
-    return baseline, prefetch

@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import tracemalloc
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 from repro.core.config import PrefetchConfig
-from repro.distributed.cluster import ClusterConfig, SimCluster
-from repro.distributed.cost_model import CostModel
-from repro.graph.datasets import GraphDataset
-from repro.training.cluster_engine import ClusterEngine
+from repro.graph.datasets import GraphDataset, load_dataset
 from repro.training.config import TrainConfig
+
+if TYPE_CHECKING:  # repro.scenarios imports this package
+    from repro.scenarios.registry import ClusterScenario
 
 
 @dataclass
@@ -39,65 +39,67 @@ class MemoryProfile:
         }
 
 
-def _measure(fn) -> int:
-    """Peak traced allocation (bytes) while running *fn*."""
+def _measure(fn) -> Tuple[Any, int]:
+    """*fn*'s result and the peak traced allocation (bytes) while it ran."""
     tracemalloc.start()
     try:
-        fn()
+        result = fn()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return int(peak)
+    return result, int(peak)
 
 
 def profile_memory(
-    dataset: GraphDataset,
+    scenario: "ClusterScenario",
     mode: str,
+    seed: int = 0,
     prefetch_config: Optional[PrefetchConfig] = None,
-    cluster_config: Optional[ClusterConfig] = None,
+    dataset: Optional[GraphDataset] = None,
     train_config: Optional[TrainConfig] = None,
-    cost_model: Optional[CostModel] = None,
 ) -> MemoryProfile:
-    """Measure peak allocations of cluster construction/prefetcher init vs. training."""
+    """Peak allocations of ``scenario.materialize`` (init) vs. the *mode* run (train).
+
+    The dataset is loaded before the init phase starts, so neither phase
+    counts it.  ``prefetch_config`` applies to ``"prefetch"`` only (default:
+    the paper's extreme configuration); passing one with ``"baseline"`` is a
+    ``ValueError``, since that pipeline would never read it.
+    """
     if mode not in ("baseline", "prefetch"):
         raise ValueError("mode must be 'baseline' or 'prefetch'")
-    cluster_config = cluster_config or ClusterConfig()
-    train_config = train_config or TrainConfig(epochs=2)
+    if mode == "baseline" and prefetch_config is not None:
+        raise ValueError(
+            "a PrefetchConfig has no effect on the 'baseline' pipeline; "
+            "profile mode 'prefetch' to measure it"
+        )
     if mode == "prefetch" and prefetch_config is None:
         # Paper's extreme configuration: half the halo nodes buffered and an
         # eviction round on every minibatch.
         prefetch_config = PrefetchConfig(halo_fraction=0.5, delta=1, gamma=0.95)
+    if dataset is None:
+        dataset = load_dataset(scenario.dataset, scale=scenario.scale, seed=seed)
 
-    state: Dict[str, object] = {}
-
-    def init_phase() -> None:
-        state["cluster"] = SimCluster(dataset, cluster_config, cost_model=cost_model)
-        state["engine"] = ClusterEngine(state["cluster"], train_config)
-
-    init_peak = _measure(init_phase)
-
-    def train_phase() -> None:
-        engine: ClusterEngine = state["engine"]  # type: ignore[assignment]
-        engine.run(mode, prefetch_config=prefetch_config)
-
-    train_peak = _measure(train_phase)
+    workload, init_peak = _measure(
+        lambda: scenario.materialize(seed, train_config=train_config, dataset=dataset)
+    )
+    _, train_peak = _measure(lambda: workload.run(mode, prefetch_config=prefetch_config))
     return MemoryProfile(mode=mode, init_peak_bytes=init_peak, train_peak_bytes=train_peak)
 
 
 def compare_memory(
-    dataset: GraphDataset,
+    scenario: "ClusterScenario",
+    seed: int = 0,
     prefetch_config: Optional[PrefetchConfig] = None,
-    cluster_config: Optional[ClusterConfig] = None,
+    dataset: Optional[GraphDataset] = None,
     train_config: Optional[TrainConfig] = None,
-    cost_model: Optional[CostModel] = None,
 ) -> Dict[str, MemoryProfile]:
     """Fig. 14: baseline vs. prefetch peak memory under the extreme configuration."""
-    baseline = profile_memory(
-        dataset, "baseline", cluster_config=cluster_config,
-        train_config=train_config, cost_model=cost_model,
-    )
-    prefetch = profile_memory(
-        dataset, "prefetch", prefetch_config=prefetch_config,
-        cluster_config=cluster_config, train_config=train_config, cost_model=cost_model,
-    )
-    return {"baseline": baseline, "prefetch": prefetch}
+    return {
+        "baseline": profile_memory(
+            scenario, "baseline", seed, dataset=dataset, train_config=train_config
+        ),
+        "prefetch": profile_memory(
+            scenario, "prefetch", seed, prefetch_config, dataset=dataset,
+            train_config=train_config,
+        ),
+    }

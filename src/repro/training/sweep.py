@@ -4,14 +4,14 @@ The paper tests f_h ∈ {15, 25, 35, 50}%, Δ ∈ {16 … 1024}, γ ∈ {0.95, 0
 0.9995} per dataset/backend and reports the combination that minimizes
 end-to-end training time (time is prioritized over hit rate when they
 disagree, Section V-A4).  :func:`run_parameter_sweep` executes an arbitrary
-grid on a shared cluster and :func:`find_optimal` reproduces that selection
-rule.
+grid on one materialized :class:`~repro.scenarios.ClusterScenario` and
+:func:`find_optimal` reproduces that selection rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -21,29 +21,29 @@ from repro.core.config import (
     PAPER_HALO_FRACTIONS,
     PrefetchConfig,
 )
-from repro.distributed.cluster import ClusterConfig, SimCluster
-from repro.distributed.cost_model import CostModel
 from repro.graph.datasets import GraphDataset
-from repro.training.cluster_engine import ClusterEngine
 from repro.training.config import TrainConfig
 from repro.training.telemetry import TrainingReport
+
+if TYPE_CHECKING:  # repro.scenarios imports this package
+    from repro.scenarios.registry import ClusterScenario
 
 
 @dataclass
 class SweepPoint:
-    """One evaluated configuration in a sweep."""
+    """One evaluated configuration in a sweep.
+
+    A point without eviction has no ``gamma`` or ``delta``: both are ``None``.
+    """
 
     halo_fraction: float
-    gamma: float
-    delta: int
+    gamma: Optional[float]
+    delta: Optional[int]
     eviction_enabled: bool
     total_time_s: float
     hit_rate: float
     improvement_percent: float
     report: Optional[TrainingReport] = field(default=None, repr=False)
-
-    def key(self) -> Tuple[float, float, int]:
-        return (self.halo_fraction, self.gamma, self.delta)
 
 
 @dataclass
@@ -72,22 +72,24 @@ class SweepResult:
 
 
 def run_parameter_sweep(
-    dataset: GraphDataset,
-    cluster_config: Optional[ClusterConfig] = None,
+    scenario: "ClusterScenario",
+    seed: int = 0,
+    dataset: Optional[GraphDataset] = None,
     train_config: Optional[TrainConfig] = None,
     halo_fractions: Sequence[float] = (0.25,),
     gammas: Sequence[float] = (0.995,),
     deltas: Sequence[int] = (64,),
     include_no_eviction: bool = False,
-    cost_model: Optional[CostModel] = None,
     keep_reports: bool = False,
 ) -> SweepResult:
-    """Run the baseline once plus one prefetch run per grid point on a shared cluster."""
-    cluster_config = cluster_config or ClusterConfig()
-    train_config = train_config or TrainConfig()
-    cluster = SimCluster(dataset, cluster_config, cost_model=cost_model)
-    engine = ClusterEngine(cluster, train_config)
-    baseline = engine.run("baseline").report
+    """Run the baseline once plus one prefetch run per grid point on one workload.
+
+    *scenario* is materialized once at *seed* (see
+    :meth:`~repro.scenarios.ClusterScenario.materialize` for ``dataset`` and
+    ``train_config``), so every point sees the same partitions and seeds.
+    """
+    workload = scenario.materialize(seed, train_config=train_config, dataset=dataset)
+    baseline = workload.run("baseline").report
 
     points: List[SweepPoint] = []
     for f_h in halo_fractions:
@@ -98,13 +100,14 @@ def run_parameter_sweep(
             for delta in deltas:
                 configs.append(PrefetchConfig(halo_fraction=f_h, gamma=gamma, delta=delta))
         for config in configs:
-            report = engine.run("prefetch", prefetch_config=config).report
+            report = workload.run("prefetch", prefetch_config=config).report
+            evicts = config.eviction_enabled
             points.append(
                 SweepPoint(
                     halo_fraction=config.halo_fraction,
-                    gamma=config.gamma,
-                    delta=config.delta,
-                    eviction_enabled=config.eviction_enabled,
+                    gamma=config.gamma if evicts else None,
+                    delta=config.delta if evicts else None,
+                    eviction_enabled=evicts,
                     total_time_s=report.total_simulated_time_s,
                     hit_rate=report.hit_rate,
                     improvement_percent=report.improvement_percent_vs(baseline),
@@ -116,11 +119,15 @@ def run_parameter_sweep(
 
 def find_optimal(
     sweep: SweepResult, prioritize: str = "time"
-) -> Dict[str, float]:
-    """Table IV selection rule: the (f_h, γ, Δ) minimizing end-to-end time."""
+) -> Dict[str, object]:
+    """Table IV selection rule: the (f_h, γ, Δ) minimizing end-to-end time.
+
+    ``gamma`` and ``delta`` are ``None`` when the optimum never evicts.
+    """
     best = sweep.best(by=prioritize)
     return {
         "halo_fraction": best.halo_fraction,
+        "eviction_enabled": best.eviction_enabled,
         "gamma": best.gamma,
         "delta": best.delta,
         "total_time_s": best.total_time_s,
@@ -145,54 +152,49 @@ def paper_grid(reduced: bool = True) -> Dict[str, Sequence[float]]:
 
 
 def delta_sweep(
-    dataset: GraphDataset,
+    scenario: "ClusterScenario",
     gamma_values: Iterable[float],
     delta_values: Iterable[int],
     halo_fraction: float = 0.25,
-    cluster_config: Optional[ClusterConfig] = None,
+    seed: int = 0,
+    dataset: Optional[GraphDataset] = None,
     train_config: Optional[TrainConfig] = None,
-    cost_model: Optional[CostModel] = None,
 ) -> Dict[float, List[SweepPoint]]:
-    """Fig. 12 data: for each γ, sweep the eviction interval Δ."""
-    out: Dict[float, List[SweepPoint]] = {}
-    for gamma in gamma_values:
-        sweep = run_parameter_sweep(
-            dataset,
-            cluster_config=cluster_config,
+    """Fig. 12 data: for each γ, sweep the eviction interval Δ on a fresh workload."""
+    deltas = tuple(delta_values)
+    return {
+        float(gamma): run_parameter_sweep(
+            scenario,
+            seed=seed,
+            dataset=dataset,
             train_config=train_config,
             halo_fractions=(halo_fraction,),
             gammas=(gamma,),
-            deltas=tuple(delta_values),
-            cost_model=cost_model,
-        )
-        out[float(gamma)] = sweep.points
-    return out
+            deltas=deltas,
+        ).points
+        for gamma in gamma_values
+    }
 
 
 def gamma_sweep(
-    dataset: GraphDataset,
+    scenario: "ClusterScenario",
     gamma_values: Iterable[float],
     delta_values: Iterable[int],
     halo_fraction: float = 0.25,
-    cluster_config: Optional[ClusterConfig] = None,
+    seed: int = 0,
+    dataset: Optional[GraphDataset] = None,
     train_config: Optional[TrainConfig] = None,
-    cost_model: Optional[CostModel] = None,
 ) -> Dict[float, Dict[str, float]]:
     """Fig. 13 data: per γ, the mean/min/max time and hit rate across Δ values."""
     results: Dict[float, Dict[str, float]] = {}
-    for gamma in gamma_values:
-        sweep = run_parameter_sweep(
-            dataset,
-            cluster_config=cluster_config,
-            train_config=train_config,
-            halo_fractions=(halo_fraction,),
-            gammas=(gamma,),
-            deltas=tuple(delta_values),
-            cost_model=cost_model,
-        )
-        times = np.array([p.total_time_s for p in sweep.points])
-        hits = np.array([p.hit_rate for p in sweep.points])
-        results[float(gamma)] = {
+    per_gamma = delta_sweep(
+        scenario, gamma_values, delta_values, halo_fraction,
+        seed=seed, dataset=dataset, train_config=train_config,
+    )
+    for gamma, points in per_gamma.items():
+        times = np.array([p.total_time_s for p in points])
+        hits = np.array([p.hit_rate for p in points])
+        results[gamma] = {
             "mean_time_s": float(times.mean()),
             "min_time_s": float(times.min()),
             "max_time_s": float(times.max()),

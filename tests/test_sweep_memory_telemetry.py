@@ -5,11 +5,10 @@ import pytest
 
 from repro.core.config import PrefetchConfig
 from repro.core.metrics import HitRateTracker
-from repro.distributed.cluster import ClusterConfig
+from repro.scenarios import SCENARIOS
 from repro.training.config import TrainConfig
 from repro.training.memory import compare_memory, profile_memory
 from repro.training.sweep import (
-    SweepPoint,
     delta_sweep,
     find_optimal,
     gamma_sweep,
@@ -24,17 +23,19 @@ from repro.training.telemetry import (
 )
 
 
-QUICK_CLUSTER = ClusterConfig(
-    num_machines=2, trainers_per_machine=1, batch_size=128, fanouts=(4, 6), seed=3
+QUICK_SCENARIO = SCENARIOS.build("uniform").with_overrides(
+    trainers_per_machine=1, batch_size=128, fanouts=(4, 6)
 )
+QUICK_SEED = 3
 QUICK_TRAIN = TrainConfig(epochs=1, hidden_dim=16, seed=0)
 
 
 class TestSweeps:
     def test_run_parameter_sweep_shape(self, small_dataset):
         sweep = run_parameter_sweep(
-            small_dataset,
-            cluster_config=QUICK_CLUSTER,
+            QUICK_SCENARIO,
+            seed=QUICK_SEED,
+            dataset=small_dataset,
             train_config=QUICK_TRAIN,
             halo_fractions=(0.25,),
             gammas=(0.95, 0.995),
@@ -48,8 +49,9 @@ class TestSweeps:
 
     def test_include_no_eviction_adds_point(self, small_dataset):
         sweep = run_parameter_sweep(
-            small_dataset,
-            cluster_config=QUICK_CLUSTER,
+            QUICK_SCENARIO,
+            seed=QUICK_SEED,
+            dataset=small_dataset,
             train_config=QUICK_TRAIN,
             halo_fractions=(0.25,),
             gammas=(0.995,),
@@ -59,10 +61,24 @@ class TestSweeps:
         assert len(sweep.points) == 2
         assert any(not p.eviction_enabled for p in sweep.points)
 
+    def test_no_eviction_point_claims_no_gamma_or_delta(self, small_dataset):
+        sweep = run_parameter_sweep(
+            QUICK_SCENARIO, seed=QUICK_SEED, dataset=small_dataset, train_config=QUICK_TRAIN,
+            halo_fractions=(0.25,), gammas=(0.95,), deltas=(8,), include_no_eviction=True,
+        )
+        assert [(p.eviction_enabled, p.gamma, p.delta) for p in sweep.points] == [
+            (False, None, None), (True, 0.95, 8),
+        ]
+        sweep.points = sweep.points[:1]
+        optimal = find_optimal(sweep)
+        assert optimal["eviction_enabled"] is False
+        assert optimal["gamma"] is None and optimal["delta"] is None
+
     def test_best_and_find_optimal(self, small_dataset):
         sweep = run_parameter_sweep(
-            small_dataset,
-            cluster_config=QUICK_CLUSTER,
+            QUICK_SCENARIO,
+            seed=QUICK_SEED,
+            dataset=small_dataset,
             train_config=QUICK_TRAIN,
             halo_fractions=(0.15, 0.5),
             gammas=(0.995,),
@@ -72,6 +88,7 @@ class TestSweeps:
         assert best.total_time_s == min(p.total_time_s for p in sweep.points)
         optimal = find_optimal(sweep)
         assert optimal["total_time_s"] == pytest.approx(best.total_time_s)
+        assert optimal["eviction_enabled"] is True
         best_hit = sweep.best(by="hit_rate")
         assert best_hit.hit_rate == max(p.hit_rate for p in sweep.points)
         with pytest.raises(ValueError):
@@ -79,7 +96,7 @@ class TestSweeps:
 
     def test_as_rows(self, small_dataset):
         sweep = run_parameter_sweep(
-            small_dataset, cluster_config=QUICK_CLUSTER, train_config=QUICK_TRAIN,
+            QUICK_SCENARIO, seed=QUICK_SEED, dataset=small_dataset, train_config=QUICK_TRAIN,
             halo_fractions=(0.25,), gammas=(0.995,), deltas=(8,),
         )
         rows = sweep.as_rows()
@@ -87,16 +104,16 @@ class TestSweeps:
 
     def test_delta_sweep_structure(self, small_dataset):
         out = delta_sweep(
-            small_dataset, gamma_values=[0.995], delta_values=[4, 16],
-            cluster_config=QUICK_CLUSTER, train_config=QUICK_TRAIN,
+            QUICK_SCENARIO, gamma_values=[0.995], delta_values=[4, 16],
+            seed=QUICK_SEED, dataset=small_dataset, train_config=QUICK_TRAIN,
         )
         assert set(out) == {0.995}
         assert len(out[0.995]) == 2
 
     def test_gamma_sweep_structure(self, small_dataset):
         out = gamma_sweep(
-            small_dataset, gamma_values=[0.95, 0.995], delta_values=[8],
-            cluster_config=QUICK_CLUSTER, train_config=QUICK_TRAIN,
+            QUICK_SCENARIO, gamma_values=[0.95, 0.995], delta_values=[8],
+            seed=QUICK_SEED, dataset=small_dataset, train_config=QUICK_TRAIN,
         )
         assert set(out) == {0.95, 0.995}
         for stats in out.values():
@@ -126,9 +143,10 @@ class TestSweeps:
 class TestMemoryProfiling:
     def test_profile_and_compare(self, small_dataset):
         profiles = compare_memory(
-            small_dataset,
+            QUICK_SCENARIO,
+            seed=QUICK_SEED,
             prefetch_config=PrefetchConfig(halo_fraction=0.5, delta=1, gamma=0.95),
-            cluster_config=QUICK_CLUSTER,
+            dataset=small_dataset,
             train_config=TrainConfig(epochs=1, hidden_dim=16, max_steps_per_epoch=2, seed=0),
         )
         base, pref = profiles["baseline"], profiles["prefetch"]
@@ -141,7 +159,15 @@ class TestMemoryProfiling:
 
     def test_profile_invalid_mode(self, small_dataset):
         with pytest.raises(ValueError):
-            profile_memory(small_dataset, "turbo")
+            profile_memory(QUICK_SCENARIO, "turbo", dataset=small_dataset)
+
+    def test_baseline_rejects_a_prefetch_config(self, small_dataset):
+        """The baseline pipeline never reads it, so it is refused, not dropped."""
+        with pytest.raises(ValueError, match="no effect on the 'baseline' pipeline"):
+            profile_memory(
+                QUICK_SCENARIO, "baseline", prefetch_config=PrefetchConfig(),
+                dataset=small_dataset,
+            )
 
 
 class TestTelemetry:

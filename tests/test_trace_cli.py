@@ -7,10 +7,8 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser, main
-from repro.core.config import PrefetchConfig
-from repro.distributed.cluster import ClusterConfig
 from repro.graph.datasets import load_dataset
-from repro.training.cluster_engine import compare_baseline_and_prefetch
+from repro.scenarios import SCENARIOS
 from repro.training.config import TrainConfig
 from repro.training.trace import EXPERIMENTS, get_experiment, list_experiments
 
@@ -90,19 +88,20 @@ class TestCLI:
         assert "scenario 'uniform'" in out and "[prefetch] critical path" in out
         assert "[baseline]" not in out and "improvement" not in out
 
-    def test_mode_both_matches_compare_baseline_and_prefetch(self, capsys):
-        """`--mode both` is the old comparison: same cluster, same seed, same %."""
+    def test_mode_both_matches_two_workload_runs(self, capsys):
+        """`--mode both` is the comparison: baseline, then the scenario's pipeline, one workload."""
         assert main(["run", "--mode", "both", "--seed", "3"] + self.SMALL) == 0
         printed = re.search(r"improvement: (-?[0-9.]+)%", capsys.readouterr().out).group(1)
-        baseline, prefetch = compare_baseline_and_prefetch(
-            load_dataset("arxiv", scale=0.15, seed=3),
-            # The 'uniform' scenario's PrefetchConfig and the CLI's TrainConfig.
-            prefetch_config=PrefetchConfig(halo_fraction=0.35, gamma=0.995, delta=16),
-            cluster_config=ClusterConfig(
-                num_machines=2, trainers_per_machine=1, batch_size=64, fanouts=(4, 6), seed=3,
-            ),
+        workload = SCENARIOS.build("uniform").with_overrides(
+            trainers_per_machine=1, fanouts=(4, 6)
+        ).materialize(
+            3,
+            # The CLI's TrainConfig for these flags.
             train_config=TrainConfig(epochs=1, hidden_dim=16, seed=3),
+            dataset=load_dataset("arxiv", scale=0.15, seed=3),
         )
+        baseline = workload.run("baseline").report
+        prefetch = workload.run().report
         assert printed == f"{prefetch.improvement_percent_vs(baseline):.1f}"
 
     def test_sweep_command(self, capsys):

@@ -16,7 +16,8 @@ import pytest
 
 from repro.core.config import PrefetchConfig
 from repro.distributed.cluster import ClusterConfig, SimCluster
-from repro.training.cluster_engine import ClusterEngine, compare_baseline_and_prefetch
+from repro.scenarios import SCENARIOS
+from repro.training.cluster_engine import ClusterEngine
 from repro.training.config import TrainConfig
 from repro.training.evaluate import evaluate_accuracy, evaluate_loss, majority_class_accuracy
 
@@ -27,14 +28,13 @@ def comparison_reports(request):
     from repro.graph.datasets import load_dataset
 
     dataset = load_dataset("arxiv", scale=0.25, seed=3)
-    baseline, prefetch = compare_baseline_and_prefetch(
-        dataset,
-        prefetch_config=PrefetchConfig(halo_fraction=0.35, gamma=0.995, delta=8),
-        cluster_config=ClusterConfig(
-            num_machines=2, trainers_per_machine=2, batch_size=128, fanouts=(5, 10), seed=7
-        ),
-        train_config=TrainConfig(epochs=3, hidden_dim=32, seed=1),
+    workload = SCENARIOS.build("uniform").with_overrides(batch_size=128).materialize(
+        7, train_config=TrainConfig(epochs=3, hidden_dim=32, seed=1), dataset=dataset
     )
+    baseline = workload.run("baseline").report
+    prefetch = workload.run(
+        "prefetch", prefetch_config=PrefetchConfig(halo_fraction=0.35, gamma=0.995, delta=8)
+    ).report
     return dataset, baseline, prefetch
 
 
@@ -115,13 +115,11 @@ class TestBackendContrast:
         train_config = TrainConfig(epochs=2, hidden_dim=32, seed=0)
         improvements = {}
         for backend in ("cpu", "gpu"):
-            cluster_config = ClusterConfig(
-                num_machines=2, trainers_per_machine=2, batch_size=128,
-                fanouts=(5, 10), backend=backend, seed=5,
-            )
-            baseline, prefetch = compare_baseline_and_prefetch(
-                small_dataset, prefetch_config, cluster_config, train_config
-            )
+            workload = SCENARIOS.build("uniform").with_overrides(
+                backend=backend, batch_size=128
+            ).materialize(5, train_config=train_config, dataset=small_dataset)
+            baseline = workload.run("baseline").report
+            prefetch = workload.run("prefetch", prefetch_config=prefetch_config).report
             improvements[backend] = prefetch.improvement_percent_vs(baseline)
         assert improvements["cpu"] >= improvements["gpu"] - 1.0
 
