@@ -1,10 +1,10 @@
 #!/usr/bin/env python
 """The FeatureStore / MiniBatchPipeline API, end to end.
 
-Demonstrates the seams the API redesign opened up:
+Demonstrates the seams the API opens up:
 
-1. assemble a pipeline by hand from chainable stages (seed >> sample >>
-   fetch-feature >> batch) over a composed FeatureStore;
+1. build a pipeline by hand — a trainer's loader, a composed FeatureStore and
+   a timing policy — and iterate one epoch (seed → sample → fetch → batch);
 2. run every *registered* pipeline (baseline / prefetch / static-cache)
    through the same engine loop and compare them;
 3. write a brand-new feature source, hand the object to a FeatureStore in a
@@ -20,23 +20,20 @@ from __future__ import annotations
 import numpy as np
 
 from repro import (
-    BatchStage,
+    PIPELINES,
     BufferedSource,
     ClusterConfig,
     FeatureStore,
-    FetchFeatureStage,
     FetchStats,
     LocalKVStoreSource,
+    MiniBatchPipeline,
     PrefetchConfig,
-    SampleStage,
-    SeedStage,
     SimCluster,
     TrainConfig,
     load_dataset,
 )
 from repro.training import ClusterEngine
 from repro.training.pipelines import OverlappedTimingPolicy
-from repro.sampling.pipeline import MiniBatchPipeline
 from repro.utils.logging_utils import format_table
 
 
@@ -91,14 +88,7 @@ def build_halo_mirror_pipeline(trainer, cluster, prefetch_config, cache_config):
         local_source=LocalKVStoreSource(trainer.rpc),
         halo_source=HaloMirrorSource(trainer.rpc, trainer.partition),
     )
-    pipeline = (
-        SeedStage(trainer.dataloader.seed_iterator)
-        >> SampleStage(trainer.dataloader)
-        >> FetchFeatureStage(store)
-        >> BatchStage()
-    )
-    return pipeline.configure(timing=OverlappedTimingPolicy(), name="halo-mirror",
-                              feature_store=store, init_report=store.initialize())
+    return MiniBatchPipeline(trainer.dataloader, store, OverlappedTimingPolicy(), "halo-mirror")
 
 
 def main() -> None:
@@ -120,15 +110,11 @@ def main() -> None:
             num_global_nodes=dataset.num_nodes,
         ),
     )
-    pipeline: MiniBatchPipeline = (
-        SeedStage(trainer.dataloader.seed_iterator)
-        >> SampleStage(trainer.dataloader)
-        >> FetchFeatureStage(store)
-        >> BatchStage()
-    )
-    pipeline.configure(feature_store=store, init_report=store.initialize())
-    print(f"pipeline: {pipeline.describe()}")
-    batch = next(iter(pipeline.epoch()))
+    # The constructor populates the buffer (the one-time RPC of Algorithm 1).
+    pipeline = MiniBatchPipeline(trainer.dataloader, store, OverlappedTimingPolicy(), "by-hand")
+    print(f"pipeline {pipeline.name!r}: {pipeline.init_report['num_prefetched']:.0f} "
+          f"halo rows prefetched in {pipeline.init_time_s * 1e3:.3f} ms")
+    batch = next(pipeline.epoch())
     halo_stats = batch.fetch.source("halo")
     print(f"first batch: {batch.minibatch.num_input_nodes} input nodes, "
           f"halo hit rate {halo_stats.hit_rate:.3f}, "
@@ -139,7 +125,10 @@ def main() -> None:
     prefetch_config = PrefetchConfig(halo_fraction=0.25, gamma=0.995, delta=16)
     rows = []
     for pipeline in ("baseline", "prefetch", "static-cache", build_halo_mirror_pipeline):
-        report = engine.run(pipeline, prefetch_config=prefetch_config).report
+        # A registered row refuses a PrefetchConfig it would not read.
+        reads_config = callable(pipeline) or PIPELINES.get(pipeline).reads_prefetch_config
+        report = engine.run(pipeline, prefetch_config=prefetch_config if reads_config else None)
+        report = report.report
         rows.append([
             report.mode,
             f"{report.total_simulated_time_s:.4f}",

@@ -50,14 +50,7 @@ from repro.features import (
     RemoteRPCSource,
 )
 from repro.graph import GraphDataset, available_datasets, load_dataset
-from repro.sampling import (
-    BatchStage,
-    FetchFeatureStage,
-    MiniBatchPipeline,
-    PipelineBatch,
-    SampleStage,
-    SeedStage,
-)
+from repro.sampling import MiniBatchPipeline, PipelineBatch
 from repro.scenarios import (
     SCENARIOS,
     ClusterScenario,
@@ -94,12 +87,8 @@ __all__ = [
     "GraphDataset",
     "available_datasets",
     "load_dataset",
-    "BatchStage",
-    "FetchFeatureStage",
     "MiniBatchPipeline",
     "PipelineBatch",
-    "SampleStage",
-    "SeedStage",
     "PIPELINES",
     "SCENARIOS",
     "ClusterScenario",

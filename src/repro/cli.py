@@ -550,7 +550,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     scenario = _resolve_run_scenario(args)
     cache_config = _build_cache_config(args)
     pipeline = args.pipeline
-    if args.mode in ("baseline", "prefetch"):
+    if args.mode not in (None, "both"):
         if pipeline is not None and pipeline != args.mode:
             raise ValueError(
                 f"--mode {args.mode} names the {args.mode!r} pipeline but --pipeline "
@@ -572,9 +572,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if value is not None
     ]
     # Like --staleness above: a knob nothing reads is rejected, not ignored.
-    if prefetch_flags and PIPELINES.resolve(pipeline or scenario.pipeline) == "baseline":
+    target = PIPELINES.resolve(pipeline or scenario.pipeline)
+    if prefetch_flags and not PIPELINES.get(target).reads_prefetch_config:
         raise ValueError(
-            f"{prefetch_flags[0][0]} has no effect on the 'baseline' pipeline (it "
+            f"{prefetch_flags[0][0]} has no effect on the {target!r} pipeline (it "
             f"takes no PrefetchConfig); pick another --pipeline, or --mode both to compare"
         )
     if args.no_eviction and args.eviction_policy is not None:

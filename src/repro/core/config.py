@@ -33,7 +33,6 @@ class PrefetchConfig:
     eviction_enabled: bool = True
     alpha: Optional[float] = None
     scoreboard: str = "dense"
-    look_ahead: int = 1
     initial_eviction_score: float = 1.0
     min_buffer_slots: int = 1
     # Registry name (see repro.core.eviction.EVICTION_POLICIES) of the
@@ -44,7 +43,6 @@ class PrefetchConfig:
         check_fraction(self.halo_fraction, "halo_fraction")
         check_fraction(self.gamma, "gamma", inclusive_low=False)
         check_positive(self.delta, "delta")
-        check_positive(self.look_ahead, "look_ahead")
         check_positive(self.initial_eviction_score, "initial_eviction_score")
         if self.scoreboard not in ("dense", "compact"):
             raise ValueError(f"scoreboard must be 'dense' or 'compact', got {self.scoreboard!r}")

@@ -19,9 +19,10 @@ protocol over a different data path:
   cache — populated once, never updated — the ablation showing why continuous
   eviction beats a static cache under stochastic neighbor sampling.
 
-Sources are plain classes: a pipeline builder (see
-:mod:`repro.training.pipelines`) constructs the ones it wants and hands the
-objects to a :class:`~repro.features.store.FeatureStore`.
+Sources are plain classes: each row of
+:data:`~repro.training.pipelines.PIPELINES` names the halo source it wants,
+and :func:`~repro.training.pipelines.build_pipeline` hands the objects to a
+:class:`~repro.features.store.FeatureStore`.
 """
 
 from __future__ import annotations
@@ -110,7 +111,16 @@ class LocalKVStoreSource:
 
 
 class RemoteRPCSource:
-    """Every requested row is pulled over RPC from its owning partition."""
+    """Every requested row is pulled over RPC from its owning partition.
+
+    A zero-capacity :class:`TieredCacheSource` is not a drop-in for it.  Run
+    as ``baseline``'s halo source on the fixed-seed 2x2 golden workload, it
+    repeats the clocks, the critical path, the RPC counters and the losses
+    exactly, but it charges Fig. 9's ``lookup`` component (0 → 1.33e-5 s per
+    trainer), reports a hit rate of 0.0 instead of none, adds an init report
+    (and the clock's ``init`` key) and renames the store-summary keys.  That
+    would move ``single_run.json`` and the Fig. 9 table, so this class stays.
+    """
 
     name = "remote-rpc"
 

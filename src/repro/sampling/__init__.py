@@ -9,15 +9,7 @@ from repro.sampling.neighbor_sampler import (
     sample_for_partition,
     split_local_halo,
 )
-from repro.sampling.pipeline import (
-    BatchStage,
-    FetchFeatureStage,
-    MiniBatchPipeline,
-    PipelineBatch,
-    PipelineStage,
-    SampleStage,
-    SeedStage,
-)
+from repro.sampling.pipeline import MiniBatchPipeline, PipelineBatch
 from repro.sampling.seeds import SeedIterator, SeedPartitioner, minibatches_per_trainer
 
 __all__ = [
@@ -29,13 +21,8 @@ __all__ = [
     "build_sampler",
     "sample_for_partition",
     "split_local_halo",
-    "BatchStage",
-    "FetchFeatureStage",
     "MiniBatchPipeline",
     "PipelineBatch",
-    "PipelineStage",
-    "SampleStage",
-    "SeedStage",
     "SeedIterator",
     "SeedPartitioner",
     "minibatches_per_trainer",

@@ -76,9 +76,9 @@ class DistDataLoader:
     def sample(self, seeds: np.ndarray) -> MiniBatch:
         """Sample one minibatch for *seeds*, advancing the lifetime step counter.
 
-        Both :meth:`epoch` and the pipeline's
-        :class:`~repro.sampling.pipeline.SampleStage` route through here, so
-        the two data paths share one sampler RNG stream and step sequence.
+        Both :meth:`epoch` and
+        :meth:`~repro.sampling.pipeline.MiniBatchPipeline.epoch` route through
+        here, so the two share one sampler RNG stream and step sequence.
         """
         minibatch = self.sampler.sample(
             seeds,
@@ -98,8 +98,8 @@ class DistDataLoader:
         """Re-point this trainer at a new seed share (elastic re-sharding).
 
         Delegates to :meth:`SeedIterator.reassign`, which mutates the
-        existing iterator in place so the prebuilt pipeline stages that hold
-        a reference to it see the new assignment from the next epoch on.
+        existing iterator in place so every holder of it sees the new
+        assignment from the next epoch on.
         """
         self.seed_iterator.reassign(seeds_local)
 

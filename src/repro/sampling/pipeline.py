@@ -1,46 +1,41 @@
-"""Composable minibatch pipeline (GraphBolt datapipe analog).
+"""One trainer's minibatch pipeline (GraphBolt datapipe analog).
 
-GraphBolt expresses minibatch preparation as chainable datapipe stages —
-``ItemSampler → sample_neighbor → fetch_feature → copy_to`` — so new data
-paths are configurations, not code paths.  This module gives the simulator
-the same shape:
+GraphBolt expresses minibatch preparation as a chain of datapipe stages —
+``ItemSampler → sample_neighbor → fetch_feature → copy_to`` — whose one
+variable part is the feature store ``fetch_feature`` reads.  This module
+gives the simulator the same shape without the chaining: a
+:class:`MiniBatchPipeline` holds a trainer's
+:class:`~repro.sampling.dataloader.DistDataLoader`, a
+:class:`~repro.features.store.FeatureStore` and a timing policy, and its
+:meth:`~MiniBatchPipeline.epoch` runs, per seed batch,
 
-* :class:`SeedStage` — yield shuffled seed batches from a trainer's
-  :class:`~repro.sampling.seeds.SeedIterator`;
-* :class:`SampleStage` — fan-out neighbor sampling, producing
-  :class:`~repro.sampling.block.MiniBatch` objects;
-* :class:`FetchFeatureStage` — assemble the input feature matrix through a
-  :class:`~repro.features.store.FeatureStore` (local vs. halo routing);
-* :class:`BatchStage` — final assembly/validation into a
-  :class:`PipelineBatch` ready for the model.
+* ``SeedIterator.epoch()`` — shuffled seed batches for one epoch;
+* ``DistDataLoader.sample`` — fan-out neighbor sampling into a
+  :class:`~repro.sampling.block.MiniBatch`;
+* ``FeatureStore.fetch_minibatch`` — the input feature matrix (local vs.
+  halo routing) and what it cost;
+* a check that the matrix has one row per input node, then one numbered
+  :class:`PipelineBatch`::
 
-Stages chain with ``>>`` into a :class:`MiniBatchPipeline`::
-
-    pipeline = (
-        SeedStage(loader.seed_iterator)
-        >> SampleStage(loader)
-        >> FetchFeatureStage(store)
-        >> BatchStage()
-    )
+    pipeline = MiniBatchPipeline(trainer.dataloader, store, timing, "mine")
     for batch in pipeline.epoch():
         ...
 
 The training engine runs whatever pipeline it is given: the DistDGL baseline
 and MassiveGNN prefetching differ only in the feature store's halo source and
 the pipeline's timing policy, not in engine code.  Named configurations are
-registered in :data:`repro.training.pipelines.PIPELINES`.
+the rows of :data:`repro.training.pipelines.PIPELINES`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Optional
 
 import numpy as np
 
 from repro.sampling.block import MiniBatch
 from repro.sampling.dataloader import DistDataLoader
-from repro.sampling.seeds import SeedIterator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (features imports sampling)
     from repro.features.source import FetchResult
@@ -52,9 +47,9 @@ class PipelineBatch:
     """One fully prepared minibatch: sampled structure + features + fetch cost."""
 
     minibatch: MiniBatch
-    features: Optional[np.ndarray] = None
-    fetch: Optional["FetchResult"] = None
-    step: int = -1
+    features: np.ndarray
+    fetch: "FetchResult"
+    step: int
 
     @property
     def labels(self) -> np.ndarray:
@@ -65,161 +60,52 @@ class PipelineBatch:
         return self.minibatch.blocks
 
 
-class PipelineStage:
-    """One chainable transformation of the minibatch iterator."""
-
-    name = "stage"
-
-    def apply(self, upstream: Optional[Iterator[Any]]) -> Iterator[Any]:
-        """Transform the upstream iterator (``None`` for source stages)."""
-        raise NotImplementedError
-
-    def describe(self) -> str:
-        return self.name
-
-    def __rshift__(self, other: "PipelineStage") -> "MiniBatchPipeline":
-        return MiniBatchPipeline([self, other])
-
-
-class SeedStage(PipelineStage):
-    """Source stage: shuffled fixed-size seed batches for one epoch."""
-
-    name = "seed"
-
-    def __init__(self, seed_iterator: SeedIterator):
-        self.seed_iterator = seed_iterator
-
-    def apply(self, upstream: Optional[Iterator[Any]]) -> Iterator[np.ndarray]:
-        if upstream is not None:
-            raise ValueError("SeedStage is a source stage and must come first")
-        return iter(self.seed_iterator.epoch())
-
-
-class SampleStage(PipelineStage):
-    """Fan-out neighbor sampling: seed batches -> :class:`MiniBatch` objects.
-
-    Delegates to the trainer's :class:`DistDataLoader` so the sampler RNG
-    stream and lifetime step counter are shared with the legacy
-    ``dataloader.epoch()`` path — the two produce bit-identical minibatches.
-    """
-
-    name = "sample"
-
-    def __init__(self, dataloader: DistDataLoader):
-        self.dataloader = dataloader
-
-    def apply(self, upstream: Iterator[np.ndarray]) -> Iterator[MiniBatch]:
-        for seeds in upstream:
-            yield self.dataloader.sample(seeds)
-
-
-class FetchFeatureStage(PipelineStage):
-    """Assemble input features for each minibatch through a feature store."""
-
-    name = "fetch-feature"
-
-    def __init__(self, store: "FeatureStore"):
-        self.store = store
-
-    def apply(self, upstream: Iterator[MiniBatch]) -> Iterator[PipelineBatch]:
-        for minibatch in upstream:
-            features, fetch = self.store.fetch_minibatch(minibatch)
-            yield PipelineBatch(minibatch=minibatch, features=features, fetch=fetch)
-
-
-class BatchStage(PipelineStage):
-    """Final assembly: number the batch and validate it is model-ready."""
-
-    name = "batch"
-
-    def __init__(self) -> None:
-        self._step = 0
-
-    def apply(self, upstream: Iterator[PipelineBatch]) -> Iterator[PipelineBatch]:
-        for batch in upstream:
-            if batch.features is None:
-                raise ValueError("BatchStage received a batch without features; "
-                                 "place a FetchFeatureStage before it")
-            if batch.features.ndim != 2 or (
-                batch.features.shape[0] != batch.minibatch.num_input_nodes
-            ):
-                raise ValueError(
-                    f"feature matrix shape {batch.features.shape} does not provide one "
-                    f"row per input node ({batch.minibatch.num_input_nodes} expected)"
-                )
-            batch.step = self._step
-            self._step += 1
-            yield batch
-
-
 class MiniBatchPipeline:
-    """An ordered chain of stages producing :class:`PipelineBatch` per epoch.
+    """Seed → sample → fetch → batch over one trainer's loader and feature store.
 
     Beyond iteration, a pipeline carries what the training engine needs to run
     it without knowing how it was configured: the ``timing`` policy that maps
     component costs onto the simulated clock (Eq. 2 vs. Eqs. 3–5), the
-    composed :class:`FeatureStore`, and the one-time ``init_report`` of any
-    source that had to be populated before the first minibatch.
+    :class:`FeatureStore`, and the one-time ``init_report`` of a source that
+    had to be populated before the first minibatch.  The constructor runs
+    that population (``feature_store.initialize()``).
     """
 
     def __init__(
         self,
-        stages: List[PipelineStage],
-        timing: Optional[Any] = None,
-        name: str = "pipeline",
-        feature_store: Optional["FeatureStore"] = None,
-        init_report: Optional[Dict[str, float]] = None,
+        dataloader: DistDataLoader,
+        feature_store: "FeatureStore",
+        timing: Any,
+        name: str,
     ):
-        if not stages:
-            raise ValueError("a pipeline needs at least one stage")
-        self.stages = list(stages)
+        self.dataloader = dataloader
+        self.feature_store = feature_store
         self.timing = timing
         self.name = name
-        self.feature_store = feature_store
-        self.init_report = init_report
+        self.init_report = feature_store.initialize()
+        self._step = 0
 
-    # ------------------------------------------------------------------ #
-    def __rshift__(self, stage: PipelineStage) -> "MiniBatchPipeline":
-        return MiniBatchPipeline(
-            self.stages + [stage],
-            timing=self.timing,
-            name=self.name,
-            feature_store=self.feature_store,
-            init_report=self.init_report,
-        )
-
-    def configure(
-        self,
-        timing: Optional[Any] = None,
-        name: Optional[str] = None,
-        feature_store: Optional["FeatureStore"] = None,
-        init_report: Optional[Dict[str, float]] = None,
-    ) -> "MiniBatchPipeline":
-        """Attach run metadata after ``>>`` composition (returns self)."""
-        if timing is not None:
-            self.timing = timing
-        if name is not None:
-            self.name = name
-        if feature_store is not None:
-            self.feature_store = feature_store
-        if init_report is not None:
-            self.init_report = init_report
-        return self
-
-    # ------------------------------------------------------------------ #
     def epoch(self) -> Iterator[PipelineBatch]:
-        """Run every stage lazily over one epoch of seeds."""
-        iterator: Optional[Iterator[Any]] = None
-        for stage in self.stages:
-            iterator = stage.apply(iterator)
-        assert iterator is not None
-        return iterator
+        """One epoch of batches, prepared lazily.
 
-    def __iter__(self) -> Iterator[PipelineBatch]:
-        return self.epoch()
+        The seed iterator's epoch starts here, not at the first ``next()``:
+        an iterator opened for a trainer that never steps (a held-out elastic
+        rank) still moves the drift window.
+        """
+        return self._batches(self.dataloader.seed_iterator.epoch())
 
-    def describe(self) -> str:
-        return " >> ".join(stage.describe() for stage in self.stages)
+    def _batches(self, seed_batches: Iterable[np.ndarray]) -> Iterator[PipelineBatch]:
+        for seeds in seed_batches:
+            minibatch = self.dataloader.sample(seeds)
+            features, fetch = self.feature_store.fetch_minibatch(minibatch)
+            if features.ndim != 2 or features.shape[0] != minibatch.num_input_nodes:
+                raise ValueError(
+                    f"feature matrix shape {features.shape} does not provide one "
+                    f"row per input node ({minibatch.num_input_nodes} expected)"
+                )
+            step = self._step
+            self._step += 1
+            yield PipelineBatch(minibatch, features, fetch, step)
 
     # ------------------------------------------------------------------ #
     # Telemetry pass-throughs
@@ -233,12 +119,12 @@ class MiniBatchPipeline:
 
     @property
     def prefetcher(self):
-        return self.feature_store.prefetcher if self.feature_store is not None else None
+        return self.feature_store.prefetcher
 
     @property
     def hit_tracker(self):
-        return self.feature_store.tracker if self.feature_store is not None else None
+        return self.feature_store.tracker
 
     @property
     def hit_rate(self) -> Optional[float]:
-        return self.feature_store.hit_rate if self.feature_store is not None else None
+        return self.feature_store.hit_rate

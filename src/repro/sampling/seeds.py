@@ -170,9 +170,8 @@ class SeedIterator:
     def reassign(self, seeds: np.ndarray) -> None:
         """Swap the seed set **in place** (elastic re-sharding).
 
-        Mutates the existing iterator — prebuilt pipeline stages hold a
-        direct reference to it, so a replacement object would silently go
-        unused.  The RNG stream and epoch counter continue uninterrupted;
+        Mutates the existing iterator — its holders keep a direct
+        reference to it, so a replacement object would silently go unused.  The RNG stream and epoch counter continue uninterrupted;
         an epoch already in flight finishes over its old shuffled order and
         the new assignment takes effect at the next :meth:`epoch` call.
         """

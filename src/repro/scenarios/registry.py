@@ -16,7 +16,7 @@ from repro.serving.arrivals import ServingSpec
 from repro.training.cluster_engine import ClusterReport
 from repro.training.config import TrainConfig
 from repro.training.engines import ENGINES, build_engine
-from repro.training.pipelines import CACHELESS_PIPELINES, PIPELINES
+from repro.training.pipelines import PIPELINES
 from repro.utils.registry import Registry
 
 SCENARIOS = Registry("scenario")
@@ -242,23 +242,21 @@ class ClusterWorkload:
     ) -> "ClusterReport":
         """Execute the scenario's pipeline; explicit arguments override the recipe.
 
-        The recipe's ``cache_config`` belongs to the recipe's pipeline: running
-        a pipeline that has no cache tiers instead (the ``baseline``
-        comparison) leaves it behind.  An explicit ``cache_config`` is never
-        dropped — the cacheless builders raise ``ValueError`` on it.  The
-        recipe's ``prefetch_config`` likewise never reaches ``baseline``, so a
-        baseline report is labelled ``baseline``, not with knobs it never read.
+        The recipe's configs reach a pipeline only if its
+        :data:`~repro.training.pipelines.PIPELINES` row reads them: running
+        one that does not instead (the ``baseline`` comparison) leaves them
+        behind, so a baseline report is labelled ``baseline``, not with knobs
+        it never read.  An explicit config is never dropped —
+        :func:`~repro.training.pipelines.build_pipeline` raises ``ValueError``
+        on one the row does not read.
         """
         name = pipeline or self.scenario.pipeline
-        prefetch = prefetch_config
-        if prefetch is None and PIPELINES.resolve(name) != "baseline":
-            prefetch = self.scenario.prefetch_config or PrefetchConfig()
-        cacheless_override = (
-            pipeline is not None and PIPELINES.resolve(pipeline) in CACHELESS_PIPELINES
-        )
-        if cache_config is None and not cacheless_override:
+        row = PIPELINES.get(name)
+        if prefetch_config is None and row.reads_prefetch_config:
+            prefetch_config = self.scenario.prefetch_config or PrefetchConfig()
+        if cache_config is None and (pipeline is None or row.reads_cache_config):
             cache_config = self.scenario.cache_config
-        return self.engine.run(name, prefetch_config=prefetch, cache_config=cache_config)
+        return self.engine.run(name, prefetch_config=prefetch_config, cache_config=cache_config)
 
 
 def available_scenarios(engine: Optional[str] = None) -> list:

@@ -117,12 +117,6 @@ class InferenceClusterEngine:
         world = len(trainers)
         model = setup.model
         pipelines = setup.pipelines
-        for pl in pipelines:
-            if pl.feature_store is None:
-                raise RuntimeError(
-                    f"pipeline {pl.name!r} has no feature store; serving needs "
-                    "the feature-fetch path (use 'tiered-cache' or 'prefetch')"
-                )
 
         # Cache warm-up (init cost) stays off the serving timeline: record it,
         # then restart every clock at t=0 where the arrival process begins.
@@ -248,11 +242,7 @@ class InferenceClusterEngine:
                     hit_rate=worker_hits[rank] / total if total else None,
                     rpc_stats=trainer.rpc.stats.as_dict(),
                     components=trainer.clock.breakdown(),
-                    cache_stats=(
-                        pl.feature_store.cache_summary()
-                        if hasattr(pl.feature_store, "cache_summary")
-                        else {}
-                    ),
+                    cache_stats=pl.feature_store.cache_summary(),
                 )
             )
 

@@ -156,8 +156,7 @@ class ClusterRun:
         )
         self._epoch_start = epoch_end
         for pl in pipelines:
-            if pl.feature_store is not None:
-                pl.feature_store.end_epoch()
+            pl.feature_store.end_epoch()
 
     def finish(
         self,

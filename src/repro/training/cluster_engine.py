@@ -37,6 +37,7 @@ are built by :meth:`~repro.scenarios.ClusterScenario.materialize` (through
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
@@ -52,7 +53,7 @@ from repro.nn import build_model, build_optimizer
 from repro.sampling.pipeline import MiniBatchPipeline
 from repro.training.config import TrainConfig
 from repro.training.engine import PipelineBuilder
-from repro.training.pipelines import PIPELINES
+from repro.training.pipelines import PIPELINES, build_pipeline
 from repro.training.telemetry import (
     ComponentAccumulator,
     TrainingReport,
@@ -316,12 +317,10 @@ def prepare_cluster_run(
     sources that prefetch at init (the one-time RPC of Algorithm 1) charge
     that cost to the trainer clock before the first minibatch.
     """
-    if isinstance(pipeline, str):
-        name: Optional[str] = PIPELINES.resolve(pipeline)
-        builder: PipelineBuilder = PIPELINES.get(pipeline)
-    else:
-        name = None
-        builder = pipeline
+    builder = (
+        functools.partial(build_pipeline, PIPELINES.resolve(pipeline))
+        if isinstance(pipeline, str) else pipeline
+    )
 
     wall_start = time.perf_counter()
     cluster.reset()
@@ -347,7 +346,6 @@ def prepare_cluster_run(
     pipelines: List[MiniBatchPipeline] = [
         builder(trainer, cluster, prefetch_config, cache_config) for trainer in trainers
     ]
-    mode = name or (pipelines[0].name if pipelines else "pipeline")
     init_reports: List[Dict[str, float]] = []
     for trainer, pl in zip(trainers, pipelines):
         if pl.init_report is not None:
@@ -360,7 +358,7 @@ def prepare_cluster_run(
         num_params=model.num_parameters(),
         cost_models=cost_models,
         pipelines=pipelines,
-        mode=mode,
+        mode=pipelines[0].name,
         init_reports=init_reports,
         accumulators=[ComponentAccumulator() for _ in trainers],
         wall_start=wall_start,
@@ -377,7 +375,6 @@ def collect_trainer_stats(
     """Per-trainer telemetry roll-up shared by both cluster engines."""
     stats: List[TrainerRunStats] = []
     for i, (trainer, pl) in enumerate(zip(cluster.trainers, pipelines)):
-        store = pl.feature_store
         stats.append(
             TrainerRunStats(
                 global_rank=trainer.global_rank,
@@ -390,8 +387,8 @@ def collect_trainer_stats(
                 hit_rate=pl.hit_rate,
                 rpc_stats=trainer.rpc.stats.as_dict(),
                 components=trainer.clock.breakdown(),
-                store_summary=store.summary() if store is not None else {},
-                cache_stats=store.cache_summary() if store is not None else {},
+                store_summary=pl.feature_store.summary(),
+                cache_stats=pl.feature_store.cache_summary(),
                 sync_stats=(
                     dict(sync_extras[i]) if sync_extras is not None else {}
                 ),
@@ -401,10 +398,8 @@ def collect_trainer_stats(
 
 
 def merged_store_summary(pipelines: List[MiniBatchPipeline]) -> Dict[str, float]:
-    """Cluster-wide feature-store summary over every pipeline that has a store."""
-    return merge_store_summaries(
-        pl.feature_store.summary() for pl in pipelines if pl.feature_store is not None
-    )
+    """Cluster-wide feature-store summary over every pipeline's store."""
+    return merge_store_summaries(pl.feature_store.summary() for pl in pipelines)
 
 
 class ClusterEngine:

@@ -148,7 +148,6 @@ def assemble_training_report(
     )
     trackers = [pl.hit_tracker for pl in pipelines if pl.hit_tracker is not None]
     prefetchers = [pl.prefetcher for pl in pipelines if pl.prefetcher is not None]
-    stores = [pl.feature_store for pl in pipelines if pl.feature_store is not None]
 
     report = TrainingReport(
         mode=mode,
@@ -182,10 +181,9 @@ def assemble_training_report(
         report.extras["remote_nodes_fetched_prefetch"] = float(
             np.sum([p.counters.remote_nodes_fetched for p in prefetchers])
         )
-    if stores:
-        report.extras["mean_feature_store_nbytes"] = float(
-            np.mean([store.nbytes() for store in stores])
-        )
+    report.extras["mean_feature_store_nbytes"] = float(
+        np.mean([pl.feature_store.nbytes() for pl in pipelines])
+    )
 
     if config.evaluate:
         report.val_accuracy = evaluate_accuracy(

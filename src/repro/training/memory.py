@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 from repro.core.config import PrefetchConfig
 from repro.graph.datasets import GraphDataset, load_dataset
 from repro.training.config import TrainConfig
+from repro.training.pipelines import PIPELINES
 
 if TYPE_CHECKING:  # repro.scenarios imports this package
     from repro.scenarios.registry import ClusterScenario
@@ -60,19 +61,13 @@ def profile_memory(
 ) -> MemoryProfile:
     """Peak allocations of ``scenario.materialize`` (init) vs. the *mode* run (train).
 
-    The dataset is loaded before the init phase starts, so neither phase
-    counts it.  ``prefetch_config`` applies to ``"prefetch"`` only (default:
-    the paper's extreme configuration); passing one with ``"baseline"`` is a
-    ``ValueError``, since that pipeline would never read it.
+    *mode* names a pipeline.  The dataset is loaded before the init phase
+    starts, so neither phase counts it.  A pipeline that reads a
+    ``prefetch_config`` defaults to the paper's extreme configuration; passing
+    one to a pipeline that never reads it (``"baseline"``) is a
+    ``ValueError``.
     """
-    if mode not in ("baseline", "prefetch"):
-        raise ValueError("mode must be 'baseline' or 'prefetch'")
-    if mode == "baseline" and prefetch_config is not None:
-        raise ValueError(
-            "a PrefetchConfig has no effect on the 'baseline' pipeline; "
-            "profile mode 'prefetch' to measure it"
-        )
-    if mode == "prefetch" and prefetch_config is None:
+    if prefetch_config is None and PIPELINES.get(mode).reads_prefetch_config:
         # Paper's extreme configuration: half the halo nodes buffered and an
         # eviction round on every minibatch.
         prefetch_config = PrefetchConfig(halo_fraction=0.5, delta=1, gamma=0.95)

@@ -17,24 +17,33 @@ it is given; *this* module decides what the named pipelines are made of:
   :class:`~repro.cache.config.CacheConfig`.
 
 :data:`PIPELINES` is the one lookup between a pipeline name and a trainer's
-data path.  Each builder constructs, per trainer, the two feature sources it
-wants, the :class:`~repro.features.store.FeatureStore` over them, the four
-chained stages, and the timing policy mapping component costs onto the
-trainer's simulated clock.  A custom strategy is a callable with the
-builders' ``(trainer, cluster, prefetch_config, cache_config)`` signature
-passed as ``pipeline=`` — the same builders serve the lockstep
+data path.  Each entry is a :class:`PipelineRow`: where halo features come
+from, which timing policy maps component costs onto the trainer's simulated
+clock, and which configs the data path reads.  :func:`build_pipeline` is the
+one builder: it checks the configs against the row, composes the
+:class:`~repro.features.store.FeatureStore` and returns the trainer's
+:class:`~repro.sampling.pipeline.MiniBatchPipeline`.  Everything else that
+asks "does this pipeline read a PrefetchConfig / CacheConfig?" (the scenario
+workload, ``repro run``, the memory profile) asks the row.
+
+A custom strategy is a callable with the ``(trainer, cluster,
+prefetch_config, cache_config)`` signature returning a
+``MiniBatchPipeline(...)``, passed as ``pipeline=`` — registered names and
+callables serve the lockstep
 :class:`~repro.training.cluster_engine.ClusterEngine`, the event-driven
 :class:`~repro.training.async_engine.AsyncClusterEngine` and the serving
-engine (selected from :data:`~repro.training.engines.ENGINES`), which is what
-keeps their numerics differentially testable against each other.
+engine (selected from :data:`~repro.training.engines.ENGINES`) alike, which
+is what keeps their numerics differentially testable against each other.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.cache.config import CacheConfig
 from repro.core.config import PrefetchConfig
+from repro.features.source import FeatureSource
 from repro.features.sources import (
     BufferedSource,
     LocalKVStoreSource,
@@ -49,13 +58,7 @@ from repro.perf.model import (
     prefetch_steady_step_time,
     prepare_time,
 )
-from repro.sampling.pipeline import (
-    BatchStage,
-    FetchFeatureStage,
-    MiniBatchPipeline,
-    SampleStage,
-    SeedStage,
-)
+from repro.sampling.pipeline import MiniBatchPipeline
 from repro.training.telemetry import StepTiming
 from repro.utils.registry import Registry
 
@@ -117,129 +120,73 @@ class OverlappedTimingPolicy:
 
 
 # --------------------------------------------------------------------------- #
-# Pipeline builders
+# Halo sources: (trainer, cluster, prefetch_config, cache_config) -> source
 # --------------------------------------------------------------------------- #
-PIPELINES = Registry("pipeline")
-
-# Pipelines with no tier stack to configure: a CacheConfig handed to one of
-# them would be dropped, so their builders refuse it.
-CACHELESS_PIPELINES = frozenset({"baseline", "static-cache"})
+def _remote_rpc(trainer, cluster, prefetch_config, cache_config) -> RemoteRPCSource:
+    return RemoteRPCSource.from_book(trainer.rpc, cluster.book)
 
 
-def _assemble(trainer: "TrainerContext", halo_source, timing, name: str) -> MiniBatchPipeline:
-    """The canonical four-stage chain over one trainer's loader and a fresh store.
-
-    Owned rows always come from the co-located KVStore; ``halo_source``
-    serves the rest and ``timing`` is the accounting model
-    (:class:`SerialTimingPolicy` / :class:`OverlappedTimingPolicy`).
-    """
-    store = FeatureStore(
-        partition=trainer.partition,
-        local_source=LocalKVStoreSource(trainer.rpc),
-        halo_source=halo_source,
-    )
-    pipeline = (
-        SeedStage(trainer.dataloader.seed_iterator)
-        >> SampleStage(trainer.dataloader)
-        >> FetchFeatureStage(store)
-        >> BatchStage()
-    )
-    return pipeline.configure(
-        timing=timing,
-        name=name,
-        feature_store=store,
-        init_report=store.initialize(),
-    )
-
-
-def _require(name: str, prefetch_config: Optional[PrefetchConfig], why: str = "") -> PrefetchConfig:
-    if prefetch_config is None:
-        raise ValueError(f"the {name!r} pipeline requires a PrefetchConfig{why}")
-    return prefetch_config
-
-
-def _reject_cache_config(name: str, cache_config: Optional[CacheConfig]) -> None:
-    if cache_config is not None:
-        raise ValueError(
-            f"a CacheConfig (--cache-tiers/--admission/--eviction/--adaptive-cache) "
-            f"has no effect on the {name!r} pipeline; use pipeline 'tiered-cache' "
-            f"(or 'prefetch', which consumes the machine-shared tier)"
-        )
-
-
-@PIPELINES.register("baseline", aliases=("distdgl",))
-def build_baseline_pipeline(
-    trainer: "TrainerContext",
-    cluster: "SimCluster",
-    prefetch_config: Optional[PrefetchConfig] = None,
-    cache_config: Optional[CacheConfig] = None,
-) -> MiniBatchPipeline:
-    _reject_cache_config("baseline", cache_config)
-    halo = RemoteRPCSource.from_book(trainer.rpc, cluster.book)
-    return _assemble(trainer, halo, SerialTimingPolicy(), "baseline")
-
-
-@PIPELINES.register("prefetch", aliases=("massivegnn",))
-def build_prefetch_pipeline(
-    trainer: "TrainerContext",
-    cluster: "SimCluster",
-    prefetch_config: Optional[PrefetchConfig] = None,
-    cache_config: Optional[CacheConfig] = None,
-) -> MiniBatchPipeline:
-    halo = BufferedSource(
+def _prefetch_buffer(trainer, cluster, prefetch_config, cache_config) -> BufferedSource:
+    return BufferedSource(
         trainer.rpc,
         trainer.partition,
-        _require("prefetch", prefetch_config),
+        prefetch_config,
         num_global_nodes=cluster.dataset.num_nodes,
         seed=cluster.config.seed,
         cache_config=cache_config,
         shared_tier=cluster.shared_cache_tier(trainer.machine, cache_config),
     )
-    return _assemble(trainer, halo, OverlappedTimingPolicy(), "prefetch")
 
 
-@PIPELINES.register("static-cache", aliases=("static",))
-def build_static_cache_pipeline(
-    trainer: "TrainerContext",
-    cluster: "SimCluster",
-    prefetch_config: Optional[PrefetchConfig] = None,
-    cache_config: Optional[CacheConfig] = None,
-) -> MiniBatchPipeline:
-    _reject_cache_config("static-cache", cache_config)
-    config = _require(
-        "static-cache", prefetch_config, " (its halo_fraction sets the cache capacity)"
-    )
-    halo = TieredCacheSource(
-        trainer.rpc, trainer.partition, config.buffer_capacity(trainer.partition.num_halo)
-    )
-    return _assemble(trainer, halo, OverlappedTimingPolicy(), "static-cache")
+def _tiered_cache(trainer, cluster, prefetch_config, cache_config) -> TieredCacheSource:
+    """The tier stack at the trainer's row budget.
 
-
-@PIPELINES.register("tiered-cache", aliases=("tiered",))
-def build_tiered_cache_pipeline(
-    trainer: "TrainerContext",
-    cluster: "SimCluster",
-    prefetch_config: Optional[PrefetchConfig] = None,
-    cache_config: Optional[CacheConfig] = None,
-) -> MiniBatchPipeline:
-    """Halo features through the tiered cache stack (see ``repro.cache``).
-
-    ``prefetch_config.halo_fraction`` still sets the trainer's row budget (so
-    tiered runs are memory-comparable with ``prefetch``/``static-cache``);
-    the :class:`CacheConfig` decides how that budget is split across tiers
-    and which admission/eviction policies govern them.
+    ``prefetch_config.halo_fraction`` sets the budget, so cached runs are
+    memory-comparable with ``prefetch``; the CacheConfig (default: the
+    degree-ranked static cache) splits it across tiers.
     """
-    config = _require(
-        "tiered-cache", prefetch_config, " (its halo_fraction sets the cache budget)"
-    )
-    halo = TieredCacheSource(
+    return TieredCacheSource(
         trainer.rpc,
         trainer.partition,
-        config.buffer_capacity(trainer.partition.num_halo),
+        prefetch_config.buffer_capacity(trainer.partition.num_halo),
         cache_config=cache_config,
         shared_tier=cluster.shared_cache_tier(trainer.machine, cache_config),
     )
-    return _assemble(trainer, halo, OverlappedTimingPolicy(), "tiered-cache")
+
+
+# --------------------------------------------------------------------------- #
+# The pipeline table and its one builder
+# --------------------------------------------------------------------------- #
+@dataclass(frozen=True)
+class PipelineRow:
+    """One named data path: a row of :data:`PIPELINES`.
+
+    ``budget_clause`` finishes the "requires a PrefetchConfig" message with
+    what the config is for.
+    """
+
+    halo_source: Callable[..., FeatureSource]
+    timing: Callable[[], object]
+    reads_prefetch_config: bool
+    reads_cache_config: bool
+    budget_clause: str = ""
+
+
+PIPELINES = Registry("pipeline")
+PIPELINES.register("baseline", PipelineRow(
+    _remote_rpc, SerialTimingPolicy, reads_prefetch_config=False, reads_cache_config=False,
+), aliases=("distdgl",))
+PIPELINES.register("prefetch", PipelineRow(
+    _prefetch_buffer, OverlappedTimingPolicy, reads_prefetch_config=True, reads_cache_config=True,
+), aliases=("massivegnn",))
+PIPELINES.register("static-cache", PipelineRow(
+    _tiered_cache, OverlappedTimingPolicy, reads_prefetch_config=True, reads_cache_config=False,
+    budget_clause=" (its halo_fraction sets the cache capacity)",
+), aliases=("static",))
+PIPELINES.register("tiered-cache", PipelineRow(
+    _tiered_cache, OverlappedTimingPolicy, reads_prefetch_config=True, reads_cache_config=True,
+    budget_clause=" (its halo_fraction sets the cache budget)",
+), aliases=("tiered",))
 
 
 def build_pipeline(
@@ -249,5 +196,31 @@ def build_pipeline(
     prefetch_config: Optional[PrefetchConfig] = None,
     cache_config: Optional[CacheConfig] = None,
 ) -> MiniBatchPipeline:
-    """Build the named pipeline for one trainer (see :data:`PIPELINES`)."""
-    return PIPELINES.build(name, trainer, cluster, prefetch_config, cache_config)
+    """Build the named pipeline for one trainer (see :data:`PIPELINES`).
+
+    A config the row does not read raises ``ValueError`` rather than being
+    dropped, and so does a missing PrefetchConfig the row needs.  Owned rows
+    always come from the co-located KVStore; the row's source serves the halo.
+    """
+    name = PIPELINES.resolve(name)
+    row: PipelineRow = PIPELINES.get(name)
+    if cache_config is not None and not row.reads_cache_config:
+        raise ValueError(
+            f"a CacheConfig (--cache-tiers/--admission/--eviction/--adaptive-cache) "
+            f"has no effect on the {name!r} pipeline; use pipeline 'tiered-cache' "
+            f"(or 'prefetch', which consumes the machine-shared tier)"
+        )
+    if prefetch_config is None and row.reads_prefetch_config:
+        raise ValueError(f"the {name!r} pipeline requires a PrefetchConfig{row.budget_clause}")
+    if prefetch_config is not None and not row.reads_prefetch_config:
+        raise ValueError(
+            f"a PrefetchConfig has no effect on the {name!r} pipeline; pass none, "
+            f"or pick a pipeline that reads one"
+        )
+    halo = row.halo_source(trainer, cluster, prefetch_config, cache_config)
+    store = FeatureStore(
+        partition=trainer.partition,
+        local_source=LocalKVStoreSource(trainer.rpc),
+        halo_source=halo,
+    )
+    return MiniBatchPipeline(trainer.dataloader, store, row.timing(), name)

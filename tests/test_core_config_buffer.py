@@ -48,7 +48,6 @@ class TestPrefetchConfig:
         {"delta": 0},
         {"scoreboard": "tree"},
         {"alpha": -1.0},
-        {"look_ahead": 0},
     ])
     def test_invalid_configs(self, bad):
         with pytest.raises(ValueError):

@@ -35,7 +35,8 @@ def golden_cluster_run(pipeline: str = "prefetch") -> ClusterReport:
     """The fixed-seed 2x2 workload the fixture pins (do not change casually).
 
     The fixture is the ``prefetch`` run; ``tests/test_perf_model.py`` also
-    runs ``baseline`` on the same workload.
+    runs ``baseline`` on the same workload (without the PrefetchConfig,
+    which that pipeline does not read).
     """
     dataset = load_dataset("products", scale=0.05, seed=5)
     cluster = SimCluster(
@@ -46,10 +47,8 @@ def golden_cluster_run(pipeline: str = "prefetch") -> ClusterReport:
         ),
     )
     engine = ClusterEngine(cluster, TrainConfig(epochs=2, hidden_dim=32, seed=1))
-    return engine.run(
-        pipeline,
-        prefetch_config=PrefetchConfig(halo_fraction=0.35, gamma=0.995, delta=8),
-    )
+    config = PrefetchConfig(halo_fraction=0.35, gamma=0.995, delta=8)
+    return engine.run(pipeline, prefetch_config=None if pipeline == "baseline" else config)
 
 
 def _assert_matches(actual, expected, path="$"):

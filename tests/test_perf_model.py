@@ -173,6 +173,10 @@ class TestEngineAgainstModel:
                                                   ("prefetch", "overlapped")])
     def test_2x2_run_charges_the_model_critical_path(self, pipeline, policy):
         report = golden_cluster_run(pipeline)
+        # A run is labelled with the PrefetchConfig only when its pipeline read one.
+        assert report.report.config_description == {
+            "baseline": "baseline", "prefetch": "f_h=0.35, gamma=0.995, delta=8",
+        }[pipeline]
         assert len(report.trainer_stats) == 4
         assert all(stats.num_steps > 0 for stats in report.trainer_stats)
         assert critical_path_mismatches(report, policy) == []

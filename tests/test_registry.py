@@ -115,7 +115,7 @@ class TestEvictionPolicyRegistry:
     def test_without_eviction_keeps_every_other_field(self):
         config = PrefetchConfig(
             halo_fraction=0.4, gamma=0.9, delta=7, eviction_enabled=True, alpha=0.3,
-            scoreboard="compact", look_ahead=3, initial_eviction_score=2.0,
+            scoreboard="compact", initial_eviction_score=2.0,
             min_buffer_slots=5, eviction_policy="lru",
         )
         defaults = PrefetchConfig()
@@ -137,23 +137,35 @@ class TestPipelineRegistry:
         trainer = small_cluster.trainers[0]
         config = PrefetchConfig(halo_fraction=0.25, delta=8)
         for name in PIPELINES.names():
-            pipeline = build_pipeline(name, trainer, small_cluster, prefetch_config=config)
+            row = PIPELINES.get(name)
+            pipeline = build_pipeline(
+                name, trainer, small_cluster,
+                prefetch_config=config if row.reads_prefetch_config else None,
+            )
             assert isinstance(pipeline, MiniBatchPipeline)
             assert pipeline.name == name
-            assert pipeline.describe() == "seed >> sample >> fetch-feature >> batch"
+            assert pipeline.dataloader is trainer.dataloader
+            assert type(pipeline.timing) is row.timing
+
+    def test_aliases_resolve_to_their_rows(self):
+        aliases = {"distdgl": "baseline", "massivegnn": "prefetch",
+                   "static": "static-cache", "tiered": "tiered-cache"}
+        for alias, name in aliases.items():
+            assert PIPELINES.resolve(alias) == name
+            assert PIPELINES.get(alias) is PIPELINES.get(name)
 
     def test_each_name_builds_its_data_path(self, small_cluster):
         """Name -> (halo source class, timing policy): the one lookup there is."""
         trainer = small_cluster.trainers[0]
         config = PrefetchConfig(halo_fraction=0.25, delta=8)
         expected = {
-            "baseline": (RemoteRPCSource, SerialTimingPolicy),
-            "prefetch": (BufferedSource, OverlappedTimingPolicy),
-            "static-cache": (TieredCacheSource, OverlappedTimingPolicy),
-            "tiered-cache": (TieredCacheSource, OverlappedTimingPolicy),
+            "baseline": (RemoteRPCSource, SerialTimingPolicy, None),
+            "prefetch": (BufferedSource, OverlappedTimingPolicy, config),
+            "static-cache": (TieredCacheSource, OverlappedTimingPolicy, config),
+            "tiered-cache": (TieredCacheSource, OverlappedTimingPolicy, config),
         }
-        for name, (source_cls, timing_cls) in expected.items():
-            pipeline = build_pipeline(name, trainer, small_cluster, prefetch_config=config)
+        for name, (source_cls, timing_cls, prefetch_config) in expected.items():
+            pipeline = build_pipeline(name, trainer, small_cluster, prefetch_config)
             assert type(pipeline.feature_store.halo_source) is source_cls, name
             assert type(pipeline.timing) is timing_cls, name
         static = build_pipeline("static-cache", trainer, small_cluster, config)
