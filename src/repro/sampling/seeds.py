@@ -171,9 +171,10 @@ class SeedIterator:
         """Swap the seed set **in place** (elastic re-sharding).
 
         Mutates the existing iterator — its holders keep a direct
-        reference to it, so a replacement object would silently go unused.  The RNG stream and epoch counter continue uninterrupted;
-        an epoch already in flight finishes over its old shuffled order and
-        the new assignment takes effect at the next :meth:`epoch` call.
+        reference to it, so a replacement object would silently go unused.
+        The RNG stream and epoch counter continue uninterrupted; an epoch
+        already in flight finishes over its old shuffled order and the new
+        assignment takes effect at the next :meth:`epoch` call.
         """
         self.seeds = check_1d_int_array(seeds, "seeds")
 
