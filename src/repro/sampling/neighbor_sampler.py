@@ -86,13 +86,17 @@ def _finalize_layer(
 class NeighborSampler:
     """Layer-wise uniform neighbor sampler over a local (partition) graph.
 
-    Nodes of a layer are bucketed by degree: take-all nodes (``deg <= fanout``
-    or ``fanout == -1``) are gathered by CSR slicing with no RNG at all, and
-    all capped nodes share **one** ``rng.random(fanout * num_capped)`` draw (in
-    dst order); the ``fanout`` swap rounds of the truncated shuffle then run
-    vectorized across every capped node at once.  Work per capped node is
-    ``O(deg)`` for the initial gather plus ``O(fanout)`` for the swaps — no
-    per-neighbor sort.
+    The truncated shuffle runs *in place* on a per-sampler copy of
+    ``graph.indices``: all capped nodes (``deg > fanout``) share **one**
+    ``rng.random(fanout * num_capped)`` draw (in dst order), and each of the
+    ``fanout`` swap rounds exchanges two CSR slots of every capped node at
+    once.  Row ``i``'s sample is then the first ``min(deg, fanout)`` slots of
+    its CSR segment — untouched for take-all nodes (``deg <= fanout`` or
+    ``fanout == -1``, no RNG at all), the swapped prefix for capped ones — read
+    by one gather for the whole layer.  Work per capped node is ``O(fanout)``,
+    never ``O(deg)``: the ``<= 2 * fanout`` slots a layer swapped are restored
+    from ``graph.indices`` before it returns, so the copy equals the graph's
+    CSR between calls.
 
     Parameters
     ----------
@@ -113,14 +117,17 @@ class NeighborSampler:
         if not fanouts:
             raise ValueError("fanouts must contain at least one layer")
         for f in fanouts:
-            if f == 0 or f < -1:
-                raise ValueError(f"fanout must be positive or -1 (full), got {f}")
+            if not isinstance(f, (int, np.integer)) or isinstance(f, bool) or f == 0 or f < -1:
+                raise ValueError(f"fanout must be a positive integer or -1 (full), got {f!r}")
         self.graph = graph
         self.fanouts = [int(f) for f in fanouts]
         self.rng = ensure_rng(seed)
-        # Node-id -> frontier-row scratch for _finalize_layer (kept at -1
-        # between calls); one per sampler, so concurrent trainers never share.
+        # Scratch arrays, one per sampler so concurrent trainers never share:
+        # node-id -> frontier-row lookups for _finalize_layer (kept at -1
+        # between calls) and the CSR copy the shuffle swaps in place (kept
+        # equal to graph.indices between calls).
         self._pos_scratch = np.full(graph.num_nodes, -1, dtype=np.int64)
+        self._indices_scratch = graph.indices.copy()
 
     @property
     def num_layers(self) -> int:
@@ -186,56 +193,45 @@ class NeighborSampler:
         grouped by ascending dst row, and row ``i`` owns edges
         ``dst_indptr[i]:dst_indptr[i + 1]``.
         """
-        indptr, indices = self.graph.indptr, self.graph.indices
+        indptr, scratch = self.graph.indptr, self._indices_scratch
         n = len(dst)
         starts = indptr[dst]
         degs = indptr[dst + 1] - starts
-
         if fanout == -1:
-            cap_mask = np.zeros(n, dtype=bool)
-            counts = degs
+            counts, num_capped = degs, 0
         else:
-            cap_mask = degs > fanout
-            counts = np.where(cap_mask, fanout, degs)
+            counts = np.minimum(degs, fanout)
+            capped = degs > fanout
+            cap_starts, cap_degs = starts[capped], degs[capped]
+            num_capped = len(cap_starts)
         dst_indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=dst_indptr[1:])
-        out_first = dst_indptr[:-1]  # first output slot per dst row
         edge_dst = np.repeat(np.arange(n, dtype=np.int64), counts)
-        sampled_src = np.empty(len(edge_dst), dtype=np.int64)
 
-        take_pos = np.nonzero(~cap_mask & (degs > 0))[0]
-        if len(take_pos):
-            tc = degs[take_pos]
-            within = np.arange(int(tc.sum()), dtype=np.int64) - np.repeat(np.cumsum(tc) - tc, tc)
-            flat = np.repeat(starts[take_pos], tc) + within
-            slots = np.repeat(out_first[take_pos], tc) + within
-            sampled_src[slots] = indices[flat]
-
-        cap_pos = np.nonzero(cap_mask)[0]
-        if len(cap_pos):
-            num_capped = len(cap_pos)
-            cc = degs[cap_pos]
-            cap_first = np.cumsum(cc) - cc
-            within = np.arange(int(cc.sum()), dtype=np.int64) - np.repeat(cap_first, cc)
-            flat = np.repeat(starts[cap_pos], cc) + within
-            buf = indices[flat]  # mutable concatenated neighbor lists, dst order
+        swapped = None
+        if num_capped:
             # The single batched draw: sequential stream consumption makes this
             # equal to the oracle's concatenated per-node rng.random(fanout).
             u = self.rng.random(fanout * num_capped).reshape(num_capped, fanout)
-            # Round r swaps positions r and r + floor(u_r * (deg - r)) of each
-            # node's list; every round's (pi, pj) pair is computed up front,
-            # one row per round.
+            # Round r swaps CSR slots r and r + floor(u_r * (deg - r)) of each
+            # capped node's segment; every round's (pi, pj) pair is computed up
+            # front, one row per round.
             rounds = np.arange(fanout, dtype=np.int64)[:, None]
-            pi = cap_first + rounds
-            pj = pi + (u.T * (cc - rounds)).astype(np.int64)
+            pi = cap_starts + rounds
+            pj = pi + (u.T * (cap_degs - rounds)).astype(np.int64)
+            # A swap is one gather and one scatter: slots concat(pi, pj) take
+            # the values at concat(pj, pi).  Each node's pair lies inside its
+            # own segment, so the scatter never collides across nodes.
+            swapped = np.concatenate([pi, pj], axis=1)
+            partner = np.concatenate([pj, pi], axis=1)
             for r in range(fanout):
-                # Each node's pair lies inside its own segment, so the fancy
-                # assignments never collide across nodes.
-                i, j = pi[r], pj[r]
-                tmp = buf[i]
-                buf[i] = buf[j]
-                buf[j] = tmp
-            sampled_src[(out_first[cap_pos] + rounds).T.ravel()] = buf[pi.T.ravel()]
+                scratch[swapped[r]] = scratch[partner[r]]
+        # Row i's sample is the first counts[i] slots of its CSR segment.
+        sampled_src = scratch[
+            np.repeat(starts - dst_indptr[:-1], counts) + np.arange(len(edge_dst), dtype=np.int64)
+        ]
+        if swapped is not None:  # undo the swaps: the next call starts pristine
+            scratch[swapped] = self.graph.indices[swapped]
 
         new_src, edge_src = _finalize_layer(dst, sampled_src, self._pos_scratch)
         return new_src, edge_src, edge_dst, dst_indptr
