@@ -39,9 +39,11 @@ class AdmissionPolicy(Protocol):
 
     name: str
 
-    def admit(self, tier: "CacheTier", candidate_ids: np.ndarray,
-              candidate_degrees: np.ndarray) -> np.ndarray:
-        """Boolean mask over *candidate_ids*: True = offer a slot."""
+    def admit(self, tier: "CacheTier", candidate_ids: np.ndarray) -> np.ndarray:
+        """Boolean mask over *candidate_ids*: True = offer a slot.
+
+        A degree-aware policy reads ``tier.degrees(candidate_ids)``; the tier
+        stores no degrees, so a policy that never asks costs no lookup."""
         ...
 
 
@@ -50,8 +52,7 @@ class AlwaysAdmit:
 
     name = "always"
 
-    def admit(self, tier: "CacheTier", candidate_ids: np.ndarray,
-              candidate_degrees: np.ndarray) -> np.ndarray:
+    def admit(self, tier: "CacheTier", candidate_ids: np.ndarray) -> np.ndarray:
         return np.ones(len(candidate_ids), dtype=bool)
 
 
@@ -65,8 +66,7 @@ class StaticDegreeAdmission:
 
     name = "static-degree"
 
-    def admit(self, tier: "CacheTier", candidate_ids: np.ndarray,
-              candidate_degrees: np.ndarray) -> np.ndarray:
+    def admit(self, tier: "CacheTier", candidate_ids: np.ndarray) -> np.ndarray:
         return np.zeros(len(candidate_ids), dtype=bool)
 
 
@@ -85,19 +85,19 @@ class DegreeWeightedAdmission:
 
     name = "degree-weighted"
 
-    def admit(self, tier: "CacheTier", candidate_ids: np.ndarray,
-              candidate_degrees: np.ndarray) -> np.ndarray:
+    def admit(self, tier: "CacheTier", candidate_ids: np.ndarray) -> np.ndarray:
         free = tier.capacity - tier.size
         if free >= len(candidate_ids):
             return np.ones(len(candidate_ids), dtype=bool)
+        degrees = tier.degrees(candidate_ids)
         mask = np.zeros(len(candidate_ids), dtype=bool)
         if free > 0:
             # Give the free slots to the highest-degree candidates.
-            order = np.argsort(-candidate_degrees, kind="stable")
+            order = np.argsort(-degrees, kind="stable")
             mask[order[:free]] = True
         if tier.size:
             threshold = float(np.median(tier.resident_degrees))
-            mask |= candidate_degrees >= threshold
+            mask |= degrees >= threshold
         return mask
 
 

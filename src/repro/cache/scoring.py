@@ -47,6 +47,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Tupl
 import numpy as np
 
 from repro.utils.registry import Registry
+from repro.utils.validation import sorted_lookup
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cache.tier import CacheTier
@@ -251,7 +252,7 @@ class PrefetchScorer:
     def decayed_count(self, global_ids: np.ndarray, step: Optional[int] = None) -> np.ndarray:
         """The decayed access count of each id as of *step* (0 for unseen ids)."""
         step = self._step if step is None else int(step)
-        idx, known = self._locate(np.asarray(global_ids, dtype=np.int64))
+        idx, known = sorted_lookup(self._ids, np.asarray(global_ids, dtype=np.int64))
         out = np.zeros(len(idx), dtype=np.float64)
         if known.any():
             dt = np.maximum(0, step - self._last_step[idx[known]])
@@ -283,10 +284,10 @@ class PrefetchScorer:
             self._miss_obs += int((~hits).sum())
 
         unique, occurrences = np.unique(global_ids, return_counts=True)
-        idx, known = self._locate(unique)
+        idx, known = sorted_lookup(self._ids, unique)
         if not known.all():
             self._grow(unique[~known])
-            idx, known = self._locate(unique)
+            idx, known = sorted_lookup(self._ids, unique)
         dt = np.maximum(0, step - self._last_step[idx])
         self._count[idx] = self._count[idx] * self.decay ** dt + occurrences
         self._last_step[idx] = step
@@ -354,16 +355,6 @@ class PrefetchScorer:
         return int(self._ids.nbytes + self._count.nbytes + self._last_step.nbytes)
 
     # ------------------------------------------------------------------ #
-    def _locate(self, unique_sorted_or_any: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """(indices into the tracked arrays, known-mask) for the given ids."""
-        if len(self._ids) == 0 or len(unique_sorted_or_any) == 0:
-            return (np.zeros(len(unique_sorted_or_any), dtype=np.int64),
-                    np.zeros(len(unique_sorted_or_any), dtype=bool))
-        idx = np.minimum(np.searchsorted(self._ids, unique_sorted_or_any),
-                         len(self._ids) - 1)
-        known = self._ids[idx] == unique_sorted_or_any
-        return idx, known
-
     def _grow(self, new_ids: np.ndarray) -> None:
         at = np.searchsorted(self._ids, new_ids)
         self._ids = np.insert(self._ids, at, new_ids)
@@ -373,7 +364,7 @@ class PrefetchScorer:
     def _features(self, global_ids: np.ndarray, step: int) -> np.ndarray:
         """The ``(n, 4)`` feature matrix (columns follow FEATURE_NAMES)."""
         n = len(global_ids)
-        idx, known = self._locate(global_ids)
+        idx, known = sorted_lookup(self._ids, global_ids)
         recency = np.zeros(n, dtype=np.float64)
         if known.any():
             dt = np.maximum(0, step - self._last_step[idx[known]])
@@ -434,8 +425,7 @@ class ScoredAdmission:
         self.online = bool(online)
         self.name = "scored-online" if online else "scored"
 
-    def admit(self, tier: "CacheTier", candidate_ids: np.ndarray,
-              candidate_degrees: np.ndarray) -> np.ndarray:
+    def admit(self, tier: "CacheTier", candidate_ids: np.ndarray) -> np.ndarray:
         scorer = tier.scorer
         assert scorer is not None, "scored admission requires a tier scorer"
         step = tier.last_step

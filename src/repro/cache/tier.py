@@ -9,13 +9,16 @@ Storage is a fixed-slot store, the layout of
 :class:`~repro.core.buffer.PrefetchBuffer` (Algorithm 2 writes replacements
 into the slots the evicted rows vacated): the feature matrix is allocated
 once at ``capacity x feature_dim`` and a row never moves after it is written.
-Residents are described by one ``(6, size)`` int64 **index** — id, slot,
-last access, frequency, reference bit, degree — whose columns are kept in
-ascending id order, so membership is a single ``np.searchsorted`` and an
+Residents are described by one ``(5, size)`` int64 **index** — id, slot,
+last access, frequency, reference bit — whose columns are kept in ascending
+id order, so membership is a single ``searchsorted`` + ``take`` and an
 admission that evicts is one rebuild of that index, never of the rows.  When
-a full tier trades rows one for one, the entering columns overwrite the
-victims' columns in place, and one stable argsort of the id row (sorted but
-for those columns) and one ``take`` restore id order; nothing is concatenated.
+a full tier trades rows one for one, the entering ids and their fresh
+metadata are written straight into the victims' columns, and one stable
+argsort of the id row (sorted but for those columns) and one ``take`` restore
+id order; nothing is concatenated.  Degrees are not stored: a node's degree
+is a fixed function of its id, so :meth:`CacheTier.degrees` looks them up
+through ``degree_of`` only where a degree-aware policy or fallback asks.
 Unlike the prefetch buffer a tier's capacity can change at runtime (the
 adaptive controller re-splits tier budgets between epochs); :meth:`resize`
 is the one place that re-packs the rows into a fresh allocation.
@@ -45,21 +48,21 @@ from repro.cache.scoring import (
     active_decision_log,
     build_scorer,
 )
-from repro.utils.validation import check_1d_int_array
+from repro.utils.validation import check_1d_int_array, sorted_lookup
 
 DegreeLookup = Callable[[np.ndarray], np.ndarray]
 
 # Rows of the resident index; its columns are the residents in ascending id order.
-_ID, _SLOT, _LAST_ACCESS, _FREQ, _REF, _DEGREE = range(6)
+_ID, _SLOT, _LAST_ACCESS, _FREQ, _REF = range(5)
 # Sort key given to an evicted column: past every live id, so it sorts off the end.
 _EVICTED = np.iinfo(np.int64).max
 
 
-def _columns(ids, last_access, freq, ref, degrees) -> np.ndarray:
+def _columns(ids, last_access, freq, ref) -> np.ndarray:
     """Index columns for *ids*; the slot row is filled in when rows are placed."""
-    columns = np.empty((6, len(ids)), dtype=np.int64)
+    columns = np.empty((5, len(ids)), dtype=np.int64)
     columns[_ID], columns[_SLOT], columns[_LAST_ACCESS] = ids, 0, last_access
-    columns[_FREQ], columns[_REF], columns[_DEGREE] = freq, ref, degrees
+    columns[_FREQ], columns[_REF] = freq, ref
     return columns
 
 
@@ -123,8 +126,9 @@ class CacheTier:
     admission / eviction:
         Registry names (see :mod:`repro.cache.policies`).
     degree_of:
-        Optional global-id -> degree lookup used by the degree-aware policies;
-        tiers without one fall back to zero degrees.
+        Optional global-id -> degree lookup, called through :meth:`degrees`
+        only by the degree-aware policies and fallbacks; tiers without one
+        fall back to zero degrees.
     scorer:
         Registry name (see :data:`repro.cache.scoring.SCORERS`) of the scorer
         built when either policy is score-based; ignored otherwise.
@@ -183,7 +187,8 @@ class CacheTier:
     # Introspection (policies read these views: one entry per resident, in
     # ascending id order; each is a row of the index, valid until the next
     # admit/resize/invalidate/restore rebuilds it — a view held across a
-    # one-for-one admit sees the entering rows written over the victims')
+    # one-for-one admit sees the entering rows written over the victims'.
+    # resident_degrees is looked up afresh on every read)
     # ------------------------------------------------------------------ #
     @property
     def size(self) -> int:
@@ -207,7 +212,13 @@ class CacheTier:
 
     @property
     def resident_degrees(self) -> np.ndarray:
-        return self._degrees
+        return self.degrees(self._ids)
+
+    def degrees(self, global_ids: np.ndarray) -> np.ndarray:
+        """Int64 degree of each id through ``degree_of`` (zeros without one)."""
+        if self.degree_of is None:
+            return np.zeros(len(global_ids), dtype=np.int64)
+        return np.asarray(self.degree_of(global_ids), dtype=np.int64)
 
     def nbytes(self) -> int:
         """Resident bytes (what a checkpoint holds), not the slot allocation:
@@ -288,8 +299,7 @@ class CacheTier:
                 np.zeros(requested, dtype=bool),
                 np.zeros((0, self.feature_dim), dtype=np.float32),
             )
-        idx = np.minimum(np.searchsorted(self._ids, global_ids), self.size - 1)
-        hit_mask = self._ids[idx] == global_ids
+        idx, hit_mask = sorted_lookup(self._ids, global_ids)
         hit_idx = idx[hit_mask]
         self.stats.hits += len(hit_idx)
         self.stats.misses += requested - len(hit_idx)
@@ -302,15 +312,12 @@ class CacheTier:
             # not-yet-resident node must be able to build a score worth
             # admitting before it ever hits.
             self.scorer.observe(global_ids, step, hit_mask)
-        # Advanced indexing already materializes a fresh array; no copy needed.
-        return hit_mask, self._rows[self._slots[hit_idx]]
+        # take already materializes a fresh array; no copy needed.
+        return hit_mask, self._rows.take(self._slots.take(hit_idx), axis=0)
 
     def contains(self, global_ids: np.ndarray) -> np.ndarray:
         """Boolean membership mask of a 1-D int64 array (no metadata updates, no stats)."""
-        if self.size == 0 or len(global_ids) == 0:
-            return np.zeros(len(global_ids), dtype=bool)
-        idx = np.minimum(np.searchsorted(self._ids, global_ids), self.size - 1)
-        return self._ids[idx] == global_ids
+        return sorted_lookup(self._ids, global_ids)[1]
 
     # ------------------------------------------------------------------ #
     # Population
@@ -329,8 +336,7 @@ class CacheTier:
         if len(np.unique(global_ids)) != len(global_ids):
             raise ValueError("seeded ids must be unique")
         order = np.argsort(global_ids, kind="stable")
-        ids = global_ids[order]
-        self._load(_columns(ids, step, 0, 1, self._degrees_for(ids)),
+        self._load(_columns(global_ids[order], step, 0, 1),
                    np.asarray(rows, dtype=np.float32)[order])
 
     def admit(self, global_ids: np.ndarray, rows: np.ndarray, step: int) -> int:
@@ -353,38 +359,38 @@ class CacheTier:
         if not (global_ids[1:] > global_ids[:-1]).all():
             global_ids, first = np.unique(global_ids, return_index=True)
             rows = rows[first]
+        size, capacity = len(self._ids), self.capacity
         fresh = ~self.contains(global_ids)
         if not fresh.all():  # miss fetches offer no resident: nothing to filter
             global_ids, rows = global_ids[fresh], rows[fresh]
-        if len(global_ids) == 0 or self.capacity == 0:
-            self.stats.rejections += int(len(global_ids))
+        if len(global_ids) == 0 or capacity == 0:
+            self.stats.rejections += len(global_ids)
             return 0
 
         admitted = global_ids
-        degrees = self._degrees_for(admitted)
-        mask = self.admission.admit(self, admitted, degrees)
+        mask = self.admission.admit(self, admitted)
         if not mask.all():  # 'always' admits everything: nothing to filter
             self.stats.rejections += int((~mask).sum())
-            admitted, rows, degrees = admitted[mask], rows[mask], degrees[mask]
+            admitted, rows = admitted[mask], rows[mask]
             if len(admitted) == 0:
                 return 0
 
         victims = np.zeros(0, dtype=np.int64)
-        overflow = self.size + len(admitted) - self.capacity
+        overflow = size + len(admitted) - capacity
         if overflow > 0:
             victims = self.eviction.select(self, overflow)
-            self.stats.evictions += int(len(victims))
-            room = self.capacity - self.size + len(victims)
+            self.stats.evictions += len(victims)
+            room = capacity - size + len(victims)
             if room < len(admitted):
                 # Not enough victims (e.g. the 'none' policy): keep the
                 # highest-degree candidates, reject the rest.
-                keep = np.sort(np.argsort(-degrees, kind="stable")[:room])
-                self.stats.rejections += int(len(admitted) - len(keep))
-                admitted, rows, degrees = admitted[keep], rows[keep], degrees[keep]
+                keep = np.sort(np.argsort(-self.degrees(admitted), kind="stable")[:room])
+                self.stats.rejections += len(admitted) - len(keep)
+                admitted, rows = admitted[keep], rows[keep]
         if len(admitted) or len(victims):
-            self._splice(victims, _columns(admitted, step, 0, 1, degrees), rows)
-        self.stats.admissions += int(len(admitted))
-        return int(len(admitted))
+            self._splice(victims, admitted, rows, step)
+        self.stats.admissions += len(admitted)
+        return len(admitted)
 
     def invalidate(self) -> int:
         """Drop every resident row (elastic partition migration, cold policy).
@@ -410,7 +416,7 @@ class CacheTier:
             "last_access": self._last_access.copy(),
             "freq": self._freq.copy(),
             "ref": self._ref.astype(bool),
-            "degrees": self._degrees.copy(),
+            "degrees": self.degrees(self.resident_ids),
             "stats": self.stats.snapshot(),
         }
 
@@ -420,7 +426,7 @@ class CacheTier:
         self.clock_hand = int(state["clock_hand"])
         self.last_step = int(state["last_step"])
         self._load(_columns(state["ids"], state["last_access"], state["freq"],
-                            state["ref"], state["degrees"]), state["rows"])
+                            state["ref"]), state["rows"])
         self.stats = state["stats"].snapshot()
 
     def resize(self, new_capacity: int, step: int = 0) -> int:
@@ -443,11 +449,11 @@ class CacheTier:
                 remaining = np.setdiff1d(
                     np.arange(self.size, dtype=np.int64), victims, assume_unique=False
                 )
-                order = np.argsort(self._degrees[remaining], kind="stable")
+                order = np.argsort(self.degrees(self._ids[remaining]), kind="stable")
                 extra = remaining[order[: overflow - len(victims)]]
                 victims = np.concatenate([victims, extra])
             self._splice(np.unique(victims)[:overflow],
-                         _columns((), 0, 0, 0, 0), self._rows[:0])  # nothing enters
+                         self._ids[:0], self._rows[:0], step)  # nothing enters
             evicted = overflow
             self.stats.evictions += overflow
         if new_capacity != self.capacity:
@@ -458,17 +464,12 @@ class CacheTier:
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
-    def _degrees_for(self, global_ids: np.ndarray) -> np.ndarray:
-        if self.degree_of is None:
-            return np.zeros(len(global_ids), dtype=np.int64)
-        return np.asarray(self.degree_of(global_ids), dtype=np.int64)
-
     def _load(self, index: Optional[np.ndarray] = None, rows=0.0) -> None:
         """Replace the whole store: *index* columns (ascending id) and their
         *rows*, packed into slots ``0..size-1`` of a fresh capacity-row matrix.
         Without arguments the store is left empty."""
         if index is None:
-            index = _columns((), 0, 0, 0, 0)
+            index = _columns((), 0, 0, 0)
         size = index.shape[1]
         self._rows = np.zeros((self.capacity, self.feature_dim), dtype=np.float32)
         self._rows[:size] = rows
@@ -478,35 +479,34 @@ class CacheTier:
 
     def _set_index(self, index: np.ndarray) -> None:
         self._index = index
-        (self._ids, self._slots, self._last_access,
-         self._freq, self._ref, self._degrees) = index
+        self._ids, self._slots, self._last_access, self._freq, self._ref = index
 
-    def _splice(self, victims: np.ndarray, entering: np.ndarray, rows) -> None:
-        """Evict the residents at index positions *victims* and admit the
-        *entering* columns (any id order) with their *rows*, in one index rebuild.
+    def _splice(self, victims: np.ndarray, ids: np.ndarray, rows, step: int) -> None:
+        """Evict the residents at index positions *victims* and admit *ids*
+        (any id order, stamped *step*) with their *rows*, in one index rebuild.
 
         Entering rows overwrite the victims' slots first and then draw on the
         free list; slots left over go back to it.  No other row is touched.
-        Equal counts overwrite the victims' columns in place; otherwise the
-        entering columns are appended and the victims sorted off the end.
+        Equal counts write the entering ids and their fresh metadata straight
+        into the victims' columns; otherwise the entering columns are appended
+        and the victims sorted off the end.
         """
-        swap = len(victims) == entering.shape[1]
-        slots = self._slots[victims]
-        if not swap:
-            pool = np.concatenate([slots, self._free])
-            slots, self._free = pool[:entering.shape[1]], pool[entering.shape[1]:]
-        entering[_SLOT] = slots
-        self._rows[slots] = rows
-        size = self.size + entering.shape[1] - len(victims)
+        index, size, entering = self._index, len(self._ids), len(ids)
         if len(victims):  # the hand wraps over the survivors, before anything enters
-            survivors = self.size - len(victims)
+            survivors = size - len(victims)
             self.clock_hand = self.clock_hand % survivors if survivors else 0
-        if swap:
-            index = self._index
-            index[:, victims] = entering
-            key = index[_ID]
+        if len(victims) == entering:
+            self._rows[index[_SLOT, victims]] = rows
+            index[_ID, victims] = ids
+            index[_LAST_ACCESS:, victims] = ((step,), (0,), (1,))  # stamp, freq, ref bit
+            order = index[_ID].argsort(kind="stable")
         else:
-            index = np.concatenate([self._index, entering], axis=1)
+            pool = np.concatenate([index[_SLOT, victims], self._free])
+            slots, self._free = pool[:entering], pool[entering:]
+            self._rows[slots] = rows
+            index = np.concatenate([index, _columns(ids, step, 0, 1)], axis=1)
+            index[_SLOT, size:] = slots
             key = index[_ID].copy()
             key[victims] = _EVICTED
-        self._set_index(index.take(key.argsort(kind="stable")[:size], axis=1))
+            order = key.argsort(kind="stable")[:size + entering - len(victims)]
+        self._set_index(index.take(order, axis=1))

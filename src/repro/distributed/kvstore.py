@@ -19,7 +19,7 @@ from typing import Dict
 import numpy as np
 
 from repro.distributed.cost_model import BYTES_PER_FEATURE
-from repro.utils.validation import check_1d_int_array, check_2d_float_array
+from repro.utils.validation import check_1d_int_array, check_2d_float_array, sorted_lookup
 
 
 @dataclass
@@ -72,11 +72,7 @@ class KVStore:
 
     def contains(self, global_ids: np.ndarray) -> np.ndarray:
         global_ids = check_1d_int_array(global_ids, "global_ids")
-        if self.num_rows == 0:
-            return np.zeros(len(global_ids), dtype=bool)
-        idx = np.searchsorted(self._ids, global_ids)
-        idx = np.minimum(idx, self.num_rows - 1)
-        return self._ids[idx] == global_ids
+        return sorted_lookup(self._ids, global_ids)[1]
 
     # ------------------------------------------------------------------ #
     def pull(self, global_ids: np.ndarray, *, remote: bool = False) -> np.ndarray:
@@ -90,16 +86,13 @@ class KVStore:
         """
         if len(global_ids) == 0:
             return np.zeros((0, self.feature_dim), dtype=np.float32)
-        idx = np.searchsorted(self._ids, global_ids)
-        if np.any(idx >= self.num_rows) or np.any(self._ids[np.minimum(idx, self.num_rows - 1)] != global_ids):
-            missing = global_ids[
-                (idx >= self.num_rows)
-                | (self._ids[np.minimum(idx, self.num_rows - 1)] != global_ids)
-            ][:5]
+        idx, owned = sorted_lookup(self._ids, global_ids)
+        if not owned.all():
             raise KeyError(
-                f"KVStore for partition {self.part_id} does not own nodes {missing.tolist()}"
+                f"KVStore for partition {self.part_id} does not own nodes "
+                f"{global_ids[~owned][:5].tolist()}"
             )
-        rows = self._rows[idx]
+        rows = self._rows.take(idx, axis=0)
         nbytes = rows.size * BYTES_PER_FEATURE
         if remote:
             self.stats.remote_pulls += 1
@@ -114,8 +107,8 @@ class KVStore:
         """Overwrite stored rows (used by tests and by feature-update extensions)."""
         global_ids = check_1d_int_array(global_ids, "global_ids")
         values = check_2d_float_array(values, "values", columns=self.feature_dim)
-        idx = np.searchsorted(self._ids, global_ids)
-        if np.any(self._ids[np.minimum(idx, self.num_rows - 1)] != global_ids):
+        idx, owned = sorted_lookup(self._ids, global_ids)
+        if not owned.all():
             raise KeyError("push contains node ids not owned by this KVStore")
         self._rows[idx] = values
 

@@ -36,6 +36,7 @@ import numpy as np
 from repro.distributed.cost_model import BYTES_PER_FEATURE, CostModel
 from repro.distributed.kvstore import KVStore
 from repro.utils.registry import Registry
+from repro.utils.validation import sorted_lookup
 
 
 @dataclass
@@ -139,14 +140,8 @@ class RPCChannel:
             return self._empty_pull_result()
 
         dim = self.servers[self.local_part].feature_dim
-        rows = np.zeros((len(global_ids), dim), dtype=np.float32)
-        unique_owners = np.unique(owners)
-        num_requests = 0
-        for owner in unique_owners:
-            mask = owners == owner
-            rows[mask] = self._pull_from_owner(int(owner), global_ids[mask])
-            num_requests += 1
-
+        rows, contacted = self._pull_by_owner(global_ids, owners, dim)
+        num_requests = len(contacted)
         simulated = self.cost_model.time_rpc(len(global_ids), dim, num_requests=num_requests)
         delta = RPCStats(
             requests=num_requests,
@@ -181,6 +176,21 @@ class RPCChannel:
     def _empty_pull_result(self) -> Tuple[np.ndarray, float, "RPCStats"]:
         dim = self.servers[self.local_part].feature_dim
         return np.zeros((0, dim), dtype=np.float32), 0.0, RPCStats()
+
+    def _pull_by_owner(
+        self, global_ids: np.ndarray, owners: np.ndarray, dim: int
+    ) -> Tuple[np.ndarray, List[int]]:
+        """Rows aligned with *global_ids*, one server pull per distinct owner
+        (ascending), and those owners.  A lone owner's rows come back as its
+        server returned them, with no mask or scatter."""
+        contacted = sorted(set(owners.tolist()))
+        if len(contacted) == 1:
+            return self._pull_from_owner(contacted[0], global_ids), contacted
+        rows = np.empty((len(global_ids), dim), dtype=np.float32)
+        for owner in contacted:
+            mask = owners == owner
+            rows[mask] = self._pull_from_owner(owner, global_ids[mask])
+        return rows, contacted
 
     def _pull_from_owner(self, owner: int, ids: np.ndarray) -> np.ndarray:
         server = self.servers.get(owner)
@@ -226,10 +236,7 @@ class CoalescingWindow:
 
     # ------------------------------------------------------------------ #
     def contains(self, global_ids: np.ndarray) -> np.ndarray:
-        if len(self._ids) == 0:
-            return np.zeros(len(global_ids), dtype=bool)
-        idx = np.minimum(np.searchsorted(self._ids, global_ids), len(self._ids) - 1)
-        return self._ids[idx] == global_ids
+        return sorted_lookup(self._ids, global_ids)[1]
 
     def owner_contacted(self, owner: int) -> bool:
         return owner in self._owners
@@ -255,14 +262,10 @@ class CoalescingWindow:
 
     def rows_for(self, global_ids: np.ndarray) -> np.ndarray:
         """Rows aligned with *global_ids*; every id must already be cached."""
-        idx = np.searchsorted(self._ids, global_ids)
-        bad = (idx >= len(self._ids)) | (
-            self._ids[np.minimum(idx, max(0, len(self._ids) - 1))] != global_ids
-        )
-        if np.any(bad):
-            missing = global_ids[bad][:5]
-            raise KeyError(f"window cache is missing nodes {missing.tolist()}")
-        return self._rows[idx]
+        idx, cached = sorted_lookup(self._ids, global_ids)
+        if not cached.all():
+            raise KeyError(f"window cache is missing nodes {global_ids[~cached][:5].tolist()}")
+        return self._rows.take(idx, axis=0)
 
 
 class BatchedRPCChannel(RPCChannel):
@@ -312,18 +315,20 @@ class BatchedRPCChannel(RPCChannel):
         new_mask = ~window.contains(global_ids)
         num_new = 0
         opened = 0
-        if np.any(new_mask):
-            unique_new, first = np.unique(global_ids[new_mask], return_index=True)
-            unique_owners = owners[new_mask][first]
-            fetched = np.zeros((len(unique_new), dim), dtype=np.float32)
-            for owner in np.unique(unique_owners):
-                mask = unique_owners == owner
-                fetched[mask] = self._pull_from_owner(int(owner), unique_new[mask])
-                if not window.owner_contacted(int(owner)):
-                    window.note_owner(int(owner))
+        if new_mask.any():
+            new_ids, new_owners = global_ids[new_mask], owners[new_mask]
+            # The stack's misses and the prefetcher's pulls arrive sorted and
+            # unique; only other callers' ids need np.unique.
+            if not (new_ids[1:] > new_ids[:-1]).all():
+                new_ids, first = np.unique(new_ids, return_index=True)
+                new_owners = new_owners[first]
+            fetched, contacted = self._pull_by_owner(new_ids, new_owners, dim)
+            for owner in contacted:
+                if not window.owner_contacted(owner):
+                    window.note_owner(owner)
                     opened += 1
-            window.add(unique_new, fetched)
-            num_new = int(len(unique_new))
+            window.add(new_ids, fetched)
+            num_new = len(new_ids)
 
         simulated = self.cost_model.time_rpc_batched(num_new, dim, opened)
         rows = window.rows_for(global_ids)

@@ -92,6 +92,15 @@ def group_offsets(ids: np.ndarray, n: int) -> Tuple[Optional[np.ndarray], np.nda
     return order, indptr
 
 
+def sorted_lookup(sorted_ids: np.ndarray, query: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(position, found)`` of each *query* id in ascending *sorted_ids*, in
+    one ``searchsorted`` + ``take`` pass; a position means nothing where not found."""
+    idx = sorted_ids.searchsorted(query)
+    if len(sorted_ids) == 0:  # take(mode="clip") cannot read an empty array
+        return idx, np.zeros(len(query), dtype=bool)
+    return idx, sorted_ids.take(idx, mode="clip") == query
+
+
 def check_2d_float_array(array: np.ndarray, name: str, *, columns: Optional[int] = None) -> np.ndarray:
     """Coerce *array* to a 2-D float32 array, optionally checking column count."""
     arr = np.asarray(array, dtype=np.float32)

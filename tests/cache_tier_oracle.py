@@ -4,8 +4,14 @@
 store: six parallel arrays in ascending id order — the feature matrix among
 them — rebuilt with ``np.insert``/``np.delete`` on every admission and
 eviction.  It is slow and obviously right, which is what an oracle is for.
-Only storage is overridden; construction, the decision ledger and the scorer
-plumbing are inherited from :class:`~repro.cache.tier.CacheTier`.
+It still stores each resident's degree, looked up once on entry, and serves
+``resident_degrees`` and ``snapshot()["degrees"]`` from that array; the real
+tier's five-row index holds no degrees and looks them up on every read, so
+the property test holds the on-demand lookup to the stored column.  Only
+storage is overridden (its ``admit`` asks the admission policy
+``admit(tier, candidate_ids)``, as the real tier does); construction, the
+decision ledger and the scorer plumbing are inherited from
+:class:`~repro.cache.tier.CacheTier`.
 
 :class:`LoopClockEviction` is the CLOCK sweep written as the loop the policy's
 docstring describes, one hand position per iteration.  :class:`SortLRUEviction`
@@ -67,6 +73,10 @@ class OracleCacheTier(CacheTier):
         self._ref = np.zeros(0, dtype=bool)
         self._degrees = np.zeros(0, dtype=np.int64)
 
+    @property
+    def resident_degrees(self) -> np.ndarray:
+        return self._degrees
+
     def nbytes(self) -> int:
         scorer_bytes = self.scorer.nbytes() if self.scorer is not None else 0
         return int(
@@ -122,7 +132,7 @@ class OracleCacheTier(CacheTier):
         self._last_access = np.full(self.size, step, dtype=np.int64)
         self._freq = np.zeros(self.size, dtype=np.int64)
         self._ref = np.ones(self.size, dtype=bool)
-        self._degrees = self._degrees_for(self._ids)
+        self._degrees = self.degrees(self._ids)
 
     def admit(self, global_ids, rows, step) -> int:
         global_ids = check_1d_int_array(global_ids, "global_ids")
@@ -138,8 +148,8 @@ class OracleCacheTier(CacheTier):
             self.stats.rejections += int(len(global_ids))
             return 0
 
-        degrees = self._degrees_for(global_ids)
-        mask = self.admission.admit(self, global_ids, degrees)
+        degrees = self.degrees(global_ids)
+        mask = self.admission.admit(self, global_ids)
         self.stats.rejections += int((~mask).sum())
         admitted, rows, degrees = global_ids[mask], rows[mask], degrees[mask]
         if len(admitted) == 0:

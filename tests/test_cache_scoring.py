@@ -126,11 +126,9 @@ class TestModeMonotonicity:
         rng = np.random.default_rng(11)
         for _ in range(10):
             candidates = np.sort(rng.choice(200, size=10, replace=False))
-            degrees = degree_mod7(candidates)
-            strict = ScoredAdmission(mode="strict").admit(tier, candidates, degrees)
-            conservative = ScoredAdmission(mode="conservative").admit(
-                tier, candidates, degrees)
-            bypass = ScoredAdmission(mode="bypass").admit(tier, candidates, degrees)
+            strict = ScoredAdmission(mode="strict").admit(tier, candidates)
+            conservative = ScoredAdmission(mode="conservative").admit(tier, candidates)
+            bypass = ScoredAdmission(mode="bypass").admit(tier, candidates)
             assert not np.any(strict & ~conservative)
             assert not np.any(conservative & ~bypass)
             assert bypass.all()
