@@ -1,7 +1,7 @@
 """Shared configuration for the benchmark harness.
 
 Every benchmark regenerates one of the paper's tables or figures (see
-DESIGN.md's experiment index).  The measured experiment runs inside the
+``docs/PAPER_MAP.md``).  The measured experiment runs inside the
 pytest-benchmark fixture (so ``pytest benchmarks/ --benchmark-only`` times it),
 and the paper-style result table is written to ``benchmarks/results/<name>.txt``
 as well as echoed to stdout.

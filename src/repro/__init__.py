@@ -19,7 +19,7 @@ Massively Connected Distributed Graphs* (CLUSTER 2024) in pure Python/NumPy:
 * :mod:`repro.scenarios` — named cluster workloads (uniform, skewed
   partitions, straggler machines, hot halo, cache stress, asynchrony/failure/
   congestion) for benchmarks and the CLI;
-* :mod:`repro.perf` — the analytical performance model (Eqs. 2–7) and the
+* :mod:`repro.perf` — the analytical performance model (Eqs. 2–6, 9) and the
   (γ, Δ) trade-off analysis.
 
 Quickstart — every run is a :class:`~repro.scenarios.ClusterScenario`;

@@ -4,9 +4,6 @@ Commands
 --------
 ``datasets``
     List the registered dataset analogs and their Table II statistics.
-``experiments``
-    List every paper table/figure, the benchmark that regenerates it, and the
-    modules involved (the DESIGN.md experiment index, from code).
 ``run``
     Run a scenario: ``repro run --scenario skewed-partitions`` materializes a
     named workload from :data:`repro.scenarios.SCENARIOS` (default
@@ -81,7 +78,6 @@ from repro.training.config import TrainConfig
 from repro.training.engines import ENGINES
 from repro.training.pipelines import PIPELINES
 from repro.training.sweep import find_optimal, run_parameter_sweep
-from repro.training.trace import list_experiments
 from repro.tuning import (
     OBJECTIVES,
     SEARCH_STRATEGIES,
@@ -106,7 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("datasets", help="list dataset analogs and their statistics")
-    sub.add_parser("experiments", help="list the paper's tables/figures and their bench targets")
     scenarios = sub.add_parser("scenarios", help="list the registered cluster scenarios")
     scenarios.add_argument(
         "--markdown", action="store_true",
@@ -402,15 +397,6 @@ def _cmd_datasets(args: argparse.Namespace) -> int:
          "feat dim", "classes", "avg deg"],
         rows,
     ))
-    return 0
-
-
-def _cmd_experiments(args: argparse.Namespace) -> int:
-    rows = [
-        [spec.experiment_id, spec.paper_reference, spec.description, spec.bench_target]
-        for spec in list_experiments()
-    ]
-    print(format_table(["id", "paper", "description", "bench target"], rows))
     return 0
 
 
@@ -931,7 +917,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     command = {
         "datasets": _cmd_datasets,
-        "experiments": _cmd_experiments,
         "scenarios": _cmd_scenarios,
         "run": _cmd_run,
         "serve": _cmd_serve,

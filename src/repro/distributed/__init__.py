@@ -1,14 +1,9 @@
 """DistDGL-like distributed substrate: KVStore, RPC, servers, cluster, DDP."""
 
-from repro.distributed.clock import SimClock, mean_breakdown, merge_breakdowns, synchronize
+from repro.distributed.clock import SimClock, mean_breakdown, merge_breakdowns
 from repro.distributed.cluster import ClusterConfig, SimCluster, TrainerContext
 from repro.distributed.cost_model import BYTES_PER_FEATURE, CostModel
-from repro.distributed.ddp import (
-    allreduce_gradients,
-    allreduce_time,
-    check_replicas_consistent,
-    gradient_num_elements,
-)
+from repro.distributed.ddp import allreduce_gradients
 from repro.distributed.kvstore import KVStore, KVStoreStats
 from repro.distributed.rpc import RPCChannel, RPCStats, aggregate_rpc_stats
 from repro.distributed.server import PartitionServer
@@ -17,16 +12,12 @@ __all__ = [
     "SimClock",
     "mean_breakdown",
     "merge_breakdowns",
-    "synchronize",
     "ClusterConfig",
     "SimCluster",
     "TrainerContext",
     "BYTES_PER_FEATURE",
     "CostModel",
     "allreduce_gradients",
-    "allreduce_time",
-    "check_replicas_consistent",
-    "gradient_num_elements",
     "KVStore",
     "KVStoreStats",
     "RPCChannel",

@@ -84,17 +84,6 @@ class SimClock:
         self.components = defaultdict(float)
 
 
-def synchronize(clocks: Iterable[SimClock], component: str = "stall") -> float:
-    """Barrier: advance every clock to the maximum time (synchronous DDP step)."""
-    clocks = list(clocks)
-    if not clocks:
-        return 0.0
-    latest = max(c.time for c in clocks)
-    for clock in clocks:
-        clock.advance_to(latest, component)
-    return latest
-
-
 def merge_breakdowns(clocks: Iterable[SimClock]) -> Dict[str, float]:
     """Sum component ledgers across trainers (for cluster-wide breakdowns)."""
     total: Dict[str, float] = defaultdict(float)

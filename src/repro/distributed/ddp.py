@@ -11,12 +11,9 @@ clock via the cost model's ring-allreduce estimate.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
-
-from repro.distributed.cost_model import CostModel
-
 
 GradDict = Dict[str, np.ndarray]
 
@@ -44,31 +41,3 @@ def allreduce_gradients(per_trainer_grads: Sequence[GradDict]) -> GradDict:
         stacked = np.stack([g[name] for g in contributing], axis=0)
         averaged[name] = stacked.mean(axis=0)
     return averaged
-
-
-def gradient_num_elements(grads: GradDict) -> int:
-    """Total number of gradient elements (drives allreduce payload size)."""
-    return int(sum(g.size for g in grads.values()))
-
-
-def allreduce_time(cost_model: CostModel, num_params: int, world_size: int) -> float:
-    """Simulated allreduce time for the given payload and world size."""
-    return cost_model.time_allreduce(num_params, world_size)
-
-
-def check_replicas_consistent(param_dicts: List[GradDict], atol: float = 1e-5) -> bool:
-    """Verify that all model replicas hold (numerically) identical parameters.
-
-    Synchronous DDP guarantees this invariant after every step; the integration
-    tests assert it to make sure the simulated trainers do not drift.
-    """
-    if len(param_dicts) <= 1:
-        return True
-    reference = param_dicts[0]
-    for other in param_dicts[1:]:
-        if set(other.keys()) != set(reference.keys()):
-            return False
-        for name, value in reference.items():
-            if not np.allclose(value, other[name], atol=atol):
-                return False
-    return True

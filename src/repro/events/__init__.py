@@ -20,7 +20,6 @@ from repro.events.sync import (
     StepContribution,
     SyncContext,
     SyncPolicy,
-    build_sync_policy,
 )
 
 __all__ = [
@@ -33,5 +32,4 @@ __all__ = [
     "StepContribution",
     "SyncContext",
     "SyncPolicy",
-    "build_sync_policy",
 ]

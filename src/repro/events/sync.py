@@ -471,8 +471,3 @@ class LocalSGDPolicy(SyncPolicy):
 
     def describe(self) -> str:
         return f"{self.name}(H={self.sync_period})"
-
-
-def build_sync_policy(name: str, **kwargs) -> SyncPolicy:
-    """Build a registered sync policy by name (see :data:`SYNC_POLICIES`)."""
-    return SYNC_POLICIES.build(name, **kwargs)

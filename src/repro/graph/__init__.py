@@ -1,6 +1,6 @@
 """Graph substrate: CSR container, generators, datasets, partitioning, halos."""
 
-from repro.graph.csr import CSRGraph, merge_graphs, validate_graph
+from repro.graph.csr import CSRGraph
 from repro.graph.datasets import (
     DATASET_SPECS,
     DatasetSpec,
@@ -10,7 +10,6 @@ from repro.graph.datasets import (
     make_custom_dataset,
 )
 from repro.graph.generators import (
-    chung_lu_edges,
     class_informative_features,
     planted_partition_graph,
     powerlaw_degree_sequence,
@@ -18,7 +17,7 @@ from repro.graph.generators import (
     rmat_graph,
     train_val_test_split,
 )
-from repro.graph.halo import GraphPartition, build_partitions, halo_statistics
+from repro.graph.halo import GraphPartition, build_partitions
 from repro.graph.partition import (
     PartitionResult,
     balance,
@@ -34,15 +33,12 @@ from repro.graph.partition_book import PartitionBook
 
 __all__ = [
     "CSRGraph",
-    "merge_graphs",
-    "validate_graph",
     "DATASET_SPECS",
     "DatasetSpec",
     "GraphDataset",
     "available_datasets",
     "load_dataset",
     "make_custom_dataset",
-    "chung_lu_edges",
     "class_informative_features",
     "planted_partition_graph",
     "powerlaw_degree_sequence",
@@ -51,7 +47,6 @@ __all__ = [
     "train_val_test_split",
     "GraphPartition",
     "build_partitions",
-    "halo_statistics",
     "PartitionResult",
     "balance",
     "edge_cut",

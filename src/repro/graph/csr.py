@@ -11,7 +11,7 @@ degree queries, and induced-subgraph extraction.  All node identifiers are
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -218,23 +218,3 @@ class CSRGraph:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"CSRGraph(num_nodes={self.num_nodes}, num_edges={self.num_edges})"
-
-
-def validate_graph(graph: CSRGraph) -> None:
-    """Run the CSR invariants explicitly (useful in property tests)."""
-    CSRGraph(indptr=graph.indptr, indices=graph.indices, num_nodes=graph.num_nodes)
-
-
-def merge_graphs(graphs: Iterable[CSRGraph]) -> CSRGraph:
-    """Disjoint union of several graphs, relabelling nodes consecutively."""
-    srcs, dsts, offset = [], [], 0
-    for g in graphs:
-        s, d = g.edges()
-        srcs.append(s + offset)
-        dsts.append(d + offset)
-        offset += g.num_nodes
-    if not srcs:
-        return CSRGraph.empty(0)
-    return CSRGraph.from_edges(
-        np.concatenate(srcs), np.concatenate(dsts), num_nodes=offset, deduplicate=False
-    )

@@ -21,7 +21,7 @@ degrees (strong communities — resembles reddit).
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -60,34 +60,6 @@ def powerlaw_degree_sequence(
     if degrees.sum() % 2 == 1:
         degrees[int(rng.integers(num_nodes))] += 1
     return degrees
-
-
-def chung_lu_edges(
-    degrees: np.ndarray, seed: SeedLike = None, max_attempts_factor: int = 4
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Generate edges under the Chung-Lu model for a given expected degree sequence.
-
-    Endpoints are drawn proportionally to their target degree; duplicates and
-    self loops are filtered afterwards, which slightly lowers realized degrees
-    for very skewed sequences but preserves the heavy tail.
-    """
-    rng = ensure_rng(seed)
-    degrees = np.asarray(degrees, dtype=np.float64)
-    num_edges = int(degrees.sum() // 2)
-    if num_edges == 0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    prob = degrees / degrees.sum()
-    # Oversample, then trim duplicates/self-loops.
-    n_draw = int(max_attempts_factor * num_edges)
-    src = rng.choice(len(degrees), size=n_draw, p=prob)
-    dst = rng.choice(len(degrees), size=n_draw, p=prob)
-    keep = src != dst
-    src, dst = src[keep], dst[keep]
-    lo, hi = np.minimum(src, dst), np.maximum(src, dst)
-    key = lo.astype(np.int64) * np.int64(len(degrees)) + hi
-    _, first = np.unique(key, return_index=True)
-    first = first[: num_edges]
-    return lo[first].astype(np.int64), hi[first].astype(np.int64)
 
 
 # --------------------------------------------------------------------------- #

@@ -187,15 +187,3 @@ def build_partitions(
         )
         partitions.append(partition)
     return partitions
-
-
-def halo_statistics(partitions: List[GraphPartition]) -> Dict[str, float]:
-    """Aggregate halo statistics across partitions (Table III style)."""
-    halos = np.array([p.num_halo for p in partitions], dtype=np.float64)
-    owned = np.array([p.num_owned for p in partitions], dtype=np.float64)
-    return {
-        "mean_halo": float(halos.mean()) if len(halos) else 0.0,
-        "max_halo": float(halos.max()) if len(halos) else 0.0,
-        "mean_owned": float(owned.mean()) if len(owned) else 0.0,
-        "mean_halo_fraction": float((halos / np.maximum(owned + halos, 1)).mean()) if len(halos) else 0.0,
-    }

@@ -2,8 +2,8 @@
 
 from repro.nn.gat import GAT, GATLayer
 from repro.nn.graphsage import GraphSAGE, SAGELayer
-from repro.nn.layers import Linear, Module, Parameter
-from repro.nn.loss import accuracy, cross_entropy, softmax, top_k_accuracy
+from repro.nn.layers import Module, Parameter
+from repro.nn.loss import accuracy, cross_entropy, softmax
 from repro.nn.optim import Adam, Optimizer, SGD, build_optimizer
 
 
@@ -31,13 +31,11 @@ __all__ = [
     "GATLayer",
     "GraphSAGE",
     "SAGELayer",
-    "Linear",
     "Module",
     "Parameter",
     "accuracy",
     "cross_entropy",
     "softmax",
-    "top_k_accuracy",
     "Adam",
     "Optimizer",
     "SGD",

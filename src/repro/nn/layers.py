@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
-
-from repro.nn.tensor_utils import xavier_uniform, zeros
-from repro.utils.rng import SeedLike
 
 
 class Parameter:
@@ -75,29 +72,3 @@ class Module:
             if params[name].value.shape != value.shape:
                 raise ValueError(f"shape mismatch for {name}")
             params[name].value[...] = value
-
-
-class Linear(Module):
-    """Affine layer ``y = x W + b`` with manual backward."""
-
-    def __init__(self, in_dim: int, out_dim: int, bias: bool = True, seed: SeedLike = None):
-        self.weight = Parameter(xavier_uniform((in_dim, out_dim), seed=seed))
-        self.bias: Optional[Parameter] = Parameter(zeros((out_dim,))) if bias else None
-        self._cache_x: Optional[np.ndarray] = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._cache_x = x
-        out = x @ self.weight.value
-        if self.bias is not None:
-            out = out + self.bias.value
-        return out
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._cache_x is None:
-            raise RuntimeError("backward called before forward")
-        self.weight.grad += self._cache_x.T @ grad_out
-        if self.bias is not None:
-            self.bias.grad += grad_out.sum(axis=0)
-        return grad_out @ self.weight.value.T
-
-    __call__ = forward

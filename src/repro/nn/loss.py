@@ -51,15 +51,3 @@ def accuracy(logits_or_preds: np.ndarray, labels: np.ndarray) -> float:
     else:
         preds = logits_or_preds.astype(np.int64)
     return float(np.mean(preds == labels))
-
-
-def top_k_accuracy(logits: np.ndarray, labels: np.ndarray, k: int = 5) -> float:
-    """Top-k accuracy from logits."""
-    labels = check_1d_int_array(labels, "labels")
-    if len(labels) == 0:
-        return 0.0
-    if logits.ndim != 2:
-        raise ValueError("logits must be 2-D")
-    k = min(k, logits.shape[1])
-    topk = np.argpartition(-logits, kth=k - 1, axis=1)[:, :k]
-    return float(np.mean([labels[i] in topk[i] for i in range(len(labels))]))

@@ -13,24 +13,18 @@ from repro.perf.model import (
     communication_stall_time,
     components_from_breakdown,
     improvement_factor,
-    is_perfect_overlap,
     overlap_efficiency,
     predicted_speedup,
     prefetch_first_step_time,
     prefetch_steady_step_time,
     prepare_time,
-    scoring_overhead_compound,
     total_time,
 )
 from repro.perf.tradeoffs import (
     QUADRANTS,
     QuadrantInfo,
-    classify_config,
     classify_quadrant,
-    eviction_rounds_per_epoch,
-    expected_behaviour,
     quadrant_configs,
-    rank_quadrants_by_hit_rate,
 )
 
 __all__ = [
@@ -44,20 +38,14 @@ __all__ = [
     "communication_stall_time",
     "components_from_breakdown",
     "improvement_factor",
-    "is_perfect_overlap",
     "overlap_efficiency",
     "predicted_speedup",
     "prefetch_first_step_time",
     "prefetch_steady_step_time",
     "prepare_time",
-    "scoring_overhead_compound",
     "total_time",
     "QUADRANTS",
     "QuadrantInfo",
-    "classify_config",
     "classify_quadrant",
-    "eviction_rounds_per_epoch",
-    "expected_behaviour",
     "quadrant_configs",
-    "rank_quadrants_by_hit_rate",
 ]

@@ -1,11 +1,12 @@
-"""Analytical performance model (Section IV-C, Equations 2–7 and 9).
+"""Analytical performance model (Section IV-C, Equations 2–6 and 9).
 
 The paper derives when the prefetching scheme helps: per-minibatch baseline
 time is sampling + feature movement + DDP training (Eq. 2); with prefetching
 the next minibatch's preparation overlaps with the current minibatch's DDP
 training (Eqs. 4–5), so steady-state time is ``max(t_prepare, t_DDP)`` and the
-potential improvement factor is roughly ``t_RPC / t_DDP + 1`` (Eq. 6).  The
-compounding cost of frequent scoreboard maintenance is modelled by Eq. 7.
+potential improvement factor is roughly ``t_RPC / t_DDP + 1`` (Eq. 6).  Eq. 7's
+compounding cost of frequent scoreboard maintenance has no closed form here:
+the timing policies charge each scoring round when it happens.
 
 Eqs. 2–5 and 9 are written only here, as float functions: the timing
 policies of :mod:`repro.training.pipelines` call them on every simulated step,
@@ -102,11 +103,6 @@ def predicted_speedup(c: StepComponents, num_steps: int = 1000) -> float:
     return baseline / prefetched
 
 
-def is_perfect_overlap(c: StepComponents) -> bool:
-    """True when minibatch preparation hides entirely behind DDP training."""
-    return c.t_prepare <= c.t_ddp
-
-
 def overlap_efficiency(c: StepComponents) -> float:
     """Fraction of preparation time hidden behind training (1.0 = perfect overlap).
 
@@ -118,28 +114,6 @@ def overlap_efficiency(c: StepComponents) -> float:
         return 1.0
     hidden = min(t_prep, c.t_ddp)
     return hidden / t_prep
-
-
-def scoring_overhead_compound(
-    t_prepare_present: float,
-    scoring_fraction: float,
-    num_epochs: int,
-    delta: int,
-) -> float:
-    """Eq. 7: compounded preparation time after repeated score maintenance.
-
-    ``t_prepare(future) = t_prepare(present) * (1 + scoring_fraction)^(epochs/delta)``
-    where ``scoring_fraction`` expresses the per-interval scoring cost as a
-    fraction of the preparation time (the paper's example uses 10%).
-    """
-    if t_prepare_present < 0:
-        raise ValueError("t_prepare_present must be non-negative")
-    if scoring_fraction < 0:
-        raise ValueError("scoring_fraction must be non-negative")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    periods = num_epochs / delta
-    return t_prepare_present * (1.0 + scoring_fraction) ** periods
 
 
 def communication_stall_time(t_rpc: float, t_copy: float) -> float:

@@ -11,15 +11,15 @@ high decay/long    γ → 0, large Δ              delayed evictions, possible h
 low decay/long     γ → 1, large Δ              best: steady hit-rate growth, low overhead
 =================  ==========================  =====================================
 
-:func:`classify_quadrant` maps a configuration to its quadrant and
-:func:`expected_behaviour` returns the paper's qualitative prediction, which
-the sweep benchmarks compare against measured hit rates/times.
+:func:`classify_quadrant` maps (γ, Δ) to its quadrant, whose ``expected``
+field is the paper's qualitative prediction, and :func:`quadrant_configs`
+builds one representative configuration per quadrant for the Fig. 5 bench.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 from repro.core.config import PrefetchConfig
 
@@ -83,15 +83,6 @@ def classify_quadrant(gamma: float, delta: int) -> QuadrantInfo:
     raise RuntimeError("unreachable: quadrant table covers all combinations")
 
 
-def classify_config(config: PrefetchConfig) -> QuadrantInfo:
-    """Quadrant of a :class:`PrefetchConfig`."""
-    return classify_quadrant(config.gamma, config.delta)
-
-
-def expected_behaviour(gamma: float, delta: int) -> str:
-    return classify_quadrant(gamma, delta).expected
-
-
 def quadrant_configs(
     halo_fraction: float = 0.25,
     low_gamma: float = 0.5,
@@ -114,15 +105,3 @@ def quadrant_configs(
             halo_fraction=halo_fraction, gamma=high_gamma, delta=long_delta
         ),
     }
-
-
-def rank_quadrants_by_hit_rate(results: Dict[str, float]) -> List[str]:
-    """Order quadrant names from best to worst by measured hit rate."""
-    return sorted(results, key=lambda name: results[name], reverse=True)
-
-
-def eviction_rounds_per_epoch(num_minibatches: int, delta: int) -> int:
-    """How many eviction rounds a trainer performs per epoch."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    return max(0, num_minibatches // delta)

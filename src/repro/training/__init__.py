@@ -8,7 +8,7 @@ from repro.training.cluster_engine import (
 )
 from repro.training.config import TrainConfig
 from repro.training.engines import ENGINES, build_engine
-from repro.training.evaluate import evaluate_accuracy, evaluate_loss, majority_class_accuracy
+from repro.training.evaluate import evaluate_accuracy
 from repro.training.memory import MemoryProfile, compare_memory, profile_memory
 from repro.training.pipelines import (
     PIPELINES,
@@ -22,7 +22,6 @@ from repro.training.sweep import (
     delta_sweep,
     find_optimal,
     gamma_sweep,
-    paper_grid,
     run_parameter_sweep,
 )
 from repro.training.telemetry import (
@@ -45,8 +44,6 @@ __all__ = [
     "SerialTimingPolicy",
     "build_pipeline",
     "evaluate_accuracy",
-    "evaluate_loss",
-    "majority_class_accuracy",
     "MemoryProfile",
     "compare_memory",
     "profile_memory",
@@ -55,7 +52,6 @@ __all__ = [
     "delta_sweep",
     "find_optimal",
     "gamma_sweep",
-    "paper_grid",
     "run_parameter_sweep",
     "ComponentAccumulator",
     "EpochRecord",

@@ -25,7 +25,7 @@ The engine keeps a single model replica shared by all simulated trainers.
 Under synchronous DDP every replica receives the same averaged gradient and
 applies the same deterministic update, so one shared replica is numerically
 equivalent to ``world_size`` identical replicas (the property is asserted in
-the integration tests via :func:`repro.distributed.ddp.check_replicas_consistent`).
+``tests/test_property_cluster.py``).
 """
 
 from __future__ import annotations

@@ -13,7 +13,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.graph.datasets import GraphDataset
-from repro.nn.loss import accuracy
 from repro.sampling.neighbor_sampler import NeighborSampler
 from repro.utils.rng import SeedLike
 from repro.utils.validation import check_1d_int_array, check_positive
@@ -48,40 +47,3 @@ def evaluate_accuracy(
         correct += int(np.sum(preds == minibatch.labels))
         total += len(minibatch.labels)
     return correct / total if total else 0.0
-
-
-def evaluate_loss(
-    model,
-    dataset: GraphDataset,
-    node_ids: np.ndarray,
-    fanouts: Sequence[int] = (10, 25),
-    batch_size: int = 512,
-    seed: SeedLike = 0,
-) -> float:
-    """Mean cross-entropy of *model* on *node_ids* (sampled inference)."""
-    from repro.nn.loss import cross_entropy
-
-    node_ids = check_1d_int_array(node_ids, "node_ids", max_value=dataset.num_nodes)
-    if len(node_ids) == 0:
-        return 0.0
-    sampler = NeighborSampler(dataset.graph, fanouts, seed=seed)
-    losses = []
-    for b in range(int(np.ceil(len(node_ids) / batch_size))):
-        batch = node_ids[b * batch_size: (b + 1) * batch_size]
-        minibatch = sampler.sample(batch, labels=dataset.labels)
-        feats = dataset.features[minibatch.input_global]
-        logits = model.forward(minibatch.blocks, feats)
-        loss, _ = cross_entropy(logits, minibatch.labels)
-        losses.append(loss)
-    return float(np.mean(losses)) if losses else 0.0
-
-
-def majority_class_accuracy(dataset: GraphDataset, node_ids: np.ndarray) -> float:
-    """Accuracy of always predicting the most frequent class (a learning floor)."""
-    node_ids = check_1d_int_array(node_ids, "node_ids", max_value=dataset.num_nodes)
-    if len(node_ids) == 0:
-        return 0.0
-    labels = dataset.labels[node_ids]
-    counts = np.bincount(labels, minlength=dataset.num_classes)
-    majority = int(np.argmax(counts))
-    return accuracy(np.full(len(labels), majority), labels)

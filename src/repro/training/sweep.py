@@ -15,12 +15,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.config import (
-    PAPER_DELTAS,
-    PAPER_GAMMAS,
-    PAPER_HALO_FRACTIONS,
-    PrefetchConfig,
-)
+from repro.core.config import PrefetchConfig
 from repro.graph.datasets import GraphDataset
 from repro.training.config import TrainConfig
 from repro.training.telemetry import TrainingReport
@@ -133,21 +128,6 @@ def find_optimal(
         "total_time_s": best.total_time_s,
         "hit_rate": best.hit_rate,
         "improvement_percent": best.improvement_percent,
-    }
-
-
-def paper_grid(reduced: bool = True) -> Dict[str, Sequence[float]]:
-    """The parameter grid the paper explores (optionally reduced for quick runs)."""
-    if reduced:
-        return {
-            "halo_fractions": (0.25, 0.50),
-            "gammas": (0.95, 0.995),
-            "deltas": (16, 128),
-        }
-    return {
-        "halo_fractions": PAPER_HALO_FRACTIONS,
-        "gammas": PAPER_GAMMAS,
-        "deltas": PAPER_DELTAS,
     }
 
 

@@ -1,18 +1,15 @@
-"""Shared utilities: RNG handling, validation helpers, and lightweight logging."""
+"""Shared utilities: RNG handling, validation helpers, and ASCII tables."""
 
-from repro.utils.rng import ensure_rng, spawn_rngs
+from repro.utils.rng import ensure_rng
 from repro.utils.validation import (
     check_1d_int_array,
     check_fraction,
     check_positive,
-    check_probability,
 )
 
 __all__ = [
     "ensure_rng",
-    "spawn_rngs",
     "check_1d_int_array",
     "check_fraction",
     "check_positive",
-    "check_probability",
 ]

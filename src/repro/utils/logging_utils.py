@@ -1,29 +1,8 @@
-"""Minimal structured logging for simulations and benchmark harnesses.
-
-The benchmark scripts print paper-style tables; the training engine emits
-per-epoch progress lines.  A tiny wrapper around :mod:`logging` keeps the
-output format consistent without pulling in heavier dependencies.
-"""
+"""Paper-style ASCII tables for the benchmark harnesses and the CLI."""
 
 from __future__ import annotations
 
-import logging
-import sys
 from typing import Iterable, List, Sequence
-
-_FORMAT = "[%(levelname)s %(name)s] %(message)s"
-
-
-def get_logger(name: str, level: int = logging.INFO) -> logging.Logger:
-    """Return a logger configured to emit to stderr once (idempotent)."""
-    logger = logging.getLogger(name)
-    if not logger.handlers:
-        handler = logging.StreamHandler(sys.stderr)
-        handler.setFormatter(logging.Formatter(_FORMAT))
-        logger.addHandler(handler)
-        logger.propagate = False
-    logger.setLevel(level)
-    return logger
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]],

@@ -44,11 +44,6 @@ def check_fraction(value: float, name: str, *, inclusive_low: bool = True,
     return float(value)
 
 
-def check_probability(value: float, name: str) -> float:
-    """Alias of :func:`check_fraction` with inclusive bounds."""
-    return check_fraction(value, name)
-
-
 def check_1d_int_array(
     array: Union[np.ndarray, Sequence[int]],
     name: str,
@@ -109,11 +104,3 @@ def check_2d_float_array(array: np.ndarray, name: str, *, columns: Optional[int]
     if columns is not None and arr.shape[1] != columns:
         raise ValueError(f"{name} must have {columns} columns, got {arr.shape[1]}")
     return arr
-
-
-def check_same_length(name_a: str, a: np.ndarray, name_b: str, b: np.ndarray) -> None:
-    """Require two arrays to have equal leading dimension."""
-    if len(a) != len(b):
-        raise ValueError(
-            f"{name_a} and {name_b} must have the same length, got {len(a)} vs {len(b)}"
-        )

@@ -1,40 +1,16 @@
 """Terminal (ASCII) visualization helpers.
 
-The paper's figures are bar charts (training time + hit rate), line plots
-(hit-rate progression, γ/Δ sweeps), and stacked breakdowns (Fig. 9).  This
-module renders the same shapes as plain text so that examples and benchmark
-harnesses can show results inline without a plotting dependency.
+The paper compares runs as bar charts (training time, Fig. 6) and splits a
+run's time as a stacked breakdown (Fig. 9).  This module renders those two
+shapes as plain text so that ``repro run --mode both`` can show them inline
+without a plotting dependency.
 """
 
 from __future__ import annotations
 
-from typing import List, Mapping, Optional, Sequence
+from typing import List, Mapping
 
-import numpy as np
-
-_SPARK_CHARS = "▁▂▃▄▅▆▇█"
 _BAR_CHAR = "█"
-
-
-def sparkline(values: Sequence[float], width: Optional[int] = None) -> str:
-    """Render *values* as a one-line unicode sparkline.
-
-    ``width`` resamples the series to a fixed number of characters (useful for
-    long hit-rate trajectories).
-    """
-    data = np.asarray(list(values), dtype=np.float64)
-    if data.size == 0:
-        return ""
-    if width is not None and width > 0 and data.size > width:
-        # Simple block-mean resampling.
-        edges = np.linspace(0, data.size, width + 1).astype(int)
-        data = np.array([data[a:b].mean() for a, b in zip(edges[:-1], edges[1:]) if b > a])
-    lo, hi = float(data.min()), float(data.max())
-    if hi - lo < 1e-12:
-        return _SPARK_CHARS[0] * len(data)
-    scaled = (data - lo) / (hi - lo)
-    idx = np.minimum((scaled * (len(_SPARK_CHARS) - 1)).round().astype(int), len(_SPARK_CHARS) - 1)
-    return "".join(_SPARK_CHARS[i] for i in idx)
 
 
 def horizontal_bar_chart(
@@ -79,54 +55,6 @@ def stacked_breakdown(
         bar_parts.append(sym * chars)
         legend_parts.append(f"{sym} {name} {100 * value / total:.1f}%")
     return "[" + "".join(bar_parts)[:width].ljust(width) + "]\n" + "  ".join(legend_parts)
-
-
-def line_plot(
-    series: Mapping[str, Sequence[float]],
-    height: int = 10,
-    width: int = 60,
-    y_label: str = "",
-) -> str:
-    """Render one or more series as an ASCII line plot (Fig. 10 / 12 / 13 style)."""
-    if not series:
-        return ""
-    markers = "*o+x.#@"
-    all_values = np.concatenate([np.asarray(list(v), dtype=np.float64) for v in series.values() if len(v)])
-    if all_values.size == 0:
-        return ""
-    lo, hi = float(all_values.min()), float(all_values.max())
-    if hi - lo < 1e-12:
-        hi = lo + 1.0
-    grid = [[" "] * width for _ in range(height)]
-    for s_idx, (name, values) in enumerate(series.items()):
-        data = np.asarray(list(values), dtype=np.float64)
-        if data.size == 0:
-            continue
-        xs = np.linspace(0, width - 1, data.size).round().astype(int)
-        ys = ((data - lo) / (hi - lo) * (height - 1)).round().astype(int)
-        for x, y in zip(xs, ys):
-            grid[height - 1 - y][x] = markers[s_idx % len(markers)]
-    lines = []
-    for row_idx, row in enumerate(grid):
-        value = hi - (hi - lo) * row_idx / (height - 1)
-        lines.append(f"{value:8.3f} |" + "".join(row))
-    lines.append(" " * 9 + "+" + "-" * width)
-    legend = "  ".join(
-        f"{markers[i % len(markers)]} {name}" for i, name in enumerate(series.keys())
-    )
-    header = f"{y_label}\n" if y_label else ""
-    return header + "\n".join(lines) + "\n" + legend
-
-
-def hit_rate_plot(tracker, width: int = 60, height: int = 8) -> str:
-    """Plot a :class:`~repro.core.metrics.HitRateTracker`'s cumulative trajectory."""
-    running = tracker.running_hit_rate()
-    if len(running) == 0:
-        return "(no hit-rate history)"
-    plot = line_plot({"cumulative hit rate": running}, height=height, width=width)
-    marks = ", ".join(str(s) for s in tracker.eviction_steps[:10])
-    suffix = f"\neviction points at minibatches: {marks}" if tracker.eviction_steps else ""
-    return plot + suffix
 
 
 def comparison_summary(baseline_report, prefetch_report, width: int = 40) -> str:

@@ -18,8 +18,9 @@ from repro.distributed.clock import SimClock
 from repro.distributed.cluster import ClusterConfig, SimCluster
 from repro.events.schedule import FailureSpec
 from repro.graph.datasets import load_dataset
-from repro.nn.layers import Linear
+from repro.nn.layers import Module, Parameter
 from repro.nn.optim import SGD, Adam
+from repro.nn.tensor_utils import xavier_uniform, zeros
 from repro.sampling.seeds import SeedIterator
 from repro.training.async_engine import AsyncClusterEngine
 from repro.training.checkpoint import (
@@ -30,6 +31,14 @@ from repro.training.checkpoint import (
 from repro.training.config import TrainConfig
 
 PREFETCH = PrefetchConfig(halo_fraction=0.35, gamma=0.995, delta=8)
+
+
+class Linear(Module):
+    """The smallest module with parameters: the weight and bias of ``x W + b``."""
+
+    def __init__(self, in_dim, out_dim, seed=None):
+        self.weight = Parameter(xavier_uniform((in_dim, out_dim), seed=seed))
+        self.bias = Parameter(zeros((out_dim,)))
 
 
 @pytest.fixture(scope="module")

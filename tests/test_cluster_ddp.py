@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from repro.distributed.cluster import ClusterConfig, SimCluster
-from repro.distributed.cost_model import CostModel
-from repro.distributed.ddp import (
-    allreduce_gradients,
-    allreduce_time,
-    check_replicas_consistent,
-    gradient_num_elements,
-)
+from repro.distributed.ddp import allreduce_gradients
 
 
 class TestClusterConfig:
@@ -103,21 +97,3 @@ class TestAllreduce:
     def test_mismatched_keys_raise(self):
         with pytest.raises(ValueError):
             allreduce_gradients([{"w": np.zeros(2)}, {"v": np.zeros(2)}])
-
-    def test_gradient_num_elements(self):
-        grads = {"w": np.zeros((3, 4)), "b": np.zeros(4)}
-        assert gradient_num_elements(grads) == 16
-
-    def test_allreduce_time_positive(self):
-        cm = CostModel.cpu()
-        assert allreduce_time(cm, 100_000, 8) > 0
-        assert allreduce_time(cm, 100_000, 1) == 0.0
-
-    def test_check_replicas_consistent(self):
-        a = {"w": np.ones(3)}
-        b = {"w": np.ones(3)}
-        c = {"w": np.ones(3) + 1e-2}
-        assert check_replicas_consistent([a, b])
-        assert not check_replicas_consistent([a, c])
-        assert check_replicas_consistent([a])
-        assert not check_replicas_consistent([a, {"v": np.ones(3)}])

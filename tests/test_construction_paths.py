@@ -10,6 +10,12 @@ Outside ``repro/training/pipelines.py`` no module compares a pipeline name to
 a string literal or keeps a set of pipeline names: which pipeline reads a
 PrefetchConfig or a CacheConfig is a column of the ``PIPELINES`` rows, and a
 module that restated it as ``name == "baseline"`` would drift from them.
+
+Every public top-level function and class under ``src/repro`` has a use in
+``src/``, ``benchmarks/``, ``examples/`` or ``tools/``: code only tests call
+belongs in ``tests/``.  A package ``__init__``'s re-exports are not uses (code
+in its body is), a decorated (registered) definition is used, and a name whose
+only callers are themselves unused is unused too.
 """
 
 import ast
@@ -17,7 +23,8 @@ from pathlib import Path
 
 from repro.training.pipelines import PIPELINES
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+REPO_ROOT = Path(__file__).resolve().parents[1]
+SRC = REPO_ROOT / "src" / "repro"
 # Canonical names and aliases.
 PIPELINE_NAMES = {
     "baseline", "distdgl", "prefetch", "massivegnn",
@@ -141,3 +148,107 @@ p = argparse.ArgumentParser().add_argument("--mode", choices=["baseline", "prefe
 """
     assert pipeline_name_literals(ast.parse(flagged)) == [2, 3, 4, 5, 6]
     assert pipeline_name_literals(ast.parse(ignored)) == []
+
+
+# --------------------------------------------------------------------------- #
+# Test-only code: public src/ names nothing outside tests/ uses
+# --------------------------------------------------------------------------- #
+USE_DIRS = ("src", "benchmarks", "examples", "tools")
+
+# Public names kept although nothing outside tests/ uses them, each with why.
+# At most five; a new entry needs a reason a reader accepts.
+TEST_ONLY_ALLOWED = {}
+
+
+def _identifiers(node):
+    """Every name *node* reads (``x`` and ``obj.x`` both read ``x``)."""
+    found = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            found.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            found.add(n.attr)
+    return found
+
+
+def _is_reexport(stmt):
+    """A package ``__init__``'s ``from … import`` line or ``__all__`` list."""
+    if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+        return True
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else []
+    return any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets)
+
+
+def unused_public_names(root):
+    """``module:name`` of every public top-level src definition nothing uses.
+
+    Uses are read under ``USE_DIRS`` of *root*.  Code at a module's top level
+    is a root; a definition's body reads names only once the definition itself
+    is used, so a name whose only callers are unused is reported too.
+    """
+    src = root / "src"
+    defined = {}          # (module, name) -> names its body reads
+    live = set()          # names read from a root
+    for top in USE_DIRS:
+        for path in sorted((root / top).rglob("*.py")):
+            module = path.relative_to(root).as_posix()
+            in_src = top == "src"
+            for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+                if path.name == "__init__.py" and in_src and _is_reexport(stmt):
+                    continue
+                is_def = isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                if in_src and is_def:
+                    defined[(module, stmt.name)] = _identifiers(stmt) - {stmt.name}
+                    if stmt.decorator_list:
+                        live.add(stmt.name)
+                else:
+                    live |= _identifiers(stmt)
+    grew = True
+    while grew:
+        grew = False
+        for (_, name), reads in defined.items():
+            if name in live and not reads <= live:
+                live |= reads
+                grew = True
+    return sorted(f"{module}:{name}" for (module, name) in defined
+                  if not name.startswith("_") and name not in live)
+
+
+def test_every_public_src_name_has_a_use_outside_tests():
+    assert len(TEST_ONLY_ALLOWED) <= 5
+    unused = [n for n in unused_public_names(REPO_ROOT)
+              if n.split(":")[1] not in TEST_ONLY_ALLOWED]
+    assert unused == [], "only tests use these; move them to tests/ or delete them"
+
+
+def test_the_test_only_scan_flags_what_it_should(tmp_path):
+    files = {
+        # Re-exports are not uses; code in an __init__ body is.
+        "src/pkg/__init__.py": (
+            "from pkg.a import Model, ModelLayer, reexported_only\n"
+            "__all__ = ['Model', 'ModelLayer', 'reexported_only', 'build']\n"
+            "def build():\n    return Model()\n"
+        ),
+        "src/pkg/a.py": (
+            '"""Module docstring naming dead_caller is not a use."""\n'
+            "REG = {}\n"
+            "class ModelLayer:\n    pass\n"
+            "class Model:\n    layer = ModelLayer\n"
+            "def reexported_only():\n    pass\n"
+            # A decorated (registered) definition is used.
+            "@REG.setdefault\n"
+            "def registered():\n    pass\n"
+            # Deadness is transitive: helper's only caller is dead itself.
+            "def helper():\n    return helper()\n"
+            "def dead_caller():\n    return helper()\n"
+            "def _private():\n    pass\n"
+        ),
+        "examples/run.py": "from pkg import build\nbuild()\n",
+        "tests/test_a.py": "from pkg.a import dead_caller, reexported_only\ndead_caller()\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    assert unused_public_names(tmp_path) == [
+        "src/pkg/a.py:dead_caller", "src/pkg/a.py:helper", "src/pkg/a.py:reexported_only",
+    ]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.distributed.clock import SimClock, mean_breakdown, merge_breakdowns, synchronize
+from repro.distributed.clock import SimClock, mean_breakdown, merge_breakdowns
 from repro.distributed.cost_model import BYTES_PER_FEATURE, CostModel
 
 
@@ -99,18 +99,6 @@ class TestSimClock:
         clock.reset()
         assert clock.time == 0.0
         assert clock.breakdown() == {}
-
-    def test_synchronize_barrier(self):
-        clocks = [SimClock(), SimClock(), SimClock()]
-        clocks[0].advance(1.0, "ddp")
-        clocks[1].advance(3.0, "ddp")
-        latest = synchronize(clocks)
-        assert latest == pytest.approx(3.0)
-        assert all(c.time == pytest.approx(3.0) for c in clocks)
-        assert clocks[0].component_time("stall") == pytest.approx(2.0)
-
-    def test_synchronize_empty(self):
-        assert synchronize([]) == 0.0
 
     def test_merge_and_mean_breakdowns(self):
         a, b = SimClock(), SimClock()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.graph.csr import CSRGraph, merge_graphs, validate_graph
+from repro.graph.csr import CSRGraph
 from repro.graph.partition import edge_cut, metis_partition
 
 
@@ -164,13 +164,3 @@ class TestTransforms:
         labels = g.connected_components()
         assert len(np.unique(labels)) == 2
         assert labels[0] == labels[1] and labels[2] == labels[3]
-
-    def test_merge_graphs(self):
-        a = CSRGraph.from_edges([0], [1], num_nodes=2)
-        b = CSRGraph.from_edges([0], [1], num_nodes=3)
-        merged = merge_graphs([a, b])
-        assert merged.num_nodes == 5
-        assert merged.has_edge(0, 1) and merged.has_edge(2, 3)
-
-    def test_validate_graph(self, tiny_graph):
-        validate_graph(tiny_graph)  # should not raise

@@ -7,6 +7,7 @@ without its ``docs/EXTENDING.md`` row fails the ordinary test suite too, not
 just the dedicated CI job.
 """
 
+import re
 import sys
 from pathlib import Path
 
@@ -33,12 +34,23 @@ class TestDocsHealth:
             assert (REPO_ROOT / "docs" / name).exists(), name
 
     def test_paper_map_covers_every_fig_and_table_bench(self):
-        """Every bench_fig*/bench_table* script must appear in PAPER_MAP.md."""
+        """PAPER_MAP.md (the human index) agrees with ``TABLES`` (the machine one).
+
+        Every bench_fig*/bench_table* script and every script the paper-table
+        fixture runs appears in PAPER_MAP.md, and every ``benchmarks/*.py``
+        path PAPER_MAP.md names exists.
+        """
+        from test_golden_paper_tables import TABLES
+
         paper_map = (REPO_ROOT / "docs" / "PAPER_MAP.md").read_text()
-        benches = sorted((REPO_ROOT / "benchmarks").glob("bench_fig*.py"))
-        benches += sorted((REPO_ROOT / "benchmarks").glob("bench_table*.py"))
-        missing = [b.name for b in benches if b.name not in paper_map]
+        benches = {b.name for pattern in ("bench_fig*.py", "bench_table*.py")
+                   for b in (REPO_ROOT / "benchmarks").glob(pattern)}
+        benches |= {script for script, _, _ in TABLES.values()}
+        missing = sorted(b for b in benches if f"benchmarks/{b}" not in paper_map)
         assert missing == [], f"PAPER_MAP.md is missing {missing}"
+        named = set(re.findall(r"benchmarks/[\w/]+\.py", paper_map))
+        absent = sorted(p for p in named if not (REPO_ROOT / p).is_file())
+        assert absent == [], f"PAPER_MAP.md names missing scripts {absent}"
 
     def test_catalog_lists_every_scenario(self):
         src = REPO_ROOT / "src"

@@ -29,23 +29,6 @@ class TestPowerlawDegrees:
             gen.powerlaw_degree_sequence(100, 5, exponent=0.5)
 
 
-class TestChungLu:
-    def test_edge_count_close(self):
-        degs = gen.powerlaw_degree_sequence(2000, avg_degree=8, seed=0)
-        src, dst = gen.chung_lu_edges(degs, seed=0)
-        expected = degs.sum() // 2
-        assert 0.3 * expected <= len(src) <= expected
-
-    def test_no_self_loops(self):
-        degs = np.full(100, 6)
-        src, dst = gen.chung_lu_edges(degs, seed=1)
-        assert np.all(src != dst)
-
-    def test_empty_degrees(self):
-        src, dst = gen.chung_lu_edges(np.zeros(10), seed=0)
-        assert len(src) == 0 and len(dst) == 0
-
-
 class TestRmat:
     def test_shape(self):
         src, dst = gen.rmat_edges(8, 4, seed=0)

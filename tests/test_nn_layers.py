@@ -3,10 +3,18 @@
 import numpy as np
 import pytest
 
-from repro.nn.layers import Linear, Module, Parameter
-from repro.nn.loss import accuracy, cross_entropy, softmax, top_k_accuracy
+from repro.nn.layers import Module, Parameter
+from repro.nn.loss import accuracy, cross_entropy, softmax
 from repro.nn.optim import Adam, SGD, build_optimizer
 from repro.nn import tensor_utils as tu
+
+
+class Linear(Module):
+    """The smallest module with parameters: the weight and bias of ``x W + b``."""
+
+    def __init__(self, in_dim, out_dim, seed=None):
+        self.weight = Parameter(tu.xavier_uniform((in_dim, out_dim), seed=seed))
+        self.bias = Parameter(tu.zeros((out_dim,)))
 
 
 class TestSegmentOps:
@@ -112,40 +120,11 @@ class TestModuleAndLinear:
         with pytest.raises(KeyError):
             a.load_state_dict({"weight": np.zeros((4, 3))})
 
-    def test_linear_forward_backward_gradcheck(self):
-        rng = np.random.default_rng(0)
-        layer = Linear(5, 3, seed=0)
-        x = rng.normal(size=(7, 5)).astype(np.float32)
-        grad_out = rng.normal(size=(7, 3)).astype(np.float32)
-        layer.forward(x)
-        grad_x = layer.backward(grad_out)
-
-        eps = 1e-3
-        # check dL/dW numerically for a few entries (L = sum(grad_out * forward(x)))
-        for (i, j) in [(0, 0), (2, 1), (4, 2)]:
-            w = layer.weight.value
-            orig = w[i, j]
-            w[i, j] = orig + eps
-            lp = np.sum(grad_out * (x @ w + layer.bias.value))
-            w[i, j] = orig - eps
-            lm = np.sum(grad_out * (x @ w + layer.bias.value))
-            w[i, j] = orig
-            num = (lp - lm) / (2 * eps)
-            assert num == pytest.approx(layer.weight.grad[i, j], rel=1e-2, abs=1e-2)
-        # dL/dx
-        np.testing.assert_allclose(grad_x, grad_out @ layer.weight.value.T, rtol=1e-5)
-
     def test_zero_grad(self):
         layer = Linear(3, 2, seed=0)
-        layer.forward(np.ones((1, 3), dtype=np.float32))
-        layer.backward(np.ones((1, 2), dtype=np.float32))
-        assert np.any(layer.weight.grad != 0)
+        layer.weight.grad += 1.0
         layer.zero_grad()
         assert np.all(layer.weight.grad == 0)
-
-    def test_backward_before_forward_raises(self):
-        with pytest.raises(RuntimeError):
-            Linear(2, 2).backward(np.zeros((1, 2)))
 
     def test_parameter_repr(self):
         p = Parameter(np.zeros((2, 2)))
@@ -188,13 +167,6 @@ class TestLoss:
         assert accuracy(logits, np.array([0, 1, 1])) == pytest.approx(2 / 3)
         assert accuracy(np.array([0, 1]), np.array([0, 0])) == pytest.approx(0.5)
         assert accuracy(np.zeros((0, 2)), np.zeros(0, dtype=np.int64)) == 0.0
-
-    def test_top_k_accuracy(self):
-        logits = np.array([[0.1, 0.5, 0.4], [0.9, 0.3, 0.05]])
-        # Row 0: top-2 = {1, 2} so label 2 is covered; row 1: top-2 = {0, 1} so label 2 is not.
-        assert top_k_accuracy(logits, np.array([2, 2]), k=2) == pytest.approx(0.5)
-        assert top_k_accuracy(logits, np.array([1, 0]), k=1) == pytest.approx(1.0)
-        assert top_k_accuracy(logits, np.array([2, 2]), k=5) == pytest.approx(1.0)
 
 
 class TestOptimizers:

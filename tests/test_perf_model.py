@@ -1,10 +1,9 @@
-"""Tests for the analytical performance model (Eqs. 2-7, 9) and trade-off quadrants."""
+"""Tests for the analytical performance model (Eqs. 2-6, 9) and trade-off quadrants."""
 
 import math
 
 import pytest
 
-from repro.core.config import PrefetchConfig
 from repro.perf import model as pm
 from repro.perf import tradeoffs as tr
 from repro.perf.lookahead import simulate_lookahead, steady_state_step_time
@@ -98,36 +97,11 @@ class TestTotalsAndSpeedups:
         c = comp(t_rpc=0.001, t_copy=0.001, t_sampling=0.001, t_ddp=1.0)
         assert pm.predicted_speedup(c) == pytest.approx(1.0, abs=0.05)
 
-    def test_perfect_overlap_predicate(self):
-        assert pm.is_perfect_overlap(comp())                       # prepare < ddp
-        assert not pm.is_perfect_overlap(comp(t_rpc=5.0))          # prepare > ddp
-
     def test_overlap_efficiency_range(self):
         assert pm.overlap_efficiency(comp()) == pytest.approx(1.0)
         partial = pm.overlap_efficiency(comp(t_rpc=5.0))
         assert 0.0 < partial < 1.0
         assert pm.overlap_efficiency(comp(t_sampling=0, t_rpc=0, t_copy=0, t_lookup=0, t_scoring=0)) == 1.0
-
-
-class TestScoringCompounding:
-    def test_eq7_paper_example(self):
-        """The paper's example: 10% scoring cost, 100 epochs, delta=10 -> ~1.1^10 growth."""
-        out = pm.scoring_overhead_compound(1.0, 0.10, num_epochs=100, delta=10)
-        assert out == pytest.approx(1.1 ** 10)
-        assert out == pytest.approx(2.5937, rel=1e-3)
-
-    def test_eq7_monotone_in_frequency(self):
-        frequent = pm.scoring_overhead_compound(1.0, 0.1, 100, delta=5)
-        rare = pm.scoring_overhead_compound(1.0, 0.1, 100, delta=50)
-        assert frequent > rare
-
-    def test_eq7_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            pm.scoring_overhead_compound(-1.0, 0.1, 10, 5)
-        with pytest.raises(ValueError):
-            pm.scoring_overhead_compound(1.0, -0.1, 10, 5)
-        with pytest.raises(ValueError):
-            pm.scoring_overhead_compound(1.0, 0.1, 10, 0)
 
 
 class TestEq9AndBreakdowns:
@@ -201,25 +175,8 @@ class TestTradeoffQuadrants:
         assert info.name == "low-decay/long-interval"
         assert "recommended" in info.expected
 
-    def test_classify_config(self):
-        config = PrefetchConfig(gamma=0.95, delta=16)
-        assert tr.classify_config(config).name == "low-decay/short-interval"
-
-    def test_expected_behaviour_string(self):
-        assert isinstance(tr.expected_behaviour(0.5, 16), str)
-
     def test_quadrant_configs_cover_all(self):
         configs = tr.quadrant_configs()
         assert set(configs) == set(tr.QUADRANTS)
         for name, config in configs.items():
-            assert tr.classify_config(config).name == name
-
-    def test_rank_quadrants(self):
-        ranked = tr.rank_quadrants_by_hit_rate({"a": 0.2, "b": 0.9, "c": 0.5})
-        assert ranked == ["b", "c", "a"]
-
-    def test_eviction_rounds_per_epoch(self):
-        assert tr.eviction_rounds_per_epoch(100, 16) == 6
-        assert tr.eviction_rounds_per_epoch(10, 16) == 0
-        with pytest.raises(ValueError):
-            tr.eviction_rounds_per_epoch(10, 0)
+            assert tr.classify_quadrant(config.gamma, config.delta).name == name

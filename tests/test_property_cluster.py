@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.distributed.cluster import ClusterConfig, SimCluster
-from repro.distributed.ddp import allreduce_gradients, check_replicas_consistent
+from repro.distributed.ddp import allreduce_gradients
 from repro.nn import build_model, build_optimizer
 from repro.sampling.seeds import SeedPartitioner
 from repro.training.engine import apply_averaged_gradients
@@ -121,9 +121,9 @@ class TestReplicaSynchronization:
             for model, optimizer in zip(replicas, optimizers):
                 apply_averaged_gradients(optimizer, model, averaged)
         params = [m.parameters() for m in replicas]
-        assert check_replicas_consistent(params, atol=0.0)
-        for name in param_names:
-            np.testing.assert_array_equal(params[0][name], params[1][name])
+        for other in params[1:]:
+            for name in param_names:
+                np.testing.assert_array_equal(params[0][name], other[name])
 
 
 class TestSeedPartitionCoverage:

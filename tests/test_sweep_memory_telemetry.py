@@ -12,7 +12,6 @@ from repro.training.sweep import (
     delta_sweep,
     find_optimal,
     gamma_sweep,
-    paper_grid,
     run_parameter_sweep,
 )
 from repro.training.telemetry import (
@@ -118,12 +117,6 @@ class TestSweeps:
         assert set(out) == {0.95, 0.995}
         for stats in out.values():
             assert stats["min_time_s"] <= stats["mean_time_s"] <= stats["max_time_s"]
-
-    def test_paper_grid(self):
-        reduced = paper_grid(reduced=True)
-        full = paper_grid(reduced=False)
-        assert len(full["deltas"]) > len(reduced["deltas"])
-        assert 0.15 in full["halo_fractions"]
 
     def test_empty_sweep_best_raises(self, small_dataset):
         from repro.training.sweep import SweepResult

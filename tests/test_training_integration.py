@@ -19,7 +19,13 @@ from repro.distributed.cluster import ClusterConfig, SimCluster
 from repro.scenarios import SCENARIOS
 from repro.training.cluster_engine import ClusterEngine
 from repro.training.config import TrainConfig
-from repro.training.evaluate import evaluate_accuracy, evaluate_loss, majority_class_accuracy
+from repro.training.evaluate import evaluate_accuracy
+
+
+def majority_class_accuracy(dataset, node_ids):
+    """Accuracy of always predicting the most frequent class (a learning floor)."""
+    labels = dataset.labels[node_ids]
+    return float(np.mean(labels == np.argmax(np.bincount(labels))))
 
 
 @pytest.fixture(scope="module")
@@ -196,14 +202,6 @@ class TestEvaluation:
             engine.final_model, small_dataset, small_dataset.val_nids(), fanouts=(5, 10), seed=0
         )
         assert 0.0 <= acc <= 1.0
-
-    def test_evaluate_loss_function(self, small_dataset, small_cluster, quick_train_config):
-        engine = ClusterEngine(small_cluster, quick_train_config)
-        engine.run("baseline")
-        loss = evaluate_loss(
-            engine.final_model, small_dataset, small_dataset.val_nids()[:100], fanouts=(5, 10)
-        )
-        assert loss > 0
 
     def test_evaluate_empty_node_set(self, small_dataset, small_cluster, quick_train_config):
         engine = ClusterEngine(small_cluster, quick_train_config)

@@ -1,19 +1,15 @@
-"""Tests for repro.utils (rng, validation, logging helpers)."""
-
-import logging
+"""Tests for repro.utils (rng, validation, table helpers)."""
 
 import numpy as np
 import pytest
 
-from repro.utils.logging_utils import format_table, get_logger
-from repro.utils.rng import derive_seed, ensure_rng, optional_shuffle, spawn_rngs
+from repro.utils.logging_utils import format_table
+from repro.utils.rng import derive_seed, ensure_rng
 from repro.utils.validation import (
     check_1d_int_array,
     check_2d_float_array,
     check_fraction,
     check_positive,
-    check_probability,
-    check_same_length,
     group_offsets,
 )
 
@@ -36,30 +32,6 @@ class TestEnsureRng:
         assert isinstance(ensure_rng(seq), np.random.Generator)
 
 
-class TestSpawnRngs:
-    def test_count(self):
-        assert len(spawn_rngs(0, 5)) == 5
-
-    def test_independent_streams(self):
-        rngs = spawn_rngs(0, 2)
-        a = rngs[0].integers(0, 10**9, size=20)
-        b = rngs[1].integers(0, 10**9, size=20)
-        assert not np.array_equal(a, b)
-
-    def test_deterministic(self):
-        a = [r.integers(0, 10**6) for r in spawn_rngs(7, 3)]
-        b = [r.integers(0, 10**6) for r in spawn_rngs(7, 3)]
-        assert a == b
-
-    def test_negative_count_raises(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(0, -1)
-
-    def test_spawn_from_generator(self):
-        rng = np.random.default_rng(0)
-        assert len(spawn_rngs(rng, 4)) == 4
-
-
 class TestDeriveSeed:
     def test_deterministic(self):
         assert derive_seed(3, 1, 2) == derive_seed(3, 1, 2)
@@ -69,23 +41,6 @@ class TestDeriveSeed:
 
     def test_none_seed_ok(self):
         assert isinstance(derive_seed(None, 1), int)
-
-
-class TestOptionalShuffle:
-    def test_no_rng_returns_same(self):
-        arr = np.arange(10)
-        out = optional_shuffle(arr, None)
-        np.testing.assert_array_equal(out, arr)
-
-    def test_shuffle_preserves_elements(self):
-        arr = np.arange(50)
-        out = optional_shuffle(arr, np.random.default_rng(0))
-        assert sorted(out.tolist()) == arr.tolist()
-
-    def test_not_inplace_by_default(self):
-        arr = np.arange(50)
-        optional_shuffle(arr, np.random.default_rng(0))
-        np.testing.assert_array_equal(arr, np.arange(50))
 
 
 class TestValidation:
@@ -111,9 +66,6 @@ class TestValidation:
             check_fraction(0.0, "f", inclusive_low=False)
         with pytest.raises(ValueError):
             check_fraction(1.0, "f", inclusive_high=False)
-
-    def test_check_probability(self):
-        assert check_probability(1.0, "p") == 1.0
 
     def test_check_1d_int_array_basic(self):
         out = check_1d_int_array([1, 2, 3], "ids")
@@ -165,11 +117,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             check_2d_float_array(np.ones((3, 4)), "x", columns=5)
 
-    def test_check_same_length(self):
-        check_same_length("a", np.arange(3), "b", np.arange(3))
-        with pytest.raises(ValueError):
-            check_same_length("a", np.arange(3), "b", np.arange(4))
-
     def test_group_offsets_of_grouped_ids_needs_no_order(self):
         order, indptr = group_offsets(np.array([1, 1, 3]), 5)
         assert order is None
@@ -192,13 +139,6 @@ class TestValidation:
 
 
 class TestLogging:
-    def test_get_logger_idempotent(self):
-        a = get_logger("repro.test")
-        b = get_logger("repro.test")
-        assert a is b
-        assert len(a.handlers) == 1
-        assert a.level == logging.INFO
-
     def test_format_table_alignment(self):
         table = format_table(["name", "value"], [["alpha", 1.0], ["b", 22.5]])
         lines = table.splitlines()

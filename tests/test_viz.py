@@ -1,29 +1,7 @@
 """Tests for the ASCII visualization helpers."""
 
-import numpy as np
-import pytest
-
 from repro import viz
-from repro.core.metrics import HitRateTracker
 from repro.training.telemetry import TrainingReport
-
-
-class TestSparkline:
-    def test_length_matches_input(self):
-        assert len(viz.sparkline([1, 2, 3, 4])) == 4
-
-    def test_resampling_width(self):
-        assert len(viz.sparkline(np.arange(100), width=20)) == 20
-
-    def test_monotone_series_uses_extremes(self):
-        line = viz.sparkline([0, 1, 2, 3, 4, 5, 6, 7])
-        assert line[0] == "▁" and line[-1] == "█"
-
-    def test_constant_series(self):
-        assert viz.sparkline([2.0, 2.0, 2.0]) == "▁▁▁"
-
-    def test_empty(self):
-        assert viz.sparkline([]) == ""
 
 
 class TestBarChart:
@@ -63,37 +41,7 @@ class TestStackedBreakdown:
         assert "empty" in viz.stacked_breakdown({})
 
 
-class TestLinePlot:
-    def test_dimensions(self):
-        plot = viz.line_plot({"s": np.linspace(0, 1, 30)}, height=6, width=30)
-        lines = plot.splitlines()
-        # 6 rows + axis + legend
-        assert len(lines) == 8
-
-    def test_multiple_series_legend(self):
-        plot = viz.line_plot({"a": [1, 2], "b": [2, 1]}, height=4, width=10)
-        assert "* a" in plot and "o b" in plot
-
-    def test_empty(self):
-        assert viz.line_plot({}) == ""
-
-    def test_y_label(self):
-        plot = viz.line_plot({"a": [1, 2]}, height=3, width=5, y_label="hit rate")
-        assert plot.startswith("hit rate")
-
-
-class TestHitRatePlotAndComparison:
-    def test_hit_rate_plot(self):
-        tracker = HitRateTracker()
-        for i in range(20):
-            tracker.record(i, 20 - i, eviction=(i % 5 == 0 and i > 0))
-        out = viz.hit_rate_plot(tracker, width=20, height=5)
-        assert "cumulative hit rate" in out
-        assert "eviction points" in out
-
-    def test_hit_rate_plot_empty(self):
-        assert "no hit-rate history" in viz.hit_rate_plot(HitRateTracker())
-
+class TestComparisonSummary:
     def test_comparison_summary(self):
         base = TrainingReport(
             mode="baseline", backend="cpu", dataset="d", arch="sage",
