@@ -1,4 +1,4 @@
-"""Basic dense building blocks shared by the GNN models."""
+"""Parameters and the module base class shared by the GNN models."""
 
 from __future__ import annotations
 

@@ -155,7 +155,7 @@ p = argparse.ArgumentParser().add_argument("--mode", choices=["baseline", "prefe
 # --------------------------------------------------------------------------- #
 USE_DIRS = ("src", "benchmarks", "examples", "tools")
 
-# Public names kept although nothing outside tests/ uses them, each with why.
+# Public names kept although nothing outside tests/ uses them: name -> why.
 # At most five; a new entry needs a reason a reader accepts.
 TEST_ONLY_ALLOWED = {}
 

@@ -1,4 +1,4 @@
-"""Tests for tensor utilities, dense layers, losses, and optimizers."""
+"""Tests for tensor utilities, the module base class, losses, and optimizers."""
 
 import numpy as np
 import pytest
