@@ -97,3 +97,37 @@ class TestAllreduce:
     def test_mismatched_keys_raise(self):
         with pytest.raises(ValueError):
             allreduce_gradients([{"w": np.zeros(2)}, {"v": np.zeros(2)}])
+
+    def test_single_trainer_gets_its_own_gradients(self):
+        g = {"w": np.array([[1.5, -2.0]]), "b": np.array([0.25])}
+        avg = allreduce_gradients([g])
+        assert set(avg) == {"w", "b"}
+        for name in g:
+            np.testing.assert_array_equal(avg[name], g[name])
+
+    def test_inputs_are_not_mutated(self):
+        a = {"w": np.array([1.0, 2.0])}
+        b = {"w": np.array([3.0, 6.0])}
+        allreduce_gradients([a, b])
+        np.testing.assert_array_equal(a["w"], [1.0, 2.0])
+        np.testing.assert_array_equal(b["w"], [3.0, 6.0])
+
+    def test_average_is_independent_of_trainer_order(self):
+        grads = [{"w": np.full((2, 3), float(k))} for k in (1, 4, 7)]
+        forward = allreduce_gradients(grads)
+        backward = allreduce_gradients(grads[::-1])
+        np.testing.assert_array_equal(forward["w"], backward["w"])
+        np.testing.assert_array_equal(forward["w"], np.full((2, 3), 4.0))
+
+    def test_matrix_parameters_keep_their_shape(self):
+        rng = np.random.default_rng(0)
+        grads = [{"w": rng.normal(size=(4, 3)), "b": rng.normal(size=3)} for _ in range(3)]
+        avg = allreduce_gradients(grads)
+        assert avg["w"].shape == (4, 3) and avg["b"].shape == (3,)
+        np.testing.assert_allclose(avg["w"], np.mean([g["w"] for g in grads], axis=0))
+
+    def test_empty_contributions_do_not_dilute_the_mean(self):
+        a = {"w": np.array([2.0])}
+        b = {"w": np.array([4.0])}
+        avg = allreduce_gradients([{}, a, {}, b])
+        np.testing.assert_array_equal(avg["w"], [3.0])

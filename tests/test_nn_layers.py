@@ -1,5 +1,7 @@
 """Tests for tensor utilities, the module base class, losses, and optimizers."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,28 @@ class TestLoss:
     def test_softmax_rows_sum_to_one(self):
         probs = softmax(np.random.default_rng(0).normal(size=(5, 7)))
         np.testing.assert_allclose(probs.sum(axis=1), np.ones(5), rtol=1e-6)
+
+    def test_softmax_is_shift_invariant(self):
+        logits = np.random.default_rng(1).normal(size=(3, 4))
+        np.testing.assert_allclose(softmax(logits), softmax(logits + 50.0), rtol=1e-12)
+
+    def test_softmax_survives_huge_logits(self):
+        probs = softmax(np.array([[1000.0, 0.0], [-1000.0, -1000.0]]))
+        assert np.all(np.isfinite(probs))
+        np.testing.assert_allclose(probs, [[1.0, 0.0], [0.5, 0.5]])
+
+    def test_cross_entropy_of_uniform_logits_is_log_classes(self):
+        loss, grad = cross_entropy(np.zeros((3, 5)), np.array([0, 4, 2]))
+        assert loss == pytest.approx(math.log(5))
+        np.testing.assert_allclose(grad.sum(axis=1), np.zeros(3), atol=1e-7)
+
+    @pytest.mark.parametrize("logits, labels", [
+        (np.zeros(3), np.array([0, 1, 2])),
+        (np.zeros((2, 3)), np.array([0, 1, 2])),
+    ])
+    def test_cross_entropy_rejects_misshapen_inputs(self, logits, labels):
+        with pytest.raises(ValueError):
+            cross_entropy(logits, labels)
 
     def test_cross_entropy_perfect_prediction(self):
         logits = np.array([[10.0, -10.0], [-10.0, 10.0]])

@@ -180,3 +180,32 @@ class TestTradeoffQuadrants:
         assert set(configs) == set(tr.QUADRANTS)
         for name, config in configs.items():
             assert tr.classify_quadrant(config.gamma, config.delta).name == name
+
+    @pytest.mark.parametrize("gamma, delta, name", [
+        (tr.LOW_DECAY_THRESHOLD, tr.LONG_INTERVAL_THRESHOLD, "low-decay/long-interval"),
+        (0.8999, tr.LONG_INTERVAL_THRESHOLD, "high-decay/long-interval"),
+        (tr.LOW_DECAY_THRESHOLD, tr.LONG_INTERVAL_THRESHOLD - 1, "low-decay/short-interval"),
+        (0.0, 1, "high-decay/short-interval"),
+        (1.0, 1024, "low-decay/long-interval"),
+        (0.5, 16, "high-decay/short-interval"),
+    ])
+    def test_classify_quadrant_thresholds(self, gamma, delta, name):
+        assert tr.classify_quadrant(gamma, delta).name == name
+
+    def test_quadrant_table_matches_its_flags(self):
+        for name, info in tr.QUADRANTS.items():
+            assert info.name == name
+            decay = "low-decay" if info.low_decay else "high-decay"
+            interval = "long-interval" if info.long_interval else "short-interval"
+            assert name == f"{decay}/{interval}"
+
+    def test_short_intervals_carry_the_inspection_overhead(self):
+        for info in tr.QUADRANTS.values():
+            assert info.overhead.startswith("low") == info.long_interval
+
+    def test_quadrant_configs_pass_their_arguments_through(self):
+        configs = tr.quadrant_configs(halo_fraction=0.1, low_gamma=0.3, high_gamma=0.97,
+                                      short_delta=8, long_delta=256)
+        assert {c.halo_fraction for c in configs.values()} == {0.1}
+        assert {(c.gamma, c.delta) for c in configs.values()} == {
+            (0.97, 8), (0.3, 8), (0.3, 256), (0.97, 256)}

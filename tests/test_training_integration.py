@@ -16,6 +16,7 @@ import pytest
 
 from repro.core.config import PrefetchConfig
 from repro.distributed.cluster import ClusterConfig, SimCluster
+from repro.nn import build_model
 from repro.scenarios import SCENARIOS
 from repro.training.cluster_engine import ClusterEngine
 from repro.training.config import TrainConfig
@@ -207,3 +208,32 @@ class TestEvaluation:
         engine = ClusterEngine(small_cluster, quick_train_config)
         engine.run("baseline")
         assert evaluate_accuracy(engine.final_model, small_dataset, np.array([], dtype=np.int64)) == 0.0
+
+    @staticmethod
+    def _untrained_model(dataset):
+        return build_model("sage", dataset.features.shape[1], 16, dataset.num_classes, seed=0)
+
+    def test_evaluate_is_deterministic_per_seed(self, small_dataset):
+        model, nids = self._untrained_model(small_dataset), small_dataset.val_nids()
+        runs = [evaluate_accuracy(model, small_dataset, nids, fanouts=(5, 10), seed=4)
+                for _ in range(2)]
+        assert runs[0] == runs[1]
+
+    def test_max_batches_scores_only_the_leading_batches(self, small_dataset):
+        model, nids = self._untrained_model(small_dataset), small_dataset.val_nids()
+        assert len(nids) > 64
+        capped = evaluate_accuracy(model, small_dataset, nids, fanouts=(5, 10),
+                                   batch_size=32, seed=0, max_batches=2)
+        leading = evaluate_accuracy(model, small_dataset, nids[:64], fanouts=(5, 10),
+                                    batch_size=32, seed=0)
+        assert capped == leading
+
+    @pytest.mark.parametrize("kwargs, node_ids", [
+        ({"batch_size": 0}, [0, 1]),
+        ({}, [-1]),
+        ({}, [10 ** 9]),
+    ])
+    def test_evaluate_rejects_bad_arguments(self, small_dataset, kwargs, node_ids):
+        with pytest.raises(ValueError):
+            evaluate_accuracy(self._untrained_model(small_dataset), small_dataset,
+                              np.array(node_ids), **kwargs)

@@ -25,6 +25,19 @@ class TestBarChart:
     def test_empty(self):
         assert viz.horizontal_bar_chart({}) == ""
 
+    def test_all_zero_values_draw_no_bars(self):
+        chart = viz.horizontal_bar_chart({"a": 0.0, "b": 0.0}, width=5)
+        assert "█" not in chart
+        assert chart.splitlines() == ["a |       0", "b |       0"]
+
+    def test_unit_follows_each_value(self):
+        chart = viz.horizontal_bar_chart({"run": 1.5}, width=4, unit=" s")
+        assert chart == "run | ████ 1.5 s"
+
+    def test_labels_are_padded_to_one_column(self):
+        chart = viz.horizontal_bar_chart({"a": 1.0, "longer": 2.0}, width=6)
+        assert [line.index("|") for line in chart.splitlines()] == [7, 7]
+
 
 class TestStackedBreakdown:
     def test_contains_legend_percentages(self):
@@ -39,6 +52,21 @@ class TestStackedBreakdown:
 
     def test_empty_breakdown(self):
         assert "empty" in viz.stacked_breakdown({})
+
+    def test_bar_fills_exactly_the_width(self):
+        bar = viz.stacked_breakdown({"a": 1.0, "b": 1.0, "c": 1.0}, width=20).splitlines()[0]
+        assert len(bar) == 22 and bar[0] == "[" and bar[-1] == "]"
+
+    def test_largest_component_gets_the_first_symbol(self):
+        out = viz.stacked_breakdown({"small": 1.0, "large": 3.0}, width=8)
+        bar, legend = out.splitlines()
+        assert bar == "[######@@]"
+        assert legend == "# large 75.0%  @ small 25.0%"
+
+    def test_non_positive_components_are_left_out(self):
+        out = viz.stacked_breakdown({"rpc": 2.0, "refund": -1.0, "idle": 0.0})
+        assert "rpc 100.0%" in out
+        assert "refund" not in out and "idle" not in out
 
 
 class TestComparisonSummary:
