@@ -9,7 +9,7 @@ name or a bounded number, validated eagerly so a typo fails at construction
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Tuple
 
 from repro.utils.validation import check_fraction
@@ -115,11 +115,6 @@ class CacheConfig:
             distance_of=partition.halo_distance_of,
             record_decisions=self.record_decisions,
         )
-
-    def with_overrides(self, **overrides) -> "CacheConfig":
-        """A copy with selected fields replaced; ``None`` values are ignored."""
-        filtered = {k: v for k, v in overrides.items() if v is not None}
-        return replace(self, **filtered)
 
     def describe(self) -> str:
         if self.tiers == 1:

@@ -5,67 +5,52 @@ Commands
 ``datasets``
     List the registered dataset analogs and their Table II statistics.
 ``run``
-    Run a scenario: ``repro run --scenario skewed-partitions`` materializes a
-    named workload from :data:`repro.scenarios.SCENARIOS` (default
-    ``uniform``), runs it through the engine it selects and prints
-    per-trainer and cluster-level telemetry (critical path, barrier wait, hit
-    rates); ``--trace-dir`` writes the report as JSON.  The recipe provides
-    every default and explicitly passed flags override it.  ``--pipeline``
-    runs any pipeline registered in :data:`repro.training.pipelines.PIPELINES`
-    instead of the scenario's; ``--mode both`` runs ``baseline`` first on the
-    same cluster and prints a Fig. 6-style comparison.
+    Run a scenario (default ``uniform``) through the engine it selects and
+    print per-trainer and cluster-level telemetry; ``--trace-dir`` writes the
+    report as JSON.  ``--mode both`` runs ``baseline`` first on the same
+    cluster and prints a Fig. 6-style comparison.  A serving scenario routes
+    to ``serve``'s report, so the CI smoke matrix runs one command shape.
 ``scenarios``
-    List the registered cluster scenarios and their deployment notes;
-    ``--markdown`` emits the ``docs/SCENARIOS.md`` catalog instead (CI
-    regenerates it and fails on drift).
+    List the registered scenarios; ``--markdown`` emits the
+    ``docs/SCENARIOS.md`` catalog (CI regenerates it and fails on drift).
 ``serve``
-    Run an online-inference serving scenario (``steady-poisson``,
-    ``diurnal-cache-drift``, ``flash-crowd-burst``) through the event-driven
-    :class:`~repro.serving.engine.InferenceClusterEngine` and print the
-    latency/SLO/cache report.  ``repro run --scenario <serving scenario>``
-    routes here too, so the CI smoke matrix runs one command shape for every
-    scenario.
+    Run an online-inference serving scenario and print the latency/SLO/cache
+    report.
 ``sweep``
     Grid-search (f_h, γ, Δ) and print the Table IV-style optimum.
 ``tune``
-    Sweep a scenario's full knob surface (rpc, cache policies,
-    engine/sync, serving parameters — any :data:`repro.tuning.AXES` axis)
-    with a grid or seeded-random strategy, rank candidates by an
-    :data:`repro.tuning.OBJECTIVES` score, and optionally freeze the winner
-    as a ``presets/*.json`` preset; ``repro run --preset NAME`` replays it
-    (CLI flags beat the preset, the preset beats the scenario recipe).
+    Rank a grid over any knob (``--axis cache.eviction=lru,clock``) by an
+    :data:`repro.tuning.OBJECTIVES` score and optionally freeze the winner as
+    a ``presets/*.json`` preset, which ``repro run --preset NAME`` replays.
 ``explain``
     Replay a scenario with the scored cache policies and print why one node
-    was admitted, rejected, or evicted — every decision with its score,
-    confidence bounds, threshold, mode, and reason.  Replays are
-    deterministic: the same ``--scenario``/``--seed`` reproduces the exact
-    decision ledger bit-identically.
+    was admitted, rejected, or evicted (deterministic per ``--seed``).
 
-Execution backends are selected with ``--engine`` (see
-:data:`repro.training.engines.ENGINES`): ``repro run --engine async --sync
-bounded-staleness --staleness 2`` runs the event-driven backend with the
-chosen gradient-sync policy.
+Scenario knobs
+--------------
+A flag that sets a scenario knob is a row of :data:`KNOB_FLAGS`: it names an
+axis of :data:`repro.scenarios.knobs.AXES`, the one override language that
+presets, ``repro tune --axis`` and ``ClusterScenario.with_overrides`` speak
+too.  The axis supplies the flag's type and choices, and the rules of
+:mod:`repro.scenarios.knobs` apply it the same way everywhere.  The recipe
+provides every default; a preset overrides the recipe and a passed flag
+overrides both (``--eviction lru`` edits one field of the recipe's cache);
+``repro run`` rejects a knob the resolved scenario would never read.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro import __version__, viz
 from repro.cache.config import CacheConfig
-from repro.cache.policies import ADMISSION_POLICIES, CACHE_EVICTION_POLICIES
+from repro.cache.policies import ADMISSION_POLICIES
 from repro.cache.scoring import capture_decisions
-from repro.core.config import PrefetchConfig
-from repro.core.eviction import EVICTION_POLICIES
-from repro.distributed.rpc import RPC_CHANNELS
-from repro.events.sync import SYNC_POLICIES
 from repro.graph.datasets import available_datasets, load_dataset
-from repro.sampling.neighbor_sampler import resolve_sampler
 from repro.scenarios import (
     SCENARIOS,
     UNSET,
@@ -73,10 +58,9 @@ from repro.scenarios import (
     catalog_markdown,
     serving_scenarios,
 )
-from repro.serving import ARRIVALS
+from repro.scenarios.knobs import AXES, reject_inert
 from repro.training.config import TrainConfig
 from repro.training.engines import ENGINES
-from repro.training.pipelines import PIPELINES
 from repro.training.sweep import find_optimal, run_parameter_sweep
 from repro.tuning import (
     OBJECTIVES,
@@ -86,8 +70,125 @@ from repro.tuning import (
     TuneRunner,
     load_preset,
 )
-from repro.tuning.space import parse_axis_values
 from repro.utils.logging_utils import format_table
+
+_SCALE = ("scale", "dataset scale multiplier (default: the scenario's)")
+_MACHINES = ("num_machines", "simulated machines (default: the scenario's)")
+
+#: The scenario-knob flags of each command: ``flag -> (axis, help[, argparse
+#: keywords])``, the axis being a :data:`repro.scenarios.knobs.AXES` name.
+#: The axis kind supplies ``type``/``choices``/``nargs`` (a ``bool`` axis is a
+#: switch that stores ``True``, or the row's ``const``); the default is
+#: ``None``, so only flags the user passed override the scenario's recipe.
+KNOB_FLAGS: Dict[str, Dict[str, tuple]] = {
+    "run": {
+        "--dataset": ("dataset", "dataset analog (default: the scenario's)"),
+        "--scale": _SCALE,
+        "--pipeline": ("pipeline", "run this registered pipeline instead of the scenario's"),
+        "--eviction-policy": ("prefetch.eviction_policy", "eviction policy for the prefetch "
+                              "buffer (default: the config's, score-threshold)"),
+        "--sampler": ("sampler", argparse.SUPPRESS),  # removed; 'vectorized' is a no-op
+        "--rpc": ("rpc", "RPC channel registry key (default: the scenario's, per-call). "
+                  "'batched' coalesces a step's remote pulls per owning partition "
+                  "machine-wide and merges duplicate ids (stats report logical vs. wire "
+                  "requests separately)"),
+        "--cache-tiers": ("cache.tiers", "tiered feature cache: 1 = per-trainer hot tier, "
+                          "2 = + machine-shared tier (selects the 'tiered-cache' pipeline "
+                          "unless --pipeline is given; the trainer row budget still comes "
+                          "from --halo-fraction)", {"choices": [1, 2]}),
+        "--admission": ("cache.admission", "hot-tier admission policy (default: "
+                        "static-degree — the pre-tier static cache behavior)"),
+        "--eviction": ("cache.eviction", "hot-tier eviction policy (default: none; distinct "
+                       "from --eviction-policy, which governs the prefetch buffer's "
+                       "Algorithm 2)"),
+        "--adaptive-cache": ("cache.adaptive", "enable the adaptive capacity controller "
+                             "(re-splits hot/shared tier budgets from per-epoch hit rates; "
+                             "needs --cache-tiers 2)"),
+        "--engine": ("engine", "cluster execution backend (default: the scenario's, "
+                     "lockstep). 'async' is the event-driven backend (priority-queue event "
+                     "loop, pluggable gradient sync)"),
+        "--sync": ("sync", "gradient synchronization policy for --engine async (default: the "
+                   "scenario's, allreduce-barrier — bit-identical to the lockstep engine)"),
+        "--staleness": ("staleness", "max rounds a trainer may run ahead with --sync "
+                        "bounded-staleness (default: the scenario's, 1)"),
+        "--sync-period": ("sync_period", "steps between model averages with --sync "
+                          "local-sgd (default: the scenario's, 4)"),
+        "--backend": ("backend", "cost-model backend (default: the scenario's)"),
+        "--machines": _MACHINES,
+        "--trainers-per-machine": ("trainers_per_machine",
+                                   "trainers per machine (default: the scenario's)"),
+        "--batch-size": ("batch_size", "seeds per minibatch (default: the scenario's)"),
+        "--fanouts": ("fanouts", "per-layer neighbor fanouts (default: the scenario's)"),
+        "--epochs": ("epochs", "training epochs (default: the scenario's)"),
+        "--halo-fraction": ("prefetch.halo_fraction", "prefetch buffer capacity as a halo "
+                            "fraction (default: the scenario's)"),
+        "--gamma": ("prefetch.gamma", "eviction-score decay (default: the scenario's)"),
+        "--delta": ("prefetch.delta", "eviction interval (default: the scenario's)"),
+        "--no-eviction": ("prefetch.eviction_enabled", None, {"const": False}),
+    },
+    "serve": {
+        "--arrival": ("serving.arrival", "override the scenario's arrival process (see "
+                      "repro.serving.ARRIVALS)"),
+        "--requests": ("serving.num_requests",
+                       "number of requests to serve (default: the scenario's)"),
+        "--rate": ("serving.rate_rps", "offered load in requests/s (default: the scenario's)"),
+        "--slo-ms": ("serving.slo_ms", "latency SLO in milliseconds (default: the scenario's)"),
+        "--scale": _SCALE,
+        "--machines": _MACHINES,
+        "--trainers-per-machine": ("trainers_per_machine",
+                                   "serving workers per machine (default: the scenario's)"),
+    },
+    "explain": {
+        "--admission": ("cache.admission", "scored admission variant to replay with "
+                        "(default: scored — the conservative mode)", {
+                            "default": "scored",
+                            "choices": [n for n in ADMISSION_POLICIES.names()
+                                        if n.startswith("scored")]}),
+        "--eviction": ("cache.eviction", "hot-tier eviction policy for the replay (default: "
+                       "scored — evict lowest upper bound; decisions are only recorded for "
+                       "scored policies)",
+                       {"default": "scored", "choices": ["scored", "lru", "lfu", "clock"]}),
+        "--cache-tiers": ("cache.tiers", "tier stack shape for the replay (default: 1)",
+                          {"default": 1, "choices": [1, 2]}),
+        "--epochs": ("epochs", "override the scenario's epoch count"),
+        "--scale": _SCALE,
+    },
+    "sweep": {
+        "--dataset": ("dataset", None, {"default": "products"}),
+        "--scale": ("scale", None, {"default": 0.25}),
+        "--backend": ("backend", None, {"default": "cpu"}),
+        "--machines": ("num_machines", None, {"default": 2}),
+        "--batch-size": ("batch_size", None, {"default": 128}),
+        "--epochs": ("epochs", None, {"default": 2}),
+    },
+    "tune": {
+        "--scale": ("scale", "dataset scale for every evaluation (default: the scenario's)"),
+        "--epochs": ("epochs", "epochs for every evaluation (default: the scenario's)"),
+    },
+}
+
+
+def _add_knob_flags(parser: argparse.ArgumentParser, command: str) -> None:
+    """Add *command*'s rows of :data:`KNOB_FLAGS`, typed by their axes."""
+    for flag, (axis, help_text, *extra) in KNOB_FLAGS[command].items():
+        kwargs = {"default": None, "help": help_text}
+        spec = AXES.get(axis)  # None for the removed sampler knob
+        if spec is not None and spec.kind == "bool":
+            kwargs.update(action="store_const", const=True)
+        elif spec is not None and spec.kind in ("registry", "choice"):
+            kwargs["choices"] = spec.choices
+        elif spec is not None:
+            kwargs.update(type=float if spec.kind == "float" else int,
+                          nargs="+" if spec.kind == "ints" else None)
+        kwargs.update(*extra)
+        parser.add_argument(flag, **kwargs)
+
+
+def _knob_values(args: argparse.Namespace, command: str) -> Dict[str, object]:
+    """``{axis: value}`` for the knob flags of *command* that were passed."""
+    values = {axis: getattr(args, flag[2:].replace("-", "_"))
+              for flag, (axis, *_) in KNOB_FLAGS[command].items()}
+    return {axis: value for axis, value in values.items() if value is not None}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -109,8 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
              "plain-text listing",
     )
 
-    # Scenario knobs default to None so that only explicitly passed values
-    # override the scenario's recipe.
     run = sub.add_parser("run", help="run a scenario (default: uniform)")
     run.add_argument(
         "--scenario", default=None, choices=available_scenarios(),
@@ -118,12 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
              "provides every default, and only explicitly passed flags override it",
     )
     run.add_argument("--cluster", action="store_true", help=argparse.SUPPRESS)
-    run.add_argument(
-        "--dataset", default=None, choices=available_datasets(),
-        help="dataset analog (default: the scenario's)",
-    )
-    run.add_argument("--scale", type=float, default=None,
-                     help="dataset scale multiplier (default: the scenario's)")
+    _add_knob_flags(run, "run")
     run.add_argument(
         "--mode", default=None, choices=["baseline", "prefetch", "both"],
         help="'baseline' / 'prefetch' name the pipeline to run; 'both' runs "
@@ -131,95 +225,13 @@ def build_parser() -> argparse.ArgumentParser:
              "same cluster and prints the Fig. 6-style comparison",
     )
     run.add_argument(
-        "--pipeline", default=None, choices=PIPELINES.names(),
-        help="run this registered pipeline instead of the scenario's",
-    )
-    run.add_argument(
-        "--eviction-policy", default=None, choices=EVICTION_POLICIES.names(),
-        help="eviction policy for the prefetch buffer (default: the config's, score-threshold)",
-    )
-    run.add_argument(
-        "--sampler", default=None,
-        help="neighbor-sampler registry key; 'vectorized' (the batched partial "
-             "Fisher-Yates fan-out draw) is the default and the only sampler",
-    )
-    run.add_argument(
-        "--rpc", default=None, choices=RPC_CHANNELS.names(),
-        help="RPC channel registry key (default: the scenario's, per-call). 'batched' "
-             "coalesces a step's remote pulls per owning partition machine-wide and "
-             "merges duplicate ids (stats report logical vs. wire requests separately)",
-    )
-    run.add_argument(
-        "--cache-tiers", type=int, default=None, choices=[1, 2], dest="cache_tiers",
-        help="tiered feature cache: 1 = per-trainer hot tier, 2 = + machine-shared "
-             "tier (selects the 'tiered-cache' pipeline unless --pipeline is given; "
-             "the trainer row budget still comes from --halo-fraction)",
-    )
-    run.add_argument(
-        "--admission", default=None, choices=ADMISSION_POLICIES.names(),
-        help="hot-tier admission policy (default: static-degree — the pre-tier "
-             "static cache behavior)",
-    )
-    run.add_argument(
-        "--eviction", default=None, choices=CACHE_EVICTION_POLICIES.names(),
-        help="hot-tier eviction policy (default: none; distinct from "
-             "--eviction-policy, which governs the prefetch buffer's Algorithm 2)",
-    )
-    run.add_argument(
-        "--adaptive-cache", action="store_true",
-        help="enable the adaptive capacity controller (re-splits hot/shared tier "
-             "budgets from per-epoch hit rates; needs --cache-tiers 2)",
-    )
-    run.add_argument(
-        "--engine", default=None, choices=ENGINES.names(),
-        help="cluster execution backend (default: the scenario's, lockstep). "
-             "'async' is the event-driven backend (priority-queue event loop, "
-             "pluggable gradient sync)",
-    )
-    run.add_argument(
-        "--sync", default=None, choices=SYNC_POLICIES.names(),
-        help="gradient synchronization policy for --engine async "
-             "(default: the scenario's, allreduce-barrier — bit-identical to the "
-             "lockstep engine)",
-    )
-    run.add_argument(
-        "--staleness", type=int, default=None,
-        help="max rounds a trainer may run ahead with --sync bounded-staleness "
-             "(default: the scenario's, 1)",
-    )
-    run.add_argument(
-        "--sync-period", type=int, default=None, dest="sync_period",
-        help="steps between model averages with --sync local-sgd "
-             "(default: the scenario's, 4)",
-    )
-    run.add_argument(
         "--no-elastic", action="store_true", dest="no_elastic",
         help="strip the scenario's elastic membership schedule (ElasticSpec): "
              "every trainer stays active for the whole run — the no-elasticity "
              "baseline the elastic scenarios are compared against",
     )
-    run.add_argument("--backend", default=None, choices=["cpu", "gpu"],
-                     help="cost-model backend (default: the scenario's)")
-    run.add_argument("--machines", type=int, default=None,
-                     help="simulated machines (default: the scenario's)")
-    run.add_argument("--trainers-per-machine", type=int, default=None,
-                     help="trainers per machine (default: the scenario's)")
-    run.add_argument("--batch-size", type=int, default=None,
-                     help="seeds per minibatch (default: the scenario's)")
-    run.add_argument("--fanouts", type=int, nargs="+", default=None,
-                     help="per-layer neighbor fanouts (default: the scenario's)")
-    run.add_argument("--epochs", type=int, default=None,
-                     help="training epochs (default: the scenario's)")
     run.add_argument("--arch", default="sage", choices=["sage", "gat"])
     run.add_argument("--hidden-dim", type=int, default=64)
-    run.add_argument("--halo-fraction", type=float, default=None,
-                     help="prefetch buffer capacity as a halo fraction "
-                          "(default: the scenario's)")
-    run.add_argument("--gamma", type=float, default=None,
-                     help="eviction-score decay (default: the scenario's)")
-    run.add_argument("--delta", type=int, default=None,
-                     help="eviction interval (default: the scenario's)")
-    run.add_argument("--no-eviction", action="store_true")
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--evaluate", action="store_true", help="score validation/test accuracy")
     run.add_argument("--trace-dir", type=Path, default=None,
@@ -243,22 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="serving scenario to run (default: steady-poisson); training "
              "scenarios are rejected — see the Execution column of `repro scenarios`",
     )
-    serve.add_argument(
-        "--arrival", default=None, choices=ARRIVALS.names(),
-        help="override the scenario's arrival process (see repro.serving.ARRIVALS)",
-    )
-    serve.add_argument("--requests", type=int, default=None,
-                       help="number of requests to serve (default: the scenario's)")
-    serve.add_argument("--rate", type=float, default=None, dest="rate",
-                       help="offered load in requests/s (default: the scenario's)")
-    serve.add_argument("--slo-ms", type=float, default=None, dest="slo_ms",
-                       help="latency SLO in milliseconds (default: the scenario's)")
-    serve.add_argument("--scale", type=float, default=None,
-                       help="dataset scale multiplier (default: the scenario's)")
-    serve.add_argument("--machines", type=int, default=None,
-                       help="simulated machines (default: the scenario's)")
-    serve.add_argument("--trainers-per-machine", type=int, default=None,
-                       help="serving workers per machine (default: the scenario's)")
+    _add_knob_flags(serve, "serve")
     serve.add_argument("--seed", type=int, default=0)
     serve.add_argument("--trace-dir", type=Path, default=None,
                        help="write the full ServingReport JSON here")
@@ -277,25 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="global node id to explain (default: the node with the most "
              "recorded decisions in the replay)",
     )
-    explain.add_argument(
-        "--admission", default="scored",
-        choices=[n for n in ADMISSION_POLICIES.names() if n.startswith("scored")],
-        help="scored admission variant to replay with (default: scored — the "
-             "conservative mode)",
-    )
-    explain.add_argument(
-        "--eviction", default="scored", choices=["scored", "lru", "lfu", "clock"],
-        help="hot-tier eviction policy for the replay (default: scored — evict "
-             "lowest upper bound; decisions are only recorded for scored policies)",
-    )
-    explain.add_argument(
-        "--cache-tiers", type=int, default=1, choices=[1, 2], dest="cache_tiers",
-        help="tier stack shape for the replay (default: 1)",
-    )
-    explain.add_argument("--epochs", type=int, default=None,
-                         help="override the scenario's epoch count")
-    explain.add_argument("--scale", type=float, default=None,
-                         help="dataset scale multiplier (default: the scenario's)")
+    _add_knob_flags(explain, "explain")
     explain.add_argument("--seed", type=int, default=0)
     explain.add_argument(
         "--limit", type=int, default=20,
@@ -307,12 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sweep = sub.add_parser("sweep", help="grid-search the prefetch parameters")
-    sweep.add_argument("--dataset", default="products", choices=available_datasets())
-    sweep.add_argument("--scale", type=float, default=0.25)
-    sweep.add_argument("--backend", default="cpu", choices=["cpu", "gpu"])
-    sweep.add_argument("--machines", type=int, default=2)
-    sweep.add_argument("--batch-size", type=int, default=128)
-    sweep.add_argument("--epochs", type=int, default=2)
+    _add_knob_flags(sweep, "sweep")
     sweep.add_argument("--halo-fractions", type=float, nargs="+", default=[0.15, 0.35, 0.5])
     sweep.add_argument("--gammas", type=float, nargs="+", default=[0.95, 0.995])
     sweep.add_argument("--deltas", type=int, nargs="+", default=[8, 64])
@@ -350,10 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
              "'cache.eviction', 'serving.rate_rps'; values are validated "
              "eagerly against the owning registry or numeric type",
     )
-    tune.add_argument("--scale", type=float, default=None,
-                      help="dataset scale for every evaluation (default: the scenario's)")
-    tune.add_argument("--epochs", type=int, default=None,
-                      help="epochs for every evaluation (default: the scenario's)")
+    _add_knob_flags(tune, "tune")
     tune.add_argument("--seed", type=int, default=0,
                       help="seed shared by every candidate run and the random strategy")
     tune.add_argument(
@@ -424,41 +395,16 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_cache_config(args: argparse.Namespace) -> Optional[CacheConfig]:
-    """CacheConfig from the --cache-* flags; None when none were passed.
-
-    Invalid combinations (e.g. ``--adaptive-cache`` without
-    ``--cache-tiers 2``) raise the config's own diagnostic rather than
-    being silently ignored.
-    """
-    if (args.cache_tiers is None and args.admission is None
-            and args.eviction is None and not args.adaptive_cache):
-        return None
-    # An explicit --eviction with the closed default admission would be
-    # inert (static-degree admits nothing at runtime, so eviction never
-    # triggers); default admission to "always" in that case so the chosen
-    # policy actually runs.  An explicit --admission always wins.
-    admission = args.admission
-    if admission is None:
-        admission = "always" if args.eviction not in (None, "none") else "static-degree"
-    return CacheConfig(
-        tiers=args.cache_tiers if args.cache_tiers is not None else 1,
-        admission=admission,
-        eviction=args.eviction or "none",
-        adaptive=bool(args.adaptive_cache),
-    )
-
-
 def _resolve_run_scenario(args: argparse.Namespace):
-    """The scenario ``repro run`` executes: recipe, then preset, then flags.
+    """The scenario ``repro run`` executes, and the knobs the user set.
 
     The scenario recipe is the source of every default; ``--preset`` applies a
     frozen (scenario, overrides) bundle on top of it, and only flags the user
-    actually passed (non-``None``) override that — CLI beats preset beats
-    scenario recipe.
+    actually passed override that — CLI beats preset beats scenario recipe.
+    Flags are :data:`KNOB_FLAGS` axes, applied by ``with_overrides`` with the
+    rules of :mod:`repro.scenarios.knobs`; a knob the resolved scenario would
+    never read is rejected, not ignored.
     """
-    if args.sampler is not None:
-        args.sampler = resolve_sampler(args.sampler)
     if args.preset is not None:
         preset = load_preset(args.preset, presets_dir=args.presets_dir)
         base_scenario = preset.apply()
@@ -473,46 +419,18 @@ def _resolve_run_scenario(args: argparse.Namespace):
               f"objective {preset.objective}, overrides {overrides}\n")
     else:
         base_scenario = SCENARIOS.build(args.scenario or "uniform")
+    knobs = _knob_values(args, "run")
+    if args.mode not in (None, "both") and knobs.setdefault("pipeline", args.mode) != args.mode:
+        raise ValueError(
+            f"--mode {args.mode} names the {args.mode!r} pipeline but --pipeline "
+            f"names {knobs['pipeline']!r}; pass one of them"
+        )
     scenario = base_scenario.with_overrides(
-        dataset=args.dataset,
-        scale=args.scale,
-        num_machines=args.machines,
-        trainers_per_machine=args.trainers_per_machine,
-        batch_size=args.batch_size,
-        fanouts=tuple(args.fanouts) if args.fanouts else None,
-        backend=args.backend,
-        epochs=args.epochs,
-        sampler=args.sampler,
-        rpc=args.rpc,
-        engine=args.engine,
-        sync=args.sync,
-        staleness=args.staleness,
-        sync_period=args.sync_period,
-        elastic=UNSET if args.no_elastic else None,
+        **knobs, elastic=UNSET if args.no_elastic else None
     )
-    # A sync-policy knob only has meaning on the event-driven backend; flip
-    # the engine rather than letting the lockstep factory reject it when the
-    # user's intent is unambiguous.
-    if args.engine is None and (
-        args.sync is not None or args.staleness is not None or args.sync_period is not None
-    ):
-        scenario = scenario.with_overrides(engine="async")
-    # A knob that the effective sync policy does not consume would be
-    # silently inert (sync_policy_options only forwards staleness to
-    # bounded-staleness and sync_period to local-sgd); reject it instead of
-    # letting the user believe they measured a policy they never selected.
-    resolved_sync = SYNC_POLICIES.resolve(scenario.sync)
-    if args.staleness is not None and resolved_sync != "bounded-staleness":
-        raise ValueError(
-            f"--staleness only applies to the 'bounded-staleness' sync policy "
-            f"(effective policy: {resolved_sync!r}); pass --sync bounded-staleness"
-        )
-    if args.sync_period is not None and resolved_sync != "local-sgd":
-        raise ValueError(
-            f"--sync-period only applies to the 'local-sgd' sync policy "
-            f"(effective policy: {resolved_sync!r}); pass --sync local-sgd"
-        )
-    return scenario
+    flags = {axis: flag for flag, (axis, *_) in KNOB_FLAGS["run"].items()}
+    reject_inert(scenario, knobs, spell=lambda axis: flags.get(axis, axis))
+    return scenario, knobs
 
 
 def _print_scenario_header(scenario) -> None:
@@ -533,52 +451,10 @@ def _write_trace(trace_dir: Path, stem: str, report, kind: str) -> None:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     """``repro run [--scenario <name>]``: run one scenario and print its report."""
-    scenario = _resolve_run_scenario(args)
-    cache_config = _build_cache_config(args)
-    pipeline = args.pipeline
-    if args.mode not in (None, "both"):
-        if pipeline is not None and pipeline != args.mode:
-            raise ValueError(
-                f"--mode {args.mode} names the {args.mode!r} pipeline but --pipeline "
-                f"names {pipeline!r}; pass one of them"
-            )
-        pipeline = args.mode
-    if pipeline is None and cache_config is not None:
-        pipeline = "tiered-cache"
-
-    prefetch_flags = [
-        (flag, key, value)
-        for flag, key, value in (
-            ("--halo-fraction", "halo_fraction", args.halo_fraction),
-            ("--gamma", "gamma", args.gamma),
-            ("--delta", "delta", args.delta),
-            ("--eviction-policy", "eviction_policy", args.eviction_policy),
-            ("--no-eviction", "eviction_enabled", False if args.no_eviction else None),
-        )
-        if value is not None
-    ]
-    # Like --staleness above: a knob nothing reads is rejected, not ignored.
-    target = PIPELINES.resolve(pipeline or scenario.pipeline)
-    if prefetch_flags and not PIPELINES.get(target).reads_prefetch_config:
-        raise ValueError(
-            f"{prefetch_flags[0][0]} has no effect on the {target!r} pipeline (it "
-            f"takes no PrefetchConfig); pick another --pipeline, or --mode both to compare"
-        )
-    if args.no_eviction and args.eviction_policy is not None:
-        raise ValueError(
-            f"--eviction-policy {args.eviction_policy} has no effect with "
-            f"--no-eviction (the policy is never consulted); drop one of them"
-        )
-    prefetch_config = None
-    if prefetch_flags:
-        # The eviction policy rides along as a registry *name* so each
-        # trainer's prefetcher builds its own instance (own RNG stream) —
-        # a shared policy object would couple the trainers' evictions.
-        prefetch_config = dataclasses.replace(
-            scenario.prefetch_config or PrefetchConfig(),
-            **{key: value for _, key, value in prefetch_flags},
-        )
-
+    scenario, knobs = _resolve_run_scenario(args)
+    # A cache the user asked for reaches the pipeline explicitly, so one the
+    # pipeline cannot read is rejected rather than left behind like a recipe's.
+    cache_config = scenario.cache_config if any(k.startswith("cache.") for k in knobs) else None
     if ENGINES.resolve(scenario.engine) == "serving":
         # Serving scenarios share this command shape (one CI smoke command for
         # every scenario) but report latency/SLO, not epochs — delegate.
@@ -587,11 +463,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 f"--mode compares training pipelines; scenario {scenario.name!r} "
                 f"is a serving workload — drop --mode (or use --pipeline)"
             )
-        return _run_serving(
-            scenario, seed=args.seed, trace_dir=args.trace_dir,
-            pipeline=pipeline, prefetch_config=prefetch_config,
-            cache_config=cache_config,
-        )
+        return _run_serving(scenario, seed=args.seed, trace_dir=args.trace_dir,
+                            cache_config=cache_config)
     workload = scenario.materialize(
         seed=args.seed,
         train_config=TrainConfig(
@@ -607,9 +480,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         # and seed assignments, which is how Fig. 6 is constructed.
         baseline = workload.run(pipeline="baseline")
         _print_cluster_summary(baseline)
-    report = workload.run(
-        pipeline=pipeline, prefetch_config=prefetch_config, cache_config=cache_config
-    )
+    report = workload.run(pipeline=scenario.pipeline, cache_config=cache_config)
     if compare:
         _print_cluster_summary(report)
         print("\n" + viz.comparison_summary(baseline.report, report.report))
@@ -687,8 +558,6 @@ def _run_serving(
     scenario,
     seed: int,
     trace_dir: Optional[Path] = None,
-    pipeline: Optional[str] = None,
-    prefetch_config: Optional[PrefetchConfig] = None,
     cache_config: Optional[CacheConfig] = None,
 ) -> int:
     """Materialize and run a serving scenario; print the latency/SLO report.
@@ -698,9 +567,7 @@ def _run_serving(
     """
     workload = scenario.materialize(seed=seed)
     _print_scenario_header(scenario)
-    report = workload.run(
-        pipeline=pipeline, prefetch_config=prefetch_config, cache_config=cache_config
-    )
+    report = workload.run(pipeline=scenario.pipeline, cache_config=cache_config)
 
     rows = [
         [w.global_rank, w.machine, w.requests, f"{w.busy_time_s:.4f}",
@@ -753,14 +620,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"scenario {scenario.name!r} is a training workload — run it with "
             f"`repro run --scenario {scenario.name}`; serving scenarios: {serving_names}"
         )
-    spec = scenario.serving.with_overrides(
-        arrival=args.arrival, num_requests=args.requests,
-        rate_rps=args.rate, slo_ms=args.slo_ms,
-    )
-    scenario = scenario.with_overrides(
-        scale=args.scale, num_machines=args.machines,
-        trainers_per_machine=args.trainers_per_machine, serving=spec,
-    )
+    scenario = scenario.with_overrides(**_knob_values(args, "serve"))
     return _run_serving(scenario, seed=args.seed, trace_dir=args.trace_dir)
 
 
@@ -772,15 +632,12 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     recording is pure observation, so the replayed decisions are exactly what
     a non-captured run of the same scenario/seed would make.
     """
+    # The replay's cache is the flags' over a fresh recording config, not the
+    # scenario's recipe.
     scenario = SCENARIOS.build(args.scenario).with_overrides(
-        scale=args.scale, epochs=args.epochs
+        cache_config=CacheConfig(record_decisions=True), **_knob_values(args, "explain")
     )
-    cache_config = CacheConfig(
-        tiers=args.cache_tiers,
-        admission=args.admission,
-        eviction=args.eviction,
-        record_decisions=True,
-    )
+    cache_config = scenario.cache_config
 
     with capture_decisions() as log:
         if ENGINES.resolve(scenario.engine) == "serving":
@@ -852,10 +709,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    scenario = SCENARIOS.build("uniform").with_overrides(
-        dataset=args.dataset, scale=args.scale, num_machines=args.machines,
-        batch_size=args.batch_size, backend=args.backend, epochs=args.epochs,
-    )
+    scenario = SCENARIOS.build("uniform").with_overrides(**_knob_values(args, "sweep"))
     sweep = run_parameter_sweep(
         scenario,
         seed=args.seed,
@@ -885,22 +739,11 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     ties break on the candidate's canonical JSON — so ``--json`` output and
     ``--emit-preset`` files are byte-identical across same-seed re-runs.
     """
-    space = None
-    if args.axis:
-        axes = {}
-        for item in args.axis:
-            name, sep, values = item.partition("=")
-            if not sep:
-                raise ValueError(f"--axis expects NAME=V1[,V2...], got {item!r}")
-            canonical, parsed = parse_axis_values(name.strip(), values)
-            if canonical in axes:
-                raise ValueError(f"axis {canonical!r} given more than once")
-            axes[canonical] = parsed
-        space = SearchSpace(axes)
     report = TuneRunner(
-        scenario=args.scenario, objective=args.objective, space=space,
+        scenario=args.scenario, objective=args.objective,
+        space=SearchSpace.parse(args.axis) if args.axis else None,
         strategy=args.strategy, budget=args.budget, seed=args.seed,
-        scale=args.scale, epochs=args.epochs, parallelism=args.parallel,
+        parallelism=args.parallel, **_knob_values(args, "tune"),
     ).run()
     if args.json:
         print(report.canonical_json(), end="")

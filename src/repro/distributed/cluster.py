@@ -38,7 +38,6 @@ from repro.graph.halo import GraphPartition, build_partitions
 from repro.graph.partition import PartitionResult, partition_graph
 from repro.graph.partition_book import PartitionBook
 from repro.sampling.dataloader import DistDataLoader
-from repro.sampling.neighbor_sampler import resolve_sampler
 from repro.sampling.seeds import SeedPartitioner
 from repro.utils.rng import derive_seed
 from repro.utils.validation import check_positive
@@ -58,10 +57,8 @@ class ClusterConfig:
     that machine's trainers compute twice as slowly — a straggler).  ``None``
     means a homogeneous cluster.
 
-    ``sampler`` and ``rpc`` select hot-path implementations by registry key:
-    :data:`repro.sampling.neighbor_sampler.SAMPLERS` (``"vectorized"``, the
-    batched fan-out draw) and
-    :data:`repro.distributed.rpc.RPC_CHANNELS` (``"per-call"`` default,
+    ``rpc`` selects the RPC channel by
+    :data:`repro.distributed.rpc.RPC_CHANNELS` key (``"per-call"`` default,
     ``"batched"`` for per-machine owner coalescing).
 
     ``congestion`` (a :class:`~repro.events.schedule.CongestionSpec`) makes
@@ -79,7 +76,6 @@ class ClusterConfig:
     backend: str = "cpu"
     seed: int = 0
     compute_multipliers: Optional[Sequence[float]] = None
-    sampler: str = "vectorized"
     rpc: str = "per-call"
     # Hot-set drift (cache-stress scenarios): each epoch only a rotating
     # window of ``seed_active_fraction`` of a trainer's seeds is active,
@@ -104,9 +100,8 @@ class ClusterConfig:
             raise ValueError(f"seed_rotation must be in [0, 1], got {self.seed_rotation!r}")
         if self.backend not in ("cpu", "gpu"):
             raise ValueError(f"backend must be 'cpu' or 'gpu', got {self.backend!r}")
-        # Resolve registry keys eagerly so typos fail at config time with the
-        # registry's list-of-valid-names error, not mid-run.
-        self.sampler = resolve_sampler(self.sampler)
+        # Resolve the registry key eagerly so a typo fails at config time with
+        # the registry's list-of-valid-names error, not mid-run.
         self.rpc = RPC_CHANNELS.resolve(self.rpc)
         if self.compute_multipliers is not None:
             multipliers = tuple(float(m) for m in self.compute_multipliers)
@@ -231,7 +226,6 @@ class SimCluster:
                     batch_size=config.batch_size,
                     labels=self.dataset.labels,
                     seed=derive_seed(config.seed, 307, global_rank),
-                    sampler=config.sampler,
                     seed_active_fraction=config.seed_active_fraction,
                     seed_rotation=config.seed_rotation,
                 )

@@ -3,9 +3,7 @@
 from repro.sampling.block import Block, MiniBatch
 from repro.sampling.dataloader import DistDataLoader
 from repro.sampling.neighbor_sampler import (
-    SAMPLERS,
     NeighborSampler,
-    build_sampler,
     sample_for_partition,
     split_local_halo,
 )
@@ -17,8 +15,6 @@ __all__ = [
     "MiniBatch",
     "DistDataLoader",
     "NeighborSampler",
-    "SAMPLERS",
-    "build_sampler",
     "sample_for_partition",
     "split_local_halo",
     "MiniBatchPipeline",

@@ -31,7 +31,6 @@ import numpy as np
 from repro.graph.csr import CSRGraph
 from repro.graph.halo import GraphPartition
 from repro.sampling.block import Block, MiniBatch
-from repro.utils.registry import Registry
 from repro.utils.rng import SeedLike, ensure_rng
 from repro.utils.validation import check_1d_int_array
 
@@ -235,33 +234,6 @@ class NeighborSampler:
 
         new_src, edge_src = _finalize_layer(dst, sampled_src, self._pos_scratch)
         return new_src, edge_src, edge_dst, dst_indptr
-
-
-# --------------------------------------------------------------------------- #
-# Registry: samplers constructible by name from configs / CLI / benchmarks
-# --------------------------------------------------------------------------- #
-SAMPLERS = Registry("neighbor sampler")
-SAMPLERS.register("vectorized", NeighborSampler, aliases=("fast",))
-
-# Keys of the per-node samplers this module used to register; naming one gets
-# a message that says so instead of a bare "unknown name".
-_REMOVED_SAMPLERS = ("legacy", "choice", "loop", "reference")
-
-
-def resolve_sampler(name: str) -> str:
-    """Canonical :data:`SAMPLERS` key for *name*; ``ValueError`` otherwise."""
-    if isinstance(name, str) and name.strip().lower() in _REMOVED_SAMPLERS:
-        raise ValueError(
-            f"neighbor sampler {name!r} was removed; 'vectorized' is the only sampler"
-        )
-    return SAMPLERS.resolve(name)
-
-
-def build_sampler(
-    name: str, graph: CSRGraph, fanouts: Sequence[int], seed: SeedLike = None
-) -> NeighborSampler:
-    """Build a registered neighbor sampler by name (see :data:`SAMPLERS`)."""
-    return SAMPLERS.build(resolve_sampler(name), graph, fanouts, seed=seed)
 
 
 def sample_for_partition(

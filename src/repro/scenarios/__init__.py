@@ -27,9 +27,9 @@ drift-checks it).
 """
 
 from repro.scenarios.catalog import catalog_markdown
+from repro.scenarios.knobs import UNSET
 from repro.scenarios.registry import (
     SCENARIOS,
-    UNSET,
     ClusterScenario,
     ClusterWorkload,
     available_scenarios,

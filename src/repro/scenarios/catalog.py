@@ -68,7 +68,7 @@ def catalog_markdown() -> str:
         "[ARCHITECTURE.md](ARCHITECTURE.md) for the execution backends.",
         "",
         "| Scenario | Dataset | Partitioning | Machines | Execution | Pipeline "
-        "| Cache | Sampler/RPC | Stress inputs | Description |",
+        "| Cache | RPC | Stress inputs | Description |",
         "|---|---|---|---|---|---|---|---|---|---|",
     ]
     for name in SCENARIOS.names():
@@ -80,7 +80,7 @@ def catalog_markdown() -> str:
         )
         lines.append(
             "| `{name}` | {dataset} | {partition} | {machines}x{trainers} ({hw}) "
-            "| {execution} | {pipeline} | {cache} | {sampler}/{rpc} | {stress} "
+            "| {execution} | {pipeline} | {cache} | {rpc} | {stress} "
             "| {description} |".format(
                 name=name,
                 dataset=s.dataset,
@@ -91,7 +91,6 @@ def catalog_markdown() -> str:
                 execution=s.execution,
                 pipeline=s.pipeline,
                 cache=_cache_label(s),
-                sampler=s.sampler,
                 rpc=s.rpc,
                 stress=_stress_label(s),
                 description=s.description,

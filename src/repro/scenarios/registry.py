@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from repro.cache.config import CacheConfig
@@ -11,7 +11,7 @@ from repro.distributed.cluster import ClusterConfig, SimCluster
 from repro.distributed.cost_model import CostModel
 from repro.events.schedule import CongestionSpec, ElasticSpec, FailureSpec
 from repro.graph.datasets import GraphDataset, load_dataset
-from repro.sampling.neighbor_sampler import resolve_sampler
+from repro.scenarios.knobs import apply_overrides
 from repro.serving.arrivals import ServingSpec
 from repro.training.cluster_engine import ClusterReport
 from repro.training.config import TrainConfig
@@ -20,30 +20,6 @@ from repro.training.pipelines import PIPELINES
 from repro.utils.registry import Registry
 
 SCENARIOS = Registry("scenario")
-
-
-class _Unset:
-    """Singleton marker: 'explicitly clear this field to None' in overrides.
-
-    ``with_overrides`` ignores ``None`` (so CLI flags pass through
-    unconditionally), which historically made it impossible to *clear* an
-    optional field like ``failures`` from a base scenario.  Passing ``UNSET``
-    maps the field to ``None`` explicitly.  The singleton survives pickling
-    (``__new__`` returns the module instance) so identity checks stay valid.
-    """
-
-    _instance = None
-
-    def __new__(cls) -> "_Unset":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "UNSET"
-
-
-UNSET = _Unset()
 
 
 @dataclass(frozen=True)
@@ -73,8 +49,7 @@ class ClusterScenario:
     prefetch_config: Optional[PrefetchConfig] = None
     epochs: int = 3
     paper_note: str = ""
-    # Hot-path registry keys (see SAMPLERS / RPC_CHANNELS).
-    sampler: str = "vectorized"
+    # RPC channel registry key (see RPC_CHANNELS).
     rpc: str = "per-call"
     # Tiered feature cache (repro.cache): None runs the tier-less data path;
     # a CacheConfig parameterizes the "tiered-cache" pipeline (or threads a
@@ -123,49 +98,19 @@ class ClusterScenario:
 
     # ------------------------------------------------------------------ #
     def with_overrides(self, **overrides) -> "ClusterScenario":
-        """A copy with selected fields replaced (CLI/benchmark knobs).
+        """A copy with selected knobs replaced (CLI, presets, tuner, benchmarks).
 
+        Names are :data:`~repro.scenarios.knobs.AXES` names — top-level
+        fields such as ``rpc`` or ``num_machines``, or dotted fields of the
+        nested configs such as ``**{"cache.eviction": "lru"}`` — or any
+        other top-level field (``failures=``, a whole ``cache_config=``).
         ``None`` values are ignored so CLI flags can be passed through
         unconditionally; pass :data:`UNSET` to explicitly clear an optional
         field to ``None`` (e.g. strip ``failures`` from a base scenario).
-        Unknown field names raise ``ValueError`` listing the valid keys, and
-        so does a ``sampler`` key that is not registered (or was removed).
+        Unknown names raise ``ValueError`` listing the valid fields.  The
+        override rules live in :func:`~repro.scenarios.knobs.apply_overrides`.
         """
-        valid = set(self.__dataclass_fields__)
-        unknown = sorted(set(overrides) - valid)
-        if unknown:
-            raise ValueError(
-                f"unknown scenario field(s) {unknown}; "
-                f"valid fields: {sorted(valid)}"
-            )
-        filtered = {
-            k: (None if v is UNSET else v)
-            for k, v in overrides.items()
-            if v is not None
-        }
-        if "sampler" in filtered:
-            filtered["sampler"] = resolve_sampler(filtered["sampler"])
-        if "num_machines" in filtered:
-            # Keep per-machine vectors aligned when the topology is resized.
-            # Resizing also applies when multipliers arrive in the *same*
-            # call: otherwise chained overrides (scenario -> preset -> CLI)
-            # and the merged equivalent would disagree — the three-layer
-            # merge must compose associatively.
-            filtered["compute_multipliers"] = self._resize_multipliers(
-                int(filtered["num_machines"]),
-                filtered.get("compute_multipliers", self.compute_multipliers),
-            )
-        return replace(self, **filtered)
-
-    def _resize_multipliers(
-        self, num_machines: int, multipliers
-    ) -> Optional[Tuple[float, ...]]:
-        if multipliers is None:
-            return None
-        current = tuple(multipliers)
-        if len(current) >= num_machines:
-            return current[:num_machines]
-        return current + (1.0,) * (num_machines - len(current))
+        return apply_overrides(self, overrides)
 
     # ------------------------------------------------------------------ #
     def cluster_config(self, seed: int = 0) -> ClusterConfig:
@@ -178,7 +123,6 @@ class ClusterScenario:
             backend=self.backend,
             seed=seed,
             compute_multipliers=self.compute_multipliers,
-            sampler=self.sampler,
             rpc=self.rpc,
             seed_active_fraction=self.seed_active_fraction,
             seed_rotation=self.seed_rotation,

@@ -5,8 +5,9 @@ RPC channel, cache tiers and their admission/eviction/scorer policies,
 execution engine, sync policy and its staleness/period knobs, execution
 backend, serving arrival parameters — is searched by a
 :class:`~repro.tuning.runner.TuneRunner`: a
-:class:`~repro.tuning.space.SearchSpace` names the axes (validated eagerly
-against the same registries the rest of the package selects from), a
+:class:`~repro.tuning.space.SearchSpace` names the axes (the knobs of
+:data:`repro.scenarios.knobs.AXES`, the override language the CLI, presets
+and ``ClusterScenario.with_overrides`` share, validated eagerly), a
 :data:`~repro.tuning.space.SEARCH_STRATEGIES` entry orders the candidates
 (exhaustive ``grid`` or seeded ``random``), and an
 :data:`~repro.tuning.objectives.OBJECTIVES` entry scores each run's report
@@ -24,6 +25,7 @@ Determinism follows the repository's differential-test discipline: the same
 (seed, budget, space) produces a byte-identical ranked report and preset file.
 """
 
+from repro.scenarios.knobs import AXES, apply_axis_overrides
 from repro.tuning.objectives import OBJECTIVES, default_objective
 from repro.tuning.presets import (
     Preset,
@@ -32,13 +34,7 @@ from repro.tuning.presets import (
     load_preset,
 )
 from repro.tuning.runner import TuneReport, TuneRunner
-from repro.tuning.space import (
-    AXES,
-    SEARCH_STRATEGIES,
-    SearchSpace,
-    apply_axis_overrides,
-    default_search_space,
-)
+from repro.tuning.space import SEARCH_STRATEGIES, SearchSpace, default_search_space
 
 __all__ = [
     "AXES",

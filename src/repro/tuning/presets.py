@@ -10,7 +10,7 @@ Loading validates with the same eagerness as the rest of the config layer:
 unknown top-level fields are rejected with the valid-field list (the
 ``with_overrides`` contract), scenario/objective/strategy names resolve
 through their registries, and every override is checked by its
-:class:`~repro.tuning.space.AxisSpec` — a hand-edited preset fails at load,
+:class:`~repro.scenarios.knobs.AxisSpec` — a hand-edited preset fails at load,
 not mid-run.
 """
 
@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.tuning.space import validate_overrides
+from repro.scenarios.knobs import apply_axis_overrides, validate_overrides
 
 _GENERATED_BY = "repro tune"
 
@@ -147,7 +147,6 @@ class Preset:
     def apply(self):
         """The preset's scenario with its overrides applied."""
         from repro.scenarios.registry import SCENARIOS
-        from repro.tuning.space import apply_axis_overrides
 
         return apply_axis_overrides(SCENARIOS.build(self.scenario),
                                     dict(self.overrides))

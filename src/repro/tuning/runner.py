@@ -3,7 +3,7 @@
 :class:`TuneRunner` drives one sweep: a strategy orders the candidates of a
 :class:`~repro.tuning.space.SearchSpace`, each candidate is applied to the
 base scenario with
-:func:`~repro.tuning.space.apply_axis_overrides`, materialized and run at the
+:func:`~repro.scenarios.knobs.apply_axis_overrides`, materialized and run at the
 shared seed, and scored by the objective.  The baseline (the unmodified
 scenario at the same seed) is run first so every candidate carries a signed
 improvement.  Candidates whose configuration is rejected by the config layer
@@ -27,14 +27,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
+from repro.scenarios.knobs import apply_axis_overrides
 from repro.scenarios.registry import SCENARIOS, ClusterScenario
 from repro.tuning.objectives import OBJECTIVES, Objective
-from repro.tuning.space import (
-    SEARCH_STRATEGIES,
-    SearchSpace,
-    apply_axis_overrides,
-    default_search_space,
-)
+from repro.tuning.space import SEARCH_STRATEGIES, SearchSpace, default_search_space
 
 _GENERATED_BY = "repro.tuning"
 

@@ -79,8 +79,6 @@ class TestRegistry:
     def test_config_rejects_unknown_keys(self, small_dataset):
         with pytest.raises(ValueError, match="rpc channel"):
             ClusterConfig(num_machines=2, trainers_per_machine=1, rpc="telepathy")
-        with pytest.raises(ValueError, match="neighbor sampler"):
-            ClusterConfig(num_machines=2, trainers_per_machine=1, sampler="psychic")
 
 
 class TestBatchedChannel:

@@ -155,7 +155,7 @@ class TestWithOverrides:
     def test_unset_is_a_singleton_with_stable_repr(self):
         import pickle
 
-        from repro.scenarios.registry import _Unset
+        from repro.scenarios.knobs import _Unset
 
         assert _Unset() is UNSET
         assert pickle.loads(pickle.dumps(UNSET)) is UNSET

@@ -11,6 +11,7 @@ beats scenario.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -45,6 +46,24 @@ def test_committed_preset_loads_and_validates(name):
     # provenance: the tuner recorded a strict win over the scenario default
     assert preset.improvement_percent is not None
     assert preset.improvement_percent > 0
+
+
+@pytest.mark.parametrize("name", COMMITTED)
+def test_committed_preset_edits_its_recipe_in_place(name):
+    """A preset's cache.* keys edit the scenario's own cache recipe.
+
+    No committed preset leans on the rules for a cache-less scenario
+    (tiered-cache auto-selection, admission opening to 'always'), so each
+    loads exactly as it did when it was frozen.
+    """
+    preset = load_preset(name)
+    recipe = SCENARIOS.build(preset.scenario)
+    cache = {k.split(".", 1)[1]: v for k, v in preset.overrides if k.startswith("cache.")}
+    applied = preset.apply()
+    assert applied.pipeline == recipe.pipeline
+    if cache:
+        assert recipe.cache_config is not None
+        assert applied.cache_config == replace(recipe.cache_config, **cache)
 
 
 @pytest.mark.parametrize("name", COMMITTED)

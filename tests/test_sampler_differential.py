@@ -7,24 +7,19 @@ per-node draws of ``tests/sampler_oracle.py`` — identical blocks, edge
 indices, CSR offsets *and* RNG-stream position.  The oracle builds its blocks
 through the public, validating constructors, so the same comparison checks
 the sampler's trusted ``Block`` constructor field for field.  These tests also
-cover the registry's misuse messages, the repeated-seed regression and the
-duplicate-dst guard.
+cover the removed ``sampler`` knob's message, the repeated-seed regression and
+the duplicate-dst guard.
 """
 
 import numpy as np
 import pytest
 
-from repro.distributed.cluster import ClusterConfig
 from repro.graph.csr import CSRGraph
 from repro.sampling.block import Block
 from repro.sampling.dataloader import DistDataLoader
-from repro.sampling.neighbor_sampler import (
-    SAMPLERS,
-    NeighborSampler,
-    build_sampler,
-    resolve_sampler,
-)
+from repro.sampling.neighbor_sampler import NeighborSampler
 from repro.scenarios import SCENARIOS
+from repro.scenarios.knobs import apply_axis_overrides, validate_overrides
 from sampler_oracle import LoopNeighborSampler
 
 BLOCK_FIELDS = (
@@ -73,26 +68,25 @@ def random_graph(rng, num_nodes, num_edges, isolated=0):
                                remove_self_loops=True)
 
 
-class TestSamplerRegistry:
-    def test_one_sampler_one_alias(self, tiny_graph):
-        assert SAMPLERS.names() == ["vectorized"]
-        assert SAMPLERS.resolve("fast") == "vectorized"
-        assert type(build_sampler("vectorized", tiny_graph, [2], seed=0)) is NeighborSampler
+class TestRemovedSamplerKnob:
+    """One sampler, no knob: 'vectorized' is a no-op and anything else says so."""
 
-    def test_unknown_name_lists_valid_choices(self, tiny_graph):
-        with pytest.raises(ValueError, match="unknown neighbor sampler 'turbo'.*vectorized"):
-            build_sampler("turbo", tiny_graph, [2], seed=0)
+    def test_vectorized_is_a_no_op(self):
+        uniform = SCENARIOS.build("uniform")
+        assert uniform.with_overrides(sampler="vectorized") == uniform
+        assert validate_overrides({"sampler": "vectorized", "rpc": "batched"}) == {
+            "rpc": "batched"
+        }
 
-    @pytest.mark.parametrize("key", ["legacy", "choice", "loop", "reference", "Legacy "])
-    def test_removed_keys_say_so_everywhere(self, tiny_graph, small_partitions, key):
-        message = "was removed; 'vectorized' is the only sampler"
-        p = small_partitions[0]
+    @pytest.mark.parametrize("key", ["legacy", "choice", "loop", "reference", "Legacy ",
+                                     "fast", "turbo"])
+    def test_every_other_value_says_so_everywhere(self, key):
+        message = "was removed; 'vectorized' is the only neighbor sampler"
+        uniform = SCENARIOS.build("uniform")
         for misuse in (
-            lambda: resolve_sampler(key),
-            lambda: build_sampler(key, tiny_graph, [2], seed=0),
-            lambda: ClusterConfig(num_machines=2, trainers_per_machine=1, sampler=key),
-            lambda: SCENARIOS.build("uniform").with_overrides(sampler=key),
-            lambda: DistDataLoader(p, np.arange(4), fanouts=(3,), batch_size=4, sampler=key),
+            lambda: uniform.with_overrides(sampler=key),
+            lambda: validate_overrides({"sampler": key}),
+            lambda: apply_axis_overrides(uniform, {"sampler": key}),
         ):
             with pytest.raises(ValueError, match=message):
                 misuse()

@@ -10,6 +10,8 @@ controller activity, hot-set drift).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -289,15 +291,49 @@ class TestCacheCLIGuards:
         assert "tiers=2" in capsys.readouterr().err
 
     def test_explicit_eviction_implies_open_admission(self):
-        from repro.cli import _build_cache_config, build_parser
-        args = build_parser().parse_args(["run", "--eviction", "lru"])
-        config = _build_cache_config(args)
-        assert config.eviction == "lru" and config.admission == "always"
-        # An explicit admission choice always wins.
-        args = build_parser().parse_args(
-            ["run", "--eviction", "lru", "--admission", "static-degree"]
+        """CLI, with_overrides and the tuner build the same cache for one knob.
+
+        static-degree admits nothing at runtime, so an eviction over an
+        admission nobody chose would never run; admission opens to 'always'.
+        """
+        from repro.cli import _resolve_run_scenario, build_parser
+        from repro.tuning import apply_axis_overrides
+
+        def via_cli(*argv):
+            return _resolve_run_scenario(build_parser().parse_args(["run", *argv]))[0]
+
+        uniform = SCENARIOS.build("uniform")
+        eviction = {"cache.eviction": "lru"}
+        built = (
+            uniform.with_overrides(**eviction),
+            apply_axis_overrides(uniform, eviction),
+            via_cli("--eviction", "lru"),
         )
-        assert _build_cache_config(args).admission == "static-degree"
+        assert {b.cache_config for b in built} == {CacheConfig(admission="always", eviction="lru")}
+        assert {b.pipeline for b in built} == {"tiered-cache"}
+        # An explicit admission choice always wins.
+        explicit = {**eviction, "cache.admission": "static-degree"}
+        built = (
+            uniform.with_overrides(**explicit),
+            apply_axis_overrides(uniform, explicit),
+            via_cli("--eviction", "lru", "--admission", "static-degree"),
+        )
+        assert {b.cache_config.admission for b in built} == {"static-degree"}
+        # A recipe's static-degree admission opens too; its other fields stay.
+        drift = SCENARIOS.build("hot-set-drift")
+        opened = via_cli("--scenario", "hot-set-drift", "--eviction", "lru").cache_config
+        assert opened == replace(drift.cache_config, admission="always", eviction="lru")
+        assert opened == drift.with_overrides(**eviction).cache_config
+
+    def test_cache_flags_override_the_recipe(self):
+        """The scenario's cache recipe stays; a flag replaces one field of it."""
+        from repro.cli import _resolve_run_scenario, build_parser
+
+        args = build_parser().parse_args(["run", "--scenario", "flash-crowd-burst",
+                                          "--eviction", "clock"])
+        recipe = SCENARIOS.build("flash-crowd-burst").cache_config
+        assert recipe.tiers == 2
+        assert _resolve_run_scenario(args)[0].cache_config == replace(recipe, eviction="clock")
 
     TWO_TIER = dict(tiers=2, admission="always", eviction="lru")
 

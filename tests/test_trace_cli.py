@@ -158,7 +158,14 @@ class TestAsyncEngineCLI:
         (["run", "--sampler", "choice", "--cluster"], REMOVED),
         (["run", "--sampler", "loop", "--cluster", "--scenario", "hot-halo"], REMOVED),
         (["run", "--sampler", "reference", "--engine", "async"], REMOVED),
-        (["run", "--sampler", "turbo"], "unknown neighbor sampler 'turbo'; valid names: vectorized"),
+        (["run", "--sampler", "turbo"], REMOVED),
+        (["run", "--sampler", "fast"], REMOVED),
+        # Cache flags edit the scenario's recipe, so CacheConfig's own check runs.
+        (["run", "--scenario", "cache-churn", "--cache-tiers", "1"], "requires tiers=2"),
+        (["tune", "--scenario", "uniform", "--axis", "dataset=mnist"],
+         "axis 'dataset' takes one of arxiv, papers, products, reddit, got 'mnist'"),
+        (["tune", "--scenario", "uniform", "--axis", "fanouts=4 six"],
+         "axis 'fanouts' takes ints values, got '4 six'"),
         (["tune", "--scenario", "uniform", "--axis", "sampler=legacy,vectorized"], REMOVED),
         # The process-pool flags and axes are gone.  argparse's own
         # unrecognised-argument exit (fragment None) prints usage, not one line.
@@ -236,3 +243,78 @@ class TestAsyncEngineCLI:
         ])
         assert code == 0
         assert "bounded-staleness(K=4)" in capsys.readouterr().out
+
+
+# A legal value per `repro run` knob flag: (argv tail, axis value, scenario).
+# The staleness and sync-period flags need a recipe whose sync policy reads them.
+RUN_FLAG_VALUES = {
+    "--dataset": (["arxiv"], "arxiv", "uniform"),
+    "--scale": (["0.5"], 0.5, "uniform"),
+    "--pipeline": (["static-cache"], "static-cache", "uniform"),
+    "--eviction-policy": (["lru"], "lru", "uniform"),
+    "--sampler": (["vectorized"], "vectorized", "uniform"),
+    "--rpc": (["batched"], "batched", "uniform"),
+    "--cache-tiers": (["2"], 2, "uniform"),
+    "--admission": (["always"], "always", "uniform"),
+    "--eviction": (["clock"], "clock", "uniform"),
+    "--adaptive-cache": ([], True, "steady-poisson"),
+    "--engine": (["async"], "async", "uniform"),
+    "--sync": (["local-sgd"], "local-sgd", "uniform"),
+    "--staleness": (["3"], 3, "async-staleness"),
+    "--sync-period": (["2"], 2, "congested-link"),
+    "--backend": (["gpu"], "gpu", "uniform"),
+    "--machines": (["3"], 3, "straggler-machine"),
+    "--trainers-per-machine": (["1"], 1, "uniform"),
+    "--batch-size": (["32"], 32, "uniform"),
+    "--fanouts": (["4", "6"], (4, 6), "uniform"),
+    "--epochs": (["2"], 2, "uniform"),
+    "--halo-fraction": (["0.5"], 0.5, "uniform"),
+    "--gamma": (["0.9"], 0.9, "uniform"),
+    "--delta": (["4"], 4, "uniform"),
+    "--no-eviction": ([], False, "uniform"),
+}
+
+
+class TestKnobTable:
+    """One table, one meaning: a flag sets exactly what its axis sets."""
+
+    def test_every_run_knob_flag_has_a_case(self):
+        from repro.cli import KNOB_FLAGS
+        assert sorted(RUN_FLAG_VALUES) == sorted(KNOB_FLAGS["run"])
+
+    @pytest.mark.parametrize("flag", sorted(RUN_FLAG_VALUES))
+    def test_flag_resolves_like_with_overrides(self, flag):
+        from repro.cli import KNOB_FLAGS, _resolve_run_scenario
+        tail, value, scenario = RUN_FLAG_VALUES[flag]
+        args = build_parser().parse_args(["run", "--scenario", scenario, flag, *tail])
+        axis = KNOB_FLAGS["run"][flag][0]
+        resolved, knobs = _resolve_run_scenario(args)
+        assert list(knobs) == [axis]
+        assert resolved == SCENARIOS.build(scenario).with_overrides(**{axis: value})
+        # Every knob moves the scenario but the removed sampler's one no-op value.
+        assert (resolved != SCENARIOS.build(scenario)) == (flag != "--sampler")
+
+    def test_no_axis_backed_flag_is_parsed_outside_the_table(self):
+        from repro.cli import KNOB_FLAGS
+        from repro.scenarios.knobs import AXES
+        knob_dests = {spec.field for spec in AXES.values()} | {
+            flag[2:].replace("-", "_") for rows in KNOB_FLAGS.values() for flag in rows
+        }
+        parser = build_parser()
+        commands = next(a for a in parser._actions if a.dest == "command").choices
+        for command, sub in commands.items():
+            for action in sub._actions:
+                if action.dest in knob_dests:
+                    assert set(action.option_strings) <= set(KNOB_FLAGS.get(command, {})), (
+                        f"repro {command} {action.option_strings} sets a knob outside KNOB_FLAGS"
+                    )
+
+    def test_preset_and_the_same_flags_print_the_same_run(self, capsys):
+        """low-p99-serving is flash-crowd-burst + clock eviction + 4 workers."""
+        tiny = ["--scale", "0.05"]
+        assert main(["run", "--preset", "low-p99-serving", *tiny]) == 0
+        header, _, preset_run = capsys.readouterr().out.partition("\n\n")
+        assert header.startswith("preset 'low-p99-serving'")
+        assert main(["run", "--scenario", "flash-crowd-burst", "--eviction", "clock",
+                     "--trainers-per-machine", "4", *tiny]) == 0
+        assert capsys.readouterr().out == preset_run

@@ -24,7 +24,7 @@ from repro.tuning import (
     default_objective,
     default_search_space,
 )
-from repro.tuning.space import parse_axis_values
+from repro.scenarios.knobs import parse_axis_values
 
 SCALE = 0.05
 
