@@ -69,7 +69,7 @@ class _Unset:
 
 UNSET = _Unset()
 
-SAMPLER_REMOVED = "the 'sampler' knob was removed; 'vectorized' is the only neighbor sampler"
+_SAMPLER_REMOVED = "the 'sampler' knob was removed; 'vectorized' is the only neighbor sampler"
 
 
 # --------------------------------------------------------------------------- #
@@ -214,7 +214,7 @@ _SYNC_KNOBS = ("sync", "staleness", "sync_period")
 def axis_spec(name: str) -> AxisSpec:
     """The :class:`AxisSpec` named *name*; ``ValueError`` listing the valid axes."""
     if name == "sampler":
-        raise ValueError(SAMPLER_REMOVED)
+        raise ValueError(_SAMPLER_REMOVED)
     if not isinstance(name, str) or name not in AXES:
         valid = ", ".join(sorted(AXES))
         raise ValueError(f"unknown tuning axis {name!r}; valid axes: {valid}")
@@ -226,7 +226,7 @@ def _is_removed_no_op(name: str, value) -> bool:
     if name != "sampler":
         return False
     if value != "vectorized":
-        raise ValueError(SAMPLER_REMOVED)
+        raise ValueError(_SAMPLER_REMOVED)
     return True
 
 
