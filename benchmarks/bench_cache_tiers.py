@@ -112,7 +112,7 @@ def bench_drift_stream(num_ids: int, capacity: int, requests_per_phase: int,
 
         def fetch(ids, fetched=fetched):
             fetched["rows"] += len(ids)
-            return server[ids], 0.0, 0
+            return server[ids], 0.0
 
         stack = TieredFeatureCache([tier], fetch, dim)
         # Static tiers get the degree-ranked preload the static-cache source

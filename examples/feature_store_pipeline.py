@@ -68,7 +68,7 @@ class HaloMirrorSource:
         idx = np.searchsorted(self.partition.halo_global, global_ids)
         rows = self._rows[idx] if len(global_ids) else self._rows[:0]
         return rows, FetchStats(
-            source=self.name, num_requested=int(len(global_ids)),
+            num_requested=int(len(global_ids)),
             num_hits=int(len(global_ids)), lookup_nodes=int(len(global_ids)),
         )
 

@@ -9,10 +9,10 @@ an RPC pull from the owning partition, possibly through the
 Per fetch the stack walks the tiers top-down: rows found at a tier are served
 there (and promoted into the tiers above it, subject to their admission
 policies); rows missing everywhere are deduplicated, fetched once, and
-offered to every tier on the way back up.  The per-tier hit/miss/eviction
-counters come back in a :class:`CacheFetchResult`, thread through
-:class:`~repro.features.source.FetchStats` into
-``TrainerRunStats.cache_stats``, and surface cluster-wide via
+offered to every tier on the way back up.  Each tier keeps its own
+cumulative hit/miss/eviction counters (:class:`~repro.cache.tier.TierStats`);
+:meth:`~repro.features.store.FeatureStore.cache_summary` reads them into
+``TrainerRunStats.cache_stats``, and they surface cluster-wide via
 :meth:`~repro.training.cluster_engine.ClusterReport.mean_tier_hit_rates` —
 identically under the lockstep and event-driven engines, since both collect
 trainer stats through the same shared helpers.  Capacity re-splitting between
@@ -23,16 +23,16 @@ the per-epoch interval hit rates recorded here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
 from repro.cache.tier import CacheTier
 
-# ids -> (rows, simulated_time_s, bytes_fetched); the stack treats the miss
-# handler as opaque, so it can be an RPC channel, a disk tier, or a test stub.
-MissFetcher = Callable[[np.ndarray], Tuple[np.ndarray, float, int]]
+# ids -> (rows, simulated_time_s); the stack treats the miss handler as
+# opaque, so it can be an RPC channel, a disk tier, or a test stub.
+MissFetcher = Callable[[np.ndarray], Tuple[np.ndarray, float]]
 
 
 @dataclass
@@ -44,18 +44,7 @@ class CacheFetchResult:
     num_misses: int = 0                # rows that had to be fetched below the stack
     fetched_rows: int = 0              # unique rows pulled by the miss handler
     fetch_time_s: float = 0.0
-    bytes_fetched: int = 0
     lookup_nodes: int = 0              # membership tests across all tiers
-    per_tier: Dict[str, Dict[str, int]] = field(default_factory=dict)
-
-    @property
-    def tier_counters(self) -> Dict[str, float]:
-        """Flat ``{tier}.{counter}`` dict for FetchStats threading."""
-        out: Dict[str, float] = {}
-        for tier_name, counters in self.per_tier.items():
-            for key, value in counters.items():
-                out[f"{tier_name}.{key}"] = float(value)
-        return out
 
 
 class TieredFeatureCache:
@@ -73,7 +62,7 @@ class TieredFeatureCache:
 
     # ------------------------------------------------------------------ #
     def fetch(self, global_ids: np.ndarray, step: int) -> Tuple[np.ndarray, CacheFetchResult]:
-        """Assemble rows for *global_ids* (aligned), recording per-tier costs.
+        """Assemble rows for *global_ids* (aligned), recording this call's costs.
 
         Precondition: *global_ids* is a 1-D int64 array, validated where it
         entered the data path (``FeatureStore.fetch``, the sampler's seeds).
@@ -88,42 +77,30 @@ class TieredFeatureCache:
         for level, tier in enumerate(self.tiers):
             hit_mask, hit_rows = tier.lookup(global_ids[remaining], step)
             result.lookup_nodes += int(len(remaining))
-            delta = {
-                "hits": int(hit_mask.sum()),
-                "misses": int((~hit_mask).sum()),
-                "evictions": 0,
-                "admissions": 0,
-            }
-            result.per_tier[tier.name] = delta
-            if delta["hits"]:
+            if len(hit_rows):
                 hit_positions = remaining[hit_mask]
                 rows[hit_positions] = hit_rows
                 if level > 0:
                     promotions.append((level, global_ids[hit_positions], hit_rows))
             remaining = remaining[~hit_mask]
             if len(remaining) == 0:
-                # Later tiers see no traffic for this call; record zeroes so
-                # the per-tier schema is stable across calls.
-                for lower in self.tiers[level + 1:]:
-                    result.per_tier[lower.name] = {
-                        "hits": 0, "misses": 0, "evictions": 0, "admissions": 0,
-                    }
                 break
 
         result.num_hits = int(result.num_requested - len(remaining))
         result.num_misses = int(len(remaining))
         if len(remaining):
             unique_missing = np.unique(global_ids[remaining])
-            fetched, fetch_time, bytes_fetched = self.fetch_fn(unique_missing)
+            fetched, fetch_time = self.fetch_fn(unique_missing)
             rows[remaining] = fetched[
                 np.searchsorted(unique_missing, global_ids[remaining])
             ]
             result.fetched_rows = int(len(unique_missing))
             result.fetch_time_s = float(fetch_time)
-            result.bytes_fetched = int(bytes_fetched)
-            self._offer(self.tiers, unique_missing, fetched, step, result)
+            for tier in self.tiers:
+                tier.admit(unique_missing, fetched, step)
         for level, promo_ids, promo_rows in promotions:
-            self._offer(self.tiers[:level], promo_ids, promo_rows, step, result)
+            for tier in self.tiers[:level]:
+                tier.admit(promo_ids, promo_rows, step)
         return rows, result
 
     # ------------------------------------------------------------------ #
@@ -147,15 +124,3 @@ class TieredFeatureCache:
             for key, value in tier.summary().items():
                 out[f"tier.{tier.name}.{key}"] = float(value)
         return out
-
-    # ------------------------------------------------------------------ #
-    def _offer(self, tiers: List[CacheTier], ids: np.ndarray, rows: np.ndarray,
-               step: int, result: CacheFetchResult) -> None:
-        for tier in tiers:
-            evictions_before = tier.stats.evictions
-            admitted = tier.admit(ids, rows, step)
-            counters = result.per_tier.setdefault(
-                tier.name, {"hits": 0, "misses": 0, "evictions": 0, "admissions": 0}
-            )
-            counters["admissions"] += int(admitted)
-            counters["evictions"] += int(tier.stats.evictions - evictions_before)

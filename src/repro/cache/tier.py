@@ -68,7 +68,7 @@ def _columns(ids, last_access, freq, ref) -> np.ndarray:
 
 @dataclass
 class TierStats:
-    """Cumulative counters for one tier (mergeable into FetchStats)."""
+    """Cumulative counters for one tier, read into cluster reports via ``cache_summary()``."""
 
     lookups: int = 0          # rows tested for membership
     hits: int = 0             # rows served from this tier

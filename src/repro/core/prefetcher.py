@@ -79,10 +79,6 @@ class PrefetchStepResult:
     nodes_evicted: int = 0
     nodes_replaced: int = 0
     buffer_capacity: int = 0
-    # Machine-shared cache tier traffic (zero unless the prefetcher's miss
-    # path routes through a shared tier; see Prefetcher(shared_tier=...)).
-    shared_tier_hits: int = 0
-    shared_tier_misses: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -252,12 +248,9 @@ class Prefetcher:
 
         # One combined RPC serves both this step's misses and the eviction
         # round's replacement rows (union1d keeps the ids sorted and unique).
-        shared_hits = 0
         fetch_ids = np.union1d(unique_miss, replacement_ids)
         if len(fetch_ids):
-            rows, rpc_time, wire_rows = self._fetch_remote(fetch_ids, step)
-            remote_fetched = wire_rows
-            shared_hits = int(len(fetch_ids)) - wire_rows
+            rows, rpc_time, remote_fetched = self._fetch_remote(fetch_ids, step)
             if len(miss_rows):
                 features[miss_rows] = rows[np.searchsorted(fetch_ids, miss_ids)]
             if len(replacement_ids):
@@ -284,8 +277,6 @@ class Prefetcher:
             nodes_evicted=int(nodes_evicted),
             nodes_replaced=int(nodes_replaced),
             buffer_capacity=self.buffer.capacity,
-            shared_tier_hits=shared_hits,
-            shared_tier_misses=int(remote_fetched) if self.shared_tier is not None else 0,
         )
 
     # ------------------------------------------------------------------ #

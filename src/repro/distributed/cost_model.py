@@ -23,7 +23,7 @@ The absolute values do not matter for the reproduction; what matters is the
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict
+from typing import Dict, Tuple
 
 from repro.utils.validation import check_positive
 
@@ -104,12 +104,27 @@ class CostModel:
         """Neighbor sampling time for a minibatch with *num_edges* sampled edges."""
         return max(0, num_edges) * self.sample_cost_per_edge_s
 
+    def _link_factors(self) -> Tuple[float, float]:
+        """``(latency multiplier, bandwidth divisor)`` of the RPC link: an idle link."""
+        return 1.0, 1.0
+
+    def _wire_time(self, num_requests: int, payload_bytes: int) -> float:
+        """Per-request latency plus payload over bandwidth, on the link as it is now.
+
+        The one place the RPC cost is written: multiplying by an idle link's
+        1.0 factors is exact, so uncongested times are the plain formula.
+        """
+        latency_mult, bandwidth_div = self._link_factors()
+        return (
+            num_requests * self.rpc_latency_s * latency_mult
+            + payload_bytes * bandwidth_div / self.network_bandwidth_Bps
+        )
+
     def time_rpc(self, num_nodes: int, feature_dim: int, num_requests: int = 1) -> float:
         """Remote pull of *num_nodes* feature rows split across *num_requests* RPCs."""
         if num_nodes <= 0:
             return 0.0
-        payload = num_nodes * feature_dim * BYTES_PER_FEATURE
-        return max(1, num_requests) * self.rpc_latency_s + payload / self.network_bandwidth_Bps
+        return self._wire_time(max(1, num_requests), num_nodes * feature_dim * BYTES_PER_FEATURE)
 
     def time_rpc_batched(
         self, num_nodes: int, feature_dim: int, num_new_requests: int
@@ -121,10 +136,7 @@ class CostModel:
         a pull that moves nothing costs nothing.
         """
         payload = max(0, num_nodes) * feature_dim * BYTES_PER_FEATURE
-        return (
-            max(0, num_new_requests) * self.rpc_latency_s
-            + payload / self.network_bandwidth_Bps
-        )
+        return self._wire_time(max(0, num_new_requests), payload)
 
     def time_copy(self, num_nodes: int, feature_dim: int) -> float:
         """Local copy of *num_nodes* feature rows from the co-located KVStore."""
@@ -157,7 +169,7 @@ class CostModel:
         restore): one RPC latency plus the payload over network bandwidth."""
         if num_bytes <= 0:
             return 0.0
-        return self.rpc_latency_s + num_bytes / self.network_bandwidth_Bps
+        return self._wire_time(1, num_bytes)
 
     def time_allreduce(self, num_params: int, world_size: int) -> float:
         """Ring-allreduce time for *num_params* float32 gradients across *world_size* trainers."""
@@ -187,13 +199,14 @@ class CostModel:
 class CongestedCostModel:
     """A time-varying view over a base :class:`CostModel` (congested RPC link).
 
-    Wraps the RPC-facing methods so that per-request latency is multiplied
+    Runs the base model's RPC formulas with per-request latency multiplied
     and effective network bandwidth divided according to a
     :class:`~repro.events.schedule.CongestionSpec` evaluated at the owning
     trainer's **current simulated time** (read from its
     :class:`~repro.distributed.clock.SimClock` at call time).  Everything
-    else — copy/compute/allreduce times, the preset constants — delegates to
-    the base model untouched, so only the remote-fetch path feels the bursts.
+    else — copy/compute/allreduce/migration times, the preset constants —
+    delegates to the base model untouched, so only the remote-fetch path
+    feels the bursts.
 
     Installed per trainer by :class:`~repro.distributed.cluster.SimCluster`
     when the :class:`~repro.distributed.cluster.ClusterConfig` carries a
@@ -205,30 +218,13 @@ class CongestedCostModel:
         self.spec = spec
         self.clock = clock
 
-    def _factors(self) -> "tuple[float, float]":
+    def _link_factors(self) -> Tuple[float, float]:
         return self.spec.factors_at(self.clock.time)
 
-    def time_rpc(self, num_nodes: int, feature_dim: int, num_requests: int = 1) -> float:
-        """Congestion-scaled :meth:`CostModel.time_rpc`."""
-        if num_nodes <= 0:
-            return 0.0
-        latency_mult, bandwidth_div = self._factors()
-        payload = num_nodes * feature_dim * BYTES_PER_FEATURE
-        return (
-            max(1, num_requests) * self.base.rpc_latency_s * latency_mult
-            + payload * bandwidth_div / self.base.network_bandwidth_Bps
-        )
-
-    def time_rpc_batched(
-        self, num_nodes: int, feature_dim: int, num_new_requests: int
-    ) -> float:
-        """Congestion-scaled :meth:`CostModel.time_rpc_batched`."""
-        latency_mult, bandwidth_div = self._factors()
-        payload = max(0, num_nodes) * feature_dim * BYTES_PER_FEATURE
-        return (
-            max(0, num_new_requests) * self.base.rpc_latency_s * latency_mult
-            + payload * bandwidth_div / self.base.network_bandwidth_Bps
-        )
+    # The base model's RPC formulas, run with this view's link factors.
+    _wire_time = CostModel._wire_time
+    time_rpc = CostModel.time_rpc
+    time_rpc_batched = CostModel.time_rpc_batched
 
     def __getattr__(self, name: str):
         # Fields and non-RPC component times come from the base model, so the

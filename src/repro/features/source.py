@@ -19,27 +19,26 @@ import numpy as np
 
 @dataclass
 class FetchStats:
-    """Accounting for one :meth:`FeatureSource.fetch` call (mergeable)."""
+    """What one :meth:`FeatureSource.fetch` call is charged for (mergeable).
 
-    source: str = ""
+    Cumulative counters live with the layer that keeps them — per-tier
+    :class:`~repro.cache.tier.TierStats`, the channel's
+    :class:`~repro.distributed.rpc.RPCStats`, the prefetcher's
+    :class:`~repro.core.metrics.PrefetchCounters` — so this record carries
+    only the request size, the hit split and the fields
+    :meth:`~repro.training.telemetry.StepTiming.charge` prices.
+    """
+
     num_requested: int = 0
     num_hits: int = 0                 # rows served without any RPC
     num_misses: int = 0               # rows that required a remote pull
     copy_time_s: float = 0.0          # simulated local memory-copy time
     rpc_time_s: float = 0.0           # simulated remote-pull time
-    bytes_fetched: int = 0            # bytes moved over the simulated network
-    remote_nodes_fetched: int = 0     # rows pulled remotely (misses + refills)
     lookup_nodes: int = 0             # membership tests performed
     scoring_nodes: int = 0            # S_E decays + S_A increments performed
     eviction_round: bool = False
-    nodes_evicted: int = 0
     nodes_replaced: int = 0
     buffer_capacity: int = 0
-    # Per-tier counters of the tiered cache stack, keyed "{tier}.{counter}"
-    # (e.g. "hot.hits", "shared.evictions").  Empty for cache-less sources so
-    # the historical flat schema — which the golden fixtures pin — is
-    # untouched unless tiers are actually in play.
-    tier_counters: Dict[str, float] = field(default_factory=dict)
 
     @property
     def hit_rate(self) -> float:
@@ -48,33 +47,18 @@ class FetchStats:
 
     def merge(self, other: "FetchStats") -> "FetchStats":
         """Combine two fetch outcomes (per-source stats -> per-minibatch stats)."""
-        merged_tiers = dict(self.tier_counters)
-        for key, value in other.tier_counters.items():
-            merged_tiers[key] = merged_tiers.get(key, 0.0) + value
         return FetchStats(
-            source=self.source if self.source == other.source else "merged",
             num_requested=self.num_requested + other.num_requested,
             num_hits=self.num_hits + other.num_hits,
             num_misses=self.num_misses + other.num_misses,
             copy_time_s=self.copy_time_s + other.copy_time_s,
             rpc_time_s=self.rpc_time_s + other.rpc_time_s,
-            bytes_fetched=self.bytes_fetched + other.bytes_fetched,
-            remote_nodes_fetched=self.remote_nodes_fetched + other.remote_nodes_fetched,
             lookup_nodes=self.lookup_nodes + other.lookup_nodes,
             scoring_nodes=self.scoring_nodes + other.scoring_nodes,
             eviction_round=self.eviction_round or other.eviction_round,
-            nodes_evicted=self.nodes_evicted + other.nodes_evicted,
             nodes_replaced=self.nodes_replaced + other.nodes_replaced,
             buffer_capacity=max(self.buffer_capacity, other.buffer_capacity),
-            tier_counters=merged_tiers,
         )
-
-    def as_dict(self) -> Dict[str, float]:
-        out = dict(self.__dict__)
-        out["hit_rate"] = self.hit_rate
-        if not self.tier_counters:
-            out.pop("tier_counters")
-        return out
 
 
 @dataclass

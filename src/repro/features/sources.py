@@ -40,7 +40,6 @@ from repro.core.config import PrefetchConfig
 from repro.core.eviction import build_eviction_policy
 from repro.core.metrics import HitRateTracker
 from repro.core.prefetcher import Prefetcher
-from repro.distributed.cost_model import BYTES_PER_FEATURE
 from repro.distributed.rpc import RPCChannel
 from repro.features.source import FetchStats
 from repro.graph.halo import GraphPartition
@@ -85,12 +84,11 @@ class LocalKVStoreSource:
     def fetch(self, global_ids: np.ndarray) -> Tuple[np.ndarray, FetchStats]:
         if len(global_ids) == 0:
             # An empty request is not a pull: no copy, no call counted.
-            return np.zeros((0, self.feature_dim), dtype=np.float32), FetchStats(source=self.name)
+            return np.zeros((0, self.feature_dim), dtype=np.float32), FetchStats()
         rows, copy_time = self.rpc.local_pull(global_ids)
         self._rows_served += int(len(global_ids))
         self._calls += 1
         stats = FetchStats(
-            source=self.name,
             num_requested=int(len(global_ids)),
             num_hits=int(len(global_ids)),
             copy_time_s=copy_time,
@@ -145,18 +143,15 @@ class RemoteRPCSource:
             # Zero rows after routing means zero RPCs: skip the pull entirely
             # so the call/request counters only ever reflect real traffic.
             dim = self.rpc.servers[self.rpc.local_part].feature_dim
-            return np.zeros((0, dim), dtype=np.float32), FetchStats(source=self.name)
+            return np.zeros((0, dim), dtype=np.float32), FetchStats()
         owners = self.owner_of(global_ids)
-        rows, rpc_time, delta = self.rpc.remote_pull(global_ids, owners)
+        rows, rpc_time, _ = self.rpc.remote_pull(global_ids, owners)
         self._rows_served += int(len(global_ids))
         self._calls += 1
         stats = FetchStats(
-            source=self.name,
             num_requested=int(len(global_ids)),
             num_misses=int(len(global_ids)),
             rpc_time_s=rpc_time,
-            bytes_fetched=int(delta.bytes_fetched),
-            remote_nodes_fetched=int(len(global_ids)),
         )
         return rows, stats
 
@@ -234,29 +229,16 @@ class BufferedSource:
     def fetch(self, global_ids: np.ndarray) -> Tuple[np.ndarray, FetchStats]:
         result = self.prefetcher.process_minibatch(global_ids, step=self._step)
         self._step += 1
-        tier_counters: Dict[str, float] = {}
-        if self.prefetcher.shared_tier is not None:
-            tier_counters = {
-                "shared.hits": float(result.shared_tier_hits),
-                "shared.misses": float(result.shared_tier_misses),
-            }
         stats = FetchStats(
-            source=self.name,
             num_requested=result.num_requested,
             num_hits=result.num_hits,
             num_misses=result.num_misses,
             rpc_time_s=result.rpc_time_s,
-            bytes_fetched=int(
-                result.remote_nodes_fetched * result.features.shape[1] * BYTES_PER_FEATURE
-            ),
-            remote_nodes_fetched=result.remote_nodes_fetched,
             lookup_nodes=result.lookup_nodes,
             scoring_nodes=result.scoring_nodes,
             eviction_round=result.eviction_round,
-            nodes_evicted=result.nodes_evicted,
             nodes_replaced=result.nodes_replaced,
             buffer_capacity=result.buffer_capacity,
-            tier_counters=tier_counters,
         )
         return result.features, stats
 
@@ -377,18 +359,12 @@ class TieredCacheSource:
         self._remote_nodes_fetched += result.fetched_rows
         self.tracker.record(result.num_hits, result.num_misses)
         stats = FetchStats(
-            source=self.name,
             num_requested=result.num_requested,
             num_hits=result.num_hits,
             num_misses=result.num_misses,
             rpc_time_s=result.fetch_time_s,
-            bytes_fetched=result.bytes_fetched,
-            remote_nodes_fetched=result.fetched_rows,
             lookup_nodes=result.lookup_nodes,
             buffer_capacity=self.stack.total_resident,
-            tier_counters=(
-                {} if self.cache_config.is_default_single_tier else result.tier_counters
-            ),
         )
         return features, stats
 
@@ -401,12 +377,12 @@ class TieredCacheSource:
             self.shared_tier.end_epoch()
 
     # ------------------------------------------------------------------ #
-    def _fetch_missing(self, global_ids: np.ndarray) -> Tuple[np.ndarray, float, int]:
+    def _fetch_missing(self, global_ids: np.ndarray) -> Tuple[np.ndarray, float]:
         """Miss handler behind the stack: one owner-routed RPC pull."""
-        rows, rpc_time, delta = self.rpc.remote_pull(
+        rows, rpc_time, _ = self.rpc.remote_pull(
             global_ids, self.partition.halo_owners_of(global_ids)
         )
-        return rows, rpc_time, int(delta.bytes_fetched)
+        return rows, rpc_time
 
     def nbytes(self) -> int:
         # The shared tier is machine-level (funded by every trainer on the

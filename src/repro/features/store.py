@@ -19,7 +19,7 @@ import numpy as np
 from repro.features.source import FeatureSource, FetchResult, FetchStats
 from repro.graph.halo import GraphPartition
 from repro.sampling.neighbor_sampler import split_local_halo
-from repro.utils.validation import check_1d_int_array
+from repro.utils.validation import check_1d_int_array, sorted_lookup
 
 LOCAL_ROLE = "local"
 HALO_ROLE = "halo"
@@ -102,15 +102,7 @@ class FeatureStore:
             )
         # Ownership, not structural presence: halo nodes are *contained* in the
         # partition's local graph but their features live on other machines.
-        # Membership is decided without clipping searchsorted into range — an
-        # id past the last owned id is out of range, not the last owned row.
-        if len(self._owned_sorted):
-            idx = np.searchsorted(self._owned_sorted, global_ids)
-            in_range = idx < len(self._owned_sorted)
-            is_local = np.zeros(len(global_ids), dtype=bool)
-            is_local[in_range] = self._owned_sorted[idx[in_range]] == global_ids[in_range]
-        else:
-            is_local = np.zeros(len(global_ids), dtype=bool)
+        _, is_local = sorted_lookup(self._owned_sorted, global_ids)
         local_rows = np.nonzero(is_local)[0]
         halo_rows = np.nonzero(~is_local)[0]
         features = np.zeros((len(global_ids), self.feature_dim), dtype=np.float32)

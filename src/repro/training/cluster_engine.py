@@ -20,10 +20,10 @@ What a :class:`ClusterReport` carries beyond that report:
 * **barrier telemetry** — the wait each trainer spends at every allreduce
   barrier is measured separately from pipeline stalls, giving per-trainer
   straggler-wait totals and cluster load imbalance;
-* **cluster-level aggregation** — per-trainer ``FetchStats``/buffer/RPC
-  telemetry is rolled up into a :class:`ClusterReport` (critical path, hit
-  rates, RPC bytes) consumed by ``bench_cluster_scaling`` and the CLI's
-  ``run`` command.
+* **cluster-level aggregation** — per-trainer clocks, hit rates, RPC
+  counters, store summaries and cache-tier counters are rolled up into a
+  :class:`ClusterReport` (critical path, hit rates, RPC bytes) consumed by
+  ``bench_cluster_scaling`` and the CLI's ``run`` command.
 
 The run state itself (setup, step, barrier charge, report assembly) is
 :class:`~repro.training.backends.ClusterRun`, shared with the event-driven

@@ -35,6 +35,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.config import PrefetchConfig
+from repro.core.metrics import merge_hit_trackers
 from repro.distributed.cluster import SimCluster, TrainerContext
 from repro.distributed.rpc import merge_rpc_stats
 from repro.nn import cross_entropy
@@ -46,7 +47,6 @@ from repro.training.telemetry import (
     EpochRecord,
     StepTiming,
     TrainingReport,
-    merge_trainer_hit_trackers,
 )
 from repro.utils.rng import derive_seed
 
@@ -163,7 +163,7 @@ def assemble_training_report(
         component_breakdown=mean_breakdown,
         per_trainer_breakdown=breakdown_means,
         rpc_stats=merge_rpc_stats([t.rpc.stats for t in trainers]),
-        hit_tracker=merge_trainer_hit_trackers(trackers) if trackers else None,
+        hit_tracker=merge_hit_trackers(trackers) if trackers else None,
         per_trainer_hit_trackers=trackers,
         prefetch_init=init_reports,
         overlap_efficiency=overlap,

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.core.metrics import HitRateTracker, merge_hit_trackers
+from repro.core.metrics import HitRateTracker
 from repro.distributed.rpc import RPCStats
 
 
@@ -203,7 +203,3 @@ class TrainingReport:
             "num_minibatches": float(self.num_minibatches),
         }
 
-
-def merge_trainer_hit_trackers(trackers: List[HitRateTracker]) -> HitRateTracker:
-    """Aggregate per-trainer trackers into a single run-level trajectory."""
-    return merge_hit_trackers(trackers)

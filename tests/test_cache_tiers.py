@@ -32,12 +32,20 @@ def make_fetcher(server, log=None):
     def fetch(ids):
         if log is not None:
             log.append(np.asarray(ids).copy())
-        return server[ids], 0.001 * len(ids), 8 * len(ids)
+        return server[ids], 0.001 * len(ids)
     return fetch
 
 
 def ids_of(*values):
     return np.asarray(values, dtype=np.int64)
+
+
+def moved(tier, before):
+    """The cumulative ``TierStats`` counters *tier* moved since *before*."""
+    return {
+        key: getattr(tier.stats, key) - getattr(before, key)
+        for key in ("lookups", "hits", "misses", "admissions", "evictions")
+    }
 
 
 class TestRegistries:
@@ -278,14 +286,15 @@ class TestTieredFeatureCache:
         # Duplicates are deduplicated before hitting the miss handler.
         np.testing.assert_array_equal(log[0], ids_of(10, 11, 12))
         assert result.num_misses == 4 and result.fetched_rows == 3
-        assert result.per_tier["shared"]["admissions"] == 3
+        assert shared.stats.admissions == 3
 
+        hot_before, shared_before = hot.stats.snapshot(), shared.stats.snapshot()
         rows, result = stack.fetch(ids_of(10, 11, 12), step=1)
         np.testing.assert_array_equal(rows, server[ids_of(10, 11, 12)])
         assert result.num_hits == 3 and result.fetched_rows == 0
         assert len(log) == 1  # nothing new fetched below the stack
         # Rows beyond the hot tier's capacity were still served by shared.
-        assert result.per_tier["hot"]["hits"] + result.per_tier["shared"]["hits"] == 3
+        assert moved(hot, hot_before)["hits"] + moved(shared, shared_before)["hits"] == 3
 
     def test_shared_hits_promote_into_hot(self):
         server = make_server()
@@ -296,8 +305,9 @@ class TestTieredFeatureCache:
         hot.resize(0)                      # force everything out of hot
         hot.resize(4)
         assert hot.size == 0
-        _, result = stack.fetch(ids_of(20), step=1)
-        assert result.per_tier["shared"]["hits"] == 1
+        before = shared.stats.snapshot()
+        stack.fetch(ids_of(20), step=1)
+        assert moved(shared, before)["hits"] == 1
         assert 20 in hot.resident_ids      # promoted back into the hot tier
 
     def test_descending_shared_hits_promote_in_id_order(self):
@@ -311,14 +321,16 @@ class TestTieredFeatureCache:
         stack = TieredFeatureCache([hot, shared], make_fetcher(server, log), DIM)
         hot.seed(ids_of(1, 10), server[ids_of(1, 10)])
         shared.seed(ids_of(3, 5), server[ids_of(3, 5)])
+        hot_before, shared_before = hot.stats.snapshot(), shared.stats.snapshot()
         rows, result = stack.fetch(ids_of(5, 3), step=1)
         np.testing.assert_array_equal(rows, server[ids_of(5, 3)])
-        assert result.per_tier["shared"]["hits"] == 2
-        assert result.per_tier["hot"]["admissions"] == 2
+        assert moved(shared, shared_before)["hits"] == 2
+        assert moved(hot, hot_before)["admissions"] == 2
         np.testing.assert_array_equal(hot.resident_ids, ids_of(1, 3, 5, 10))
+        hot_before = hot.stats.snapshot()
         rows, result = stack.fetch(ids_of(5, 3, 1, 10), step=2)
         np.testing.assert_array_equal(rows, server[ids_of(5, 3, 1, 10)])
-        assert result.per_tier["hot"]["hits"] == 4
+        assert moved(hot, hot_before)["hits"] == 4
         assert result.fetched_rows == 0 and log == []
 
     def test_promoting_a_repeated_id_inserts_it_once(self):
@@ -356,16 +368,6 @@ class TestTieredFeatureCache:
             np.testing.assert_array_equal(rows, server[batch])
         assert len(log) == 1               # only the first batch went below
         assert result.num_hits == len(batch)
-
-    def test_tier_counters_flatten_for_fetch_stats(self):
-        server = make_server()
-        stack = TieredFeatureCache(
-            [CacheTier("hot", 2, DIM, eviction="lru")], make_fetcher(server), DIM
-        )
-        _, result = stack.fetch(ids_of(1, 2, 3), step=0)
-        flat = result.tier_counters
-        assert flat["hot.misses"] == 3.0
-        assert flat["hot.admissions"] == 2.0  # capacity 2: one candidate dropped
 
     def test_duplicate_tier_names_rejected(self):
         with pytest.raises(ValueError, match="unique"):

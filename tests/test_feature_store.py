@@ -1,8 +1,11 @@
 """Tests for repro.features: sources, routing, and fetch accounting."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from repro.distributed.rpc import RPCStats
 from repro.features import (
     BufferedSource,
     FeatureStore,
@@ -19,11 +22,10 @@ def trainer(small_cluster):
 
 class TestFetchStats:
     def test_merge_sums_counts_and_times(self):
-        a = FetchStats(source="x", num_requested=3, num_hits=3, copy_time_s=0.5, lookup_nodes=2)
-        b = FetchStats(source="y", num_requested=2, num_misses=2, rpc_time_s=1.5,
+        a = FetchStats(num_requested=3, num_hits=3, copy_time_s=0.5, lookup_nodes=2)
+        b = FetchStats(num_requested=2, num_misses=2, rpc_time_s=1.5,
                        eviction_round=True, nodes_replaced=4, buffer_capacity=10)
         merged = a.merge(b)
-        assert merged.source == "merged"
         assert merged.num_requested == 5
         assert merged.num_hits == 3 and merged.num_misses == 2
         assert merged.copy_time_s == 0.5 and merged.rpc_time_s == 1.5
@@ -56,10 +58,13 @@ class TestRemoteRPCSource:
     def test_serves_halo_rows_exactly(self, small_cluster, trainer):
         source = RemoteRPCSource.from_book(trainer.rpc, small_cluster.book)
         halo = trainer.partition.halo_global[:23]
+        before = trainer.rpc.stats.merge(RPCStats())  # copy
         rows, stats = source.fetch(halo)
         np.testing.assert_array_equal(rows, small_cluster.dataset.features[halo])
-        assert stats.num_misses == 23 and stats.remote_nodes_fetched == 23
-        assert stats.rpc_time_s > 0 and stats.bytes_fetched > 0
+        assert stats.num_misses == 23 and stats.rpc_time_s > 0
+        # The rows moved are counted once, in the channel's ledger.
+        assert trainer.rpc.stats.nodes_fetched - before.nodes_fetched == 23
+        assert trainer.rpc.stats.bytes_fetched > before.bytes_fetched
 
     def test_book_and_partition_routing_agree(self, small_cluster, trainer):
         via_book = RemoteRPCSource.from_book(trainer.rpc, small_cluster.book)
@@ -162,6 +167,40 @@ class TestFeatureStore:
         rows, stats = store.fetch(mixed)
         np.testing.assert_array_equal(rows, small_cluster.dataset.features[mixed])
         assert stats.num_hits == 5 and stats.num_misses == 7
+
+    def test_halo_ids_above_every_owned_id_route_to_halo(self, small_cluster):
+        # An id past the last owned id is not owned: the ownership test must
+        # not clip it onto the last owned row.
+        for trainer in small_cluster.trainers:
+            halo = trainer.partition.halo_global
+            above = halo[halo > trainer.partition.owned_global.max()][:3]
+            if len(above):
+                break
+        assert len(above)
+        store = self._store(small_cluster, trainer)
+        ids = np.concatenate([trainer.partition.owned_global[-2:], above])
+        rows, stats = store.fetch(ids)
+        np.testing.assert_array_equal(rows, small_cluster.dataset.features[ids])
+        assert stats.num_hits == 2 and stats.num_misses == len(above)
+
+    def test_partition_that_owns_nothing_routes_every_id_to_halo(self, small_cluster, trainer):
+        partition = trainer.partition
+        owns_nothing = SimpleNamespace(
+            owned_global=np.zeros(0, dtype=np.int64),
+            part_id=partition.part_id,
+            contains=partition.contains,
+        )
+        local = LocalKVStoreSource(trainer.rpc)
+        store = FeatureStore(
+            partition=owns_nothing,
+            local_source=local,
+            halo_source=RemoteRPCSource.from_book(trainer.rpc, small_cluster.book),
+        )
+        halo = partition.halo_global[:9]
+        rows, stats = store.fetch(halo)
+        np.testing.assert_array_equal(rows, small_cluster.dataset.features[halo])
+        assert stats.num_hits == 0 and stats.num_misses == 9
+        assert local.summary()["calls"] == 0.0
 
     def test_summary_and_nbytes(self, small_cluster, make_halo_source, trainer):
         store = self._store(small_cluster, trainer)

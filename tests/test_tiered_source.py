@@ -43,7 +43,6 @@ class TestTieredSourceDefaultEquivalence:
         for batch in (halo[:40], halo[5:25], halo[:0], np.repeat(halo[:6], 2)):
             _, stats = source.fetch(batch)
             assert stats.num_hits + stats.num_misses == len(batch)
-            assert stats.tier_counters == {}  # default config: legacy flat schema
         assert source.tier_summary() == {}
         assert not any(key.startswith("tier.") for key in source.summary())
 
@@ -220,6 +219,36 @@ class TestSharedTierAcrossTrainers:
         assert cluster._shared_cache_tiers
         cluster.reset()
         assert cluster._shared_cache_tiers == {}
+
+
+class TestTierConservation:
+    """Every tier's ledger balances on the two-tier scenarios (ROADMAP 5(b)).
+
+    The shared tier sees exactly the rows its machine's hot tiers missed, so
+    its lookups equal the sum of those trainers' hot-tier misses.
+    """
+
+    @pytest.mark.parametrize(
+        "name", ["cache-churn", "steady-poisson", "diurnal-cache-drift", "flash-crowd-burst"]
+    )
+    def test_lookups_split_into_hits_and_misses_and_shared_sees_hot_misses(self, name):
+        report = SCENARIOS.build(name).with_overrides(scale=0.05).materialize(seed=0).run()
+        per_rank = getattr(report, "trainer_stats", None) or report.worker_stats
+        machines = {}
+        for stats in per_rank:
+            cache = stats.cache_stats
+            for tier in ("hot", "shared"):
+                lookups = cache[f"halo.tier.{tier}.lookups"]
+                assert lookups > 0, (name, tier)
+                hits, misses = cache[f"halo.tier.{tier}.hits"], cache[f"halo.tier.{tier}.misses"]
+                assert lookups == hits + misses, (name, stats.global_rank, tier)
+            machines.setdefault(stats.machine, []).append(cache)
+        assert len(machines) >= 2
+        for machine, caches in machines.items():
+            # One shared tier per machine, reported identically by its trainers.
+            shared_lookups = {cache["halo.tier.shared.lookups"] for cache in caches}
+            hot_misses = sum(cache["halo.tier.hot.misses"] for cache in caches)
+            assert shared_lookups == {hot_misses}, (name, machine)
 
 
 class TestAdaptiveControllerWiring:
