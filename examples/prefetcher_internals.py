@@ -2,8 +2,8 @@
 """Low-level walk-through of the prefetcher on a custom graph.
 
 The other examples drive the high-level training API.  This one uses the
-building blocks directly — generate a graph, partition it, build the per-
-partition servers, run the neighbor sampler, and step the Prefetcher by hand —
+building blocks directly — generate a graph, partition it, build one KVStore
+per partition, run the neighbor sampler, and step the Prefetcher by hand —
 to show exactly what happens inside one trainer: which sampled nodes are halo
 nodes, which hit the buffer, what an eviction round replaces, and how the hit
 rate evolves.
@@ -16,8 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import PrefetchConfig, Prefetcher
-from repro.distributed import CostModel, RPCChannel
-from repro.distributed.server import PartitionServer
+from repro.distributed import CostModel, KVStore, RPCChannel
 from repro.graph import build_partitions, make_custom_dataset, metis_partition
 from repro.sampling import NeighborSampler, sample_for_partition, split_local_halo
 
@@ -37,7 +36,10 @@ def main() -> None:
           f"(edge-cut fraction {result.stats['edge_cut_fraction']:.3f})")
 
     # 3. One KVStore server per partition plus this trainer's RPC channel.
-    servers = {p.part_id: PartitionServer(p, dataset.features).kvstore for p in partitions}
+    servers = {
+        p.part_id: KVStore(p.owned_global, dataset.features[p.owned_global], p.part_id)
+        for p in partitions
+    }
     rpc = RPCChannel(servers, local_part=0, cost_model=CostModel.cpu())
 
     # 4. The prefetcher: buffer 25% of the halo nodes, gentle decay, evict every 4 steps.

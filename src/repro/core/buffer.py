@@ -85,8 +85,8 @@ class PrefetchBuffer:
 
     def get_features(self, slots: np.ndarray) -> np.ndarray:
         """Feature rows stored at *slots*."""
-        slots = check_1d_int_array(slots, "slots", max_value=max(1, self.capacity))
-        return self._features[slots].copy()
+        slots = check_1d_int_array(slots, "slots", max_value=self.capacity)
+        return self._features[slots]
 
     def get_features_by_id(self, global_ids: np.ndarray) -> np.ndarray:
         """Feature rows for resident *global_ids* (raises on a miss)."""
@@ -94,7 +94,7 @@ class PrefetchBuffer:
         if not np.all(hit_mask):
             missing = np.asarray(global_ids)[~hit_mask][:5]
             raise KeyError(f"nodes {missing.tolist()} are not resident in the buffer")
-        return self._features[slots].copy()
+        return self._features[slots]
 
     def slot_of(self, global_ids: np.ndarray) -> np.ndarray:
         """Slot index of each resident id (raises on a miss)."""
@@ -111,7 +111,7 @@ class PrefetchBuffer:
         Capacity never changes; the caller guarantees that ``new_ids`` are not
         already resident and are mutually unique.
         """
-        slots = check_1d_int_array(slots, "slots", max_value=max(1, self.capacity))
+        slots = check_1d_int_array(slots, "slots", max_value=self.capacity)
         new_ids = check_1d_int_array(new_ids, "new_ids")
         new_features = check_2d_float_array(new_features, "new_features", columns=self.feature_dim)
         if not (len(slots) == len(new_ids) == len(new_features)):

@@ -1,4 +1,4 @@
-"""DistDGL-like distributed substrate: KVStore, RPC, servers, cluster, DDP."""
+"""DistDGL-like distributed substrate: KVStore, RPC, cluster, DDP."""
 
 from repro.distributed.clock import SimClock, mean_breakdown, merge_breakdowns
 from repro.distributed.cluster import ClusterConfig, SimCluster, TrainerContext
@@ -6,7 +6,6 @@ from repro.distributed.cost_model import BYTES_PER_FEATURE, CostModel
 from repro.distributed.ddp import allreduce_gradients
 from repro.distributed.kvstore import KVStore, KVStoreStats
 from repro.distributed.rpc import RPCChannel, RPCStats, aggregate_rpc_stats
-from repro.distributed.server import PartitionServer
 
 __all__ = [
     "SimClock",
@@ -23,5 +22,4 @@ __all__ = [
     "RPCChannel",
     "RPCStats",
     "aggregate_rpc_stats",
-    "PartitionServer",
 ]

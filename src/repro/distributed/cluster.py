@@ -1,12 +1,14 @@
-"""Simulated cluster: machines, partition servers, and trainer contexts.
+"""Simulated cluster: machines, partition KVStores, and trainer contexts.
 
 The paper's deployment is "one partition per machine, four trainers per
 machine".  :class:`SimCluster` reproduces that topology in-process:
 
 * the input graph is partitioned into ``num_machines`` partitions (METIS-like
   by default, matching DGL's partition API);
-* each machine gets a :class:`~repro.distributed.server.PartitionServer`
-  holding its partition's features in a KVStore;
+* each machine serves its partition's features from a
+  :class:`~repro.distributed.kvstore.KVStore` (DistDGL's server process);
+  trainers find a halo row's owner in their
+  :class:`~repro.graph.halo.GraphPartition`'s halo table;
 * each machine spawns ``trainers_per_machine`` :class:`TrainerContext` objects
   — each with its own share of the training seeds, its own data loader, its
   own RPC channel, and its own simulated clock.
@@ -32,11 +34,9 @@ from repro.distributed.rpc import (
     RPCChannel,
     build_rpc_channel,
 )
-from repro.distributed.server import PartitionServer
 from repro.graph.datasets import GraphDataset
 from repro.graph.halo import GraphPartition, build_partitions
 from repro.graph.partition import PartitionResult, partition_graph
-from repro.graph.partition_book import PartitionBook
 from repro.sampling.dataloader import DistDataLoader
 from repro.sampling.seeds import SeedPartitioner
 from repro.utils.rng import derive_seed
@@ -173,16 +173,16 @@ class SimCluster:
                 "partition_result has a different number of parts than num_machines"
             )
         self.partition_result = partition_result
-        self.book = PartitionBook.from_result(partition_result)
         self.partitions: List[GraphPartition] = build_partitions(
-            dataset.graph, partition_result, self.book
+            dataset.graph, partition_result
         )
-        self.servers: Dict[int, KVStore] = {}
-        self._server_objects: List[PartitionServer] = []
-        for partition in self.partitions:
-            server = PartitionServer(partition, dataset.features, dataset.labels)
-            self._server_objects.append(server)
-            self.servers[partition.part_id] = server.kvstore
+        self.servers: Dict[int, KVStore] = {
+            p.part_id: KVStore(p.owned_global, dataset.features[p.owned_global], p.part_id)
+            for p in self.partitions
+        }
+        # The machine hosting each partition: itself, until an elastic drain
+        # adopts the partition onto a surviving machine (migrate_partition).
+        self.partition_hosts: List[int] = [p.part_id for p in self.partitions]
 
         # One coalescing window per machine when the batched channel is
         # selected: the machine's trainers share it, which is what lets their
@@ -291,11 +291,6 @@ class SimCluster:
     # ------------------------------------------------------------------ #
     # Elastic membership: seed re-splits and partition adoption
     # ------------------------------------------------------------------ #
-    def partition_host(self, machine: int) -> int:
-        """The machine currently hosting partition *machine* (itself until
-        an elastic drain migrates the partition to a surviving machine)."""
-        return self._server_objects[machine].host_machine
-
     def rebalance_seeds(
         self, machine: int, active_local_ranks: Sequence[int], salt: int
     ) -> Dict[int, int]:
@@ -343,24 +338,25 @@ class SimCluster:
     ) -> int:
         """Adopt partition *part_id* onto *new_host*, returning bytes moved.
 
-        Re-points the :class:`~repro.distributed.server.PartitionServer`
-        registration and returns the KVStore payload size (plus the shared
-        cache tier's rows under the ``"warm"`` policy — under
-        ``"invalidate"`` the tier is dropped cold instead).  The caller
-        charges the returned bytes through the cost model; a no-op move
-        (already hosted there) returns 0.
+        Re-points ``partition_hosts[part_id]`` and returns the KVStore
+        payload size (plus the shared cache tier's rows under the ``"warm"``
+        policy — under ``"invalidate"`` the tier is dropped cold instead).
+        The caller charges the returned bytes through the cost model; a no-op
+        move (already hosted there) returns 0.
         """
-        server = self._server_objects[part_id]
-        if server.host_machine == int(new_host):
+        new_host = int(new_host)
+        if new_host < 0:
+            raise ValueError(f"host machine must be >= 0, got {new_host}")
+        if self.partition_hosts[part_id] == new_host:
             return 0
-        nbytes = int(server.kvstore.nbytes())
+        nbytes = int(self.servers[part_id].nbytes())
         tier = self._shared_cache_tiers.get(part_id)
         if tier is not None:
             if cache_policy == "warm":
                 nbytes += int(tier.nbytes())
             else:
                 tier.invalidate()
-        server.re_register(new_host)
+        self.partition_hosts[part_id] = new_host
         return nbytes
 
     def cost_model_for_machine(self, machine: int) -> CostModel:
@@ -408,10 +404,9 @@ class SimCluster:
             if trainer.seeds_local is not original:
                 trainer.seeds_local = original
                 trainer.dataloader.reassign_seeds(original)
-        for server in self._server_objects:
+        for server in self.servers.values():
             server.reset_stats()
-            server.host_machine = server.part_id
-            server.migrations = 0
+        self.partition_hosts = [p.part_id for p in self.partitions]
         for window in self._rpc_windows:
             if window is not None:
                 window.deactivate()

@@ -28,7 +28,7 @@ and :func:`~repro.training.pipelines.build_pipeline` hands the objects to a
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -43,7 +43,6 @@ from repro.core.prefetcher import Prefetcher
 from repro.distributed.rpc import RPCChannel
 from repro.features.source import FetchStats
 from repro.graph.halo import GraphPartition
-from repro.graph.partition_book import PartitionBook
 from repro.utils.rng import SeedLike
 
 
@@ -111,6 +110,10 @@ class LocalKVStoreSource:
 class RemoteRPCSource:
     """Every requested row is pulled over RPC from its owning partition.
 
+    Owners come from the partition's halo table
+    (:meth:`~repro.graph.halo.GraphPartition.halo_owners_of`), which rejects
+    an id that is not a halo neighbor with a ``KeyError`` naming it.
+
     A zero-capacity :class:`TieredCacheSource` is not a drop-in for it.  Run
     as ``baseline``'s halo source on the fixed-seed 2x2 golden workload, it
     repeats the clocks, the critical path, the RPC counters and the losses
@@ -122,21 +125,11 @@ class RemoteRPCSource:
 
     name = "remote-rpc"
 
-    def __init__(self, rpc: RPCChannel, owner_of: Callable[[np.ndarray], np.ndarray]):
+    def __init__(self, rpc: RPCChannel, partition: GraphPartition):
         self.rpc = rpc
-        self.owner_of = owner_of
+        self.partition = partition
         self._rows_served = 0
         self._calls = 0
-
-    @classmethod
-    def from_book(cls, rpc: RPCChannel, book: PartitionBook) -> "RemoteRPCSource":
-        """Route ownership lookups through the cluster's partition book."""
-        return cls(rpc, owner_of=book.owner)
-
-    @classmethod
-    def from_partition(cls, rpc: RPCChannel, partition: GraphPartition) -> "RemoteRPCSource":
-        """Route ownership lookups through the partition's halo tables."""
-        return cls(rpc, owner_of=partition.halo_owners_of)
 
     def fetch(self, global_ids: np.ndarray) -> Tuple[np.ndarray, FetchStats]:
         if len(global_ids) == 0:
@@ -144,7 +137,7 @@ class RemoteRPCSource:
             # so the call/request counters only ever reflect real traffic.
             dim = self.rpc.servers[self.rpc.local_part].feature_dim
             return np.zeros((0, dim), dtype=np.float32), FetchStats()
-        owners = self.owner_of(global_ids)
+        owners = self.partition.halo_owners_of(global_ids)
         rows, rpc_time, _ = self.rpc.remote_pull(global_ids, owners)
         self._rows_served += int(len(global_ids))
         self._calls += 1

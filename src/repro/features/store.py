@@ -37,7 +37,6 @@ class FeatureStore:
         self.partition = partition
         self.local_source = local_source
         self.halo_source = halo_source
-        self._owned_sorted = np.sort(partition.owned_global)
 
     # ------------------------------------------------------------------ #
     @property
@@ -85,11 +84,10 @@ class FeatureStore:
     def fetch(self, global_ids: np.ndarray) -> Tuple[np.ndarray, FetchStats]:
         """Protocol-compatible fetch: route arbitrary global ids by ownership.
 
-        Every id must be a node this partition knows about (owned or halo).
-        An id outside that universe used to fall through to the halo source
-        and fail far from the caller (or not at all, for book-routed sources);
-        now it raises ``KeyError`` here, naming the offending ids — the same
-        guard :func:`repro.features.sources.halo_owners` applies to halos.
+        Every id must be a node this partition knows about (owned or halo);
+        any other id raises ``KeyError`` here, naming the offending ids — the
+        same guard :meth:`~repro.graph.halo.GraphPartition.halo_owners_of`
+        applies to halos.
         """
         global_ids = check_1d_int_array(global_ids, "global_ids")
         known = self.partition.contains(global_ids)
@@ -102,7 +100,7 @@ class FeatureStore:
             )
         # Ownership, not structural presence: halo nodes are *contained* in the
         # partition's local graph but their features live on other machines.
-        _, is_local = sorted_lookup(self._owned_sorted, global_ids)
+        _, is_local = sorted_lookup(self.partition.owned_global, global_ids)
         local_rows = np.nonzero(is_local)[0]
         halo_rows = np.nonzero(~is_local)[0]
         features = np.zeros((len(global_ids), self.feature_dim), dtype=np.float32)

@@ -29,7 +29,6 @@ from repro.graph.partition import (
     random_partition,
     skewed_partition,
 )
-from repro.graph.partition_book import PartitionBook
 
 __all__ = [
     "CSRGraph",
@@ -56,5 +55,4 @@ __all__ = [
     "partition_graph",
     "random_partition",
     "skewed_partition",
-    "PartitionBook",
 ]

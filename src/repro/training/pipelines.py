@@ -123,7 +123,7 @@ class OverlappedTimingPolicy:
 # Halo sources: (trainer, cluster, prefetch_config, cache_config) -> source
 # --------------------------------------------------------------------------- #
 def _remote_rpc(trainer, cluster, prefetch_config, cache_config) -> RemoteRPCSource:
-    return RemoteRPCSource.from_book(trainer.rpc, cluster.book)
+    return RemoteRPCSource(trainer.rpc, trainer.partition)
 
 
 def _prefetch_buffer(trainer, cluster, prefetch_config, cache_config) -> BufferedSource:

@@ -254,7 +254,7 @@ class TestZeroMissSteps:
 
     def test_empty_remote_fetch_counts_nothing(self, small_cluster):
         trainer = small_cluster.trainers[1]
-        source = RemoteRPCSource.from_book(trainer.rpc, small_cluster.book)
+        source = RemoteRPCSource(trainer.rpc, trainer.partition)
         before_stats = trainer.rpc.stats.merge(RPCStats())
         rows, stats = source.fetch(np.zeros(0, dtype=np.int64))
         assert rows.shape[0] == 0
@@ -278,7 +278,7 @@ class TestFeatureStoreMembershipValidation:
         return FeatureStore(
             partition=trainer.partition,
             local_source=LocalKVStoreSource(trainer.rpc),
-            halo_source=RemoteRPCSource.from_book(trainer.rpc, small_cluster.book),
+            halo_source=RemoteRPCSource(trainer.rpc, trainer.partition),
         )
 
     def test_id_past_last_owned_raises_keyerror(self, small_cluster):

@@ -15,7 +15,10 @@ Every public top-level function and class under ``src/repro`` has a use in
 ``src/``, ``benchmarks/``, ``examples/`` or ``tools/``: code only tests call
 belongs in ``tests/``.  A package ``__init__``'s re-exports are not uses (code
 in its body is), a decorated (registered) definition is used, and a name whose
-only callers are themselves unused is unused too.
+only callers are themselves unused is unused too.  Public methods get the same
+scan, by name: a method is used when its name is read (as a name, an attribute
+or a string) there outside its own definition.  The methods only tests use are
+an explicit list that may only shrink.
 """
 
 import ast
@@ -251,4 +254,129 @@ def test_the_test_only_scan_flags_what_it_should(tmp_path):
         (tmp_path / name).write_text(text)
     assert unused_public_names(tmp_path) == [
         "src/pkg/a.py:dead_caller", "src/pkg/a.py:helper", "src/pkg/a.py:reexported_only",
+    ]
+
+
+# --------------------------------------------------------------------------- #
+# Test-only methods: public src/ methods whose name nothing outside tests/ reads
+# --------------------------------------------------------------------------- #
+# The public methods only tests used when this scan was added.  The list may
+# only shrink: a new test-only method fails, and so does an entry that gained a
+# use or was deleted (drop it from the list).
+TEST_ONLY_METHODS = frozenset({
+    "src/repro/cache/scoring.py:ScoreRecord.as_tuple",
+    "src/repro/core/buffer.py:PrefetchBuffer.get_features_by_id",
+    "src/repro/core/buffer.py:PrefetchBuffer.update_features",
+    "src/repro/core/metrics.py:HitRateTracker.per_step_hit_rate",
+    "src/repro/core/metrics.py:HitRateTracker.windowed_hit_rate",
+    "src/repro/core/prefetcher.py:Prefetcher.resident_nodes",
+    "src/repro/distributed/kvstore.py:KVStore.num_rows",
+    "src/repro/events/schedule.py:ElasticSchedule.total_events",
+    "src/repro/events/schedule.py:FailureSchedule.total_planned_failures",
+    "src/repro/graph/csr.py:CSRGraph.connected_components",
+    "src/repro/graph/csr.py:CSRGraph.has_edge",
+    "src/repro/graph/csr.py:CSRGraph.in_degree",
+    "src/repro/graph/csr.py:CSRGraph.is_symmetric",
+    "src/repro/graph/datasets.py:GraphDataset.feature_nbytes",
+    "src/repro/graph/datasets.py:GraphDataset.train_nids",
+    "src/repro/nn/gat.py:GAT.predict",
+    "src/repro/nn/graphsage.py:GraphSAGE.predict",
+    "src/repro/perf/lookahead.py:LookaheadQueue.peek_ready_at",
+    "src/repro/sampling/block.py:Block.in_degrees",
+    "src/repro/sampling/dataloader.py:DistDataLoader.steps_taken",
+    "src/repro/sampling/seeds.py:SeedPartitioner.assigned_seeds",
+    "src/repro/serving/report.py:RequestRecord.service_s",
+    "src/repro/training/async_engine.py:AsyncClusterEngine.final_model",
+    "src/repro/training/cluster_engine.py:ClusterEngine.final_model",
+    "src/repro/training/cluster_engine.py:ClusterReport.machine_times",
+    "src/repro/training/sweep.py:SweepResult.as_rows",
+    "src/repro/training/telemetry.py:TrainingReport.loss_history",
+    "src/repro/tuning/runner.py:TuneReport.best_improvement_percent",
+})
+
+FUNCTION_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _record_reads(node, scopes, reads):
+    """Map every name, attribute and string constant under *node* to the
+    function definitions enclosing each place it is read."""
+    if isinstance(node, FUNCTION_DEFS):
+        scopes = scopes + (node,)
+    if isinstance(node, ast.Name):
+        reads.setdefault(node.id, []).append(scopes)
+    elif isinstance(node, ast.Attribute):
+        reads.setdefault(node.attr, []).append(scopes)
+    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        reads.setdefault(node.value, []).append(scopes)
+    for child in ast.iter_child_nodes(node):
+        _record_reads(child, scopes, reads)
+
+
+def methods_only_tests_use(root):
+    """``module:Class.method`` of every public src method nothing reads.
+
+    Reads are taken under ``USE_DIRS`` of *root*; one inside the method's own
+    definition (a recursive call) is not a use.
+    """
+    methods = []          # (label, definition)
+    reads = {}            # name -> enclosing definitions of each read
+    for top in USE_DIRS:
+        for path in sorted((root / top).rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            if top == "src":
+                module = path.relative_to(root).as_posix()
+                methods += [
+                    (f"{module}:{cls.name}.{fn.name}", fn)
+                    for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                    for fn in cls.body
+                    if isinstance(fn, FUNCTION_DEFS) and not fn.name.startswith("_")
+                ]
+            _record_reads(tree, (), reads)
+    return sorted(label for label, fn in methods
+                  if all(fn in scopes for scopes in reads.get(fn.name, [])))
+
+
+def test_no_new_test_only_method():
+    new = sorted(set(methods_only_tests_use(REPO_ROOT)) - TEST_ONLY_METHODS)
+    assert new == [], "only tests use these methods; move them to tests/ or delete them"
+
+
+def test_the_test_only_method_list_only_shrinks():
+    stale = sorted(TEST_ONLY_METHODS - set(methods_only_tests_use(REPO_ROOT)))
+    assert stale == [], "these methods gained a use or are gone; drop them from the list"
+
+
+def test_the_test_only_method_scan_flags_what_it_should(tmp_path):
+    files = {
+        "src/pkg/a.py": (
+            '"""Prose naming read_only_by_tests is not a use."""\n'
+            "class Store:\n"
+            "    def read_as_attribute(self):\n        pass\n"
+            "    def read_as_name(self):\n        pass\n"
+            "    def read_as_string(self):\n        pass\n"
+            # A read inside the method's own definition is not a use.
+            "    def recursive(self):\n        return self.recursive()\n"
+            "    def read_only_by_tests(self):\n        pass\n"
+            "    @property\n    def unused_property(self):\n        return 1\n"
+            # Private and dunder methods are not scanned.
+            "    def _private(self):\n        pass\n"
+            "    def __len__(self):\n        return 0\n"
+            "    class Nested:\n        def nested_unused(self):\n            pass\n"
+        ),
+        "benchmarks/b.py": (
+            "from pkg.a import Store\n"
+            "Store().read_as_attribute()\n"
+            "hook = read_as_name\n"
+        ),
+        "tools/t.py": "def f(s):\n    return getattr(s, 'read_as_string')()\n",
+        "tests/test_a.py": "from pkg.a import Store\nStore().read_only_by_tests()\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    assert methods_only_tests_use(tmp_path) == [
+        "src/pkg/a.py:Nested.nested_unused",
+        "src/pkg/a.py:Store.read_only_by_tests",
+        "src/pkg/a.py:Store.recursive",
+        "src/pkg/a.py:Store.unused_property",
     ]

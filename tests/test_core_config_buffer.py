@@ -144,6 +144,14 @@ class TestPrefetchBuffer:
         hit_mask, slots = buf.lookup(np.array([1, 2]))
         assert not hit_mask.any()
 
+    def test_empty_buffer_rejects_every_slot(self):
+        buf = PrefetchBuffer.empty(8)
+        assert buf.get_features(np.zeros(0, dtype=np.int64)).shape == (0, 8)
+        with pytest.raises(ValueError, match="slots contains index 0"):
+            buf.get_features(np.array([0]))
+        with pytest.raises(ValueError, match="slots contains index 0"):
+            buf.replace(np.array([0]), np.array([5]), np.zeros((1, 8), dtype=np.float32))
+
     def test_lookup_empty_query(self, buffer):
         buf, _, _ = buffer
         hit_mask, slots = buf.lookup(np.array([], dtype=np.int64))

@@ -27,23 +27,6 @@ class TestEventLoop:
         kinds = [loop.pop().kind for _ in range(4)]
         assert kinds == ["engine", "r0", "r2-first", "r2-second"]
 
-    def test_cancel_discards_lazily(self):
-        loop = EventLoop()
-        keep = loop.push(1.0, "keep", rank=0)
-        drop = loop.push(0.5, "drop", rank=0)
-        loop.cancel(drop)
-        assert len(loop) == 1
-        ev = loop.pop()
-        assert ev is keep
-        assert loop.empty
-
-    def test_cancel_twice_is_idempotent(self):
-        loop = EventLoop()
-        ev = loop.push(1.0, "x", rank=0)
-        loop.cancel(ev)
-        loop.cancel(ev)
-        assert len(loop) == 0
-
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             EventLoop().push(-0.1, "bad")
@@ -56,12 +39,11 @@ class TestEventLoop:
         assert [h[0] for h in loop.history] == ["a", "b"]
         assert [h[2] for h in loop.history] == [0, 1]
 
-    def test_peek_time_skips_cancelled(self):
+    def test_history_is_opt_in(self):
         loop = EventLoop()
-        first = loop.push(1.0, "a")
-        loop.push(2.0, "b")
-        loop.cancel(first)
-        assert loop.peek_time() == 2.0
+        loop.push(1.0, "a", rank=0)
+        assert loop.pop().kind == "a"
+        assert loop.history == []
 
 
 class TestFailureSchedule:

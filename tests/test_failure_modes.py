@@ -15,7 +15,6 @@ from repro.distributed.cluster import ClusterConfig, SimCluster
 from repro.distributed.cost_model import CostModel
 from repro.distributed.kvstore import KVStore
 from repro.distributed.rpc import RPCChannel
-from repro.distributed.server import PartitionServer
 from repro.graph.csr import CSRGraph
 from repro.graph.datasets import GraphDataset, make_custom_dataset
 from repro.graph.generators import class_informative_features, train_val_test_split
@@ -95,7 +94,10 @@ class TestNoHaloAndSmallBufferEdgeCases:
         parts = PartitionResult(parts=(np.arange(40) >= 20).astype(np.int64), num_parts=2)
         partitions = build_partitions(dataset.graph, parts)
         assert partitions[0].num_halo == 0
-        servers = {p.part_id: PartitionServer(p, dataset.features).kvstore for p in partitions}
+        servers = {
+            p.part_id: KVStore(p.owned_global, dataset.features[p.owned_global], p.part_id)
+            for p in partitions
+        }
         rpc = RPCChannel(servers, local_part=0, cost_model=CostModel.cpu())
         prefetcher = Prefetcher(partitions[0], PrefetchConfig(), rpc, dataset.num_nodes)
         report = prefetcher.initialize()
@@ -122,10 +124,11 @@ class TestNoHaloAndSmallBufferEdgeCases:
         assert prefetch.remote_nodes_fetched() == 0
 
     def test_buffer_fraction_of_one_holds_every_halo_node(self, small_dataset, small_partitions):
-        from repro.distributed.server import PartitionServer
-
         partitions = small_partitions
-        servers = {p.part_id: PartitionServer(p, small_dataset.features).kvstore for p in partitions}
+        servers = {
+            p.part_id: KVStore(p.owned_global, small_dataset.features[p.owned_global], p.part_id)
+            for p in partitions
+        }
         rpc = RPCChannel(servers, local_part=0, cost_model=CostModel.cpu())
         prefetcher = Prefetcher(
             partitions[0], PrefetchConfig(halo_fraction=1.0), rpc, small_dataset.num_nodes

@@ -56,7 +56,7 @@ class TestLocalKVStoreSource:
 
 class TestRemoteRPCSource:
     def test_serves_halo_rows_exactly(self, small_cluster, trainer):
-        source = RemoteRPCSource.from_book(trainer.rpc, small_cluster.book)
+        source = RemoteRPCSource(trainer.rpc, trainer.partition)
         halo = trainer.partition.halo_global[:23]
         before = trainer.rpc.stats.merge(RPCStats())  # copy
         rows, stats = source.fetch(halo)
@@ -66,22 +66,14 @@ class TestRemoteRPCSource:
         assert trainer.rpc.stats.nodes_fetched - before.nodes_fetched == 23
         assert trainer.rpc.stats.bytes_fetched > before.bytes_fetched
 
-    def test_book_and_partition_routing_agree(self, small_cluster, trainer):
-        via_book = RemoteRPCSource.from_book(trainer.rpc, small_cluster.book)
-        via_partition = RemoteRPCSource.from_partition(trainer.rpc, trainer.partition)
-        halo = trainer.partition.halo_global[:11]
-        rows_a, _ = via_book.fetch(halo)
-        rows_b, _ = via_partition.fetch(halo)
-        np.testing.assert_array_equal(rows_a, rows_b)
-
     def test_empty_request(self, small_cluster, trainer):
-        source = RemoteRPCSource.from_book(trainer.rpc, small_cluster.book)
+        source = RemoteRPCSource(trainer.rpc, trainer.partition)
         rows, stats = source.fetch(np.zeros(0, dtype=np.int64))
         assert rows.shape[0] == 0 and stats.num_requested == 0
 
     def test_partition_routing_rejects_foreign_ids(self, trainer):
         """Ids that are neither owned nor halo have no owner entry — must raise."""
-        source = RemoteRPCSource.from_partition(trainer.rpc, trainer.partition)
+        source = RemoteRPCSource(trainer.rpc, trainer.partition)
         known = np.concatenate([trainer.partition.owned_global, trainer.partition.halo_global])
         foreign = np.setdiff1d(np.arange(known.max() + 2, dtype=np.int64), known)[:1]
         assert len(foreign) == 1
@@ -143,7 +135,7 @@ class TestFeatureStore:
         return FeatureStore(
             partition=trainer.partition,
             local_source=LocalKVStoreSource(trainer.rpc),
-            halo_source=RemoteRPCSource.from_book(trainer.rpc, small_cluster.book),
+            halo_source=RemoteRPCSource(trainer.rpc, trainer.partition),
         )
 
     def test_fetch_minibatch_assembles_exact_features(self, small_cluster, trainer):
@@ -194,7 +186,7 @@ class TestFeatureStore:
         store = FeatureStore(
             partition=owns_nothing,
             local_source=local,
-            halo_source=RemoteRPCSource.from_book(trainer.rpc, small_cluster.book),
+            halo_source=RemoteRPCSource(trainer.rpc, trainer.partition),
         )
         halo = partition.halo_global[:9]
         rows, stats = store.fetch(halo)

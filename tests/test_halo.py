@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.graph.halo import build_partitions
+from repro.graph.halo import GraphPartition, build_partitions
 from repro.graph.partition import metis_partition, random_partition
 
 
@@ -24,12 +24,11 @@ class TestBuildPartitions:
     def test_local_graph_size(self, small_partitions):
         for p in small_partitions:
             assert p.local_graph.num_nodes == p.num_owned + p.num_halo
-            assert p.num_local == p.local_graph.num_nodes
 
     def test_halo_nodes_have_no_out_edges(self, small_partitions):
         """Halo nodes' neighborhoods live on the owning partition."""
         for p in small_partitions:
-            halo_local = np.arange(p.num_owned, p.num_local)
+            halo_local = np.arange(p.num_owned, p.local_graph.num_nodes)
             degs = p.local_graph.out_degree(halo_local)
             assert np.all(degs == 0)
 
@@ -60,19 +59,31 @@ class TestGraphPartitionHelpers:
         if p.num_halo:
             assert p.is_halo_local_id(np.array([p.num_owned])).item()
 
-    def test_local_global_roundtrip(self, small_partitions):
-        p = small_partitions[0]
-        local = np.arange(min(50, p.num_local), dtype=np.int64)
-        global_ids = p.global_ids(local)
-        back = p.local_ids(global_ids)
-        np.testing.assert_array_equal(back, local)
+    def test_local_ids_are_owned_then_halo(self, small_partitions):
+        for p in small_partitions:
+            np.testing.assert_array_equal(
+                p.local_to_global, np.concatenate([p.owned_global, p.halo_global])
+            )
 
-    def test_local_ids_raises_for_foreign_node(self, small_dataset, small_partitions):
+    def test_halo_owners_of_rejects_a_foreign_node(self, small_dataset, small_partitions):
         p = small_partitions[0]
         all_local = set(p.local_to_global.tolist())
         foreign = next(i for i in range(small_dataset.num_nodes) if i not in all_local)
-        with pytest.raises(KeyError):
-            p.local_ids(np.array([foreign]))
+        with pytest.raises(KeyError, match=f"nodes \\[{foreign}\\] are not halo neighbors"):
+            p.halo_owners_of(np.array([foreign]))
+        with pytest.raises(KeyError, match="are not halo neighbors"):
+            p.halo_owners_of(p.owned_global[:1])
+
+    def test_tables_must_be_strictly_ascending(self, small_partitions):
+        p = small_partitions[0]
+        fields = dict(
+            part_id=0, halo_owner=[1, 1], local_graph=p.local_graph,
+            local_to_global=[0, 7, 3], global_degrees=[1, 1, 1],
+        )
+        with pytest.raises(ValueError, match="halo_global must be strictly ascending"):
+            GraphPartition(owned_global=[0], halo_global=[7, 3], **fields)
+        with pytest.raises(ValueError, match="owned_global must be strictly ascending"):
+            GraphPartition(owned_global=[0, 0], halo_global=[3, 7], **fields)
 
     def test_contains(self, small_dataset, small_partitions):
         p = small_partitions[0]

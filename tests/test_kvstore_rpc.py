@@ -1,4 +1,4 @@
-"""Tests for the KVStore, partition servers, and the simulated RPC channel."""
+"""Tests for the KVStore, the per-partition stores, and the simulated RPC channel."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from repro.distributed.cost_model import CostModel
 from repro.distributed.kvstore import KVStore
 from repro.distributed.rpc import RPCChannel, RPCStats, aggregate_rpc_stats
-from repro.distributed.server import PartitionServer
 
 
 @pytest.fixture()
@@ -136,23 +135,25 @@ class TestRPCChannel:
         assert merged.simulated_time_s == pytest.approx(1.0)
 
 
-class TestPartitionServer:
-    def test_server_wraps_partition(self, small_dataset, small_partitions):
-        p = small_partitions[0]
-        server = PartitionServer(p, small_dataset.features, small_dataset.labels)
-        assert server.num_owned == p.num_owned
-        assert server.feature_dim == small_dataset.feature_dim
-        sample = p.owned_global[:5]
-        np.testing.assert_allclose(server.pull_features(sample), small_dataset.features[sample])
-        np.testing.assert_array_equal(server.pull_labels(sample), small_dataset.labels[sample])
+class TestPartitionKVStore:
+    def test_serves_the_partition_rows_exactly(self, small_dataset, small_partitions):
+        for p in small_partitions:
+            store = KVStore(p.owned_global, small_dataset.features[p.owned_global], p.part_id)
+            assert store.feature_dim == small_dataset.feature_dim
+            sample = p.owned_global[::7]
+            np.testing.assert_array_equal(store.pull(sample), small_dataset.features[sample])
+            with pytest.raises(KeyError, match=f"partition {p.part_id} does not own"):
+                store.pull(p.halo_global[:1])
 
-    def test_server_degrees(self, small_dataset, small_partitions):
-        p = small_partitions[0]
-        server = PartitionServer(p, small_dataset.features)
-        degs = server.node_degrees(p.owned_global[:5])
-        np.testing.assert_array_equal(degs, small_dataset.graph.out_degree(p.owned_global[:5]))
+    def test_cluster_stores_serve_every_owned_row(self, small_cluster):
+        features = small_cluster.dataset.features
+        for p in small_cluster.partitions:
+            store = small_cluster.servers[p.part_id]
+            assert store.part_id == p.part_id
+            np.testing.assert_array_equal(store.pull(p.owned_global), features[p.owned_global])
 
-    def test_labels_missing_raises(self, small_dataset, small_partitions):
-        server = PartitionServer(small_partitions[0], small_dataset.features, labels=None)
-        with pytest.raises(RuntimeError):
-            server.pull_labels(small_partitions[0].owned_global[:1])
+    def test_migration_needs_a_real_host(self, small_cluster):
+        with pytest.raises(ValueError, match="host machine must be >= 0"):
+            small_cluster.migrate_partition(0, -1)
+        assert small_cluster.partition_hosts == [0, 1]
+        assert small_cluster.migrate_partition(1, 1) == 0

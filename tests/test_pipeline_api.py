@@ -49,7 +49,7 @@ def _store(trainer, halo_source, cls=FeatureStore):
 class TestMiniBatchPipeline:
     def test_epoch_yields_numbered_model_ready_batches(self, small_cluster):
         trainer = small_cluster.trainers[0]
-        store = _store(trainer, RemoteRPCSource.from_book(trainer.rpc, small_cluster.book))
+        store = _store(trainer, RemoteRPCSource(trainer.rpc, trainer.partition))
         timing = SerialTimingPolicy()
         pipeline = MiniBatchPipeline(trainer.dataloader, store, timing, "by-hand")
         assert (pipeline.name, pipeline.timing, pipeline.feature_store) == (
@@ -100,7 +100,7 @@ class TestMiniBatchPipeline:
 
         trainer = small_cluster.trainers[0]
         store = _store(
-            trainer, RemoteRPCSource.from_book(trainer.rpc, small_cluster.book), ShortStore
+            trainer, RemoteRPCSource(trainer.rpc, trainer.partition), ShortStore
         )
         batches = MiniBatchPipeline(trainer.dataloader, store, SerialTimingPolicy(), "short")
         with pytest.raises(ValueError, match="does not provide one row per input node"):
@@ -232,7 +232,7 @@ class TestEngineIsPipelineDriven:
         engine = ClusterEngine(cluster, TrainConfig(epochs=1, hidden_dim=16, seed=1))
 
         def builder(trainer, cluster, prefetch_config, cache_config):
-            halo = RemoteRPCSource.from_book(trainer.rpc, cluster.book)
+            halo = RemoteRPCSource(trainer.rpc, trainer.partition)
             return MiniBatchPipeline(
                 trainer.dataloader, _store(trainer, halo), SerialTimingPolicy(), "custom"
             )

@@ -10,12 +10,15 @@ from repro.core.metrics import HitRateTracker, PrefetchCounters, hit_rate, merge
 from repro.core.prefetcher import Prefetcher
 from repro.distributed.cost_model import CostModel
 from repro.distributed.rpc import RPCChannel
-from repro.distributed.server import PartitionServer
+from repro.distributed.kvstore import KVStore
 
 
 def make_prefetcher(dataset, partitions, part_id=0, config=None, policy=None):
     """Build a Prefetcher wired to real KVStore servers for the given partition."""
-    servers = {p.part_id: PartitionServer(p, dataset.features, dataset.labels).kvstore for p in partitions}
+    servers = {
+        p.part_id: KVStore(p.owned_global, dataset.features[p.owned_global], p.part_id)
+        for p in partitions
+    }
     rpc = RPCChannel(servers, local_part=part_id, cost_model=CostModel.cpu())
     prefetcher = Prefetcher(
         partition=partitions[part_id],

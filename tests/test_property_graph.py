@@ -5,8 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.graph.csr import CSRGraph
 from repro.graph.halo import build_partitions
-from repro.graph.partition import balance, edge_cut, metis_partition, random_partition
-from repro.graph.partition_book import PartitionBook
+from repro.graph.partition import (
+    PartitionResult, balance, edge_cut, metis_partition, random_partition,
+)
 
 
 @st.composite
@@ -102,15 +103,20 @@ class TestPartitionProperties:
         for p in partitions:
             assert len(np.intersect1d(p.owned_global, p.halo_global)) == 0
 
-    @given(st.integers(2, 6), st.lists(st.integers(0, 5), min_size=6, max_size=60))
+    @given(edge_lists(), st.integers(2, 6), st.data())
     @settings(max_examples=40, deadline=None)
-    def test_partition_book_roundtrip(self, k, assignment):
-        parts = np.array([a % k for a in assignment], dtype=np.int64)
-        book = PartitionBook(parts, k)
-        for p in range(k):
-            nodes = book.partition_nodes(p)
-            if len(nodes) == 0:
-                continue
-            local = book.to_local(nodes, p)
-            np.testing.assert_array_equal(book.to_global(local, p), nodes)
-            np.testing.assert_array_equal(np.sort(local), np.arange(len(nodes)))
+    def test_partition_tables_follow_the_assignment(self, data, k, draw):
+        """Each partition's tables are the one id map: owned ids, halo ids and owners."""
+        src, dst, n = data
+        g = CSRGraph.from_edges(src, dst, num_nodes=n)
+        parts = np.array(draw.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+        result = PartitionResult(parts=parts, num_parts=k)
+        for p in build_partitions(g, result):
+            np.testing.assert_array_equal(p.owned_global, result.partition_nodes(p.part_id))
+            assert np.all(np.diff(p.owned_global) > 0) and np.all(np.diff(p.halo_global) > 0)
+            np.testing.assert_array_equal(p.halo_owner, result.parts[p.halo_global])
+            np.testing.assert_array_equal(
+                p.contains(np.arange(n)), np.isin(np.arange(n), p.local_to_global)
+            )
+            if p.num_halo:
+                np.testing.assert_array_equal(p.halo_owners_of(p.halo_global), p.halo_owner)
