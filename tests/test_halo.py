@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.graph.halo import GraphPartition, build_partitions
-from repro.graph.partition import metis_partition, random_partition
+from repro.graph.partition import PartitionResult, metis_partition, random_partition
 
 
 class TestBuildPartitions:
@@ -95,6 +95,88 @@ class TestGraphPartitionHelpers:
     def test_halo_degrees_length(self, small_partitions):
         p = small_partitions[0]
         assert len(p.halo_degrees()) == p.num_halo
+
+
+@pytest.fixture()
+def tiny_parts(tiny_graph):
+    """``tiny_graph`` cut by hand into three partitions: {0,2,6}, {1,3,7}, {4,5}."""
+    result = PartitionResult(np.array([0, 1, 0, 1, 2, 2, 0, 1]), 3, method="manual")
+    return build_partitions(tiny_graph, result)
+
+
+class TestHandBuiltPartitions:
+    """Every owner and membership answer, checked against a cut small enough to draw."""
+
+    def test_owned_tables_follow_the_assignment(self, tiny_parts):
+        expected = [[0, 2, 6], [1, 3, 7], [4, 5]]
+        for p, owned in zip(tiny_parts, expected):
+            np.testing.assert_array_equal(p.owned_global, owned)
+            assert p.num_owned == len(owned)
+
+    def test_halo_tables_and_owners(self, tiny_parts):
+        expected = [
+            ([1, 3, 5, 7], [1, 1, 2, 1]),
+            ([0, 2, 4, 5, 6], [0, 0, 2, 2, 0]),
+            ([3, 6], [1, 0]),
+        ]
+        for p, (halo, owners) in zip(tiny_parts, expected):
+            np.testing.assert_array_equal(p.halo_global, halo)
+            np.testing.assert_array_equal(p.halo_owner, owners)
+
+    def test_halo_owners_of_keeps_query_order(self, tiny_parts):
+        owners = tiny_parts[0].halo_owners_of(np.array([7, 5, 1, 7]))
+        np.testing.assert_array_equal(owners, [1, 2, 1, 1])
+
+    def test_halo_owners_of_empty_query(self, tiny_parts):
+        owners = tiny_parts[0].halo_owners_of(np.zeros(0, dtype=np.int64))
+        assert owners.shape == (0,)
+        assert owners.dtype == np.int64
+
+    def test_halo_owners_of_rejects_a_2d_query(self, tiny_parts):
+        with pytest.raises(ValueError, match="global_ids must be 1-D"):
+            tiny_parts[0].halo_owners_of(np.array([[1, 3]]))
+
+    def test_contains_owned_and_halo_only(self, tiny_parts):
+        mask = tiny_parts[2].contains(np.array([4, 5, 3, 6, 0, 1, 2, 7]))
+        np.testing.assert_array_equal(mask, [True] * 4 + [False] * 4)
+
+    def test_halo_degree_of_is_zero_off_the_halo(self, tiny_parts):
+        degrees = tiny_parts[2].halo_degree_of(np.array([3, 6, 4, 0]))
+        np.testing.assert_array_equal(degrees, [4, 3, 0, 0])
+
+    def test_halo_distance_of(self, tiny_parts):
+        distances = tiny_parts[2].halo_distance_of(np.array([3, 6, 4, 0]))
+        np.testing.assert_array_equal(distances, [1, 1, 2, 2])
+
+    def test_is_halo_local_id_marks_the_tail(self, tiny_parts):
+        mask = tiny_parts[0].is_halo_local_id(np.arange(7))
+        np.testing.assert_array_equal(mask, [False] * 3 + [True] * 4)
+
+    def test_local_graph_keeps_the_owned_rows(self, tiny_graph, tiny_parts):
+        for p in tiny_parts:
+            src, dst = p.local_graph.edges()
+            local = set(zip(p.local_to_global[src].tolist(), p.local_to_global[dst].tolist()))
+            gsrc, gdst = tiny_graph.edges()
+            keep = np.isin(gsrc, p.owned_global)
+            assert local == set(zip(gsrc[keep].tolist(), gdst[keep].tolist()))
+
+    def test_single_partition_has_no_halo(self, tiny_graph):
+        (p,) = build_partitions(tiny_graph, PartitionResult(np.zeros(8, dtype=np.int64), 1))
+        assert p.num_halo == 0
+        assert p.halo_owner.dtype == np.int64
+        assert p.contains(np.arange(8)).all()
+        assert p.halo_owners_of(np.zeros(0, dtype=np.int64)).shape == (0,)
+        with pytest.raises(KeyError, match="are not halo neighbors of partition 0"):
+            p.halo_owners_of(np.array([0]))
+
+    def test_empty_partition_knows_no_id(self, tiny_graph):
+        parts = build_partitions(tiny_graph, PartitionResult(np.zeros(8, dtype=np.int64), 2))
+        empty = parts[1]
+        assert empty.num_owned == 0 and empty.num_halo == 0
+        assert not empty.contains(np.arange(8)).any()
+        np.testing.assert_array_equal(empty.halo_degree_of(np.array([0, 1])), [0, 0])
+        with pytest.raises(KeyError, match="are not halo neighbors of partition 1"):
+            empty.halo_owners_of(np.array([0]))
 
 
 class TestHaloStatistics:
