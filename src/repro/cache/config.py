@@ -44,8 +44,6 @@ class CacheConfig:
     shared_eviction: str = "lru"
     hot_fraction: float = 0.5
     adaptive: bool = False
-    min_tier_fraction: float = 0.1
-    max_shift_fraction: float = 0.25
     scorer: str = "decayed"
     record_decisions: bool = False
 
@@ -58,8 +56,6 @@ class CacheConfig:
                 "tiers; it requires tiers=2 (hot + machine-shared)"
             )
         check_fraction(self.hot_fraction, "hot_fraction")
-        check_fraction(self.min_tier_fraction, "min_tier_fraction")
-        check_fraction(self.max_shift_fraction, "max_shift_fraction")
         # Resolve registry names eagerly (lazy imports: policies sit above
         # nothing, but keep symmetry with PrefetchConfig's validation).
         from repro.cache.policies import ADMISSION_POLICIES, CACHE_EVICTION_POLICIES

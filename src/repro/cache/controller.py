@@ -9,10 +9,11 @@ own share and concurrent trainers cannot fight over the same slots.
 
 At every epoch boundary the controller compares the tiers' hit rates over the
 interval since its last adjustment and shifts capacity toward the tier with
-the higher observed hit rate, bounded by ``max_shift_fraction`` per epoch and
-a ``min_tier_fraction`` floor so neither tier starves.  With a single tier
-(or ``adaptive=False`` in the config) the controller is never constructed and
-the capacities are immutable — the bit-identical default path.
+the higher observed hit rate, moving at most ``MAX_SHIFT_FRACTION`` of the
+budget per epoch and keeping ``MIN_TIER_FRACTION`` of it in each tier so
+neither tier starves.  With a single tier (or ``adaptive=False`` in the
+config) the controller is never constructed and the capacities are
+immutable — the bit-identical default path.
 """
 
 from __future__ import annotations
@@ -22,6 +23,13 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.cache.tier import CacheTier, TierStats
+
+# Each tier keeps at least this fraction of the budget.
+MIN_TIER_FRACTION = 0.1
+# One epoch moves at most this fraction of the budget (and at least one row).
+MAX_SHIFT_FRACTION = 0.25
+# Added to both interval hit rates, so a cold tier keeps a foothold.
+HIT_RATE_EPSILON = 0.05
 
 
 @dataclass
@@ -53,23 +61,13 @@ class AdaptiveCapacityController:
         shared_tier: CacheTier,
         total_budget: int,
         shared_contribution: int,
-        min_tier_fraction: float = 0.1,
-        max_shift_fraction: float = 0.25,
-        hit_rate_epsilon: float = 0.05,
     ):
         if total_budget < 0:
             raise ValueError("total_budget must be >= 0")
-        if not 0.0 <= min_tier_fraction <= 0.5:
-            raise ValueError("min_tier_fraction must be in [0, 0.5]")
-        if not 0.0 < max_shift_fraction <= 1.0:
-            raise ValueError("max_shift_fraction must be in (0, 1]")
         self.hot_tier = hot_tier
         self.shared_tier = shared_tier
         self.total_budget = int(total_budget)
         self.shared_contribution = int(shared_contribution)
-        self.min_tier_fraction = float(min_tier_fraction)
-        self.max_shift_fraction = float(max_shift_fraction)
-        self.hit_rate_epsilon = float(hit_rate_epsilon)
         self.history: List[CapacityAdjustment] = []
         self._hot_snapshot: TierStats = hot_tier.stats.snapshot()
         self._shared_snapshot: TierStats = shared_tier.stats.snapshot()
@@ -93,20 +91,20 @@ class AdaptiveCapacityController:
         if hot.lookups == 0 and shared.lookups == 0:
             return None
 
-        # Weight each tier by its interval hit rate, floored by epsilon so a
-        # cold tier keeps a foothold and can recover later.  All roundings use
+        # Weight each tier by its interval hit rate plus epsilon, so a cold
+        # tier keeps a foothold and can recover later.  All roundings use
         # an explicit half-up rule (floor(x + 0.5)) rather than Python's
         # banker's round(): banker's rounding maps exact .5 targets to the
         # nearest even integer, which can flip the split ±1 row between epochs
         # with identical hit rates and break re-split determinism.
-        hot_weight = hot.hit_rate + self.hit_rate_epsilon
-        shared_weight = shared.hit_rate + self.hit_rate_epsilon
+        hot_weight = hot.hit_rate + HIT_RATE_EPSILON
+        shared_weight = shared.hit_rate + HIT_RATE_EPSILON
         target_hot = math.floor(
             self.total_budget * hot_weight / (hot_weight + shared_weight) + 0.5
         )
 
-        floor = math.floor(self.min_tier_fraction * self.total_budget + 0.5)
-        max_shift = max(1, math.floor(self.max_shift_fraction * self.total_budget + 0.5))
+        floor = math.floor(MIN_TIER_FRACTION * self.total_budget + 0.5)
+        max_shift = max(1, math.floor(MAX_SHIFT_FRACTION * self.total_budget + 0.5))
         current_hot = self.hot_tier.capacity
         target_hot = max(current_hot - max_shift, min(current_hot + max_shift, target_hot))
         target_hot = max(floor, min(self.total_budget - floor, target_hot))

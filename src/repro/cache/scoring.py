@@ -54,6 +54,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 FEATURE_NAMES = ("recency", "frequency", "degree", "halo_distance")
 
+# The decayed scorer's constants (see PrefetchScorer).
+DECAY = 0.95                               # per-step decay of recency and counts
+CONFIDENCE = 0.01                          # UCB width coefficient
+INITIAL_WEIGHTS = (0.1, 0.1, 0.75, 0.05)   # one per FEATURE_NAMES entry
+DEGREE_SCALE = 16.0                        # degree at which the hub bonus is 0.5
+THRESHOLD_QUANTILE = 0.3                   # resident quantile a candidate must clear
+LEARNING_RATE = 0.3                        # online weight step toward the target
+
 DistanceLookup = Callable[[np.ndarray], np.ndarray]
 
 
@@ -94,14 +102,6 @@ class ScoreRecord:
             "mode": self.mode,
             "reason": self.reason,
         }
-
-    def as_tuple(self) -> Tuple:
-        """Canonical tuple for bit-identical ledger comparison in tests."""
-        return (
-            self.step, self.node_id, self.action, self.tier, self.score,
-            self.lower_bound, self.upper_bound, self.threshold, self.mode,
-            self.reason,
-        )
 
 
 class DecisionLog:
@@ -175,17 +175,18 @@ class PrefetchScorer:
 
     For node *i* at step *t* the scorer derives four features in ``[0, 1]``:
 
-    * ``recency``  — ``decay ** (t - last_access_i)`` (1 when just accessed);
+    * ``recency``  — ``DECAY ** (t - last_access_i)`` (1 when just accessed);
     * ``frequency`` — ``c_i / (c_i + 1)`` where ``c_i`` is the decayed access
-      count (``c_i <- c_i * decay**dt + occurrences`` on access);
-    * ``degree`` — ``deg_i / (deg_i + degree_scale)`` (saturating hub bonus);
+      count (``c_i <- c_i * DECAY**dt + occurrences`` on access);
+    * ``degree`` — ``deg_i / (deg_i + DEGREE_SCALE)`` (saturating hub bonus);
     * ``halo_distance`` — ``1 / distance_i`` from the optional distance
       lookup (1-hop halo rows score 1.0; farther or unknown rows less).
 
-    ``score = w . features`` with weights normalized to sum 1, so the score
-    lives in ``[0, 1]``.  The confidence width is UCB-style,
-    ``confidence * sqrt(log(t + 2) / (c_i + 1))``: tight for nodes with many
-    recent (decayed) observations, wide for cold or long-unseen nodes.
+    ``score = w . features`` with weights (``INITIAL_WEIGHTS`` to start)
+    normalized to sum 1, so the score lives in ``[0, 1]``.  The confidence
+    width is UCB-style, ``CONFIDENCE * sqrt(log(t + 2) / (c_i + 1))``: tight
+    for nodes with many recent (decayed) observations, wide for cold or
+    long-unseen nodes.
     ``lower = max(0, score - width)`` and ``upper = min(1, score + width)``,
     so ``lower <= score <= upper`` always.
 
@@ -193,7 +194,7 @@ class PrefetchScorer:
     features that discriminated interval hits from interval misses — a
     deterministic, dependency-free learned variant.
 
-    The defaults lean on degree (the paper's Fig. 10 signal) with recency and
+    The constants lean on degree (the paper's Fig. 10 signal) with recency and
     frequency as adaptive tiebreaks, and keep the confidence width small so
     decisions are score-driven rather than exploration-driven — the setting
     where the scored policy beats both pure degree heuristics on the
@@ -204,36 +205,9 @@ class PrefetchScorer:
 
     name = "decayed"
 
-    def __init__(
-        self,
-        decay: float = 0.95,
-        confidence: float = 0.01,
-        weights: Tuple[float, float, float, float] = (0.1, 0.1, 0.75, 0.05),
-        degree_scale: float = 16.0,
-        threshold_quantile: float = 0.3,
-        learning_rate: float = 0.3,
-        online: bool = False,
-        distance_of: Optional[DistanceLookup] = None,
-    ):
-        if not 0.0 < decay < 1.0:
-            raise ValueError(f"decay must be in (0, 1), got {decay}")
-        if confidence < 0.0:
-            raise ValueError(f"confidence must be >= 0, got {confidence}")
-        if len(weights) != len(FEATURE_NAMES):
-            raise ValueError(f"need {len(FEATURE_NAMES)} feature weights, got {len(weights)}")
-        if any(w < 0 for w in weights) or sum(weights) <= 0:
-            raise ValueError("weights must be non-negative with a positive sum")
-        if not 0.0 <= threshold_quantile <= 1.0:
-            raise ValueError(f"threshold_quantile must be in [0, 1], got {threshold_quantile}")
-        if not 0.0 <= learning_rate <= 1.0:
-            raise ValueError(f"learning_rate must be in [0, 1], got {learning_rate}")
-        self.decay = float(decay)
-        self.confidence = float(confidence)
-        self.weights = np.asarray(weights, dtype=np.float64)
+    def __init__(self, online: bool = False, distance_of: Optional[DistanceLookup] = None):
+        self.weights = np.asarray(INITIAL_WEIGHTS, dtype=np.float64)
         self.weights /= self.weights.sum()
-        self.degree_scale = float(degree_scale)
-        self.threshold_quantile = float(threshold_quantile)
-        self.learning_rate = float(learning_rate)
         self.online = bool(online)
         self.distance_of = distance_of
         self.epochs_learned = 0
@@ -256,7 +230,7 @@ class PrefetchScorer:
         out = np.zeros(len(idx), dtype=np.float64)
         if known.any():
             dt = np.maximum(0, step - self._last_step[idx[known]])
-            out[known] = self._count[idx[known]] * self.decay ** dt
+            out[known] = self._count[idx[known]] * DECAY ** dt
         return out
 
     # ------------------------------------------------------------------ #
@@ -289,7 +263,7 @@ class PrefetchScorer:
             self._grow(unique[~known])
             idx, known = sorted_lookup(self._ids, unique)
         dt = np.maximum(0, step - self._last_step[idx])
-        self._count[idx] = self._count[idx] * self.decay ** dt + occurrences
+        self._count[idx] = self._count[idx] * DECAY ** dt + occurrences
         self._last_step[idx] = step
 
     def score(self, global_ids: np.ndarray,
@@ -300,7 +274,7 @@ class PrefetchScorer:
         features = self._features(global_ids, step)
         scores = features @ self.weights
         counts = self.decayed_count(global_ids, step)
-        width = self.confidence * np.sqrt(math.log(step + 2) / (counts + 1.0))
+        width = CONFIDENCE * np.sqrt(math.log(step + 2) / (counts + 1.0))
         lower = np.maximum(0.0, scores - width)
         upper = np.minimum(1.0, scores + width)
         return scores, lower, upper
@@ -316,7 +290,7 @@ class PrefetchScorer:
         if len(resident_ids) == 0:
             return 0.0
         scores, _, _ = self.score(resident_ids, step)
-        return float(np.quantile(scores, self.threshold_quantile))
+        return float(np.quantile(scores, THRESHOLD_QUANTILE))
 
     # ------------------------------------------------------------------ #
     def end_epoch(self) -> Optional[np.ndarray]:
@@ -346,7 +320,7 @@ class PrefetchScorer:
         # Positive part of the discrimination, floored so no weight dies.
         advantage = np.maximum(hit_mean - miss_mean, 0.0) + 1e-3
         target = advantage / advantage.sum()
-        self.weights = (1.0 - self.learning_rate) * self.weights + self.learning_rate * target
+        self.weights = (1.0 - LEARNING_RATE) * self.weights + LEARNING_RATE * target
         self.weights /= self.weights.sum()
         self.epochs_learned += 1
         return self.weights.copy()
@@ -368,13 +342,13 @@ class PrefetchScorer:
         recency = np.zeros(n, dtype=np.float64)
         if known.any():
             dt = np.maximum(0, step - self._last_step[idx[known]])
-            recency[known] = self.decay ** dt
+            recency[known] = DECAY ** dt
         counts = self.decayed_count(global_ids, step)
         frequency = counts / (counts + 1.0)
         degree = np.zeros(n, dtype=np.float64)
         if self._degree_of is not None and n:
             deg = np.asarray(self._degree_of(global_ids), dtype=np.float64)
-            degree = deg / (deg + self.degree_scale)
+            degree = deg / (deg + DEGREE_SCALE)
         distance = np.ones(n, dtype=np.float64)
         if self.distance_of is not None and n:
             dist = np.maximum(1.0, np.asarray(self.distance_of(global_ids), dtype=np.float64))

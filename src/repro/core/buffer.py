@@ -88,22 +88,6 @@ class PrefetchBuffer:
         slots = check_1d_int_array(slots, "slots", max_value=self.capacity)
         return self._features[slots]
 
-    def get_features_by_id(self, global_ids: np.ndarray) -> np.ndarray:
-        """Feature rows for resident *global_ids* (raises on a miss)."""
-        hit_mask, slots = self.lookup(global_ids)
-        if not np.all(hit_mask):
-            missing = np.asarray(global_ids)[~hit_mask][:5]
-            raise KeyError(f"nodes {missing.tolist()} are not resident in the buffer")
-        return self._features[slots]
-
-    def slot_of(self, global_ids: np.ndarray) -> np.ndarray:
-        """Slot index of each resident id (raises on a miss)."""
-        hit_mask, slots = self.lookup(global_ids)
-        if not np.all(hit_mask):
-            missing = np.asarray(global_ids)[~hit_mask][:5]
-            raise KeyError(f"nodes {missing.tolist()} are not resident in the buffer")
-        return slots
-
     # ------------------------------------------------------------------ #
     def replace(self, slots: np.ndarray, new_ids: np.ndarray, new_features: np.ndarray) -> None:
         """Swap out the nodes at *slots* for *new_ids* / *new_features*.
@@ -130,8 +114,3 @@ class PrefetchBuffer:
         self._features[slots] = new_features
         self._rebuild_index()
 
-    def update_features(self, global_ids: np.ndarray, features: np.ndarray) -> None:
-        """Refresh features of already-resident nodes (no membership change)."""
-        slots = self.slot_of(global_ids)
-        features = check_2d_float_array(features, "features", columns=self.feature_dim)
-        self._features[slots] = features

@@ -51,30 +51,12 @@ class HitRateTracker:
     def cumulative_hit_rate(self) -> float:
         return hit_rate(self.total_hits, self.total_misses)
 
-    def per_step_hit_rate(self) -> np.ndarray:
-        """Hit rate of each individual minibatch."""
-        hits = np.asarray(self.hits_history, dtype=np.float64)
-        misses = np.asarray(self.misses_history, dtype=np.float64)
-        total = np.maximum(hits + misses, 1.0)
-        return hits / total
-
     def running_hit_rate(self) -> np.ndarray:
         """Cumulative hit rate after each minibatch (the Fig. 10 trajectory)."""
         hits = np.cumsum(self.hits_history, dtype=np.float64)
         misses = np.cumsum(self.misses_history, dtype=np.float64)
         total = np.maximum(hits + misses, 1.0)
         return hits / total
-
-    def windowed_hit_rate(self, window: int = 50) -> np.ndarray:
-        """Hit rate over a sliding window of minibatches."""
-        if window <= 0:
-            raise ValueError("window must be positive")
-        per_step_hits = np.asarray(self.hits_history, dtype=np.float64)
-        per_step_total = per_step_hits + np.asarray(self.misses_history, dtype=np.float64)
-        kernel = np.ones(min(window, max(1, len(per_step_hits))))
-        hits_win = np.convolve(per_step_hits, kernel, mode="valid")
-        total_win = np.maximum(np.convolve(per_step_total, kernel, mode="valid"), 1.0)
-        return hits_win / total_win
 
     def summary(self) -> Dict[str, float]:
         return {

@@ -139,7 +139,7 @@ class Prefetcher:
 
         if len(halo) == 0 or capacity == 0:
             self.buffer = PrefetchBuffer.empty(feature_dim)
-            self.eviction_scores = EvictionScores(0, self.config.initial_eviction_score)
+            self.eviction_scores = EvictionScores(0)
             self.access_scores = make_access_scoreboard(
                 self.config.scoreboard, self.num_global_nodes, halo
             )
@@ -163,7 +163,7 @@ class Prefetcher:
         rows, rpc_time, delta = self.rpc.remote_pull(selected, owners)
 
         self.buffer = PrefetchBuffer(selected, rows)
-        self.eviction_scores = EvictionScores(capacity, self.config.initial_eviction_score)
+        self.eviction_scores = EvictionScores(capacity)
         self.access_scores = make_access_scoreboard(
             self.config.scoreboard, self.num_global_nodes, halo
         )
@@ -294,10 +294,6 @@ class Prefetcher:
         self._require_initialized()
         return int(self.access_scores.nbytes() + self.eviction_scores.nbytes())
 
-    def resident_nodes(self) -> np.ndarray:
-        self._require_initialized()
-        return self.buffer.node_ids
-
     def summary(self) -> Dict[str, float]:
         self._require_initialized()
         out = {
@@ -386,9 +382,9 @@ class Prefetcher:
         self.buffer.replace(evict_slots, replacement_ids, replacement_rows)
         # Swap scores (Section IV-B): the evicted nodes' S_A becomes their last
         # S_E; the replacements' S_E becomes their last S_A (clamped to at least
-        # the initial value so fresh slots are not immediately evicted again).
+        # the initial S_E of 1 so fresh slots are not immediately evicted again).
         self.access_scores.set(evicted_ids, evicted_se)
-        new_se = np.maximum(replacement_sa, self.config.initial_eviction_score)
+        new_se = np.maximum(replacement_sa, 1.0)
         self.eviction_scores.set(evict_slots, new_se)
         self.access_scores.set(replacement_ids, np.full(len(replacement_ids), -1.0))
         self._last_hit_step[evict_slots] = step

@@ -25,8 +25,15 @@ import numpy as np
 from repro.utils.validation import check_1d_int_array, check_positive
 
 
+def _not_halo(global_ids: np.ndarray) -> KeyError:
+    return KeyError(f"nodes {global_ids[:5].tolist()} are not halo nodes of this partition")
+
+
 class AccessScoreboard:
-    """Interface for the S_A scoreboard."""
+    """Interface for the S_A scoreboard.
+
+    An empty query returns empty; a non-halo id raises ``KeyError`` naming it.
+    """
 
     def increment(self, global_ids: np.ndarray) -> None:
         raise NotImplementedError
@@ -61,17 +68,23 @@ class DenseAccessScoreboard(AccessScoreboard):
         self._scores[self._halo] = 0.0
         self._halo_degrees: Optional[np.ndarray] = None
 
-    def increment(self, global_ids: np.ndarray) -> None:
+    def _checked(self, global_ids: np.ndarray) -> np.ndarray:
+        """*global_ids* as int64; ``KeyError`` naming any that is not a halo node."""
         global_ids = check_1d_int_array(global_ids, "global_ids", max_value=len(self._scores))
-        np.add.at(self._scores, global_ids, 1.0)
+        # Non-halo entries are NaN by construction, so NaN marks a foreign id.
+        foreign = np.isnan(self._scores[global_ids])
+        if foreign.any():
+            raise _not_halo(global_ids[foreign])
+        return global_ids
+
+    def increment(self, global_ids: np.ndarray) -> None:
+        np.add.at(self._scores, self._checked(global_ids), 1.0)
 
     def get(self, global_ids: np.ndarray) -> np.ndarray:
-        global_ids = check_1d_int_array(global_ids, "global_ids", max_value=len(self._scores))
-        return self._scores[global_ids].copy()
+        return self._scores[self._checked(global_ids)]
 
     def set(self, global_ids: np.ndarray, values: np.ndarray) -> None:
-        global_ids = check_1d_int_array(global_ids, "global_ids", max_value=len(self._scores))
-        self._scores[global_ids] = np.asarray(values, dtype=np.float64)
+        self._scores[self._checked(global_ids)] = np.asarray(values, dtype=np.float64)
 
     def top_candidates(
         self, k: int, exclude: Optional[np.ndarray] = None, degrees: Optional[np.ndarray] = None
@@ -111,20 +124,20 @@ class CompactAccessScoreboard(AccessScoreboard):
 
     def _index(self, global_ids: np.ndarray) -> np.ndarray:
         global_ids = check_1d_int_array(global_ids, "global_ids")
-        idx = np.searchsorted(self._halo, global_ids)
+        idx = np.minimum(np.searchsorted(self._halo, global_ids), len(self._halo) - 1)
         if len(self._halo) == 0:
-            raise KeyError("scoreboard has no halo nodes")
-        idx_clamped = np.minimum(idx, len(self._halo) - 1)
-        if np.any(self._halo[idx_clamped] != global_ids):
-            missing = global_ids[self._halo[idx_clamped] != global_ids][:5]
-            raise KeyError(f"nodes {missing.tolist()} are not halo nodes of this partition")
-        return idx_clamped
+            foreign = np.ones(len(global_ids), dtype=bool)
+        else:
+            foreign = self._halo[idx] != global_ids
+        if foreign.any():
+            raise _not_halo(global_ids[foreign])
+        return idx
 
     def increment(self, global_ids: np.ndarray) -> None:
         np.add.at(self._scores, self._index(global_ids), 1.0)
 
     def get(self, global_ids: np.ndarray) -> np.ndarray:
-        return self._scores[self._index(global_ids)].copy()
+        return self._scores[self._index(global_ids)]
 
     def set(self, global_ids: np.ndarray, values: np.ndarray) -> None:
         self._scores[self._index(global_ids)] = np.asarray(values, dtype=np.float64)
@@ -136,10 +149,6 @@ class CompactAccessScoreboard(AccessScoreboard):
             return np.zeros(0, dtype=np.int64)
         mask = np.ones(len(self._halo), dtype=bool)
         if exclude is not None and len(exclude):
-            idx = np.searchsorted(self._halo, exclude)
-            idx = idx[(idx < len(self._halo))]
-            idx = idx[self._halo[idx] == np.asarray(exclude)[: len(idx)]] if len(idx) == len(exclude) else idx
-            # Robust exclusion: recompute membership mask explicitly.
             mask = ~np.isin(self._halo, exclude, assume_unique=False)
         candidates = self._halo[mask]
         scores = self._scores[mask]
@@ -159,11 +168,10 @@ class CompactAccessScoreboard(AccessScoreboard):
 class EvictionScores:
     """Per-buffer-slot eviction scores S_E with multiplicative decay."""
 
-    def __init__(self, capacity: int, initial_value: float = 1.0):
+    def __init__(self, capacity: int):
         if capacity < 0:
             raise ValueError("capacity must be non-negative")
-        self._scores = np.full(capacity, float(initial_value), dtype=np.float64)
-        self._initial = float(initial_value)
+        self._scores = np.ones(capacity, dtype=np.float64)
 
     @property
     def values(self) -> np.ndarray:
@@ -185,9 +193,6 @@ class EvictionScores:
 
     def set(self, slots: np.ndarray, values: np.ndarray) -> None:
         self._scores[np.asarray(slots, dtype=np.int64)] = np.asarray(values, dtype=np.float64)
-
-    def reset(self, slots: np.ndarray, value: Optional[float] = None) -> None:
-        self._scores[np.asarray(slots, dtype=np.int64)] = self._initial if value is None else value
 
     def nbytes(self) -> int:
         return int(self._scores.nbytes)

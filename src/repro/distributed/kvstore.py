@@ -60,10 +60,6 @@ class KVStore:
 
     # ------------------------------------------------------------------ #
     @property
-    def num_rows(self) -> int:
-        return int(len(self._ids))
-
-    @property
     def feature_dim(self) -> int:
         return int(self._rows.shape[1])
 

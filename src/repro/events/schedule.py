@@ -76,14 +76,18 @@ class ScheduleSpec:
         raise NotImplementedError
 
 
+#: Lifetime steps of failure plan drawn per trainer.
+FAILURE_HORIZON_STEPS = 512
+
+
 @dataclass(frozen=True)
 class FailureSpec(ScheduleSpec):
     """Parameters of the seeded transient-failure process (per trainer).
 
     ``rate`` is the per-step failure probability; ``min_downtime_steps`` /
     ``max_downtime_steps`` bound the outage length in multiples of the failing
-    step's critical-path time; ``horizon_steps`` is how many lifetime steps of
-    schedule are drawn per trainer (steps beyond the horizon never fail).
+    step's critical-path time.  The schedule covers each trainer's first
+    ``FAILURE_HORIZON_STEPS`` lifetime steps; later steps never fail.
     """
 
     kind = "failures"
@@ -91,7 +95,6 @@ class FailureSpec(ScheduleSpec):
     rate: float = 0.05
     min_downtime_steps: float = 3.0
     max_downtime_steps: float = 10.0
-    horizon_steps: int = 512
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.rate <= 1.0:
@@ -100,7 +103,6 @@ class FailureSpec(ScheduleSpec):
         check_positive(self.max_downtime_steps, "max_downtime_steps")
         if self.max_downtime_steps < self.min_downtime_steps:
             raise ValueError("max_downtime_steps must be >= min_downtime_steps")
-        check_positive(self.horizon_steps, "horizon_steps")
 
     def describe(self) -> str:
         return f"failures(rate={self.rate:g})"
@@ -124,9 +126,9 @@ class FailureSchedule:
         self._plan: Dict[int, Dict[int, float]] = {}
         for rank in range(self.world_size):
             rng = np.random.default_rng(derive_seed(seed, 761, rank))
-            fails = rng.random(spec.horizon_steps) < spec.rate
+            fails = rng.random(FAILURE_HORIZON_STEPS) < spec.rate
             factors = rng.uniform(
-                spec.min_downtime_steps, spec.max_downtime_steps, spec.horizon_steps
+                spec.min_downtime_steps, spec.max_downtime_steps, FAILURE_HORIZON_STEPS
             )
             self._plan[rank] = {
                 int(step): float(factors[step]) for step in np.nonzero(fails)[0]
@@ -136,16 +138,13 @@ class FailureSchedule:
         """Downtime multiple if *rank* fails after lifetime *step*, else ``None``."""
         return self._plan.get(rank, {}).get(step)
 
-    def total_planned_failures(self) -> int:
-        return sum(len(plan) for plan in self._plan.values())
-
 
 @dataclass(frozen=True)
 class CongestionSpec(ScheduleSpec):
     """A periodic square-wave congestion profile on the RPC fabric.
 
     For simulated time *t*, the link is congested when
-    ``((t + phase_s) mod period_s) < duty * period_s``; while congested,
+    ``(t mod period_s) < duty * period_s``; while congested,
     RPC latency is multiplied by ``latency_multiplier`` and bandwidth divided
     by ``bandwidth_divisor``.  Defaults are sized for smoke-scale runs (step
     times in the 0.1–1 ms range), giving several bursts per epoch.
@@ -157,7 +156,6 @@ class CongestionSpec(ScheduleSpec):
     duty: float = 0.5
     latency_multiplier: float = 10.0
     bandwidth_divisor: float = 4.0
-    phase_s: float = 0.0
 
     def __post_init__(self) -> None:
         check_positive(self.period_s, "period_s")
@@ -169,7 +167,7 @@ class CongestionSpec(ScheduleSpec):
             raise ValueError("bandwidth_divisor must be >= 1")
 
     def congested_at(self, time_s: float) -> bool:
-        return ((time_s + self.phase_s) % self.period_s) < self.duty * self.period_s
+        return (time_s % self.period_s) < self.duty * self.period_s
 
     def factors_at(self, time_s: float) -> Tuple[float, float]:
         """``(latency_multiplier, bandwidth_divisor)`` in effect at *time_s*."""
@@ -194,8 +192,7 @@ class ElasticSpec(ScheduleSpec):
 
     ``initially_inactive`` ranks exist in the cluster topology but hold no
     seeds and run no steps until they join.  ``joins`` / ``leaves`` are
-    ``(rank, time_s)`` pairs in simulated seconds; an optional uniform
-    ``jitter_s`` perturbs each instant deterministically (salted per event).
+    ``(rank, time_s)`` pairs in simulated seconds.
     ``cache_policy`` picks what happens to a migrated partition's shared
     cache tier: ``"invalidate"`` drops it cold on the new owner,
     ``"warm"`` ships the cached rows along (charging their bytes too).
@@ -211,7 +208,6 @@ class ElasticSpec(ScheduleSpec):
     initially_inactive: Tuple[int, ...] = ()
     joins: Tuple[Tuple[int, float], ...] = ()
     leaves: Tuple[Tuple[int, float], ...] = ()
-    jitter_s: float = 0.0
     cache_policy: str = "invalidate"
 
     def __post_init__(self) -> None:
@@ -221,7 +217,6 @@ class ElasticSpec(ScheduleSpec):
         object.__setattr__(self, "initially_inactive", held)
         object.__setattr__(self, "joins", joins)
         object.__setattr__(self, "leaves", leaves)
-        object.__setattr__(self, "jitter_s", float(self.jitter_s))
         if len(set(held)) != len(held):
             raise ValueError(f"duplicate ranks in initially_inactive: {held!r}")
         for rank in held:
@@ -233,8 +228,6 @@ class ElasticSpec(ScheduleSpec):
                     raise ValueError(f"{label} ranks must be >= 0, got {rank}")
                 if time_s < 0.0:
                     raise ValueError(f"{label} times must be >= 0, got {time_s!r}")
-        if self.jitter_s < 0.0:
-            raise ValueError(f"jitter_s must be >= 0, got {self.jitter_s!r}")
         if self.cache_policy not in _CACHE_POLICIES:
             raise ValueError(
                 f"cache_policy must be one of {_CACHE_POLICIES}, "
@@ -253,23 +246,21 @@ class ElasticSpec(ScheduleSpec):
         )
 
     def materialize(self, world_size: int, seed: int) -> "ElasticSchedule":
-        return ElasticSchedule(self, world_size, seed)
+        return ElasticSchedule(self, world_size)
 
 
 class ElasticSchedule:
-    """The materialized membership timeline: jittered, sorted, validated.
+    """The materialized membership timeline: sorted and validated.
 
     ``events`` is a list of ``(time_s, kind, rank)`` with kind ``"join"`` or
     ``"leave"``, sorted by ``(time_s, rank, kind)``; ``initially_inactive``
-    is the frozen set of ranks held out at construction.  Jitter draws come
-    from one child RNG (salt 883) in spec order — joins first, then leaves —
-    so the timeline is a pure function of ``(spec, seed)``.
+    is the frozen set of ranks held out at construction.  The timeline is a
+    pure function of the spec and the world size.
     """
 
-    def __init__(self, spec: ElasticSpec, world_size: int, seed: int):
+    def __init__(self, spec: ElasticSpec, world_size: int):
         self.spec = spec
         self.world_size = int(world_size)
-        self.seed = int(seed)
         for rank in spec.initially_inactive:
             if rank >= self.world_size:
                 raise ValueError(
@@ -278,7 +269,6 @@ class ElasticSchedule:
                 )
         if len(set(spec.initially_inactive)) >= self.world_size:
             raise ValueError("at least one rank must start active")
-        rng = np.random.default_rng(derive_seed(seed, 883))
         events: List[Tuple[float, str, int]] = []
         for label, pairs in (("join", spec.joins), ("leave", spec.leaves)):
             for rank, time_s in pairs:
@@ -287,8 +277,7 @@ class ElasticSchedule:
                         f"{label} rank {rank} out of range for "
                         f"world size {self.world_size}"
                     )
-                jitter = float(rng.uniform(0.0, spec.jitter_s)) if spec.jitter_s else 0.0
-                events.append((time_s + jitter, label, rank))
+                events.append((time_s, label, rank))
         events.sort(key=lambda ev: (ev[0], ev[2], ev[1]))
         self.initially_inactive = frozenset(spec.initially_inactive)
         self.events = events
@@ -316,9 +305,6 @@ class ElasticSchedule:
                         "which is already inactive"
                     )
                 active.discard(rank)
-
-    def total_events(self) -> int:
-        return len(self.events)
 
 
 #: Registry of schedule-spec kinds, in catalog display order.

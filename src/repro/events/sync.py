@@ -361,8 +361,8 @@ class LocalSGDPolicy(SyncPolicy):
     exchange at all); at a sync point every still-active trainer stops, one
     allreduce is charged, replicas (including those of already-exhausted
     trainers) are averaged, and everyone restarts from the consensus
-    parameters.  :meth:`on_run_end` performs a final average so the engine's
-    ``final_model`` is the consensus model.
+    parameters.  :meth:`on_run_end` performs a final average so the run's
+    model is the consensus model.
     """
 
     name = "local-sgd"

@@ -311,8 +311,6 @@ class TieredCacheSource:
                     shared_tier,
                     total_budget=self.capacity,
                     shared_contribution=shared_contribution,
-                    min_tier_fraction=self.cache_config.min_tier_fraction,
-                    max_shift_fraction=self.cache_config.max_shift_fraction,
                 )
         self.stack = TieredFeatureCache(tiers, self._fetch_missing, feature_dim)
 

@@ -131,36 +131,14 @@ class CSRGraph:
         nodes = check_1d_int_array(nodes, "nodes", max_value=self.num_nodes)
         return degs[nodes]
 
-    def in_degree(self) -> np.ndarray:
-        """In-degree of every node (computed on demand)."""
-        return np.bincount(self.indices, minlength=self.num_nodes).astype(np.int64)
-
     def degree(self, nodes: Optional[np.ndarray] = None) -> np.ndarray:
         """Alias of :meth:`out_degree`; symmetric graphs use it as total degree."""
         return self.out_degree(nodes)
-
-    def neighbors(self, node: int) -> np.ndarray:
-        """Out-neighbors of a single node (a view into ``indices``)."""
-        if node < 0 or node >= self.num_nodes:
-            raise IndexError(f"node {node} out of range [0, {self.num_nodes})")
-        return self.indices[self.indptr[node]: self.indptr[node + 1]]
 
     def edges(self) -> Tuple[np.ndarray, np.ndarray]:
         """Return ``(src, dst)`` edge arrays."""
         src = np.repeat(np.arange(self.num_nodes, dtype=np.int64), np.diff(self.indptr))
         return src, self.indices.copy()
-
-    def has_edge(self, u: int, v: int) -> bool:
-        """True if the directed edge ``u -> v`` exists."""
-        neigh = self.neighbors(u)
-        idx = np.searchsorted(neigh, v)
-        return bool(idx < len(neigh) and neigh[idx] == v)
-
-    def is_symmetric(self) -> bool:
-        """True if for every edge ``u -> v`` the reverse edge exists."""
-        src, dst = self.edges()
-        fwd = set(zip(src.tolist(), dst.tolist()))
-        return all((v, u) in fwd for (u, v) in fwd)
 
     def nbytes(self) -> int:
         """Memory footprint of the CSR arrays in bytes."""
@@ -194,27 +172,6 @@ class CSRGraph:
             mask[src[keep]], mask[dst[keep]], num_nodes=len(nodes), deduplicate=False
         )
         return sub, nodes.copy()
-
-    def connected_components(self) -> np.ndarray:
-        """Weakly connected component label per node (union-find)."""
-        parent = np.arange(self.num_nodes, dtype=np.int64)
-
-        def find(x: int) -> int:
-            root = x
-            while parent[root] != root:
-                root = parent[root]
-            while parent[x] != root:
-                parent[x], x = root, parent[x]
-            return root
-
-        src, dst = self.edges()
-        for u, v in zip(src.tolist(), dst.tolist()):
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-        labels = np.array([find(i) for i in range(self.num_nodes)], dtype=np.int64)
-        _, relabeled = np.unique(labels, return_inverse=True)
-        return relabeled.astype(np.int64)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"CSRGraph(num_nodes={self.num_nodes}, num_edges={self.num_edges})"

@@ -76,18 +76,11 @@ class GraphDataset:
     def feature_dim(self) -> int:
         return int(self.features.shape[1])
 
-    def train_nids(self) -> np.ndarray:
-        """Global ids of training nodes."""
-        return np.nonzero(self.train_mask)[0].astype(np.int64)
-
     def val_nids(self) -> np.ndarray:
         return np.nonzero(self.val_mask)[0].astype(np.int64)
 
     def test_nids(self) -> np.ndarray:
         return np.nonzero(self.test_mask)[0].astype(np.int64)
-
-    def feature_nbytes(self) -> int:
-        return int(self.features.nbytes)
 
     def summary(self) -> Dict[str, float]:
         """Table-II style statistics."""

@@ -34,6 +34,9 @@ from repro.nn.tensor_utils import (
 from repro.sampling.block import Block, MiniBatch
 from repro.utils.rng import SeedLike, derive_seed
 
+# LeakyReLU slope of the attention scores (the GAT paper's value).
+NEGATIVE_SLOPE = 0.2
+
 
 class GATLayer(Module):
     """One multi-head graph attention layer."""
@@ -44,7 +47,6 @@ class GATLayer(Module):
         out_dim: int,
         num_heads: int = 2,
         *,
-        negative_slope: float = 0.2,
         combine: str = "concat",
         activation: str = "relu",
         seed: SeedLike = None,
@@ -56,7 +58,6 @@ class GATLayer(Module):
         self.in_dim = int(in_dim)
         self.out_dim = int(out_dim)
         self.num_heads = int(num_heads)
-        self.negative_slope = float(negative_slope)
         self.combine = combine
         self.activation = activation
         self.weight = Parameter(
@@ -87,7 +88,7 @@ class GATLayer(Module):
         er = (z_dst * self.attn_r.value[None]).sum(axis=2)            # (num_dst, H)
         score_pre = el[block.edge_src] + er[block.edge_dst]           # (num_edges, H)
         by_dst = (block.edge_dst, block.num_dst, block.dst_indptr)
-        score = leaky_relu(score_pre, self.negative_slope)
+        score = leaky_relu(score_pre, NEGATIVE_SLOPE)
         alpha = segment_softmax(score, *by_dst)                       # (num_edges, H)
 
         messages = alpha[:, :, None] * z_src[block.edge_src]          # (num_edges, H, D)
@@ -135,7 +136,7 @@ class GATLayer(Module):
         grad_alpha = (grad_messages * z_src_e).sum(axis=2)            # (num_edges, H)
         by_dst = (block.edge_dst, block.num_dst, block.dst_indptr)
         grad_score = segment_softmax_backward(grad_alpha, alpha, *by_dst)
-        grad_score_pre = leaky_relu_backward(grad_score, cache["score_pre"], self.negative_slope)
+        grad_score_pre = leaky_relu_backward(grad_score, cache["score_pre"], NEGATIVE_SLOPE)
         grad_er = segment_sum(grad_score_pre, *by_dst)
 
         # Both source-side sums in one reduce, so edge_src is sorted once: (num_src, H, D + 1).
@@ -214,9 +215,6 @@ class GAT(Module):
         grad = grad_logits
         for layer in reversed(self.layers):
             grad = layer.backward(grad, input_grad=layer is not self.layers[0])
-
-    def predict(self, blocks: Sequence[Block], features: np.ndarray) -> np.ndarray:
-        return np.argmax(self.forward(blocks, features), axis=1)
 
     def flops(self, minibatch: MiniBatch) -> float:
         return float(sum(layer.flops(block) for layer, block in zip(self.layers, minibatch.blocks)))

@@ -152,10 +152,6 @@ class GraphSAGE(Module):
         for layer in reversed(self.layers):
             grad = layer.backward(grad, input_grad=layer is not self.layers[0])
 
-    def predict(self, blocks: Sequence[Block], features: np.ndarray) -> np.ndarray:
-        """Class predictions for the seed nodes (argmax of logits)."""
-        return np.argmax(self.forward(blocks, features), axis=1)
-
     def flops(self, minibatch: MiniBatch) -> float:
         """Estimated FLOPs to train on *minibatch* (drives simulated t_DDP)."""
         return float(sum(layer.flops(block) for layer, block in zip(self.layers, minibatch.blocks)))

@@ -120,10 +120,6 @@ class LookaheadQueue:
         self.stats.total_stall += stall
         return entry.payload, stall
 
-    def peek_ready_at(self) -> Optional[float]:
-        """Ready timestamp of the head entry (None when empty)."""
-        return self._queue[0].ready_at if self._queue else None
-
 
 # --------------------------------------------------------------------------- #
 # Analytical and simulated steady-state behaviour

@@ -111,10 +111,6 @@ class Block:
     def num_edges(self) -> int:
         return int(len(self.edge_src))
 
-    def in_degrees(self) -> np.ndarray:
-        """Number of incoming (message) edges per dst node."""
-        return np.diff(self.dst_indptr)
-
 
 @dataclass
 class MiniBatch:

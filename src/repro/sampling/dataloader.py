@@ -117,7 +117,3 @@ class DistDataLoader:
         """Reset the step and drift-epoch counters (between independent runs)."""
         self._step = 0
         self.seed_iterator.reset()
-
-    @property
-    def steps_taken(self) -> int:
-        return self._step

@@ -38,17 +38,6 @@ class SeedPartitioner:
             raise IndexError(f"trainer_rank {trainer_rank} out of range")
         return self._splits[trainer_rank]
 
-    def assigned_seeds(self) -> np.ndarray:
-        """All assigned seeds across trainers, sorted.
-
-        By construction this equals the sorted input seed set — every training
-        node lands on exactly one trainer.  The cluster property tests assert
-        the invariant for arbitrary ``(seeds, num_trainers)`` combinations.
-        """
-        if not self._splits:
-            return np.zeros(0, dtype=np.int64)
-        return np.sort(np.concatenate(self._splits))
-
 
 class SeedIterator:
     """Iterate over shuffled seed batches for one trainer, epoch by epoch.

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 from repro.cache.config import CacheConfig
 from repro.core.config import PrefetchConfig
 from repro.distributed.cluster import ClusterConfig, SimCluster
-from repro.distributed.cost_model import CostModel
 from repro.events.schedule import CongestionSpec, ElasticSpec, FailureSpec
 from repro.graph.datasets import GraphDataset, load_dataset
 from repro.scenarios.knobs import apply_overrides
@@ -27,8 +26,7 @@ class ClusterScenario:
     """A named, fully specified cluster workload (topology + data path).
 
     ``compute_multipliers`` and ``partition_method`` are the two levers the
-    shipped scenarios pull; ``cost_model_scaling`` applies multiplicative
-    overrides to the backend's preset cost model (e.g. a slower network).
+    shipped scenarios pull; the cost model is the ``backend``'s preset.
     ``paper_note`` maps the scenario onto the paper's deployment table for the
     README/CLI listings.
     """
@@ -44,7 +42,6 @@ class ClusterScenario:
     partition_method: str = "metis"
     backend: str = "cpu"
     compute_multipliers: Optional[Tuple[float, ...]] = None
-    cost_model_scaling: Dict[str, float] = field(default_factory=dict)
     pipeline: str = "prefetch"
     prefetch_config: Optional[PrefetchConfig] = None
     epochs: int = 3
@@ -129,12 +126,6 @@ class ClusterScenario:
             congestion=self.congestion,
         )
 
-    def cost_model(self) -> CostModel:
-        model = CostModel.preset(self.backend)
-        if self.cost_model_scaling:
-            model = model.scaled(**self.cost_model_scaling)
-        return model
-
     def materialize(
         self,
         seed: int = 0,
@@ -144,7 +135,7 @@ class ClusterScenario:
         """Build the dataset, cluster, and engine for this scenario."""
         if dataset is None:
             dataset = load_dataset(self.dataset, scale=self.scale, seed=seed)
-        cluster = SimCluster(dataset, self.cluster_config(seed), cost_model=self.cost_model())
+        cluster = SimCluster(dataset, self.cluster_config(seed))
         if train_config is None:
             train_config = TrainConfig(epochs=self.epochs, hidden_dim=32, seed=seed)
         engine = build_engine(

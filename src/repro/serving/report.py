@@ -22,7 +22,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.training.telemetry import percentile_summary
+from repro.training.telemetry import mean_hit_rate, mean_tier_hit_rates, percentile_summary
 
 #: latency components, in request-lifecycle order.
 COMPONENTS = ("queue_wait", "sample", "fetch", "compute")
@@ -47,10 +47,6 @@ class RequestRecord:
     @property
     def queue_wait_s(self) -> float:
         return self.start_s - self.arrival_s
-
-    @property
-    def service_s(self) -> float:
-        return self.sample_s + self.fetch_s + self.compute_s
 
     @property
     def latency_s(self) -> float:
@@ -164,20 +160,11 @@ class ServingReport:
 
     @property
     def mean_hit_rate(self) -> Optional[float]:
-        rates = [w.hit_rate for w in self.worker_stats if w.hit_rate is not None]
-        return float(np.mean(rates)) if rates else None
+        return mean_hit_rate(self.worker_stats)
 
     def mean_tier_hit_rates(self) -> Dict[str, float]:
         """Mean per-tier hit rate across workers (same keys as ClusterReport)."""
-        sums: Dict[str, float] = {}
-        counts: Dict[str, int] = {}
-        for w in self.worker_stats:
-            for key, value in w.cache_stats.items():
-                if key.endswith(".hit_rate"):
-                    prefix = key[: -len(".hit_rate")]
-                    sums[prefix] = sums.get(prefix, 0.0) + float(value)
-                    counts[prefix] = counts.get(prefix, 0) + 1
-        return {k: sums[k] / counts[k] for k in sums}
+        return mean_tier_hit_rates(self.worker_stats)
 
     @property
     def mean_utilization(self) -> float:

@@ -147,19 +147,9 @@ class AsyncClusterEngine:
         driver.execute()
         if self.record_events:
             self.event_history = list(driver.loop.history)
-        self._final_model = run.setup.model
         return run.finish(
             self.scenario, driver.sync_extras, engine="async", sync=policy.describe()
         )
-
-    # ------------------------------------------------------------------ #
-    @property
-    def final_model(self):
-        """The trained model from the most recent run."""
-        model = getattr(self, "_final_model", None)
-        if model is None:
-            raise RuntimeError("no cluster run has completed yet")
-        return model
 
 
 class _EventDrivenRun:

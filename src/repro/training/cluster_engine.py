@@ -57,6 +57,8 @@ from repro.training.pipelines import PIPELINES, build_pipeline
 from repro.training.telemetry import (
     ComponentAccumulator,
     TrainingReport,
+    mean_hit_rate,
+    mean_tier_hit_rates,
     percentile_summary,
 )
 from repro.utils.rng import derive_seed
@@ -157,24 +159,11 @@ class ClusterReport:
 
     @property
     def mean_hit_rate(self) -> Optional[float]:
-        rates = [t.hit_rate for t in self.trainer_stats if t.hit_rate is not None]
-        return float(np.mean(rates)) if rates else None
+        return mean_hit_rate(self.trainer_stats)
 
     def mean_tier_hit_rates(self) -> Dict[str, float]:
-        """Mean per-tier hit rate across trainers that report the tier.
-
-        Keys are the ``{role}.tier.{tier}`` prefixes of the trainers'
-        ``cache_stats``; empty for tier-less runs.
-        """
-        sums: Dict[str, float] = {}
-        counts: Dict[str, int] = {}
-        for t in self.trainer_stats:
-            for key, value in t.cache_stats.items():
-                if key.endswith(".hit_rate"):
-                    prefix = key[: -len(".hit_rate")]
-                    sums[prefix] = sums.get(prefix, 0.0) + float(value)
-                    counts[prefix] = counts.get(prefix, 0) + 1
-        return {k: sums[k] / counts[k] for k in sums}
+        """Mean per-tier hit rate across trainers that report the tier."""
+        return mean_tier_hit_rates(self.trainer_stats)
 
     @property
     def total_tier_evictions(self) -> int:
@@ -203,13 +192,6 @@ class ClusterReport:
     @property
     def total_rpc_requests(self) -> int:
         return int(sum(t.rpc_stats.get("requests", 0.0) for t in self.trainer_stats))
-
-    def machine_times(self) -> Dict[int, float]:
-        """Per-machine simulated time (max over the machine's trainers)."""
-        out: Dict[int, float] = {}
-        for t in self.trainer_stats:
-            out[t.machine] = max(out.get(t.machine, 0.0), t.simulated_time_s)
-        return out
 
     def busy_time_percentiles(self) -> Dict[str, float]:
         """Spread of per-trainer busy time (p50/p95/p99/mean/max seconds).
@@ -474,15 +456,4 @@ class ClusterEngine:
                 run.apply_update(averaged)
                 rounds += 1
             run.finish_epoch()
-        self._final_model = run.setup.model
         return run.finish(self.scenario)
-
-    # ------------------------------------------------------------------ #
-    @property
-    def final_model(self):
-        """The trained model from the most recent run."""
-        model = getattr(self, "_final_model", None)
-        if model is None:
-            raise RuntimeError("no cluster run has completed yet")
-        return model
-

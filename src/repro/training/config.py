@@ -22,7 +22,6 @@ class TrainConfig:
     weight_decay: float = 0.0
     seed: int = 0
     evaluate: bool = False        # run sampled validation/test accuracy at the end
-    eval_batch_size: int = 512
     max_steps_per_epoch: Optional[int] = None  # cap steps for quick tests/benchmarks
 
     def __post_init__(self) -> None:
@@ -31,7 +30,6 @@ class TrainConfig:
         check_positive(self.num_layers, "num_layers")
         check_positive(self.num_heads, "num_heads")
         check_positive(self.learning_rate, "learning_rate")
-        check_positive(self.eval_batch_size, "eval_batch_size")
         if self.arch not in ("sage", "graphsage", "gat"):
             raise ValueError(f"arch must be 'sage' or 'gat', got {self.arch!r}")
         if self.optimizer not in ("sgd", "adam"):

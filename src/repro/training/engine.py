@@ -191,7 +191,6 @@ def assemble_training_report(
             dataset,
             dataset.val_nids(),
             fanouts=cluster.config.fanouts,
-            batch_size=config.eval_batch_size,
             seed=derive_seed(config.seed, 997),
         )
         report.test_accuracy = evaluate_accuracy(
@@ -199,7 +198,6 @@ def assemble_training_report(
             dataset,
             dataset.test_nids(),
             fanouts=cluster.config.fanouts,
-            batch_size=config.eval_batch_size,
             seed=derive_seed(config.seed, 998),
         )
     report.extras["model_num_parameters"] = float(num_params)

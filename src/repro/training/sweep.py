@@ -58,13 +58,6 @@ class SweepResult:
             return max(self.points, key=lambda p: p.hit_rate)
         raise ValueError(f"unknown criterion {by!r}")
 
-    def as_rows(self) -> List[List[object]]:
-        """Rows for the benchmark tables: (f_h, γ, Δ, time, hit rate, improvement %)."""
-        return [
-            [p.halo_fraction, p.gamma, p.delta, p.total_time_s, p.hit_rate, p.improvement_percent]
-            for p in self.points
-        ]
-
 
 def run_parameter_sweep(
     scenario: "ClusterScenario",

@@ -48,6 +48,31 @@ def percentile_summary(
     return out
 
 
+def mean_hit_rate(stats) -> Optional[float]:
+    """Mean ``hit_rate`` over the per-trainer (or per-worker) *stats* that report one."""
+    rates = [s.hit_rate for s in stats if s.hit_rate is not None]
+    return float(np.mean(rates)) if rates else None
+
+
+def mean_tier_hit_rates(stats) -> Dict[str, float]:
+    """Mean per-tier hit rate over the *stats* that report the tier.
+
+    Keys are the ``{role}.tier.{tier}`` prefixes of each entry's
+    ``cache_stats``; empty for tier-less runs.  Shared by
+    :class:`~repro.training.cluster_engine.ClusterReport` and
+    :class:`~repro.serving.report.ServingReport`.
+    """
+    sums: Dict[str, float] = {}
+    counts: Dict[str, int] = {}
+    for s in stats:
+        for key, value in s.cache_stats.items():
+            if key.endswith(".hit_rate"):
+                prefix = key[: -len(".hit_rate")]
+                sums[prefix] = sums.get(prefix, 0.0) + float(value)
+                counts[prefix] = counts.get(prefix, 0) + 1
+    return {k: sums[k] / counts[k] for k in sums}
+
+
 @dataclass
 class StepTiming:
     """Component times (seconds) of one minibatch step for one trainer."""
@@ -160,10 +185,6 @@ class TrainingReport:
         if self.hit_tracker is None:
             return 0.0
         return self.hit_tracker.cumulative_hit_rate
-
-    @property
-    def loss_history(self) -> List[float]:
-        return [r.loss for r in self.epoch_records]
 
     def epoch_times(self) -> np.ndarray:
         return np.array([r.simulated_time_s for r in self.epoch_records], dtype=np.float64)

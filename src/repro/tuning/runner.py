@@ -136,12 +136,6 @@ class TuneReport:
         best = self.best
         return best.score if best is not None else None
 
-    @property
-    def best_improvement_percent(self) -> Optional[float]:
-        """Signed gain of the winner over the scenario default, in percent."""
-        best = self.best
-        return best.improvement_percent if best is not None else None
-
     def as_dict(self) -> Dict[str, object]:
         """Canonical JSON form (ranked table plus full sweep provenance)."""
         return {

@@ -19,6 +19,7 @@ from repro.graph.datasets import GraphDataset, load_dataset
 from repro.graph.generators import planted_partition_graph
 from repro.graph.halo import build_partitions
 from repro.graph.partition import metis_partition
+from repro.training.backends import ClusterRun
 from repro.training.config import TrainConfig
 
 # Example budgets of the property tests that do not pin their own: "default"
@@ -114,6 +115,24 @@ def small_partitions(small_dataset):
 @pytest.fixture()
 def quick_train_config() -> TrainConfig:
     return TrainConfig(epochs=2, hidden_dim=32, learning_rate=5e-3, seed=0)
+
+
+@pytest.fixture()
+def trained_models(monkeypatch):
+    """The model of every cluster run finished during the test, in run order.
+
+    The engines return a report and keep no model, so a test that needs the
+    trained parameters takes them from ``ClusterRun.finish``.
+    """
+    models = []
+    finish = ClusterRun.finish
+
+    def keep_model(run, *args, **kwargs):
+        models.append(run.setup.model)
+        return finish(run, *args, **kwargs)
+
+    monkeypatch.setattr(ClusterRun, "finish", keep_model)
+    return models
 
 
 @pytest.fixture()

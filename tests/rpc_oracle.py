@@ -37,10 +37,11 @@ class OracleKVStore(KVStore):
         if len(global_ids) == 0:
             return np.zeros((0, self.feature_dim), dtype=np.float32)
         idx = np.searchsorted(self._ids, global_ids)
-        if np.any(idx >= self.num_rows) or np.any(self._ids[np.minimum(idx, self.num_rows - 1)] != global_ids):
+        num_rows = len(self._ids)
+        if np.any(idx >= num_rows) or np.any(self._ids[np.minimum(idx, num_rows - 1)] != global_ids):
             missing = global_ids[
-                (idx >= self.num_rows)
-                | (self._ids[np.minimum(idx, self.num_rows - 1)] != global_ids)
+                (idx >= num_rows)
+                | (self._ids[np.minimum(idx, num_rows - 1)] != global_ids)
             ][:5]
             raise KeyError(
                 f"KVStore for partition {self.part_id} does not own nodes {missing.tolist()}"

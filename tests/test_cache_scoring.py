@@ -20,7 +20,7 @@ from repro.cache import (
     ScoredAdmission,
     capture_decisions,
 )
-from repro.cache.scoring import SCORERS, active_decision_log, build_scorer
+from repro.cache.scoring import DECAY, SCORERS, active_decision_log, build_scorer
 
 DIM = 4
 
@@ -67,11 +67,10 @@ class TestScorerProperties:
             assert np.all(lower >= 0.0) and np.all(upper <= 1.0)
 
     def test_decayed_counts_converge_to_geometric_limit(self):
-        # Observing the same id once per step converges c <- c*decay + 1
-        # toward 1 / (1 - decay) from below, monotonically.
-        decay = 0.9
-        scorer = PrefetchScorer(decay=decay)
-        limit = 1.0 / (1.0 - decay)
+        # Observing the same id once per step converges c <- c*DECAY + 1
+        # toward 1 / (1 - DECAY) from below, monotonically.
+        scorer = PrefetchScorer()
+        limit = 1.0 / (1.0 - DECAY)
         previous = 0.0
         for step in range(200):
             scorer.observe(ids_of(7), step, np.array([True]))
@@ -81,10 +80,10 @@ class TestScorerProperties:
         assert count == pytest.approx(limit, rel=1e-3)
 
     def test_decayed_counts_decay_when_unseen(self):
-        scorer = PrefetchScorer(decay=0.5)
+        scorer = PrefetchScorer()
         scorer.observe(ids_of(3), 0, np.array([True]))
         assert float(scorer.decayed_count(ids_of(3), 0)[0]) == pytest.approx(1.0)
-        assert float(scorer.decayed_count(ids_of(3), 4)[0]) == pytest.approx(0.5 ** 4)
+        assert float(scorer.decayed_count(ids_of(3), 4)[0]) == pytest.approx(DECAY ** 4)
         # Unseen ids report zero.
         assert float(scorer.decayed_count(ids_of(99), 4)[0]) == 0.0
 
@@ -101,10 +100,6 @@ class TestScorerProperties:
         assert "decayed" in SCORERS
         assert "ucb" in SCORERS  # alias
         assert isinstance(build_scorer("default"), PrefetchScorer)
-        with pytest.raises(ValueError, match="decay"):
-            PrefetchScorer(decay=1.0)
-        with pytest.raises(ValueError, match="weights"):
-            PrefetchScorer(weights=(1.0, 1.0))
         with pytest.raises(ValueError, match="mode"):
             ScoredAdmission(mode="optimistic")
 
@@ -144,7 +139,7 @@ class TestReplayDeterminism:
             tier = CacheTier("hot", 8, DIM, admission="scored", eviction="scored",
                              degree_of=degree_mod7)
             run_workload(tier, server, seed=seed)
-        return [(i, r.as_tuple()) for i, r in log.all_records()]
+        return [(i, r.as_dict()) for i, r in log.all_records()]
 
     def test_same_seed_ledgers_are_bit_identical(self):
         assert self._ledger(5) == self._ledger(5)

@@ -409,21 +409,20 @@ class TestAdaptiveCapacityController:
         server = make_server()
         hot, shared = self._pair(10, 10)
         controller = AdaptiveCapacityController(
-            hot, shared, total_budget=20, shared_contribution=10,
-            min_tier_fraction=0.2, max_shift_fraction=0.1,
+            hot, shared, total_budget=20, shared_contribution=10
         )
         hot.seed(ids_of(*range(5)), server[:5])
         for step in range(4):
             hot.lookup(ids_of(0, 1), step)
             shared.lookup(ids_of(100,), step)
         controller.end_epoch(step=5)
-        assert abs(hot.capacity - 10) <= 2          # max_shift 10% of 20
+        assert hot.capacity == 15                   # max shift: 25% of 20
         for _ in range(50):
             hot.lookup(ids_of(0), 6)
             shared.lookup(ids_of(100,), 6)
             controller.end_epoch(step=6)
-        assert hot.capacity <= 16                   # floor: 20% of 20 stays shared
-        assert controller.shared_contribution >= 4
+        assert hot.capacity == 18                   # floor: 10% of 20 stays shared
+        assert controller.shared_contribution == 2
 
     def test_idle_interval_returns_none(self):
         hot, shared = self._pair(4, 4)
@@ -437,11 +436,3 @@ class TestAdaptiveCapacityController:
         hot, shared = self._pair(4, 4)
         with pytest.raises(ValueError):
             AdaptiveCapacityController(hot, shared, total_budget=-1, shared_contribution=0)
-        with pytest.raises(ValueError):
-            AdaptiveCapacityController(
-                hot, shared, 8, 4, min_tier_fraction=0.9
-            )
-        with pytest.raises(ValueError):
-            AdaptiveCapacityController(
-                hot, shared, 8, 4, max_shift_fraction=0.0
-            )

@@ -121,7 +121,7 @@ class TestDataLoaderRoundTrip:
         assert len(resumed) == len(remainder)
         for a, b in zip(resumed, remainder):
             np.testing.assert_array_equal(a, b)
-        assert loader_b.steps_taken == loader_a.steps_taken
+        assert loader_b.snapshot()["step"] == loader_a.snapshot()["step"]
 
 
 class TestClockRoundTrip:

@@ -44,8 +44,9 @@ class TestSimCluster:
             assert len(np.unique(allseeds)) == len(allseeds)
 
     def test_servers_cover_all_features(self, small_cluster, small_dataset):
-        total_rows = sum(s.num_rows for s in small_cluster.servers.values())
-        assert total_rows == small_dataset.num_nodes
+        every_node = np.arange(small_dataset.num_nodes)
+        owners = sum(s.contains(every_node).astype(int) for s in small_cluster.servers.values())
+        assert np.all(owners == 1)
 
     def test_summary_keys(self, small_cluster):
         summary = small_cluster.summary()

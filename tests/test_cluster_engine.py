@@ -126,16 +126,6 @@ class TestClusterTelemetry:
         assert len(dump["trainers"]) == 4
         assert len(dump["losses"]) == TRAIN["epochs"]
 
-    def test_machine_times(self, cluster_report):
-        times = cluster_report.machine_times()
-        assert sorted(times) == [0, 1]
-        for machine, t in times.items():
-            expected = max(
-                s.simulated_time_s for s in cluster_report.trainer_stats
-                if s.machine == machine
-            )
-            assert t == expected
-
 
 class TestHeterogeneousCluster:
     def test_straggler_machine_burns_more_ddp_time(self, small_dataset):

@@ -260,39 +260,10 @@ def test_the_test_only_scan_flags_what_it_should(tmp_path):
 # --------------------------------------------------------------------------- #
 # Test-only methods: public src/ methods whose name nothing outside tests/ reads
 # --------------------------------------------------------------------------- #
-# The public methods only tests used when this scan was added.  The list may
-# only shrink: a new test-only method fails, and so does an entry that gained a
-# use or was deleted (drop it from the list).
-TEST_ONLY_METHODS = frozenset({
-    "src/repro/cache/scoring.py:ScoreRecord.as_tuple",
-    "src/repro/core/buffer.py:PrefetchBuffer.get_features_by_id",
-    "src/repro/core/buffer.py:PrefetchBuffer.update_features",
-    "src/repro/core/metrics.py:HitRateTracker.per_step_hit_rate",
-    "src/repro/core/metrics.py:HitRateTracker.windowed_hit_rate",
-    "src/repro/core/prefetcher.py:Prefetcher.resident_nodes",
-    "src/repro/distributed/kvstore.py:KVStore.num_rows",
-    "src/repro/events/schedule.py:ElasticSchedule.total_events",
-    "src/repro/events/schedule.py:FailureSchedule.total_planned_failures",
-    "src/repro/graph/csr.py:CSRGraph.connected_components",
-    "src/repro/graph/csr.py:CSRGraph.has_edge",
-    "src/repro/graph/csr.py:CSRGraph.in_degree",
-    "src/repro/graph/csr.py:CSRGraph.is_symmetric",
-    "src/repro/graph/datasets.py:GraphDataset.feature_nbytes",
-    "src/repro/graph/datasets.py:GraphDataset.train_nids",
-    "src/repro/nn/gat.py:GAT.predict",
-    "src/repro/nn/graphsage.py:GraphSAGE.predict",
-    "src/repro/perf/lookahead.py:LookaheadQueue.peek_ready_at",
-    "src/repro/sampling/block.py:Block.in_degrees",
-    "src/repro/sampling/dataloader.py:DistDataLoader.steps_taken",
-    "src/repro/sampling/seeds.py:SeedPartitioner.assigned_seeds",
-    "src/repro/serving/report.py:RequestRecord.service_s",
-    "src/repro/training/async_engine.py:AsyncClusterEngine.final_model",
-    "src/repro/training/cluster_engine.py:ClusterEngine.final_model",
-    "src/repro/training/cluster_engine.py:ClusterReport.machine_times",
-    "src/repro/training/sweep.py:SweepResult.as_rows",
-    "src/repro/training/telemetry.py:TrainingReport.loss_history",
-    "src/repro/tuning/runner.py:TuneReport.best_improvement_percent",
-})
+# Public methods only tests use.  The list may only shrink and is empty: a new
+# test-only method fails, and so does an entry that gained a use or was
+# deleted (drop it from the list).
+TEST_ONLY_METHODS = frozenset()
 
 FUNCTION_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 

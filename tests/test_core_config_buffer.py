@@ -22,15 +22,11 @@ class TestPrefetchConfig:
         config = PrefetchConfig(gamma=0.95, delta=10)
         assert config.effective_alpha == pytest.approx(0.95 ** 10)
 
-    def test_explicit_alpha_overrides(self):
-        config = PrefetchConfig(gamma=0.95, delta=10, alpha=0.5)
-        assert config.effective_alpha == 0.5
-
     def test_buffer_capacity(self):
         config = PrefetchConfig(halo_fraction=0.25)
         assert config.buffer_capacity(1000) == 250
         assert config.buffer_capacity(0) == 0
-        assert config.buffer_capacity(2) == 1  # min_buffer_slots
+        assert config.buffer_capacity(2) == 1  # at least one slot
 
     def test_without_eviction(self):
         config = PrefetchConfig(halo_fraction=0.35).without_eviction()
@@ -47,7 +43,6 @@ class TestPrefetchConfig:
         {"gamma": 1.5},
         {"delta": 0},
         {"scoreboard": "tree"},
-        {"alpha": -1.0},
     ])
     def test_invalid_configs(self, bad):
         with pytest.raises(ValueError):
@@ -78,23 +73,14 @@ class TestPrefetchBuffer:
         hit_mask, slots = buf.lookup(np.array([3, 99, 25]))
         np.testing.assert_array_equal(hit_mask, [True, False, True])
         np.testing.assert_allclose(buf.get_features(slots[[0, 2]]), feats[[1, 2]])
+        # Every resident id sits in the slot it was constructed in.
+        hit_mask, slots = buf.lookup(ids)
+        assert hit_mask.all()
+        np.testing.assert_array_equal(slots, np.arange(4))
 
     def test_contains(self, buffer):
         buf, ids, _ = buffer
         np.testing.assert_array_equal(buf.contains(np.array([10, 11])), [True, False])
-
-    def test_get_features_by_id(self, buffer):
-        buf, ids, feats = buffer
-        np.testing.assert_allclose(buf.get_features_by_id(np.array([7])), feats[[3]])
-        with pytest.raises(KeyError):
-            buf.get_features_by_id(np.array([999]))
-
-    def test_slot_of(self, buffer):
-        buf, ids, feats = buffer
-        slots = buf.slot_of(ids)
-        np.testing.assert_array_equal(slots, np.arange(4))
-        with pytest.raises(KeyError):
-            buf.slot_of(np.array([999]))
 
     def test_replace_keeps_capacity(self, buffer):
         buf, ids, feats = buffer
@@ -102,7 +88,8 @@ class TestPrefetchBuffer:
         assert buf.capacity == 4
         assert buf.contains(np.array([100])).item()
         assert not buf.contains(np.array([10])).item()
-        np.testing.assert_allclose(buf.get_features_by_id(np.array([100])), 7.0)
+        _, slots = buf.lookup(np.array([100]))
+        np.testing.assert_allclose(buf.get_features(slots), 7.0)
 
     def test_replace_rejects_resident_ids(self, buffer):
         buf, ids, _ = buffer
@@ -128,11 +115,6 @@ class TestPrefetchBuffer:
             np.zeros((0, 4), dtype=np.float32),
         )
         np.testing.assert_array_equal(np.sort(buf.node_ids), np.sort(ids))
-
-    def test_update_features(self, buffer):
-        buf, ids, _ = buffer
-        buf.update_features(np.array([25]), np.full((1, 4), 5.0, dtype=np.float32))
-        np.testing.assert_allclose(buf.get_features_by_id(np.array([25])), 5.0)
 
     def test_duplicate_ids_rejected_at_construction(self):
         with pytest.raises(ValueError):

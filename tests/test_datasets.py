@@ -48,7 +48,6 @@ class TestLoadDataset:
 
     def test_nids_accessors(self, small_dataset):
         ds = small_dataset
-        assert len(ds.train_nids()) == ds.train_mask.sum()
         assert len(ds.val_nids()) == ds.val_mask.sum()
         assert len(ds.test_nids()) == ds.test_mask.sum()
 
@@ -84,9 +83,6 @@ class TestLoadDataset:
         same = np.mean(ds.labels[src] == ds.labels[dst])
         # Far above the 1/num_classes chance rate.
         assert same > 3.0 / ds.num_classes
-
-    def test_feature_nbytes(self, small_dataset):
-        assert small_dataset.feature_nbytes() == small_dataset.features.nbytes
 
     def test_invalid_scale(self):
         with pytest.raises(ValueError):

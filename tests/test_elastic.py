@@ -94,8 +94,6 @@ class TestElasticSpecValidation:
             ElasticSpec(initially_inactive=(-1,))
         with pytest.raises(ValueError, match="joins times"):
             ElasticSpec(joins=((0, -1.0),))
-        with pytest.raises(ValueError, match="jitter_s"):
-            ElasticSpec(jitter_s=-0.5)
         with pytest.raises(ValueError, match="cache_policy"):
             ElasticSpec(cache_policy="discard")
 
@@ -114,16 +112,7 @@ class TestElasticSpecValidation:
             ElasticSpec(initially_inactive=(1,), leaves=((1, 1e-3),)).materialize(4, 0)
         # A legal leave -> rejoin -> leave chain passes.
         spec = ElasticSpec(leaves=((0, 1e-3), (0, 3e-3)), joins=((0, 2e-3),))
-        assert spec.materialize(4, 0).total_events() == 3
-
-    def test_jitter_is_seed_deterministic(self):
-        spec = ElasticSpec(initially_inactive=(1,), joins=((1, 1e-3),), jitter_s=5e-4)
-        a = spec.materialize(4, 7).events
-        b = spec.materialize(4, 7).events
-        c = spec.materialize(4, 8).events
-        assert a == b
-        assert a != c
-        assert all(1e-3 <= t <= 1.5e-3 for t, _, _ in a)
+        assert len(spec.materialize(4, 0).events) == 3
 
 
 class TestWithOverrides:

@@ -6,7 +6,12 @@ import pytest
 from repro.distributed.clock import SimClock
 from repro.distributed.cost_model import CongestedCostModel, CostModel
 from repro.events.loop import EventLoop
-from repro.events.schedule import CongestionSpec, FailureSchedule, FailureSpec
+from repro.events.schedule import (
+    FAILURE_HORIZON_STEPS,
+    CongestionSpec,
+    FailureSchedule,
+    FailureSpec,
+)
 
 
 class TestEventLoop:
@@ -73,7 +78,7 @@ class TestFailureSchedule:
         factors = [
             schedule.downtime_factor(rank, step)
             for rank in range(2)
-            for step in range(spec.horizon_steps)
+            for step in range(FAILURE_HORIZON_STEPS)
             if schedule.downtime_factor(rank, step) is not None
         ]
         assert factors, "a 50% rate over the horizon must schedule failures"
@@ -81,7 +86,8 @@ class TestFailureSchedule:
 
     def test_zero_rate_schedules_nothing(self):
         schedule = FailureSchedule(FailureSpec(rate=0.0), world_size=3, seed=1)
-        assert schedule.total_planned_failures() == 0
+        assert all(schedule.downtime_factor(rank, step) is None
+                   for rank in range(3) for step in range(FAILURE_HORIZON_STEPS))
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import pytest
 
 from repro.graph.halo import GraphPartition, build_partitions
 from repro.graph.partition import PartitionResult, metis_partition, random_partition
+from graph_checks import has_edge
 
 
 class TestBuildPartitions:
@@ -39,7 +40,7 @@ class TestBuildPartitions:
             gsrc = p.local_to_global[src]
             gdst = p.local_to_global[dst]
             for u, v in list(zip(gsrc, gdst))[:200]:
-                assert graph.has_edge(int(u), int(v))
+                assert has_edge(graph, int(u), int(v))
 
     def test_owned_edge_count_preserved(self, small_dataset, small_partitions):
         """Every edge whose source is owned appears in exactly one local graph."""

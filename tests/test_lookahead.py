@@ -34,19 +34,19 @@ class TestLookaheadQueue:
 
     def test_single_worker_serializes_preparations(self):
         queue = LookaheadQueue(capacity=2, workers=1)
-        queue.submit("a", 2.0, now=0.0)
-        queue.submit("b", 2.0, now=0.0)
-        assert queue.peek_ready_at() == pytest.approx(2.0)
+        first = queue.submit("a", 2.0, now=0.0)
+        second = queue.submit("b", 2.0, now=0.0)
+        assert first.ready_at == pytest.approx(2.0)
         queue.pop(now=10.0)
         # Second preparation could only start after the first finished.
-        assert queue.peek_ready_at() == pytest.approx(4.0)
+        assert second.ready_at == pytest.approx(4.0)
 
     def test_two_workers_overlap_preparations(self):
         queue = LookaheadQueue(capacity=2, workers=2)
         queue.submit("a", 2.0, now=0.0)
-        queue.submit("b", 2.0, now=0.0)
+        second = queue.submit("b", 2.0, now=0.0)
         queue.pop(now=10.0)
-        assert queue.peek_ready_at() == pytest.approx(2.0)
+        assert second.ready_at == pytest.approx(2.0)
 
     def test_stats_track_depth_and_pops(self):
         queue = LookaheadQueue(capacity=3, workers=3)

@@ -246,7 +246,7 @@ class TestFullModels:
         opt = Adam(lr=1e-2)
         rng = np.random.default_rng(0)
         sampler = NeighborSampler(small_dataset.graph, [5, 5], seed=1)
-        seeds = small_dataset.train_nids()[:128]
+        seeds = np.flatnonzero(small_dataset.train_mask)[:128]
         losses = []
         for _ in range(15):
             mb = sampler.sample(seeds, labels=small_dataset.labels)
@@ -314,7 +314,7 @@ class TestFullModels:
     def test_predict(self, small_dataset):
         mb = self._minibatch(small_dataset, num_seeds=8)
         model = GraphSAGE(small_dataset.feature_dim, 8, small_dataset.num_classes, seed=0)
-        preds = model.predict(mb.blocks, small_dataset.features[mb.input_global])
+        preds = np.argmax(model.forward(mb.blocks, small_dataset.features[mb.input_global]), axis=1)
         assert preds.shape == (mb.blocks[-1].num_dst,)
         assert preds.max() < small_dataset.num_classes
 

@@ -37,7 +37,7 @@ class TestInitialization:
         partition = small_partitions[0]
         capacity = prefetcher.config.buffer_capacity(partition.num_halo)
         assert report.buffer_capacity == capacity
-        resident = prefetcher.resident_nodes()
+        resident = prefetcher.buffer.node_ids
         # All resident nodes are halo nodes ...
         assert np.all(np.isin(resident, partition.halo_global))
         # ... and they are the highest-degree ones.
@@ -54,9 +54,10 @@ class TestInitialization:
     def test_initialization_features_match_kvstore(self, small_dataset, small_partitions):
         prefetcher, _ = make_prefetcher(small_dataset, small_partitions)
         prefetcher.initialize()
-        resident = prefetcher.resident_nodes()
+        resident = prefetcher.buffer.node_ids
         np.testing.assert_allclose(
-            prefetcher.buffer.get_features_by_id(resident), small_dataset.features[resident]
+            prefetcher.buffer.get_features(np.arange(len(resident))),
+            small_dataset.features[resident],
         )
 
     def test_initialization_counts_rpc(self, small_dataset, small_partitions):
@@ -69,7 +70,7 @@ class TestInitialization:
     def test_scoreboard_initial_values(self, small_dataset, small_partitions):
         prefetcher, _ = make_prefetcher(small_dataset, small_partitions)
         prefetcher.initialize()
-        resident = prefetcher.resident_nodes()
+        resident = prefetcher.buffer.node_ids
         np.testing.assert_allclose(prefetcher.access_scores.get(resident), -1.0)
         others = np.setdiff1d(small_partitions[0].halo_global, resident)
         if len(others):
@@ -93,7 +94,7 @@ class TestProcessMinibatch:
         prefetcher, rpc = make_prefetcher(small_dataset, small_partitions)
         prefetcher.initialize()
         rpc.reset_stats()
-        resident = prefetcher.resident_nodes()[:5]
+        resident = prefetcher.buffer.node_ids[:5]
         result = prefetcher.process_minibatch(resident, step=1)
         assert result.num_hits == len(resident)
         assert result.num_misses == 0
@@ -104,7 +105,7 @@ class TestProcessMinibatch:
         prefetcher, rpc = make_prefetcher(small_dataset, small_partitions)
         prefetcher.initialize()
         rpc.reset_stats()
-        missing = np.setdiff1d(small_partitions[0].halo_global, prefetcher.resident_nodes())[:5]
+        missing = np.setdiff1d(small_partitions[0].halo_global, prefetcher.buffer.node_ids)[:5]
         if len(missing) == 0:
             pytest.skip("buffer holds every halo node at this scale")
         result = prefetcher.process_minibatch(missing, step=1)
@@ -115,8 +116,8 @@ class TestProcessMinibatch:
     def test_mixed_hits_and_misses_rows_align(self, small_dataset, small_partitions):
         prefetcher, _ = make_prefetcher(small_dataset, small_partitions)
         prefetcher.initialize()
-        resident = prefetcher.resident_nodes()[:3]
-        missing = np.setdiff1d(small_partitions[0].halo_global, prefetcher.resident_nodes())[:3]
+        resident = prefetcher.buffer.node_ids[:3]
+        missing = np.setdiff1d(small_partitions[0].halo_global, prefetcher.buffer.node_ids)[:3]
         request = np.concatenate([missing, resident, missing])
         result = prefetcher.process_minibatch(request, step=1)
         np.testing.assert_allclose(result.features, small_dataset.features[request])
@@ -124,7 +125,7 @@ class TestProcessMinibatch:
     def test_access_score_incremented_on_miss(self, small_dataset, small_partitions):
         prefetcher, _ = make_prefetcher(small_dataset, small_partitions)
         prefetcher.initialize()
-        missing = np.setdiff1d(small_partitions[0].halo_global, prefetcher.resident_nodes())[:2]
+        missing = np.setdiff1d(small_partitions[0].halo_global, prefetcher.buffer.node_ids)[:2]
         if len(missing) < 2:
             pytest.skip("not enough non-resident halo nodes")
         prefetcher.process_minibatch(missing, step=1)
@@ -137,10 +138,10 @@ class TestProcessMinibatch:
         config = PrefetchConfig(halo_fraction=0.25, gamma=0.5, delta=100)
         prefetcher, _ = make_prefetcher(small_dataset, small_partitions, config=config)
         prefetcher.initialize()
-        resident = prefetcher.resident_nodes()
+        resident = prefetcher.buffer.node_ids
         used = resident[:1]
         prefetcher.process_minibatch(used, step=1)
-        slots_used = prefetcher.buffer.slot_of(used)
+        _, slots_used = prefetcher.buffer.lookup(used)
         se = prefetcher.eviction_scores.values
         assert se[slots_used[0]] == pytest.approx(1.0)
         unused_slots = np.setdiff1d(np.arange(prefetcher.buffer.capacity), slots_used)
@@ -149,7 +150,7 @@ class TestProcessMinibatch:
     def test_hit_rate_tracker_updates(self, small_dataset, small_partitions):
         prefetcher, _ = make_prefetcher(small_dataset, small_partitions)
         prefetcher.initialize()
-        resident = prefetcher.resident_nodes()[:4]
+        resident = prefetcher.buffer.node_ids[:4]
         prefetcher.process_minibatch(resident, step=1)
         assert prefetcher.hit_rate == pytest.approx(1.0)
         assert prefetcher.tracker.num_steps == 1
@@ -164,38 +165,43 @@ class TestProcessMinibatch:
 
 class TestEvictionRounds:
     def _force_eviction_setup(self, dataset, partitions):
-        """Config where unused slots decay below alpha before the first eviction round."""
-        config = PrefetchConfig(halo_fraction=0.25, gamma=0.5, delta=3, alpha=0.9)
+        """Config where unused slots decay below alpha before the first eviction round.
+
+        With α = γ^Δ (Eq. 1), a slot unused from step 0 through the round at
+        step Δ has decayed Δ + 1 times, so it sits below α.  A trainer's
+        steps start at 0, and so do the ones these tests feed.
+        """
+        config = PrefetchConfig(halo_fraction=0.25, gamma=0.5, delta=3)
         return make_prefetcher(dataset, partitions, config=config)
 
     def test_eviction_replaces_unused_with_hot_misses(self, small_dataset, small_partitions):
         prefetcher, _ = self._force_eviction_setup(small_dataset, small_partitions)
         prefetcher.initialize()
-        resident_before = prefetcher.resident_nodes()
+        resident_before = prefetcher.buffer.node_ids
         missing = np.setdiff1d(small_partitions[0].halo_global, resident_before)
         if len(missing) < 2:
             pytest.skip("not enough non-resident halo nodes to test eviction")
         hot = missing[:2]
-        # Steps 1-2: repeatedly miss the hot nodes; buffer slots go unused and decay.
-        prefetcher.process_minibatch(hot, step=1)
-        prefetcher.process_minibatch(hot, step=2)
+        # Steps 0-2: repeatedly miss the hot nodes; buffer slots go unused and decay.
+        for step in range(3):
+            prefetcher.process_minibatch(hot, step=step)
         # Step 3 (= delta): eviction round.
         result = prefetcher.process_minibatch(hot, step=3)
         assert result.eviction_round
         assert result.nodes_evicted > 0
         assert result.nodes_evicted == result.nodes_replaced
-        resident_after = prefetcher.resident_nodes()
+        resident_after = prefetcher.buffer.node_ids
         assert len(resident_after) == len(resident_before)  # constant capacity
         assert np.all(np.isin(hot, resident_after))          # hot nodes now resident
 
     def test_post_eviction_hits(self, small_dataset, small_partitions):
         prefetcher, rpc = self._force_eviction_setup(small_dataset, small_partitions)
         prefetcher.initialize()
-        missing = np.setdiff1d(small_partitions[0].halo_global, prefetcher.resident_nodes())
+        missing = np.setdiff1d(small_partitions[0].halo_global, prefetcher.buffer.node_ids)
         if len(missing) < 1:
             pytest.skip("no non-resident halo nodes")
         hot = missing[:1]
-        for step in range(1, 4):
+        for step in range(4):
             prefetcher.process_minibatch(hot, step=step)
         rpc.reset_stats()
         result = prefetcher.process_minibatch(hot, step=4)
@@ -205,39 +211,40 @@ class TestEvictionRounds:
     def test_replacement_features_correct(self, small_dataset, small_partitions):
         prefetcher, _ = self._force_eviction_setup(small_dataset, small_partitions)
         prefetcher.initialize()
-        missing = np.setdiff1d(small_partitions[0].halo_global, prefetcher.resident_nodes())
+        missing = np.setdiff1d(small_partitions[0].halo_global, prefetcher.buffer.node_ids)
         if len(missing) < 1:
             pytest.skip("no non-resident halo nodes")
         hot = missing[:1]
-        for step in range(1, 4):
+        for step in range(4):
             prefetcher.process_minibatch(hot, step=step)
-        if prefetcher.buffer.contains(hot).item():
+        hit_mask, slots = prefetcher.buffer.lookup(hot)
+        if hit_mask.item():
             np.testing.assert_allclose(
-                prefetcher.buffer.get_features_by_id(hot), small_dataset.features[hot]
+                prefetcher.buffer.get_features(slots), small_dataset.features[hot]
             )
 
     def test_no_eviction_when_disabled(self, small_dataset, small_partitions):
         config = PrefetchConfig(halo_fraction=0.25, gamma=0.5, delta=2, eviction_enabled=False)
         prefetcher, _ = make_prefetcher(small_dataset, small_partitions, config=config)
         prefetcher.initialize()
-        before = prefetcher.resident_nodes()
+        before = prefetcher.buffer.node_ids
         missing = np.setdiff1d(small_partitions[0].halo_global, before)[:2]
         for step in range(1, 7):
             prefetcher.process_minibatch(missing, step=step)
-        np.testing.assert_array_equal(np.sort(prefetcher.resident_nodes()), np.sort(before))
+        np.testing.assert_array_equal(np.sort(prefetcher.buffer.node_ids), np.sort(before))
         assert prefetcher.counters.eviction_rounds == 0
 
     def test_score_swap_on_eviction(self, small_dataset, small_partitions):
         prefetcher, _ = self._force_eviction_setup(small_dataset, small_partitions)
         prefetcher.initialize()
-        before = prefetcher.resident_nodes()
+        before = prefetcher.buffer.node_ids
         missing = np.setdiff1d(small_partitions[0].halo_global, before)
         if len(missing) < 1:
             pytest.skip("no non-resident halo nodes")
         hot = missing[:1]
-        for step in range(1, 4):
+        for step in range(4):
             prefetcher.process_minibatch(hot, step=step)
-        evicted = np.setdiff1d(before, prefetcher.resident_nodes())
+        evicted = np.setdiff1d(before, prefetcher.buffer.node_ids)
         if len(evicted):
             # Evicted nodes' S_A now carries their final S_E (below alpha, > 0).
             sa = prefetcher.access_scores.get(evicted)
@@ -249,8 +256,8 @@ class TestEvictionRounds:
     def test_counters_and_summary(self, small_dataset, small_partitions):
         prefetcher, _ = self._force_eviction_setup(small_dataset, small_partitions)
         prefetcher.initialize()
-        missing = np.setdiff1d(small_partitions[0].halo_global, prefetcher.resident_nodes())[:2]
-        for step in range(1, 5):
+        missing = np.setdiff1d(small_partitions[0].halo_global, prefetcher.buffer.node_ids)[:2]
+        for step in range(4):
             prefetcher.process_minibatch(missing, step=step)
         summary = prefetcher.summary()
         assert summary["halo_nodes_sampled"] == 4 * len(missing)
@@ -301,13 +308,13 @@ class TestEvictionPolicies:
         assert len(NoEvictionPolicy().select(scores, 0.5, np.zeros(3, dtype=np.int64), 1)) == 0
 
     def test_prefetcher_with_lru_policy_runs(self, small_dataset, small_partitions):
-        config = PrefetchConfig(halo_fraction=0.25, gamma=0.5, delta=3, alpha=0.9)
+        config = PrefetchConfig(halo_fraction=0.25, gamma=0.5, delta=3)
         prefetcher, _ = make_prefetcher(
             small_dataset, small_partitions, config=config, policy=LRUPolicy()
         )
         prefetcher.initialize()
-        missing = np.setdiff1d(small_partitions[0].halo_global, prefetcher.resident_nodes())[:2]
-        for step in range(1, 5):
+        missing = np.setdiff1d(small_partitions[0].halo_global, prefetcher.buffer.node_ids)[:2]
+        for step in range(4):
             result = prefetcher.process_minibatch(missing, step=step)
         assert prefetcher.tracker.num_steps == 4
 
@@ -322,7 +329,8 @@ class TestMetrics:
         tracker.record(3, 1)
         tracker.record(1, 3, eviction=True)
         assert tracker.cumulative_hit_rate == pytest.approx(0.5)
-        np.testing.assert_allclose(tracker.per_step_hit_rate(), [0.75, 0.25])
+        hits = np.asarray(tracker.hits_history, dtype=np.float64)
+        np.testing.assert_allclose(hits / (hits + tracker.misses_history), [0.75, 0.25])
         np.testing.assert_allclose(tracker.running_hit_rate(), [0.75, 0.5])
         assert tracker.eviction_steps == [1]
         assert tracker.summary()["eviction_rounds"] == 1
@@ -330,15 +338,6 @@ class TestMetrics:
     def test_tracker_rejects_negative(self):
         with pytest.raises(ValueError):
             HitRateTracker().record(-1, 0)
-
-    def test_windowed_hit_rate(self):
-        tracker = HitRateTracker()
-        for _ in range(10):
-            tracker.record(1, 1)
-        window = tracker.windowed_hit_rate(window=5)
-        np.testing.assert_allclose(window, 0.5)
-        with pytest.raises(ValueError):
-            tracker.windowed_hit_rate(0)
 
     def test_merge_hit_trackers(self):
         a, b = HitRateTracker(), HitRateTracker()

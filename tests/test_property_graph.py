@@ -8,6 +8,7 @@ from repro.graph.halo import build_partitions
 from repro.graph.partition import (
     PartitionResult, balance, edge_cut, metis_partition, random_partition,
 )
+from graph_checks import has_edge, is_symmetric
 
 
 @st.composite
@@ -42,7 +43,7 @@ class TestCSRProperties:
     def test_symmetrize_produces_symmetric_graph(self, data):
         src, dst, n = data
         g = CSRGraph.from_edges(src, dst, num_nodes=n, symmetrize=True, remove_self_loops=True)
-        assert g.is_symmetric()
+        assert is_symmetric(g)
 
     @given(edge_lists())
     @settings(max_examples=40, deadline=None)
@@ -66,7 +67,7 @@ class TestCSRProperties:
         assert sub.num_nodes == len(nodes)
         s, d = sub.edges()
         for u, v in zip(s, d):
-            assert g.has_edge(int(mapping[u]), int(mapping[v]))
+            assert has_edge(g, int(mapping[u]), int(mapping[v]))
 
 
 class TestPartitionProperties:

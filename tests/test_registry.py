@@ -114,9 +114,8 @@ class TestEvictionPolicyRegistry:
 
     def test_without_eviction_keeps_every_other_field(self):
         config = PrefetchConfig(
-            halo_fraction=0.4, gamma=0.9, delta=7, eviction_enabled=True, alpha=0.3,
-            scoreboard="compact", initial_eviction_score=2.0,
-            min_buffer_slots=5, eviction_policy="lru",
+            halo_fraction=0.4, gamma=0.9, delta=7, eviction_enabled=True,
+            scoreboard="compact", eviction_policy="lru",
         )
         defaults = PrefetchConfig()
         fields = [f.name for f in dataclasses.fields(PrefetchConfig)]

@@ -65,10 +65,23 @@ class TestAccessScoreboards:
         with pytest.raises(KeyError):
             compact.increment(np.array([3]))
 
-    def test_dense_accepts_any_global_id(self):
+    def test_dense_rejects_non_halo(self):
+        # Non-halo entries of the O(|V|) array are NaN; they are never written.
         dense = DenseAccessScoreboard(32, HALO)
-        dense.increment(np.array([3]))  # non-halo id: allowed, O(|V|) array
-        assert np.isnan(dense.get(np.array([3]))[0]) or dense.get(np.array([3]))[0] >= 0
+        for touch in (dense.increment, dense.get,
+                      lambda ids: dense.set(ids, np.ones(len(ids)))):
+            with pytest.raises(KeyError, match=r"nodes \[3\] are not halo nodes"):
+                touch(np.array([5, 3]))
+        np.testing.assert_allclose(dense.get(HALO), 0.0)
+
+    @pytest.mark.parametrize("halo", [HALO, np.zeros(0, dtype=np.int64)])
+    @pytest.mark.parametrize("kind", ["dense", "compact"])
+    def test_empty_query_returns_empty(self, kind, halo):
+        board = make_access_scoreboard(kind, num_global_nodes=32, halo_global=halo)
+        empty = np.zeros(0, dtype=np.int64)
+        board.increment(empty)
+        board.set(empty, np.zeros(0))
+        assert board.get(empty).shape == (0,)
 
     def test_factory_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -77,7 +90,7 @@ class TestAccessScoreboards:
 
 class TestEvictionScores:
     def test_initial_value(self):
-        scores = EvictionScores(4, initial_value=1.0)
+        scores = EvictionScores(4)
         np.testing.assert_allclose(scores.values, 1.0)
 
     def test_decay_only_unused(self):
@@ -96,14 +109,11 @@ class TestEvictionScores:
         scores.set(np.array([0, 1, 2]), np.array([0.1, 0.9, 0.4]))
         np.testing.assert_array_equal(scores.below_threshold(0.5), [0, 2])
 
-    def test_get_set_reset(self):
-        scores = EvictionScores(3, initial_value=2.0)
+    def test_get_set(self):
+        scores = EvictionScores(3)
         scores.set(np.array([1]), np.array([0.25]))
         np.testing.assert_allclose(scores.get(np.array([1])), [0.25])
-        scores.reset(np.array([1]))
-        np.testing.assert_allclose(scores.get(np.array([1])), [2.0])
-        scores.reset(np.array([0]), value=7.0)
-        np.testing.assert_allclose(scores.get(np.array([0])), [7.0])
+        np.testing.assert_allclose(scores.get(np.array([0, 2])), [1.0, 1.0])
 
     def test_mask_length_mismatch_raises(self):
         with pytest.raises(ValueError):

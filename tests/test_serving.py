@@ -27,8 +27,7 @@ def _run_serving(scenario_name, seed=0, requests=REQUESTS, record_events=False,
     spec = scenario.serving.with_overrides(num_requests=requests, **spec_overrides)
     scenario = scenario.with_overrides(scale=SCALE, serving=spec)
     dataset = load_dataset(scenario.dataset, scale=scenario.scale, seed=seed)
-    cluster = SimCluster(dataset, scenario.cluster_config(seed),
-                         cost_model=scenario.cost_model())
+    cluster = SimCluster(dataset, scenario.cluster_config(seed))
     engine = InferenceClusterEngine(
         cluster, TrainConfig(epochs=1, hidden_dim=32, seed=seed),
         scenario=scenario.name, serving=spec, record_events=record_events,
@@ -60,8 +59,9 @@ class TestEngine:
             assert r.latency_s > 0
             assert r.queue_wait_s >= -1e-12
             assert r.start_s >= r.arrival_s - 1e-12
-            assert r.latency_s == pytest.approx(r.queue_wait_s + r.service_s)
-            assert r.done_s == pytest.approx(r.start_s + r.service_s)
+            service_s = r.sample_s + r.fetch_s + r.compute_s
+            assert r.latency_s == pytest.approx(r.queue_wait_s + service_s)
+            assert r.done_s == pytest.approx(r.start_s + service_s)
             assert set(r.component_times_s()) == set(COMPONENTS)
 
     def test_routing_is_ownership(self, steady):

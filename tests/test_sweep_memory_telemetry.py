@@ -93,14 +93,6 @@ class TestSweeps:
         with pytest.raises(ValueError):
             sweep.best(by="loss")
 
-    def test_as_rows(self, small_dataset):
-        sweep = run_parameter_sweep(
-            QUICK_SCENARIO, seed=QUICK_SEED, dataset=small_dataset, train_config=QUICK_TRAIN,
-            halo_fractions=(0.25,), gammas=(0.995,), deltas=(8,),
-        )
-        rows = sweep.as_rows()
-        assert len(rows) == 1 and len(rows[0]) == 6
-
     def test_delta_sweep_structure(self, small_dataset):
         out = delta_sweep(
             QUICK_SCENARIO, gamma_values=[0.995], delta_values=[4, 16],
@@ -199,7 +191,7 @@ class TestTelemetry:
             ],
         )
         np.testing.assert_allclose(report.epoch_times(), [1.0, 1.5])
-        assert report.loss_history == [2.0, 1.0]
+        assert [r.loss for r in report.epoch_records] == [2.0, 1.0]
 
     def test_hit_rate_from_tracker(self):
         tracker = HitRateTracker()

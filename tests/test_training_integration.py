@@ -163,13 +163,6 @@ class TestEngineDetails:
         report = engine.run("baseline").report
         assert report.num_minibatches <= small_cluster.world_size
 
-    def test_final_model_available_after_run(self, small_cluster, quick_train_config):
-        engine = ClusterEngine(small_cluster, quick_train_config)
-        with pytest.raises(RuntimeError):
-            _ = engine.final_model
-        engine.run("baseline")
-        assert engine.final_model is not None
-
     def test_gat_architecture_runs(self, small_dataset):
         cluster = SimCluster(small_dataset, ClusterConfig(
             num_machines=2, trainers_per_machine=1, batch_size=64, fanouts=(4, 4), seed=2
@@ -196,18 +189,19 @@ class TestEvaluation:
         assert report.val_accuracy is not None and report.test_accuracy is not None
         assert report.val_accuracy > majority_class_accuracy(small_dataset, small_dataset.val_nids()) * 0.9
 
-    def test_evaluate_accuracy_function(self, small_dataset, small_cluster, quick_train_config):
-        engine = ClusterEngine(small_cluster, quick_train_config)
-        engine.run("baseline")
+    def test_evaluate_accuracy_function(self, small_dataset, small_cluster, quick_train_config,
+                                        trained_models):
+        ClusterEngine(small_cluster, quick_train_config).run("baseline")
         acc = evaluate_accuracy(
-            engine.final_model, small_dataset, small_dataset.val_nids(), fanouts=(5, 10), seed=0
+            trained_models[-1], small_dataset, small_dataset.val_nids(), fanouts=(5, 10), seed=0
         )
         assert 0.0 <= acc <= 1.0
 
-    def test_evaluate_empty_node_set(self, small_dataset, small_cluster, quick_train_config):
-        engine = ClusterEngine(small_cluster, quick_train_config)
-        engine.run("baseline")
-        assert evaluate_accuracy(engine.final_model, small_dataset, np.array([], dtype=np.int64)) == 0.0
+    def test_evaluate_empty_node_set(self, small_dataset, small_cluster, quick_train_config,
+                                     trained_models):
+        ClusterEngine(small_cluster, quick_train_config).run("baseline")
+        empty = np.array([], dtype=np.int64)
+        assert evaluate_accuracy(trained_models[-1], small_dataset, empty) == 0.0
 
     @staticmethod
     def _untrained_model(dataset):

@@ -252,7 +252,7 @@ def test_tune_report_ranked_best_first(straggler_report):
     assert report.best is report.candidates[0]
     # the sweep rediscovers the bounded-staleness win over the straggler
     assert dict(report.best.overrides)["sync"] == "bounded-staleness"
-    assert report.best_improvement_percent > 0
+    assert report.best.improvement_percent > 0
 
 
 def test_same_seed_reports_byte_identical(straggler_report):
