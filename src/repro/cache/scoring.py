@@ -283,9 +283,9 @@ class PrefetchScorer:
                            step: Optional[int] = None) -> float:
         """The resident-score admission threshold (a low resident quantile).
 
-        Candidates must look at least as promising as the tier's weakest
-        decile to displace a resident; an empty tier has nothing to defend
-        and thresholds at 0.
+        Candidates must score at least the ``THRESHOLD_QUANTILE`` (0.3)
+        quantile of the residents' scores to displace a resident; an empty
+        tier has nothing to defend and thresholds at 0.
         """
         if len(resident_ids) == 0:
             return 0.0

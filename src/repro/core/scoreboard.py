@@ -66,7 +66,6 @@ class DenseAccessScoreboard(AccessScoreboard):
         self._halo = np.sort(check_1d_int_array(halo_global, "halo_global"))
         self._scores = np.full(num_global_nodes, np.nan, dtype=np.float64)
         self._scores[self._halo] = 0.0
-        self._halo_degrees: Optional[np.ndarray] = None
 
     def _checked(self, global_ids: np.ndarray) -> np.ndarray:
         """*global_ids* as int64; ``KeyError`` naming any that is not a halo node."""

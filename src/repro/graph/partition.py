@@ -153,6 +153,8 @@ class _Level:
     edge_weights: np.ndarray
     node_weights: np.ndarray
     fine_to_coarse: Optional[np.ndarray] = None  # map from the finer level
+    # Every node's out-edges, weights included, are also its in-edges.
+    symmetric: bool = False
 
 
 def metis_partition(
@@ -196,6 +198,7 @@ def metis_partition(
             indices=graph.indices.copy(),
             edge_weights=np.ones(graph.num_edges, dtype=np.int64),
             node_weights=np.ones(graph.num_nodes, dtype=np.int64),
+            symmetric=_is_symmetric(graph.indptr, graph.indices),
         )
     ]
     while len(levels) < max_levels:
@@ -258,33 +261,62 @@ def _heavy_edge_matching(level: _Level, rng: np.random.Generator) -> np.ndarray:
 
     Each node of ``rng.permutation(n)`` that is still unmatched takes its first
     heaviest unmatched neighbour.  The walk is sequential by nature, so it runs
-    over plain ints (lists that die with the call), not NumPy scalars.
+    over plain ints; edges are read through ``memoryview``s because most of
+    them are never read at all.
     """
     n = len(level.node_weights)
     order = rng.permutation(n).tolist()
-    indptr, indices = level.indptr.tolist(), level.indices.tolist()
-    eweights = level.edge_weights.tolist()
-    # When all weights are equal (always at level 0) the first unmatched
-    # neighbour is the heaviest: ``w > best_w`` holds once, the scan stops there.
-    uniform = not eweights or level.edge_weights.min() == level.edge_weights.max()
+    indptr, indices = level.indptr.tolist(), memoryview(level.indices)
     match = [-1] * n
+    if not len(level.edge_weights) or level.edge_weights.min() == level.edge_weights.max():
+        # All weights equal (always at level 0): the first unmatched neighbour
+        # is the heaviest.
+        for u in order:
+            if match[u] != -1:
+                continue
+            best = u
+            for v in indices[indptr[u]: indptr[u + 1]]:
+                if v != u and match[v] == -1:
+                    best = v
+                    break
+            match[u], match[best] = best, u
+        return np.array(match, dtype=np.int64)
+
+    # A node whose first heaviest neighbour is still unmatched takes it; only
+    # the others scan their row for the heaviest unmatched one.
+    heaviest = _first_heaviest_neighbours(level).tolist()
+    eweights = memoryview(level.edge_weights)
     for u in order:
         if match[u] != -1:
             continue
-        best, best_w = -1, -1
-        for idx in range(indptr[u], indptr[u + 1]):
-            v = indices[idx]
-            if v == u or match[v] != -1:
-                continue
-            if eweights[idx] > best_w:
-                best, best_w = v, eweights[idx]
-                if uniform:
-                    break
+        best = heaviest[u]
+        if best >= 0 and match[best] != -1:
+            best, best_w = -1, -1
+            start, end = indptr[u], indptr[u + 1]
+            for v, w in zip(indices[start:end], eweights[start:end]):
+                if w > best_w and v != u and match[v] == -1:
+                    best, best_w = v, w
         if best >= 0:
             match[u], match[best] = best, u
         else:
             match[u] = u
     return np.array(match, dtype=np.int64)
+
+
+def _first_heaviest_neighbours(level: _Level) -> np.ndarray:
+    """Per node, the first of its heaviest non-self neighbours in row order (-1: none)."""
+    degrees = np.diff(level.indptr)
+    src = np.repeat(np.arange(len(degrees), dtype=np.int64), degrees)
+    # A self-loop weighs -1, which the matching scan's strict ``w > -1`` never takes.
+    weights = np.where(level.indices == src, -1, level.edge_weights)
+    rows = np.flatnonzero(degrees)
+    starts = level.indptr[rows]
+    top = np.maximum.reduceat(weights, starts)
+    at_top = weights == np.repeat(top, degrees[rows])
+    first = np.minimum.reduceat(np.where(at_top, np.arange(len(weights)), len(weights)), starts)
+    heaviest = np.full(len(degrees), -1, dtype=np.int64)
+    heaviest[rows] = np.where(top > -1, level.indices[first], -1)
+    return heaviest
 
 
 def _contract(level: _Level, match: np.ndarray) -> _Level:
@@ -301,13 +333,25 @@ def _contract(level: _Level, match: np.ndarray) -> _Level:
     csrc = np.repeat(fine_to_coarse, np.diff(level.indptr))
     cdst = fine_to_coarse[level.indices]
     keep = csrc != cdst
-    key = csrc[keep] * nc + cdst[keep]
+    key, weights = csrc * nc + cdst, level.edge_weights
     # Parallel coarse edges become adjacent in key order, which is also the
     # coarse CSR order (as in ``CSRGraph.from_edges``); integer weights sum the
-    # same in any order, so the sort need not be stable.
-    order = np.argsort(key)
-    key, weights = key[order], level.edge_weights[keep][order]
-    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    # same in any order, so the sort need not be stable.  Each weight rides in
+    # the low bits of its key, so one value sort orders both; the argsort is
+    # left for a key range too wide to share an int64 with the weights.
+    bits = int(weights.max(initial=0)).bit_length()
+    if nc * nc << bits <= 1 << 63:
+        key <<= bits
+        key |= weights
+        packed = np.sort(key[keep])
+        key, weights = packed >> bits, packed & ((1 << bits) - 1)
+    else:
+        key, weights = key[keep], weights[keep]
+        order = np.argsort(key)
+        key, weights = key[order], weights[order]
+    first = np.ones(len(key), dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
     key = key[starts]
     return _Level(
         indptr=np.searchsorted(key, np.arange(nc + 1, dtype=np.int64) * nc),
@@ -317,7 +361,23 @@ def _contract(level: _Level, match: np.ndarray) -> _Level:
             fine_to_coarse, weights=level.node_weights, minlength=nc
         ).astype(np.int64),
         fine_to_coarse=fine_to_coarse,
+        # Coarse weights are sums over the fine edges between two pairs, and
+        # the reverse edges pair up with them one to one.
+        symmetric=level.symmetric,
     )
+
+
+def _is_symmetric(indptr: np.ndarray, indices: np.ndarray) -> bool:
+    """Whether the multiset of ``(src, dst)`` edges equals that of ``(dst, src)``."""
+    n = len(indptr) - 1
+    degrees = np.diff(indptr)
+    if not np.array_equal(np.bincount(indices, minlength=n), degrees):
+        return False
+    src = np.repeat(np.arange(n, dtype=np.int64), degrees)
+    forward = src * n + indices
+    if np.any(forward[1:] < forward[:-1]):  # rows not sorted
+        forward = np.sort(forward)
+    return np.array_equal(forward, np.sort(indices * n + src))
 
 
 def _greedy_region_growing(level: _Level, num_parts: int) -> np.ndarray:
@@ -364,9 +424,9 @@ class _GainTable:
     """``gains[u, p]``: weight of *u*'s out-edges into part *p*, kept current as nodes move.
 
     Built once per level with one ``bincount``.  Moving *v* changes the rows of
-    the nodes that point **at** *v*, so the level's in-edges are grouped by
-    destination here too (in = out on the symmetric dataset analogs, but the
-    partitioner accepts any CSR).
+    the nodes that point **at** *v*: the level's in-edges.  On a symmetric level
+    (the dataset analogs) those are its own CSR rows; otherwise they are grouped
+    by destination here, in any order within a destination.
     """
 
     def __init__(self, level: _Level, parts: np.ndarray, num_parts: int):
@@ -379,9 +439,13 @@ class _GainTable:
             minlength=n * num_parts,
         ).astype(np.int64).reshape(n, num_parts)
         self._out_weight = self.gains.sum(axis=1)
-        order = np.argsort(level.indices)  # order within a destination is immaterial
-        self._in_src, self._in_weights = src[order], level.edge_weights[order]
-        self._in_indptr = np.searchsorted(level.indices[order], np.arange(n + 1))
+        if level.symmetric:
+            self._in_indptr, self._in_src = level.indptr, level.indices
+            self._in_weights = level.edge_weights
+        else:
+            order = np.argsort(level.indices)
+            self._in_src, self._in_weights = src[order], level.edge_weights[order]
+            self._in_indptr = np.searchsorted(level.indices[order], np.arange(n + 1))
 
     def boundary(self) -> np.ndarray:
         """Nodes with an out-edge into another part, ascending (edge weights are >= 1)."""
@@ -424,9 +488,11 @@ def _refine(
     enqueues the later nodes it just turned into candidates.  Gain and balance
     are evaluated at visit time, so the result is that of visiting everyone.
     """
-    node_weights = level.node_weights
-    weights = np.bincount(parts, weights=node_weights, minlength=num_parts).astype(np.int64)
-    max_weight = imbalance_tolerance * node_weights.sum() / num_parts
+    # A visit reads one length-k row: plain ints beat NumPy calls on it.
+    node_weights = level.node_weights.tolist()
+    weights = np.bincount(parts, weights=level.node_weights, minlength=num_parts)
+    weights = weights.astype(np.int64).tolist()
+    max_weight = float(imbalance_tolerance * level.node_weights.sum() / num_parts)
     table = _GainTable(level, parts.copy(), num_parts)
     parts = table.parts
 
@@ -440,6 +506,7 @@ def _refine(
         position[boundary] = np.arange(len(boundary), dtype=np.int64)
         # Ascending positions are already a valid heap.
         heap = np.flatnonzero(table.prefers_another_part(boundary)).tolist()
+        shuffled = boundary.tolist()
         moved, last = 0, -1
         while heap:
             pos = heapq.heappop(heap)
@@ -447,13 +514,14 @@ def _refine(
                 continue
             last = pos
             counts["refine_visits"] += 1
-            u = boundary[pos]
-            current = parts[u]
-            gains = table.gains[u].copy()
+            u = shuffled[pos]
+            current = int(parts[u])
+            gains = table.gains[u].tolist()
             internal = gains[current]
             gains[current] = -1  # never "move" to the same partition
-            best = int(np.argmax(gains))
-            if gains[best] > internal and weights[best] + node_weights[u] <= max_weight:
+            best_gain = max(gains)
+            best = gains.index(best_gain)  # the first best, as ``argmax``
+            if best_gain > internal and weights[best] + node_weights[u] <= max_weight:
                 weights[current] -= node_weights[u]
                 weights[best] += node_weights[u]
                 moved += 1

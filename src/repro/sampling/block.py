@@ -135,6 +135,30 @@ class MiniBatch:
         if len(self.input_local) != len(self.input_global):
             raise ValueError("input_local and input_global must align")
 
+    @classmethod
+    def trusted(
+        cls,
+        seeds_global: np.ndarray,
+        blocks: List[Block],
+        input_local: np.ndarray,
+        input_global: np.ndarray,
+        labels: np.ndarray,
+        step: int,
+    ) -> "MiniBatch":
+        """A minibatch from arrays its builder derived itself; nothing is checked.
+
+        Precondition — everything the public constructor enforces: 1-D int64
+        arrays, non-negative ids, ``input_local`` aligned with
+        ``input_global``.  The sampler's are the first layer's ``src_nodes`` /
+        ``src_global`` of a trusted :class:`Block`, so they satisfy this by
+        construction; anything else goes through ``MiniBatch(...)``.
+        """
+        batch = object.__new__(cls)
+        batch.seeds_global, batch.blocks = seeds_global, blocks
+        batch.input_local, batch.input_global = input_local, input_global
+        batch.labels, batch.step = labels, step
+        return batch
+
     @property
     def num_seeds(self) -> int:
         return int(len(self.seeds_global))

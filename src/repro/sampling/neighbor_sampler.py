@@ -147,8 +147,9 @@ class NeighborSampler:
         sampling over the full graph).
 
         The seeds are validated here, once; every array of the returned
-        blocks is derived from them and the graph's own CSR, so the blocks are
-        built with :meth:`Block.trusted`.
+        blocks is derived from them and the graph's own CSR, so the blocks and
+        the minibatch are built with :meth:`Block.trusted` and
+        :meth:`MiniBatch.trusted`.
         """
         seeds = check_1d_int_array(seeds, "seeds", max_value=self.graph.num_nodes, allow_empty=False)
         if local_to_global is None:
@@ -173,7 +174,7 @@ class NeighborSampler:
             dst, dst_global = src, src_global
         blocks.reverse()
 
-        return MiniBatch(
+        return MiniBatch.trusted(
             seeds_global=seeds_global,
             blocks=blocks,
             input_local=dst,

@@ -30,7 +30,6 @@ from repro.events.schedule import (
     ScheduleSpec,
 )
 from repro.scenarios import UNSET, SCENARIOS, build_scenario
-from repro.training.engines import ENGINES
 
 ELASTIC_SCENARIOS = ("scale-out-burst", "cascading-failure", "rolling-upgrade")
 

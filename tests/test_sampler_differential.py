@@ -6,7 +6,7 @@ consume the stream sequentially that must be bit-equal to the concatenated
 per-node draws of ``tests/sampler_oracle.py`` — identical blocks, edge
 indices, CSR offsets *and* RNG-stream position.  The oracle builds its blocks
 through the public, validating constructors, so the same comparison checks
-the sampler's trusted ``Block`` constructor field for field.  These tests also
+the sampler's trusted ``Block`` and ``MiniBatch`` constructors field for field.  These tests also
 cover the removed ``sampler`` knob's message, the repeated-seed regression and
 the duplicate-dst guard.
 """
@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.graph.csr import CSRGraph
-from repro.sampling.block import Block
+from repro.sampling.block import Block, MiniBatch
 from repro.sampling.dataloader import DistDataLoader
 from repro.sampling.neighbor_sampler import NeighborSampler
 from repro.scenarios import SCENARIOS
@@ -174,6 +174,20 @@ class TestTrustedConstructors:
             assert_same_arrays(public, block, BLOCK_FIELDS)
             # Validation coerced and reordered nothing: the arrays passed through.
             assert public.edge_src is block.edge_src and public.src_global is block.src_global
+        public = MiniBatch(mb.seeds_global, mb.blocks, mb.input_local, mb.input_global,
+                           labels=mb.labels, step=mb.step)
+        assert_minibatches_equal(public, mb)
+        assert public.input_local is mb.input_local and public.input_global is mb.input_global
+
+    def test_trusted_minibatch_checks_nothing(self):
+        # The precondition is the caller's: what the public constructor rejects
+        # goes through unchanged (see test_sampling.py for the rejections).
+        seeds, local = np.array([-1]), [0, 1]
+        batch = MiniBatch.trusted(seeds, [], local, np.array([5]), labels=None, step=3)
+        assert batch.seeds_global is seeds and batch.input_local is local
+        assert (batch.labels, batch.step, batch.num_input_nodes) == (None, 3, 1)
+        with pytest.raises(ValueError, match="must align"):
+            MiniBatch(seeds_global=[5], blocks=[], input_local=local, input_global=[5])
 
 
 class TestDstGroupedEdgeContract:

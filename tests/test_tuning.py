@@ -15,7 +15,6 @@ import pytest
 
 from repro.scenarios.registry import SCENARIOS
 from repro.tuning import (
-    AXES,
     OBJECTIVES,
     SEARCH_STRATEGIES,
     SearchSpace,
