@@ -382,13 +382,13 @@ class SimCluster:
         for trainer in self.trainers:
             if len(trainer.seeds_local):
                 assigned.append(trainer.partition.owned_global[trainer.seeds_local])
-        assigned_global = (
+        assigned_global = np.sort(
             np.concatenate(assigned) if assigned else np.zeros(0, dtype=np.int64)
         )
-        if len(assigned_global) != len(np.unique(assigned_global)):
+        if np.any(assigned_global[1:] == assigned_global[:-1]):
             raise ValueError("seed partitioning assigned some training node twice")
         expected = np.nonzero(self.dataset.train_mask)[0].astype(np.int64)
-        if not np.array_equal(np.sort(assigned_global), expected):
+        if not np.array_equal(assigned_global, expected):
             raise ValueError(
                 "seed partitioning does not cover the training set exactly "
                 f"({len(assigned_global)} assigned vs {len(expected)} training nodes)"

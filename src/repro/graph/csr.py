@@ -102,7 +102,10 @@ class CSRGraph:
             key = np.concatenate([key, dst * num_nodes + src])
         key.sort()
         if deduplicate:
-            key = key[np.diff(key, prepend=-1) != 0]
+            fresh = np.empty(len(key), dtype=bool)
+            fresh[:1] = True
+            np.not_equal(key[1:], key[:-1], out=fresh[1:])
+            key = key[fresh]
         indptr = np.searchsorted(key, np.arange(num_nodes + 1, dtype=np.int64) * num_nodes)
         return cls(indptr=indptr, indices=key % num_nodes, num_nodes=int(num_nodes))
 
@@ -153,7 +156,12 @@ class CSRGraph:
         return CSRGraph.from_edges(dst, src, num_nodes=self.num_nodes, deduplicate=False)
 
     def induced_subgraph(self, nodes: np.ndarray) -> Tuple["CSRGraph", np.ndarray]:
-        """Induced subgraph on *nodes*.
+        """Induced subgraph on *nodes*, which must be strictly ascending.
+
+        Ascending ids keep the kept rows in their original order, so the
+        sub-CSR is those rows gathered with their columns filtered to *nodes*
+        and renumbered; each row keeps its column order, parallel edges
+        included.  Unsorted or repeated ids raise ``ValueError``.
 
         Returns
         -------
@@ -162,15 +170,16 @@ class CSRGraph:
             ``node_map`` maps local id -> original global id.
         """
         nodes = check_1d_int_array(nodes, "nodes", max_value=self.num_nodes)
-        if len(np.unique(nodes)) != len(nodes):
-            raise ValueError("nodes must be unique")
-        mask = np.full(self.num_nodes, -1, dtype=np.int64)
-        mask[nodes] = np.arange(len(nodes), dtype=np.int64)
-        src, dst = self.edges()
-        keep = (mask[src] >= 0) & (mask[dst] >= 0)
-        sub = CSRGraph.from_edges(
-            mask[src[keep]], mask[dst[keep]], num_nodes=len(nodes), deduplicate=False
-        )
+        if np.any(nodes[1:] <= nodes[:-1]):
+            raise ValueError("nodes must be strictly ascending (sorted, no duplicates)")
+        local = np.full(self.num_nodes, -1, dtype=np.int64)
+        local[nodes] = np.arange(len(nodes), dtype=np.int64)
+        degrees = np.diff(self.indptr)
+        cols = local[self.indices[np.repeat(local >= 0, degrees)]]
+        keep = cols >= 0
+        kept_before = np.concatenate([[0], np.cumsum(keep)])
+        indptr = kept_before[np.concatenate([[0], np.cumsum(degrees[nodes])])]
+        sub = CSRGraph(indptr=indptr, indices=cols[keep], num_nodes=len(nodes))
         return sub, nodes.copy()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -88,22 +88,22 @@ def rmat_edges(
     rng = ensure_rng(seed)
     num_nodes = 1 << scale
     num_edges = num_nodes * edge_factor
-    src = np.zeros(num_edges, dtype=np.int64)
-    dst = np.zeros(num_edges, dtype=np.int64)
-    ab, abc = a + b, a + b + c
+    # Ids are built bit by bit; int32 halves the traffic while they fit.
+    dtype = np.int32 if num_nodes - 1 <= np.iinfo(np.int32).max else np.int64
+    src = np.zeros(num_edges, dtype=dtype)
+    dst = np.zeros(num_edges, dtype=dtype)
+    ab = a + b
+    down_if_right = c / max(c + d, 1e-12)
+    down_if_left = a / max(a + b, 1e-12)
     for bit in range(scale):
         # Per-bit jitter (kept identical across all edges of the bit level for speed).
         jitter = 1.0 + noise * (rng.random() - 0.5)
         r1 = rng.random(num_edges)
         r2 = rng.random(num_edges)
         go_right = r1 >= (ab * jitter)
-        go_down = np.where(
-            go_right,
-            r2 >= (c / max(c + d, 1e-12)),
-            r2 >= (a / max(a + b, 1e-12)),
-        )
-        src |= (go_right.astype(np.int64) << bit)
-        dst |= (go_down.astype(np.int64) << bit)
+        go_down = (go_right & (r2 >= down_if_right)) | (~go_right & (r2 >= down_if_left))
+        src |= go_right.astype(dtype) << bit
+        dst |= go_down.astype(dtype) << bit
     # Random vertex permutation removes the correlation between id and degree.
     perm = rng.permutation(num_nodes)
     return perm[src], perm[dst]
@@ -173,13 +173,53 @@ def planted_partition_graph(
     # hubs attract cross-partition edges (this is what makes degree-based
     # prefetch initialization effective, mirroring real OGB graphs).
     prob = degrees / degrees.sum()
-    inter_dst = rng.choice(num_nodes, size=len(src), p=prob)
+    inter_dst = _draw_weighted(rng, prob, len(src))
     dst = np.where(intra, intra_dst, inter_dst)
 
     graph = CSRGraph.from_edges(
         src, dst, num_nodes=num_nodes, symmetrize=True, remove_self_loops=True
     )
     return graph, communities.astype(np.int64)
+
+
+def _draw_weighted(rng: np.random.Generator, prob: np.ndarray, size: int) -> np.ndarray:
+    """``rng.choice(len(prob), size, p=prob)``: the same uniforms and answers.
+
+    NumPy's algorithm is ``cdf = prob.cumsum(); cdf /= cdf[-1]`` and then
+    ``cdf.searchsorted(rng.random(size), "right")``; only the search is
+    replaced (see :func:`_search_cdf`).  In place of ``choice``'s validation,
+    a negative or NaN entry or a zero total raises ``ValueError``.
+    """
+    cdf = prob.cumsum()
+    if not (prob.min() >= 0 and cdf[-1] > 0):
+        raise ValueError("probabilities must be non-negative with a positive sum")
+    cdf /= cdf[-1]
+    return _search_cdf(cdf, rng.random(size))
+
+
+def _search_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``cdf.searchsorted(u, "right")`` for uniforms in ``[0, 1)``, via a guide table.
+
+    *cdf* is non-decreasing and ends at exactly 1.0.  With ``K`` a power of
+    two, ``u * K`` and ``k / K`` are exact, so a uniform in bucket
+    ``k = floor(u * K)`` has its answer in ``[g[k], g[k + 1]]`` where ``g`` is
+    the search of the bucket edges.  A vectorised bisection over those few
+    candidates finishes it; ``K >= 4 * len(cdf)`` keeps most buckets at one.
+    The answer is below ``len(cdf)`` because ``u < cdf[-1]``, so no probe
+    leaves the array.
+    """
+    num_buckets = 1 << (4 * len(cdf) - 1).bit_length()
+    guide = cdf.searchsorted(np.arange(num_buckets + 1) / num_buckets, "right")
+    bucket = (u * num_buckets).astype(np.intp)
+    lo = guide[bucket]
+    hi = guide[bucket + 1]
+    for _ in range(int((hi - lo).max(initial=0)).bit_length()):
+        # A settled lane (lo == hi) probes cdf[lo] > u and stays put.
+        mid = (lo + hi) >> 1
+        go_up = cdf[mid] <= u
+        lo = np.where(go_up, mid + 1, lo)
+        hi = np.where(go_up, hi, mid)
+    return lo
 
 
 # --------------------------------------------------------------------------- #

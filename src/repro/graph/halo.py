@@ -130,7 +130,10 @@ def build_partitions(graph: CSRGraph, result: PartitionResult) -> List[GraphPart
         owned_mask = parts == p
         edge_mask = owned_mask[src_all]
         src, dst = src_all[edge_mask], dst_all[edge_mask]
-        halo = np.unique(dst[~owned_mask[dst]])
+        halo_mark = np.zeros(graph.num_nodes, dtype=bool)
+        halo_mark[dst] = True
+        halo_mark &= ~owned_mask
+        halo = np.flatnonzero(halo_mark)
         local_order = np.concatenate([owned, halo])
         global_to_local = np.full(graph.num_nodes, -1, dtype=np.int64)
         global_to_local[local_order] = np.arange(len(local_order), dtype=np.int64)

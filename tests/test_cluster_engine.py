@@ -187,6 +187,22 @@ class TestHeterogeneousCluster:
         with pytest.raises(ValueError, match="seed partitioning"):
             ClusterEngine(cluster, TrainConfig(**TRAIN))
 
+    def test_seed_coverage_rejects_a_seed_assigned_twice(self, small_dataset):
+        config = ClusterConfig(num_machines=2, trainers_per_machine=2, **CLUSTER_KW)
+        cluster = SimCluster(small_dataset, config)
+        first, second = cluster.trainers[:2]
+        assert first.partition is second.partition
+        first.seeds_local = np.concatenate([first.seeds_local, second.seeds_local[:1]])
+        with pytest.raises(ValueError, match="assigned some training node twice"):
+            cluster.validate_seed_coverage()
+
+    def test_seed_coverage_rejects_a_dropped_seed(self, small_dataset):
+        config = ClusterConfig(num_machines=2, trainers_per_machine=2, **CLUSTER_KW)
+        cluster = SimCluster(small_dataset, config)
+        cluster.trainers[0].seeds_local = cluster.trainers[0].seeds_local[1:]
+        with pytest.raises(ValueError, match="does not cover the training set exactly"):
+            cluster.validate_seed_coverage()
+
 
 class TestScenarioRegistry:
     def test_registered_names(self):

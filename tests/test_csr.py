@@ -122,8 +122,19 @@ class TestTransforms:
             assert has_edge(tiny_graph, int(nodes[u]), int(nodes[v]))
 
     def test_induced_subgraph_rejects_duplicates(self, tiny_graph):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="strictly ascending"):
             tiny_graph.induced_subgraph(np.array([0, 0]))
+
+    def test_induced_subgraph_rejects_unsorted_ids(self, tiny_graph):
+        with pytest.raises(ValueError, match="strictly ascending"):
+            tiny_graph.induced_subgraph(np.array([0, 3, 2]))
+
+    def test_induced_subgraph_keeps_row_order_and_parallel_edges(self):
+        g = CSRGraph(indptr=np.array([0, 4, 5, 5]), indices=np.array([2, 0, 2, 1, 0]),
+                     num_nodes=3)
+        sub, _ = g.induced_subgraph(np.array([0, 2]))
+        assert sub.indptr.tolist() == [0, 3, 3]
+        assert sub.indices.tolist() == [1, 0, 1]
 
     def test_networkx_oracle_edge_cut_and_components(self, small_community_graph):
         nx = pytest.importorskip("networkx")
