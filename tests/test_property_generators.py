@@ -100,10 +100,6 @@ class TestRmatEdges:
         """Bits 15 and 16 are set; an accumulator narrower than int32 drops one."""
         assert_rmat_matches(scale, 1, (0.57, 0.19, 0.19), 0.05, seed)
 
-    def test_dataset_shape_matches_oracle(self):
-        """The papers analog at the benchmark's scale: 2**14 nodes, 15 edges each."""
-        assert_rmat_matches(14, 15, (0.57, 0.19, 0.19), 0.05, 7)
-
 
 # --------------------------------------------------------------------------- #
 # Degree-proportional draw
