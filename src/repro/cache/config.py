@@ -32,9 +32,7 @@ class CacheConfig:
     ``shared_eviction``.  ``adaptive`` turns on the per-epoch capacity
     controller (see :class:`~repro.cache.controller.AdaptiveCapacityController`).
     ``scorer`` names the :data:`~repro.cache.scoring.SCORERS` entry built for
-    tiers whose policies require one (the ``scored`` family), and
-    ``record_decisions`` makes those tiers keep a :class:`ScoreRecord` ledger
-    (the ``repro explain`` replay path).
+    tiers whose policies require one (the ``scored`` family).
     """
 
     tiers: int = 1
@@ -45,7 +43,6 @@ class CacheConfig:
     hot_fraction: float = 0.5
     adaptive: bool = False
     scorer: str = "decayed"
-    record_decisions: bool = False
 
     def __post_init__(self) -> None:
         if not 1 <= self.tiers <= MAX_TIERS:
@@ -109,7 +106,6 @@ class CacheConfig:
             degree_of=partition.halo_degree_of,
             scorer=self.scorer,
             distance_of=partition.halo_distance_of,
-            record_decisions=self.record_decisions,
         )
 
     def describe(self) -> str:

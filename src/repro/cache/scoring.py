@@ -152,9 +152,9 @@ def capture_decisions() -> Iterator[DecisionLog]:
     """Context manager: record scored decisions of every tier built inside.
 
     While active, every :class:`~repro.cache.tier.CacheTier` constructed with
-    a scored policy registers itself and enables its ledger, regardless of the
-    config's ``record_decisions`` flag — the seam ``repro explain`` uses to
-    observe a replay without altering its decisions.
+    a scored policy registers itself and enables its ledger — the one way to
+    turn the ledger on, and the seam ``repro explain`` uses to observe a
+    replay without altering its decisions.
     """
     global _ACTIVE_LOG
     if _ACTIVE_LOG is not None:

@@ -135,12 +135,12 @@ class CacheTier:
     distance_of:
         Optional global-id -> halo-distance lookup for the scorer's
         halo-distance feature (1-hop halo rows report 1).
-    record_decisions:
-        Record every scored admit/reject/evict decision as a
-        :class:`~repro.cache.scoring.ScoreRecord` in :attr:`ledger`.  Forced
-        on while a :func:`~repro.cache.scoring.capture_decisions` session is
-        active (the ``repro explain`` replay path).  Recording never changes
-        a decision.
+
+    A scored tier built while a :func:`~repro.cache.scoring.capture_decisions`
+    session is active (the ``repro explain`` replay path) records every
+    admit/reject/evict decision as a
+    :class:`~repro.cache.scoring.ScoreRecord` in :attr:`ledger`.  Recording
+    never changes a decision.
     """
 
     def __init__(
@@ -153,7 +153,6 @@ class CacheTier:
         degree_of: Optional[DegreeLookup] = None,
         scorer: str = "decayed",
         distance_of: Optional[DistanceLookup] = None,
-        record_decisions: bool = False,
     ):
         if capacity < 0:
             raise ValueError(f"tier capacity must be >= 0, got {capacity}")
@@ -169,7 +168,7 @@ class CacheTier:
 
         self.scorer: Optional[PrefetchScorer] = None
         self.ledger: List[ScoreRecord] = []
-        self.record_decisions = bool(record_decisions)
+        self.record_decisions = False
         if (getattr(self.admission, "requires_scorer", False)
                 or getattr(self.eviction, "requires_scorer", False)):
             online = bool(getattr(self.admission, "online", False)

@@ -86,15 +86,16 @@ KNOB_FLAGS: Dict[str, Dict[str, tuple]] = {
         "--scale": _SCALE,
         "--pipeline": ("pipeline", "run this registered pipeline instead of the scenario's"),
         "--eviction-policy": ("prefetch.eviction_policy", "eviction policy for the prefetch "
-                              "buffer (default: the config's, score-threshold)"),
+                              "buffer (default: the config's, score-threshold); "
+                              "--no-eviction turns eviction off"),
         "--sampler": ("sampler", argparse.SUPPRESS),  # removed; 'vectorized' is a no-op
         "--rpc": ("rpc", "RPC channel registry key (default: the scenario's, per-call). "
                   "'batched' coalesces a step's remote pulls per owning partition "
                   "machine-wide and merges duplicate ids (stats report logical vs. wire "
                   "requests separately)"),
         "--cache-tiers": ("cache.tiers", "tiered feature cache: 1 = per-trainer hot tier, "
-                          "2 = + machine-shared tier (selects the 'tiered-cache' pipeline "
-                          "unless --pipeline is given; the trainer row budget still comes "
+                          "2 = + machine-shared tier (selects the 'tiered-cache' pipeline, "
+                          "the one that reads it; the trainer row budget still comes "
                           "from --halo-fraction)", {"choices": [1, 2]}),
         "--admission": ("cache.admission", "hot-tier admission policy (default: "
                         "static-degree — the pre-tier static cache behavior)"),
@@ -632,10 +633,10 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     recording is pure observation, so the replayed decisions are exactly what
     a non-captured run of the same scenario/seed would make.
     """
-    # The replay's cache is the flags' over a fresh recording config, not the
-    # scenario's recipe.
+    # The replay's cache is the flags' over a fresh config, not the scenario's
+    # recipe; capture_decisions() turns on the ledger of every scored tier.
     scenario = SCENARIOS.build(args.scenario).with_overrides(
-        cache_config=CacheConfig(record_decisions=True), **_knob_values(args, "explain")
+        cache_config=CacheConfig(), **_knob_values(args, "explain")
     )
     cache_config = scenario.cache_config
 

@@ -11,7 +11,6 @@ from repro.core.eviction import (
     EVICTION_POLICIES,
     EvictionPolicy,
     LRUPolicy,
-    NoEvictionPolicy,
     RandomEvictionPolicy,
     ScoreThresholdPolicy,
     build_eviction_policy,
@@ -44,7 +43,6 @@ __all__ = [
     "EVICTION_POLICIES",
     "EvictionPolicy",
     "LRUPolicy",
-    "NoEvictionPolicy",
     "RandomEvictionPolicy",
     "ScoreThresholdPolicy",
     "build_eviction_policy",

@@ -77,29 +77,16 @@ class RandomEvictionPolicy:
         return np.sort(self.rng.choice(capacity, size=min(num_to_evict, capacity), replace=False)).astype(np.int64)
 
 
-class NoEvictionPolicy:
-    """Never evict (the paper's *prefetch without eviction* variant)."""
-
-    name = "none"
-
-    def select(self, scores: EvictionScores, alpha: float,
-               last_hit_step: np.ndarray, step: int) -> np.ndarray:
-        return np.zeros(0, dtype=np.int64)
-
-
 EVICTION_POLICIES = Registry("eviction policy")
 EVICTION_POLICIES.register(
     "score-threshold", lambda seed=None: ScoreThresholdPolicy(), aliases=("score", "paper")
 )
 EVICTION_POLICIES.register("lru", lambda seed=None: LRUPolicy())
 EVICTION_POLICIES.register("random", lambda seed=None: RandomEvictionPolicy(seed=seed))
-EVICTION_POLICIES.register(
-    "none", lambda seed=None: NoEvictionPolicy(), aliases=("no-eviction",)
-)
 
 
 def build_eviction_policy(name: str, seed: SeedLike = None) -> EvictionPolicy:
-    """Factory: ``score-threshold`` (default), ``lru``, ``random``, or ``none``.
+    """Factory: ``score-threshold`` (default), ``lru`` or ``random``.
 
     Backed by :data:`EVICTION_POLICIES`; unknown names raise a ``ValueError``
     listing every registered policy.

@@ -28,7 +28,6 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.cache.tier import CacheTier
 from repro.core.buffer import PrefetchBuffer
 from repro.core.config import PrefetchConfig
 from repro.core.eviction import EvictionPolicy, build_eviction_policy
@@ -95,30 +94,18 @@ class Prefetcher:
         config: PrefetchConfig,
         rpc: RPCChannel,
         num_global_nodes: int,
-        global_degrees: Optional[np.ndarray] = None,
         eviction_policy: Optional[EvictionPolicy] = None,
-        shared_tier: Optional[CacheTier] = None,
     ):
         self.partition = partition
         self.config = config
         self.rpc = rpc
-        # Optional machine-shared cache tier in front of the RPC channel
-        # (and hence in front of the batched channel's coalescing window):
-        # rows another trainer on the machine already pulled are served from
-        # shared memory instead of the wire.  None (the default) keeps the
-        # miss path — and every golden-pinned counter — bit-identical.
-        self.shared_tier = shared_tier
         self.num_global_nodes = int(num_global_nodes)
         # Fall back to the policy named in the config ("score-threshold" by
         # default — the paper's Algorithm 2).
         self.eviction_policy = eviction_policy or build_eviction_policy(config.eviction_policy)
         # Degrees indexed by global id (needed for init and replacement ties).
-        if global_degrees is not None:
-            self._global_degrees = np.asarray(global_degrees, dtype=np.int64)
-        else:
-            degrees = np.zeros(num_global_nodes, dtype=np.int64)
-            degrees[partition.local_to_global] = partition.global_degrees
-            self._global_degrees = degrees
+        self._global_degrees = np.zeros(num_global_nodes, dtype=np.int64)
+        self._global_degrees[partition.local_to_global] = partition.global_degrees
 
         self.buffer: Optional[PrefetchBuffer] = None
         self.eviction_scores: Optional[EvictionScores] = None
@@ -250,7 +237,8 @@ class Prefetcher:
         # round's replacement rows (union1d keeps the ids sorted and unique).
         fetch_ids = np.union1d(unique_miss, replacement_ids)
         if len(fetch_ids):
-            rows, rpc_time, remote_fetched = self._fetch_remote(fetch_ids, step)
+            rows, rpc_time = self._fetch_remote(fetch_ids)
+            remote_fetched = len(fetch_ids)
             if len(miss_rows):
                 features[miss_rows] = rows[np.searchsorted(fetch_ids, miss_ids)]
             if len(replacement_ids):
@@ -317,33 +305,16 @@ class Prefetcher:
         current = self.access_scores.get(unique_ids)
         self.access_scores.set(unique_ids, current + counts.astype(np.float64))
 
-    def _fetch_remote(self, global_ids: np.ndarray, step: int) -> Tuple[np.ndarray, float, int]:
+    def _fetch_remote(self, global_ids: np.ndarray) -> Tuple[np.ndarray, float]:
         """Pull *global_ids* from their owning partitions over RPC.
 
-        Returns ``(rows, simulated_rpc_time, wire_rows)`` where ``wire_rows``
-        is how many rows actually crossed the network — fewer than requested
-        when a machine-shared cache tier serves part of the pull.  Ownership
-        resolution validates halo membership: a non-halo id would previously
-        map to an arbitrary neighbor's owner (wrong-owner routing); now it
-        raises ``KeyError`` naming the offending ids.
+        Returns ``(rows, simulated_rpc_time)``.  Ownership resolution
+        validates halo membership: a non-halo id raises ``KeyError`` naming
+        the offending ids instead of routing to an arbitrary owner.
         """
-        if self.shared_tier is None:
-            owners = self.partition.halo_owners_of(global_ids)
-            rows, rpc_time, _ = self.rpc.remote_pull(global_ids, owners)
-            return rows, rpc_time, int(len(global_ids))
-
-        rows = np.zeros((len(global_ids), self.buffer.feature_dim), dtype=np.float32)
-        hit_mask, hit_rows = self.shared_tier.lookup(global_ids, step)
-        if len(hit_rows):
-            rows[hit_mask] = hit_rows
-        missing = global_ids[~hit_mask]
-        rpc_time = 0.0
-        if len(missing):
-            owners = self.partition.halo_owners_of(missing)
-            fetched, rpc_time, _ = self.rpc.remote_pull(missing, owners)
-            rows[~hit_mask] = fetched
-            self.shared_tier.admit(missing, fetched, step)
-        return rows, rpc_time, int(len(missing))
+        owners = self.partition.halo_owners_of(global_ids)
+        rows, rpc_time, _ = self.rpc.remote_pull(global_ids, owners)
+        return rows, rpc_time
 
     def _plan_eviction(self, step: int) -> Tuple[np.ndarray, np.ndarray]:
         """Choose eviction slots and replacement node ids (EVICT_AND_REPLACE)."""

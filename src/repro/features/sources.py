@@ -12,9 +12,10 @@ protocol over a different data path:
   prefetcher's exact operation counts surfaced as :class:`FetchStats`;
 * :class:`TieredCacheSource` — the general policy-pluggable path: a
   per-trainer hot :class:`~repro.cache.tier.CacheTier` optionally backed by a
-  machine-shared tier, both sitting in front of the RPC channel (and hence in
-  front of the :class:`~repro.distributed.rpc.BatchedRPCChannel`'s coalescing
-  window when that channel is selected).  With the default
+  machine-shared tier (no other source has one), both sitting in front of the
+  RPC channel (and hence in front of the
+  :class:`~repro.distributed.rpc.BatchedRPCChannel`'s coalescing window when
+  that channel is selected).  With the default
   :class:`~repro.cache.config.CacheConfig` it is the degree-ranked static
   cache — populated once, never updated — the ablation showing why continuous
   eviction beats a static cache under stochastic neighbor sampling.
@@ -27,7 +28,6 @@ and :func:`~repro.training.pipelines.build_pipeline` hands the objects to a
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -44,26 +44,6 @@ from repro.distributed.rpc import RPCChannel
 from repro.features.source import FetchStats
 from repro.graph.halo import GraphPartition
 from repro.utils.rng import SeedLike
-
-
-def _split_budget(
-    cache_config: CacheConfig, shared_tier: Optional[CacheTier], budget: int
-) -> Tuple[int, int]:
-    """``(hot_capacity, shared_contribution)`` of one trainer's row *budget*.
-
-    With two tiers the trainer funds its share of the machine tier here, so
-    the tier's capacity is the sum of its trainers' contributions and total
-    resident memory matches the single-tier configuration.
-    """
-    hot_capacity, shared_contribution = cache_config.split_budget(budget)
-    if cache_config.tiers >= 2:
-        if shared_tier is None:
-            raise ValueError(
-                "a two-tier CacheConfig needs the machine's shared tier: pass "
-                "shared_tier=cluster.shared_cache_tier(machine, cache_config)"
-            )
-        shared_tier.resize(shared_tier.capacity + shared_contribution)
-    return hot_capacity, shared_contribution
 
 
 class LocalKVStoreSource:
@@ -165,12 +145,8 @@ class BufferedSource:
     ``fetch`` call, i.e. once per minibatch.
 
     ``config.eviction_policy`` names the policy, built here with *seed* so
-    every trainer owns its instance (and its RNG stream).  A two-tier
-    ``cache_config`` threads the machine-shared tier into the prefetcher's
-    miss path and splits the trainer's row budget like
-    :class:`TieredCacheSource` does: the buffer keeps ``hot_fraction`` of it
-    and the rest funds the shared tier.  ``None`` or a single tier keeps the
-    golden-pinned Algorithm 2 accounting bit-identical.
+    every trainer owns its instance (and its RNG stream).  The buffer is the
+    only cache on this path: every miss goes to the RPC channel.
     """
 
     name = "buffered"
@@ -182,32 +158,13 @@ class BufferedSource:
         config: PrefetchConfig,
         num_global_nodes: int,
         seed: SeedLike = None,
-        cache_config: Optional[CacheConfig] = None,
-        shared_tier: Optional[CacheTier] = None,
     ):
-        if cache_config is None or cache_config.tiers < 2:
-            shared_tier = None
-        else:
-            if cache_config.adaptive:
-                raise ValueError(
-                    "adaptive capacity control is not supported on the prefetch "
-                    "(buffered) data path — the buffer is not a resizable cache "
-                    "tier; use the 'tiered-cache' pipeline instead"
-                )
-            num_halo = partition.num_halo
-            budget = config.buffer_capacity(num_halo)
-            hot_capacity, _ = _split_budget(cache_config, shared_tier, budget)
-            if num_halo > 0 and budget > 0:
-                config = dataclasses.replace(
-                    config, halo_fraction=min(1.0, hot_capacity / num_halo)
-                )
         self.prefetcher = Prefetcher(
             partition=partition,
             config=config,
             rpc=rpc,
             num_global_nodes=num_global_nodes,
             eviction_policy=build_eviction_policy(config.eviction_policy, seed=seed),
-            shared_tier=shared_tier,
         )
         self._step = 0
 
@@ -238,17 +195,8 @@ class BufferedSource:
     def nbytes(self) -> int:
         return self.prefetcher.buffer_nbytes() + self.prefetcher.scoreboard_nbytes()
 
-    def tier_summary(self) -> Dict[str, float]:
-        """Shared-tier counters when the miss path routes through one."""
-        tier = self.prefetcher.shared_tier
-        if tier is None:
-            return {}
-        return {f"tier.shared.{key}": float(value) for key, value in tier.summary().items()}
-
     def summary(self) -> Dict[str, float]:
-        out = self.prefetcher.summary()
-        out.update(self.tier_summary())
-        return out
+        return self.prefetcher.summary()
 
 
 class TieredCacheSource:
@@ -293,9 +241,17 @@ class TieredCacheSource:
         self._initialized = False
 
         feature_dim = rpc.servers[rpc.local_part].feature_dim
-        hot_capacity, shared_contribution = _split_budget(
-            self.cache_config, shared_tier, self.capacity
-        )
+        # With two tiers the trainer funds its share of the machine tier here,
+        # so the tier's capacity is the sum of its trainers' contributions and
+        # total resident memory matches the single-tier configuration.
+        hot_capacity, shared_contribution = self.cache_config.split_budget(self.capacity)
+        if self.cache_config.tiers >= 2:
+            if shared_tier is None:
+                raise ValueError(
+                    "a two-tier CacheConfig needs the machine's shared tier: pass "
+                    "shared_tier=cluster.shared_cache_tier(machine, cache_config)"
+                )
+            shared_tier.resize(shared_tier.capacity + shared_contribution)
         self.hot_tier = self.cache_config.build_tier(
             "hot", hot_capacity, feature_dim, partition
         )

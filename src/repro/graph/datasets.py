@@ -95,6 +95,12 @@ class GraphDataset:
         }
 
 
+# Standard deviation of the non-informative feature noise, and rounds of
+# neighbor-majority label smoothing applied to every analog.
+FEATURE_NOISE = 1.0
+HOMOPHILY_ROUNDS = 1
+
+
 # --------------------------------------------------------------------------- #
 # Registry
 # --------------------------------------------------------------------------- #
@@ -154,8 +160,6 @@ def load_dataset(
     name: str,
     scale: float = 1.0,
     seed: SeedLike = 0,
-    feature_noise: float = 1.0,
-    homophily_rounds: int = 1,
 ) -> GraphDataset:
     """Materialize a synthetic analog of one of the paper's datasets.
 
@@ -169,10 +173,6 @@ def load_dataset(
         larger benchmark runs).
     seed:
         Seed controlling graph topology, features, labels, and splits.
-    feature_noise:
-        Standard deviation of the non-informative feature noise.
-    homophily_rounds:
-        Rounds of neighbor-majority label smoothing (0 disables).
     """
     if name not in DATASET_SPECS:
         raise KeyError(f"unknown dataset {name!r}; available: {available_datasets()}")
@@ -203,13 +203,12 @@ def load_dataset(
     else:  # pragma: no cover - registry is static
         raise ValueError(f"unknown generator kind {spec.generator!r}")
 
-    if homophily_rounds:
-        labels = gen.smooth_labels_by_propagation(
-            graph, labels, rounds=homophily_rounds, seed=derive_seed(seed, 3)
-        )
+    labels = gen.smooth_labels_by_propagation(
+        graph, labels, rounds=HOMOPHILY_ROUNDS, seed=derive_seed(seed, 3)
+    )
     labels = np.clip(labels, 0, spec.num_classes - 1)
     features = gen.class_informative_features(
-        labels, spec.feature_dim, noise=feature_noise, seed=derive_seed(seed, 4)
+        labels, spec.feature_dim, noise=FEATURE_NOISE, seed=derive_seed(seed, 4)
     )
     train_mask, val_mask, test_mask = gen.train_val_test_split(
         graph.num_nodes, seed=derive_seed(seed, 5)

@@ -49,8 +49,8 @@ class ClusterScenario:
     # RPC channel registry key (see RPC_CHANNELS).
     rpc: str = "per-call"
     # Tiered feature cache (repro.cache): None runs the tier-less data path;
-    # a CacheConfig parameterizes the "tiered-cache" pipeline (or threads a
-    # machine-shared tier behind the prefetch buffer when tiers >= 2).
+    # a CacheConfig parameterizes the "tiered-cache" pipeline, the one that
+    # reads it.
     cache_config: Optional[CacheConfig] = None
     # Hot-set drift: per-epoch active seed window (fraction, rotation); the
     # defaults iterate the full seed set exactly like the pre-drift loader.

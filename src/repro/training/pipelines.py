@@ -133,8 +133,6 @@ def _prefetch_buffer(trainer, cluster, prefetch_config, cache_config) -> Buffere
         prefetch_config,
         num_global_nodes=cluster.dataset.num_nodes,
         seed=cluster.config.seed,
-        cache_config=cache_config,
-        shared_tier=cluster.shared_cache_tier(trainer.machine, cache_config),
     )
 
 
@@ -177,7 +175,7 @@ PIPELINES.register("baseline", PipelineRow(
     _remote_rpc, SerialTimingPolicy, reads_prefetch_config=False, reads_cache_config=False,
 ), aliases=("distdgl",))
 PIPELINES.register("prefetch", PipelineRow(
-    _prefetch_buffer, OverlappedTimingPolicy, reads_prefetch_config=True, reads_cache_config=True,
+    _prefetch_buffer, OverlappedTimingPolicy, reads_prefetch_config=True, reads_cache_config=False,
 ), aliases=("massivegnn",))
 PIPELINES.register("static-cache", PipelineRow(
     _tiered_cache, OverlappedTimingPolicy, reads_prefetch_config=True, reads_cache_config=False,
@@ -207,8 +205,7 @@ def build_pipeline(
     if cache_config is not None and not row.reads_cache_config:
         raise ValueError(
             f"a CacheConfig (--cache-tiers/--admission/--eviction/--adaptive-cache) "
-            f"has no effect on the {name!r} pipeline; use pipeline 'tiered-cache' "
-            f"(or 'prefetch', which consumes the machine-shared tier)"
+            f"has no effect on the {name!r} pipeline; use pipeline 'tiered-cache'"
         )
     if prefetch_config is None and row.reads_prefetch_config:
         raise ValueError(f"the {name!r} pipeline requires a PrefetchConfig{row.budget_clause}")

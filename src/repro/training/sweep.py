@@ -10,7 +10,7 @@ grid on one materialized :class:`~repro.scenarios.ClusterScenario` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
@@ -38,7 +38,6 @@ class SweepPoint:
     total_time_s: float
     hit_rate: float
     improvement_percent: float
-    report: Optional[TrainingReport] = field(default=None, repr=False)
 
 
 @dataclass
@@ -68,7 +67,6 @@ def run_parameter_sweep(
     gammas: Sequence[float] = (0.995,),
     deltas: Sequence[int] = (64,),
     include_no_eviction: bool = False,
-    keep_reports: bool = False,
 ) -> SweepResult:
     """Run the baseline once plus one prefetch run per grid point on one workload.
 
@@ -99,20 +97,17 @@ def run_parameter_sweep(
                     total_time_s=report.total_simulated_time_s,
                     hit_rate=report.hit_rate,
                     improvement_percent=report.improvement_percent_vs(baseline),
-                    report=report if keep_reports else None,
                 )
             )
     return SweepResult(baseline=baseline, points=points)
 
 
-def find_optimal(
-    sweep: SweepResult, prioritize: str = "time"
-) -> Dict[str, object]:
+def find_optimal(sweep: SweepResult) -> Dict[str, object]:
     """Table IV selection rule: the (f_h, γ, Δ) minimizing end-to-end time.
 
     ``gamma`` and ``delta`` are ``None`` when the optimum never evicts.
     """
-    best = sweep.best(by=prioritize)
+    best = sweep.best()
     return {
         "halo_fraction": best.halo_fraction,
         "eviction_enabled": best.eviction_enabled,

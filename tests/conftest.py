@@ -84,14 +84,13 @@ def make_halo_source(small_cluster):
     def make(kind, trainer, prefetch_config=None, cache_config=None, shared_tier=None):
         config = prefetch_config or PrefetchConfig(halo_fraction=0.25, delta=8)
         if kind == "buffered":
+            assert cache_config is None and shared_tier is None, "the buffer reads no cache"
             return BufferedSource(
                 trainer.rpc,
                 trainer.partition,
                 config,
                 num_global_nodes=small_cluster.dataset.num_nodes,
                 seed=0,
-                cache_config=cache_config,
-                shared_tier=shared_tier,
             )
         assert kind == "tiered-cache", kind
         return TieredCacheSource(

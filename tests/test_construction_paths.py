@@ -351,3 +351,50 @@ def test_the_test_only_method_scan_flags_what_it_should(tmp_path):
         "src/pkg/a.py:Store.recursive",
         "src/pkg/a.py:Store.unused_property",
     ]
+
+
+# --------------------------------------------------------------------------- #
+# The paper's prefetcher stands alone: repro.core imports nothing of repro.cache
+# --------------------------------------------------------------------------- #
+def imported_modules(tree):
+    """Dotted names of every module an ``import`` anywhere in *tree* binds."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.add(node.module)
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return names
+
+
+def imports_of(package: Path, prefix: str):
+    """``(module, import)`` of every import under *package* naming *prefix* or below."""
+    return sorted(
+        (path.relative_to(package.parent).as_posix(), name)
+        for path in sorted(package.rglob("*.py"))
+        for name in imported_modules(ast.parse(path.read_text(), filename=str(path)))
+        if name == prefix or name.startswith(prefix + ".")
+    )
+
+
+def test_core_imports_nothing_from_the_cache_package():
+    # The machine-shared tier lives behind TieredCacheSource only; a second
+    # copy of its miss path inside the prefetcher would import it here.
+    assert imports_of(SRC / "core", "repro.cache") == []
+
+
+def test_the_import_scan_flags_what_it_should():
+    tree = ast.parse(
+        "import repro.cache.tier\n"
+        "from repro.cache.tier import CacheTier\n"
+        "from repro import cache\n"
+        "def lazy():\n    from repro.cache import CacheConfig\n"
+        "import repro.cachetools\n"
+    )
+    flagged = {name for name in imported_modules(tree)
+               if name == "repro.cache" or name.startswith("repro.cache.")}
+    assert flagged == {
+        "repro.cache.tier", "repro.cache.tier.CacheTier", "repro.cache",
+        "repro.cache.CacheConfig",
+    }

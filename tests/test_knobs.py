@@ -43,19 +43,20 @@ def test_dotted_names_edit_nested_configs():
 
 def test_whole_config_lands_before_its_dotted_fields():
     scenario = UNIFORM.with_overrides(
-        cache_config=CacheConfig(record_decisions=True),
+        cache_config=CacheConfig(hot_fraction=0.25),
         **{"cache.tiers": 2, "cache.admission": "scored"},
     )
-    assert scenario.cache_config == CacheConfig(tiers=2, admission="scored",
-                                                record_decisions=True)
+    assert scenario.cache_config == CacheConfig(tiers=2, admission="scored", hot_fraction=0.25)
     # The object came with the call, so no pipeline is auto-selected.
     assert scenario.pipeline == UNIFORM.pipeline
 
 
 def test_cache_knob_selects_tiered_cache_unless_a_pipeline_is_given():
     assert UNIFORM.with_overrides(**{"cache.tiers": 2}).pipeline == "tiered-cache"
-    chosen = UNIFORM.with_overrides(pipeline="prefetch", **{"cache.tiers": 2})
-    assert chosen.pipeline == "prefetch" and chosen.cache_config.tiers == 2
+    # A named pipeline is kept, so one that reads no cache is refused when it
+    # is built instead of being swapped for tiered-cache.
+    chosen = UNIFORM.with_overrides(pipeline="baseline", **{"cache.tiers": 2})
+    assert chosen.pipeline == "baseline" and chosen.cache_config.tiers == 2
 
 
 def test_sync_knob_without_engine_selects_async():

@@ -112,14 +112,13 @@ class TestMiniBatchPipeline:
 CASES = ("no PrefetchConfig", "a PrefetchConfig", "a CacheConfig")
 CACHE_MISUSE = (
     "a CacheConfig (--cache-tiers/--admission/--eviction/--adaptive-cache) has no "
-    "effect on the {!r} pipeline; use pipeline 'tiered-cache' (or 'prefetch', which "
-    "consumes the machine-shared tier)"
+    "effect on the {!r} pipeline; use pipeline 'tiered-cache'"
 )
 NEEDS = "the {!r} pipeline requires a PrefetchConfig"
 MISUSE = {
     "baseline": (None, "a PrefetchConfig has no effect on the 'baseline' pipeline",
                  CACHE_MISUSE.format("baseline")),
-    "prefetch": (NEEDS.format("prefetch"), None, None),
+    "prefetch": (NEEDS.format("prefetch"), None, CACHE_MISUSE.format("prefetch")),
     "static-cache": (NEEDS.format("static-cache") + " (its halo_fraction sets the cache capacity)",
                      None, CACHE_MISUSE.format("static-cache")),
     "tiered-cache": (NEEDS.format("tiered-cache") + " (its halo_fraction sets the cache budget)",

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import PrefetchConfig
-from repro.core.eviction import LRUPolicy, NoEvictionPolicy, RandomEvictionPolicy, ScoreThresholdPolicy, build_eviction_policy
+from repro.core.eviction import LRUPolicy, RandomEvictionPolicy, ScoreThresholdPolicy, build_eviction_policy
 from repro.core.metrics import HitRateTracker, PrefetchCounters, hit_rate, merge_hit_trackers
 from repro.core.prefetcher import Prefetcher
 from repro.distributed.cost_model import CostModel
@@ -270,9 +270,9 @@ class TestEvictionPolicies:
         assert isinstance(build_eviction_policy("score-threshold"), ScoreThresholdPolicy)
         assert isinstance(build_eviction_policy("lru"), LRUPolicy)
         assert isinstance(build_eviction_policy("random", seed=0), RandomEvictionPolicy)
-        assert isinstance(build_eviction_policy("none"), NoEvictionPolicy)
-        with pytest.raises(ValueError):
-            build_eviction_policy("fifo")
+        for name in ("fifo", "none"):
+            with pytest.raises(ValueError):
+                build_eviction_policy(name)
 
     def test_score_threshold_policy(self):
         from repro.core.scoreboard import EvictionScores
@@ -299,13 +299,6 @@ class TestEvictionPolicies:
         scores.set(np.arange(6), np.array([0.1, 0.1, 0.1, 0.9, 0.9, 0.9]))
         chosen = RandomEvictionPolicy(seed=0).select(scores, 0.5, np.zeros(6, dtype=np.int64), 1)
         assert len(chosen) == 3
-
-    def test_none_policy(self):
-        from repro.core.scoreboard import EvictionScores
-
-        scores = EvictionScores(3)
-        scores.set(np.arange(3), np.zeros(3))
-        assert len(NoEvictionPolicy().select(scores, 0.5, np.zeros(3, dtype=np.int64), 1)) == 0
 
     def test_prefetcher_with_lru_policy_runs(self, small_dataset, small_partitions):
         config = PrefetchConfig(halo_fraction=0.25, gamma=0.5, delta=3)

@@ -9,7 +9,6 @@ from repro.core.config import PrefetchConfig
 from repro.core.eviction import (
     EVICTION_POLICIES,
     LRUPolicy,
-    NoEvictionPolicy,
     RandomEvictionPolicy,
     ScoreThresholdPolicy,
     build_eviction_policy,
@@ -78,7 +77,6 @@ class TestEvictionPolicyRegistry:
         "score-threshold": ScoreThresholdPolicy,
         "lru": LRUPolicy,
         "random": RandomEvictionPolicy,
-        "none": NoEvictionPolicy,
     }
 
     def test_round_trip_every_registered_policy(self):
@@ -91,7 +89,15 @@ class TestEvictionPolicyRegistry:
     def test_aliases(self):
         assert isinstance(build_eviction_policy("score"), ScoreThresholdPolicy)
         assert isinstance(build_eviction_policy("paper"), ScoreThresholdPolicy)
-        assert isinstance(build_eviction_policy("no-eviction"), NoEvictionPolicy)
+
+    @pytest.mark.parametrize("name", ["none", "no-eviction"])
+    def test_no_eviction_is_the_config_switch_not_a_policy(self, name):
+        # PrefetchConfig.without_eviction() / --no-eviction skips the Δ rounds;
+        # a policy that selects nothing would still run (and report) them.
+        with pytest.raises(ValueError, match="lru, random, score-threshold"):
+            build_eviction_policy(name)
+        with pytest.raises(ValueError):
+            PrefetchConfig(eviction_policy=name)
 
     def test_unknown_policy_error_lists_names(self):
         with pytest.raises(ValueError) as excinfo:

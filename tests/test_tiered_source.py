@@ -132,40 +132,6 @@ class TestSharedTierAcrossTrainers:
             ),
         )
 
-    def test_prefetch_with_shared_tier_keeps_numerics_cuts_wire_rows(
-        self, products_dataset
-    ):
-        # Fresh cluster per run (RNG streams advance across runs).
-        def run(cache_config=None):
-            cluster = self._products_cluster(products_dataset)
-            engine = ClusterEngine(cluster, TrainConfig(epochs=2, hidden_dim=32, seed=1))
-            return engine.run(
-                "prefetch",
-                prefetch_config=PrefetchConfig(**PREFETCH),
-                cache_config=cache_config,
-            )
-
-        plain = run()
-        plain_losses = [r.loss for r in plain.report.epoch_records]
-        plain_wire = plain.report.rpc_stats.nodes_fetched
-
-        shared = run(
-            CacheConfig(
-                tiers=2, admission="always", eviction="lru",
-                shared_admission="always", shared_eviction="lru",
-            ),
-        )
-        shared_losses = [r.loss for r in shared.report.epoch_records]
-        # Same minibatches, same feature values -> identical training numerics.
-        assert plain_losses == shared_losses
-        # Rows a machine peer already pulled ride the shared tier, not the wire.
-        assert shared.report.rpc_stats.nodes_fetched < plain_wire
-        # The shared tier counters surface in trainer cache stats.
-        assert any(
-            t.cache_stats.get("halo.tier.shared.hits", 0) > 0
-            for t in shared.trainer_stats
-        )
-
     def test_tiered_pipeline_shared_tier_is_per_machine(self, products_dataset):
         cluster = self._products_cluster(products_dataset)
         engine = ClusterEngine(cluster, TrainConfig(epochs=1, hidden_dim=32, seed=1))
@@ -278,10 +244,12 @@ class TestCacheConfigNeverDropped:
 
     TWO_TIER = dict(tiers=2, admission="always", eviction="lru")
 
-    @pytest.mark.parametrize("pipeline", ["baseline", "distdgl", "static-cache"])
+    @pytest.mark.parametrize(
+        "pipeline", ["baseline", "distdgl", "static-cache", "prefetch", "massivegnn"]
+    )
     def test_explicit_cache_config_on_a_cacheless_pipeline_raises(self, pipeline):
         workload = SCENARIOS.build("uniform").with_overrides(scale=0.05, epochs=1).materialize()
-        with pytest.raises(ValueError, match="no effect on the '(baseline|static-cache)'"):
+        with pytest.raises(ValueError, match="no effect on the '(baseline|static-cache|prefetch)'"):
             workload.run(pipeline=pipeline, cache_config=CacheConfig(**self.TWO_TIER))
 
     def test_recipe_that_pairs_baseline_with_a_cache_raises(self):
@@ -308,7 +276,7 @@ class TestCacheCLIGuards:
 
     def test_cache_flags_rejected_on_cacheless_pipelines(self, capsys):
         from repro.cli import main
-        for pipeline in ("baseline", "static-cache"):
+        for pipeline in ("baseline", "static-cache", "prefetch"):
             code = main(["run", "--pipeline", pipeline, "--cache-tiers", "2",
                          "--scale", "0.05", "--epochs", "1"])
             assert code == 2
@@ -366,14 +334,14 @@ class TestCacheCLIGuards:
 
     TWO_TIER = dict(tiers=2, admission="always", eviction="lru")
 
-    @pytest.mark.parametrize("kind", ["buffered", "tiered-cache"])
+    @pytest.mark.parametrize("kind", ["tiered-cache"])
     def test_two_tier_config_needs_the_machine_tier(self, make_halo_source, trainer, kind):
         # The cluster owns the one shared tier per machine; a two-tier config
         # without it must not silently degrade to single-tier.
         with pytest.raises(ValueError, match="shared_cache_tier"):
             make_halo_source(kind, trainer, cache_config=CacheConfig(**self.TWO_TIER))
 
-    @pytest.mark.parametrize("kind", ["buffered", "tiered-cache"])
+    @pytest.mark.parametrize("kind", ["tiered-cache"])
     def test_two_tier_config_funds_the_machine_tier(
         self, small_cluster, make_halo_source, trainer, kind
     ):
@@ -382,13 +350,6 @@ class TestCacheCLIGuards:
         assert tier.capacity == 0
         make_halo_source(kind, trainer, cache_config=config, shared_tier=tier)
         assert tier.capacity > 0
-
-    def test_buffered_source_rejects_adaptive_config(self, make_halo_source, trainer):
-        with pytest.raises(ValueError, match="tiered-cache"):
-            make_halo_source(
-                "buffered", trainer,
-                cache_config=CacheConfig(**self.TWO_TIER, adaptive=True),
-            )
 
 
 class TestSeedDrift:

@@ -129,6 +129,8 @@ class TestAsyncEngineCLI:
          "the 'lockstep' engine does not take sync (got 'local-sgd')"),
         (["run", "--pipeline", "baseline", "--cache-tiers", "2"],
          "no effect on the 'baseline' pipeline"),
+        (["run", "--pipeline", "prefetch", "--cache-tiers", "2"],
+         "no effect on the 'prefetch' pipeline; use pipeline 'tiered-cache'"),
         (["run", "--cluster", "--pipeline", "static-cache", "--eviction", "lru"],
          "no effect on the 'static-cache' pipeline"),
         (["run", "--cluster", "--scenario", "steady-poisson", "--pipeline", "baseline",
@@ -170,6 +172,8 @@ class TestAsyncEngineCLI:
         # The process-pool flags and axes are gone.  argparse's own
         # unrecognised-argument exit (fragment None) prints usage, not one line.
         (["run", "--execution-backend", "process-pool"], None),
+        # --no-eviction is the one no-eviction switch; 'none' is not a policy.
+        (["run", "--eviction-policy", "none"], None),
         (["run", "--cluster", "--workers", "2"], None),
         (["tune", "--scenario", "uniform", "--axis", "workers=1,2"],
          "unknown tuning axis 'workers'"),
@@ -193,6 +197,15 @@ class TestAsyncEngineCLI:
         if fragment is not None:
             lines = captured.err.strip().splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: ") and fragment in lines[0]
+
+    def test_eviction_policy_none_lists_the_registered_policies(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--eviction-policy", "none"] + self.TINY)
+        assert exit_info.value.code == 2
+        (error,) = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert "argument --eviction-policy: invalid choice: 'none'" in error
+        choices = error.split("(choose from ")[1].rstrip(")").replace("'", "")
+        assert choices.split(", ") == ["lru", "random", "score-threshold"]
 
     @pytest.mark.parametrize("scenario", ["uniform", "async-staleness", "steady-poisson"])
     def test_cluster_flag_is_a_no_op(self, capsys, scenario):
