@@ -104,12 +104,6 @@ class TieredFeatureCache:
         return rows, result
 
     # ------------------------------------------------------------------ #
-    def end_epoch(self) -> None:
-        """Epoch boundary hook: steps every tier's scorer (controllers attach
-        via the owning source)."""
-        for tier in self.tiers:
-            tier.end_epoch()
-
     def nbytes(self) -> int:
         return int(sum(tier.nbytes() for tier in self.tiers))
 

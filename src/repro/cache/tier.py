@@ -185,7 +185,7 @@ class CacheTier:
     # ------------------------------------------------------------------ #
     # Introspection (policies read these views: one entry per resident, in
     # ascending id order; each is a row of the index, valid until the next
-    # admit/resize/invalidate/restore rebuilds it — a view held across a
+    # admit/resize/invalidate rebuilds it — a view held across a
     # one-for-one admit sees the entering rows written over the victims'.
     # resident_degrees is looked up afresh on every read)
     # ------------------------------------------------------------------ #
@@ -220,7 +220,7 @@ class CacheTier:
         return np.asarray(self.degree_of(global_ids), dtype=np.int64)
 
     def nbytes(self) -> int:
-        """Resident bytes (what a checkpoint holds), not the slot allocation:
+        """Resident bytes, not the slot allocation:
         per row the features, four int64 fields and the one-byte reference bit."""
         scorer_bytes = self.scorer.nbytes() if self.scorer is not None else 0
         return int(self.size * (self._rows.itemsize * self.feature_dim + 33) + scorer_bytes)
@@ -403,30 +403,6 @@ class CacheTier:
         self.clock_hand = 0
         self.stats.evictions += dropped
         return dropped
-
-    def snapshot(self) -> Dict[str, object]:
-        """Checkpointable tier contents: resident arrays, counters, capacity."""
-        return {
-            "capacity": self.capacity,
-            "clock_hand": self.clock_hand,
-            "last_step": self.last_step,
-            "ids": self._ids.copy(),
-            "rows": self._rows[self._slots],
-            "last_access": self._last_access.copy(),
-            "freq": self._freq.copy(),
-            "ref": self._ref.astype(bool),
-            "degrees": self.degrees(self.resident_ids),
-            "stats": self.stats.snapshot(),
-        }
-
-    def restore(self, state: Dict[str, object]) -> None:
-        """Rewind the tier to a :meth:`snapshot` (bit-exact resident set)."""
-        self.capacity = int(state["capacity"])
-        self.clock_hand = int(state["clock_hand"])
-        self.last_step = int(state["last_step"])
-        self._load(_columns(state["ids"], state["last_access"], state["freq"],
-                            state["ref"]), state["rows"])
-        self.stats = state["stats"].snapshot()
 
     def resize(self, new_capacity: int, step: int = 0) -> int:
         """Change capacity; shrinking evicts overflow via the eviction policy.

@@ -1,16 +1,14 @@
 """DistDGL-like distributed substrate: KVStore, RPC, cluster, DDP."""
 
-from repro.distributed.clock import SimClock, mean_breakdown, merge_breakdowns
+from repro.distributed.clock import SimClock
 from repro.distributed.cluster import ClusterConfig, SimCluster, TrainerContext
 from repro.distributed.cost_model import BYTES_PER_FEATURE, CostModel
 from repro.distributed.ddp import allreduce_gradients
-from repro.distributed.kvstore import KVStore, KVStoreStats
+from repro.distributed.kvstore import KVStore
 from repro.distributed.rpc import RPCChannel, RPCStats, aggregate_rpc_stats
 
 __all__ = [
     "SimClock",
-    "mean_breakdown",
-    "merge_breakdowns",
     "ClusterConfig",
     "SimCluster",
     "TrainerContext",
@@ -18,7 +16,6 @@ __all__ = [
     "CostModel",
     "allreduce_gradients",
     "KVStore",
-    "KVStoreStats",
     "RPCChannel",
     "RPCStats",
     "aggregate_rpc_stats",

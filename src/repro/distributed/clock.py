@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List
+from typing import Dict
 
 
 KNOWN_COMPONENTS = (
@@ -68,34 +68,7 @@ class SimClock:
         """Copy of the per-component ledger."""
         return dict(self.components)
 
-    def snapshot(self) -> Dict[str, object]:
-        """Checkpointable state: current time plus the component ledger."""
-        return {"time": float(self.time), "components": dict(self.components)}
-
-    def restore(self, state: Dict[str, object]) -> None:
-        """Rewind the clock to a :meth:`snapshot` (bit-exact)."""
-        self.time = float(state["time"])
-        self.components = defaultdict(float)
-        for component, seconds in state["components"].items():  # type: ignore[union-attr]
-            self.components[component] = float(seconds)
-
     def reset(self) -> None:
         self.time = 0.0
         self.components = defaultdict(float)
 
-
-def merge_breakdowns(clocks: Iterable[SimClock]) -> Dict[str, float]:
-    """Sum component ledgers across trainers (for cluster-wide breakdowns)."""
-    total: Dict[str, float] = defaultdict(float)
-    for clock in clocks:
-        for component, seconds in clock.components.items():
-            total[component] += seconds
-    return dict(total)
-
-
-def mean_breakdown(clocks: List[SimClock]) -> Dict[str, float]:
-    """Average per-trainer component ledger."""
-    if not clocks:
-        return {}
-    merged = merge_breakdowns(clocks)
-    return {k: v / len(clocks) for k, v in merged.items()}

@@ -264,9 +264,6 @@ class SimCluster:
     def world_size(self) -> int:
         return self.config.world_size
 
-    def trainer(self, global_rank: int) -> TrainerContext:
-        return self.trainers[global_rank]
-
     def shared_cache_tier(
         self, machine: int, cache_config: Optional["CacheConfig"]
     ) -> Optional["CacheTier"]:
@@ -395,8 +392,8 @@ class SimCluster:
             )
 
     def reset(self) -> None:
-        """Reset clocks, RPC counters, loader steps, and KVStore counters
-        (and undo any elastic seed re-splits / partition adoptions)."""
+        """Reset clocks, RPC counters and loader steps (and undo any elastic
+        seed re-splits / partition adoptions)."""
         for trainer, original in zip(self.trainers, self._original_seeds):
             trainer.clock.reset()
             trainer.rpc.reset_stats()
@@ -404,8 +401,6 @@ class SimCluster:
             if trainer.seeds_local is not original:
                 trainer.seeds_local = original
                 trainer.dataloader.reassign_seeds(original)
-        for server in self.servers.values():
-            server.reset_stats()
         self.partition_hosts = [p.part_id for p in self.partitions]
         for window in self._rpc_windows:
             if window is not None:

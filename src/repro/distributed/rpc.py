@@ -107,7 +107,7 @@ class RPCChannel:
         Precondition: *global_ids* is a 1-D int64 array (see :meth:`KVStore.pull`).
         """
         store = self.servers[self.local_part]
-        rows = store.pull(global_ids, remote=False)
+        rows = store.pull(global_ids)
         copy_time = self.cost_model.time_copy(len(global_ids), store.feature_dim)
         return rows, copy_time
 
@@ -196,7 +196,7 @@ class RPCChannel:
         server = self.servers.get(owner)
         if server is None:
             raise KeyError(f"no server registered for partition {owner}")
-        return server.pull(ids, remote=True)
+        return server.pull(ids)
 
 
 class CoalescingWindow:

@@ -109,15 +109,6 @@ class CSRGraph:
         indptr = np.searchsorted(key, np.arange(num_nodes + 1, dtype=np.int64) * num_nodes)
         return cls(indptr=indptr, indices=key % num_nodes, num_nodes=int(num_nodes))
 
-    @classmethod
-    def empty(cls, num_nodes: int) -> "CSRGraph":
-        """Graph with *num_nodes* nodes and no edges."""
-        return cls(
-            indptr=np.zeros(num_nodes + 1, dtype=np.int64),
-            indices=np.zeros(0, dtype=np.int64),
-            num_nodes=num_nodes,
-        )
-
     # ------------------------------------------------------------------ #
     # Basic queries
     # ------------------------------------------------------------------ #
@@ -134,27 +125,14 @@ class CSRGraph:
         nodes = check_1d_int_array(nodes, "nodes", max_value=self.num_nodes)
         return degs[nodes]
 
-    def degree(self, nodes: Optional[np.ndarray] = None) -> np.ndarray:
-        """Alias of :meth:`out_degree`; symmetric graphs use it as total degree."""
-        return self.out_degree(nodes)
-
     def edges(self) -> Tuple[np.ndarray, np.ndarray]:
         """Return ``(src, dst)`` edge arrays."""
         src = np.repeat(np.arange(self.num_nodes, dtype=np.int64), np.diff(self.indptr))
         return src, self.indices.copy()
 
-    def nbytes(self) -> int:
-        """Memory footprint of the CSR arrays in bytes."""
-        return int(self.indptr.nbytes + self.indices.nbytes)
-
     # ------------------------------------------------------------------ #
     # Transformations
     # ------------------------------------------------------------------ #
-    def reverse(self) -> "CSRGraph":
-        """Graph with all edges reversed."""
-        src, dst = self.edges()
-        return CSRGraph.from_edges(dst, src, num_nodes=self.num_nodes, deduplicate=False)
-
     def induced_subgraph(self, nodes: np.ndarray) -> Tuple["CSRGraph", np.ndarray]:
         """Induced subgraph on *nodes*, which must be strictly ascending.
 

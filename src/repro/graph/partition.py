@@ -57,10 +57,6 @@ class PartitionResult:
         """Global node ids owned by partition *part*."""
         return np.nonzero(self.parts == part)[0].astype(np.int64)
 
-    def sizes(self) -> np.ndarray:
-        """Number of nodes per partition."""
-        return np.bincount(self.parts, minlength=self.num_parts).astype(np.int64)
-
 
 # --------------------------------------------------------------------------- #
 # Quality metrics

@@ -3,7 +3,7 @@
 from repro.nn.gat import GAT, GATLayer
 from repro.nn.graphsage import GraphSAGE, SAGELayer
 from repro.nn.layers import Module, Parameter
-from repro.nn.loss import accuracy, cross_entropy, softmax
+from repro.nn.loss import cross_entropy, softmax
 from repro.nn.optim import Adam, Optimizer, SGD, build_optimizer
 
 
@@ -33,7 +33,6 @@ __all__ = [
     "SAGELayer",
     "Module",
     "Parameter",
-    "accuracy",
     "cross_entropy",
     "softmax",
     "Adam",

@@ -19,10 +19,6 @@ class Parameter:
     def zero_grad(self) -> None:
         self.grad[...] = 0.0
 
-    @property
-    def shape(self):
-        return self.value.shape
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Parameter(shape={self.value.shape})"
 

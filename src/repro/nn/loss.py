@@ -40,14 +40,3 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> Tuple[float, np.nda
     grad /= n
     return loss, grad.astype(np.float32)
 
-
-def accuracy(logits_or_preds: np.ndarray, labels: np.ndarray) -> float:
-    """Classification accuracy; accepts either logits or predicted class ids."""
-    labels = check_1d_int_array(labels, "labels")
-    if len(labels) == 0:
-        return 0.0
-    if logits_or_preds.ndim == 2:
-        preds = np.argmax(logits_or_preds, axis=1)
-    else:
-        preds = logits_or_preds.astype(np.int64)
-    return float(np.mean(preds == labels))

@@ -16,7 +16,7 @@ row indices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import List
 
 import numpy as np
 
@@ -160,21 +160,9 @@ class MiniBatch:
         return batch
 
     @property
-    def num_seeds(self) -> int:
-        return int(len(self.seeds_global))
-
-    @property
     def num_input_nodes(self) -> int:
         return int(len(self.input_global))
 
     def total_edges(self) -> int:
         """Total message edges across all layers (drives sampling cost)."""
         return int(sum(b.num_edges for b in self.blocks))
-
-    def summary(self) -> Dict[str, int]:
-        return {
-            "num_seeds": self.num_seeds,
-            "num_input_nodes": self.num_input_nodes,
-            "num_layers": len(self.blocks),
-            "total_edges": self.total_edges(),
-        }

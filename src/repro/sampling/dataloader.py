@@ -9,7 +9,7 @@ the same minibatches, which is what makes the comparison apples-to-apples.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -98,20 +98,6 @@ class DistDataLoader:
         assignment from the next epoch on.
         """
         self.seed_iterator.reassign(seeds_local)
-
-    def snapshot(self) -> Dict[str, Any]:
-        """Checkpointable loader state: step counter + sampler RNG + seeds."""
-        return {
-            "step": self._step,
-            "sampler_rng_state": self.sampler.rng.bit_generator.state,
-            "seed_iterator": self.seed_iterator.snapshot(),
-        }
-
-    def restore(self, state: Dict[str, Any]) -> None:
-        """Rewind to a :meth:`snapshot` (bit-exact sampler + seed streams)."""
-        self._step = int(state["step"])
-        self.sampler.rng.bit_generator.state = state["sampler_rng_state"]
-        self.seed_iterator.restore(state["seed_iterator"])
 
     def reset(self) -> None:
         """Reset the step and drift-epoch counters (between independent runs)."""

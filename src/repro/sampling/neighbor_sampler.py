@@ -128,10 +128,6 @@ class NeighborSampler:
         self._pos_scratch = np.full(graph.num_nodes, -1, dtype=np.int64)
         self._indices_scratch = graph.indices.copy()
 
-    @property
-    def num_layers(self) -> int:
-        return len(self.fanouts)
-
     # ------------------------------------------------------------------ #
     def sample(
         self,

@@ -51,14 +51,6 @@ class PipelineBatch:
     fetch: "FetchResult"
     step: int
 
-    @property
-    def labels(self) -> np.ndarray:
-        return self.minibatch.labels
-
-    @property
-    def blocks(self):
-        return self.minibatch.blocks
-
 
 class MiniBatchPipeline:
     """Seed → sample → fetch → batch over one trainer's loader and feature store.

@@ -10,7 +10,7 @@ why the number of minibatches per trainer shrinks as trainers grow (Table III).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Iterator, List, Optional
 
 import numpy as np
 
@@ -73,12 +73,6 @@ class SeedIterator:
         self.active_fraction = float(active_fraction)
         self.rotation = float(rotation)
         self._epochs_started = 0
-        # In-flight epoch state (for mid-epoch checkpoint/restore): the
-        # shuffled order, the next batch start, and the iteration limit.
-        self._order: Optional[np.ndarray] = None
-        self._cursor = 0
-        self._limit = 0
-        self._resume = False
 
     @property
     def num_active(self) -> int:
@@ -120,41 +114,20 @@ class SeedIterator:
         counter (one increment per ``epoch`` call, counted eagerly, not at
         first consumption) drives the rotation.
         """
-        if self._resume:
-            # Restored mid-epoch: continue the interrupted epoch (already
-            # counted in ``_epochs_started`` when it originally began).
-            return self._iterate(0)
         if epoch_index is None:
             epoch_index = self._epochs_started
         self._epochs_started += 1
         return self._iterate(epoch_index)
 
     def _iterate(self, epoch_index: int) -> Iterator[np.ndarray]:
-        if self._resume:
-            self._resume = False
-            order = self._order
-            if order is None:
-                return
-        else:
-            if len(self.seeds) == 0:
-                self._order = None
-                return
-            order = self.active_window(epoch_index)
-            self.rng.shuffle(order)
-            self._order = order
-            self._limit = (
-                self.num_batches * self.batch_size if self.drop_last else len(order)
-            )
-            self._cursor = 0
-        while self._cursor < self._limit:
-            start = self._cursor
-            batch = order[start: start + self.batch_size]
-            if self.drop_last and len(batch) < self.batch_size:
-                break
-            self._cursor = start + self.batch_size
-            if len(batch):
-                yield batch
-        self._order = None
+        # A generator: the window is drawn and shuffled at the first next().
+        if len(self.seeds) == 0:
+            return
+        order = self.active_window(epoch_index)
+        self.rng.shuffle(order)
+        limit = self.num_batches * self.batch_size if self.drop_last else len(order)
+        for start in range(0, limit, self.batch_size):
+            yield order[start: start + self.batch_size]
 
     def reassign(self, seeds: np.ndarray) -> None:
         """Swap the seed set **in place** (elastic re-sharding).
@@ -167,36 +140,9 @@ class SeedIterator:
         """
         self.seeds = check_1d_int_array(seeds, "seeds")
 
-    def snapshot(self) -> Dict[str, Any]:
-        """Checkpointable iteration state (RNG stream + in-flight epoch)."""
-        mid = self._order is not None
-        return {
-            "epochs_started": self._epochs_started,
-            "rng_state": self.rng.bit_generator.state,
-            "order": self._order.copy() if mid else None,
-            "cursor": self._cursor,
-            "limit": self._limit,
-            "mid_epoch": mid,
-        }
-
-    def restore(self, state: Dict[str, Any]) -> None:
-        """Rewind to a :meth:`snapshot`; a mid-epoch snapshot resumes the
-        interrupted epoch bit-identically on the next :meth:`epoch` call."""
-        self._epochs_started = int(state["epochs_started"])
-        self.rng.bit_generator.state = state["rng_state"]
-        order = state["order"]
-        self._order = order.copy() if order is not None else None
-        self._cursor = int(state["cursor"])
-        self._limit = int(state["limit"])
-        self._resume = bool(state["mid_epoch"]) and self._order is not None
-
     def reset(self) -> None:
         """Rewind the drift epoch counter (between independent runs)."""
         self._epochs_started = 0
-        self._order = None
-        self._cursor = 0
-        self._limit = 0
-        self._resume = False
 
     def __iter__(self) -> Iterator[np.ndarray]:
         return self.epoch()

@@ -42,7 +42,7 @@ from repro.events.sync import SYNC_POLICIES
 from repro.graph.datasets import available_datasets
 from repro.serving.arrivals import ARRIVALS
 from repro.training.engines import ENGINES
-from repro.training.pipelines import PIPELINES
+from repro.training.pipelines import PIPELINES, _refuse_unread_cache_config
 from repro.utils.registry import Registry
 
 
@@ -344,9 +344,11 @@ def reject_inert(scenario, names: Iterable[str], spell: Callable[[str], str] = s
     the caller set, and ``spell(axis)`` is how the caller typed an axis
     (the ``repro`` CLI passes its flag names).  A staleness or sync period
     the effective sync policy does not read, a prefetch knob on a pipeline
-    that takes no ``PrefetchConfig``, and a prefetch eviction policy next to
+    that takes no ``PrefetchConfig``, a cache knob on one that takes no
+    ``CacheConfig``, and a prefetch eviction policy next to
     ``eviction_enabled=False`` would each be silently inert; they are
-    rejected instead of letting the caller believe they measured them.
+    rejected — before the scenario is materialized — instead of letting the
+    caller believe they measured them.
     """
     names = set(names)
     sync = SYNC_POLICIES.resolve(scenario.sync)
@@ -364,6 +366,8 @@ def reject_inert(scenario, names: Iterable[str], spell: Callable[[str], str] = s
             f"takes no PrefetchConfig); pick another {spell('pipeline')}, or --mode "
             f"both to compare"
         )
+    if any(n.startswith("cache.") for n in names):
+        _refuse_unread_cache_config(pipeline)
     if {"prefetch.eviction_policy", "prefetch.eviction_enabled"} <= names and (
         not scenario.prefetch_config.eviction_enabled
     ):

@@ -94,10 +94,6 @@ class ServingSpec:
         object.__setattr__(self, "arrival", ARRIVALS.resolve(self.arrival))
 
     # ------------------------------------------------------------------ #
-    @property
-    def slo_s(self) -> float:
-        return self.slo_ms / 1e3
-
     def with_overrides(self, **overrides) -> "ServingSpec":
         """A copy with selected fields replaced; ``None`` values are ignored."""
         filtered = {k: v for k, v in overrides.items() if v is not None}

@@ -11,13 +11,10 @@ through the cost model as ``migration`` time.
 Because the simulated trainers share one model replica, a restore between
 two sync rounds is numerically a no-op (the replica *is* the consensus
 state); the value of the layer is the provenance it pins — ``step`` > 0 at
-restore, asserted by the acceptance tests — and the per-trainer
-:class:`TrainerCheckpoint`, which snapshots the private per-rank state
-(simulated clock, sampler RNG stream, seed iterator cursor) that a real
-deployment would have to ship to a replacement process.
+restore, asserted by the acceptance tests.
 
-All artifacts pickle cleanly (audited in ``tests/test_pickle_audit.py``), as
-a replacement process would need, and compare equal after a round trip via
+A checkpoint pickles cleanly (audited in ``tests/test_pickle_audit.py``), as
+a replacement process would need, and compares equal after a round trip via
 numpy-aware ``__eq__``.
 """
 
@@ -89,71 +86,18 @@ class ClusterCheckpoint:
         )
 
 
-@dataclass(eq=False)
-class TrainerCheckpoint:
-    """Per-rank private state: simulated clock + data-loader streams.
-
-    Captures exactly what a replacement trainer process would need to resume
-    the rank's schedule mid-epoch: the clock's time/ledger, the sampler RNG
-    stream, the loader step counter, and the seed iterator's in-flight epoch
-    (shuffled order + cursor).  Round-trips through
-    :meth:`~repro.sampling.dataloader.DistDataLoader.restore` bit-identically
-    (pinned by ``tests/test_checkpoint.py``).
-    """
-
-    rank: int
-    clock_state: Dict[str, Any]
-    loader_state: Dict[str, Any]
-
-    @classmethod
-    def capture(cls, trainer) -> "TrainerCheckpoint":
-        return cls(
-            rank=int(trainer.global_rank),
-            clock_state=trainer.clock.snapshot(),
-            loader_state=trainer.dataloader.snapshot(),
-        )
-
-    def restore_into(self, trainer) -> None:
-        if int(trainer.global_rank) != self.rank:
-            raise ValueError(
-                f"checkpoint belongs to rank {self.rank}, "
-                f"got trainer rank {trainer.global_rank}"
-            )
-        trainer.clock.restore(self.clock_state)
-        trainer.dataloader.restore(self.loader_state)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TrainerCheckpoint):
-            return NotImplemented
-        return (
-            self.rank == other.rank
-            and _state_equal(self.clock_state, other.clock_state)
-            and _state_equal(self.loader_state, other.loader_state)
-        )
-
-
 class CheckpointStore:
-    """Holds the latest consensus checkpoint plus capture/restore counters.
+    """Holds the latest consensus checkpoint.
 
     One store per run; the engine calls :meth:`update` after every applied
-    sync round and :meth:`restore` when a failed trainer recovers.  The
-    counters feed the run telemetry (``restores`` per rank rides in
-    ``sync_extras``).
+    sync round and :meth:`restore` when a failed trainer recovers.
     """
 
     def __init__(self) -> None:
         self.latest: Optional[ClusterCheckpoint] = None
-        self.updates = 0
-        self.restores = 0
-
-    @property
-    def last_step(self) -> int:
-        """Consensus step of the latest checkpoint (0 before any capture)."""
-        return self.latest.step if self.latest is not None else 0
 
     def update(self, model, optimizer, step: int, time_s: float) -> ClusterCheckpoint:
         self.latest = ClusterCheckpoint.capture(model, optimizer, step, time_s)
-        self.updates += 1
         return self.latest
 
     def restore(self, model, optimizer) -> ClusterCheckpoint:
@@ -166,5 +110,4 @@ class CheckpointStore:
         if self.latest is None:
             raise RuntimeError("no checkpoint captured yet")
         self.latest.restore_into(model, optimizer)
-        self.restores += 1
         return self.latest

@@ -187,6 +187,20 @@ PIPELINES.register("tiered-cache", PipelineRow(
 ), aliases=("tiered",))
 
 
+def _refuse_unread_cache_config(name: str) -> None:
+    """Raise ``ValueError`` if the canonical pipeline *name* reads no CacheConfig.
+
+    :func:`build_pipeline` asks this of the config it is handed, and
+    ``repro run`` (:func:`~repro.scenarios.knobs.reject_inert`) of a cache
+    knob before anything is built.
+    """
+    if not PIPELINES.get(name).reads_cache_config:
+        raise ValueError(
+            f"a CacheConfig (--cache-tiers/--admission/--eviction/--adaptive-cache) "
+            f"has no effect on the {name!r} pipeline; use pipeline 'tiered-cache'"
+        )
+
+
 def build_pipeline(
     name: str,
     trainer: "TrainerContext",
@@ -202,11 +216,8 @@ def build_pipeline(
     """
     name = PIPELINES.resolve(name)
     row: PipelineRow = PIPELINES.get(name)
-    if cache_config is not None and not row.reads_cache_config:
-        raise ValueError(
-            f"a CacheConfig (--cache-tiers/--admission/--eviction/--adaptive-cache) "
-            f"has no effect on the {name!r} pipeline; use pipeline 'tiered-cache'"
-        )
+    if cache_config is not None:
+        _refuse_unread_cache_config(name)
     if prefetch_config is None and row.reads_prefetch_config:
         raise ValueError(f"the {name!r} pipeline requires a PrefetchConfig{row.budget_clause}")
     if prefetch_config is not None and not row.reads_prefetch_config:

@@ -47,15 +47,11 @@ class SweepResult:
     baseline: TrainingReport
     points: List[SweepPoint]
 
-    def best(self, by: str = "time") -> SweepPoint:
-        """Best point: minimum time (default) or maximum hit rate."""
+    def best(self) -> SweepPoint:
+        """The point with the minimum end-to-end time."""
         if not self.points:
             raise ValueError("sweep produced no points")
-        if by == "time":
-            return min(self.points, key=lambda p: p.total_time_s)
-        if by == "hit_rate":
-            return max(self.points, key=lambda p: p.hit_rate)
-        raise ValueError(f"unknown criterion {by!r}")
+        return min(self.points, key=lambda p: p.total_time_s)
 
 
 def run_parameter_sweep(

@@ -186,9 +186,6 @@ class TrainingReport:
             return 0.0
         return self.hit_tracker.cumulative_hit_rate
 
-    def epoch_times(self) -> np.ndarray:
-        return np.array([r.simulated_time_s for r in self.epoch_records], dtype=np.float64)
-
     def speedup_vs(self, baseline: "TrainingReport") -> float:
         """``T_baseline / T_this`` (greater than 1 means this run is faster)."""
         if self.total_simulated_time_s <= 0:

@@ -5,7 +5,7 @@ store: six parallel arrays in ascending id order — the feature matrix among
 them — rebuilt with ``np.insert``/``np.delete`` on every admission and
 eviction.  It is slow and obviously right, which is what an oracle is for.
 It still stores each resident's degree, looked up once on entry, and serves
-``resident_degrees`` and ``snapshot()["degrees"]`` from that array; the real
+``resident_degrees`` from that array; the real
 tier's five-row index holds no degrees and looks them up on every read, so
 the property test holds the on-demand lookup to the stored column.  Only
 storage is overridden (its ``admit`` asks the admission policy
@@ -178,32 +178,6 @@ class OracleCacheTier(CacheTier):
         self.clock_hand = 0
         self.stats.evictions += dropped
         return dropped
-
-    def snapshot(self):
-        return {
-            "capacity": self.capacity,
-            "clock_hand": self.clock_hand,
-            "last_step": self.last_step,
-            "ids": self._ids.copy(),
-            "rows": self._rows.copy(),
-            "last_access": self._last_access.copy(),
-            "freq": self._freq.copy(),
-            "ref": self._ref.copy(),
-            "degrees": self._degrees.copy(),
-            "stats": self.stats.snapshot(),
-        }
-
-    def restore(self, state) -> None:
-        self.capacity = int(state["capacity"])
-        self.clock_hand = int(state["clock_hand"])
-        self.last_step = int(state["last_step"])
-        self._ids = state["ids"].copy()
-        self._rows = state["rows"].copy()
-        self._last_access = state["last_access"].copy()
-        self._freq = state["freq"].copy()
-        self._ref = state["ref"].copy()
-        self._degrees = state["degrees"].copy()
-        self.stats = state["stats"].snapshot()
 
     def resize(self, new_capacity: int, step: int = 0) -> int:
         new_capacity = int(new_capacity)

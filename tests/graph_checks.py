@@ -2,10 +2,23 @@
 
 Nothing in the library needs these queries, so they live beside the tests
 rather than on the graph: each reads only ``indptr``, ``indices`` and
-``edges()``.
+``edges()`` (or a partition's ``parts``).
 """
 
 import numpy as np
+
+from repro.graph.csr import CSRGraph
+
+
+def empty_graph(num_nodes):
+    """Graph with *num_nodes* nodes and no edges."""
+    none = np.zeros(0, dtype=np.int64)
+    return CSRGraph.from_edges(none, none, num_nodes=num_nodes)
+
+
+def part_sizes(result):
+    """Number of nodes per partition of a :class:`PartitionResult`."""
+    return np.bincount(result.parts, minlength=result.num_parts).astype(np.int64)
 
 
 def neighbors(graph, node):

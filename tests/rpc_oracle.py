@@ -33,7 +33,7 @@ from repro.distributed.rpc import BatchedRPCChannel, CoalescingWindow, RPCChanne
 class OracleKVStore(KVStore):
     """``KVStore`` with the two-pass clipped membership test."""
 
-    def pull(self, global_ids, *, remote: bool = False):
+    def pull(self, global_ids):
         if len(global_ids) == 0:
             return np.zeros((0, self.feature_dim), dtype=np.float32)
         idx = np.searchsorted(self._ids, global_ids)
@@ -46,16 +46,7 @@ class OracleKVStore(KVStore):
             raise KeyError(
                 f"KVStore for partition {self.part_id} does not own nodes {missing.tolist()}"
             )
-        rows = self._rows[idx]
-        nbytes = rows.size * BYTES_PER_FEATURE
-        if remote:
-            self.stats.remote_pulls += 1
-            self.stats.remote_rows += len(global_ids)
-            self.stats.bytes_served_remote += int(nbytes)
-        else:
-            self.stats.local_pulls += 1
-            self.stats.local_rows += len(global_ids)
-        return rows
+        return self._rows[idx]
 
 
 class OracleCoalescingWindow(CoalescingWindow):
@@ -111,7 +102,7 @@ class OracleRPCChannel(RPCChannel):
         server = self.servers.get(owner)
         if server is None:
             raise KeyError(f"no server registered for partition {owner}")
-        return server.pull(ids, remote=True)
+        return server.pull(ids)
 
 
 class OracleBatchedRPCChannel(OracleRPCChannel, BatchedRPCChannel):

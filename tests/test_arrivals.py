@@ -141,13 +141,12 @@ class TestServingSpec:
         bumped = spec.with_overrides(rate_rps=3000.0, num_requests=None)
         assert bumped.rate_rps == 3000.0 and bumped.num_requests == spec.num_requests
 
-    def test_describe_and_slo(self):
+    def test_describe(self):
         assert ServingSpec(arrival="poisson", rate_rps=1500.0).describe() == "poisson(1500 rps)"
         assert "1500↔375" in ServingSpec(arrival="diurnal", rate_rps=1500.0,
                                          trough_fraction=0.25).describe()
         assert "burst=30%" in ServingSpec(arrival="flash-crowd",
                                           burst_fraction=0.3).describe()
-        assert ServingSpec(slo_ms=5.0).slo_s == pytest.approx(0.005)
 
     def test_registry_surface(self):
         assert {"poisson", "diurnal", "flash-crowd"} <= set(ARRIVALS.names())

@@ -44,9 +44,11 @@ class TestSimCluster:
             assert len(np.unique(allseeds)) == len(allseeds)
 
     def test_servers_cover_all_features(self, small_cluster, small_dataset):
-        every_node = np.arange(small_dataset.num_nodes)
-        owners = sum(s.contains(every_node).astype(int) for s in small_cluster.servers.values())
-        assert np.all(owners == 1)
+        owned = np.concatenate([p.owned_global for p in small_cluster.partitions])
+        np.testing.assert_array_equal(np.sort(owned), np.arange(small_dataset.num_nodes))
+        for p in small_cluster.partitions:
+            rows = small_cluster.servers[p.part_id].pull(p.owned_global)
+            np.testing.assert_array_equal(rows, small_dataset.features[p.owned_global])
 
     def test_summary_keys(self, small_cluster):
         summary = small_cluster.summary()

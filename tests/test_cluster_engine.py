@@ -18,6 +18,7 @@ from repro.graph.partition import skewed_partition
 from repro.scenarios import SCENARIOS, available_scenarios, build_scenario
 from repro.training.cluster_engine import ClusterEngine
 from repro.training.config import TrainConfig
+from graph_checks import part_sizes
 
 CLUSTER_KW = dict(batch_size=64, fanouts=(5, 10), seed=7)
 PREFETCH = dict(halo_fraction=0.35, gamma=0.995, delta=8)
@@ -230,7 +231,7 @@ class TestScenarioRegistry:
 
     def test_skewed_partition_sizes_are_geometric(self, small_dataset):
         result = skewed_partition(small_dataset.graph, 4, seed=0, skew=0.6)
-        sizes = result.sizes()
+        sizes = part_sizes(result)
         assert sizes.sum() == small_dataset.num_nodes
         assert all(sizes[i] > sizes[i + 1] for i in range(3))
         assert result.stats["balance"] > 1.3  # deliberately imbalanced

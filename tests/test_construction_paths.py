@@ -14,14 +14,25 @@ module that restated it as ``name == "baseline"`` would drift from them.
 Every public top-level function and class under ``src/repro`` has a use in
 ``src/``, ``benchmarks/``, ``examples/`` or ``tools/``: code only tests call
 belongs in ``tests/``.  A package ``__init__``'s re-exports are not uses (code
-in its body is), a decorated (registered) definition is used, and a name whose
+in its body is), a definition registered with ``@<registry>.register(...)`` is
+used (any other decorator, ``@dataclass`` included, is not), and a name whose
 only callers are themselves unused is unused too.  Public methods get the same
 scan, by name: a method is used when its name is read (as a name, an attribute
 or a string) there outside its own definition.  The methods only tests use are
 an explicit list that may only shrink.
+
+A bare name that reads a function-local variable — a parameter, an assignment
+or loop target, a nested ``def``, a comprehension variable, or one of these
+taken from an enclosing function — is not a use of a definition of the same
+name; ``symtable`` decides which names are local.  A name a function binds by
+``import`` is a use, so lazy imports keep what they import live.  One blind
+spot remains: the scans match members by name, so an attribute read
+``obj.name`` is a use of every member called ``name`` (``loop.push`` keeps any
+``push`` method live).  A static scan cannot tell which class ``obj`` is.
 """
 
 import ast
+import symtable
 from pathlib import Path
 
 from repro.training.pipelines import PIPELINES
@@ -163,15 +174,117 @@ USE_DIRS = ("src", "benchmarks", "examples", "tools")
 TEST_ONLY_ALLOWED = {}
 
 
-def _identifiers(node):
-    """Every name *node* reads (``x`` and ``obj.x`` both read ``x``)."""
+_COMPREHENSIONS = {
+    ast.ListComp: "listcomp", ast.SetComp: "setcomp",
+    ast.DictComp: "dictcomp", ast.GeneratorExp: "genexpr",
+}
+
+
+def _scope_parts(node):
+    """``(symtable name, parts evaluated outside, parts inside)`` of a node
+    that opens a scope, else ``None``."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        args = node.args
+        outside = [*args.defaults, *(d for d in args.kw_defaults if d is not None)]
+        if isinstance(node, ast.Lambda):
+            return "lambda", outside, [node.body]
+        every_arg = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+        outside += [*node.decorator_list, node.returns]
+        outside += [a.annotation for a in every_arg if a is not None]
+        return node.name, outside, node.body
+    if isinstance(node, ast.ClassDef):
+        return node.name, [*node.decorator_list, *node.bases, *node.keywords], node.body
+    if type(node) in _COMPREHENSIONS:
+        first, *rest = node.generators
+        inside = [first.target, *first.ifs, *rest]
+        inside += [node.key, node.value] if isinstance(node, ast.DictComp) else [node.elt]
+        return _COMPREHENSIONS[type(node)], [first.iter], inside
+    return None
+
+
+def _is_function_local(name, tables):
+    """Does *name*, read in the innermost of *tables*, name a variable some
+    function binds itself (not by ``import``)?"""
+    table = tables[-1]
+    try:
+        symbol = table.lookup(name)
+    except KeyError:
+        return False
+    if symbol.is_free():
+        # Bound by an enclosing function: find it (class bodies are skipped).
+        for outer in reversed(tables[:-1]):
+            if outer.get_type() == "function" and name in outer.get_identifiers():
+                symbol, table = outer.lookup(name), outer
+                if symbol.is_local():
+                    break
+        else:
+            return False
+    return table.get_type() == "function" and symbol.is_local() and not symbol.is_imported()
+
+
+def local_variable_reads(tree, source):
+    """``id()`` of every ``ast.Name`` in *tree* that names a function-local
+    variable: a parameter, an assignment or loop target, a nested ``def``.
+
+    Those read the function's own binding, not a module-level definition of
+    the same name.  A name a function binds by ``import`` is not local here,
+    so a lazy import still reads the definition it imports.
+    """
+    found = set()
+    unmatched = {}        # table id -> {(name, line): [child tables, in order]}
+
+    def child(table, name, line):
+        if table.get_id() not in unmatched:
+            slots = unmatched[table.get_id()] = {}
+            for sub in table.get_children():
+                slots.setdefault((sub.get_name(), sub.get_lineno()), []).append(sub)
+        return unmatched[table.get_id()][(name, line)].pop(0)
+
+    def visit(node, tables):
+        if isinstance(node, ast.Name) and _is_function_local(node.id, tables):
+            found.add(id(node))
+        parts = _scope_parts(node)
+        if parts is None:
+            for sub in ast.iter_child_nodes(node):
+                visit(sub, tables)
+            return
+        name, outside, inside = parts
+        for sub in outside:
+            if sub is not None:
+                visit(sub, tables)
+        inner = tables + (child(tables[-1], name, node.lineno),)
+        for sub in inside:
+            if sub is not None:
+                visit(sub, inner)
+
+    visit(tree, (symtable.symtable(source, "<scan>", "exec"),))
+    return found
+
+
+def parse_with_locals(path):
+    """``(tree, ids of its function-local name reads)`` for one file."""
+    source = path.read_text()
+    tree = ast.parse(source, filename=str(path))
+    return tree, local_variable_reads(tree, source)
+
+
+def _identifiers(node, local=frozenset()):
+    """Every name *node* reads (``x`` and ``obj.x`` both read ``x``), less the
+    function-local name reads whose ``id()`` is in *local*."""
     found = set()
     for n in ast.walk(node):
-        if isinstance(n, ast.Name):
+        if isinstance(n, ast.Name) and id(n) not in local:
             found.add(n.id)
         elif isinstance(n, ast.Attribute):
             found.add(n.attr)
     return found
+
+
+def _is_registration(decorator):
+    """``@<registry>.register(...)``: the definition is reached by name lookup."""
+    return (isinstance(decorator, ast.Call)
+            and isinstance(decorator.func, ast.Attribute)
+            and decorator.func.attr == "register")
 
 
 def _is_reexport(stmt):
@@ -196,16 +309,17 @@ def unused_public_names(root):
         for path in sorted((root / top).rglob("*.py")):
             module = path.relative_to(root).as_posix()
             in_src = top == "src"
-            for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            tree, local = parse_with_locals(path)
+            for stmt in tree.body:
                 if path.name == "__init__.py" and in_src and _is_reexport(stmt):
                     continue
                 is_def = isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                 if in_src and is_def:
-                    defined[(module, stmt.name)] = _identifiers(stmt) - {stmt.name}
-                    if stmt.decorator_list:
+                    defined[(module, stmt.name)] = _identifiers(stmt, local) - {stmt.name}
+                    if any(_is_registration(d) for d in stmt.decorator_list):
                         live.add(stmt.name)
                 else:
-                    live |= _identifiers(stmt)
+                    live |= _identifiers(stmt, local)
     grew = True
     while grew:
         grew = False
@@ -238,8 +352,8 @@ def test_the_test_only_scan_flags_what_it_should(tmp_path):
             "class ModelLayer:\n    pass\n"
             "class Model:\n    layer = ModelLayer\n"
             "def reexported_only():\n    pass\n"
-            # A decorated (registered) definition is used.
-            "@REG.setdefault\n"
+            # A registered definition is used (looked up by name).
+            "@REG.register('name')\n"
             "def registered():\n    pass\n"
             # Deadness is transitive: helper's only caller is dead itself.
             "def helper():\n    return helper()\n"
@@ -249,12 +363,79 @@ def test_the_test_only_scan_flags_what_it_should(tmp_path):
         "examples/run.py": "from pkg import build\nbuild()\n",
         "tests/test_a.py": "from pkg.a import dead_caller, reexported_only\ndead_caller()\n",
     }
-    for name, text in files.items():
-        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
-        (tmp_path / name).write_text(text)
+    _write(tmp_path, files)
     assert unused_public_names(tmp_path) == [
         "src/pkg/a.py:dead_caller", "src/pkg/a.py:helper", "src/pkg/a.py:reexported_only",
     ]
+
+
+def _write(root, files):
+    for name, text in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(text)
+
+
+def test_a_dataclass_decorator_is_not_a_use(tmp_path):
+    _write(tmp_path, {
+        "src/pkg/a.py": (
+            "from dataclasses import dataclass\n"
+            "@dataclass\nclass Record:\n    step: int = 0\n"
+            "@dataclass(frozen=True)\nclass Frozen:\n    step: int = 0\n"
+        ),
+        "tests/test_a.py": "from pkg.a import Record, Frozen\nRecord(), Frozen()\n",
+    })
+    assert unused_public_names(tmp_path) == ["src/pkg/a.py:Frozen", "src/pkg/a.py:Record"]
+
+
+# Every way a function binds ``shadowed`` itself; none of them reads the
+# module-level definition.  The default ``hook=hook`` is evaluated outside
+# ``main`` and does read it.
+LOCAL_SHADOWS = (
+    "def main(rows, hook=hook):\n"
+    "    shadowed = len(rows)\n"
+    "    for shadowed in rows:\n        pass\n"
+    "    total = sum(shadowed for shadowed in rows)\n"
+    "    def inner():\n        return shadowed\n"
+    "    return hook, total, inner, lambda shadowed: shadowed\n"
+    "def other(shadowed):\n    return shadowed\n"
+    "main([]), other(1)\n"
+)
+
+
+def test_a_same_named_local_variable_is_not_a_use_of_a_function(tmp_path):
+    _write(tmp_path, {
+        "src/pkg/a.py": "def shadowed():\n    pass\ndef hook():\n    pass\n",
+        "examples/run.py": LOCAL_SHADOWS,
+        "tests/test_a.py": "from pkg.a import shadowed\nshadowed()\n",
+    })
+    assert unused_public_names(tmp_path) == ["src/pkg/a.py:shadowed"]
+
+
+def test_a_same_named_local_variable_is_not_a_use_of_a_method(tmp_path):
+    _write(tmp_path, {
+        "src/pkg/a.py": (
+            "class Store:\n"
+            "    def shadowed(self):\n        pass\n"
+            "    def hook(self):\n        pass\n"
+        ),
+        "benchmarks/b.py": LOCAL_SHADOWS,
+        "tests/test_a.py": "from pkg.a import Store\nStore().shadowed()\n",
+    })
+    assert methods_only_tests_use(tmp_path) == ["src/pkg/a.py:Store.shadowed"]
+
+
+def test_a_function_local_import_is_a_use(tmp_path):
+    _write(tmp_path, {
+        "src/pkg/a.py": "def lazy():\n    pass\ndef closure():\n    pass\n",
+        "tools/t.py": (
+            "def main():\n"
+            "    from pkg.a import lazy, closure\n"
+            "    def inner():\n        return closure()\n"
+            "    return lazy(), inner\n"
+        ),
+        "tests/test_a.py": "from pkg.a import lazy\nlazy()\n",
+    })
+    assert unused_public_names(tmp_path) == []
 
 
 # --------------------------------------------------------------------------- #
@@ -268,19 +449,21 @@ TEST_ONLY_METHODS = frozenset()
 FUNCTION_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def _record_reads(node, scopes, reads):
+def _record_reads(node, scopes, reads, local):
     """Map every name, attribute and string constant under *node* to the
-    function definitions enclosing each place it is read."""
+    function definitions enclosing each place it is read; a name read whose
+    ``id()`` is in *local* reads a function-local variable and is skipped."""
     if isinstance(node, FUNCTION_DEFS):
         scopes = scopes + (node,)
     if isinstance(node, ast.Name):
-        reads.setdefault(node.id, []).append(scopes)
+        if id(node) not in local:
+            reads.setdefault(node.id, []).append(scopes)
     elif isinstance(node, ast.Attribute):
         reads.setdefault(node.attr, []).append(scopes)
     elif isinstance(node, ast.Constant) and isinstance(node.value, str):
         reads.setdefault(node.value, []).append(scopes)
     for child in ast.iter_child_nodes(node):
-        _record_reads(child, scopes, reads)
+        _record_reads(child, scopes, reads, local)
 
 
 def methods_only_tests_use(root):
@@ -293,7 +476,7 @@ def methods_only_tests_use(root):
     reads = {}            # name -> enclosing definitions of each read
     for top in USE_DIRS:
         for path in sorted((root / top).rglob("*.py")):
-            tree = ast.parse(path.read_text(), filename=str(path))
+            tree, local = parse_with_locals(path)
             if top == "src":
                 module = path.relative_to(root).as_posix()
                 methods += [
@@ -302,7 +485,7 @@ def methods_only_tests_use(root):
                     for fn in cls.body
                     if isinstance(fn, FUNCTION_DEFS) and not fn.name.startswith("_")
                 ]
-            _record_reads(tree, (), reads)
+            _record_reads(tree, (), reads, local)
     return sorted(label for label, fn in methods
                   if all(fn in scopes for scopes in reads.get(fn.name, [])))
 
@@ -342,9 +525,7 @@ def test_the_test_only_method_scan_flags_what_it_should(tmp_path):
         "tools/t.py": "def f(s):\n    return getattr(s, 'read_as_string')()\n",
         "tests/test_a.py": "from pkg.a import Store\nStore().read_only_by_tests()\n",
     }
-    for name, text in files.items():
-        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
-        (tmp_path / name).write_text(text)
+    _write(tmp_path, files)
     assert methods_only_tests_use(tmp_path) == [
         "src/pkg/a.py:Nested.nested_unused",
         "src/pkg/a.py:Store.read_only_by_tests",

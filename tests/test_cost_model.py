@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.distributed.clock import SimClock, mean_breakdown, merge_breakdowns
+from repro.distributed.clock import SimClock
 from repro.distributed.cost_model import BYTES_PER_FEATURE, CostModel
 
 
@@ -100,18 +100,6 @@ class TestSimClock:
         assert clock.time == 0.0
         assert clock.breakdown() == {}
 
-    def test_merge_and_mean_breakdowns(self):
-        a, b = SimClock(), SimClock()
-        a.advance(1.0, "rpc")
-        b.advance(3.0, "rpc")
-        merged = merge_breakdowns([a, b])
-        assert merged["rpc"] == pytest.approx(4.0)
-        mean = mean_breakdown([a, b])
-        assert mean["rpc"] == pytest.approx(2.0)
-
-    def test_mean_breakdown_of_no_clocks_is_empty(self):
-        assert mean_breakdown([]) == {}
-
     def test_component_time_of_an_unrecorded_component_is_zero(self):
         clock = SimClock()
         clock.advance(1.0, "rpc")
@@ -123,29 +111,3 @@ class TestSimClock:
         clock.advance(1.0, "rpc")
         clock.breakdown()["rpc"] = 99.0
         assert clock.component_time("rpc") == 1.0
-
-    def test_snapshot_restore_is_bit_exact(self):
-        clock = SimClock()
-        for seconds, component in [(0.1, "rpc"), (0.2, "ddp"), (0.3, "rpc")]:
-            clock.advance(seconds, component)
-        state = clock.snapshot()
-        clock.advance(5.0, "rpc")
-        clock.advance(1.0, "stall")
-        clock.restore(state)
-        assert clock.time == 0.1 + 0.2 + 0.3
-        assert clock.breakdown() == {"rpc": 0.1 + 0.3, "ddp": 0.2}
-
-    def test_snapshot_is_detached_from_the_clock(self):
-        clock = SimClock()
-        clock.advance(1.0, "rpc")
-        state = clock.snapshot()
-        clock.advance(2.0, "rpc")
-        assert state == {"time": 1.0, "components": {"rpc": 1.0}}
-
-    def test_restored_clock_keeps_accumulating(self):
-        clock = SimClock()
-        clock.restore({"time": 2.0, "components": {"ddp": 2.0}})
-        clock.advance(1.0, "ddp")
-        clock.advance(0.5, "rpc")
-        assert clock.time == 3.5
-        assert clock.breakdown() == {"ddp": 3.0, "rpc": 0.5}

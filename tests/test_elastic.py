@@ -269,7 +269,7 @@ class TestElasticSemantics:
         workload, first = run_scenario("cascading-failure")
         cluster = workload.cluster
         assert cluster.partition_hosts == [1, 1]
-        assert any(s.stats.remote_rows for s in cluster.servers.values())
+        assert any(t.rpc.stats.nodes_fetched for t in cluster.trainers)
         cluster.reset()
         assert cluster.partition_hosts == [0, 1]
-        assert not any(any(s.stats.as_dict().values()) for s in cluster.servers.values())
+        assert not any(any(t.rpc.stats.as_extended_dict().values()) for t in cluster.trainers)

@@ -103,6 +103,12 @@ def test_axis_names_only_for_presets_and_the_tuner():
      "prefetch.gamma has no effect on the 'baseline' pipeline (it takes no PrefetchConfig)"),
     ("uniform", {"prefetch.eviction_enabled": False, "prefetch.eviction_policy": "lru"},
      "prefetch.eviction_policy lru has no effect with prefetch.eviction_enabled"),
+    ("uniform", {"pipeline": "prefetch", "cache.tiers": 2},
+     "a CacheConfig (--cache-tiers/--admission/--eviction/--adaptive-cache) has no effect "
+     "on the 'prefetch' pipeline"),
+    ("steady-poisson", {"pipeline": "static", "cache.eviction": "lru"},
+     "a CacheConfig (--cache-tiers/--admission/--eviction/--adaptive-cache) has no effect "
+     "on the 'static-cache' pipeline"),
 ])
 def test_reject_inert_names_what_the_caller_set(scenario, names, message):
     resolved = SCENARIOS.build(scenario).with_overrides(**names)
@@ -114,3 +120,4 @@ def test_reject_inert_names_what_the_caller_set(scenario, names, message):
 def test_reject_inert_accepts_knobs_that_are_read():
     names = {"sync": "bounded-staleness", "staleness": 3, "prefetch.gamma": 0.9}
     reject_inert(UNIFORM.with_overrides(**names), names)
+    reject_inert(UNIFORM.with_overrides(**{"cache.tiers": 2}), {"cache.tiers"})

@@ -41,31 +41,6 @@ class TestKVStore:
         out = kv[0].pull(np.array([], dtype=np.int64))
         assert out.shape == (0, 4)
 
-    def test_contains(self, stores):
-        kv, _ = stores
-        np.testing.assert_array_equal(kv[0].contains(np.array([0, 1, 2])), [True, False, True])
-
-    def test_stats_local_vs_remote(self, stores):
-        kv, _ = stores
-        kv[0].pull(np.array([0]), remote=False)
-        kv[0].pull(np.array([2, 4]), remote=True)
-        stats = kv[0].stats
-        assert stats.local_pulls == 1 and stats.local_rows == 1
-        assert stats.remote_pulls == 1 and stats.remote_rows == 2
-        assert stats.bytes_served_remote == 2 * 4 * 4
-        kv[0].reset_stats()
-        assert kv[0].stats.remote_rows == 0
-
-    def test_push_updates_rows(self, stores):
-        kv, _ = stores
-        kv[0].push(np.array([0]), np.full((1, 4), 9.0, dtype=np.float32))
-        np.testing.assert_allclose(kv[0].pull(np.array([0])), 9.0)
-
-    def test_push_foreign_raises(self, stores):
-        kv, _ = stores
-        with pytest.raises(KeyError):
-            kv[0].push(np.array([1]), np.zeros((1, 4), dtype=np.float32))
-
     def test_misaligned_construction_raises(self):
         with pytest.raises(ValueError):
             KVStore(np.array([0, 1]), np.zeros((3, 4), dtype=np.float32))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.nn.layers import Module, Parameter
-from repro.nn.loss import accuracy, cross_entropy, softmax
+from repro.nn.loss import cross_entropy, softmax
 from repro.nn.optim import Adam, SGD, build_optimizer
 from repro.nn import tensor_utils as tu
 
@@ -185,12 +185,6 @@ class TestLoss:
     def test_cross_entropy_label_out_of_range(self):
         with pytest.raises(ValueError):
             cross_entropy(np.zeros((1, 2)), np.array([5]))
-
-    def test_accuracy(self):
-        logits = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
-        assert accuracy(logits, np.array([0, 1, 1])) == pytest.approx(2 / 3)
-        assert accuracy(np.array([0, 1]), np.array([0, 0])) == pytest.approx(0.5)
-        assert accuracy(np.zeros((0, 2)), np.zeros(0, dtype=np.int64)) == 0.0
 
 
 class TestOptimizers:

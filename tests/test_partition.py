@@ -13,13 +13,10 @@ from repro.graph.partition import (
     partition_graph,
     random_partition,
 )
+from graph_checks import part_sizes
 
 
 class TestPartitionResult:
-    def test_sizes(self):
-        result = PartitionResult(parts=np.array([0, 1, 0, 1]), num_parts=2)
-        np.testing.assert_array_equal(result.sizes(), [2, 2])
-
     def test_partition_nodes(self):
         result = PartitionResult(parts=np.array([0, 1, 0]), num_parts=2)
         np.testing.assert_array_equal(result.partition_nodes(0), [0, 2])
@@ -53,7 +50,7 @@ class TestBaselinePartitioners:
     def test_random_partition_balanced(self, small_community_graph):
         graph, _ = small_community_graph
         result = random_partition(graph, 4, seed=0)
-        sizes = result.sizes()
+        sizes = part_sizes(result)
         assert sizes.max() - sizes.min() <= 1
 
     def test_hash_partition_deterministic(self, small_community_graph):
@@ -83,7 +80,7 @@ class TestMetisPartition:
     def test_all_parts_non_empty(self, small_community_graph):
         graph, _ = small_community_graph
         result = metis_partition(graph, 4, seed=0)
-        assert np.all(result.sizes() > 0)
+        assert np.all(part_sizes(result) > 0)
 
     def test_balance_bounded(self, small_community_graph):
         graph, _ = small_community_graph

@@ -79,18 +79,20 @@ class TestMiniBatchPipeline:
         assert pipeline.init_time_s == pipeline.init_report["rpc_time_s"] > 0
         next(pipeline.epoch())  # an uninitialized tier would raise here
 
-    def test_epoch_starts_the_seed_epoch_when_called(self, small_cluster):
+    def test_epoch_starts_the_seed_epoch_when_called(self, small_cluster, monkeypatch):
         """Not at the first ``next()``: ``ClusterRun.begin_epoch`` opens
         iterators for held-out elastic ranks that never step, and the drift
-        window reads this count."""
+        window reads the seed iterator's epoch count."""
         trainer = small_cluster.trainers[1]
         pipeline = build_pipeline("baseline", trainer, small_cluster)
         seeds = trainer.dataloader.seed_iterator
-        before = seeds.snapshot()["epochs_started"]
+        opened = []
+        epoch = seeds.epoch
+        monkeypatch.setattr(seeds, "epoch", lambda *a: opened.append(a) or epoch(*a))
         batches = pipeline.epoch()
-        assert seeds.snapshot()["epochs_started"] == before + 1
+        assert opened == [()]
         next(batches)
-        assert seeds.snapshot()["epochs_started"] == before + 1
+        assert opened == [()]
 
     def test_a_store_with_the_wrong_row_count_raises_inside_epoch(self, small_cluster):
         class ShortStore(FeatureStore):

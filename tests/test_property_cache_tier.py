@@ -2,12 +2,11 @@
 
 Hypothesis draws interleavings of every public mutation — ``seed``,
 ``lookup``, ``admit`` (sorted, unsorted, duplicated and already-resident
-ids), ``resize`` (grow and shrink), ``invalidate``, ``snapshot`` -> ``restore``
-— and drives the real tier and :class:`OracleCacheTier` (the
+ids), ``resize`` (grow and shrink), ``invalidate`` — and drives the real tier and :class:`OracleCacheTier` (the
 ``np.insert``/``np.delete`` layout, ``tests/cache_tier_oracle.py``) with the
 same sequence, once per eviction x admission policy pair.  After every
-operation everything observable must agree, and the slot store's own
-invariants must hold.  Two policies are checked against their slow forms the
+operation everything observable must agree — :func:`tier_state` reads it
+through the public views — and the slot store's own invariants must hold.  Two policies are checked against their slow forms the
 same way: the oracle tier sweeps CLOCK with :class:`LoopClockEviction` and
 picks LRU victims with :class:`SortLRUEviction` (a whole-tier stable argsort),
 so victim *order* is compared too.  Capacity 16 (and the ``FULL_TIER_SWAPS``
@@ -21,6 +20,7 @@ with heavy ties.  Example budgets come from the Hypothesis profile
 
 from __future__ import annotations
 
+import copy
 from types import SimpleNamespace
 
 import numpy as np
@@ -36,8 +36,8 @@ UNIVERSE = 24
 SERVER = np.arange(UNIVERSE * DIM, dtype=np.float32).reshape(UNIVERSE, DIM)
 VIEWS = ("resident_ids", "resident_last_access", "resident_freq",
          "resident_ref", "resident_degrees")
-SNAPSHOT_DTYPES = {"ids": np.int64, "rows": np.float32, "last_access": np.int64,
-                   "freq": np.int64, "ref": np.bool_, "degrees": np.int64}
+STATE_DTYPES = {"ids": np.int64, "rows": np.float32, "last_access": np.int64,
+                "freq": np.int64, "ref": np.bool_, "degrees": np.int64}
 
 
 def degree_of(ids):
@@ -67,8 +67,6 @@ operations = st.lists(
         st.tuples(st.just("admit_sorted"), ids_lists),
         st.tuples(st.just("resize"), st.integers(0, 9)),
         st.tuples(st.just("invalidate"), st.none()),
-        st.tuples(st.just("snapshot"), st.none()),
-        st.tuples(st.just("restore"), st.none()),
     ),
     max_size=24,
 )
@@ -98,9 +96,27 @@ def build_pair(capacity, eviction, admission):
     return pair
 
 
-def assert_same_snapshot(real, oracle):
+def tier_state(tier):
+    """What *tier* holds, read through its public views.
+
+    Each resident's row is served by a lookup on a copy of the tier, so the
+    slot map is read without touching the tier's counters or stamps.
+    """
+    ids = tier.resident_ids
+    hit_mask, rows = copy.deepcopy(tier).lookup(ids, tier.last_step)
+    assert hit_mask.all()
+    return {
+        "capacity": tier.capacity, "clock_hand": tier.clock_hand,
+        "last_step": tier.last_step, "stats": tier.stats.snapshot(),
+        "ids": ids, "rows": rows, "last_access": tier.resident_last_access,
+        "freq": tier.resident_freq, "ref": tier.resident_ref.astype(bool),
+        "degrees": tier.degrees(ids),
+    }
+
+
+def assert_same_state(real, oracle):
     assert real.keys() == oracle.keys()
-    for key, dtype in SNAPSHOT_DTYPES.items():
+    for key, dtype in STATE_DTYPES.items():
         assert real[key].dtype == dtype and len(real[key]) == len(real["ids"])
         np.testing.assert_array_equal(real[key], oracle[key])
     for key in ("capacity", "clock_hand", "last_step", "stats"):
@@ -116,7 +132,7 @@ def assert_equivalent(real, oracle):
     assert len(real.eviction.victims) == len(oracle.eviction.victims)
     for mine, theirs in zip(real.eviction.victims, oracle.eviction.victims):
         np.testing.assert_array_equal(mine, theirs)
-    assert_same_snapshot(real.snapshot(), oracle.snapshot())   # rows: via the slot map
+    assert_same_state(tier_state(real), tier_state(oracle))   # rows: via the slot map
     # The slot store's own invariants.
     assert real.size <= real.capacity
     assert np.all(np.diff(real.resident_ids) > 0)
@@ -124,7 +140,7 @@ def assert_equivalent(real, oracle):
     np.testing.assert_array_equal(np.sort(slots), np.arange(len(real._rows)))
 
 
-def apply(tier, op, arg, step, saved):
+def apply(tier, op, arg, step):
     """Run one operation; returns what the caller may observe of it."""
     if op == "seed":
         ids = np.asarray(arg[:tier.capacity], dtype=np.int64)
@@ -140,13 +156,8 @@ def apply(tier, op, arg, step, saved):
         return tier.admit(ids, SERVER[ids], step)
     if op == "resize":
         return tier.resize(arg, step)
-    if op == "invalidate":
-        return tier.invalidate()
-    if op == "snapshot":
-        saved[id(tier)] = tier.snapshot()
-    elif id(tier) in saved:   # restore, possibly into a tier of another capacity
-        tier.restore(saved[id(tier)])
-    return None
+    assert op == "invalidate"
+    return tier.invalidate()
 
 
 @pytest.mark.parametrize("admission", ADMISSION_POLICIES.names())
@@ -156,10 +167,9 @@ def apply(tier, op, arg, step, saved):
 @settings(deadline=None, derandomize=True)
 def test_slot_store_matches_the_reallocating_oracle(eviction, admission, capacity, ops):
     real, oracle = build_pair(capacity, eviction, admission)
-    saved = {}
     assert_equivalent(real, oracle)
     for step, (op, arg) in enumerate(ops):
-        assert apply(real, op, arg, step, saved) == apply(oracle, op, arg, step, saved)
+        assert apply(real, op, arg, step) == apply(oracle, op, arg, step)
         assert_equivalent(real, oracle)
 
 

@@ -9,9 +9,9 @@ sorted-unique, unsorted or repeated, and the small id universe makes later
 pulls in a step ask again for ids already in the window.  The real
 ``KVStore`` / ``CoalescingWindow`` / channels and their oracles
 (``tests/rpc_oracle.py``) run the same sequence; after every operation the
-rows, the ``RPCStats`` deltas and cumulative stats, the window contents and
-every ``KVStore.stats`` must agree, and a failing pull must raise the same
-exception type and message on both sides.  After the failed pull everything
+rows, the ``RPCStats`` deltas and cumulative stats and the window contents
+must agree, and a failing pull must raise the same exception type and message
+on both sides.  After the failed pull everything
 but the window's contacted owners must still agree: which owners count as
 contacted after a pull fails part-way is not specified (the oracle notes the
 owners served before the failing one, the real channel notes none).
@@ -116,10 +116,8 @@ def assert_same_pull(real, oracle):
 
 
 def assert_same_state(real_world, oracle_world, *, owners=True):
-    (real_servers, real_window, real_channels) = real_world
-    (servers, window, channels) = oracle_world
-    for part, server in servers.items():
-        assert real_servers[part].stats == server.stats
+    (_, real_window, real_channels) = real_world
+    (_, window, channels) = oracle_world
     for mine, theirs in zip(real_channels, channels):
         assert mine.stats == theirs.stats
     assert real_window._step == window._step
@@ -212,11 +210,9 @@ def pull_through_empty_owner(channel_cls):
 EMPTY_CASES = {
     "store pull": (lambda: empty_store().pull(np.array([5])),
                    "KVStore for partition 3 does not own nodes [5]"),
-    "store pull, remote, many ids": (
-        lambda: empty_store().pull(np.arange(8, dtype=np.int64), remote=True),
+    "store pull, many ids": (
+        lambda: empty_store().pull(np.arange(8, dtype=np.int64)),
         "KVStore for partition 3 does not own nodes [0, 1, 2, 3, 4]"),
-    "store push": (lambda: empty_store().push(np.array([5]), np.zeros((1, DIM))),
-                   "push contains node ids not owned by this KVStore"),
     "inactive window": (lambda: CoalescingWindow().rows_for(np.array([2], dtype=np.int64)),
                         "window cache is missing nodes [2]"),
     "open window, nothing cached": (
@@ -245,6 +241,3 @@ def test_an_empty_store_or_window_raises_the_keyerror_naming_the_ids(case):
 def test_an_empty_store_answers_empty_requests():
     store = empty_store()
     assert store.pull(np.zeros(0, dtype=np.int64)).shape == (0, DIM)
-    np.testing.assert_array_equal(store.contains(np.array([0, 5])), [False, False])
-    store.push(np.zeros(0, dtype=np.int64), np.zeros((0, DIM)))
-    assert store.stats.local_pulls == store.stats.remote_pulls == 0

@@ -21,7 +21,7 @@ from repro.sampling.neighbor_sampler import NeighborSampler
 from repro.scenarios import SCENARIOS
 from repro.scenarios.knobs import apply_axis_overrides, validate_overrides
 from sampler_oracle import LoopNeighborSampler
-from graph_checks import neighbors
+from graph_checks import empty_graph, neighbors
 
 BLOCK_FIELDS = (
     "src_nodes", "dst_nodes", "edge_src", "edge_dst", "src_global", "dst_global", "dst_indptr",
@@ -145,7 +145,7 @@ class TestOracleDifferential:
                           local_to_global=p.local_to_global)
 
     def test_isolated_seed_consumes_no_rng(self):
-        sampler = NeighborSampler(CSRGraph.empty(6), [4], seed=9)
+        sampler = NeighborSampler(empty_graph(6), [4], seed=9)
         before = sampler.rng.bit_generator.state
         mb = sampler.sample(np.array([0, 3]))
         assert mb.blocks[0].num_edges == 0

@@ -18,7 +18,6 @@ from test_sampler_differential import assert_minibatches_equal
 
 from repro.cli import main as cli_main
 from repro.graph.csr import CSRGraph
-from repro.sampling.dataloader import DistDataLoader
 from repro.sampling.neighbor_sampler import NeighborSampler
 from repro.scenarios import SCENARIOS
 
@@ -78,23 +77,6 @@ class TestScratchStaysPristine:
         oracle = LoopNeighborSampler(graph, [5], seed=0)
         oracle.rng.bit_generator.state = sampler.rng.bit_generator.state
         assert_minibatches_equal(sampler.sample(np.array([0, 1])), oracle.sample(np.array([0, 1])))
-
-    def test_mid_epoch_snapshot_restore_replays_bit_identically(self, small_partitions):
-        p = small_partitions[0]
-        loader = DistDataLoader(p, np.arange(min(80, p.num_owned)), fanouts=(3, 5),
-                                batch_size=8, seed=0)
-        it = loader.epoch()
-        for _ in range(2):
-            next(it)
-        state = loader.snapshot()
-        first = [next(it) for _ in range(3)]
-        assert_pristine(loader.sampler)
-
-        loader.restore(state)
-        it = loader.epoch()
-        for original in first:
-            assert_minibatches_equal(next(it), original)
-            assert_pristine(loader.sampler)
 
 
 # value -> the text the error must show

@@ -250,9 +250,9 @@ class TestDataLoader:
     def test_step_counter_increases(self, small_partitions):
         p = small_partitions[0]
         loader = DistDataLoader(p, np.arange(min(40, p.num_owned)), fanouts=(3,), batch_size=8, seed=0)
-        list(loader.epoch())
-        first_epoch_steps = loader.snapshot()["step"]
-        list(loader.epoch())
-        assert loader.snapshot()["step"] == 2 * first_epoch_steps
+        first = [mb.step for mb in loader.epoch()]
+        assert first == list(range(loader.num_batches_per_epoch))
+        second = [mb.step for mb in loader.epoch()]
+        assert second == [step + len(first) for step in first]
         loader.reset()
-        assert loader.snapshot()["step"] == 0
+        assert next(loader.epoch()).step == 0

@@ -184,7 +184,10 @@ class TestAsyncEngineCLI:
         (["experiments"], None),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
     def test_misuse_exits_2_with_one_line(self, capsys, argv, fragment):
-        """Every rejected invocation: exit code 2, one ``error:`` line, no traceback."""
+        """Every rejected invocation: exit code 2, one ``error:`` line, no traceback.
+
+        A refusal of the invocation itself comes before any work: nothing is
+        printed on stdout (no scenario header from a built cluster)."""
         argv = argv + (self.TINY if argv[0] == "run" else [])
         if fragment is None:
             with pytest.raises(SystemExit) as exit_info:
@@ -197,6 +200,7 @@ class TestAsyncEngineCLI:
         if fragment is not None:
             lines = captured.err.strip().splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: ") and fragment in lines[0]
+            assert captured.out == ""
 
     def test_eviction_policy_none_lists_the_registered_policies(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
