@@ -238,26 +238,36 @@ def local_variable_reads(tree, source):
             slots = unmatched[table.get_id()] = {}
             for sub in table.get_children():
                 slots.setdefault((sub.get_name(), sub.get_lineno()), []).append(sub)
-        return unmatched[table.get_id()][(name, line)].pop(0)
+        return (unmatched[table.get_id()].get((name, line)) or [None]).pop(0)
 
-    def visit(node, tables):
-        if isinstance(node, ast.Name) and _is_function_local(node.id, tables):
+    def visit(node, tables, bound):
+        if isinstance(node, ast.Name) and (
+            node.id in bound or _is_function_local(node.id, tables)
+        ):
             found.add(id(node))
         parts = _scope_parts(node)
         if parts is None:
             for sub in ast.iter_child_nodes(node):
-                visit(sub, tables)
+                visit(sub, tables, bound)
             return
         name, outside, inside = parts
         for sub in outside:
             if sub is not None:
-                visit(sub, tables)
-        inner = tables + (child(tables[-1], name, node.lineno),)
+                visit(sub, tables, bound)
+        table = child(tables[-1], name, node.lineno)
+        if type(node) in _COMPREHENSIONS:
+            # Python 3.12 inlines list, set and dict comprehensions into the
+            # enclosing scope's table, so their targets are bound here.
+            bound = bound | {n.id for gen in node.generators for n in ast.walk(gen.target)
+                             if isinstance(n, ast.Name)}
+        else:
+            assert table is not None, f"no symbol table for {name!r} at line {node.lineno}"
+        inner = tables if table is None else tables + (table,)
         for sub in inside:
             if sub is not None:
-                visit(sub, inner)
+                visit(sub, inner, bound)
 
-    visit(tree, (symtable.symtable(source, "<scan>", "exec"),))
+    visit(tree, (symtable.symtable(source, "<scan>", "exec"),), frozenset())
     return found
 
 
@@ -394,11 +404,11 @@ LOCAL_SHADOWS = (
     "def main(rows, hook=hook):\n"
     "    shadowed = len(rows)\n"
     "    for shadowed in rows:\n        pass\n"
-    "    total = sum(shadowed for shadowed in rows)\n"
+    "    total = sum(shadowed for shadowed in rows) + len([shadowed for shadowed in rows])\n"
     "    def inner():\n        return shadowed\n"
     "    return hook, total, inner, lambda shadowed: shadowed\n"
     "def other(shadowed):\n    return shadowed\n"
-    "main([]), other(1)\n"
+    "main([]), other(1), [shadowed for shadowed in range(3)]\n"
 )
 
 
