@@ -19,10 +19,10 @@ from repro.nn.layers import Module, Parameter
 from repro.nn.optim import SGD, Adam
 from repro.nn.tensor_utils import xavier_uniform, zeros
 from repro.sampling.seeds import SeedIterator
-from repro.utils.rng import ensure_rng
 from repro.training.async_engine import AsyncClusterEngine
 from repro.training.checkpoint import CheckpointStore, ClusterCheckpoint
 from repro.training.config import TrainConfig
+from repro.utils.rng import ensure_rng
 
 PREFETCH = PrefetchConfig(halo_fraction=0.35, gamma=0.995, delta=8)
 

@@ -224,7 +224,8 @@ def _is_function_local(name, tables):
 
 def local_variable_reads(tree, source):
     """``id()`` of every ``ast.Name`` in *tree* that names a function-local
-    variable: a parameter, an assignment or loop target, a nested ``def``.
+    variable: a parameter, an assignment or loop target, a nested ``def``, a
+    comprehension variable.
 
     Those read the function's own binding, not a module-level definition of
     the same name.  A name a function binds by ``import`` is not local here,
@@ -278,7 +279,7 @@ def parse_with_locals(path):
     return tree, local_variable_reads(tree, source)
 
 
-def _identifiers(node, local=frozenset()):
+def _identifiers(node, local):
     """Every name *node* reads (``x`` and ``obj.x`` both read ``x``), less the
     function-local name reads whose ``id()`` is in *local*."""
     found = set()

@@ -2,16 +2,18 @@
 
 Hypothesis draws interleavings of every public mutation — ``seed``,
 ``lookup``, ``admit`` (sorted, unsorted, duplicated and already-resident
-ids), ``resize`` (grow and shrink), ``invalidate`` — and drives the real tier and :class:`OracleCacheTier` (the
-``np.insert``/``np.delete`` layout, ``tests/cache_tier_oracle.py``) with the
-same sequence, once per eviction x admission policy pair.  After every
-operation everything observable must agree — :func:`tier_state` reads it
-through the public views — and the slot store's own invariants must hold.  Two policies are checked against their slow forms the
-same way: the oracle tier sweeps CLOCK with :class:`LoopClockEviction` and
-picks LRU victims with :class:`SortLRUEviction` (a whole-tier stable argsort),
-so victim *order* is compared too.  Capacity 16 (and the ``FULL_TIER_SWAPS``
-example, which every policy pair runs) makes one admit trade several rows one
-for one, the in-place branch of ``CacheTier._splice``.
+ids), ``resize`` (grow and shrink), ``invalidate`` — and drives the real
+tier and :class:`OracleCacheTier` (the ``np.insert``/``np.delete`` layout,
+``tests/cache_tier_oracle.py``) with the same sequence, once per eviction x
+admission policy pair.  After every operation everything observable must
+agree — :func:`tier_state` reads it through the public views — and the slot
+store's own invariants must hold.  Two policies are checked against their
+slow forms the same way: the oracle tier sweeps CLOCK with
+:class:`LoopClockEviction` and picks LRU victims with
+:class:`SortLRUEviction` (a whole-tier stable argsort), so victim *order* is
+compared too.  Capacity 16 (and the ``FULL_TIER_SWAPS`` example, which every
+policy pair runs) makes one admit trade several rows one for one, the
+in-place branch of ``CacheTier._splice``.
 
 The partial LRU selection is also held to the full sort directly, on stamps
 with heavy ties.  Example budgets come from the Hypothesis profile
