@@ -150,6 +150,38 @@ class TestCheckpointArtifacts:
         ckpt.restore_into(model, opt)
         assert ClusterCheckpoint.capture(model, opt, step=2, time_s=1.0e-3) == ckpt
 
+    def test_capture_is_detached_from_the_live_model(self):
+        model, opt = self._model_and_opt()
+        ckpt = ClusterCheckpoint.capture(model, opt, step=1, time_s=0.0)
+        before = {k: v.copy() for k, v in ckpt.model_state.items()}
+        model.weight.value += 1.0
+        opt.step(model.state_dict(), {k: np.ones_like(v) for k, v in model.state_dict().items()})
+        for key, value in before.items():
+            np.testing.assert_array_equal(ckpt.model_state[key], value)
+        assert ClusterCheckpoint.capture(model, opt, step=1, time_s=0.0) != ckpt
+
+    def test_checkpoints_differ_when_any_field_differs(self):
+        model, opt = self._model_and_opt()
+        ckpt = ClusterCheckpoint.capture(model, opt, step=2, time_s=1.0)
+        assert ClusterCheckpoint.capture(model, opt, step=3, time_s=1.0) != ckpt
+        assert ClusterCheckpoint.capture(model, opt, step=2, time_s=2.0) != ckpt
+        widened = ClusterCheckpoint(
+            step=2, time_s=1.0, optimizer_state=ckpt.optimizer_state,
+            model_state={k: v.astype(np.float64) for k, v in ckpt.model_state.items()},
+        )
+        assert widened != ckpt
+        assert ckpt != "a checkpoint"
+
+    def test_store_update_replaces_the_latest(self):
+        store = CheckpointStore()
+        model, opt = self._model_and_opt()
+        first = store.update(model, opt, step=1, time_s=0.5e-3)
+        model.weight.value += 1.0
+        second = store.update(model, opt, step=2, time_s=1.0e-3)
+        assert store.latest is second and second != first
+        store.restore(model, opt)
+        np.testing.assert_array_equal(model.weight.value, second.model_state["weight"])
+
     def test_store_requires_a_capture_before_restore(self):
         store = CheckpointStore()
         model, opt = self._model_and_opt()

@@ -111,3 +111,23 @@ class TestSimClock:
         clock.advance(1.0, "rpc")
         clock.breakdown()["rpc"] = 99.0
         assert clock.component_time("rpc") == 1.0
+
+    def test_advance_returns_the_new_time(self):
+        clock = SimClock()
+        assert clock.advance(1.5, "rpc") == pytest.approx(1.5)
+        assert clock.advance(0.5, "ddp") == pytest.approx(2.0)
+        assert clock.advance_to(1.0) == pytest.approx(2.0)
+
+    def test_advance_to_charges_the_named_component(self):
+        clock = SimClock()
+        clock.advance_to(2.0, "idle")
+        assert clock.breakdown() == {"idle": 2.0}
+
+    def test_reset_clock_keeps_accumulating_from_zero(self):
+        clock = SimClock()
+        clock.advance(4.0, "ddp")
+        clock.reset()
+        clock.advance(1.0, "rpc")
+        clock.advance(0.5, "rpc")
+        assert clock.time == pytest.approx(1.5)
+        assert clock.breakdown() == {"rpc": pytest.approx(1.5)}

@@ -78,6 +78,10 @@ class TestQueries:
         degs = tiny_graph.out_degree(np.array([0, 1]))
         assert len(degs) == 2
 
+    def test_out_degree_rejects_out_of_range_nodes(self, tiny_graph):
+        with pytest.raises(ValueError):
+            tiny_graph.out_degree(np.array([tiny_graph.num_nodes]))
+
     def test_in_degree_symmetric_graph(self, tiny_graph):
         # The fixture is symmetrized, so in-degree equals out-degree.
         np.testing.assert_array_equal(in_degree(tiny_graph), tiny_graph.out_degree())
@@ -114,6 +118,12 @@ class TestTransforms:
         s, d = sub.edges()
         for u, v in zip(s, d):
             assert has_edge(tiny_graph, int(nodes[u]), int(nodes[v]))
+
+    def test_induced_subgraph_of_every_node_is_the_graph(self, tiny_graph):
+        sub, mapping = tiny_graph.induced_subgraph(np.arange(tiny_graph.num_nodes))
+        np.testing.assert_array_equal(mapping, np.arange(tiny_graph.num_nodes))
+        np.testing.assert_array_equal(sub.indptr, tiny_graph.indptr)
+        np.testing.assert_array_equal(sub.indices, tiny_graph.indices)
 
     def test_induced_subgraph_rejects_duplicates(self, tiny_graph):
         with pytest.raises(ValueError, match="strictly ascending"):

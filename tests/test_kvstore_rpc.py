@@ -41,6 +41,33 @@ class TestKVStore:
         out = kv[0].pull(np.array([], dtype=np.int64))
         assert out.shape == (0, 4)
 
+    def test_pull_repeated_ids(self, stores):
+        kv, features = stores
+        out = kv[0].pull(np.array([4, 4, 0]))
+        np.testing.assert_allclose(out, features[[4, 4, 0]])
+
+    def test_pull_partly_foreign_names_only_the_foreign_ids(self, stores):
+        kv, _ = stores
+        with pytest.raises(KeyError, match=r"partition 0 does not own nodes \[1, 3\]"):
+            kv[0].pull(np.array([0, 1, 2, 3]))
+
+    def test_foreign_id_message_names_at_most_five_ids(self, stores):
+        kv, _ = stores
+        with pytest.raises(KeyError, match=r"does not own nodes \[0, 2, 4, 6, 8\]'"):
+            kv[1].pull(np.arange(10))
+
+    def test_pulled_rows_are_a_copy(self, stores):
+        kv, features = stores
+        out = kv[0].pull(np.array([2]))
+        out[:] = -1.0
+        np.testing.assert_allclose(kv[0].pull(np.array([2])), features[[2]])
+
+    def test_feature_dim_and_nbytes(self, stores):
+        kv, _ = stores
+        assert kv[0].feature_dim == 4
+        # Five float32 rows of width 4 plus five int64 ids.
+        assert kv[0].nbytes() == 5 * 4 * 4 + 5 * 8
+
     def test_misaligned_construction_raises(self):
         with pytest.raises(ValueError):
             KVStore(np.array([0, 1]), np.zeros((3, 4), dtype=np.float32))

@@ -21,6 +21,14 @@ class TestPartitionResult:
         result = PartitionResult(parts=np.array([0, 1, 0]), num_parts=2)
         np.testing.assert_array_equal(result.partition_nodes(0), [0, 2])
 
+    def test_partition_nodes_cover_every_node_once(self, small_community_graph):
+        graph, _ = small_community_graph
+        result = metis_partition(graph, 4, seed=0)
+        owned = np.concatenate([result.partition_nodes(p) for p in range(4)])
+        np.testing.assert_array_equal(np.sort(owned), np.arange(graph.num_nodes))
+        for p in range(4):
+            assert np.all(result.parts[result.partition_nodes(p)] == p)
+
     def test_out_of_range_raises(self):
         with pytest.raises(ValueError):
             PartitionResult(parts=np.array([0, 3]), num_parts=2)

@@ -18,6 +18,7 @@ from test_sampler_differential import assert_minibatches_equal
 
 from repro.cli import main as cli_main
 from repro.graph.csr import CSRGraph
+from repro.sampling.dataloader import DistDataLoader
 from repro.sampling.neighbor_sampler import NeighborSampler
 from repro.scenarios import SCENARIOS
 
@@ -77,6 +78,17 @@ class TestScratchStaysPristine:
         oracle = LoopNeighborSampler(graph, [5], seed=0)
         oracle.rng.bit_generator.state = sampler.rng.bit_generator.state
         assert_minibatches_equal(sampler.sample(np.array([0, 1])), oracle.sample(np.array([0, 1])))
+
+    def test_a_loader_epoch_leaves_scratch_pristine_and_replays_bit_identically(
+            self, small_partitions):
+        p = small_partitions[0]
+        seeds = np.arange(min(80, p.num_owned))
+        loader, replay = (DistDataLoader(p, seeds, fanouts=(3, 5), batch_size=8, seed=0)
+                          for _ in range(2))
+        for original, again in zip(loader.epoch(), replay.epoch()):
+            assert_pristine(loader.sampler)
+            assert_minibatches_equal(again, original)
+        assert_pristine(loader.sampler)
 
 
 # value -> the text the error must show

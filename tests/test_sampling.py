@@ -256,3 +256,16 @@ class TestDataLoader:
         assert second == [step + len(first) for step in first]
         loader.reset()
         assert next(loader.epoch()).step == 0
+
+    def test_same_seed_loaders_replay_identical_epochs(self, small_partitions, small_dataset):
+        from test_sampler_differential import assert_minibatches_equal
+
+        p = small_partitions[0]
+        seeds = np.arange(min(60, p.num_owned))
+        a, b = (DistDataLoader(p, seeds, fanouts=(3, 5), batch_size=8,
+                               labels=small_dataset.labels, seed=4) for _ in range(2))
+        for _ in range(2):
+            left, right = list(a.epoch()), list(b.epoch())
+            assert len(left) == len(right) == a.num_batches_per_epoch
+            for x, y in zip(left, right):
+                assert_minibatches_equal(x, y)
