@@ -16,13 +16,11 @@ from repro.cache.policies import (
     build_cache_eviction_policy,
 )
 from repro.cache.scoring import (
-    SCORERS,
     DecisionLog,
     PrefetchScorer,
     ScoredAdmission,
     ScoredEviction,
     ScoreRecord,
-    build_scorer,
     capture_decisions,
 )
 from repro.cache.stack import CacheFetchResult, TieredFeatureCache
@@ -31,7 +29,6 @@ from repro.cache.tier import CacheTier, TierStats
 __all__ = [
     "ADMISSION_POLICIES",
     "CACHE_EVICTION_POLICIES",
-    "SCORERS",
     "AdaptiveCapacityController",
     "CacheConfig",
     "CacheFetchResult",
@@ -44,7 +41,6 @@ __all__ = [
     "ScoredEviction",
     "TierStats",
     "TieredFeatureCache",
-    "build_scorer",
     "build_admission_policy",
     "build_cache_eviction_policy",
     "capture_decisions",

@@ -31,8 +31,6 @@ class CacheConfig:
     tier's policies; the shared tier uses ``shared_admission``/
     ``shared_eviction``.  ``adaptive`` turns on the per-epoch capacity
     controller (see :class:`~repro.cache.controller.AdaptiveCapacityController`).
-    ``scorer`` names the :data:`~repro.cache.scoring.SCORERS` entry built for
-    tiers whose policies require one (the ``scored`` family).
     """
 
     tiers: int = 1
@@ -42,7 +40,6 @@ class CacheConfig:
     shared_eviction: str = "lru"
     hot_fraction: float = 0.5
     adaptive: bool = False
-    scorer: str = "decayed"
 
     def __post_init__(self) -> None:
         if not 1 <= self.tiers <= MAX_TIERS:
@@ -56,9 +53,7 @@ class CacheConfig:
         # Resolve registry names eagerly (lazy imports: policies sit above
         # nothing, but keep symmetry with PrefetchConfig's validation).
         from repro.cache.policies import ADMISSION_POLICIES, CACHE_EVICTION_POLICIES
-        from repro.cache.scoring import SCORERS
 
-        object.__setattr__(self, "scorer", SCORERS.resolve(self.scorer))
         object.__setattr__(self, "admission", ADMISSION_POLICIES.resolve(self.admission))
         object.__setattr__(self, "eviction", CACHE_EVICTION_POLICIES.resolve(self.eviction))
         object.__setattr__(
@@ -104,7 +99,6 @@ class CacheConfig:
             admission=self.shared_admission if shared else self.admission,
             eviction=self.shared_eviction if shared else self.eviction,
             degree_of=partition.halo_degree_of,
-            scorer=self.scorer,
             distance_of=partition.halo_distance_of,
         )
 

@@ -110,18 +110,8 @@ ADMISSION_POLICIES.register(
     "degree-weighted", lambda: DegreeWeightedAdmission(), aliases=("degree",)
 )
 # Score-based admission (repro.cache.scoring): a per-node score with
-# confidence bounds decides who may displace a resident.  "scored" defaults
-# to the conservative mode; the explicit-mode names pin strict/bypass, and
-# "scored-online" adds the end-of-epoch weight learner.
-ADMISSION_POLICIES.register(
-    "scored", lambda: ScoredAdmission(mode="conservative"),
-    aliases=("scored-conservative",),
-)
-ADMISSION_POLICIES.register("scored-strict", lambda: ScoredAdmission(mode="strict"))
-ADMISSION_POLICIES.register("scored-bypass", lambda: ScoredAdmission(mode="bypass"))
-ADMISSION_POLICIES.register(
-    "scored-online", lambda: ScoredAdmission(mode="conservative", online=True),
-)
+# confidence bounds decides who may displace a resident.
+ADMISSION_POLICIES.register("scored", lambda: ScoredAdmission())
 
 
 def build_admission_policy(name: str) -> AdmissionPolicy:

@@ -3,27 +3,19 @@
 The static tier policies (``static-degree``, ``degree-weighted``) decide from
 one frozen feature — degree rank — which the hot-set-drift workloads show is a
 weak predictor of a moving working set.  This module replaces the frozen
-heuristic with a learned, debuggable scoring layer:
+heuristic with a debuggable scoring layer:
 
 * :class:`PrefetchScorer` maintains **decayed per-node access statistics**
   (recency, frequency, degree, halo distance; no external deps) and computes
   a per-node score in ``[0, 1]`` together with **lower/upper confidence
   bounds** — a UCB-style width that shrinks as a node accumulates decayed
   observations and regrows as they decay away.
-* :class:`ScoredAdmission` admits a candidate when its bound clears the
-  resident-score threshold (a low quantile of the resident scores), under one
-  of three modes: ``strict`` compares the candidate's *lower* bound (admit
-  only on strong evidence), ``conservative`` its *upper* bound (admit on
-  plausible evidence), and ``bypass`` admits everything.  By construction
-  ``strict`` admits a subset of ``conservative`` admits a subset of
-  ``bypass`` — the monotonicity property the tests pin.
+* :class:`ScoredAdmission` admits a candidate when its *upper* bound clears
+  the resident-score threshold (a low quantile of the resident scores):
+  rows that plausibly are hot may displace a resident.
 * :class:`ScoredEviction` evicts the residents with the **lowest upper
   bound** — optimism in the face of uncertainty: a row we know little about
   keeps its slot over a row we are confident is cold.
-* The **online-learned variant** (``scored-online``) re-weights the scorer's
-  features at every epoch boundary from the interval's observed hit/miss
-  feature averages, shifting weight toward whichever features discriminated
-  hits from misses in the last interval.
 
 Every admit/reject/evict decision can be recorded as a :class:`ScoreRecord`
 (score, bounds, threshold, mode, reason) in the owning tier's ledger; the
@@ -31,10 +23,6 @@ Every admit/reject/evict decision can be recorded as a :class:`ScoreRecord`
 prints the ledger entries for any node id.  Recording is pure observation —
 decisions are identical whether or not the ledger is enabled — and the ledger
 itself is bit-identical across same-seed replays.
-
-Custom scorers register in :data:`SCORERS` (see docs/EXTENDING.md) and are
-selected per-tier via :class:`~repro.cache.config.CacheConfig`'s ``scorer``
-field.
 """
 
 from __future__ import annotations
@@ -46,7 +34,6 @@ from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Tupl
 
 import numpy as np
 
-from repro.utils.registry import Registry
 from repro.utils.validation import sorted_lookup
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -57,10 +44,10 @@ FEATURE_NAMES = ("recency", "frequency", "degree", "halo_distance")
 # The decayed scorer's constants (see PrefetchScorer).
 DECAY = 0.95                               # per-step decay of recency and counts
 CONFIDENCE = 0.01                          # UCB width coefficient
-INITIAL_WEIGHTS = (0.1, 0.1, 0.75, 0.05)   # one per FEATURE_NAMES entry
 DEGREE_SCALE = 16.0                        # degree at which the hub bonus is 0.5
 THRESHOLD_QUANTILE = 0.3                   # resident quantile a candidate must clear
-LEARNING_RATE = 0.3                        # online weight step toward the target
+WEIGHTS = np.asarray((0.1, 0.1, 0.75, 0.05))  # one per FEATURE_NAMES entry,
+WEIGHTS = WEIGHTS / WEIGHTS.sum()             # normalized to sum 1
 
 DistanceLookup = Callable[[np.ndarray], np.ndarray]
 
@@ -74,7 +61,7 @@ class ScoreRecord:
 
     ``action`` is ``"admit"``, ``"reject"``, or ``"evict"``; ``threshold`` is
     the resident-score threshold the bound was compared against (``nan`` when
-    no comparison happened, e.g. free capacity or ``bypass``); ``reason`` is a
+    no comparison happened, e.g. free capacity); ``reason`` is a
     short human-readable clause the ``repro explain`` CLI prints verbatim.
     """
 
@@ -182,17 +169,12 @@ class PrefetchScorer:
     * ``halo_distance`` — ``1 / distance_i`` from the optional distance
       lookup (1-hop halo rows score 1.0; farther or unknown rows less).
 
-    ``score = w . features`` with weights (``INITIAL_WEIGHTS`` to start)
-    normalized to sum 1, so the score lives in ``[0, 1]``.  The confidence
-    width is UCB-style, ``CONFIDENCE * sqrt(log(t + 2) / (c_i + 1))``: tight
-    for nodes with many recent (decayed) observations, wide for cold or
-    long-unseen nodes.
+    ``score = WEIGHTS . features``; the fixed weights sum to 1, so the score
+    lives in ``[0, 1]``.  The confidence width is UCB-style,
+    ``CONFIDENCE * sqrt(log(t + 2) / (c_i + 1))``: tight for nodes with many
+    recent (decayed) observations, wide for cold or long-unseen nodes.
     ``lower = max(0, score - width)`` and ``upper = min(1, score + width)``,
     so ``lower <= score <= upper`` always.
-
-    With ``online=True``, :meth:`end_epoch` nudges the weights toward the
-    features that discriminated interval hits from interval misses — a
-    deterministic, dependency-free learned variant.
 
     The constants lean on degree (the paper's Fig. 10 signal) with recency and
     frequency as adaptive tiebreaks, and keep the confidence width small so
@@ -203,24 +185,13 @@ class PrefetchScorer:
     well-observed resident look evictable).
     """
 
-    name = "decayed"
-
-    def __init__(self, online: bool = False, distance_of: Optional[DistanceLookup] = None):
-        self.weights = np.asarray(INITIAL_WEIGHTS, dtype=np.float64)
-        self.weights /= self.weights.sum()
-        self.online = bool(online)
+    def __init__(self, distance_of: Optional[DistanceLookup] = None):
         self.distance_of = distance_of
-        self.epochs_learned = 0
 
         self._ids = np.zeros(0, dtype=np.int64)        # sorted
         self._count = np.zeros(0, dtype=np.float64)    # decayed access count
         self._last_step = np.zeros(0, dtype=np.int64)
         self._step = 0                                 # latest observed step
-        # Online-learning accumulators: per-feature sums over the interval.
-        self._hit_feature_sum = np.zeros(len(FEATURE_NAMES), dtype=np.float64)
-        self._miss_feature_sum = np.zeros(len(FEATURE_NAMES), dtype=np.float64)
-        self._hit_obs = 0
-        self._miss_obs = 0
 
     # ------------------------------------------------------------------ #
     def decayed_count(self, global_ids: np.ndarray, step: Optional[int] = None) -> np.ndarray:
@@ -234,29 +205,19 @@ class PrefetchScorer:
         return out
 
     # ------------------------------------------------------------------ #
-    def observe(self, global_ids: np.ndarray, step: int, hit_mask: np.ndarray) -> None:
+    def observe(self, global_ids: np.ndarray, step: int) -> None:
         """Fold one lookup's access stream into the decayed statistics.
 
         Called by the owning tier on every :meth:`~repro.cache.tier.CacheTier.
-        lookup`; *hit_mask* marks which requested rows the tier served (the
-        online learner's supervision signal).  Statistics update from the
-        request stream itself — misses are observations too, which is what
-        lets a not-yet-resident node build up a score worth admitting.
+        lookup`.  Statistics update from the request stream itself — misses
+        are observations too, which is what lets a not-yet-resident node
+        build up a score worth admitting.
         """
         global_ids = np.asarray(global_ids, dtype=np.int64)
         if len(global_ids) == 0:
             return
         step = int(step)
         self._step = max(self._step, step)
-        if self.online:
-            # Feature snapshot BEFORE the update: the decision-relevant view.
-            features = self._features(global_ids, step)
-            hits = np.asarray(hit_mask, dtype=bool)
-            self._hit_feature_sum += features[hits].sum(axis=0)
-            self._miss_feature_sum += features[~hits].sum(axis=0)
-            self._hit_obs += int(hits.sum())
-            self._miss_obs += int((~hits).sum())
-
         unique, occurrences = np.unique(global_ids, return_counts=True)
         idx, known = sorted_lookup(self._ids, unique)
         if not known.all():
@@ -272,7 +233,7 @@ class PrefetchScorer:
         global_ids = np.asarray(global_ids, dtype=np.int64)
         step = self._step if step is None else int(step)
         features = self._features(global_ids, step)
-        scores = features @ self.weights
+        scores = features @ WEIGHTS
         counts = self.decayed_count(global_ids, step)
         width = CONFIDENCE * np.sqrt(math.log(step + 2) / (counts + 1.0))
         lower = np.maximum(0.0, scores - width)
@@ -291,39 +252,6 @@ class PrefetchScorer:
             return 0.0
         scores, _, _ = self.score(resident_ids, step)
         return float(np.quantile(scores, THRESHOLD_QUANTILE))
-
-    # ------------------------------------------------------------------ #
-    def end_epoch(self) -> Optional[np.ndarray]:
-        """Online weight update from the interval's hit/miss feature averages.
-
-        Shifts weight toward features whose interval mean was higher among
-        hits than among misses (the features that *predicted* residency being
-        worthwhile), then renormalizes.  Returns the new weights, or ``None``
-        when learning is off or the interval carried no traffic — which also
-        makes the hook idempotent when several trainers share one scorer
-        through a machine-shared tier (the first caller consumes the
-        interval, later callers see it empty).
-        """
-        had_traffic = (self._hit_obs + self._miss_obs) > 0
-        if not had_traffic:
-            return None
-        hit_mean = (self._hit_feature_sum / self._hit_obs
-                    if self._hit_obs else np.zeros(len(FEATURE_NAMES)))
-        miss_mean = (self._miss_feature_sum / self._miss_obs
-                     if self._miss_obs else np.zeros(len(FEATURE_NAMES)))
-        self._hit_feature_sum[:] = 0.0
-        self._miss_feature_sum[:] = 0.0
-        self._hit_obs = 0
-        self._miss_obs = 0
-        if not self.online:
-            return None
-        # Positive part of the discrimination, floored so no weight dies.
-        advantage = np.maximum(hit_mean - miss_mean, 0.0) + 1e-3
-        target = advantage / advantage.sum()
-        self.weights = (1.0 - LEARNING_RATE) * self.weights + LEARNING_RATE * target
-        self.weights /= self.weights.sum()
-        self.epochs_learned += 1
-        return self.weights.copy()
 
     def nbytes(self) -> int:
         return int(self._ids.nbytes + self._count.nbytes + self._last_step.nbytes)
@@ -364,40 +292,21 @@ class PrefetchScorer:
         self._degree_of = degree_of
 
 
-SCORERS = Registry("cache scorer")
-SCORERS.register("decayed", PrefetchScorer, aliases=("default", "ucb"))
-
-
-def build_scorer(name: str, **kwargs) -> PrefetchScorer:
-    """Build a registered scorer by name (see :data:`SCORERS`)."""
-    return SCORERS.build(name, **kwargs)
-
-
 # --------------------------------------------------------------------------- #
 # Scored policies (registered in repro.cache.policies)
 # --------------------------------------------------------------------------- #
-ADMISSION_MODES = ("strict", "conservative", "bypass")
-
-
 class ScoredAdmission:
-    """Admit when the candidate's confidence bound clears the resident threshold.
+    """Admit when the candidate's upper confidence bound clears the resident threshold.
 
-    ``strict`` compares the candidate's **lower** bound against the threshold
-    (admit only rows we are confident are hot), ``conservative`` its **upper**
-    bound (admit rows that merely might be hot), ``bypass`` admits everything.
-    Since ``lower <= upper``, every ``strict`` admit is a ``conservative``
-    admit and every ``conservative`` admit is a ``bypass`` admit.  Free
-    capacity short-circuits the comparison: empty slots cost nothing to fill.
+    Comparing the **upper** bound admits rows that plausibly are hot (the
+    ledger names this bound ``conservative``).  Free capacity short-circuits
+    the comparison: empty slots cost nothing to fill, and when the offer
+    overflows them they go to the best-scoring candidates the bound turned
+    away.
     """
 
+    name = "scored"
     requires_scorer = True
-
-    def __init__(self, mode: str = "conservative", online: bool = False):
-        if mode not in ADMISSION_MODES:
-            raise ValueError(f"mode must be one of {ADMISSION_MODES}, got {mode!r}")
-        self.mode = mode
-        self.online = bool(online)
-        self.name = "scored-online" if online else "scored"
 
     def admit(self, tier: "CacheTier", candidate_ids: np.ndarray) -> np.ndarray:
         scorer = tier.scorer
@@ -410,34 +319,24 @@ class ScoredAdmission:
             mask = np.ones(len(candidate_ids), dtype=bool)
             tier.record_decisions_batch(
                 step, candidate_ids, mask, scores, lower, upper,
-                threshold=math.nan, mode=self.mode,
+                threshold=math.nan, mode="conservative",
                 admit_reason="free capacity covers the whole offer",
                 reject_reason="",
             )
             return mask
 
         threshold = scorer.resident_threshold(tier.resident_ids, step)
-        if self.mode == "bypass":
-            mask = np.ones(len(candidate_ids), dtype=bool)
-            reason = "bypass mode admits every candidate"
-        elif self.mode == "strict":
-            mask = lower >= threshold
-            reason = "lower bound clears the resident-score threshold"
-        else:  # conservative
-            mask = upper >= threshold
-            reason = "upper bound clears the resident-score threshold"
+        mask = upper >= threshold
         if free > 0 and not mask.all():
-            # Mode-independent: free slots go to the best-scoring leftovers,
-            # so strict/conservative/bypass admit sets stay nested.
+            # Free slots go to the best-scoring leftovers.
             rejected = np.flatnonzero(~mask)
             order = np.lexsort((rejected, -scores[rejected]))
             mask[rejected[order[:free]]] = True
-        bound = "lower" if self.mode == "strict" else "upper"
         tier.record_decisions_batch(
             step, candidate_ids, mask, scores, lower, upper,
-            threshold=threshold, mode=self.mode,
-            admit_reason=reason,
-            reject_reason=f"{bound} bound below the resident-score threshold",
+            threshold=threshold, mode="conservative",
+            admit_reason="upper bound clears the resident-score threshold",
+            reject_reason="upper bound below the resident-score threshold",
         )
         return mask
 

@@ -46,7 +46,6 @@ from repro.cache.scoring import (
     PrefetchScorer,
     ScoreRecord,
     active_decision_log,
-    build_scorer,
 )
 from repro.utils.validation import check_1d_int_array, sorted_lookup
 
@@ -129,12 +128,10 @@ class CacheTier:
         Optional global-id -> degree lookup, called through :meth:`degrees`
         only by the degree-aware policies and fallbacks; tiers without one
         fall back to zero degrees.
-    scorer:
-        Registry name (see :data:`repro.cache.scoring.SCORERS`) of the scorer
-        built when either policy is score-based; ignored otherwise.
     distance_of:
-        Optional global-id -> halo-distance lookup for the scorer's
-        halo-distance feature (1-hop halo rows report 1).
+        Optional global-id -> halo-distance lookup for the
+        :class:`~repro.cache.scoring.PrefetchScorer` built when either policy
+        is score-based (1-hop halo rows report 1).
 
     A scored tier built while a :func:`~repro.cache.scoring.capture_decisions`
     session is active (the ``repro explain`` replay path) records every
@@ -151,7 +148,6 @@ class CacheTier:
         admission: str = "always",
         eviction: str = "lru",
         degree_of: Optional[DegreeLookup] = None,
-        scorer: str = "decayed",
         distance_of: Optional[DistanceLookup] = None,
     ):
         if capacity < 0:
@@ -171,9 +167,7 @@ class CacheTier:
         self.record_decisions = False
         if (getattr(self.admission, "requires_scorer", False)
                 or getattr(self.eviction, "requires_scorer", False)):
-            online = bool(getattr(self.admission, "online", False)
-                          or getattr(self.eviction, "online", False))
-            self.scorer = build_scorer(scorer, online=online, distance_of=distance_of)
+            self.scorer = PrefetchScorer(distance_of=distance_of)
             self.scorer.bind_degree_lookup(degree_of)
             log = active_decision_log()
             if log is not None:
@@ -264,11 +258,6 @@ class CacheTier:
                 mode=mode, reason=admit_reason if admitted else reject_reason,
             ))
 
-    def end_epoch(self) -> None:
-        """Epoch boundary: let a scored tier's online learner update weights."""
-        if self.scorer is not None:
-            self.scorer.end_epoch()
-
     def summary(self) -> Dict[str, float]:
         out = self.stats.as_dict()
         out["capacity"] = float(self.capacity)
@@ -293,7 +282,7 @@ class CacheTier:
         if self.size == 0 or requested == 0:
             self.stats.misses += requested
             if self.scorer is not None and requested:
-                self.scorer.observe(global_ids, step, np.zeros(requested, dtype=bool))
+                self.scorer.observe(global_ids, step)
             return (
                 np.zeros(requested, dtype=bool),
                 np.zeros((0, self.feature_dim), dtype=np.float32),
@@ -310,7 +299,7 @@ class CacheTier:
             # The request stream (hits AND misses) is the scorer's signal: a
             # not-yet-resident node must be able to build a score worth
             # admitting before it ever hits.
-            self.scorer.observe(global_ids, step, hit_mask)
+            self.scorer.observe(global_ids, step)
         # take already materializes a fresh array; no copy needed.
         return hit_mask, self._rows.take(self._slots.take(hit_idx), axis=0)
 

@@ -48,7 +48,6 @@ from typing import Dict, Optional, Sequence
 
 from repro import __version__, viz
 from repro.cache.config import CacheConfig
-from repro.cache.policies import ADMISSION_POLICIES
 from repro.cache.scoring import capture_decisions
 from repro.graph.datasets import available_datasets, load_dataset
 from repro.scenarios import (
@@ -140,11 +139,6 @@ KNOB_FLAGS: Dict[str, Dict[str, tuple]] = {
                                    "serving workers per machine (default: the scenario's)"),
     },
     "explain": {
-        "--admission": ("cache.admission", "scored admission variant to replay with "
-                        "(default: scored — the conservative mode)", {
-                            "default": "scored",
-                            "choices": [n for n in ADMISSION_POLICIES.names()
-                                        if n.startswith("scored")]}),
         "--eviction": ("cache.eviction", "hot-tier eviction policy for the replay (default: "
                        "scored — evict lowest upper bound; decisions are only recorded for "
                        "scored policies)",
@@ -217,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="named cluster workload (default: uniform); the scenario's recipe "
              "provides every default, and only explicitly passed flags override it",
     )
-    run.add_argument("--cluster", action="store_true", help=argparse.SUPPRESS)
     _add_knob_flags(run, "run")
     run.add_argument(
         "--mode", default=None, choices=["baseline", "prefetch", "both"],
@@ -628,15 +621,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_explain(args: argparse.Namespace) -> int:
     """``repro explain``: replay a scenario, then narrate one node's decisions.
 
-    The replay runs the tiered-cache pipeline with the requested scored
-    policies inside a :func:`~repro.cache.scoring.capture_decisions` session;
+    The replay runs the tiered-cache pipeline with ``scored`` admission and
+    the requested eviction inside a
+    :func:`~repro.cache.scoring.capture_decisions` session;
     recording is pure observation, so the replayed decisions are exactly what
     a non-captured run of the same scenario/seed would make.
     """
-    # The replay's cache is the flags' over a fresh config, not the scenario's
-    # recipe; capture_decisions() turns on the ledger of every scored tier.
+    # The replay's cache is the flags' over a scored-admission config, not the
+    # scenario's recipe; capture_decisions() turns on the ledger of every
+    # scored tier.
     scenario = SCENARIOS.build(args.scenario).with_overrides(
-        cache_config=CacheConfig(), **_knob_values(args, "explain")
+        cache_config=CacheConfig(admission="scored"), **_knob_values(args, "explain")
     )
     cache_config = scenario.cache_config
 

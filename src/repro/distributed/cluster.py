@@ -330,31 +330,25 @@ class SimCluster:
                 trainer.dataloader.reassign_seeds(empty)
         return gained
 
-    def migrate_partition(
-        self, part_id: int, new_host: int, cache_policy: str = "invalidate"
-    ) -> int:
+    def migrate_partition(self, part_id: int, new_host: int) -> int:
         """Adopt partition *part_id* onto *new_host*, returning bytes moved.
 
         Re-points ``partition_hosts[part_id]`` and returns the KVStore
-        payload size (plus the shared cache tier's rows under the ``"warm"``
-        policy — under ``"invalidate"`` the tier is dropped cold instead).
-        The caller charges the returned bytes through the cost model; a no-op
-        move (already hosted there) returns 0.
+        payload size; the partition's shared cache tier, if one exists, is
+        invalidated (its rows are not shipped).  The caller charges the
+        returned bytes through the cost model; a no-op move (already hosted
+        there) returns 0.
         """
         new_host = int(new_host)
         if new_host < 0:
             raise ValueError(f"host machine must be >= 0, got {new_host}")
         if self.partition_hosts[part_id] == new_host:
             return 0
-        nbytes = int(self.servers[part_id].nbytes())
         tier = self._shared_cache_tiers.get(part_id)
         if tier is not None:
-            if cache_policy == "warm":
-                nbytes += int(tier.nbytes())
-            else:
-                tier.invalidate()
+            tier.invalidate()
         self.partition_hosts[part_id] = new_host
-        return nbytes
+        return int(self.servers[part_id].nbytes())
 
     def cost_model_for_machine(self, machine: int) -> CostModel:
         """Per-machine cost model honoring the config's compute multipliers.

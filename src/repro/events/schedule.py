@@ -183,9 +183,6 @@ class CongestionSpec(ScheduleSpec):
         return self
 
 
-_CACHE_POLICIES = ("invalidate", "warm")
-
-
 @dataclass(frozen=True)
 class ElasticSpec(ScheduleSpec):
     """A seeded join/leave schedule for elastic cluster membership.
@@ -193,9 +190,6 @@ class ElasticSpec(ScheduleSpec):
     ``initially_inactive`` ranks exist in the cluster topology but hold no
     seeds and run no steps until they join.  ``joins`` / ``leaves`` are
     ``(rank, time_s)`` pairs in simulated seconds.
-    ``cache_policy`` picks what happens to a migrated partition's shared
-    cache tier: ``"invalidate"`` drops it cold on the new owner,
-    ``"warm"`` ships the cached rows along (charging their bytes too).
 
     Membership changes take effect on trainer scheduling at the next epoch
     boundary for joins (the joining rank participates from the following
@@ -208,7 +202,6 @@ class ElasticSpec(ScheduleSpec):
     initially_inactive: Tuple[int, ...] = ()
     joins: Tuple[Tuple[int, float], ...] = ()
     leaves: Tuple[Tuple[int, float], ...] = ()
-    cache_policy: str = "invalidate"
 
     def __post_init__(self) -> None:
         held = tuple(int(r) for r in self.initially_inactive)
@@ -228,11 +221,6 @@ class ElasticSpec(ScheduleSpec):
                     raise ValueError(f"{label} ranks must be >= 0, got {rank}")
                 if time_s < 0.0:
                     raise ValueError(f"{label} times must be >= 0, got {time_s!r}")
-        if self.cache_policy not in _CACHE_POLICIES:
-            raise ValueError(
-                f"cache_policy must be one of {_CACHE_POLICIES}, "
-                f"got {self.cache_policy!r}"
-            )
 
     @property
     def is_empty(self) -> bool:

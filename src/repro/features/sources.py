@@ -316,12 +316,9 @@ class TieredCacheSource:
         return features, stats
 
     def end_epoch(self) -> None:
-        """Epoch boundary: re-split tier budgets and step the online scorers."""
+        """Epoch boundary: let the adaptive controller re-split tier budgets."""
         if self.controller is not None:
             self.controller.end_epoch(self._step)
-        self.hot_tier.end_epoch()
-        if self.shared_tier is not None:
-            self.shared_tier.end_epoch()
 
     # ------------------------------------------------------------------ #
     def _fetch_missing(self, global_ids: np.ndarray) -> Tuple[np.ndarray, float]:

@@ -8,7 +8,7 @@ from repro.sampling.neighbor_sampler import (
     split_local_halo,
 )
 from repro.sampling.pipeline import MiniBatchPipeline, PipelineBatch
-from repro.sampling.seeds import SeedIterator, SeedPartitioner, minibatches_per_trainer
+from repro.sampling.seeds import SeedIterator, SeedPartitioner
 
 __all__ = [
     "Block",
@@ -21,5 +21,4 @@ __all__ = [
     "PipelineBatch",
     "SeedIterator",
     "SeedPartitioner",
-    "minibatches_per_trainer",
 ]

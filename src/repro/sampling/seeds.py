@@ -147,17 +147,3 @@ class SeedIterator:
     def __iter__(self) -> Iterator[np.ndarray]:
         return self.epoch()
 
-
-def minibatches_per_trainer(
-    num_train_nodes: int, num_partitions: int, trainers_per_node: int, batch_size: int
-) -> int:
-    """Expected minibatches per trainer per epoch under the paper's setup.
-
-    The graph is split into ``num_partitions`` (one per machine), each machine
-    runs ``trainers_per_node`` trainers, and the batch size is constant — so
-    each trainer sees ``|V_train| / (num_partitions * trainers_per_node)``
-    seeds per epoch.
-    """
-    check_positive(batch_size, "batch_size")
-    seeds_per_trainer = num_train_nodes / max(1, num_partitions * trainers_per_node)
-    return max(1, int(np.ceil(seeds_per_trainer / batch_size)))

@@ -34,7 +34,6 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.cache.config import CacheConfig
 from repro.cache.policies import ADMISSION_POLICIES, CACHE_EVICTION_POLICIES
-from repro.cache.scoring import SCORERS
 from repro.core.config import PrefetchConfig
 from repro.core.eviction import EVICTION_POLICIES
 from repro.distributed.rpc import RPC_CHANNELS
@@ -179,7 +178,6 @@ def _axes() -> Dict[str, AxisSpec]:
                  ADMISSION_POLICIES),
         AxisSpec("cache.shared_eviction", "registry", "cache", "shared_eviction",
                  CACHE_EVICTION_POLICIES),
-        AxisSpec("cache.scorer", "registry", "cache", "scorer", SCORERS),
         AxisSpec("cache.adaptive", "bool", "cache", "adaptive"),
         AxisSpec("cache.hot_fraction", "float", "cache", "hot_fraction"),
     ]

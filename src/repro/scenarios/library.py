@@ -304,24 +304,21 @@ def cascading_failure_scenario() -> ClusterScenario:
 
     Rank 0 leaves at 0.8 ms and rank 1 at 1.2 ms — after the second leave
     machine 0 has no active trainers, so its partition server re-registers on
-    machine 1 (the surviving host), the machine-shared cache tier is
-    invalidated, and the partition's training seeds re-split among machine
-    1's trainers, who pay the adoption's migration bytes.
+    machine 1 (the surviving host) and the partition's training seeds
+    re-split among machine 1's trainers, who pay the adoption's migration
+    bytes.
     """
     return ClusterScenario(
         name="cascading-failure",
         description="Machine 0's trainers leave at 0.8/1.2 ms: the drained "
-                    "machine's partition is adopted by machine 1 (shared cache "
-                    "invalidated) and its seeds re-split among the survivors.",
+                    "machine's partition is adopted by machine 1 and its seeds "
+                    "re-split among the survivors.",
         dataset="products",
         partition_method="metis",
         prefetch_config=PrefetchConfig(halo_fraction=0.35, gamma=0.995, delta=16),
         engine="async",
         sync="allreduce-barrier",
-        elastic=ElasticSpec(
-            leaves=((0, 8.0e-4), (1, 1.2e-3)),
-            cache_policy="invalidate",
-        ),
+        elastic=ElasticSpec(leaves=((0, 8.0e-4), (1, 1.2e-3))),
         paper_note="Permanent-loss counterpart of trainer-flaky's transient "
                    "outages: fail-stop departures that shrink the roster and "
                    "force cross-machine partition adoption.",
@@ -330,19 +327,19 @@ def cascading_failure_scenario() -> ClusterScenario:
 
 @SCENARIOS.register("rolling-upgrade", aliases=("rolling",))
 def rolling_upgrade_scenario() -> ClusterScenario:
-    """Machines drain and rejoin one at a time, caches warmed on return.
+    """Machines drain and rejoin one at a time.
 
     Machine 0's trainers (ranks 0-1) leave at 0.5 ms and rejoin at 1 ms;
     machine 1's (ranks 2-3) follow at 1.5/2 ms — a rolling restart where
-    the roster never empties.  ``cache_policy="warm"`` charges the shared
-    tier's resident bytes as migration traffic instead of dropping them,
-    modeling state transfer to the upgraded host.
+    the roster never empties.  A drained machine's partition is adopted by
+    the other machine and comes home, seeds re-split, when its trainers
+    rejoin.
     """
     return ClusterScenario(
         name="rolling-upgrade",
         description="Machine 0's trainers leave at 0.5 ms and rejoin at 1 ms, "
-                    "then machine 1's at 1.5/2 ms: a rolling restart with shared "
-                    "cache tiers warmed (bytes charged, contents kept) on return.",
+                    "then machine 1's at 1.5/2 ms: a rolling restart whose "
+                    "roster never empties.",
         dataset="products",
         partition_method="metis",
         prefetch_config=PrefetchConfig(halo_fraction=0.35, gamma=0.995, delta=16),
@@ -352,7 +349,6 @@ def rolling_upgrade_scenario() -> ClusterScenario:
         elastic=ElasticSpec(
             leaves=((0, 5.0e-4), (1, 5.0e-4), (2, 1.5e-3), (3, 1.5e-3)),
             joins=((0, 1.0e-3), (1, 1.0e-3), (2, 2.0e-3), (3, 2.0e-3)),
-            cache_policy="warm",
         ),
         paper_note="Maintenance regime the paper's dedicated allocation never "
                    "shows: rolling node replacement with live state handoff "

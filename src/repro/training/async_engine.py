@@ -497,7 +497,7 @@ class _EventDrivenRun:
         through the cost model, the first one also for the homecoming.
         """
         cluster = self.cluster
-        home_bytes = cluster.migrate_partition(machine, machine, self.elastic.cache_policy)
+        home_bytes = cluster.migrate_partition(machine, machine)
         salt = self.rebalance_salts[machine] = self.rebalance_salts.get(machine, 0) + 1
         moved = cluster.rebalance_seeds(
             machine, [rank - machine * self.tpm for rank in survivors], salt=salt
@@ -521,9 +521,9 @@ class _EventDrivenRun:
     def _rebalance_drained(self, machine: int, charge: bool) -> None:
         """Move a fully drained machine's partition onto a surviving host.
 
-        The host's active trainers pay for the KVStore payload (plus the
-        shared cache tier under the ``"warm"`` policy; ``"invalidate"`` drops
-        it cold); the bytes are booked once, on the host's first trainer.
+        The host's active trainers pay for the KVStore payload (a shared
+        cache tier of the partition is dropped cold); the bytes are booked
+        once, on the host's first trainer.
         """
         cluster = self.cluster
         host = next(
@@ -536,7 +536,7 @@ class _EventDrivenRun:
         )
         if host is None:
             return  # every rank left; nothing can adopt the partition
-        moved_bytes = cluster.migrate_partition(machine, host, self.elastic.cache_policy)
+        moved_bytes = cluster.migrate_partition(machine, host)
         if moved_bytes <= 0 or not charge:
             return
         host_actives = [r for r in self._machine_ranks(host) if self.member_active[r]]

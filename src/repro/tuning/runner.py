@@ -124,18 +124,6 @@ class TuneReport:
                 return candidate
         return None
 
-    @property
-    def best_overrides(self) -> Dict[str, object]:
-        """Override dict of the winning candidate (empty when none succeeded)."""
-        best = self.best
-        return dict(best.overrides) if best is not None else {}
-
-    @property
-    def best_score(self) -> Optional[float]:
-        """Objective score of the winning candidate."""
-        best = self.best
-        return best.score if best is not None else None
-
     def as_dict(self) -> Dict[str, object]:
         """Canonical JSON form (ranked table plus full sweep provenance)."""
         return {

@@ -92,8 +92,7 @@ class OracleCacheTier(CacheTier):
         if self.size == 0 or len(global_ids) == 0:
             self.stats.misses += int(len(global_ids))
             if self.scorer is not None and len(global_ids):
-                self.scorer.observe(global_ids, step,
-                                    np.zeros(len(global_ids), dtype=bool))
+                self.scorer.observe(global_ids, step)
             return (
                 np.zeros(len(global_ids), dtype=bool),
                 np.zeros((0, self.feature_dim), dtype=np.float32),
@@ -108,7 +107,7 @@ class OracleCacheTier(CacheTier):
             np.add.at(self._freq, hit_idx, 1)
             self._ref[hit_idx] = True
         if self.scorer is not None:
-            self.scorer.observe(global_ids, step, hit_mask)
+            self.scorer.observe(global_ids, step)
         return hit_mask, self._rows[hit_idx]
 
     def contains(self, global_ids):

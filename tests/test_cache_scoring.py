@@ -1,11 +1,10 @@
 """Tests for the scored cache policies (``repro.cache.scoring``).
 
 Property tests for the scorer's invariants (bound ordering, decayed-count
-convergence, mode monotonicity, replay determinism), the scored admission/
-eviction policies, the online weight learner, and the two degree-heuristic
-regression pins this PR ships: constant-degree graphs must not freeze
-``degree-weighted`` admission, and the adaptive controller's re-split must
-not oscillate under identical hit rates (banker's rounding).
+convergence, replay determinism), the scored admission/eviction policies,
+and two degree-heuristic regression pins: constant-degree graphs must not
+freeze ``degree-weighted`` admission, and the adaptive controller's re-split
+must not oscillate under identical hit rates (banker's rounding).
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from repro.cache import (
     ScoredAdmission,
     capture_decisions,
 )
-from repro.cache.scoring import DECAY, SCORERS, active_decision_log, build_scorer
+from repro.cache.scoring import DECAY, active_decision_log
 
 DIM = 4
 
@@ -59,7 +58,7 @@ class TestScorerProperties:
         scorer.bind_degree_lookup(degree_mod7)
         for step in range(50):
             ids = rng.integers(0, 100, size=8)
-            scorer.observe(ids, step, rng.random(8) < 0.5)
+            scorer.observe(ids, step)
             probe = rng.integers(0, 120, size=16)  # includes unseen ids
             scores, lower, upper = scorer.score(probe, step)
             assert np.all(lower <= scores + 1e-12)
@@ -73,7 +72,7 @@ class TestScorerProperties:
         limit = 1.0 / (1.0 - DECAY)
         previous = 0.0
         for step in range(200):
-            scorer.observe(ids_of(7), step, np.array([True]))
+            scorer.observe(ids_of(7), step)
             count = float(scorer.decayed_count(ids_of(7), step)[0])
             assert previous < count < limit
             previous = count
@@ -81,7 +80,7 @@ class TestScorerProperties:
 
     def test_decayed_counts_decay_when_unseen(self):
         scorer = PrefetchScorer()
-        scorer.observe(ids_of(3), 0, np.array([True]))
+        scorer.observe(ids_of(3), 0)
         assert float(scorer.decayed_count(ids_of(3), 0)[0]) == pytest.approx(1.0)
         assert float(scorer.decayed_count(ids_of(3), 4)[0]) == pytest.approx(DECAY ** 4)
         # Unseen ids report zero.
@@ -89,44 +88,55 @@ class TestScorerProperties:
 
     def test_confidence_width_shrinks_with_observations(self):
         scorer = PrefetchScorer()
-        scorer.observe(ids_of(1), 0, np.array([True]))
+        scorer.observe(ids_of(1), 0)
         _, lo1, up1 = scorer.score(ids_of(1), 0)
         for step in range(1, 30):
-            scorer.observe(ids_of(1), step, np.array([True]))
+            scorer.observe(ids_of(1), step)
         _, lo2, up2 = scorer.score(ids_of(1), 29)
         assert (up2 - lo2) < (up1 - lo1)
 
-    def test_registry_and_validation(self):
-        assert "decayed" in SCORERS
-        assert "ucb" in SCORERS  # alias
-        assert isinstance(build_scorer("default"), PrefetchScorer)
-        with pytest.raises(ValueError, match="mode"):
-            ScoredAdmission(mode="optimistic")
-
 
 # --------------------------------------------------------------------------- #
-# Mode monotonicity: strict admits ⊆ conservative admits ⊆ bypass admits
+# Scored admission: the upper bound against the resident threshold
 # --------------------------------------------------------------------------- #
-class TestModeMonotonicity:
-    def _full_tier(self) -> CacheTier:
+class TestScoredAdmission:
+    def test_full_tier_admits_exactly_the_upper_bounds_that_clear(self):
         server = make_server()
         tier = CacheTier("hot", 8, DIM, admission="scored", eviction="scored",
                          degree_of=degree_mod7)
         run_workload(tier, server, seed=3, steps=25)
-        assert tier.size == tier.capacity  # the threshold comparison is live
-        return tier
+        assert tier.size == tier.capacity  # no free slot: the comparison alone decides
+        rng = np.random.default_rng(11)
+        decided = set()
+        for _ in range(10):
+            candidates = np.sort(rng.choice(200, size=10, replace=False))
+            _, _, upper = tier.scorer.score(candidates, tier.last_step)
+            threshold = tier.scorer.resident_threshold(tier.resident_ids, tier.last_step)
+            mask = ScoredAdmission().admit(tier, candidates)
+            np.testing.assert_array_equal(mask, upper >= threshold)
+            decided.update(mask.tolist())
+        assert decided == {False, True}
 
-    def test_admit_sets_nest_across_modes(self):
-        tier = self._full_tier()
+    def test_free_slots_go_to_the_best_scoring_rejects(self):
+        server = make_server()
+        tier = CacheTier("hot", 8, DIM, admission="scored", eviction="scored",
+                         degree_of=degree_mod7)
+        run_workload(tier, server, seed=3, steps=25)
+        tier.resize(9)  # one free slot, offers of ten
         rng = np.random.default_rng(11)
         for _ in range(10):
             candidates = np.sort(rng.choice(200, size=10, replace=False))
-            strict = ScoredAdmission(mode="strict").admit(tier, candidates)
-            conservative = ScoredAdmission(mode="conservative").admit(tier, candidates)
-            bypass = ScoredAdmission(mode="bypass").admit(tier, candidates)
-            assert not np.any(strict & ~conservative)
-            assert not np.any(conservative & ~bypass)
-            assert bypass.all()
+            scores, _, upper = tier.scorer.score(candidates, tier.last_step)
+            threshold = tier.scorer.resident_threshold(tier.resident_ids, tier.last_step)
+            clears = upper >= threshold
+            mask = ScoredAdmission().admit(tier, candidates)
+            assert not np.any(clears & ~mask)
+            extra = np.flatnonzero(mask & ~clears)
+            if clears.all():
+                assert len(extra) == 0
+                continue
+            assert len(extra) == 1
+            assert scores[extra[0]] == scores[~clears].max()
 
 
 # --------------------------------------------------------------------------- #
@@ -193,9 +203,7 @@ class TestScoredPolicies:
     def test_ledger_records_every_action_kind(self):
         server = make_server()
         with capture_decisions() as log:
-            # Strict mode so the run also exercises rejections (conservative's
-            # wide upper bounds clear the low resident quantile almost always).
-            tier = CacheTier("hot", 6, DIM, admission="scored-strict",
+            tier = CacheTier("hot", 6, DIM, admission="scored",
                              eviction="scored", degree_of=degree_mod7)
             run_workload(tier, server, seed=2, steps=30)
         actions = {r.action for _, r in log.all_records()}
@@ -205,29 +213,9 @@ class TestScoredPolicies:
             assert record.reason
             d = record.as_dict()
             assert d["node_id"] == record.node_id
-
-    def test_online_scorer_learns_and_is_idempotent(self):
-        server = make_server()
-        tier = CacheTier("hot", 8, DIM, admission="scored-online",
-                         eviction="scored", degree_of=degree_mod7)
-        assert tier.scorer.online
-        before = tier.scorer.weights.copy()
-        run_workload(tier, server, seed=4, steps=30)
-        assert tier.scorer.end_epoch() is not None
-        after = tier.scorer.weights.copy()
-        assert not np.allclose(before, after)
-        assert after.sum() == pytest.approx(1.0)
-        assert np.all(after > 0)
-        # Second call without traffic is a no-op (shared-tier idempotence).
-        assert tier.scorer.end_epoch() is None
-        np.testing.assert_array_equal(after, tier.scorer.weights)
-
-    def test_offline_scorer_end_epoch_returns_none(self):
-        tier = CacheTier("hot", 8, DIM, admission="scored", eviction="scored",
-                         degree_of=degree_mod7)
-        run_workload(tier, make_server(), seed=4, steps=10)
-        assert not tier.scorer.online
-        assert tier.scorer.end_epoch() is None
+            if record.action == "reject":
+                assert record.mode == "conservative"
+                assert record.upper_bound < record.threshold
 
 
 # --------------------------------------------------------------------------- #
@@ -312,6 +300,7 @@ class TestExplainCLI:
         assert main([*self.ARGS, "--limit", "5"]) == 0
         out = capsys.readouterr().out
         assert "scenario 'hot-set-drift' seed=7" in out
+        assert "cache = 1 tier, admission=scored, eviction=scored" in out
         assert "scored tier(s)" in out
         for column in ("step", "action", "lower", "upper", "threshold", "mode"):
             assert column in out
@@ -346,5 +335,14 @@ class TestExplainCLI:
 
         args = build_parser().parse_args(["explain"])
         assert args.scenario == "hot-set-drift"
-        assert args.admission == "scored" and args.eviction == "scored"
+        assert args.eviction == "scored" and not hasattr(args, "admission")
         assert args.node_id is None and args.limit == 20 and not args.json
+
+    def test_admission_is_not_a_flag(self, capsys):
+        from repro.cli import main
+
+        # The replay always admits with 'scored'; the flag had no other choice.
+        with pytest.raises(SystemExit) as exc:
+            main([*self.ARGS, "--admission", "scored"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --admission" in capsys.readouterr().err

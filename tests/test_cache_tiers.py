@@ -51,15 +51,13 @@ def moved(tier, before):
 class TestRegistries:
     def test_registered_names(self):
         assert set(ADMISSION_POLICIES.names()) == {
-            "always", "static-degree", "degree-weighted",
-            "scored", "scored-strict", "scored-bypass", "scored-online",
+            "always", "static-degree", "degree-weighted", "scored",
         }
         assert set(CACHE_EVICTION_POLICIES.names()) == {
             "none", "lru", "lfu", "clock", "degree-weighted", "scored",
         }
         assert "never" in ADMISSION_POLICIES          # alias
         assert "second-chance" in CACHE_EVICTION_POLICIES  # alias
-        assert "scored-conservative" in ADMISSION_POLICIES  # alias
         assert "lowest-upper-bound" in CACHE_EVICTION_POLICIES  # alias
 
     def test_unknown_names_rejected_at_config_time(self):

@@ -269,7 +269,7 @@ class TestScenarioRegistry:
 class TestClusterCLI:
     def test_run_cluster_scenario_end_to_end(self, capsys, tmp_path):
         code = cli_main([
-            "run", "--cluster", "--scenario", "skewed-partitions",
+            "run", "--scenario", "skewed-partitions",
             "--scale", "0.05", "--epochs", "1", "--trace-dir", str(tmp_path),
         ])
         assert code == 0

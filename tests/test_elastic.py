@@ -93,8 +93,6 @@ class TestElasticSpecValidation:
             ElasticSpec(initially_inactive=(-1,))
         with pytest.raises(ValueError, match="joins times"):
             ElasticSpec(joins=((0, -1.0),))
-        with pytest.raises(ValueError, match="cache_policy"):
-            ElasticSpec(cache_policy="discard")
 
     def test_schedule_validates_against_world_size(self):
         with pytest.raises(ValueError, match="out of range"):

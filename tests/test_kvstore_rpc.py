@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.cache.config import CacheConfig
 from repro.distributed.cost_model import CostModel
 from repro.distributed.kvstore import KVStore
 from repro.distributed.rpc import RPCChannel, RPCStats, aggregate_rpc_stats
@@ -159,3 +160,22 @@ class TestPartitionKVStore:
             small_cluster.migrate_partition(0, -1)
         assert small_cluster.partition_hosts == [0, 1]
         assert small_cluster.migrate_partition(1, 1) == 0
+
+    def test_migration_moves_the_store_and_invalidates_the_shared_tier(self, small_cluster):
+        small_cluster.reset()
+        config = CacheConfig(tiers=2, admission="always", eviction="lru")
+        tier = small_cluster.shared_cache_tier(0, config)
+        ids = small_cluster.partitions[0].halo_global[:5]
+        tier.resize(len(ids))
+        tier.seed(ids, small_cluster.dataset.features[ids])
+        assert tier.size == len(ids) and tier.nbytes() > 0
+        try:
+            moved = small_cluster.migrate_partition(0, 1)
+            # The KVStore payload alone: the tier's rows are dropped, not shipped.
+            assert moved == small_cluster.servers[0].nbytes()
+            assert small_cluster.partition_hosts == [1, 1]
+            assert tier.size == 0 and tier.capacity == len(ids)
+            assert tier.stats.evictions == len(ids)
+            assert small_cluster.shared_cache_tier(0, config) is tier
+        finally:
+            small_cluster.reset()

@@ -44,7 +44,7 @@ SPEC_OBJECTS = {
     "congestion-spec": CongestionSpec(),
     "elastic-spec": ElasticSpec(
         initially_inactive=(1, 3), joins=((1, 1.0e-3), (3, 1.0e-3)),
-        leaves=((0, 2.0e-3),), cache_policy="warm",
+        leaves=((0, 2.0e-3),),
     ),
     "serving-spec": ServingSpec(),
     "dataset-spec": load_dataset("arxiv", scale=0.1, seed=0).spec,

@@ -191,7 +191,7 @@ def test_preset_apply_rejects_drifted_axes(tmp_path):
     # must fail at load time with the registry's own error
     payload = {
         "name": "drifted", "scenario": "uniform",
-        "overrides": {"cache.scorer": "gone-scorer"},
+        "overrides": {"cache.eviction": "gone-eviction"},
         "objective": "critical-path-s",
     }
     (tmp_path / "drifted.json").write_text(json.dumps(payload))

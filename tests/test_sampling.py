@@ -10,7 +10,7 @@ from repro.sampling.neighbor_sampler import (
     sample_for_partition,
     split_local_halo,
 )
-from repro.sampling.seeds import SeedIterator, SeedPartitioner, minibatches_per_trainer
+from repro.sampling.seeds import SeedIterator, SeedPartitioner
 from graph_checks import has_edge
 
 
@@ -232,10 +232,6 @@ class TestSeeds:
         it = SeedIterator(np.array([], dtype=np.int64), batch_size=8)
         assert it.num_batches == 0
         assert list(it.epoch()) == []
-
-    def test_minibatches_per_trainer_formula(self):
-        # 100k train nodes, 8 partitions x 4 trainers, batch 2000 -> ceil(3125/2000)=2.
-        assert minibatches_per_trainer(100_000, 8, 4, 2000) == 2
 
 
 class TestDataLoader:

@@ -229,7 +229,7 @@ class TestServeCli:
         assert "steady-poisson" in err  # error lists the serving scenarios
 
     def test_run_cluster_routes_serving_scenario(self, capsys):
-        code = main(["run", "--cluster", "--scenario", "flash-crowd-burst",
+        code = main(["run", "--scenario", "flash-crowd-burst",
                      "--scale", str(SCALE), "--epochs", "1", "--seed", "3"])
         assert code == 0
         out = capsys.readouterr().out

@@ -113,7 +113,7 @@ class TestAsyncEngineCLI:
 
     def test_flaky_scenario_reports_failures(self, capsys):
         code = main([
-            "run", "--cluster", "--scenario", "trainer-flaky",
+            "run", "--scenario", "trainer-flaky",
             "--scale", "0.05", "--epochs", "2",
         ])
         assert code == 0
@@ -131,12 +131,12 @@ class TestAsyncEngineCLI:
          "no effect on the 'baseline' pipeline"),
         (["run", "--pipeline", "prefetch", "--cache-tiers", "2"],
          "no effect on the 'prefetch' pipeline; use pipeline 'tiered-cache'"),
-        (["run", "--cluster", "--pipeline", "static-cache", "--eviction", "lru"],
+        (["run", "--pipeline", "static-cache", "--eviction", "lru"],
          "no effect on the 'static-cache' pipeline"),
-        (["run", "--cluster", "--scenario", "steady-poisson", "--pipeline", "baseline",
+        (["run", "--scenario", "steady-poisson", "--pipeline", "baseline",
           "--cache-tiers", "2"], "no effect on the 'baseline' pipeline"),
         (["run", "--staleness", "3"], "--sync bounded-staleness"),
-        (["run", "--cluster", "--scenario", "async-staleness", "--sync-period", "2"],
+        (["run", "--scenario", "async-staleness", "--sync-period", "2"],
          "--sync local-sgd"),
         # A ValueError under any command is misuse (exit 2), not a crash.
         (["explain", "--scale", "-1"], "scale must be > 0"),
@@ -146,7 +146,7 @@ class TestAsyncEngineCLI:
          "gamma must lie in the unit interval"),
         (["sweep", "--machines", "0"], "num_machines must be > 0"),
         # Knobs nothing would read are rejected like --staleness, not ignored.
-        (["run", "--cluster", "--pipeline", "baseline", "--gamma", "0.9"],
+        (["run", "--pipeline", "baseline", "--gamma", "0.9"],
          "--gamma has no effect on the 'baseline' pipeline"),
         (["run", "--mode", "baseline", "--halo-fraction", "0.5"],
          "--halo-fraction has no effect on the 'baseline' pipeline"),
@@ -157,8 +157,8 @@ class TestAsyncEngineCLI:
         (["run", "--mode", "prefetch", "--pipeline", "static-cache"],
          "--mode prefetch names the 'prefetch' pipeline"),
         (["run", "--sampler", "legacy"], REMOVED),
-        (["run", "--sampler", "choice", "--cluster"], REMOVED),
-        (["run", "--sampler", "loop", "--cluster", "--scenario", "hot-halo"], REMOVED),
+        (["run", "--sampler", "choice"], REMOVED),
+        (["run", "--sampler", "loop", "--scenario", "hot-halo"], REMOVED),
         (["run", "--sampler", "reference", "--engine", "async"], REMOVED),
         (["run", "--sampler", "turbo"], REMOVED),
         (["run", "--sampler", "fast"], REMOVED),
@@ -174,7 +174,7 @@ class TestAsyncEngineCLI:
         (["run", "--execution-backend", "process-pool"], None),
         # --no-eviction is the one no-eviction switch; 'none' is not a policy.
         (["run", "--eviction-policy", "none"], None),
-        (["run", "--cluster", "--workers", "2"], None),
+        (["run", "--workers", "2"], None),
         (["tune", "--scenario", "uniform", "--axis", "workers=1,2"],
          "unknown tuning axis 'workers'"),
         (["tune", "--scenario", "uniform", "--axis", "execution_backend=process-pool"],
@@ -211,17 +211,14 @@ class TestAsyncEngineCLI:
         choices = error.split("(choose from ")[1].rstrip(")").replace("'", "")
         assert choices.split(", ") == ["lru", "random", "score-threshold"]
 
-    @pytest.mark.parametrize("scenario", ["uniform", "async-staleness", "steady-poisson"])
-    def test_cluster_flag_is_a_no_op(self, capsys, scenario):
-        """--cluster is a hidden alias of nothing: stdout is byte-identical."""
-        argv = ["run", "--scenario", scenario] + self.TINY
-        assert main(argv) == 0
-        plain = capsys.readouterr().out
-        assert main(argv + ["--cluster"]) == 0
-        assert capsys.readouterr().out == plain
-        with pytest.raises(SystemExit):
-            main(["run", "--help"])
-        assert "--cluster" not in capsys.readouterr().out
+    def test_cluster_flag_is_gone(self, capsys):
+        """--cluster, once a hidden no-op, is now an unrecognised argument."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--cluster"] + self.TINY)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --cluster" in captured.err
 
     def test_mode_both_accepts_prefetch_knobs(self, capsys):
         """With --mode both the knobs apply to the second leg."""
@@ -255,7 +252,7 @@ class TestAsyncEngineCLI:
 
     def test_staleness_applies_on_staleness_scenario(self, capsys):
         code = main([
-            "run", "--cluster", "--scenario", "async-staleness",
+            "run", "--scenario", "async-staleness",
             "--staleness", "4", "--scale", "0.05", "--epochs", "1",
         ])
         assert code == 0
