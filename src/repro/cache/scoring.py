@@ -39,14 +39,12 @@ from repro.utils.validation import sorted_lookup
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cache.tier import CacheTier
 
-FEATURE_NAMES = ("recency", "frequency", "degree", "halo_distance")
-
 # The decayed scorer's constants (see PrefetchScorer).
 DECAY = 0.95                               # per-step decay of recency and counts
 CONFIDENCE = 0.01                          # UCB width coefficient
 DEGREE_SCALE = 16.0                        # degree at which the hub bonus is 0.5
 THRESHOLD_QUANTILE = 0.3                   # resident quantile a candidate must clear
-WEIGHTS = np.asarray((0.1, 0.1, 0.75, 0.05))  # one per FEATURE_NAMES entry,
+WEIGHTS = np.asarray((0.1, 0.1, 0.75, 0.05))  # recency, frequency, degree, halo distance,
 WEIGHTS = WEIGHTS / WEIGHTS.sum()             # normalized to sum 1
 
 DistanceLookup = Callable[[np.ndarray], np.ndarray]
@@ -264,7 +262,7 @@ class PrefetchScorer:
         self._last_step = np.insert(self._last_step, at, self._step)
 
     def _features(self, global_ids: np.ndarray, step: int) -> np.ndarray:
-        """The ``(n, 4)`` feature matrix (columns follow FEATURE_NAMES)."""
+        """The ``(n, 4)`` feature matrix, one column per ``WEIGHTS`` entry."""
         n = len(global_ids)
         idx, known = sorted_lookup(self._ids, global_ids)
         recency = np.zeros(n, dtype=np.float64)
