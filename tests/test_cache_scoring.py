@@ -100,43 +100,38 @@ class TestScorerProperties:
 # Scored admission: the upper bound against the resident threshold
 # --------------------------------------------------------------------------- #
 class TestScoredAdmission:
-    def test_full_tier_admits_exactly_the_upper_bounds_that_clear(self):
-        server = make_server()
+    @staticmethod
+    def _offers(free: int):
+        """A full scored tier given *free* extra slots, and ten-candidate offers."""
         tier = CacheTier("hot", 8, DIM, admission="scored", eviction="scored",
                          degree_of=degree_mod7)
-        run_workload(tier, server, seed=3, steps=25)
-        assert tier.size == tier.capacity  # no free slot: the comparison alone decides
-        rng = np.random.default_rng(11)
-        decided = set()
-        for _ in range(10):
-            candidates = np.sort(rng.choice(200, size=10, replace=False))
-            _, _, upper = tier.scorer.score(candidates, tier.last_step)
-            threshold = tier.scorer.resident_threshold(tier.resident_ids, tier.last_step)
-            mask = ScoredAdmission().admit(tier, candidates)
-            np.testing.assert_array_equal(mask, upper >= threshold)
-            decided.update(mask.tolist())
-        assert decided == {False, True}
-
-    def test_free_slots_go_to_the_best_scoring_rejects(self):
-        server = make_server()
-        tier = CacheTier("hot", 8, DIM, admission="scored", eviction="scored",
-                         degree_of=degree_mod7)
-        run_workload(tier, server, seed=3, steps=25)
-        tier.resize(9)  # one free slot, offers of ten
+        run_workload(tier, make_server(), seed=3, steps=25)
+        assert tier.size == tier.capacity
+        tier.resize(tier.capacity + free)
         rng = np.random.default_rng(11)
         for _ in range(10):
             candidates = np.sort(rng.choice(200, size=10, replace=False))
             scores, _, upper = tier.scorer.score(candidates, tier.last_step)
             threshold = tier.scorer.resident_threshold(tier.resident_ids, tier.last_step)
-            clears = upper >= threshold
-            mask = ScoredAdmission().admit(tier, candidates)
+            yield scores, upper >= threshold, ScoredAdmission().admit(tier, candidates)
+
+    def test_full_tier_admits_exactly_the_upper_bounds_that_clear(self):
+        decided = set()
+        for _, clears, mask in self._offers(free=0):
+            np.testing.assert_array_equal(mask, clears)
+            decided.update(mask.tolist())
+        assert decided == {False, True}
+
+    def test_free_slots_go_to_the_best_scoring_rejects(self):
+        filled = 0
+        for scores, clears, mask in self._offers(free=1):
             assert not np.any(clears & ~mask)
             extra = np.flatnonzero(mask & ~clears)
-            if clears.all():
-                assert len(extra) == 0
-                continue
-            assert len(extra) == 1
-            assert scores[extra[0]] == scores[~clears].max()
+            assert len(extra) == (0 if clears.all() else 1)
+            if len(extra):
+                assert scores[extra[0]] == scores[~clears].max()
+                filled += 1
+        assert filled
 
 
 # --------------------------------------------------------------------------- #
