@@ -1,13 +1,16 @@
 """Tests for the scored cache policies (``repro.cache.scoring``).
 
 Property tests for the scorer's invariants (bound ordering, decayed-count
-convergence, replay determinism), the scored admission/eviction policies,
+convergence, replay determinism), its four features and confidence width
+against their formulas, the scored admission/eviction policies,
 and two degree-heuristic regression pins: constant-degree graphs must not
 freeze ``degree-weighted`` admission, and the adaptive controller's re-split
 must not oscillate under identical hit rates (banker's rounding).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -19,7 +22,15 @@ from repro.cache import (
     ScoredAdmission,
     capture_decisions,
 )
-from repro.cache.scoring import DECAY, active_decision_log
+from repro.cache.scoring import (
+    CONFIDENCE,
+    DECAY,
+    DEGREE_SCALE,
+    THRESHOLD_QUANTILE,
+    WEIGHTS,
+    ScoredEviction,
+    active_decision_log,
+)
 
 DIM = 4
 
@@ -95,6 +106,88 @@ class TestScorerProperties:
         _, lo2, up2 = scorer.score(ids_of(1), 29)
         assert (up2 - lo2) < (up1 - lo1)
 
+    def test_weights_are_the_pinned_normalised_constants(self):
+        np.testing.assert_allclose(WEIGHTS, [0.1, 0.1, 0.75, 0.05], rtol=1e-12)
+        assert WEIGHTS.sum() == pytest.approx(1.0)
+
+    def test_an_unseen_node_without_lookups_scores_the_distance_weight(self):
+        # Recency, frequency and degree are 0; an unknown distance counts as 1 hop.
+        scores, _, _ = PrefetchScorer().score(ids_of(5, 9), 3)
+        np.testing.assert_allclose(scores, WEIGHTS[3], rtol=1e-12)
+
+    @pytest.mark.parametrize("distance,feature", [(0, 1.0), (1, 1.0), (2, 0.5), (4, 0.25)])
+    def test_the_halo_distance_feature_is_the_inverse_hop_count(self, distance, feature):
+        scorer = PrefetchScorer(distance_of=lambda ids: np.full(len(ids), distance))
+        scores, _, _ = scorer.score(ids_of(5), 0)
+        assert scores[0] == pytest.approx(WEIGHTS[3] * feature, rel=1e-12)
+
+    @pytest.mark.parametrize("degree,feature", [(0, 0.0), (16, 0.5), (48, 0.75)])
+    def test_the_degree_feature_saturates_at_the_degree_scale(self, degree, feature):
+        assert feature == pytest.approx(degree / (degree + DEGREE_SCALE))
+        scorer = PrefetchScorer()
+        scorer.bind_degree_lookup(lambda ids: np.full(len(ids), degree))
+        scores, _, _ = scorer.score(ids_of(5), 0)
+        assert scores[0] == pytest.approx(WEIGHTS[2] * feature + WEIGHTS[3], rel=1e-12)
+
+    @pytest.mark.parametrize("elapsed", [0, 3])
+    def test_recency_and_frequency_of_one_observation(self, elapsed):
+        scorer = PrefetchScorer()
+        scorer.observe(ids_of(5), 2)
+        count = DECAY ** elapsed
+        scores, _, _ = scorer.score(ids_of(5), 2 + elapsed)
+        expected = WEIGHTS[0] * DECAY ** elapsed + WEIGHTS[1] * count / (count + 1.0) + WEIGHTS[3]
+        assert scores[0] == pytest.approx(expected, rel=1e-12)
+
+    def test_confidence_width_follows_the_ucb_formula(self):
+        scorer = PrefetchScorer()
+        for step in range(4):
+            scorer.observe(ids_of(1), step)
+        scores, lower, upper = scorer.score(ids_of(1, 2), 10)
+        counts = scorer.decayed_count(ids_of(1, 2), 10)
+        width = CONFIDENCE * np.sqrt(np.log(12) / (counts + 1.0))
+        np.testing.assert_allclose(lower, np.maximum(0.0, scores - width), rtol=1e-12)
+        np.testing.assert_allclose(upper, np.minimum(1.0, scores + width), rtol=1e-12)
+        assert counts[1] == 0.0 and width[1] > width[0]
+
+    def test_observing_nothing_changes_nothing(self):
+        scorer = PrefetchScorer()
+        scorer.observe(np.zeros(0, dtype=np.int64), 5)
+        assert scorer.nbytes() == 0
+        # The latest step is still 0: a default-step score sees the first step's width.
+        _, lower, upper = scorer.score(ids_of(1))
+        assert upper[0] - WEIGHTS[3] == pytest.approx(CONFIDENCE * np.sqrt(np.log(2)))
+
+    def test_repeated_ids_in_one_lookup_count_as_occurrences(self):
+        scorer = PrefetchScorer()
+        scorer.observe(ids_of(4, 4, 9, 4), 0)
+        np.testing.assert_allclose(scorer.decayed_count(ids_of(4, 9), 0), [3.0, 1.0])
+
+    def test_an_older_step_does_not_move_the_latest_step_back(self):
+        scorer = PrefetchScorer()
+        scorer.observe(ids_of(1), 5)
+        scorer.observe(ids_of(2), 2)
+        # Default-step reads are at step 5, where node 2 has decayed three steps.
+        np.testing.assert_allclose(scorer.decayed_count(ids_of(1, 2)), [1.0, DECAY ** 3])
+
+    def test_nbytes_grows_with_the_ids_seen(self):
+        scorer = PrefetchScorer()
+        scorer.observe(ids_of(1, 2), 0)
+        two = scorer.nbytes()
+        scorer.observe(ids_of(2, 3, 4), 1)
+        assert two > 0 and scorer.nbytes() == 2 * two
+
+    def test_an_empty_tier_thresholds_at_zero(self):
+        assert PrefetchScorer().resident_threshold(np.zeros(0, dtype=np.int64), 4) == 0.0
+
+    def test_the_threshold_is_the_low_resident_quantile(self):
+        scorer = PrefetchScorer()
+        scorer.bind_degree_lookup(degree_mod7)
+        for step in range(6):
+            scorer.observe(ids_of(step, step + 3), step)
+        resident = np.arange(10, dtype=np.int64)
+        scores, _, _ = scorer.score(resident, 6)
+        assert scorer.resident_threshold(resident, 6) == np.quantile(scores, THRESHOLD_QUANTILE)
+
 
 # --------------------------------------------------------------------------- #
 # Scored admission: the upper bound against the resident threshold
@@ -132,6 +225,75 @@ class TestScoredAdmission:
                 assert scores[extra[0]] == scores[~clears].max()
                 filled += 1
         assert filled
+
+    def test_free_capacity_admits_the_whole_offer_without_a_threshold(self):
+        with capture_decisions():
+            tier = CacheTier("hot", 8, DIM, admission="scored", eviction="scored",
+                             degree_of=degree_mod7)
+            offer = ids_of(3, 40, 41, 90, 120)
+            mask = ScoredAdmission().admit(tier, offer)
+        assert mask.dtype == np.bool_ and mask.all()
+        assert [r.node_id for r in tier.ledger] == offer.tolist()
+        for record in tier.ledger:
+            assert record.action == "admit" and math.isnan(record.threshold)
+            assert record.reason == "free capacity covers the whole offer"
+
+    def test_a_zero_capacity_tier_defends_nothing(self):
+        # No residents, so the threshold is 0 and every upper bound clears it;
+        # the tier itself then has no slot to give.
+        tier = CacheTier("hot", 0, DIM, admission="scored", eviction="scored")
+        assert ScoredAdmission().admit(tier, ids_of(1, 2, 3)).all()
+        assert tier.admit(ids_of(1, 2, 3), make_server()[[1, 2, 3]], 0) == 0
+        assert tier.stats.rejections == 3
+
+
+# --------------------------------------------------------------------------- #
+# Scored eviction: the lowest upper bounds leave first
+# --------------------------------------------------------------------------- #
+class TestScoredEviction:
+    @staticmethod
+    def _full_tier(capacity: int = 8) -> CacheTier:
+        tier = CacheTier("hot", capacity, DIM, admission="scored", eviction="scored",
+                         degree_of=degree_mod7)
+        run_workload(tier, make_server(), seed=3, steps=25)
+        assert tier.size == tier.capacity
+        return tier
+
+    @pytest.mark.parametrize("num_victims", [1, 2, 3, 8, 11])
+    def test_victims_have_the_lowest_upper_bounds(self, num_victims):
+        tier = self._full_tier()
+        _, _, upper = tier.scorer.score(tier.resident_ids, tier.last_step)
+        victims = ScoredEviction().select(tier, num_victims)
+        assert victims.dtype == np.int64
+        assert len(np.unique(victims)) == len(victims) == min(num_victims, tier.size)
+        kept = np.setdiff1d(np.arange(tier.size), victims)
+        if len(kept):
+            assert upper[victims].max() <= upper[kept].min()
+
+    @pytest.mark.parametrize("capacity,num_victims", [(0, 3), (8, 0), (8, -1)])
+    def test_selects_nothing_from_an_empty_tier_or_for_no_victims(self, capacity, num_victims):
+        tier = self._full_tier(capacity) if capacity else CacheTier(
+            "hot", 0, DIM, admission="always", eviction="scored")
+        victims = ScoredEviction().select(tier, num_victims)
+        assert victims.dtype == np.int64 and len(victims) == 0
+
+    def test_ties_break_by_resident_order(self):
+        # Never-observed residents without lookups share one score and width.
+        tier = CacheTier("hot", 5, DIM, admission="always", eviction="scored")
+        ids = ids_of(4, 8, 15, 16, 23)
+        tier.seed(ids, make_server()[ids])
+        np.testing.assert_array_equal(ScoredEviction().select(tier, 3), [0, 1, 2])
+
+    def test_every_victim_is_recorded_once(self):
+        with capture_decisions():
+            tier = self._full_tier()
+        victims = ScoredEviction().select(tier, 3)
+        evicted = [r for r in tier.ledger if r.action == "evict"][-3:]
+        assert [r.node_id for r in evicted] == tier.resident_ids[victims].tolist()
+        for record in evicted:
+            assert record.mode == "evict-lowest-upper-bound"
+            assert record.reason == "lowest upper bound among residents"
+            assert math.isnan(record.threshold)
 
 
 # --------------------------------------------------------------------------- #

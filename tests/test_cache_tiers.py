@@ -68,6 +68,13 @@ class TestRegistries:
         with pytest.raises(ValueError, match="tiers"):
             CacheConfig(tiers=3)
 
+    @pytest.mark.parametrize("name", ["scored-strict", "scored-bypass", "scored-online",
+                                      "scored-conservative"])
+    def test_the_deleted_scored_variants_are_unknown(self, name):
+        with pytest.raises(ValueError, match=f"unknown admission policy '{name}'; "
+                                             "valid names: .*scored"):
+            CacheConfig(admission=name)
+
     def test_default_config_is_the_static_single_tier(self):
         config = CacheConfig()
         assert config.is_default_single_tier

@@ -179,3 +179,20 @@ class TestPartitionKVStore:
             assert small_cluster.shared_cache_tier(0, config) is tier
         finally:
             small_cluster.reset()
+
+    def test_migration_leaves_the_other_partitions_shared_tier_alone(self, small_cluster):
+        small_cluster.reset()
+        config = CacheConfig(tiers=2, admission="always", eviction="lru")
+        tiers = [small_cluster.shared_cache_tier(m, config) for m in (0, 1)]
+        for part, tier in zip(small_cluster.partitions, tiers):
+            ids = part.halo_global[:4]
+            tier.resize(len(ids))
+            tier.seed(ids, small_cluster.dataset.features[ids])
+        kept = tiers[1].resident_ids
+        try:
+            assert small_cluster.migrate_partition(0, 1) == small_cluster.servers[0].nbytes()
+            assert tiers[0].size == 0
+            np.testing.assert_array_equal(tiers[1].resident_ids, kept)
+            assert tiers[1].stats.evictions == 0
+        finally:
+            small_cluster.reset()

@@ -5,7 +5,8 @@ Hypothesis draws interleavings of every public mutation — ``seed``,
 ids), ``resize`` (grow and shrink), ``invalidate`` — and drives the real
 tier and :class:`OracleCacheTier` (the ``np.insert``/``np.delete`` layout,
 ``tests/cache_tier_oracle.py``) with the same sequence, once per eviction x
-admission policy pair.  After every operation everything observable must
+admission policy pair, and once more, with a halo-distance lookup feeding
+the scorer, per pair whose tier builds one.  After every operation everything observable must
 agree — :func:`tier_state` reads it through the public views — and the slot
 store's own invariants must hold.  Two policies are checked against their
 slow forms the same way: the oracle tier sweeps CLOCK with
@@ -44,6 +45,10 @@ STATE_DTYPES = {"ids": np.int64, "rows": np.float32, "last_access": np.int64,
 
 def degree_of(ids):
     return (np.asarray(ids, dtype=np.int64) * 7) % 5   # few distinct values: ties
+
+
+def halo_distance_of(ids):
+    return np.asarray(ids, dtype=np.int64) % 4          # 0..3 hops; 0 reads as 1
 
 
 class RecordingEviction:
@@ -86,11 +91,11 @@ FULL_TIER_SWAPS = [
 ORACLE_EVICTION = {"clock": LoopClockEviction, "lru": SortLRUEviction}
 
 
-def build_pair(capacity, eviction, admission):
+def build_pair(capacity, eviction, admission, distance_of=None):
     pair = []
     for cls in (CacheTier, OracleCacheTier):
         tier = cls("hot", capacity, DIM, admission=admission, eviction=eviction,
-                   degree_of=degree_of)
+                   degree_of=degree_of, distance_of=distance_of)
         if cls is OracleCacheTier and eviction in ORACLE_EVICTION:
             tier.eviction = ORACLE_EVICTION[eviction]()
         tier.eviction = RecordingEviction(tier.eviction)
@@ -169,6 +174,28 @@ def apply(tier, op, arg, step):
 @settings(deadline=None, derandomize=True)
 def test_slot_store_matches_the_reallocating_oracle(eviction, admission, capacity, ops):
     real, oracle = build_pair(capacity, eviction, admission)
+    assert_equivalent(real, oracle)
+    for step, (op, arg) in enumerate(ops):
+        assert apply(real, op, arg, step) == apply(oracle, op, arg, step)
+        assert_equivalent(real, oracle)
+
+
+SCORED_PAIRS = [
+    (admission, eviction)
+    for eviction in CACHE_EVICTION_POLICIES.names()
+    for admission in ADMISSION_POLICIES.names()
+    if CacheTier("probe", 0, 1, admission=admission, eviction=eviction).scorer is not None
+]
+
+
+@pytest.mark.parametrize("admission,eviction", SCORED_PAIRS)
+@given(capacity=st.sampled_from([0, 1, 2, 4, 7, 16]), ops=operations)
+@example(capacity=16, ops=FULL_TIER_SWAPS)
+@settings(deadline=None, derandomize=True)
+def test_scored_tiers_with_a_halo_distance_lookup_match_the_oracle(
+        admission, eviction, capacity, ops):
+    real, oracle = build_pair(capacity, eviction, admission, distance_of=halo_distance_of)
+    assert real.scorer.distance_of is halo_distance_of
     assert_equivalent(real, oracle)
     for step, (op, arg) in enumerate(ops):
         assert apply(real, op, arg, step) == apply(oracle, op, arg, step)

@@ -78,6 +78,7 @@ def test_policies_that_ignore_degree_never_look_one_up(admission, eviction):
 
 @pytest.mark.parametrize("admission,eviction", [
     ("degree-weighted", "lru"), ("always", "degree-weighted"), ("always", "none"),
+    ("scored", "lru"), ("always", "scored"), ("scored", "scored"),
 ])
 def test_degree_aware_decisions_look_degrees_up(admission, eviction):
     tier, degree_of = build(admission, eviction)

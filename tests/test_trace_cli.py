@@ -211,10 +211,11 @@ class TestAsyncEngineCLI:
         choices = error.split("(choose from ")[1].rstrip(")").replace("'", "")
         assert choices.split(", ") == ["lru", "random", "score-threshold"]
 
-    def test_cluster_flag_is_gone(self, capsys):
+    @pytest.mark.parametrize("scenario", ["uniform", "async-staleness", "steady-poisson"])
+    def test_cluster_flag_is_gone(self, capsys, scenario):
         """--cluster, once a hidden no-op, is now an unrecognised argument."""
         with pytest.raises(SystemExit) as exit_info:
-            main(["run", "--cluster"] + self.TINY)
+            main(["run", "--scenario", scenario, "--cluster"] + self.TINY)
         assert exit_info.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
