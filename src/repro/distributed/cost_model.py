@@ -165,8 +165,8 @@ class CostModel:
         return max(0.0, flops) / self.compute_flops_per_s
 
     def time_migration(self, num_bytes: int) -> float:
-        """Bulk state movement (partition adoption, seed re-split, checkpoint
-        restore): one RPC latency plus the payload over network bandwidth."""
+        """Bulk state movement (partition adoption, seed re-split, restore on
+        recovery): one RPC latency plus the payload over network bandwidth."""
         if num_bytes <= 0:
             return 0.0
         return self._wire_time(1, num_bytes)

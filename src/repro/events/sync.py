@@ -86,8 +86,8 @@ class SyncContext:
     # (ClusterRun.allreduce_barrier): allreduce time to the given
     # participants, then every trainer held at the global max.
     allreduce_barrier: Callable[[List[int]], None]
-    # Applies an averaged gradient to ctx.model; the engine also captures the
-    # consensus checkpoint here when failures or elasticity are in play.
+    # Applies an averaged gradient to ctx.model; the engine also counts the
+    # applied rounds here (a recovering trainer restores from the latest).
     apply_update: Callable[[Dict[str, np.ndarray]], bool]
 
     @property

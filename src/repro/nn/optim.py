@@ -8,7 +8,7 @@ replica applying the same update).
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from typing import Dict
 
 import numpy as np
 
@@ -22,16 +22,6 @@ class Optimizer:
 
     def step(self, params: ParamDict, grads: ParamDict) -> None:  # pragma: no cover - interface
         raise NotImplementedError
-
-    def state_dict(self) -> Dict[str, Any]:
-        """Checkpointable internal state (momentum/moment buffers); stateless
-        optimizers return an empty dict."""
-        return {}
-
-    def load_state_dict(self, state: Dict[str, Any]) -> None:
-        """Restore :meth:`state_dict` output (bit-exact buffer contents)."""
-        if state:
-            raise ValueError(f"stateless optimizer got state keys {sorted(state)}")
 
     @staticmethod
     def _check_alignment(params: ParamDict, grads: ParamDict) -> None:
@@ -66,12 +56,6 @@ class SGD(Optimizer):
             else:
                 update = grad
             value -= self.lr * update
-
-    def state_dict(self) -> Dict[str, Any]:
-        return {"velocity": {k: v.copy() for k, v in self._velocity.items()}}
-
-    def load_state_dict(self, state: Dict[str, Any]) -> None:
-        self._velocity = {k: np.array(v, copy=True) for k, v in state["velocity"].items()}
 
 
 class Adam(Optimizer):
@@ -111,18 +95,6 @@ class Adam(Optimizer):
             m_hat = m / bias1
             v_hat = v / bias2
             value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-    def state_dict(self) -> Dict[str, Any]:
-        return {
-            "m": {k: v.copy() for k, v in self._m.items()},
-            "v": {k: v.copy() for k, v in self._v.items()},
-            "t": self._t,
-        }
-
-    def load_state_dict(self, state: Dict[str, Any]) -> None:
-        self._m = {k: np.array(v, copy=True) for k, v in state["m"].items()}
-        self._v = {k: np.array(v, copy=True) for k, v in state["v"].items()}
-        self._t = int(state["t"])
 
 
 def build_optimizer(name: str, lr: float, **kwargs) -> Optimizer:

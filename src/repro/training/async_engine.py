@@ -38,11 +38,11 @@ The event loop is also where behaviours a barrier cannot express live:
   ``migration`` clock component.  Joins take effect on scheduling at the next
   epoch boundary; leaves drain immediately (after the in-flight step, whose
   gradient still counts).
-* **checkpoint/restore** (:mod:`repro.training.checkpoint`) — whenever
-  failures or elasticity are in play, the engine captures the consensus
-  model/optimizer state after every applied sync round; a trainer recovering
-  from an outage restores from the last checkpoint (resuming from its step,
-  not step 0) and pays the restore transfer as ``migration`` time.
+* **restore on recovery** — the simulated trainers share one model replica,
+  so the live model *is* the consensus state of the last applied sync round
+  and nothing needs copying; a trainer recovering from an outage after at
+  least one applied round records that round count as ``restored_from_step``
+  and pays the transfer of the model's parameter bytes as ``migration`` time.
 
 All stress inputs arrive through one seam: each spec implements
 :class:`~repro.events.schedule.ScheduleSpec` and the engine calls
@@ -67,7 +67,6 @@ from repro.events.loop import Event, EventLoop
 from repro.events.schedule import ElasticSpec, FailureSpec
 from repro.events.sync import SYNC_POLICIES, StepContribution, SyncContext, SyncPolicy
 from repro.training.backends import ClusterRun
-from repro.training.checkpoint import CheckpointStore
 from repro.training.cluster_engine import ClusterReport
 from repro.training.config import TrainConfig
 from repro.training.engine import PipelineBuilder
@@ -143,7 +142,6 @@ class AsyncClusterEngine:
         driver = _EventDrivenRun(
             run, policy, self.failures, elastic, EventLoop(record=self.record_events)
         )
-        self.checkpoint_store = driver.checkpoint_store
         driver.execute()
         if self.record_events:
             self.event_history = list(driver.loop.history)
@@ -204,14 +202,8 @@ class _EventDrivenRun:
             for held_rank in self.elastic_schedule.initially_inactive:
                 self.member_active[held_rank] = False
 
-        # Consensus checkpointing: captured after every applied sync round
-        # whenever a recovery (failures) or membership change (elastic) could
-        # need it; None keeps the plain apply path.
-        self.checkpoint_store = (
-            CheckpointStore()
-            if self.failures is not None or self.elastic_schedule is not None
-            else None
-        )
+        # Sync rounds applied to the shared model: a recovering trainer
+        # restores from the latest of them.
         self.applied_rounds = 0
 
         self.handlers = {
@@ -324,14 +316,8 @@ class _EventDrivenRun:
         self.run.record(c.loss, c.n_correct, c.n_seen)
 
     def apply_update(self, averaged: Dict[str, np.ndarray]) -> bool:
-        changed = self.run.apply_update(averaged)
-        if self.checkpoint_store is not None:
-            self.applied_rounds += 1
-            setup = self.run.setup
-            self.checkpoint_store.update(
-                setup.model, setup.optimizer, self.applied_rounds, self.run.now()
-            )
-        return changed
+        self.applied_rounds += 1
+        return self.run.apply_update(averaged)
 
     def start_step(self, rank: int) -> None:
         """Run *rank*'s next step host-side and post its completion event.
@@ -405,19 +391,16 @@ class _EventDrivenRun:
         clock.advance(downtime, "downtime")
         self.ctx.add_extra(rank, "failures", 1.0)
         self.ctx.add_extra(rank, "downtime_s", downtime)
-        store = self.checkpoint_store
-        if store is not None and store.latest is not None:
-            # Recover from the last consensus state: numerically a no-op
-            # between sync rounds (the shared replica *is* consensus), but
-            # the provenance and the costed restore transfer are real.
-            setup = self.run.setup
-            ckpt = store.restore(setup.model, setup.optimizer)
+        if self.applied_rounds:
+            # Recover from the last applied sync round.  The shared model
+            # already holds that state, so only the transfer is charged.
+            nbytes = sum(v.nbytes for v in self.run.setup.model.parameters().values())
             restore_s = self.cluster.cost_model_for_machine(
                 self.trainers[rank].machine
-            ).time_migration(ckpt.nbytes())
+            ).time_migration(nbytes)
             clock.advance(restore_s, "migration")
             self.ctx.add_extra(rank, "restores", 1.0)
-            self.sync_extras[rank]["restored_from_step"] = float(ckpt.step)
+            self.sync_extras[rank]["restored_from_step"] = float(self.applied_rounds)
             self.ctx.add_extra(rank, "restore_s", restore_s)
         self.loop.push(clock.time, "recover", rank)
 

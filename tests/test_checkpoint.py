@@ -1,10 +1,13 @@
-"""Checkpoint/restore: the consensus checkpoint and the state it rides on.
+"""Restore on recovery, and the seed-iterator and tier state around it.
 
-The engine-level consensus checkpoint (model + optimizer at the last applied
-sync round) must round-trip bit-exactly, and it is exercised through a
-failure run: the recovering trainer's ``restored_from_step`` provenance must
-be positive and the downtime ledger must still reconcile.  Optimizer buffers
-restore to a state whose continued execution matches an uninterrupted run.
+The simulated trainers share one model replica, so after every applied sync
+round the live model is the consensus state: a trainer recovering from an
+outage loads nothing, records the applied-round count as
+``restored_from_step`` and pays the transfer of the model's parameter bytes
+as ``migration`` time.  The tests below pin the fact that makes the copy
+unnecessary (the live model equals a snapshot taken after the last applied
+round at every recovery, bit for bit), the charged transfer, and that local
+SGD, which applies no averaged gradient through the engine, never restores.
 """
 
 import numpy as np
@@ -15,24 +18,14 @@ from repro.core.config import PrefetchConfig
 from repro.distributed.cluster import ClusterConfig, SimCluster
 from repro.events.schedule import FailureSpec
 from repro.graph.datasets import load_dataset
-from repro.nn.layers import Module, Parameter
-from repro.nn.optim import SGD, Adam
-from repro.nn.tensor_utils import xavier_uniform, zeros
 from repro.sampling.seeds import SeedIterator
+from repro.scenarios import SCENARIOS
+from repro.training import async_engine
 from repro.training.async_engine import AsyncClusterEngine
-from repro.training.checkpoint import CheckpointStore, ClusterCheckpoint
 from repro.training.config import TrainConfig
 from repro.utils.rng import ensure_rng
 
 PREFETCH = PrefetchConfig(halo_fraction=0.35, gamma=0.995, delta=8)
-
-
-class Linear(Module):
-    """The smallest module with parameters: the weight and bias of ``x W + b``."""
-
-    def __init__(self, in_dim, out_dim, seed=None):
-        self.weight = Parameter(xavier_uniform((in_dim, out_dim), seed=seed))
-        self.bias = Parameter(zeros((out_dim,)))
 
 
 @pytest.fixture(scope="module")
@@ -88,38 +81,6 @@ class TestSeedIteratorEpochs:
         assert set(new.tolist()) == set(range(200, 232))
 
 
-class TestOptimizerState:
-    def _step(self, opt, params):
-        grads = {k: np.full_like(v, 0.25) for k, v in params.items()}
-        opt.step(params, grads)
-
-    @pytest.mark.parametrize("make_opt", [
-        lambda: SGD(lr=0.1, momentum=0.9),
-        lambda: Adam(lr=0.01),
-    ])
-    def test_restored_optimizer_continues_identically(self, make_opt):
-        params_a = {"w": np.linspace(0.0, 1.0, 6).reshape(2, 3)}
-        params_b = {"w": params_a["w"].copy()}
-        opt_a, opt_b = make_opt(), make_opt()
-        for _ in range(3):
-            self._step(opt_a, params_a)
-        state = opt_a.state_dict()
-        opt_b.load_state_dict(state)
-        params_b["w"][:] = params_a["w"]
-        for _ in range(2):
-            self._step(opt_a, params_a)
-            self._step(opt_b, params_b)
-        np.testing.assert_array_equal(params_a["w"], params_b["w"])
-
-    def test_state_dict_copies_are_detached(self):
-        opt = SGD(lr=0.1, momentum=0.9)
-        params = {"w": np.ones(4)}
-        self._step(opt, params)
-        state = opt.state_dict()
-        self._step(opt, params)
-        assert not np.array_equal(state["velocity"]["w"], opt.state_dict()["velocity"]["w"])
-
-
 class TestCacheTierInvalidate:
     def test_invalidate_counts_evictions(self):
         rows = np.ones((2, 4), dtype=np.float32)
@@ -131,70 +92,26 @@ class TestCacheTierInvalidate:
         assert tier.size == 0 and tier.nbytes() == 0
 
 
-class TestCheckpointArtifacts:
-    def _model_and_opt(self):
-        model = Linear(3, 2, seed=4)
-        opt = SGD(lr=0.1, momentum=0.9)
-        params = model.state_dict()
-        opt.step(params, {k: np.full_like(v, 0.1) for k, v in params.items()})
-        return model, opt
+@pytest.fixture
+def drivers(monkeypatch):
+    """Every ``_EventDrivenRun`` built while the test runs, in order."""
+    built = []
+    original = async_engine._EventDrivenRun.__init__
 
-    def test_cluster_checkpoint_round_trip(self):
-        model, opt = self._model_and_opt()
-        ckpt = ClusterCheckpoint.capture(model, opt, step=2, time_s=1.0e-3)
-        assert ckpt.nbytes() > 0
-        # Perturb, then restore: model and optimizer return bit-exactly.
-        for v in model.state_dict().values():
-            v += 1.0
-        opt.load_state_dict(SGD(lr=0.1, momentum=0.9).state_dict())
-        ckpt.restore_into(model, opt)
-        assert ClusterCheckpoint.capture(model, opt, step=2, time_s=1.0e-3) == ckpt
+    def record(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        built.append(self)
 
-    def test_capture_is_detached_from_the_live_model(self):
-        model, opt = self._model_and_opt()
-        ckpt = ClusterCheckpoint.capture(model, opt, step=1, time_s=0.0)
-        before = {k: v.copy() for k, v in ckpt.model_state.items()}
-        model.weight.value += 1.0
-        opt.step(model.state_dict(), {k: np.ones_like(v) for k, v in model.state_dict().items()})
-        for key, value in before.items():
-            np.testing.assert_array_equal(ckpt.model_state[key], value)
-        assert ClusterCheckpoint.capture(model, opt, step=1, time_s=0.0) != ckpt
+    monkeypatch.setattr(async_engine._EventDrivenRun, "__init__", record)
+    return built
 
-    def test_checkpoints_differ_when_any_field_differs(self):
-        model, opt = self._model_and_opt()
-        ckpt = ClusterCheckpoint.capture(model, opt, step=2, time_s=1.0)
-        assert ClusterCheckpoint.capture(model, opt, step=3, time_s=1.0) != ckpt
-        assert ClusterCheckpoint.capture(model, opt, step=2, time_s=2.0) != ckpt
-        widened = ClusterCheckpoint(
-            step=2, time_s=1.0, optimizer_state=ckpt.optimizer_state,
-            model_state={k: v.astype(np.float64) for k, v in ckpt.model_state.items()},
-        )
-        assert widened != ckpt
-        assert ckpt != "a checkpoint"
 
-    def test_store_update_replaces_the_latest(self):
-        store = CheckpointStore()
-        model, opt = self._model_and_opt()
-        first = store.update(model, opt, step=1, time_s=0.5e-3)
-        model.weight.value += 1.0
-        second = store.update(model, opt, step=2, time_s=1.0e-3)
-        assert store.latest is second and second != first
-        store.restore(model, opt)
-        np.testing.assert_array_equal(model.weight.value, second.model_state["weight"])
-
-    def test_store_requires_a_capture_before_restore(self):
-        store = CheckpointStore()
-        model, opt = self._model_and_opt()
-        assert store.latest is None
-        with pytest.raises(RuntimeError, match="no checkpoint"):
-            store.restore(model, opt)
-        captured = store.update(model, opt, step=1, time_s=0.5e-3)
-        assert store.latest is captured and captured.step == 1
-        assert store.restore(model, opt) is captured
+def parameter_bytes(driver) -> int:
+    return sum(v.nbytes for v in driver.run.setup.model.parameters().values())
 
 
 class TestEngineRecoveryProvenance:
-    def test_failure_recovery_restores_from_consensus_step(self, dataset):
+    def test_failure_recovery_restores_from_consensus_step(self, dataset, drivers):
         spec = FailureSpec(rate=0.3, min_downtime_steps=2.0, max_downtime_steps=4.0)
         cluster = make_cluster(dataset)
         engine = AsyncClusterEngine(
@@ -202,19 +119,26 @@ class TestEngineRecoveryProvenance:
             sync="bounded-staleness", sync_options={"staleness": 2}, failures=spec,
         )
         report = engine.run("prefetch", prefetch_config=PREFETCH)
+        (driver,) = drivers
         stats = report.trainer_stats
         failures = sum(t.sync_stats.get("failures", 0.0) for t in stats)
         restores = sum(t.sync_stats.get("restores", 0.0) for t in stats)
         assert failures > 0, "failure rate 0.3 must trigger at least one outage"
         assert restores > 0
-        assert engine.checkpoint_store is not None
-        assert engine.checkpoint_store.latest.step > 0
-        restored_steps = [
-            t.sync_stats["restored_from_step"]
-            for t in stats
-            if "restored_from_step" in t.sync_stats
-        ]
-        assert restored_steps and all(step > 0 for step in restored_steps)
+        nbytes = parameter_bytes(driver)
+        assert nbytes > 0
+        for t in stats:
+            n = t.sync_stats.get("restores", 0.0)
+            if not n:
+                assert "restored_from_step" not in t.sync_stats
+                assert "restore_s" not in t.sync_stats
+                continue
+            # Each restore ships the model's parameter bytes over the trainer's
+            # own machine link, and resumes from an applied round, never 0.
+            per_restore = cluster.cost_model_for_machine(t.machine).time_migration(nbytes)
+            assert per_restore > 0.0
+            assert t.sync_stats["restore_s"] == pytest.approx(n * per_restore, rel=1e-12)
+            assert 0 < t.sync_stats["restored_from_step"] <= driver.applied_rounds
         for t in stats:
             # Restore transfers ride the migration component, never downtime:
             # the outage ledger still reconciles exactly.
@@ -223,3 +147,62 @@ class TestEngineRecoveryProvenance:
             )
             if t.sync_stats.get("restores", 0.0):
                 assert t.components.get("migration", 0.0) > 0.0
+
+
+def flaky_run(sync: str, seed: int):
+    return SCENARIOS.build("trainer-flaky").with_overrides(sync=sync).materialize(seed).run()
+
+
+class TestRecoveryNeedsNoCopy:
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("sync", ["allreduce-barrier", "bounded-staleness"])
+    def test_live_model_is_the_last_applied_round_at_every_restore(self, monkeypatch, sync, seed):
+        """What deleting the checkpoint copy rests on: between the last applied
+        round and a recovery nothing writes the shared model."""
+        snapshots = []
+        checked = []
+        apply_update = async_engine._EventDrivenRun.apply_update
+        fail = async_engine._EventDrivenRun.fail
+
+        def snapshot_after_apply(self, averaged):
+            changed = apply_update(self, averaged)
+            snapshots.append(self.run.setup.model.state_dict())
+            return changed
+
+        def compare_before_restore(self, rank, now, downtime):
+            if self.applied_rounds:
+                assert len(snapshots) == self.applied_rounds
+                live = self.run.setup.model.state_dict()
+                last = snapshots[-1]
+                assert sorted(live) == sorted(last)
+                for name, value in live.items():
+                    assert value.dtype == last[name].dtype
+                    assert value.shape == last[name].shape
+                    assert value.tobytes() == last[name].tobytes(), name
+                checked.append(self.applied_rounds)
+            fail(self, rank, now, downtime)
+
+        monkeypatch.setattr(async_engine._EventDrivenRun, "apply_update", snapshot_after_apply)
+        monkeypatch.setattr(async_engine._EventDrivenRun, "fail", compare_before_restore)
+        report = flaky_run(sync, seed)
+        restored = sorted(
+            t.sync_stats["restored_from_step"]
+            for t in report.trainer_stats
+            if "restored_from_step" in t.sync_stats
+        )
+        assert checked, "the recipe must recover at least once after an applied round"
+        restores = sum(t.sync_stats.get("restores", 0.0) for t in report.trainer_stats)
+        assert restores == len(checked)
+        # The last restore of each trainer is what restored_from_step keeps.
+        assert set(restored) <= set(float(step) for step in checked)
+
+    def test_local_sgd_records_failures_but_never_restores(self, drivers):
+        report = flaky_run("local-sgd", 0)
+        (driver,) = drivers
+        stats = report.trainer_stats
+        assert driver.applied_rounds == 0
+        assert sum(t.sync_stats.get("failures", 0.0) for t in stats) == 3
+        for t in stats:
+            assert "restores" not in t.sync_stats
+            assert "restored_from_step" not in t.sync_stats
+            assert t.components.get("migration", 0.0) == 0.0

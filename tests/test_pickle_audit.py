@@ -99,19 +99,3 @@ def test_registered_scenarios_round_trip(name):
     scenario = SCENARIOS.build(name)
     assert pickle.loads(pickle.dumps(scenario)) == scenario
 
-
-def test_checkpoint_artifacts_round_trip():
-    """The consensus checkpoint survives pickling (the restore-on-recovery payload)."""
-    import numpy as np
-
-    from repro.training.checkpoint import ClusterCheckpoint
-
-    ckpt = ClusterCheckpoint(
-        step=3,
-        time_s=1.5e-3,
-        model_state={"w0": np.arange(6, dtype=np.float64).reshape(2, 3)},
-        optimizer_state={"velocity": {"w0": np.ones((2, 3))}},
-    )
-    clone = pickle.loads(pickle.dumps(ckpt))
-    assert clone == ckpt
-    assert type(clone) is ClusterCheckpoint
