@@ -163,7 +163,8 @@ class PrefetchScorer:
     * ``recency``  — ``DECAY ** (t - last_access_i)`` (1 when just accessed);
     * ``frequency`` — ``c_i / (c_i + 1)`` where ``c_i`` is the decayed access
       count (``c_i <- c_i * DECAY**dt + occurrences`` on access);
-    * ``degree`` — ``deg_i / (deg_i + DEGREE_SCALE)`` (saturating hub bonus);
+    * ``degree`` — ``deg_i / (deg_i + DEGREE_SCALE)`` (saturating hub bonus)
+      from the optional degree lookup (0 without one);
     * ``halo_distance`` — ``1 / distance_i`` from the optional distance
       lookup (1-hop halo rows score 1.0; farther or unknown rows less).
 
@@ -183,8 +184,10 @@ class PrefetchScorer:
     well-observed resident look evictable).
     """
 
-    def __init__(self, distance_of: Optional[DistanceLookup] = None):
+    def __init__(self, distance_of: Optional[DistanceLookup] = None,
+                 degree_of: Optional[Callable[[np.ndarray], np.ndarray]] = None):
         self.distance_of = distance_of
+        self.degree_of = degree_of
 
         self._ids = np.zeros(0, dtype=np.int64)        # sorted
         self._count = np.zeros(0, dtype=np.float64)    # decayed access count
@@ -272,22 +275,14 @@ class PrefetchScorer:
         counts = self.decayed_count(global_ids, step)
         frequency = counts / (counts + 1.0)
         degree = np.zeros(n, dtype=np.float64)
-        if self._degree_of is not None and n:
-            deg = np.asarray(self._degree_of(global_ids), dtype=np.float64)
+        if self.degree_of is not None and n:
+            deg = np.asarray(self.degree_of(global_ids), dtype=np.float64)
             degree = deg / (deg + DEGREE_SCALE)
         distance = np.ones(n, dtype=np.float64)
         if self.distance_of is not None and n:
             dist = np.maximum(1.0, np.asarray(self.distance_of(global_ids), dtype=np.float64))
             distance = 1.0 / dist
         return np.column_stack([recency, frequency, degree, distance])
-
-    # The degree lookup is bound by the owning tier at construction so one
-    # scorer definition serves tiers over different partitions.
-    _degree_of: Optional[Callable[[np.ndarray], np.ndarray]] = None
-
-    def bind_degree_lookup(self, degree_of: Optional[Callable[[np.ndarray], np.ndarray]]) -> None:
-        """Attach the owning tier's global-id -> degree lookup."""
-        self._degree_of = degree_of
 
 
 # --------------------------------------------------------------------------- #

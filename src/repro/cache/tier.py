@@ -167,8 +167,7 @@ class CacheTier:
         self.record_decisions = False
         if (getattr(self.admission, "requires_scorer", False)
                 or getattr(self.eviction, "requires_scorer", False)):
-            self.scorer = PrefetchScorer(distance_of=distance_of)
-            self.scorer.bind_degree_lookup(degree_of)
+            self.scorer = PrefetchScorer(distance_of=distance_of, degree_of=degree_of)
             log = active_decision_log()
             if log is not None:
                 log.register(self)

@@ -65,8 +65,7 @@ def run_workload(tier: CacheTier, server: np.ndarray, seed: int = 0,
 class TestScorerProperties:
     def test_bounds_always_bracket_the_score(self):
         rng = np.random.default_rng(1)
-        scorer = PrefetchScorer()
-        scorer.bind_degree_lookup(degree_mod7)
+        scorer = PrefetchScorer(degree_of=degree_mod7)
         for step in range(50):
             ids = rng.integers(0, 100, size=8)
             scorer.observe(ids, step)
@@ -124,8 +123,7 @@ class TestScorerProperties:
     @pytest.mark.parametrize("degree,feature", [(0, 0.0), (16, 0.5), (48, 0.75)])
     def test_the_degree_feature_saturates_at_the_degree_scale(self, degree, feature):
         assert feature == pytest.approx(degree / (degree + DEGREE_SCALE))
-        scorer = PrefetchScorer()
-        scorer.bind_degree_lookup(lambda ids: np.full(len(ids), degree))
+        scorer = PrefetchScorer(degree_of=lambda ids: np.full(len(ids), degree))
         scores, _, _ = scorer.score(ids_of(5), 0)
         assert scores[0] == pytest.approx(WEIGHTS[2] * feature + WEIGHTS[3], rel=1e-12)
 
@@ -180,8 +178,7 @@ class TestScorerProperties:
         assert PrefetchScorer().resident_threshold(np.zeros(0, dtype=np.int64), 4) == 0.0
 
     def test_the_threshold_is_the_low_resident_quantile(self):
-        scorer = PrefetchScorer()
-        scorer.bind_degree_lookup(degree_mod7)
+        scorer = PrefetchScorer(degree_of=degree_mod7)
         for step in range(6):
             scorer.observe(ids_of(step, step + 3), step)
         resident = np.arange(10, dtype=np.int64)
