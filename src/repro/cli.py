@@ -87,7 +87,6 @@ KNOB_FLAGS: Dict[str, Dict[str, tuple]] = {
         "--eviction-policy": ("prefetch.eviction_policy", "eviction policy for the prefetch "
                               "buffer (default: the config's, score-threshold); "
                               "--no-eviction turns eviction off"),
-        "--sampler": ("sampler", argparse.SUPPRESS),  # removed; 'vectorized' is a no-op
         "--rpc": ("rpc", "RPC channel registry key (default: the scenario's, per-call). "
                   "'batched' coalesces a step's remote pulls per owning partition "
                   "machine-wide and merges duplicate ids (stats report logical vs. wire "
@@ -142,7 +141,7 @@ KNOB_FLAGS: Dict[str, Dict[str, tuple]] = {
         "--eviction": ("cache.eviction", "hot-tier eviction policy for the replay (default: "
                        "scored — evict lowest upper bound; decisions are only recorded for "
                        "scored policies)",
-                       {"default": "scored", "choices": ["scored", "lru", "lfu", "clock"]}),
+                       {"default": "scored"}),
         "--cache-tiers": ("cache.tiers", "tier stack shape for the replay (default: 1)",
                           {"default": 1, "choices": [1, 2]}),
         "--epochs": ("epochs", "override the scenario's epoch count"),
@@ -167,12 +166,12 @@ def _add_knob_flags(parser: argparse.ArgumentParser, command: str) -> None:
     """Add *command*'s rows of :data:`KNOB_FLAGS`, typed by their axes."""
     for flag, (axis, help_text, *extra) in KNOB_FLAGS[command].items():
         kwargs = {"default": None, "help": help_text}
-        spec = AXES.get(axis)  # None for the removed sampler knob
-        if spec is not None and spec.kind == "bool":
+        spec = AXES[axis]
+        if spec.kind == "bool":
             kwargs.update(action="store_const", const=True)
-        elif spec is not None and spec.kind in ("registry", "choice"):
+        elif spec.kind in ("registry", "choice"):
             kwargs["choices"] = spec.choices
-        elif spec is not None:
+        else:
             kwargs.update(type=float if spec.kind == "float" else int,
                           nargs="+" if spec.kind == "ints" else None)
         kwargs.update(*extra)
@@ -224,8 +223,10 @@ def build_parser() -> argparse.ArgumentParser:
              "every trainer stays active for the whole run — the no-elasticity "
              "baseline the elastic scenarios are compared against",
     )
-    run.add_argument("--arch", default="sage", choices=["sage", "gat"])
-    run.add_argument("--hidden-dim", type=int, default=64)
+    run.add_argument("--arch", default=None, choices=["sage", "gat"],
+                     help="trained model architecture (default: sage)")
+    run.add_argument("--hidden-dim", type=int, default=None,
+                     help="trained model hidden width (default: 64)")
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--evaluate", action="store_true", help="score validation/test accuracy")
     run.add_argument("--trace-dir", type=Path, default=None,
@@ -449,6 +450,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     # A cache the user asked for reaches the pipeline explicitly, so one the
     # pipeline cannot read is rejected rather than left behind like a recipe's.
     cache_config = scenario.cache_config if any(k.startswith("cache.") for k in knobs) else None
+    model_flags = {"--arch": args.arch, "--hidden-dim": args.hidden_dim,
+                   "--evaluate": args.evaluate or None}
     if ENGINES.resolve(scenario.engine) == "serving":
         # Serving scenarios share this command shape (one CI smoke command for
         # every scenario) but report latency/SLO, not epochs — delegate.
@@ -457,13 +460,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 f"--mode compares training pipelines; scenario {scenario.name!r} "
                 f"is a serving workload — drop --mode (or use --pipeline)"
             )
+        for flag, value in model_flags.items():
+            if value is not None:
+                raise ValueError(
+                    f"{flag} configures the trained model; scenario {scenario.name!r} "
+                    f"is a serving workload — drop {flag}"
+                )
         return _run_serving(scenario, seed=args.seed, trace_dir=args.trace_dir,
                             cache_config=cache_config)
     workload = scenario.materialize(
         seed=args.seed,
         train_config=TrainConfig(
-            epochs=scenario.epochs, arch=args.arch, hidden_dim=args.hidden_dim,
-            evaluate=args.evaluate, seed=args.seed,
+            epochs=scenario.epochs, evaluate=args.evaluate, seed=args.seed,
+            **{key: value for key, value in (("arch", args.arch), ("hidden_dim", args.hidden_dim))
+               if value is not None},
         ),
     )
     _print_scenario_header(scenario)

@@ -492,6 +492,33 @@ class TestExplainCLI:
         assert args.eviction == "scored" and not hasattr(args, "admission")
         assert args.node_id is None and args.limit == 20 and not args.json
 
+    def test_any_registered_eviction_replays(self, capsys):
+        from repro.cli import main
+
+        argv = ["explain", "--eviction", "degree-weighted", "--scale", "0.05",
+                "--epochs", "1", "--limit", "1"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "admission=scored, eviction=degree-weighted" in out
+        assert "(showing the last 1 of" in out
+        header = next(line for line in out.splitlines() if line.startswith("step"))
+        assert [c.strip() for c in header.split("|")] == [
+            "step", "tier", "action", "score", "lower", "upper", "threshold", "mode", "reason"]
+
+    def test_unknown_eviction_lists_the_registry(self, capsys):
+        from repro.cache.policies import CACHE_EVICTION_POLICIES
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main([*self.ARGS, "--eviction", "fifo"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (error,) = [line for line in captured.err.splitlines() if "error:" in line]
+        assert "argument --eviction: invalid choice: 'fifo'" in error
+        choices = error.split("(choose from ")[1].rstrip(")").replace("'", "")
+        assert choices.split(", ") == CACHE_EVICTION_POLICIES.names()
+
     def test_admission_is_not_a_flag(self, capsys):
         from repro.cli import main
 

@@ -156,12 +156,13 @@ class TestAsyncEngineCLI:
          "'steady-poisson' is a serving workload"),
         (["run", "--mode", "prefetch", "--pipeline", "static-cache"],
          "--mode prefetch names the 'prefetch' pipeline"),
-        (["run", "--sampler", "legacy"], REMOVED),
-        (["run", "--sampler", "choice"], REMOVED),
-        (["run", "--sampler", "loop", "--scenario", "hot-halo"], REMOVED),
-        (["run", "--sampler", "reference", "--engine", "async"], REMOVED),
-        (["run", "--sampler", "turbo"], REMOVED),
-        (["run", "--sampler", "fast"], REMOVED),
+        # The model flags configure training; a serving scenario never reads them.
+        (["run", "--scenario", "steady-poisson", "--arch", "gat"],
+         "--arch configures the trained model; scenario 'steady-poisson' is a serving workload"),
+        (["run", "--scenario", "steady-poisson", "--hidden-dim", "32"],
+         "--hidden-dim configures the trained model"),
+        (["run", "--scenario", "flash-crowd-burst", "--evaluate"],
+         "--evaluate configures the trained model"),
         # Cache flags edit the scenario's recipe, so CacheConfig's own check runs.
         (["run", "--scenario", "cache-churn", "--cache-tiers", "1"], "requires tiers=2"),
         (["tune", "--scenario", "uniform", "--axis", "dataset=mnist"],
@@ -221,6 +222,17 @@ class TestAsyncEngineCLI:
         assert captured.out == ""
         assert "unrecognized arguments: --cluster" in captured.err
 
+    @pytest.mark.parametrize("value", ["vectorized", "legacy"])
+    def test_sampler_flag_is_gone(self, capsys, value):
+        """--sampler, hidden since its knob went, is now an unrecognised argument,
+        its one no-op value included; the knob itself still answers presets."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--sampler", value] + self.TINY)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: --sampler {value}" in captured.err
+
     def test_mode_both_accepts_prefetch_knobs(self, capsys):
         """With --mode both the knobs apply to the second leg."""
         assert main(["run", "--mode", "both", "--gamma", "0.9"] + self.TINY) == 0
@@ -267,7 +279,6 @@ RUN_FLAG_VALUES = {
     "--scale": (["0.5"], 0.5, "uniform"),
     "--pipeline": (["static-cache"], "static-cache", "uniform"),
     "--eviction-policy": (["lru"], "lru", "uniform"),
-    "--sampler": (["vectorized"], "vectorized", "uniform"),
     "--rpc": (["batched"], "batched", "uniform"),
     "--cache-tiers": (["2"], 2, "uniform"),
     "--admission": (["always"], "always", "uniform"),
@@ -306,8 +317,7 @@ class TestKnobTable:
         resolved, knobs = _resolve_run_scenario(args)
         assert list(knobs) == [axis]
         assert resolved == SCENARIOS.build(scenario).with_overrides(**{axis: value})
-        # Every knob moves the scenario but the removed sampler's one no-op value.
-        assert (resolved != SCENARIOS.build(scenario)) == (flag != "--sampler")
+        assert resolved != SCENARIOS.build(scenario)
 
     def test_no_axis_backed_flag_is_parsed_outside_the_table(self):
         from repro.cli import KNOB_FLAGS
