@@ -55,17 +55,11 @@ class ScheduleSpec:
 
     Subclasses are frozen dataclasses with eager ``__post_init__`` validation;
     the base adds the uniform seam the engine and the catalog consume:
-    ``kind`` (registry key), ``validate()``, ``describe()``, and
+    ``kind`` (registry key), ``describe()``, and
     ``materialize(world_size, seed)``.
     """
 
     kind = "schedule"
-
-    def validate(self) -> None:
-        """Re-run the eager construction-time checks (no-op when valid)."""
-        post_init = getattr(self, "__post_init__", None)
-        if post_init is not None:
-            post_init()
 
     def describe(self) -> str:
         """Short human label for catalogs and ``ClusterScenario.execution``."""

@@ -105,8 +105,8 @@ def catalog_markdown() -> str:
         "## Schedule specs",
         "",
         "Stress inputs implement the `repro.events.schedule.ScheduleSpec` "
-        "protocol (`validate()` / `describe()` / `materialize(world_size, "
-        "seed)`); the engine consumes all of them through that one seam.",
+        "protocol (`describe()` / `materialize(world_size, seed)`); the engine "
+        "consumes all of them through that one seam.",
         "",
         "| Kind | Spec | Summary |",
         "|---|---|---|",

@@ -54,14 +54,13 @@ class TestScheduleSpecProtocol:
             assert issubclass(cls, ScheduleSpec)
             assert cls.kind == kind
 
-    def test_specs_validate_and_describe(self):
+    def test_specs_describe_themselves(self):
         specs = (
             FailureSpec(rate=0.08),
             CongestionSpec(),
             ElasticSpec(initially_inactive=(1,), joins=((1, 1e-3),)),
         )
         for spec in specs:
-            spec.validate()  # re-runs eager validation, must not raise
             assert isinstance(spec.describe(), str) and spec.describe()
 
     def test_materialize_routes_through_the_protocol(self):
