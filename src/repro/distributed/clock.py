@@ -8,10 +8,10 @@ style breakdowns can be regenerated exactly from the recorded ledger
 (``downtime`` is the transient-failure outage the event-driven engine's
 ``trainer-flaky`` scenario injects, and ``migration`` is the data-movement
 cost of elastic rebalances — seed-ownership re-splits, partition adoption,
-and the model transfer of a restore on recovery).  The serving engine adds two labels of
-its own: ``compute`` (forward-only inference, distinct from training's
-``ddp``) and ``idle`` (a worker waiting for the next request to arrive —
-wall time on the serving timeline, but not work).
+and the model transfer of a restore on recovery).  The serving engine adds
+two labels of its own: ``compute`` (forward-only inference, distinct from
+training's ``ddp``) and ``idle`` (a worker waiting for the next request to
+arrive — wall time on the serving timeline, but not work).
 """
 
 from __future__ import annotations
