@@ -450,8 +450,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     # A cache the user asked for reaches the pipeline explicitly, so one the
     # pipeline cannot read is rejected rather than left behind like a recipe's.
     cache_config = scenario.cache_config if any(k.startswith("cache.") for k in knobs) else None
-    model_flags = {"--arch": args.arch, "--hidden-dim": args.hidden_dim,
-                   "--evaluate": args.evaluate or None}
+    # The model flags the user gave, as TrainConfig fields; the rest keep its defaults.
+    model = {field: value for field, value in (
+        ("arch", args.arch), ("hidden_dim", args.hidden_dim), ("evaluate", args.evaluate or None),
+    ) if value is not None}
     if ENGINES.resolve(scenario.engine) == "serving":
         # Serving scenarios share this command shape (one CI smoke command for
         # every scenario) but report latency/SLO, not epochs — delegate.
@@ -460,21 +462,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 f"--mode compares training pipelines; scenario {scenario.name!r} "
                 f"is a serving workload — drop --mode (or use --pipeline)"
             )
-        for flag, value in model_flags.items():
-            if value is not None:
-                raise ValueError(
-                    f"{flag} configures the trained model; scenario {scenario.name!r} "
-                    f"is a serving workload — drop {flag}"
-                )
+        if model:
+            flag = "--" + next(iter(model)).replace("_", "-")
+            raise ValueError(
+                f"{flag} configures the trained model; scenario {scenario.name!r} "
+                f"is a serving workload — drop {flag}"
+            )
         return _run_serving(scenario, seed=args.seed, trace_dir=args.trace_dir,
                             cache_config=cache_config)
     workload = scenario.materialize(
         seed=args.seed,
-        train_config=TrainConfig(
-            epochs=scenario.epochs, evaluate=args.evaluate, seed=args.seed,
-            **{key: value for key, value in (("arch", args.arch), ("hidden_dim", args.hidden_dim))
-               if value is not None},
-        ),
+        train_config=TrainConfig(epochs=scenario.epochs, seed=args.seed, **model),
     )
     _print_scenario_header(scenario)
 
