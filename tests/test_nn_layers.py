@@ -122,6 +122,33 @@ class TestModuleAndLinear:
         with pytest.raises(KeyError):
             a.load_state_dict({"weight": np.zeros((4, 3))})
 
+    def test_state_dict_is_detached_from_the_live_parameters(self):
+        layer = Linear(4, 3, seed=0)
+        snapshot = layer.state_dict()
+        before = {k: v.copy() for k, v in snapshot.items()}
+        layer.weight.value += 1.0
+        for name, value in snapshot.items():
+            np.testing.assert_array_equal(value, before[name])
+        assert not np.array_equal(layer.weight.value, snapshot["weight"])
+
+    def test_load_state_dict_writes_in_place(self):
+        # Optimizers hold views of the parameter arrays, so a load must copy
+        # into them rather than rebind them.
+        a = Linear(4, 3, seed=0)
+        b = Linear(4, 3, seed=1)
+        views = b.parameters()
+        b.load_state_dict(a.state_dict())
+        for name, view in views.items():
+            assert view is b.parameters()[name]
+            np.testing.assert_array_equal(view, a.parameters()[name])
+
+    def test_load_state_dict_shape_mismatch_raises(self):
+        a = Linear(4, 3, seed=0)
+        state = a.state_dict()
+        state["bias"] = np.zeros((4,))
+        with pytest.raises(ValueError, match="bias"):
+            a.load_state_dict(state)
+
     def test_zero_grad(self):
         layer = Linear(3, 2, seed=0)
         layer.weight.grad += 1.0
@@ -215,6 +242,42 @@ class TestOptimizers:
         for _ in range(300):
             opt.step(params, {"x": 2 * (params["x"] - target)})
         np.testing.assert_allclose(params["x"], target, atol=1e-2)
+
+    def test_sgd_momentum_accumulates_velocity(self):
+        # v1 = g, v2 = 0.9 g + g: the second step moves 1.9x the first.
+        params = {"x": np.array([1.0, -1.0])}
+        opt = SGD(lr=0.1, momentum=0.9)
+        grad = {"x": np.array([0.25, -0.5])}
+        opt.step(params, grad)
+        np.testing.assert_allclose(params["x"], [1.0 - 0.025, -1.0 + 0.05], rtol=0, atol=1e-15)
+        opt.step(params, grad)
+        np.testing.assert_allclose(
+            params["x"], [1.0 - 0.025 - 0.0475, -1.0 + 0.05 + 0.095], rtol=0, atol=1e-15,
+        )
+
+    def test_adam_steps_match_the_bias_corrected_formula(self):
+        lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+        params = {"x": np.array([0.5, -0.5, 2.0])}
+        expected = params["x"].copy()
+        opt = Adam(lr=lr, betas=(b1, b2), eps=eps)
+        m = np.zeros(3)
+        v = np.zeros(3)
+        for t, g in enumerate(([0.3, -0.1, 0.0], [0.2, 0.4, -1.0], [-0.5, 0.1, 0.7]), start=1):
+            g = np.asarray(g)
+            opt.step(params, {"x": g.copy()})
+            m = b1 * m + (1 - b1) * g
+            v = b2 * v + (1 - b2) * g * g
+            expected -= lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + eps)
+            np.testing.assert_allclose(params["x"], expected, rtol=1e-12, atol=1e-15)
+
+    def test_optimizer_state_is_kept_per_parameter(self):
+        # A parameter's momentum never leaks into another's update.
+        params = {"a": np.zeros(2), "b": np.zeros(2)}
+        opt = SGD(lr=1.0, momentum=0.5)
+        opt.step(params, {"a": np.ones(2), "b": np.zeros(2)})
+        opt.step(params, {"a": np.zeros(2), "b": np.ones(2)})
+        np.testing.assert_array_equal(params["a"], [-1.5, -1.5])
+        np.testing.assert_array_equal(params["b"], [-1.0, -1.0])
 
     def test_weight_decay_shrinks_params(self):
         params = {"x": np.array([10.0], dtype=np.float32)}
