@@ -20,7 +20,7 @@ samplers (modulo sampler RNG streams, which are per-trainer in both cases).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -139,7 +139,6 @@ class TrainerContext:
     clock: SimClock
     seeds_local: np.ndarray
     labels: np.ndarray
-    extra: Dict[str, object] = field(default_factory=dict)
 
     @property
     def num_batches_per_epoch(self) -> int:

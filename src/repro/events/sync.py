@@ -24,8 +24,8 @@ from :data:`SYNC_POLICIES`:
 
 Policies are engine components, not arm's-length plugins: they are handed a
 :class:`SyncContext` giving them the trainers' clocks, the shared model and
-engine callbacks (``schedule_ready``, ``record_round``, ``record_step``,
-``start_step``, ``allreduce_barrier``, ``apply_update``).  The contract is
+engine callbacks (``schedule_ready``, ``record_step``, ``start_step``,
+``allreduce_barrier``, ``apply_update``).  The contract is
 documented on :class:`SyncPolicy`; new policies register with
 ``@SYNC_POLICIES.register("name")``.
 """
@@ -75,7 +75,6 @@ class SyncContext:
     train_config: object
     # Engine callbacks:
     schedule_ready: Callable[[int], None]
-    record_round: Callable[[List[StepContribution]], None]
     record_step: Callable[[StepContribution], None]
     # Host-side immediate execution of one trainer's next step (used by
     # policies that must control the execution *order* of a round, e.g. the
@@ -238,7 +237,8 @@ class AllReduceBarrierPolicy(SyncPolicy):
         ctx = self.ctx
         ranks = sorted(self._contrib)
         contributions = [self._contrib[r] for r in ranks]
-        ctx.record_round(contributions)
+        for c in contributions:
+            ctx.record_step(c)
         # Same three calls in the same order as the lockstep round, which is
         # what keeps the two engines bit-identical on the golden workload.
         averaged = allreduce_gradients([c.grads for c in contributions])
@@ -325,7 +325,8 @@ class BoundedStalenessPolicy(SyncPolicy):
             ranks = sorted(contrib)
             contributions = [contrib[r] for r in ranks]
             if contributions:
-                ctx.record_round(contributions)
+                for c in contributions:
+                    ctx.record_step(c)
                 averaged = allreduce_gradients([c.grads for c in contributions])
                 ctx.apply_update(averaged)
                 # Async push/pull: charged off the critical path.

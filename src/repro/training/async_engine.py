@@ -231,7 +231,6 @@ class _EventDrivenRun:
             sync_extras=self.sync_extras,
             train_config=run.config,
             schedule_ready=self.schedule_ready,
-            record_round=self.record_round,
             record_step=self.record_step,
             start_step=self.start_step,
             allreduce_barrier=run.allreduce_barrier,
@@ -307,10 +306,6 @@ class _EventDrivenRun:
         self.active[rank] = False
         self.epoch_done[rank] = True
         self.policy.on_trainer_exhausted(rank, self.trainers[rank].clock.time)
-
-    def record_round(self, contributions: List[StepContribution]) -> None:
-        for c in contributions:
-            self.record_step(c)
 
     def record_step(self, c: StepContribution) -> None:
         self.run.record(c.loss, c.n_correct, c.n_seen)
