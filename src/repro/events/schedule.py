@@ -5,8 +5,6 @@ is expressed as a frozen *spec* dataclass implementing the
 :class:`ScheduleSpec` protocol, so the engine consumes them all through one
 seam:
 
-* ``validate()`` re-runs the eager ``__post_init__`` checks (useful after a
-  pickle round-trip or a hand-constructed spec);
 * ``describe()`` renders the short human label used by the scenario catalog
   (``repro scenarios --markdown``) and ``ClusterScenario.execution``;
 * ``materialize(world_size, seed)`` expands the spec into the runtime object
