@@ -32,8 +32,9 @@ import sys
 import time
 from pathlib import Path
 
+from repro.core import Prefetcher
 from repro.distributed.rpc import aggregate_rpc_stats
-from repro.features import BufferedSource, LocalKVStoreSource
+from repro.features import LocalKVStoreSource
 from repro.features.store import FeatureStore
 from repro.scenarios import SCENARIOS
 
@@ -89,10 +90,10 @@ def bench_fetch_throughput(scenario_scale: float, steps: int):
     store = FeatureStore(
         partition=trainer.partition,
         local_source=LocalKVStoreSource(trainer.rpc),
-        halo_source=BufferedSource(
-            trainer.rpc,
+        halo_source=Prefetcher(
             trainer.partition,
             workload.scenario.prefetch_config,
+            trainer.rpc,
             num_global_nodes=cluster.dataset.num_nodes,
             seed=0,
         ),

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core.buffer import PrefetchBuffer
-from repro.core.scoreboard import CompactAccessScoreboard, DenseAccessScoreboard, EvictionScores
+from repro.core.scoreboard import DenseAccessScoreboard, EvictionScores
 from repro.graph.datasets import load_dataset
 from repro.sampling.neighbor_sampler import NeighborSampler
 
@@ -62,12 +62,6 @@ def test_micro_buffer_feature_gather(benchmark, buffer, queries):
 @pytest.mark.benchmark(group="micro-scoreboard")
 def test_micro_dense_scoreboard_increment(benchmark, halo_ids, queries):
     board = DenseAccessScoreboard(NUM_GLOBAL, halo_ids)
-    benchmark(board.increment, queries)
-
-
-@pytest.mark.benchmark(group="micro-scoreboard")
-def test_micro_compact_scoreboard_increment(benchmark, halo_ids, queries):
-    board = CompactAccessScoreboard(halo_ids)
     benchmark(board.increment, queries)
 
 

@@ -21,13 +21,13 @@ import numpy as np
 
 from repro import (
     PIPELINES,
-    BufferedSource,
     ClusterConfig,
     FeatureStore,
     FetchStats,
     LocalKVStoreSource,
     MiniBatchPipeline,
     PrefetchConfig,
+    Prefetcher,
     SimCluster,
     TrainConfig,
     load_dataset,
@@ -104,9 +104,8 @@ def main() -> None:
     store = FeatureStore(
         partition=trainer.partition,
         local_source=LocalKVStoreSource(trainer.rpc),
-        halo_source=BufferedSource(
-            trainer.rpc, trainer.partition,
-            PrefetchConfig(halo_fraction=0.25, delta=16),
+        halo_source=Prefetcher(
+            trainer.partition, PrefetchConfig(halo_fraction=0.25, delta=16), trainer.rpc,
             num_global_nodes=dataset.num_nodes,
         ),
     )

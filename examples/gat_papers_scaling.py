@@ -20,7 +20,7 @@ COMPONENTS = ("sampling", "lookup", "scoring", "rpc", "copy", "ddp", "allreduce"
 def main() -> None:
     dataset = load_dataset("papers", scale=0.1, seed=2)
     print(f"Dataset: papers analog ({dataset.num_nodes} nodes, {dataset.num_edges} edges)")
-    prefetch_config = PrefetchConfig(halo_fraction=0.35, gamma=0.995, delta=16, scoreboard="compact")
+    prefetch_config = PrefetchConfig(halo_fraction=0.35, gamma=0.995, delta=16)
 
     rows = []
     for backend in ("cpu", "gpu"):

@@ -46,9 +46,9 @@ def main() -> None:
     config = PrefetchConfig(halo_fraction=0.25, gamma=0.9, delta=4)
     prefetcher = Prefetcher(part, config, rpc, num_global_nodes=dataset.num_nodes)
     init = prefetcher.initialize()
-    print(f"Prefetch buffer: {init.num_prefetched} nodes "
-          f"({init.buffer_nbytes / 1024:.1f} KiB features, "
-          f"{init.scoreboard_nbytes / 1024:.1f} KiB scoreboards)")
+    print(f"Prefetch buffer: {init['num_prefetched']:.0f} nodes "
+          f"({init['buffer_nbytes'] / 1024:.1f} KiB features, "
+          f"{init['scoreboard_nbytes'] / 1024:.1f} KiB scoreboards)")
 
     # 5. Sample minibatches from the local partition (NeighborSampler draws
     #    every capped node of a layer in one batched call — the only sampler

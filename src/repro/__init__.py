@@ -41,7 +41,6 @@ the Fig. 6 comparison is two runs on one materialized workload (what
 from repro.core import PrefetchConfig, Prefetcher
 from repro.distributed import ClusterConfig, CostModel, SimCluster
 from repro.features import (
-    BufferedSource,
     FeatureSource,
     FeatureStore,
     FetchResult,
@@ -77,7 +76,6 @@ __all__ = [
     "ClusterConfig",
     "CostModel",
     "SimCluster",
-    "BufferedSource",
     "FeatureSource",
     "FeatureStore",
     "FetchResult",

@@ -21,18 +21,8 @@ from repro.core.metrics import (
     hit_rate,
     merge_hit_trackers,
 )
-from repro.core.prefetcher import (
-    Prefetcher,
-    PrefetchInitReport,
-    PrefetchStepResult,
-)
-from repro.core.scoreboard import (
-    AccessScoreboard,
-    CompactAccessScoreboard,
-    DenseAccessScoreboard,
-    EvictionScores,
-    make_access_scoreboard,
-)
+from repro.core.prefetcher import Prefetcher, PrefetchStepResult
+from repro.core.scoreboard import DenseAccessScoreboard, EvictionScores
 
 __all__ = [
     "PrefetchBuffer",
@@ -51,11 +41,7 @@ __all__ = [
     "hit_rate",
     "merge_hit_trackers",
     "Prefetcher",
-    "PrefetchInitReport",
     "PrefetchStepResult",
-    "AccessScoreboard",
-    "CompactAccessScoreboard",
     "DenseAccessScoreboard",
     "EvictionScores",
-    "make_access_scoreboard",
 ]

@@ -30,7 +30,6 @@ class PrefetchConfig:
     gamma: float = 0.995
     delta: int = 64
     eviction_enabled: bool = True
-    scoreboard: str = "dense"
     # Registry name (see repro.core.eviction.EVICTION_POLICIES) of the
     # eviction policy every trainer's prefetcher builds for itself.
     eviction_policy: str = "score-threshold"
@@ -39,8 +38,6 @@ class PrefetchConfig:
         check_fraction(self.halo_fraction, "halo_fraction")
         check_fraction(self.gamma, "gamma", inclusive_low=False)
         check_positive(self.delta, "delta")
-        if self.scoreboard not in ("dense", "compact"):
-            raise ValueError(f"scoreboard must be 'dense' or 'compact', got {self.scoreboard!r}")
         # Resolve the registry name eagerly so a typo fails at construction,
         # not mid-run.
         EVICTION_POLICIES.resolve(self.eviction_policy)

@@ -19,6 +19,10 @@ One :class:`Prefetcher` exists per trainer PE.  Its job during training is:
 The prefetcher returns, for every step, both the assembled halo features and
 the *operation counts* (lookups, score updates, nodes fetched, slots replaced)
 that the training engine converts into simulated time via the cost model.
+It is the halo :class:`~repro.features.source.FeatureSource` of the
+``prefetch`` pipeline: :meth:`Prefetcher.fetch` runs one minibatch through
+:meth:`Prefetcher.process_minibatch` and reports its counts as
+:class:`~repro.features.source.FetchStats`.
 """
 
 from __future__ import annotations
@@ -30,36 +34,14 @@ import numpy as np
 
 from repro.core.buffer import PrefetchBuffer
 from repro.core.config import PrefetchConfig
-from repro.core.eviction import EvictionPolicy, build_eviction_policy
+from repro.core.eviction import build_eviction_policy
 from repro.core.metrics import HitRateTracker, PrefetchCounters
-from repro.core.scoreboard import EvictionScores, make_access_scoreboard
+from repro.core.scoreboard import DenseAccessScoreboard, EvictionScores
 from repro.distributed.rpc import RPCChannel
+from repro.features.source import FetchStats
 from repro.graph.halo import GraphPartition
+from repro.utils.rng import SeedLike
 from repro.utils.validation import check_1d_int_array
-
-
-@dataclass
-class PrefetchInitReport:
-    """Outcome of buffer initialization (Fig. 8's one-time cost)."""
-
-    num_prefetched: int
-    buffer_capacity: int
-    rpc_time_s: float
-    bytes_fetched: int
-    buffer_nbytes: int
-    scoreboard_nbytes: int
-    num_halo_nodes: int
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "num_prefetched": float(self.num_prefetched),
-            "buffer_capacity": float(self.buffer_capacity),
-            "rpc_time_s": self.rpc_time_s,
-            "bytes_fetched": float(self.bytes_fetched),
-            "buffer_nbytes": float(self.buffer_nbytes),
-            "scoreboard_nbytes": float(self.scoreboard_nbytes),
-            "num_halo_nodes": float(self.num_halo_nodes),
-        }
 
 
 @dataclass
@@ -86,7 +68,14 @@ class PrefetchStepResult:
 
 
 class Prefetcher:
-    """Continuous prefetch-and-eviction manager for one trainer."""
+    """Continuous prefetch-and-eviction manager for one trainer.
+
+    ``config.eviction_policy`` names the policy, built here with *seed* so
+    every trainer owns its instance (and its RNG stream).  The buffer is the
+    only cache on this path: every miss goes to the RPC channel.
+    """
+
+    name = "prefetch-buffer"
 
     def __init__(
         self,
@@ -94,15 +83,13 @@ class Prefetcher:
         config: PrefetchConfig,
         rpc: RPCChannel,
         num_global_nodes: int,
-        eviction_policy: Optional[EvictionPolicy] = None,
+        seed: SeedLike = None,
     ):
         self.partition = partition
         self.config = config
         self.rpc = rpc
         self.num_global_nodes = int(num_global_nodes)
-        # Fall back to the policy named in the config ("score-threshold" by
-        # default — the paper's Algorithm 2).
-        self.eviction_policy = eviction_policy or build_eviction_policy(config.eviction_policy)
+        self.eviction_policy = build_eviction_policy(config.eviction_policy, seed=seed)
         # Degrees indexed by global id (needed for init and replacement ties).
         self._global_degrees = np.zeros(num_global_nodes, dtype=np.int64)
         self._global_degrees[partition.local_to_global] = partition.global_degrees
@@ -114,61 +101,47 @@ class Prefetcher:
         self.tracker = HitRateTracker()
         self.counters = PrefetchCounters()
         self._initialized = False
+        # Lifetime step counter of fetch(): one per minibatch, drives Δ.
+        self._step = 0
 
     # ------------------------------------------------------------------ #
     # Initialization (Algorithm 1, INITIALIZE_PREFETCHER)
     # ------------------------------------------------------------------ #
-    def initialize(self) -> PrefetchInitReport:
-        """Populate the buffer with the highest-degree halo nodes (one-time RPC)."""
+    def initialize(self) -> Dict[str, float]:
+        """Populate the buffer with the highest-degree halo nodes (one-time RPC).
+
+        Returns Fig. 8's init report: what was prefetched, what it cost and
+        the memory the buffer and scoreboards pin.
+        """
         halo = self.partition.halo_global
         capacity = self.config.buffer_capacity(len(halo))
-        feature_dim = self.rpc.servers[self.rpc.local_part].feature_dim
-
-        if len(halo) == 0 or capacity == 0:
-            self.buffer = PrefetchBuffer.empty(feature_dim)
-            self.eviction_scores = EvictionScores(0)
-            self.access_scores = make_access_scoreboard(
-                self.config.scoreboard, self.num_global_nodes, halo
-            )
-            self._last_hit_step = np.zeros(0, dtype=np.int64)
-            self._initialized = True
-            return PrefetchInitReport(
-                num_prefetched=0,
-                buffer_capacity=0,
-                rpc_time_s=0.0,
-                bytes_fetched=0,
-                buffer_nbytes=self.buffer.nbytes(),
-                scoreboard_nbytes=self.access_scores.nbytes(),
-                num_halo_nodes=0,
-            )
-
-        halo_degrees = self._global_degrees[halo]
-        order = np.argsort(-halo_degrees, kind="stable")
-        selected = np.sort(halo[order[:capacity]])
-
-        owners = self.partition.halo_owners_of(selected)
-        rows, rpc_time, delta = self.rpc.remote_pull(selected, owners)
-
-        self.buffer = PrefetchBuffer(selected, rows)
+        self.access_scores = DenseAccessScoreboard(self.num_global_nodes, halo)
         self.eviction_scores = EvictionScores(capacity)
-        self.access_scores = make_access_scoreboard(
-            self.config.scoreboard, self.num_global_nodes, halo
-        )
-        # S_A = -1 for buffered nodes, 0 for the remaining halo nodes.
-        self.access_scores.set(selected, np.full(len(selected), -1.0))
         self._last_hit_step = np.zeros(capacity, dtype=np.int64)
-        self.counters.remote_nodes_at_init = int(len(selected))
-        self.counters.remote_nodes_fetched += int(len(selected))
         self._initialized = True
-        return PrefetchInitReport(
-            num_prefetched=int(len(selected)),
-            buffer_capacity=capacity,
-            rpc_time_s=rpc_time,
-            bytes_fetched=delta.bytes_fetched,
-            buffer_nbytes=self.buffer.nbytes(),
-            scoreboard_nbytes=self.access_scores.nbytes() + self.eviction_scores.nbytes(),
-            num_halo_nodes=int(len(halo)),
-        )
+        rpc_time, bytes_fetched = 0.0, 0
+        if capacity == 0:
+            self.buffer = PrefetchBuffer.empty(self.rpc.servers[self.rpc.local_part].feature_dim)
+        else:
+            order = np.argsort(-self._global_degrees[halo], kind="stable")
+            selected = np.sort(halo[order[:capacity]])
+            owners = self.partition.halo_owners_of(selected)
+            rows, rpc_time, delta = self.rpc.remote_pull(selected, owners)
+            bytes_fetched = delta.bytes_fetched
+            self.buffer = PrefetchBuffer(selected, rows)
+            # S_A = -1 for buffered nodes, 0 for the remaining halo nodes.
+            self.access_scores.set(selected, np.full(capacity, -1.0))
+            self.counters.remote_nodes_at_init = capacity
+            self.counters.remote_nodes_fetched += capacity
+        return {
+            "num_prefetched": float(capacity),
+            "buffer_capacity": float(capacity),
+            "rpc_time_s": rpc_time,
+            "bytes_fetched": float(bytes_fetched),
+            "buffer_nbytes": float(self.buffer.nbytes()),
+            "scoreboard_nbytes": float(self.scoreboard_nbytes()),
+            "num_halo_nodes": float(len(halo)),
+        }
 
     # ------------------------------------------------------------------ #
     # Per-minibatch processing (Algorithm 2)
@@ -267,6 +240,26 @@ class Prefetcher:
             buffer_capacity=self.buffer.capacity,
         )
 
+    def fetch(self, global_ids: np.ndarray) -> Tuple[np.ndarray, FetchStats]:
+        """FeatureSource protocol: one minibatch through Algorithm 2.
+
+        Advances the lifetime step counter that drives Δ once per call.
+        """
+        result = self.process_minibatch(global_ids, step=self._step)
+        self._step += 1
+        stats = FetchStats(
+            num_requested=result.num_requested,
+            num_hits=result.num_hits,
+            num_misses=result.num_misses,
+            rpc_time_s=result.rpc_time_s,
+            lookup_nodes=result.lookup_nodes,
+            scoring_nodes=result.scoring_nodes,
+            eviction_round=result.eviction_round,
+            nodes_replaced=result.nodes_replaced,
+            buffer_capacity=result.buffer_capacity,
+        )
+        return result.features, stats
+
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
@@ -281,6 +274,9 @@ class Prefetcher:
     def scoreboard_nbytes(self) -> int:
         self._require_initialized()
         return int(self.access_scores.nbytes() + self.eviction_scores.nbytes())
+
+    def nbytes(self) -> int:
+        return self.buffer_nbytes() + self.scoreboard_nbytes()
 
     def summary(self) -> Dict[str, float]:
         self._require_initialized()

@@ -10,10 +10,10 @@ Two scores drive the prefetch buffer's maintenance:
   was not sampled — slots that decay below the threshold α are evicted.
 
 The paper ships two ``S_A`` layouts: a dense ``O(|V|)`` array with O(1)
-indexing (fast but memory-hungry for huge graphs) and a memory-efficient
-``O(|V_h^p|)`` array addressed by binary search over the sorted halo ids
-(used for papers100M).  Both are provided here with an identical interface so
-the prefetcher can switch between them via configuration.
+indexing and a memory-efficient ``O(|V_h^p|)`` array addressed by binary
+search over the sorted halo ids (used for papers100M).  They give the same
+values and the same errors, so only the dense one is kept here: its
+``nbytes`` is what Fig. 8's init report and the Fig. 14 memory table count.
 """
 
 from __future__ import annotations
@@ -25,40 +25,13 @@ import numpy as np
 from repro.utils.validation import check_1d_int_array, check_positive
 
 
-def _not_halo(global_ids: np.ndarray) -> KeyError:
-    return KeyError(f"nodes {global_ids[:5].tolist()} are not halo nodes of this partition")
-
-
-class AccessScoreboard:
-    """Interface for the S_A scoreboard.
-
-    An empty query returns empty; a non-halo id raises ``KeyError`` naming it.
-    """
-
-    def increment(self, global_ids: np.ndarray) -> None:
-        raise NotImplementedError
-
-    def get(self, global_ids: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def set(self, global_ids: np.ndarray, values: np.ndarray) -> None:
-        raise NotImplementedError
-
-    def top_candidates(
-        self, k: int, exclude: Optional[np.ndarray] = None, degrees: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        raise NotImplementedError
-
-    def nbytes(self) -> int:
-        raise NotImplementedError
-
-
-class DenseAccessScoreboard(AccessScoreboard):
+class DenseAccessScoreboard:
     """``O(|V|)`` dense S_A array: O(1) updates, large memory footprint.
 
     Only the partition's halo nodes are meaningful entries; the rest of the
     array exists purely to make indexing by global id constant-time, exactly
-    as in the paper's standard implementation.
+    as in the paper's standard implementation.  An empty query returns empty;
+    a non-halo id raises ``KeyError`` naming it.
     """
 
     def __init__(self, num_global_nodes: int, halo_global: np.ndarray):
@@ -73,7 +46,9 @@ class DenseAccessScoreboard(AccessScoreboard):
         # Non-halo entries are NaN by construction, so NaN marks a foreign id.
         foreign = np.isnan(self._scores[global_ids])
         if foreign.any():
-            raise _not_halo(global_ids[foreign])
+            raise KeyError(
+                f"nodes {global_ids[foreign][:5].tolist()} are not halo nodes of this partition"
+            )
         return global_ids
 
     def increment(self, global_ids: np.ndarray) -> None:
@@ -109,61 +84,6 @@ class DenseAccessScoreboard(AccessScoreboard):
         return int(self._scores.nbytes)
 
 
-class CompactAccessScoreboard(AccessScoreboard):
-    """``O(|V_h^p|)`` memory-efficient S_A array addressed by binary search.
-
-    Mirrors the paper's memory-efficient variant: the array only covers the
-    partition's halo nodes (sorted by global id) and lookups cost
-    ``O(log |V_h^p|)`` via ``searchsorted``.
-    """
-
-    def __init__(self, halo_global: np.ndarray):
-        self._halo = np.sort(check_1d_int_array(halo_global, "halo_global"))
-        self._scores = np.zeros(len(self._halo), dtype=np.float64)
-
-    def _index(self, global_ids: np.ndarray) -> np.ndarray:
-        global_ids = check_1d_int_array(global_ids, "global_ids")
-        idx = np.minimum(np.searchsorted(self._halo, global_ids), len(self._halo) - 1)
-        if len(self._halo) == 0:
-            foreign = np.ones(len(global_ids), dtype=bool)
-        else:
-            foreign = self._halo[idx] != global_ids
-        if foreign.any():
-            raise _not_halo(global_ids[foreign])
-        return idx
-
-    def increment(self, global_ids: np.ndarray) -> None:
-        np.add.at(self._scores, self._index(global_ids), 1.0)
-
-    def get(self, global_ids: np.ndarray) -> np.ndarray:
-        return self._scores[self._index(global_ids)]
-
-    def set(self, global_ids: np.ndarray, values: np.ndarray) -> None:
-        self._scores[self._index(global_ids)] = np.asarray(values, dtype=np.float64)
-
-    def top_candidates(
-        self, k: int, exclude: Optional[np.ndarray] = None, degrees: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        if k <= 0 or len(self._halo) == 0:
-            return np.zeros(0, dtype=np.int64)
-        mask = np.ones(len(self._halo), dtype=bool)
-        if exclude is not None and len(exclude):
-            mask = ~np.isin(self._halo, exclude, assume_unique=False)
-        candidates = self._halo[mask]
-        scores = self._scores[mask]
-        if len(candidates) == 0:
-            return np.zeros(0, dtype=np.int64)
-        if degrees is not None:
-            cand_deg = degrees[candidates].astype(np.float64)
-            order = np.lexsort((-cand_deg, -scores))
-        else:
-            order = np.argsort(-scores, kind="stable")
-        return candidates[order[:k]]
-
-    def nbytes(self) -> int:
-        return int(self._scores.nbytes + self._halo.nbytes)
-
-
 class EvictionScores:
     """Per-buffer-slot eviction scores S_E with multiplicative decay."""
 
@@ -196,13 +116,3 @@ class EvictionScores:
     def nbytes(self) -> int:
         return int(self._scores.nbytes)
 
-
-def make_access_scoreboard(
-    kind: str, num_global_nodes: int, halo_global: np.ndarray
-) -> AccessScoreboard:
-    """Factory for the S_A scoreboard layout (``dense`` or ``compact``)."""
-    if kind == "dense":
-        return DenseAccessScoreboard(num_global_nodes, halo_global)
-    if kind == "compact":
-        return CompactAccessScoreboard(halo_global)
-    raise ValueError(f"unknown scoreboard kind {kind!r}")

@@ -11,7 +11,6 @@ objects to the store.
 
 from repro.features.source import FeatureSource, FetchResult, FetchStats
 from repro.features.sources import (
-    BufferedSource,
     LocalKVStoreSource,
     RemoteRPCSource,
     TieredCacheSource,
@@ -22,7 +21,6 @@ __all__ = [
     "FeatureSource",
     "FetchResult",
     "FetchStats",
-    "BufferedSource",
     "LocalKVStoreSource",
     "RemoteRPCSource",
     "TieredCacheSource",

@@ -1,15 +1,14 @@
-"""Concrete feature sources: local KVStore, remote RPC, prefetch buffer, tiered cache.
+"""Concrete feature sources: local KVStore, remote RPC, tiered cache.
 
 Each source implements the :class:`~repro.features.source.FeatureSource`
-protocol over a different data path:
+protocol over a different data path (the MassiveGNN prefetch buffer of
+Algorithms 1–2 is the fourth: :class:`~repro.core.prefetcher.Prefetcher`
+is its own source):
 
 * :class:`LocalKVStoreSource` — memory copies from the trainer's co-located
   partition server (the local half of both pipelines);
 * :class:`RemoteRPCSource` — every row pulled from its owning partition over
   simulated RPC (the DistDGL baseline halo path, Eq. 2);
-* :class:`BufferedSource` — owns a :class:`~repro.core.prefetcher.Prefetcher`
-  so Algorithms 1–2 (scored prefetch + eviction) serve the halo path, with the
-  prefetcher's exact operation counts surfaced as :class:`FetchStats`;
 * :class:`TieredCacheSource` — the general policy-pluggable path: a
   per-trainer hot :class:`~repro.cache.tier.CacheTier` optionally backed by a
   machine-shared tier (no other source has one), both sitting in front of the
@@ -36,14 +35,10 @@ from repro.cache.config import CacheConfig
 from repro.cache.controller import AdaptiveCapacityController
 from repro.cache.stack import TieredFeatureCache
 from repro.cache.tier import CacheTier
-from repro.core.config import PrefetchConfig
-from repro.core.eviction import build_eviction_policy
 from repro.core.metrics import HitRateTracker
-from repro.core.prefetcher import Prefetcher
 from repro.distributed.rpc import RPCChannel
 from repro.features.source import FetchStats
 from repro.graph.halo import GraphPartition
-from repro.utils.rng import SeedLike
 
 
 class LocalKVStoreSource:
@@ -135,70 +130,6 @@ class RemoteRPCSource:
         return {"calls": float(self._calls), "rows_served": float(self._rows_served)}
 
 
-class BufferedSource:
-    """The MassiveGNN data path: a scored prefetch buffer in front of RPC.
-
-    Owns one per-trainer :class:`Prefetcher` and preserves its Algorithm 1/2
-    semantics exactly — the buffer lookup, S_E decay, S_A increments, the Δ-step
-    eviction rounds, and every operation count the cost model charges for.  The
-    prefetcher's lifetime step counter (which drives Δ) advances once per
-    ``fetch`` call, i.e. once per minibatch.
-
-    ``config.eviction_policy`` names the policy, built here with *seed* so
-    every trainer owns its instance (and its RNG stream).  The buffer is the
-    only cache on this path: every miss goes to the RPC channel.
-    """
-
-    name = "buffered"
-
-    def __init__(
-        self,
-        rpc: RPCChannel,
-        partition: GraphPartition,
-        config: PrefetchConfig,
-        num_global_nodes: int,
-        seed: SeedLike = None,
-    ):
-        self.prefetcher = Prefetcher(
-            partition=partition,
-            config=config,
-            rpc=rpc,
-            num_global_nodes=num_global_nodes,
-            eviction_policy=build_eviction_policy(config.eviction_policy, seed=seed),
-        )
-        self._step = 0
-
-    @property
-    def tracker(self) -> HitRateTracker:
-        return self.prefetcher.tracker
-
-    def initialize(self) -> Dict[str, float]:
-        """Populate the buffer (one-time RPC); returns the Fig. 8 init report."""
-        return self.prefetcher.initialize().as_dict()
-
-    def fetch(self, global_ids: np.ndarray) -> Tuple[np.ndarray, FetchStats]:
-        result = self.prefetcher.process_minibatch(global_ids, step=self._step)
-        self._step += 1
-        stats = FetchStats(
-            num_requested=result.num_requested,
-            num_hits=result.num_hits,
-            num_misses=result.num_misses,
-            rpc_time_s=result.rpc_time_s,
-            lookup_nodes=result.lookup_nodes,
-            scoring_nodes=result.scoring_nodes,
-            eviction_round=result.eviction_round,
-            nodes_replaced=result.nodes_replaced,
-            buffer_capacity=result.buffer_capacity,
-        )
-        return result.features, stats
-
-    def nbytes(self) -> int:
-        return self.prefetcher.buffer_nbytes() + self.prefetcher.scoreboard_nbytes()
-
-    def summary(self) -> Dict[str, float]:
-        return self.prefetcher.summary()
-
-
 class TieredCacheSource:
     """Halo features served through the tiered cache stack (``repro.cache``).
 
@@ -211,8 +142,9 @@ class TieredCacheSource:
     the :class:`~repro.cache.config.CacheConfig` names; with the default
     config (one tier, ``static-degree`` admission, no eviction) the source
     *is* the static cache: populated once, no scoreboards, no eviction — the
-    counterpoint to :class:`BufferedSource` whose hit rate decays over
-    training because neighbor sampling is stochastic (Section I).
+    counterpoint to the :class:`~repro.core.prefetcher.Prefetcher`: its hit
+    rate decays over training because neighbor sampling is stochastic
+    (Section I).
 
     ``capacity`` is the trainer's total row budget; with two tiers it is
     split by ``cache_config.hot_fraction`` between the hot tier and this

@@ -131,11 +131,6 @@ class FeatureStore:
         return getattr(self.halo_source, "tracker", None)
 
     @property
-    def prefetcher(self):
-        """The wrapped Prefetcher when the halo path is buffer-backed."""
-        return getattr(self.halo_source, "prefetcher", None)
-
-    @property
     def hit_rate(self) -> Optional[float]:
         tracker = self.tracker
         return tracker.cumulative_hit_rate if tracker is not None else None

@@ -110,10 +110,6 @@ class MiniBatchPipeline:
         return float(self.init_report.get("rpc_time_s", 0.0))
 
     @property
-    def prefetcher(self):
-        return self.feature_store.prefetcher
-
-    @property
     def hit_tracker(self):
         return self.feature_store.tracker
 

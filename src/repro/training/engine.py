@@ -36,6 +36,7 @@ import numpy as np
 
 from repro.core.config import PrefetchConfig
 from repro.core.metrics import merge_hit_trackers
+from repro.core.prefetcher import Prefetcher
 from repro.distributed.cluster import SimCluster, TrainerContext
 from repro.distributed.rpc import merge_rpc_stats
 from repro.nn import cross_entropy
@@ -147,7 +148,10 @@ def assemble_training_report(
         else 1.0
     )
     trackers = [pl.hit_tracker for pl in pipelines if pl.hit_tracker is not None]
-    prefetchers = [pl.prefetcher for pl in pipelines if pl.prefetcher is not None]
+    prefetchers = [
+        pl.feature_store.halo_source for pl in pipelines
+        if isinstance(pl.feature_store.halo_source, Prefetcher)
+    ]
 
     report = TrainingReport(
         mode=mode,

@@ -43,13 +43,9 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.cache.config import CacheConfig
 from repro.core.config import PrefetchConfig
+from repro.core.prefetcher import Prefetcher
 from repro.features.source import FeatureSource
-from repro.features.sources import (
-    BufferedSource,
-    LocalKVStoreSource,
-    RemoteRPCSource,
-    TieredCacheSource,
-)
+from repro.features.sources import LocalKVStoreSource, RemoteRPCSource, TieredCacheSource
 from repro.features.store import FeatureStore
 from repro.perf.model import (
     baseline_step_time,
@@ -126,11 +122,11 @@ def _remote_rpc(trainer, cluster, prefetch_config, cache_config) -> RemoteRPCSou
     return RemoteRPCSource(trainer.rpc, trainer.partition)
 
 
-def _prefetch_buffer(trainer, cluster, prefetch_config, cache_config) -> BufferedSource:
-    return BufferedSource(
-        trainer.rpc,
+def _prefetch_buffer(trainer, cluster, prefetch_config, cache_config) -> Prefetcher:
+    return Prefetcher(
         trainer.partition,
         prefetch_config,
+        trainer.rpc,
         num_global_nodes=cluster.dataset.num_nodes,
         seed=cluster.config.seed,
     )

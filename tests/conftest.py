@@ -13,7 +13,8 @@ from hypothesis import settings
 from repro.core.config import PrefetchConfig
 from repro.distributed.cluster import ClusterConfig, SimCluster
 from repro.distributed.cost_model import CostModel
-from repro.features import BufferedSource, TieredCacheSource
+from repro.core.prefetcher import Prefetcher
+from repro.features import TieredCacheSource
 from repro.graph.csr import CSRGraph
 from repro.graph.datasets import GraphDataset, load_dataset
 from repro.graph.generators import planted_partition_graph
@@ -76,19 +77,19 @@ def small_cluster(small_dataset) -> SimCluster:
 def make_halo_source(small_cluster):
     """Factory ``make(kind, trainer, ...)``: one trainer's halo source, built directly.
 
-    ``kind`` is ``"buffered"`` (Algorithms 1-2) or ``"tiered-cache"`` (the tier
+    ``kind`` is ``"prefetcher"`` (Algorithms 1-2) or ``"tiered-cache"`` (the tier
     stack; the static cache under the default ``CacheConfig``) — what the
     ``prefetch`` and ``tiered-cache``/``static-cache`` builders construct.
     """
 
     def make(kind, trainer, prefetch_config=None, cache_config=None, shared_tier=None):
         config = prefetch_config or PrefetchConfig(halo_fraction=0.25, delta=8)
-        if kind == "buffered":
+        if kind == "prefetcher":
             assert cache_config is None and shared_tier is None, "the buffer reads no cache"
-            return BufferedSource(
-                trainer.rpc,
+            return Prefetcher(
                 trainer.partition,
                 config,
+                trainer.rpc,
                 num_global_nodes=small_cluster.dataset.num_nodes,
                 seed=0,
             )

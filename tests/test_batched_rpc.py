@@ -237,7 +237,7 @@ class TestZeroMissSteps:
         # Buffer every halo node and disable eviction: every subsequent
         # step is all-hits, so no remote pull should ever be issued.
         source = make_halo_source(
-            "buffered", trainer, PrefetchConfig(halo_fraction=1.0, eviction_enabled=False)
+            "prefetcher", trainer, PrefetchConfig(halo_fraction=1.0, eviction_enabled=False)
         )
         source.initialize()
         baseline = trainer.rpc.stats.merge(RPCStats())  # copy

@@ -42,11 +42,16 @@ class TestPrefetchConfig:
         {"gamma": 0.0},
         {"gamma": 1.5},
         {"delta": 0},
-        {"scoreboard": "tree"},
     ])
     def test_invalid_configs(self, bad):
         with pytest.raises(ValueError):
             PrefetchConfig(**bad)
+
+    @pytest.mark.parametrize("layout", ["dense", "compact"])
+    def test_scoreboard_layout_is_not_a_field(self, layout):
+        # One S_A layout (the dense one): the knob that chose between two is gone.
+        with pytest.raises(TypeError):
+            PrefetchConfig(scoreboard=layout)
 
     def test_paper_grids_nonempty(self):
         assert len(PAPER_HALO_FRACTIONS) == 4

@@ -102,7 +102,7 @@ class TestNoHaloAndSmallBufferEdgeCases:
         rpc = RPCChannel(servers, local_part=0, cost_model=CostModel.cpu())
         prefetcher = Prefetcher(partitions[0], PrefetchConfig(), rpc, dataset.num_nodes)
         report = prefetcher.initialize()
-        assert report.buffer_capacity == 0
+        assert report["buffer_capacity"] == 0
         outcome = prefetcher.process_minibatch(np.array([], dtype=np.int64), step=1)
         assert outcome.num_hits == 0 and outcome.num_misses == 0
 

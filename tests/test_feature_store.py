@@ -1,13 +1,16 @@
 """Tests for repro.features: sources, routing, and fetch accounting."""
 
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from repro.core.config import PrefetchConfig
+from repro.core.prefetcher import Prefetcher
 from repro.distributed.rpc import RPCStats
 from repro.features import (
-    BufferedSource,
+    FeatureSource,
     FeatureStore,
     FetchStats,
     LocalKVStoreSource,
@@ -81,10 +84,13 @@ class TestRemoteRPCSource:
             source.fetch(foreign)
 
 
-class TestBufferedSource:
-    def test_wraps_prefetcher_and_counts_steps(self, small_cluster, make_halo_source, trainer):
-        source = make_halo_source("buffered", trainer)
-        assert isinstance(source, BufferedSource)
+class TestPrefetcherSource:
+    def test_is_a_feature_source(self, make_halo_source, trainer):
+        assert isinstance(make_halo_source("prefetcher", trainer), FeatureSource)
+
+    def test_fetch_counts_steps(self, small_cluster, make_halo_source, trainer):
+        source = make_halo_source("prefetcher", trainer)
+        assert isinstance(source, Prefetcher)
         report = source.initialize()
         assert report["buffer_capacity"] > 0
         halo = trainer.partition.halo_global[:31]
@@ -93,18 +99,42 @@ class TestBufferedSource:
         assert stats.num_requested == 31
         assert stats.num_hits + stats.num_misses == 31
         assert stats.lookup_nodes > 0
-        assert source.prefetcher.tracker.num_steps == 1
-        assert source.nbytes() > 0
+        assert source.tracker.num_steps == 1
+        assert source.nbytes() == source.buffer_nbytes() + source.scoreboard_nbytes() > 0
 
     def test_preserves_prefetcher_operation_counts(self, make_halo_source, trainer):
-        source = make_halo_source("buffered", trainer)
+        source = make_halo_source("prefetcher", trainer)
         source.initialize()
         halo = trainer.partition.halo_global[:8]
         _, stats = source.fetch(halo)
         # Algorithm 2 accounting: every requested node plus every buffer slot
         # is looked up; unused slots are decayed.
-        assert stats.lookup_nodes == 8 + source.prefetcher.buffer.capacity
-        assert stats.buffer_capacity == source.prefetcher.buffer.capacity
+        assert stats.lookup_nodes == 8 + source.buffer.capacity
+        assert stats.buffer_capacity == source.buffer.capacity
+
+    def test_fetch_stats_repeat_process_minibatch(self, make_halo_source, trainer):
+        # One prefetcher is fed through fetch() (its own step counter), the
+        # other through process_minibatch(ids, step): every FetchStats field
+        # the step result has must match, on eviction steps too.
+        config = PrefetchConfig(halo_fraction=0.25, gamma=0.5, delta=2)
+        via_fetch = make_halo_source("prefetcher", trainer, config)
+        direct = make_halo_source("prefetcher", trainer, config)
+        via_fetch.initialize()
+        direct.initialize()
+        halo = trainer.partition.halo_global
+        rng = np.random.default_rng(5)
+        names = [f.name for f in dataclasses.fields(FetchStats) if f.name != "copy_time_s"]
+        replaced = 0
+        for step in range(10):
+            ids = rng.choice(halo, size=40)
+            rows, stats = via_fetch.fetch(ids)
+            result = direct.process_minibatch(ids, step)
+            np.testing.assert_array_equal(rows, result.features)
+            for name in names:
+                assert getattr(stats, name) == getattr(result, name), (step, name)
+            assert stats.copy_time_s == 0.0
+            replaced += stats.nodes_replaced
+        assert replaced > 0 and "scoring_nodes" in names and "buffer_capacity" in names
 
 
 class TestStaticCacheSource:
@@ -203,19 +233,18 @@ class TestFeatureStore:
         buffered = FeatureStore(
             partition=trainer.partition,
             local_source=LocalKVStoreSource(trainer.rpc),
-            halo_source=make_halo_source("buffered", trainer),
+            halo_source=make_halo_source("prefetcher", trainer),
         )
         buffered.initialize()
         assert buffered.nbytes() > 0  # the prefetch buffer is pinned per trainer
 
     def test_telemetry_passthrough(self, small_cluster, make_halo_source, trainer):
         plain = self._store(small_cluster, trainer)
-        assert plain.tracker is None and plain.prefetcher is None and plain.hit_rate is None
+        assert plain.tracker is None and plain.hit_rate is None
         buffered = FeatureStore(
             partition=trainer.partition,
             local_source=LocalKVStoreSource(trainer.rpc),
-            halo_source=make_halo_source("buffered", trainer),
+            halo_source=make_halo_source("prefetcher", trainer),
         )
         buffered.initialize()
-        assert buffered.prefetcher is not None
-        assert buffered.tracker is buffered.prefetcher.tracker
+        assert buffered.tracker is buffered.halo_source.tracker

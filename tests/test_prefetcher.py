@@ -13,7 +13,7 @@ from repro.distributed.rpc import RPCChannel
 from repro.distributed.kvstore import KVStore
 
 
-def make_prefetcher(dataset, partitions, part_id=0, config=None, policy=None):
+def make_prefetcher(dataset, partitions, part_id=0, config=None, seed=None):
     """Build a Prefetcher wired to real KVStore servers for the given partition."""
     servers = {
         p.part_id: KVStore(p.owned_global, dataset.features[p.owned_global], p.part_id)
@@ -25,7 +25,7 @@ def make_prefetcher(dataset, partitions, part_id=0, config=None, policy=None):
         config=config or PrefetchConfig(halo_fraction=0.25, gamma=0.9, delta=4),
         rpc=rpc,
         num_global_nodes=dataset.num_nodes,
-        eviction_policy=policy,
+        seed=seed,
     )
     return prefetcher, rpc
 
@@ -36,7 +36,7 @@ class TestInitialization:
         report = prefetcher.initialize()
         partition = small_partitions[0]
         capacity = prefetcher.config.buffer_capacity(partition.num_halo)
-        assert report.buffer_capacity == capacity
+        assert report["buffer_capacity"] == capacity
         resident = prefetcher.buffer.node_ids
         # All resident nodes are halo nodes ...
         assert np.all(np.isin(resident, partition.halo_global))
@@ -63,9 +63,9 @@ class TestInitialization:
     def test_initialization_counts_rpc(self, small_dataset, small_partitions):
         prefetcher, rpc = make_prefetcher(small_dataset, small_partitions)
         report = prefetcher.initialize()
-        assert rpc.stats.nodes_fetched == report.num_prefetched
-        assert report.rpc_time_s > 0
-        assert report.bytes_fetched > 0
+        assert rpc.stats.nodes_fetched == report["num_prefetched"]
+        assert report["rpc_time_s"] > 0
+        assert report["bytes_fetched"] > 0
 
     def test_scoreboard_initial_values(self, small_dataset, small_partitions):
         prefetcher, _ = make_prefetcher(small_dataset, small_partitions)
@@ -82,11 +82,14 @@ class TestInitialization:
         with pytest.raises(RuntimeError):
             prefetcher.process_minibatch(np.array([0]), step=0)
 
-    def test_compact_scoreboard_variant(self, small_dataset, small_partitions):
-        config = PrefetchConfig(halo_fraction=0.25, scoreboard="compact")
-        prefetcher, _ = make_prefetcher(small_dataset, small_partitions, config=config)
+    def test_scoreboard_nbytes_is_dense_sa_plus_se(self, small_dataset, small_partitions):
+        # Fig. 8 counts the O(|V|) S_A array and one S_E per slot, float64 each.
+        prefetcher, _ = make_prefetcher(small_dataset, small_partitions)
         report = prefetcher.initialize()
-        assert report.scoreboard_nbytes < small_dataset.num_nodes * 8
+        capacity = report["buffer_capacity"]
+        assert report["scoreboard_nbytes"] == 8 * (small_dataset.num_nodes + capacity)
+        assert report["num_prefetched"] == capacity == prefetcher.buffer.capacity > 0
+        assert report["num_halo_nodes"] == small_partitions[0].num_halo
 
 
 class TestProcessMinibatch:
@@ -300,11 +303,20 @@ class TestEvictionPolicies:
         chosen = RandomEvictionPolicy(seed=0).select(scores, 0.5, np.zeros(6, dtype=np.int64), 1)
         assert len(chosen) == 3
 
+    def test_policy_comes_from_the_config_and_the_seed(self, small_dataset, small_partitions):
+        config = PrefetchConfig(eviction_policy="random")
+        a, _ = make_prefetcher(small_dataset, small_partitions, config=config, seed=3)
+        b, _ = make_prefetcher(small_dataset, small_partitions, config=config, seed=3)
+        assert isinstance(a.eviction_policy, RandomEvictionPolicy)
+        assert a.eviction_policy.rng.random(4).tolist() == b.eviction_policy.rng.random(4).tolist()
+        with pytest.raises(TypeError):
+            Prefetcher(small_partitions[0], config, None, small_dataset.num_nodes,
+                       eviction_policy=LRUPolicy())
+
     def test_prefetcher_with_lru_policy_runs(self, small_dataset, small_partitions):
-        config = PrefetchConfig(halo_fraction=0.25, gamma=0.5, delta=3)
-        prefetcher, _ = make_prefetcher(
-            small_dataset, small_partitions, config=config, policy=LRUPolicy()
-        )
+        config = PrefetchConfig(halo_fraction=0.25, gamma=0.5, delta=3, eviction_policy="lru")
+        prefetcher, _ = make_prefetcher(small_dataset, small_partitions, config=config)
+        assert isinstance(prefetcher.eviction_policy, LRUPolicy)
         prefetcher.initialize()
         missing = np.setdiff1d(small_partitions[0].halo_global, prefetcher.buffer.node_ids)[:2]
         for step in range(4):

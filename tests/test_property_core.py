@@ -2,11 +2,12 @@
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
+from scoreboard_oracle import CompactAccessScoreboard
 
 from repro.core.buffer import PrefetchBuffer
 from repro.core.config import PrefetchConfig
 from repro.core.metrics import HitRateTracker, hit_rate
-from repro.core.scoreboard import CompactAccessScoreboard, DenseAccessScoreboard, EvictionScores
+from repro.core.scoreboard import DenseAccessScoreboard, EvictionScores
 from repro.nn import tensor_utils as tu
 
 

@@ -1,8 +1,9 @@
-"""Differential property test: the two S_A scoreboard layouts agree.
+"""Differential property test: the dense S_A scoreboard agrees with its oracle.
 
-``DenseAccessScoreboard`` (an ``O(|V|)`` array indexed by global id) and
-``CompactAccessScoreboard`` (an ``O(|V_h^p|)`` array addressed by binary
-search) are the paper's two layouts of one interface.  Hypothesis draws a
+``DenseAccessScoreboard`` (an ``O(|V|)`` array indexed by global id) is the
+layout the prefetcher builds; ``CompactAccessScoreboard`` in
+``tests/scoreboard_oracle.py`` (an ``O(|V_h^p|)`` array addressed by binary
+search) is the paper's other layout of the same interface.  Hypothesis draws a
 halo set, the empty one included, and a sequence of ``increment``, ``set``,
 ``get`` and ``top_candidates`` calls (with and without ``degrees`` and
 ``exclude``; ids inside and outside the halo, repeated ids, empty queries),
@@ -16,8 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 from hypothesis import example, given, strategies as st
+from scoreboard_oracle import CompactAccessScoreboard
 
-from repro.core.scoreboard import make_access_scoreboard
+from repro.core.scoreboard import DenseAccessScoreboard
 
 UNIVERSE = 40
 DEGREES = (np.arange(UNIVERSE, dtype=np.int64) * 7) % 5   # few distinct values: ties
@@ -77,8 +79,8 @@ def call(board, op):
 def test_dense_and_compact_layouts_agree(case):
     halo, ops = case
     halo = np.array(sorted(halo), dtype=np.int64)
-    dense = make_access_scoreboard("dense", UNIVERSE, halo)
-    compact = make_access_scoreboard("compact", UNIVERSE, halo)
+    dense = DenseAccessScoreboard(UNIVERSE, halo)
+    compact = CompactAccessScoreboard(halo)
     for op in ops:
         assert call(dense, op) == call(compact, op), op
         assert dense.get(halo).tolist() == compact.get(halo).tolist()

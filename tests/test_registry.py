@@ -13,7 +13,8 @@ from repro.core.eviction import (
     ScoreThresholdPolicy,
     build_eviction_policy,
 )
-from repro.features import BufferedSource, RemoteRPCSource, TieredCacheSource
+from repro.core.prefetcher import Prefetcher
+from repro.features import RemoteRPCSource, TieredCacheSource
 from repro.sampling.pipeline import MiniBatchPipeline
 from repro.training.pipelines import (
     PIPELINES,
@@ -121,7 +122,7 @@ class TestEvictionPolicyRegistry:
     def test_without_eviction_keeps_every_other_field(self):
         config = PrefetchConfig(
             halo_fraction=0.4, gamma=0.9, delta=7, eviction_enabled=True,
-            scoreboard="compact", eviction_policy="lru",
+            eviction_policy="lru",
         )
         defaults = PrefetchConfig()
         fields = [f.name for f in dataclasses.fields(PrefetchConfig)]
@@ -165,7 +166,7 @@ class TestPipelineRegistry:
         config = PrefetchConfig(halo_fraction=0.25, delta=8)
         expected = {
             "baseline": (RemoteRPCSource, SerialTimingPolicy, None),
-            "prefetch": (BufferedSource, OverlappedTimingPolicy, config),
+            "prefetch": (Prefetcher, OverlappedTimingPolicy, config),
             "static-cache": (TieredCacheSource, OverlappedTimingPolicy, config),
             "tiered-cache": (TieredCacheSource, OverlappedTimingPolicy, config),
         }

@@ -1,22 +1,27 @@
-"""Tests for the access (S_A) and eviction (S_E) scoreboards."""
+"""Tests for the access (S_A) and eviction (S_E) scoreboards.
+
+The S_A cases run on the dense layout and on the compact oracle
+(``tests/scoreboard_oracle.py``) alike.
+"""
 
 import numpy as np
 import pytest
+from scoreboard_oracle import CompactAccessScoreboard
 
-from repro.core.scoreboard import (
-    CompactAccessScoreboard,
-    DenseAccessScoreboard,
-    EvictionScores,
-    make_access_scoreboard,
-)
+from repro.core.scoreboard import DenseAccessScoreboard, EvictionScores
 
 
 HALO = np.array([2, 5, 9, 14, 20], dtype=np.int64)
 
+LAYOUTS = {
+    "dense": lambda halo: DenseAccessScoreboard(32, halo),
+    "compact": CompactAccessScoreboard,
+}
 
-@pytest.fixture(params=["dense", "compact"])
+
+@pytest.fixture(params=sorted(LAYOUTS))
 def scoreboard(request):
-    return make_access_scoreboard(request.param, num_global_nodes=32, halo_global=HALO)
+    return LAYOUTS[request.param](HALO)
 
 
 class TestAccessScoreboards:
@@ -77,15 +82,11 @@ class TestAccessScoreboards:
     @pytest.mark.parametrize("halo", [HALO, np.zeros(0, dtype=np.int64)])
     @pytest.mark.parametrize("kind", ["dense", "compact"])
     def test_empty_query_returns_empty(self, kind, halo):
-        board = make_access_scoreboard(kind, num_global_nodes=32, halo_global=halo)
+        board = LAYOUTS[kind](halo)
         empty = np.zeros(0, dtype=np.int64)
         board.increment(empty)
         board.set(empty, np.zeros(0))
         assert board.get(empty).shape == (0,)
-
-    def test_factory_unknown_kind(self):
-        with pytest.raises(ValueError):
-            make_access_scoreboard("sparse", 10, HALO)
 
 
 class TestEvictionScores:
