@@ -13,7 +13,7 @@ The paper ships two ``S_A`` layouts: a dense ``O(|V|)`` array with O(1)
 indexing and a memory-efficient ``O(|V_h^p|)`` array addressed by binary
 search over the sorted halo ids (used for papers100M).  They give the same
 values and the same errors, so only the dense one is kept here: its
-``nbytes`` is what Fig. 8's init report and the Fig. 14 memory table count.
+``nbytes`` is what Fig. 8's init-cost table counts.
 """
 
 from __future__ import annotations
